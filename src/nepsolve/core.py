@@ -28,12 +28,7 @@ __all__ = [
     "Settings",
     "EigenPair",
     "EigenSolution",
-    "assemble_T",
-    "assemble_Tprime",
-    "apply_T",
     "backward_error",
-    "region_contains",
-    "region_boundary_points",
     "apply_resolvent",
 ]
 
@@ -178,18 +173,6 @@ class NepOperator:
         return inf_norm(self.assemble(lam))
 
 
-def assemble_T(op: NepOperator, lam: complex):
-    return op.assemble(lam)
-
-
-def assemble_Tprime(op: NepOperator, lam: complex):
-    return op.assemble_deriv(lam)
-
-
-def apply_T(op: NepOperator, lam: complex, v):
-    return op.apply(lam, np.asarray(v, dtype=complex))
-
-
 def backward_error(op: NepOperator, lam: complex, x: np.ndarray) -> float:
     """Scaled residual ||T(lambda)x|| / (f(lambda) ||x||).
 
@@ -332,14 +315,6 @@ class Polygon:
         return pts
 
 
-def region_contains(region, z: complex, pad: float = 0.0, imag_tol: float = 0.0) -> bool:
-    return region.contains(complex(z), pad=pad, imag_tol=imag_tol)
-
-
-def region_boundary_points(region, m: int) -> np.ndarray:
-    return region.boundary_points(m)
-
-
 # -- settings and solutions ------------------------------------------------------
 
 
@@ -379,12 +354,20 @@ class Settings:
         return self.max_it if self.max_it is not None else max(500, 100 * self.nev)
 
     def sort_key(self):
+        """Eigenvalues to sort keys, the wanted ones smallest; non-finite keys sort last."""
         if self.which == "largest-magnitude":
-            return lambda lams: -np.abs(lams)
-        if self.which == "largest-real":
-            return lambda lams: -np.real(lams)
-        target = self.target
-        return lambda lams: np.abs(np.asarray(lams) - target)
+            key = lambda lams: -np.abs(lams)
+        elif self.which == "largest-real":
+            key = lambda lams: -np.real(lams)
+        else:
+            target = self.target
+            key = lambda lams: np.abs(np.asarray(lams) - target)
+
+        def finite_key(lams):
+            k = key(lams)
+            return np.where(np.isfinite(k), k, np.inf)
+
+        return finite_key
 
 
 @dataclass

@@ -19,7 +19,7 @@ from typing import List, Optional
 import numpy as np
 
 from .core import NepError, NepOperator
-from .functions import ScalarFunction, fn_eval_matrix
+from .functions import ScalarFunction
 from .linalg import LinearSolverConfig, lu_factor, make_linear_solver
 
 __all__ = [
@@ -52,7 +52,7 @@ def eval_phi(f: ScalarFunction, H: np.ndarray, lam: complex) -> np.ndarray:
     M[:k, :k] = H
     M[:k, k:] = np.eye(k)
     M[k:, k:] = lam * np.eye(k)
-    F = fn_eval_matrix(f, M, max_dim=max(2 * k, 256))
+    F = f.eval_matrix(M, max_dim=max(2 * k, 256))
     return F[:k, k:]
 
 
@@ -75,7 +75,7 @@ def eval_phi_deriv(f: ScalarFunction, H: np.ndarray, lam: complex) -> np.ndarray
     M[k : 2 * k, k : 2 * k] = lam * eye
     M[k : 2 * k, 2 * k :] = eye
     M[2 * k :, 2 * k :] = lam * eye
-    F = fn_eval_matrix(f, M, max_dim=max(3 * k, 256))
+    F = f.eval_matrix(M, max_dim=max(3 * k, 256))
     return F[:k, 2 * k :]
 
 
@@ -138,7 +138,7 @@ class InvariantPair:
         acc = np.zeros((self.n, self.k), dtype=complex)
         AX = self.AX if self.AX is not None else [A @ self.X for A, _ in op.terms]
         for blk, (_, f) in zip(AX, op.terms):
-            acc += blk @ fn_eval_matrix(f, self.H, max_dim=max(self.k, 256))
+            acc += blk @ f.eval_matrix(self.H, max_dim=max(self.k, 256))
         return float(np.linalg.norm(acc))
 
     def minimality_scale(self, lam: complex) -> float:

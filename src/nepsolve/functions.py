@@ -31,9 +31,6 @@ __all__ = [
     "inv_square_root",
     "phi",
     "combine",
-    "fn_eval",
-    "fn_eval_deriv",
-    "fn_eval_matrix",
     "function_from_descriptor",
     "function_to_descriptor",
 ]
@@ -284,21 +281,6 @@ def phi(k: int, *, alpha=1.0, beta=1.0) -> ScalarFunction:
 def combine(op: str, left: ScalarFunction, right: ScalarFunction, *, alpha=1.0, beta=1.0) -> ScalarFunction:
     """Combine two functions; for ``compose`` the result is ``right(left(x))``."""
     return ScalarFunction("combine", op=op, left=left, right=right, alpha=alpha, beta=beta)
-
-
-# -- functional interface ----------------------------------------------------
-
-
-def fn_eval(f: ScalarFunction, x: complex) -> complex:
-    return f(x)
-
-
-def fn_eval_deriv(f: ScalarFunction, x: complex) -> complex:
-    return f.deriv(x)
-
-
-def fn_eval_matrix(f: ScalarFunction, H: np.ndarray, max_dim: int = MATRIX_DIM_CAP) -> np.ndarray:
-    return f.eval_matrix(H, max_dim=max_dim)
 
 
 # -- scalar helpers ----------------------------------------------------------

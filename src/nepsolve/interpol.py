@@ -30,10 +30,11 @@ from .linalg import (
     KrylovSchurDriver,
     LinearSolverConfig,
     inf_norm,
+    lu_factor,
     make_linear_solver,
 )
 
-__all__ = ["cheb_nodes", "cheb_coeffs", "ChebPoly", "pep_linearize_cheb", "interpol_solve"]
+__all__ = ["cheb_nodes", "cheb_coeffs", "ChebPoly", "ColleaguePencil", "interpol_solve"]
 
 DEFAULT_DEGREE = 20
 FILTER_MARGIN = 0.01
@@ -225,26 +226,20 @@ class ColleaguePencil:
         return z.reshape(d * n)
 
 
-def pep_linearize_cheb(poly: ChebPoly) -> ColleaguePencil:
-    return ColleaguePencil(poly)
-
-
 def _solve_dense_pencil(op, settings, poly: ChebPoly, pencil: ColleaguePencil, degree: int) -> EigenSolution:
     """Small problems: form the pencil and take every eigenvalue at once.
 
     B is block diagonal with identities and the leading coefficient, so the
     generalized problem reduces to a standard one via B^{-1} A.
     """
-    import scipy.linalg
-
     region = settings.region
     A, B = pencil.build_dense()
     n = pencil.n
     # invert A rather than B: the leading Chebyshev coefficient in B decays
     # with the degree, and dividing by it would wreck the computed pairs
     try:
-        M = scipy.linalg.lu_solve(scipy.linalg.lu_factor(A), B)
-    except scipy.linalg.LinAlgError as exc:
+        M = lu_factor(A).solve(B)
+    except np.linalg.LinAlgError as exc:
         raise NepError("colleague pencil matrix is singular") from exc
     w, V = np.linalg.eig(M)
     with np.errstate(divide="ignore", invalid="ignore"):
@@ -301,7 +296,7 @@ def interpol_solve(
     if degree < 1:
         raise ValueError("interpolation degree must be at least 1")
     poly = cheb_coeffs(op, region, degree)
-    pencil = pep_linearize_cheb(poly)
+    pencil = ColleaguePencil(poly)
     if op.n * (degree + 1) <= DENSE_PENCIL_CAP:
         return _solve_dense_pencil(op, settings, poly, pencil, degree)
     # internal Krylov shift: the mapped target, clamped away from the interval
@@ -324,7 +319,7 @@ def interpol_solve(
     d, n = pencil.d, pencil.n
     total = d * n
     ncv = min(settings.ncv_effective, total)
-    target = complex(settings.target)
+    lam_key = settings.sort_key()
 
     def mapped(thetas):
         with np.errstate(divide="ignore", invalid="ignore"):
@@ -337,14 +332,7 @@ def interpol_solve(
         return region.contains(lam, pad=FILTER_MARGIN, imag_tol=1e-8 * max(1.0, abs(lam)))
 
     def keyfun(thetas):
-        lams = mapped(thetas)
-        if settings.which == "largest-magnitude":
-            key = -np.abs(lams)
-        elif settings.which == "largest-real":
-            key = -lams.real
-        else:
-            key = np.abs(lams - target)
-        return np.where(np.isfinite(key), key, np.inf)
+        return lam_key(mapped(thetas))
 
     def wanted_filter(thetas, _res):
         return np.array([np.isfinite(l) and in_region(l) for l in mapped(thetas)])
@@ -390,9 +378,8 @@ def interpol_solve(
         pairs.append(EigenPair(lam, x, eta, eta_poly=eta_poly))
         seen.append(lam)
 
-    key = settings.sort_key()
     if pairs:
-        order = np.argsort(key(np.array([p.lam for p in pairs])), kind="stable")
+        order = np.argsort(lam_key(np.array([p.lam for p in pairs])), kind="stable")
         pairs = [pairs[i] for i in order]
     converged = sum(1 for p in pairs[: settings.nev] if p.eta_poly <= settings.tol) >= settings.nev
     stats = {

@@ -2,15 +2,17 @@
 
 Dense matrices are plain complex ndarrays and sparse matrices are scipy CSR;
 the routines here wrap LAPACK/SuperLU factorizations, provide reorthogonalized
-Gram-Schmidt, a generic Krylov-Schur iteration with restart and locking, and
-small wrappers around the iterative linear solvers.
+Gram-Schmidt and small wrappers around the iterative linear solvers.  One
+Krylov-Schur driver with restart and locking runs every Krylov eigensolve:
+NLEIGS and interpol on their shift-and-invert operators, and SLP's inner
+linear eigenproblem through ``gen_eig_smallest``.
 """
 
 from __future__ import annotations
 
 import warnings
 from dataclasses import dataclass
-from typing import Callable, List, Optional
+from typing import List, Optional
 
 import numpy as np
 import scipy.linalg
@@ -21,18 +23,14 @@ __all__ = [
     "SingularMatrixError",
     "DenseLU",
     "lu_factor",
-    "lu_solve",
-    "dense_eig",
     "orthogonalize",
     "LinearSolverConfig",
     "make_linear_solver",
     "iterative_solve",
     "IterativeResult",
-    "sparse_apply",
-    "sparse_axpy",
     "inf_norm",
-    "KrylovResult",
-    "krylov_schur",
+    "FullBasisEngine",
+    "KrylovSchurDriver",
     "gen_eig_smallest",
 ]
 
@@ -69,19 +67,6 @@ def lu_factor(A: np.ndarray) -> DenseLU:
     if zeros.size:
         raise SingularMatrixError(f"exactly singular pivot at index {int(zeros[0])}")
     return DenseLU(lu, piv)
-
-
-def lu_solve(factors: DenseLU, b):
-    return factors.solve(b)
-
-
-def dense_eig(A: np.ndarray):
-    """Eigenvalues and unit-norm eigenvectors of a dense complex matrix."""
-    A = np.asarray(A, dtype=complex)
-    w, V = scipy.linalg.eig(A)
-    norms = np.linalg.norm(V, axis=0)
-    norms[norms == 0] = 1.0
-    return w, V / norms
 
 
 # -- orthogonalization ---------------------------------------------------------
@@ -257,22 +242,6 @@ def iterative_solve(cfg: LinearSolverConfig, A, b) -> IterativeResult:
     return IterativeResult(x, converged, resid, count["it"], breakdown=info < 0)
 
 
-# -- sparse helpers --------------------------------------------------------------
-
-
-def sparse_apply(A, x):
-    return A @ x
-
-
-def sparse_axpy(Y, alpha: complex, X, pattern_hint: str = "different"):
-    """Y + alpha*X for sparse matrices; the hint mirrors the split-operator API."""
-    if Y.shape != X.shape:
-        raise ValueError(f"dimension mismatch {Y.shape} vs {X.shape}")
-    if alpha == 0:
-        return Y.copy()
-    return (Y + alpha * X).tocsr()
-
-
 def inf_norm(A) -> float:
     if sp.issparse(A):
         if A.shape[0] == 0:
@@ -287,16 +256,6 @@ def inf_norm(A) -> float:
 # -- Krylov-Schur ----------------------------------------------------------------
 
 
-@dataclass
-class KrylovResult:
-    values: np.ndarray        # Ritz values, wanted-first order
-    vectors: np.ndarray       # corresponding Ritz vectors (columns)
-    residuals: np.ndarray     # Ritz residual estimates, same order
-    n_converged: int
-    restarts: int
-    breakdown: bool = False
-
-
 def _ordered_schur(M: np.ndarray, wanted: np.ndarray):
     """Complex Schur form with the eigenvalues in `wanted` moved to the front."""
     m = M.shape[0]
@@ -305,7 +264,6 @@ def _ordered_schur(M: np.ndarray, wanted: np.ndarray):
         return T, Q, len(wanted)
     wanted = np.asarray(wanted)
     all_eigs = np.linalg.eigvals(M)
-    unwanted = []
     used = np.zeros(len(all_eigs), dtype=bool)
     for w in wanted:
         idx = int(np.argmin(np.where(used, np.inf, np.abs(all_eigs - w))))
@@ -319,155 +277,6 @@ def _ordered_schur(M: np.ndarray, wanted: np.ndarray):
 
     T, Q, sdim = scipy.linalg.schur(M, output="complex", sort=select)
     return T, Q, int(sdim)
-
-
-def krylov_schur(
-    apply_op: Callable[[np.ndarray], np.ndarray],
-    n: int,
-    nev: int,
-    ncv: int,
-    v0: Optional[np.ndarray] = None,
-    tol: float = 1e-10,
-    max_restarts: int = 60,
-    sort_key: Optional[Callable[[np.ndarray], np.ndarray]] = None,
-    rng: Optional[np.random.Generator] = None,
-) -> KrylovResult:
-    """Krylov-Schur iteration for a few eigenpairs of a linear operator.
-
-    ``sort_key`` maps an array of Ritz values to sort keys; smaller keys are
-    kept at restart and reported first (default: largest magnitude first).
-    Convergence is declared when the Ritz residual estimate drops below
-    ``tol * max(|theta|, eps)``.
-    """
-    if sort_key is None:
-        sort_key = lambda t: -np.abs(t)
-    if rng is None:
-        rng = np.random.default_rng(0)
-    ncv = min(max(ncv, nev + 2), n)
-    V = np.zeros((n, ncv + 1), dtype=complex)
-    H = np.zeros((ncv + 1, ncv), dtype=complex)
-    if v0 is None:
-        v0 = np.ones(n, dtype=complex)
-    nv = np.linalg.norm(v0)
-    if nv == 0:
-        v0 = np.ones(n, dtype=complex)
-        nv = np.linalg.norm(v0)
-    V[:, 0] = np.asarray(v0, dtype=complex) / nv
-    m = 0
-    breakdown_hit = False
-
-    def ritz(msz):
-        Hm = H[:msz, :msz]
-        brow = H[msz, :msz]
-        theta, Y = np.linalg.eig(Hm)
-        res = np.abs(brow @ Y) / np.maximum(np.linalg.norm(Y, axis=0), 1e-300)
-        return theta, Y, res
-
-    restarts = 0
-    while True:
-        while m < ncv:
-            w = apply_op(V[:, m])
-            h, beta, w_orth, dep = orthogonalize(V[:, : m + 1], w)
-            H[: m + 1, m] = h
-            if dep:
-                breakdown_hit = True
-                H[m + 1, m] = 0.0
-                # invariant subspace: continue with a random orthogonal direction
-                for _ in range(3):
-                    cand = rng.standard_normal(n) + 1j * rng.standard_normal(n)
-                    h2, b2, w2, dep2 = orthogonalize(V[:, : m + 1], cand)
-                    if not dep2:
-                        V[:, m + 1] = w2 / b2
-                        break
-                else:
-                    m += 1
-                    break
-            else:
-                H[m + 1, m] = beta
-                V[:, m + 1] = w_orth / beta
-            m += 1
-
-        theta, Y, res = ritz(m)
-        order = np.argsort(sort_key(theta), kind="stable")
-        conv = res <= tol * np.maximum(np.abs(theta), np.finfo(float).eps)
-        n_conv = 0
-        for idx in order:
-            if conv[idx]:
-                n_conv += 1
-            else:
-                break
-        if n_conv >= nev or restarts >= max_restarts or m >= n:
-            keep = order[: max(nev, n_conv)]
-            vals = theta[keep]
-            vecs = V[:, :m] @ Y[:, keep]
-            nrm = np.linalg.norm(vecs, axis=0)
-            nrm[nrm == 0] = 1.0
-            vecs /= nrm
-            return KrylovResult(vals, vecs, res[keep], n_conv, restarts, breakdown_hit)
-
-        # restart: keep the wanted half, converged pairs first
-        p = max(nev + 1, m // 2)
-        p = min(p, m - 1)
-        wanted_vals = theta[order[:p]]
-        T, Q, sdim = _ordered_schur(H[:m, :m], wanted_vals)
-        sdim = max(1, min(sdim, m - 1))
-        brow = H[m, :m] @ Q[:, :sdim]
-        Vnew = V[:, :m] @ Q[:, :sdim]
-        V[:, :sdim] = Vnew
-        V[:, sdim] = V[:, m]
-        H[:, :] = 0.0
-        H[:sdim, :sdim] = T[:sdim, :sdim]
-        H[sdim, :sdim] = brow
-        m = sdim
-        restarts += 1
-
-
-def gen_eig_smallest(
-    A,
-    B,
-    how_many: int = 1,
-    v0: Optional[np.ndarray] = None,
-    tol: float = 1e-10,
-    ncv: Optional[int] = None,
-    max_restarts: int = 60,
-    solver_cfg: Optional[LinearSolverConfig] = None,
-):
-    """Smallest-magnitude eigenpairs of the pencil A x = mu B x.
-
-    A is factorized once and an Arnoldi iteration is run on A^{-1}B, so the
-    smallest |mu| of the pencil become the dominant eigenvalues 1/mu of the
-    iteration operator.  Accepts matrices or callables (solve_A, apply_B).
-    """
-    if callable(A):
-        solve_A, apply_B, n = A, B, v0.shape[0] if v0 is not None else None
-        if n is None:
-            raise ValueError("operator form requires an initial vector")
-    else:
-        n = A.shape[0]
-        solver = make_linear_solver(A, solver_cfg)
-        solve_A = solver.solve
-        apply_B = (lambda v: B @ v) if not callable(B) else B
-    if ncv is None:
-        ncv = min(n, max(12, 2 * how_many + 8))
-    res = krylov_schur(
-        lambda v: solve_A(apply_B(v)),
-        n,
-        nev=how_many,
-        ncv=ncv,
-        v0=v0,
-        tol=tol,
-        max_restarts=max_restarts,
-    )
-    out = []
-    for theta, i in zip(res.values, range(min(how_many, len(res.values)))):
-        if theta == 0:
-            raise SingularMatrixError("Arnoldi produced a zero Ritz value")
-        out.append((1.0 / theta, res.vectors[:, i]))
-    out.sort(key=lambda p: abs(p[0]))
-    return out
-
-
-# -- engine-based Krylov-Schur (shared by the interpolation solvers) --------
 
 
 class FullBasisEngine:
@@ -513,7 +322,10 @@ class FullBasisEngine:
 
 
 class KrylovSchurDriver:
-    """Krylov-Schur restart/locking logic shared by both basis engines.
+    """The Krylov-Schur restart/locking loop of every Krylov eigensolve.
+
+    NLEIGS runs it on the TOAR or the full basis engine; interpol, and SLP's
+    inner linear eigenproblem through ``gen_eig_smallest``, on the full basis.
 
     Convergence of a Ritz pair is judged either by the relative residual of
     the linear operator or, when ``pair_test`` is set, by a caller-supplied
@@ -638,3 +450,55 @@ class KrylovSchurDriver:
         _count, conv = self._count_converged(theta, res, Y, wanted)
         ok = conv & wanted
         return [(theta[i], Y[:, i], res[i], bool(ok[i])) for i in self._order(theta, wanted)]
+
+
+def gen_eig_smallest(
+    A,
+    B,
+    how_many: int = 1,
+    v0: Optional[np.ndarray] = None,
+    tol: float = 1e-10,
+    ncv: Optional[int] = None,
+    max_restarts: int = 60,
+    solver_cfg: Optional[LinearSolverConfig] = None,
+):
+    """Smallest-magnitude eigenpairs of the pencil A x = mu B x.
+
+    A is factorized once and Krylov-Schur is run on A^{-1}B, so the smallest
+    |mu| of the pencil become the dominant eigenvalues 1/mu of the iteration
+    operator.  Only the ``how_many`` dominant Ritz values count as wanted:
+    a smaller one that converges first must not end the iteration while a
+    dominant one is still unconverged.  Accepts matrices or callables
+    (solve_A, apply_B).
+    """
+    if callable(A):
+        if v0 is None:
+            raise ValueError("operator form requires an initial vector")
+        solve_A, apply_B, n = A, B, v0.shape[0]
+    else:
+        n = A.shape[0]
+        solve_A = make_linear_solver(A, solver_cfg).solve
+        apply_B = B if callable(B) else (lambda v: B @ v)
+    if ncv is None:
+        ncv = max(12, 2 * how_many + 8)
+    ncv = min(max(ncv, how_many + 2), n)
+    if v0 is None or not np.any(v0):
+        v0 = np.ones(n, dtype=complex)
+
+    def dominant(theta, _res):
+        wanted = np.zeros(len(theta), dtype=bool)
+        wanted[np.argsort(-np.abs(theta), kind="stable")[:how_many]] = True
+        return wanted
+
+    engine = FullBasisEngine(lambda v: solve_A(apply_B(v)), np.asarray(v0)[None, :], ncv)
+    driver = KrylovSchurDriver(engine, ncv, tol, lambda t: -np.abs(t), dominant)
+    driver.run(how_many, max_restarts)
+    out = []
+    for theta, y, _res, _ok in driver.extract()[:how_many]:
+        if theta == 0:
+            raise SingularMatrixError("Arnoldi produced a zero Ritz value")
+        x = engine.ritz_full(y, driver.m)
+        nrm = np.linalg.norm(x)
+        out.append((1.0 / theta, x / nrm if nrm else x))
+    out.sort(key=lambda p: abs(p[0]))
+    return out

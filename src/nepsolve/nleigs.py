@@ -29,7 +29,7 @@ from .core import (
     Settings,
     backward_error,
 )
-from .functions import ScalarFunction, fn_eval_matrix
+from .functions import ScalarFunction
 from .linalg import (
     FullBasisEngine,
     KrylovSchurDriver,
@@ -47,9 +47,6 @@ __all__ = [
     "auto_singularities",
     "UnsupportedPoleDetection",
     "ShiftInvertContext",
-    "shift_invert_apply",
-    "shift_invert_apply_adjoint",
-    "toar_expand",
     "toar_arnoldi",
     "nleigs_solve",
 ]
@@ -332,7 +329,7 @@ def divided_differences(
         for j in range(d_max + 1):
             M = _bidiagonal_quotient(seq, j + 1)
             for i, (_, f) in enumerate(op.terms):
-                F = fn_eval_matrix(f, M, max_dim=max(M.shape[0], 256))
+                F = f.eval_matrix(M, max_dim=max(M.shape[0], 256))
                 coeffs[i, j] = beta0 * F[j, 0]
             history[j] = np.max(np.abs(coeffs[:, j]))
             if j == 0:
@@ -552,21 +549,6 @@ class ShiftInvertContext:
         return U_new, g_new, grew
 
 
-def shift_invert_apply(ri: RationalInterpolant, sigma: complex, x, lin_cfg=None, ctx=None):
-    """One-shot S x; prefer reusing a ShiftInvertContext."""
-    ctx = ctx or ShiftInvertContext(ri, sigma, lin_cfg)
-    return ctx.apply(np.asarray(x, dtype=complex).reshape(-1))
-
-
-def shift_invert_apply_adjoint(ri: RationalInterpolant, sigma: complex, x, lin_cfg=None, ctx=None):
-    ctx = ctx or ShiftInvertContext(ri, sigma, lin_cfg)
-    return ctx.apply_adjoint(np.asarray(x, dtype=complex).reshape(-1))
-
-
-def toar_expand(ctx: ShiftInvertContext, U: np.ndarray, g_last: np.ndarray):
-    return ctx.toar_expand(U, g_last)
-
-
 # -- Krylov basis engines ------------------------------------------------------
 
 
@@ -640,14 +622,6 @@ class ToarBasisEngine:
         blocks = [self.U @ (self.G[i, :, :m] @ y) for i in range(self.d)]
         return np.concatenate(blocks)
 
-    def reconstruct_basis(self, cols: int) -> np.ndarray:
-        """Dense V with cols columns (small instances / verification only)."""
-        d, n = self.d, self.n
-        V = np.empty((d * n, cols), dtype=complex)
-        for i in range(d):
-            V[i * n : (i + 1) * n, :] = self.U @ self.G[i, :, :cols]
-        return V
-
 
 def toar_arnoldi(ctx: ShiftInvertContext, w_blocks: np.ndarray, steps: int):
     """Plain compact Arnoldi for a fixed number of steps (no restart).
@@ -666,9 +640,6 @@ def toar_arnoldi(ctx: ShiftInvertContext, w_blocks: np.ndarray, steps: int):
         if dep:
             break
     return engine.U, engine.G, H[: m + 1, :m]
-
-
-# -- Krylov-Schur driver ----------------------------------------------------------
 
 
 # -- top-level solver ----------------------------------------------------------------
@@ -696,18 +667,15 @@ def nleigs_solve(
     dd_tol: float = DD_TOL_DEFAULT,
     dd_maxdeg: int = DD_MAXDEG_DEFAULT,
     singularities="auto",
-    rk_shifts=None,
     full_basis: bool = False,
     boundary_npts: int = BOUNDARY_POINTS_DEFAULT,
     lin_cfg: Optional[LinearSolverConfig] = None,
 ) -> EigenSolution:
     """Rational-interpolation solve over a region of the complex plane.
 
-    The target is used as the single shift of the Krylov iteration (a user
-    shift list is accepted for interface compatibility but only its first
-    entry is honored).  Accepted pairs lie inside the region and meet the
-    backward-error tolerance; the two-sided variant additionally attaches
-    left eigenvectors.
+    The target is the single shift of the Krylov iteration.  Accepted pairs
+    lie inside the region and meet the backward-error tolerance; the
+    two-sided variant additionally attaches left eigenvectors.
 
     Region rule: while iterating, a Ritz value theta with residual res maps
     to lam = sigma + 1/theta, which is known only to about res/|theta|^2.  It
@@ -725,11 +693,6 @@ def nleigs_solve(
         full_basis = True
     notes = []
     sigma = complex(settings.target)
-    if rk_shifts:
-        shifts = list(rk_shifts)
-        sigma = complex(shifts[0])
-        if len(shifts) > 1:
-            notes.append("multi-shift rational Krylov is not supported; using the first shift only")
 
     boundary = settings.region.boundary_points(boundary_npts)
     sing, note = _resolve_singularities(op, singularities, settings)
@@ -753,7 +716,6 @@ def nleigs_solve(
     else:
         engine = ToarBasisEngine(ctx, w0, ncv)
 
-    target = complex(settings.target)
     region = settings.region
 
     real_axis = isinstance(region, Interval)
@@ -764,16 +726,11 @@ def nleigs_solve(
         # Re lam, so they lie inside the region at the strict tolerance
         return complex(lam.real) if real_axis else lam
 
+    lam_key = settings.sort_key()
+
     def sort_key(thetas):
         with np.errstate(divide="ignore", invalid="ignore"):
-            lams = sigma + 1.0 / np.asarray(thetas, dtype=complex)
-        if settings.which == "largest-magnitude":
-            key = -np.abs(lams)
-        elif settings.which == "largest-real":
-            key = -lams.real
-        else:
-            key = np.abs(lams - target)
-        return np.where(np.isfinite(key), key, np.inf)
+            return lam_key(sigma + 1.0 / np.asarray(thetas, dtype=complex))
 
     def wanted_filter(thetas, res):
         # lam = sigma + 1/theta inherits the first-order error res/|theta|^2
@@ -882,9 +839,8 @@ def nleigs_solve(
             notes.append(f"{len(missing)} pairs lack a matched left eigenvector")
             stats["notes"] = notes
 
-    key = settings.sort_key()
     if pairs:
-        order = np.argsort(key(np.array([p.lam for p in pairs])), kind="stable")
+        order = np.argsort(lam_key(np.array([p.lam for p in pairs])), kind="stable")
         pairs = [pairs[i] for i in order]
     converged = len(pairs) >= settings.nev
     return EigenSolution(pairs=pairs, stats=stats, converged=converged)

@@ -152,19 +152,21 @@ class LoadedStringOracle:
     (lam - pole) T(lam) = -B lam^2 + (A + pole*B + C) lam - pole*A is a
     quadratic matrix polynomial; its companion linearization yields all
     eigenvalues, and the pole itself appears as a spurious root of
-    multiplicity n-1 which is discarded.
+    multiplicity n-1 which is discarded.  The sparse A, B and C are
+    densified only here, when the eigenvalues are asked for.
     """
 
-    A: np.ndarray
-    B: np.ndarray
-    C: np.ndarray
+    A: sp.spmatrix
+    B: sp.spmatrix
+    C: sp.spmatrix
     pole: float
 
     def all_eigenvalues(self) -> np.ndarray:
         n = self.A.shape[0]
-        Q0 = -self.pole * self.A
-        Q1 = self.A + self.pole * self.B + self.C
-        Q2 = -self.B
+        A, B, C = (M.toarray() for M in (self.A, self.B, self.C))
+        Q0 = -self.pole * A
+        Q1 = A + self.pole * B + C
+        Q2 = -B
         P = np.zeros((2 * n, 2 * n), dtype=complex)
         Q = np.eye(2 * n, dtype=complex)
         P[:n, n:] = np.eye(n)
@@ -205,7 +207,7 @@ def gen_loaded_string(n: int, kappa: float = 1.0, mass: float = 1.0):
         (C, fn.rational([1.0, 0.0], [1.0, -pole])),
     ]
     op = NepOperator(terms=terms, pattern_hint="subset")
-    oracle = LoadedStringOracle(A.toarray(), B.toarray(), C.toarray(), pole)
+    oracle = LoadedStringOracle(A, B, C, pole)
     return op, oracle
 
 

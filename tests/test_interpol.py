@@ -6,10 +6,10 @@ from nepsolve import functions as fn
 from nepsolve.core import Interval, NepError, NepOperator, Settings
 from nepsolve.interpol import (
     ChebPoly,
+    ColleaguePencil,
     cheb_coeffs,
     cheb_nodes,
     interpol_solve,
-    pep_linearize_cheb,
 )
 from nepsolve.problems import gen_delay, gen_loaded_string
 
@@ -76,14 +76,14 @@ def test_delay_interpolation_error_decays_tenfold():
 
 def test_colleague_pencil_tau2_roots():
     p = scalar_poly([0.0, 0.0, 1.0])  # tau_2
-    A, B = pep_linearize_cheb(p).build_dense()
+    A, B = ColleaguePencil(p).build_dense()
     w = np.linalg.eigvals(np.linalg.solve(B, A))
     assert np.allclose(np.sort(w.real), [-np.sqrt(2) / 2, np.sqrt(2) / 2], atol=1e-12)
 
 
 def test_colleague_pencil_tau1_root():
     p = scalar_poly([0.0, 1.0])  # tau_1 -> degree 1 pencil
-    A, B = pep_linearize_cheb(p).build_dense()
+    A, B = ColleaguePencil(p).build_dense()
     w = np.linalg.eigvals(np.linalg.solve(B, A))
     assert np.allclose(w, [0.0], atol=1e-14)
 
@@ -94,7 +94,7 @@ def test_colleague_pencil_random_degree4_vs_companion_oracle():
         c = rng.standard_normal(5)
         c[-1] += 3.0 * np.sign(c[-1]) if c[-1] != 0 else 3.0
         p = scalar_poly(list(c))
-        A, B = pep_linearize_cheb(p).build_dense()
+        A, B = ColleaguePencil(p).build_dense()
         w = np.sort_complex(np.linalg.eigvals(np.linalg.solve(B, A)))
         # oracle: convert the Chebyshev combination to monomial coefficients
         # and take companion-matrix roots
@@ -108,7 +108,7 @@ def test_shift_invert_apply_matches_dense():
     n, d = 3, 4
     coeffs = [sp.csr_matrix(rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))) for _ in range(d + 1)]
     poly = ChebPoly(Interval(-1.0, 1.0), coeffs)
-    pencil = pep_linearize_cheb(poly)
+    pencil = ColleaguePencil(poly)
     A, B = pencil.build_dense()
     ts = 0.17 - 0.05j
     pencil.factor(ts)

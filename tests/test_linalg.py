@@ -3,20 +3,17 @@ import pytest
 import scipy.sparse as sp
 
 from nepsolve.linalg import (
+    FullBasisEngine,
     IterativeResult,
+    KrylovSchurDriver,
     LinearSolverConfig,
     SingularMatrixError,
-    dense_eig,
     gen_eig_smallest,
     inf_norm,
     iterative_solve,
-    krylov_schur,
     lu_factor,
-    lu_solve,
     make_linear_solver,
     orthogonalize,
-    sparse_apply,
-    sparse_axpy,
 )
 
 
@@ -30,7 +27,7 @@ def rand_complex(rng, *shape):
 def test_lu_identity():
     b = np.arange(5.0) + 1j
     f = lu_factor(np.eye(5))
-    assert np.allclose(lu_solve(f, b), b)
+    assert np.allclose(f.solve(b), b)
 
 
 def test_lu_diagonal():
@@ -58,42 +55,6 @@ def test_lu_adjoint_solve():
     b = rand_complex(rng, 20)
     x = lu_factor(A).solve(b, adjoint=True)
     assert np.linalg.norm(A.conj().T @ x - b) <= 1e-11 * np.linalg.norm(b)
-
-
-# -- dense eigensolver -----------------------------------------------------------
-
-
-def test_dense_eig_diagonal():
-    w, V = dense_eig(np.diag([1.0, 2.0, 3.0]))
-    assert sorted(np.round(w.real, 12)) == [1.0, 2.0, 3.0]
-    assert np.allclose(np.linalg.norm(V, axis=0), 1.0)
-
-
-def test_dense_eig_companion():
-    # companion of z^2 - 3z + 2 has roots 1 and 2
-    C = np.array([[3.0, -2.0], [1.0, 0.0]])
-    w, _ = dense_eig(C)
-    assert np.allclose(sorted(w.real), [1.0, 2.0], atol=1e-12)
-
-
-def test_dense_eig_residual_and_trace():
-    rng = np.random.default_rng(2)
-    A = rand_complex(rng, 20, 20)
-    w, V = dense_eig(A)
-    n = 20
-    for i in range(n):
-        r = np.linalg.norm(A @ V[:, i] - w[i] * V[:, i])
-        assert r <= 1e-10 * n * np.linalg.norm(A)
-    assert abs(np.trace(A) - w.sum()) <= 1e-10 * abs(np.trace(A))
-
-
-def test_dense_eig_similarity_invariance():
-    rng = np.random.default_rng(3)
-    A = rand_complex(rng, 12, 12)
-    Q, _ = np.linalg.qr(rand_complex(rng, 12, 12))
-    w1 = np.sort_complex(dense_eig(A)[0])
-    w2 = np.sort_complex(dense_eig(Q @ A @ Q.conj().T)[0])
-    assert np.max(np.abs(w1 - w2)) <= 1e-8 * max(1.0, np.max(np.abs(w1)))
 
 
 # -- generalized smallest --------------------------------------------------------
@@ -215,36 +176,14 @@ def test_direct_solver_sparse_and_counting():
     assert solver.solve_count == 2
 
 
-# -- sparse helpers ------------------------------------------------------------------
+# -- norms -----------------------------------------------------------------------------
 
 
-def test_sparse_axpy_examples():
-    I = sp.identity(4, format="csr", dtype=complex)
-    Y = sparse_axpy(I, 2.0, I, "same")
-    assert np.allclose(Y.toarray(), 3 * np.eye(4))
-    Z = sparse_axpy(I, 0.0, I)
-    assert np.allclose(Z.toarray(), np.eye(4))
-
-
-def test_sparse_axpy_random_patterns_densify_oracle():
-    rng = np.random.default_rng(11)
-    for _ in range(10):
-        A = sp.random(12, 12, density=0.2, random_state=rng.integers(2**31)).astype(complex)
-        B = sp.random(12, 12, density=0.2, random_state=rng.integers(2**31)).astype(complex)
-        alpha = complex(rng.standard_normal(), rng.standard_normal())
-        out = sparse_axpy(A.tocsr(), alpha, B.tocsr(), "different")
-        assert np.allclose(out.toarray(), A.toarray() + alpha * B.toarray())
-
-
-def test_sparse_axpy_dimension_mismatch():
-    with pytest.raises(ValueError):
-        sparse_axpy(sp.identity(3, format="csr"), 1.0, sp.identity(4, format="csr"))
-
-
-def test_sparse_apply_and_inf_norm():
-    A = sp.csr_matrix(np.array([[1.0, -2.0], [0.5, 0.0]]))
-    assert np.allclose(sparse_apply(A, np.array([1.0, 1.0])), [-1.0, 0.5])
+def test_inf_norm_sparse_and_dense():
+    A = np.array([[1.0, -2.0], [0.5, 0.0]])
+    assert inf_norm(sp.csr_matrix(A)) == 3.0
     assert inf_norm(A) == 3.0
+    assert inf_norm(sp.csr_matrix((0, 0))) == 0.0
 
 
 # -- krylov-schur --------------------------------------------------------------------
@@ -255,18 +194,42 @@ def test_krylov_schur_dominant_eigenpair():
     n = 60
     A = rand_complex(rng, n, n)
     A = A / np.linalg.norm(A, 2) + np.diag([5.0] + [0.0] * (n - 1))
-    res = krylov_schur(lambda v: A @ v, n, nev=1, ncv=12, tol=1e-12)
+    engine = FullBasisEngine(lambda v: A @ v, np.ones((1, n)), 12)
+    driver = KrylovSchurDriver(engine, 12, 1e-12, lambda t: -np.abs(t))
+    assert driver.run(1, 60) >= 1
+    theta, _y, _res, ok = driver.extract()[0]
     ref = np.linalg.eigvals(A)
     dom = ref[np.argmax(np.abs(ref))]
-    assert res.n_converged >= 1
-    assert abs(res.values[0] - dom) <= 1e-9 * abs(dom)
+    assert ok
+    assert abs(theta - dom) <= 1e-9 * abs(dom)
 
 
 def test_krylov_schur_invariant_subspace_breakdown():
     # identity: first vector is already invariant
     n = 10
-    res = krylov_schur(lambda v: v.copy(), n, nev=1, ncv=5, tol=1e-12)
-    assert res.values[0] == pytest.approx(1.0, rel=1e-12)
+    engine = FullBasisEngine(lambda v: v.copy(), np.ones((1, n)), 5)
+    driver = KrylovSchurDriver(engine, 5, 1e-12, lambda t: -np.abs(t))
+    driver.run(1, 60)
+    theta, _y, _res, ok = driver.extract()[0]
+    assert ok
+    assert theta == pytest.approx(1.0, rel=1e-12)
+
+
+def test_gen_eig_smallest_waits_for_the_dominant_pair():
+    # v0 is almost an eigenvector for 0.5, so that Ritz value converges in the
+    # first pass while the dominant one (1.0, next to a cluster in [-0.8, 0.8])
+    # needs restarts; the returned pair must be the converged dominant one
+    rng = np.random.default_rng(14)
+    n = 200
+    Q, _ = np.linalg.qr(rand_complex(rng, n, n))
+    w = np.concatenate([[1.0, 0.5], np.linspace(-0.8, 0.8, n - 2)])
+    S = (Q * w) @ Q.conj().T
+    v0 = Q[:, 1] + 1e-12 * rand_complex(rng, n)
+    tol = 1e-9
+    (mu, x), = gen_eig_smallest(lambda v: S @ v, lambda v: v, 1, v0=v0, tol=tol)
+    theta = 1.0 / mu
+    assert abs(theta - 1.0) <= 1e-6
+    assert np.linalg.norm(S @ x - theta * x) <= tol * abs(theta) * np.linalg.norm(x)
 
 
 def test_residual_property_random_trials():

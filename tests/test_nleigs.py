@@ -19,8 +19,6 @@ from nepsolve.nleigs import (
     divided_differences,
     leja_bagby,
     nleigs_solve,
-    shift_invert_apply,
-    shift_invert_apply_adjoint,
     toar_arnoldi,
 )
 from nepsolve.problems import gen_delay, gen_loaded_string
@@ -532,11 +530,3 @@ def test_nleigs_singularity_list_and_none():
         assert np.min(np.abs(ev - p.lam)) <= 1e-6 * abs(p.lam)
     for p in sol_none.pairs:
         assert np.min(np.abs(ev - p.lam)) <= 1e-5 * abs(p.lam)
-
-
-def test_nleigs_rk_shift_note():
-    op, _ = gen_loaded_string(60)
-    s = Settings(nev=2, tol=1e-8, target=10.0, region=Interval(4.0, 800.0))
-    sol = nleigs_solve(op, s, rk_shifts=[10.0, 50.0])
-    assert sol.converged
-    assert any("first shift" in note for note in sol.stats.get("notes", []))

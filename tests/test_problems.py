@@ -99,6 +99,22 @@ def test_loaded_string_oracle_self_consistency():
         assert backward_error(op, complex(lam), x) <= 1e-10
 
 
+def test_loaded_string_oracle_eigenvalues_at_n200():
+    _, oracle = gen_loaded_string(200)
+    assert len(oracle.all_eigenvalues()) == 201
+    ref = [4.48206235749, 24.2199192367, 63.6984738855, 122.936773027, 201.946019246,
+           300.744871805, 419.357438165, 557.812877694, 716.14530393]
+    assert np.allclose(oracle.in_interval(4.0, 800.0), ref, rtol=1e-10, atol=0.0)
+
+
+def test_loaded_string_generation_stays_sparse_at_large_n():
+    # the oracle keeps the sparse matrices; a dense copy at this size would
+    # need 298 GiB
+    op, oracle = gen_loaded_string(200000)
+    assert op.n == 200000
+    assert all(sp.issparse(M) for M in (oracle.A, oracle.B, oracle.C))
+
+
 def test_loaded_string_pole_scales_with_parameters():
     op, oracle = gen_loaded_string(10, kappa=3.0, mass=2.0)
     assert oracle.pole == pytest.approx(1.5)
