@@ -35,6 +35,7 @@ __all__ = [
 ]
 
 BREAKDOWN_RTOL = 1e-14
+COPY_RTOL = 1e-8
 
 
 class SingularMatrixError(np.linalg.LinAlgError):
@@ -279,6 +280,36 @@ def _ordered_schur(M: np.ndarray, wanted: np.ndarray):
     return T, Q, int(sdim)
 
 
+def _retained(order, theta, conv, wanted, p_target: int, cap_total: int) -> List[int]:
+    """Indices of the Ritz pairs a restart keeps, in ``order``.
+
+    Converged wanted pairs come first, then the best unconverged candidates
+    up to ``p_target``, then converged junk up to ``cap_total`` (keeping
+    dominant junk locked prevents it from regrowing every cycle).  An
+    unwanted unconverged Ritz value within COPY_RTOL |theta| of a converged
+    unwanted one is a copy of it (a pole of an interpolant shows up as
+    several) and counts as converged with it, so rounding noise in one
+    copy's residual cannot decide how many vectors are kept.
+    """
+    junk = theta[conv & ~wanted]
+    conv = conv.copy()
+    for i in np.flatnonzero(~conv & ~wanted):
+        if np.any(np.abs(junk - theta[i]) <= COPY_RTOL * abs(theta[i])):
+            conv[i] = True
+    keep = [i for i in order if conv[i] and wanted[i]][:cap_total]
+    for i in order:
+        if len(keep) >= min(p_target, cap_total):
+            break
+        if not conv[i] and i not in keep:
+            keep.append(i)
+    for i in order:
+        if len(keep) >= cap_total:
+            break
+        if conv[i] and not wanted[i] and i not in keep:
+            keep.append(i)
+    return keep
+
+
 class FullBasisEngine:
     """Explicitly stored Krylov vectors of length d*n."""
 
@@ -332,7 +363,9 @@ class KrylovSchurDriver:
     test on the extracted pair (the backward error of the original problem).
     ``wanted_filter(theta, res)`` receives the Ritz values with their
     residuals, so a caller can judge membership of a Ritz value no more
-    finely than its own error.
+    finely than its own error.  The Ritz data of H and their verdicts are
+    computed once and kept until H changes, so ``extract`` after ``run``
+    runs no pair test again.
     """
 
     def __init__(self, engine, ncv: int, tol: float, sort_key, wanted_filter=None, rng=None):
@@ -348,6 +381,7 @@ class KrylovSchurDriver:
         self.restarts = 0
         self.exhausted = False
         self.ritz_history: List[np.ndarray] = []
+        self._cycle = None  # (theta, Y, res, wanted, conv) of the current H
 
     def _ritz(self):
         m = self.m
@@ -366,14 +400,19 @@ class KrylovSchurDriver:
         # out wanted directions at a restart), each group by the caller's key
         return np.lexsort((self.sort_key(theta), ~wanted))
 
-    def _count_converged(self, theta, res, Y, wanted):
-        conv = res <= self.tol * np.maximum(np.abs(theta), np.finfo(float).eps)
-        if self.pair_test is not None:
-            for i in range(len(theta)):
-                if conv[i] or not wanted[i] or res[i] > 1e-2:
-                    continue
-                conv[i] = bool(self.pair_test(theta[i], Y[:, i], self.m))
-        return int(np.sum(conv & wanted)), conv
+    def _verdicts(self):
+        """Ritz values, vectors and residuals of H, which are wanted and converged."""
+        if self._cycle is None:
+            theta, Y, res = self._ritz()
+            wanted = self._wanted(theta, res)
+            conv = res <= self.tol * np.maximum(np.abs(theta), np.finfo(float).eps)
+            if self.pair_test is not None:
+                for i in range(len(theta)):
+                    if conv[i] or not wanted[i] or res[i] > 1e-2:
+                        continue
+                    conv[i] = bool(self.pair_test(theta[i], Y[:, i], self.m))
+            self._cycle = (theta, Y, res, wanted, conv)
+        return self._cycle
 
     def run(self, min_converged: int, max_restarts: int):
         """Iterate until enough wanted Ritz pairs converge (or give up)."""
@@ -381,6 +420,7 @@ class KrylovSchurDriver:
         last_count = -1
         while True:
             while self.m < self.ncv and not self.exhausted:
+                self._cycle = None
                 j = self.m
                 h, beta, dep = self.engine.expand(j)
                 self.H[: j + 1, j] = h
@@ -391,11 +431,10 @@ class KrylovSchurDriver:
                 else:
                     self.H[j + 1, j] = beta
                 self.m += 1
-            theta, Y, res = self._ritz()
-            wanted = self._wanted(theta, res)
+            theta, Y, res, wanted, conv = self._verdicts()
             order = self._order(theta, wanted)
             self.ritz_history.append((theta[order], res[order]))
-            count, conv = self._count_converged(theta, res, Y, wanted)
+            count = int(np.sum(conv & wanted))
             all_conv = bool(np.all(conv))
             if count == last_count:
                 stall += 1
@@ -410,29 +449,15 @@ class KrylovSchurDriver:
                 or stall >= 15
             ):
                 return count
-            # restart retention: converged wanted pairs first, then the best
-            # unconverged candidates, then converged junk (keeping dominant
-            # junk locked prevents it from regrowing every cycle); always
-            # leave at least a quarter of the subspace for fresh expansions
+            # always leave at least a quarter of the subspace for fresh expansions
             p_target = max(min_converged + 1, self.ncv // 2)
             cap_total = min(self.m - 1, max(min_converged + 2, (3 * self.ncv) // 4))
-            keep = [i for i in order if conv[i] and wanted[i]][:cap_total]
-            for i in order:
-                if len(keep) >= min(p_target, cap_total):
-                    break
-                if not conv[i] and i not in keep:
-                    keep.append(i)
-            for i in order:
-                if len(keep) >= cap_total:
-                    break
-                if conv[i] and not wanted[i] and i not in keep:
-                    keep.append(i)
-            p = len(keep)
-            wanted_vals = theta[keep]
+            wanted_vals = theta[_retained(order, theta, conv, wanted, p_target, cap_total)]
             T, Q, sdim = _ordered_schur(self.H[: self.m, : self.m], wanted_vals)
             sdim = max(1, min(sdim, self.m - 1))
             brow = self.H[self.m, : self.m] @ Q[:, :sdim]
             self.engine.transform(Q[:, :sdim], self.m)
+            self._cycle = None
             self.H[:, :] = 0.0
             self.H[:sdim, :sdim] = T[:sdim, :sdim]
             self.H[sdim, :sdim] = brow
@@ -445,9 +470,7 @@ class KrylovSchurDriver:
         ``ok`` marks exactly the pairs that the converged count includes:
         converged and accepted by the wanted filter.
         """
-        theta, Y, res = self._ritz()
-        wanted = self._wanted(theta, res)
-        _count, conv = self._count_converged(theta, res, Y, wanted)
+        theta, Y, res, wanted, conv = self._verdicts()
         ok = conv & wanted
         return [(theta[i], Y[:, i], res[i], bool(ok[i])) for i in self._order(theta, wanted)]
 

@@ -10,6 +10,15 @@ Krylov-Schur, either on explicitly stored vectors of length d*n (full basis)
 or on a compact tensor representation V_k = (I_d (x) U) G_k of the same basis
 (the default).  A two-sided variant runs a second Krylov process with the
 adjoint recurrences to recover left eigenvectors.
+
+The compact expansion costs O(n mu) plus one sparse solve per step, mu being
+the number of columns of U.  The block recurrence runs on the d x mu
+coefficients, and the solve's right-hand side is formed in coefficient space:
+the divided-difference coefficients are folded into a d x nterms weight
+matrix once per shift, so each step reads U once, by one product with
+nterms columns (d columns on the callback path), followed by one sparse
+matvec per column.  U lives in a column-major buffer preallocated with
+d + ncv + 2 columns, so no step copies it to grow it.
 """
 
 from __future__ import annotations
@@ -401,6 +410,19 @@ class ShiftInvertContext:
         self.solver = make_linear_solver(Rsig, lin_cfg)
         self.n = ri.op.n
         self._adjoint_terms = None
+        # the solve's right-hand side -(D_0 y^1 + ... + D_{d-2} y^{d-1} + D_d y^d / beta_d)
+        # is -sum_k M_k (Y W)[:, k] for the blocks Y = [y^1 .. y^d]: in split form
+        # M_k are the operator terms and W (d x nterms) folds the divided-difference
+        # coefficients into the block weights; otherwise M_k are the d matrices and
+        # W is diagonal
+        if ri.split:
+            self._rhs_mats = [A for A, _ in ri.op.terms]
+            self._rhs_weights = np.vstack(
+                [ri.coeffs[:, : d - 1].T, ri.coeffs[:, d][None, :] / self.beta[d]]
+            )
+        else:
+            self._rhs_mats = ri.dd_matrices[: d - 1] + [ri.dd_matrices[d]]
+            self._rhs_weights = np.diag(np.r_[np.ones(d - 1), 1.0 / self.beta[d]]).astype(complex)
 
     @property
     def solve_count(self) -> int:
@@ -408,42 +430,36 @@ class ShiftInvertContext:
 
     # forward recurrences ------------------------------------------------
 
-    def _y_rhs(self, y_blocks, xlast: np.ndarray) -> np.ndarray:
-        """-(D_0 y^1 + ... + D_{d-2} y^{d-1} + D_d x^{d-1}/beta_d)."""
-        ri, d = self.ri, self.d
-        if ri.split:
-            ell = ri.coeffs.shape[0]
-            n = self.n
-            rhs = np.zeros(n, dtype=complex)
-            for i, (A, _) in enumerate(ri.op.terms):
-                t = np.zeros(n, dtype=complex)
-                for j in range(1, d):
-                    c = ri.coeffs[i, j - 1]
-                    if c != 0:
-                        t += c * y_blocks[j]
-                cd = ri.coeffs[i, d] / self.beta[d]
-                if cd != 0:
-                    t += cd * xlast
-                rhs -= A @ t
-            return rhs
-        rhs = np.zeros(self.n, dtype=complex)
-        for j in range(1, d):
-            rhs -= ri.dd_matrices[j - 1] @ y_blocks[j]
-        rhs -= (ri.dd_matrices[d] @ xlast) / self.beta[d]
+    def _rhs(self, Y: np.ndarray, C: Optional[np.ndarray] = None) -> np.ndarray:
+        """The solve's right-hand side for the blocks y^1 .. y^d = columns of Y C.
+
+        ``Y`` is n x k and ``C`` (k x d, the identity when omitted) holds the
+        block coefficients; ``C W`` is formed first, so Y is read once by one
+        product with as many columns as there are matrices M_k.
+        """
+        CW = self._rhs_weights if C is None else C @ self._rhs_weights
+        T = CW.T @ Y.T  # row k is (Y C W)[:, k], contiguous for the matvec
+        rhs = -(self._rhs_mats[0] @ T[0])
+        for M, t in zip(self._rhs_mats[1:], T[1:]):
+            rhs -= M @ t
         return rhs
 
-    def _coeff_recurrence(self, g):
-        """The scalar block recurrence shared by vectors and TOAR coefficients."""
+    def _blocks(self, g: np.ndarray) -> np.ndarray:
+        """Rows y^1 .. y^{d-1} of the block recurrence and y^d = g^{d-1}.
+
+        ``g`` holds d rows: the blocks of a vector, or its TOAR coefficients.
+        """
         d = self.d
-        out = [None] * d
-        out[d - 1] = (
+        out = np.empty_like(g)
+        out[d - 1] = g[d - 1]
+        out[d - 2] = (
             g[d - 2] + (self.beta[d - 1] * self.inv_xi[d - 1]) * g[d - 1]
         ) / self.denoms[d - 2]
         for j in range(d - 2, 0, -1):
-            out[j] = (
+            out[j - 1] = (
                 g[j - 1]
                 + (self.beta[j] * self.inv_xi[j]) * g[j]
-                - self.beta[j] * self.pole_factors[j] * out[j + 1]
+                - self.beta[j] * self.pole_factors[j] * out[j]
             ) / self.denoms[j - 1]
         return out
 
@@ -451,12 +467,10 @@ class ShiftInvertContext:
         """w = S x for x given as d stacked blocks of length n."""
         d, n = self.d, self.n
         x = np.asarray(x, dtype=complex).reshape(d, n)
-        y = self._coeff_recurrence([x[j] for j in range(d)])
-        y0 = self.solver.solve(self._y_rhs(y, x[d - 1]))
-        w = np.empty((d, n), dtype=complex)
-        for j in range(d - 1):
-            w[j] = y[j + 1] + self.b_sigma[j] * y0
-        w[d - 1] = self.b_sigma[d - 1] * y0
+        w = self._blocks(x)
+        y0 = self.solver.solve(self._rhs(w.T))
+        w[d - 1] = 0.0
+        w += self.b_sigma[:d, None] * y0
         return w.reshape(d * n)
 
     # adjoint recurrences -------------------------------------------------
@@ -514,46 +528,38 @@ class ShiftInvertContext:
     # compact expansion -----------------------------------------------------
 
     def toar_expand(self, U: np.ndarray, g: np.ndarray):
-        """One compact expansion step.
+        """S applied to the vector with d coefficient rows ``g`` on U.
 
-        ``g`` holds the d coefficient blocks of the last basis vector with
-        respect to U.  Returns ``(U_new, g_new, grew)`` where ``g_new`` are
-        the coefficients of S applied to that vector and ``grew`` says
-        whether U gained a column (it does not when the new first block is
-        linearly dependent on U).
+        Returns ``(y0, G)`` with S (I_d (x) U) g = (I_d (x) [U, y0]) G: the
+        solve's result y0 is the only new direction, and G (d x (mu+1))
+        holds the coefficients.  U is read once, by the product that forms
+        the right-hand side.
         """
-        d = self.d
-        mu = U.shape[1]
-        gt = self._coeff_recurrence([g[j] for j in range(d)])
-        y_blocks = [None] * d
-        for j in range(1, d):
-            y_blocks[j] = U @ gt[j]
-        vlast = U @ g[d - 1]
-        y0 = self.solver.solve(self._y_rhs(y_blocks, vlast))
-        h_u, beta_u, w_orth, dep = orthogonalize(U, y0)
-        if dep:
-            U_new = U
-            g0 = h_u
-            mu_new = mu
-            grew = False
-        else:
-            U_new = np.hstack([U, (w_orth / beta_u)[:, None]])
-            g0 = np.concatenate([h_u, [beta_u]])
-            mu_new = mu + 1
-            grew = True
-        g_new = np.zeros((d, mu_new), dtype=complex)
-        for j in range(d - 1):
-            g_new[j, :mu] = gt[j + 1]
-            g_new[j] += self.b_sigma[j] * g0
-        g_new[d - 1] = self.b_sigma[d - 1] * g0
-        return U_new, g_new, grew
+        d, mu = self.d, U.shape[1]
+        G = np.zeros((d, mu + 1), dtype=complex)
+        Y = self._blocks(np.asarray(g, dtype=complex))
+        y0 = self.solver.solve(self._rhs(U, Y.T))
+        G[: d - 1, :mu] = Y[: d - 1]
+        G[:, mu] = self.b_sigma[:d]
+        return y0, G
 
 
 # -- Krylov basis engines ------------------------------------------------------
 
 
 class ToarBasisEngine:
-    """Compact representation V_k = (I_d (x) U) G_k of the Krylov basis."""
+    """Compact representation V_k = (I_d (x) U) G_k of the Krylov basis.
+
+    U (n x mu, orthonormal) is a view of the first mu columns of a
+    column-major buffer allocated once with d + ncv + 2 columns, the rank
+    that U can reach in exact arithmetic; the buffer grows only if rounding
+    ever lets the rank pass it.  An expansion step reads U once to form the
+    solve's right-hand side from the coefficient rows (the block recurrence
+    runs on the d x mu coefficients, not on n-long vectors), orthogonalizes
+    the solution against U and writes at most one new column in place; a
+    restart writes the compressed U W back into the same buffer.  G
+    (d x mu x k) lives in a preallocated coefficient buffer alike.
+    """
 
     def __init__(self, ctx: ShiftInvertContext, w_blocks: np.ndarray, ncv: int):
         self.ctx = ctx
@@ -564,28 +570,54 @@ class ToarBasisEngine:
         nrm = np.linalg.norm(R)
         if nrm == 0:
             raise ValueError("zero starting vector")
-        self.U = Q
-        G0 = (R / nrm).T  # block i of the coefficients is R[:, i]/nrm
-        self.G = G0[:, :, None].copy()  # (d, mU, ncols)
+        self.mu = Q.shape[1]
+        self.k = 1  # basis columns held in G
+        self._U = np.empty((n, d + ncv + 2), dtype=complex, order="F")
+        self._U[:, : self.mu] = Q
+        self._G = np.zeros((d, self._U.shape[1], ncv + 2), dtype=complex)
+        self._G[:, : self.mu, 0] = (R / nrm).T  # block i of the coefficients is R[:, i]/nrm
 
     @property
-    def mu(self) -> int:
-        return self.U.shape[1]
+    def U(self) -> np.ndarray:
+        return self._U[:, : self.mu]
+
+    @property
+    def G(self) -> np.ndarray:
+        return self._G[:, : self.mu, : self.k]
 
     def _stacked(self, cols: int) -> np.ndarray:
-        d, mu = self.d, self.mu
-        return self.G[:, :, :cols].reshape(d * mu, cols)
+        return self._G[:, : self.mu, :cols].reshape(self.d * self.mu, cols)
+
+    def _set_column(self, j: int, g: np.ndarray) -> None:
+        self._G[:, : self.mu, j] = g.reshape(self.d, self.mu)
+        self.k = j + 1
+
+    def _append_u(self, u: np.ndarray) -> None:
+        mu = self.mu
+        if mu == self._U.shape[1]:
+            U = np.empty((self.n, mu + self.d), dtype=complex, order="F")
+            U[:, :mu] = self._U
+            self._U = U
+            G = np.zeros((self.d, mu + self.d, self._G.shape[2]), dtype=complex)
+            G[:, :mu] = self._G
+            self._G = G
+        self._U[:, mu] = u
+        self.mu = mu + 1
 
     def expand(self, j: int):
-        g = self.G[:, :, j]
-        U_new, g_new, grew = self.ctx.toar_expand(self.U, g)
-        if grew:
-            self.U = U_new
-            self.G = np.pad(self.G, ((0, 0), (0, 1), (0, 0)))
-        h, beta, g_orth, dep = orthogonalize(self._stacked(j + 1), g_new.reshape(-1))
+        mu = self.mu
+        y0, g = self.ctx.toar_expand(self.U, self._G[:, :mu, j])
+        h_u, beta_u, u_orth, dep = orthogonalize(self.U, y0)
+        # y0 = U h_u + beta_u u: fold its coefficients into those on U and u
+        g[:, :mu] += g[:, mu:] * h_u
+        if dep:
+            g = g[:, :mu]
+        else:
+            g[:, mu] *= beta_u
+            self._append_u(u_orth / beta_u)
+        h, beta, g_orth, dep = orthogonalize(self._stacked(j + 1), g.reshape(-1))
         if not dep:
-            col = (g_orth / beta).reshape(self.d, self.mu, 1)
-            self.G = np.concatenate([self.G, col], axis=2)
+            self._set_column(j + 1, g_orth / beta)
         return h, beta, dep
 
     def append_random(self, j: int, rng) -> bool:
@@ -594,32 +626,34 @@ class ToarBasisEngine:
             cand = rng.standard_normal(d * mu) + 1j * rng.standard_normal(d * mu)
             h, beta, g_orth, dep = orthogonalize(self._stacked(j + 1), cand)
             if not dep:
-                col = (g_orth / beta).reshape(d, mu, 1)
-                self.G = np.concatenate([self.G, col], axis=2)
+                self._set_column(j + 1, g_orth / beta)
                 return True
         return False
 
     def transform(self, Qp: np.ndarray, m: int) -> None:
         p = Qp.shape[1]
-        kept = np.einsum("imk,kp->imp", self.G[:, :, :m], Qp)
-        resid = self.G[:, :, m][:, :, None]
-        M_cat = np.concatenate([kept, resid], axis=2)  # (d, mU, p+1)
+        d, mu = self.d, self.mu
+        M_cat = np.empty((d, mu, p + 1), dtype=complex)
+        M_cat[:, :, :p] = np.einsum("imk,kp->imp", self._G[:, :mu, :m], Qp)
+        M_cat[:, :, p] = self._G[:, :mu, m]
         # compress U to the subspace actually used by the kept coefficients
-        flat = M_cat.transpose(1, 0, 2).reshape(self.mu, self.d * (p + 1))
+        flat = M_cat.transpose(1, 0, 2).reshape(mu, d * (p + 1))
         W, s, _ = np.linalg.svd(flat, full_matrices=False)
         if s.size and s[0] > 0:
             r = max(1, int(np.sum(s > COMPRESS_RTOL * s[0])))
         else:
             r = 1
         W = W[:, :r]
-        self.U = self.U @ W
-        self.G = np.einsum("rm,imk->irk", W.conj().T, M_cat)
+        self._U[:, :r] = self.U @ W
+        self._G[:, :mu, : self.k] = 0.0  # everything outside G stays zero
+        self._G[:, :r, : p + 1] = np.einsum("rm,imk->irk", W.conj().T, M_cat)
+        self.mu, self.k = r, p + 1
 
     def ritz_first_block(self, y: np.ndarray, m: int) -> np.ndarray:
-        return self.U @ (self.G[0, :, :m] @ y)
+        return self.U @ (self._G[0, : self.mu, :m] @ y)
 
     def ritz_full(self, y: np.ndarray, m: int) -> np.ndarray:
-        blocks = [self.U @ (self.G[i, :, :m] @ y) for i in range(self.d)]
+        blocks = [self.U @ (self._G[i, : self.mu, :m] @ y) for i in range(self.d)]
         return np.concatenate(blocks)
 
 
@@ -749,12 +783,23 @@ def nleigs_solve(
     driver = KrylovSchurDriver(engine, ncv, inner_tol, sort_key, wanted_filter, rng)
     max_restarts = settings.max_it_effective
 
-    def pair_test(theta, y, m):
+    # (restarts, m, theta) -> backward error: the first two fix the basis and
+    # H, so harvest reuses what the last cycle's pair tests computed
+    etas = {}
+
+    def pair_eta(theta, y, m):
         x = engine.ritz_first_block(y, m)
         nx = np.linalg.norm(x)
         if nx == 0 or not np.isfinite(nx):
-            return False
-        return backward_error(op, eigenvalue(theta), x / nx) <= settings.tol
+            return x, np.inf
+        x = x / nx
+        key = (driver.restarts, m, theta)
+        if key not in etas:
+            etas[key] = backward_error(op, eigenvalue(theta), x)
+        return x, etas[key]
+
+    def pair_test(theta, y, m):
+        return pair_eta(theta, y, m)[1] <= settings.tol
 
     driver.pair_test = pair_test
 
@@ -765,12 +810,7 @@ def nleigs_solve(
             if not ok:
                 continue
             lam = eigenvalue(theta)
-            x = engine.ritz_first_block(y, driver.m)
-            nx = np.linalg.norm(x)
-            if nx == 0:
-                continue
-            x = x / nx
-            eta = backward_error(op, lam, x)
+            x, eta = pair_eta(theta, y, driver.m)
             if eta > settings.tol:
                 continue
             if any(abs(lam - q.lam) <= 1e-8 * max(1.0, abs(q.lam)) for q in pairs):

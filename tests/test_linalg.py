@@ -3,6 +3,7 @@ import pytest
 import scipy.sparse as sp
 
 from nepsolve.linalg import (
+    COPY_RTOL,
     FullBasisEngine,
     IterativeResult,
     KrylovSchurDriver,
@@ -15,6 +16,7 @@ from nepsolve.linalg import (
     make_linear_solver,
     orthogonalize,
 )
+from nepsolve.linalg import _retained
 
 
 def rand_complex(rng, *shape):
@@ -213,6 +215,45 @@ def test_krylov_schur_invariant_subspace_breakdown():
     theta, _y, _res, ok = driver.extract()[0]
     assert ok
     assert theta == pytest.approx(1.0, rel=1e-12)
+
+
+def test_retained_counts_unwanted_copies_as_converged():
+    # theta 0-1 are wanted (0 converged), 2-4 unwanted copies of one value
+    # (only 2 converged, 3 within COPY_RTOL of it), 5-6 unwanted unconverged
+    theta = np.array(
+        [3.0, 2.0, -1.0, -1.0 - 0.5 * COPY_RTOL, -1.0 - 3 * COPY_RTOL, 0.5, 0.2]
+    )
+    wanted = np.array([True, True, False, False, False, False, False])
+    conv = np.array([True, False, True, False, False, False, False])
+    order = np.arange(len(theta))
+    # the copy counts as converged junk: not a candidate, kept after them
+    assert _retained(order, theta, conv, wanted, 3, 5) == [0, 1, 4, 2, 3]
+    assert _retained(order, theta, conv, wanted, 2, 3) == [0, 1, 2]
+    # without a converged unwanted value there is nothing to be a copy of
+    conv[2] = False
+    assert _retained(order, theta, conv, wanted, 5, 5) == [0, 1, 2, 3, 4]
+    assert not conv[3]  # the caller's verdicts are not changed
+
+
+def test_driver_tests_each_ritz_pair_once_per_h():
+    rng = np.random.default_rng(15)
+    n = 80
+    A = np.diag(np.linspace(1.0, 2.0, n)) + 0.01 * rand_complex(rng, n, n)
+    engine = FullBasisEngine(lambda v: A @ v, np.ones((1, n)), 10)
+    driver = KrylovSchurDriver(engine, 10, 1e-14, lambda t: -np.abs(t))
+    seen = []
+
+    def pair_test(theta, _y, m):
+        seen.append((driver.restarts, m, theta))
+        return False
+
+    driver.pair_test = pair_test
+    driver.run(2, 3)
+    ran = len(seen)
+    assert ran > 0 and len(set(seen)) == ran
+    driver.extract()
+    driver.run(2, 3)  # no restart is left, so H does not change
+    assert len(seen) == ran
 
 
 def test_gen_eig_smallest_waits_for_the_dominant_pair():

@@ -9,6 +9,7 @@ import scipy.sparse as sp
 
 from nepsolve import functions as fn
 from nepsolve.core import Ellipse, Interval, NepError, NepOperator, Settings, backward_error
+from nepsolve.linalg import KrylovSchurDriver
 from nepsolve.nleigs import (
     LejaBagbySequence,
     RationalInterpolant,
@@ -193,14 +194,20 @@ def test_interpolation_conditions_at_nodes():
 # -- shift-invert kernels ------------------------------------------------------------------
 
 
-def random_interpolant(rng, n=6, d=3, with_poles=True):
-    """Random small rational interpolant for kernel验证 against dense pencils."""
+def random_interpolant(rng, n=6, d=3, with_poles=True, callback=False):
+    """Random small rational interpolant for kernel验证 against dense pencils.
+
+    ``callback`` hides the split form, so the interpolant keeps explicit
+    divided-difference matrices.
+    """
     terms = [
         (sp.csr_matrix(rand_complex(rng, n, n)), fn.constant(1.0)),
         (sp.identity(n, format="csr"), fn.polynomial([-1.0, 0.0])),
         (sp.csr_matrix(rand_complex(rng, n, n) * 0.3), fn.exponential(alpha=0.2)),
     ]
     op = NepOperator(terms=terms)
+    if callback:
+        op = NepOperator(t_fn=op.assemble, tprime_fn=op.assemble_deriv, n=n)
     boundary = Ellipse(0.0, 2.0, 1.0).boundary_points(200)
     sing = [4.0 + 0.5j, -5.0] if with_poles else []
     seq = leja_bagby(boundary, sing, d, start_hint=0.5)
@@ -327,11 +334,16 @@ def test_toar_expand_reconstruction_oracle():
     engine = ToarBasisEngine(ctx, w0, ncv=6)
     U0, g0 = engine.U.copy(), engine.G[:, :, 0].copy()
     vec0 = np.concatenate([U0 @ g0[i] for i in range(3)])
-    U1, g1, grew = ctx.toar_expand(U0, g0)
-    vec1 = np.concatenate([U1 @ g1[i] for i in range(3)])
+    # S (I (x) U0) g0 = (I (x) [U0, y0]) G1
+    y0, G1 = ctx.toar_expand(U0, g0)
+    U1 = np.column_stack([U0, y0])
+    vec1 = np.concatenate([U1 @ G1[i] for i in range(3)])
     ref = ctx.apply(vec0)
     assert np.linalg.norm(vec1 - ref) <= 1e-10 * max(1.0, np.linalg.norm(ref))
-    assert np.linalg.norm(U1.conj().T @ U1 - np.eye(U1.shape[1])) <= 1e-10
+    # the engine's step orthonormalizes the new direction into U
+    engine.expand(0)
+    assert engine.mu == U0.shape[1] + 1
+    assert np.linalg.norm(engine.U.conj().T @ engine.U - np.eye(engine.mu)) <= 1e-10
 
 
 def test_toar_first_step_matches_full_basis():
@@ -380,6 +392,73 @@ def test_toar_arnoldi_relation_and_orthonormality():
         lhs = S @ V[:, :m]
         rhs = V @ H
         assert np.linalg.norm(lhs - rhs) <= 1e-8 * max(1.0, np.linalg.norm(B))
+
+
+def test_callback_interpolant_apply_and_toar_match_dense():
+    # explicit divided-difference matrices: one right-hand-side column and one
+    # matvec per matrix in place of the folded term weights
+    rng = np.random.default_rng(11)
+    d, n = 4, 6
+    op, ri = random_interpolant(rng, n=n, d=d, callback=True)
+    assert not ri.split
+    sigma = 0.2 - 0.1j
+    A, B = dense_linearization(ri)
+    S = np.linalg.solve(A - sigma * B, B)
+    ctx = ShiftInvertContext(ri, sigma)
+    for _ in range(3):
+        x = rand_complex(rng, d * n)
+        assert np.linalg.norm(ctx.apply(x) - S @ x) <= 1e-10 * max(1.0, np.linalg.norm(S @ x))
+    U, G, H = toar_arnoldi(ctx, rand_complex(rng, d, n), 6)
+    assert H.shape == (7, 6)
+    V = np.vstack([U @ G[i] for i in range(d)])
+    assert np.linalg.norm(S @ V[:, :6] - V @ H) <= 1e-8 * max(1.0, np.linalg.norm(B))
+
+
+def check_compact_basis(engine, H, S):
+    """U and (I (x) U) G orthonormal, and S V_m = V_{m+1} H_m."""
+    U, G = engine.U, engine.G
+    m = H.shape[1]
+    assert G.shape == (engine.d, U.shape[1], m + 1)
+    assert np.linalg.norm(U.conj().T @ U - np.eye(U.shape[1])) <= 1e-10
+    V = np.vstack([U @ G[i] for i in range(engine.d)])
+    assert np.linalg.norm(V.conj().T @ V - np.eye(m + 1)) <= 1e-10
+    assert np.linalg.norm(S @ V[:, :m] - V @ H) <= 1e-8 * max(1.0, np.linalg.norm(S))
+
+
+def test_toar_restarts_keep_the_compact_basis():
+    rng = np.random.default_rng(12)
+    d, n, ncv = 3, 20, 8
+    op, ri = random_interpolant(rng, n=n, d=d)
+    sigma = 0.1 + 0.2j
+    A, B = dense_linearization(ri)
+    S = np.linalg.solve(A - sigma * B, B)
+    engine = ToarBasisEngine(ShiftInvertContext(ri, sigma), rand_complex(rng, d, n), ncv)
+    driver = KrylovSchurDriver(engine, ncv, 1e-14, lambda t: -np.abs(t))
+    driver.run(ncv, 3)  # more pairs than can converge: stops after 3 restarts
+    assert driver.restarts == 3
+    check_compact_basis(engine, driver.H[: driver.m + 1, : driver.m], S)
+
+
+def test_toar_basis_grows_past_a_full_buffer():
+    # the buffer holds the rank of U that exact arithmetic allows; should
+    # rounding ever let the rank pass it, the buffer grows rather than fails
+    rng = np.random.default_rng(13)
+    d, n, steps = 3, 12, 6
+    op, ri = random_interpolant(rng, n=n, d=d)
+    sigma = -0.2 + 0.1j
+    A, B = dense_linearization(ri)
+    S = np.linalg.solve(A - sigma * B, B)
+    engine = ToarBasisEngine(ShiftInvertContext(ri, sigma), rand_complex(rng, d, n), steps)
+    mu = engine.mu
+    engine._U = engine._U[:, :mu].copy(order="F")
+    engine._G = engine._G[:, :mu].copy()
+    H = np.zeros((steps + 1, steps), dtype=complex)
+    for j in range(steps):
+        h, beta, dep = engine.expand(j)
+        assert not dep
+        H[: j + 1, j], H[j + 1, j] = h, beta
+    assert engine.mu == mu + steps
+    check_compact_basis(engine, H, S)
 
 
 # -- full solver -------------------------------------------------------------------------------
@@ -484,24 +563,64 @@ def test_nleigs_toar_and_full_basis_take_the_same_steps(problem, n):
         assert abs(p.lam.imag) <= 1e-8 * max(1.0, abs(p.lam))
 
 
-@pytest.mark.parametrize("threads", ["1", "2"])
-def test_acceptance_4_independent_of_blas_threads(threads):
+def run_at_blas_threads(threads, script):
     # the BLAS thread count is read when numpy is imported, so each setting
-    # runs the acceptance-4 cases in a fresh interpreter
+    # runs in a fresh interpreter
     root = Path(__file__).resolve().parents[1]
     env = dict(os.environ, OPENBLAS_NUM_THREADS=threads, OMP_NUM_THREADS=threads)
     env["PYTHONPATH"] = os.pathsep.join(
         [str(root / "src"), str(root / "tests")] + [p for p in [env.get("PYTHONPATH")] if p]
     )
-    script = (
-        "from test_acceptance import test_criterion_4_toar_full_basis_equivalence as t\n"
-        "t()\n"
-    )
     proc = subprocess.run(
         [sys.executable, "-c", script], env=env, capture_output=True, text=True, timeout=300
     )
     assert proc.returncode == 0, proc.stdout + proc.stderr
-    assert "ACCEPTANCE 4: PASS" in proc.stdout
+    return proc.stdout
+
+
+@pytest.mark.parametrize("threads", ["1", "2"])
+def test_acceptance_4_independent_of_blas_threads(threads):
+    script = (
+        "from test_acceptance import test_criterion_4_toar_full_basis_equivalence as t\n"
+        "t()\n"
+    )
+    assert "ACCEPTANCE 4: PASS" in run_at_blas_threads(threads, script)
+
+
+@pytest.mark.parametrize("threads", ["1", "2"])
+def test_nleigs_delay_toar_steps_at_blas_threads(threads):
+    # the settings of the benchmark's nleigs-delay workload at a smaller n:
+    # one restart and 30 solves, whatever the thread count
+    script = (
+        "from nepsolve.core import Interval, Settings\n"
+        "from nepsolve.nleigs import nleigs_solve\n"
+        "from nepsolve.problems import gen_delay\n"
+        "op, _ = gen_delay(5000, tau=0.001, b=-2.0)\n"
+        "s = Settings(nev=5, tol=1e-6, target=1.0, region=Interval(-260.0, 50.0))\n"
+        "sol = nleigs_solve(op, s)\n"
+        "print(sol.converged, sol.stats['outer_iterations'], sol.stats['linear_solves'])\n"
+    )
+    assert run_at_blas_threads(threads, script).split() == ["True", "1", "30"]
+
+
+def test_nleigs_backward_error_once_per_pair(monkeypatch):
+    # the pair tests of the last cycle serve the harvest: no Ritz pair's
+    # backward error is evaluated twice
+    import nepsolve.nleigs as nleigs_mod
+
+    lams = []
+
+    def counting(op, lam, x):
+        lams.append(lam)
+        return backward_error(op, lam, x)
+
+    monkeypatch.setattr(nleigs_mod, "backward_error", counting)
+    op, _ = gen_delay(1000, tau=0.001, b=-2.0)
+    s = Settings(nev=5, tol=1e-6, target=1.0, region=Interval(-260.0, 50.0))
+    sol = nleigs_solve(op, s)
+    assert len(sol.pairs) == 5
+    assert len(set(lams)) == len(lams)
+    assert {p.lam for p in sol.pairs} <= set(lams)
 
 
 def test_nleigs_two_sided_left_residuals():
