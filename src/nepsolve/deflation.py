@@ -7,16 +7,29 @@ Further eigenpairs are then computed from an extended problem of size n+k,
 
 whose blocks are never formed explicitly: matrix-vector products, linear
 solves (through a Schur complement on the small block) and projections are
-all performed block-wise with cached quantities A_i X, X^* X and T(sigma)^{-1}
-U(sigma).
+all performed block-wise.
+
+What depends on the locked pair alone (A_i X, F_i = f_i(H), the coefficient
+stacks of the polynomial minimality blocks A(lam) and B(lam), the norms of
+the powers of H) is computed once per lock, after ``InvariantPair.extend``
+has fixed the minimality index p; per lam only small solves and matrix
+polynomials remain.  The coupling U(lam) = sum_i A_i X phi_i(lam), phi_i(lam)
+the top-right block of f_i([[H, I], [0, lam I]]), uses the resolvent identity
+phi_i(lam) = (F_i - f_i(lam) I) (H - lam I)^{-1} for lam outside spec(H): one
+triangular solve serves every term, a second one the derivative.  Where lam
+lies within SPEC_RTOL * max(|lam|, max |H_jj|) of a diagonal entry of H and
+the identity would cancel, the blocks come from ``eval_phi`` and
+``eval_phi_deriv`` instead; ``ExtSolveContext`` always builds U(sigma) that
+way, once per shift.
 """
 
 from __future__ import annotations
 
 import math
-from typing import List, Optional
+from typing import Optional
 
 import numpy as np
+from scipy.linalg.lapack import ztrtrs
 
 from .core import NepError, NepOperator
 from .functions import ScalarFunction
@@ -27,6 +40,7 @@ __all__ = [
     "eval_phi",
     "eval_phi_deriv",
     "ext_apply",
+    "ext_apply_both",
     "ExtSolveContext",
     "ext_solve",
     "ProjectionContext",
@@ -35,6 +49,22 @@ __all__ = [
 
 P_CAP_DEFAULT = 4
 RANK_TOL = 1e-10
+SPEC_RTOL = 1e-4
+
+
+def _phi_block(f: ScalarFunction, H: np.ndarray, lam: complex, order: int) -> np.ndarray:
+    """Top-right k-by-k block of f applied to the upper block-bidiagonal
+    matrix with diagonal (H, lam*I, ..., lam*I) (order + 1 copies of lam*I)
+    and identity superdiagonal blocks."""
+    H = np.asarray(H, dtype=complex)
+    k = H.shape[0]
+    if k == 0:
+        return np.zeros((0, 0), dtype=complex)
+    m = (order + 2) * k
+    M = lam * np.eye(m, dtype=complex)
+    M[:k, :k] = H
+    M[np.arange(m - k), np.arange(k, m)] = 1.0
+    return f.eval_matrix(M, max_dim=max(m, 256))[:k, m - k :]
 
 
 def eval_phi(f: ScalarFunction, H: np.ndarray, lam: complex) -> np.ndarray:
@@ -44,16 +74,7 @@ def eval_phi(f: ScalarFunction, H: np.ndarray, lam: complex) -> np.ndarray:
     divided-difference block that couples H to lam.  For a constant function
     this is zero and for the identity it is the identity.
     """
-    H = np.asarray(H, dtype=complex)
-    k = H.shape[0]
-    if k == 0:
-        return np.zeros((0, 0), dtype=complex)
-    M = np.zeros((2 * k, 2 * k), dtype=complex)
-    M[:k, :k] = H
-    M[:k, k:] = np.eye(k)
-    M[k:, k:] = lam * np.eye(k)
-    F = f.eval_matrix(M, max_dim=max(2 * k, 256))
-    return F[:k, k:]
+    return _phi_block(f, H, lam, 0)
 
 
 def eval_phi_deriv(f: ScalarFunction, H: np.ndarray, lam: complex) -> np.ndarray:
@@ -64,38 +85,41 @@ def eval_phi_deriv(f: ScalarFunction, H: np.ndarray, lam: complex) -> np.ndarray
     [0, 0, lam*I]]; this stays valid when lam is close to an eigenvalue of H,
     where differentiating the closed-form expression would be unstable.
     """
-    H = np.asarray(H, dtype=complex)
-    k = H.shape[0]
-    if k == 0:
-        return np.zeros((0, 0), dtype=complex)
-    eye = np.eye(k)
-    M = np.zeros((3 * k, 3 * k), dtype=complex)
-    M[:k, :k] = H
-    M[:k, k : 2 * k] = eye
-    M[k : 2 * k, k : 2 * k] = lam * eye
-    M[k : 2 * k, 2 * k :] = eye
-    M[2 * k :, 2 * k :] = lam * eye
-    F = f.eval_matrix(M, max_dim=max(3 * k, 256))
-    return F[:k, 2 * k :]
+    return _phi_block(f, H, lam, 1)
 
 
 class InvariantPair:
-    """Locked invariant pair (X, H) with cached products.
+    """Locked invariant pair (X, H) with the per-lock data of the extension.
 
-    X has unit columns, H is the small upper-triangular-ish coefficient
-    matrix, and p bounds the minimality index.  The caches A_i X (one block
-    per split term) and X^* X are refreshed on extension.
+    X has unit columns, H is upper triangular (``extend`` builds it so) and
+    p is the minimality index.  Per lock: ``AX`` (A_i X, n-by-k per split
+    term), ``F`` (f_i(H)), ``A_coef`` ((H^*)^i, i = 0..p, so
+    A(lam) = sum_i lam^i (H^*)^i X^*), ``B_coef`` (B_j = sum_{i=j+1..p}
+    (H^*)^i X^*X H^(i-j-1), j < p, so B(lam) = sum_j lam^j B_j) and
+    ``h_norms`` (max(||H^i||_F, 1), for ``minimality_scale``).
     """
 
     def __init__(self, X: np.ndarray, H: np.ndarray, p: int, op: Optional[NepOperator] = None):
         self.X = np.asarray(X, dtype=complex)
         self.H = np.asarray(H, dtype=complex)
         self.p = int(p)
-        self.XtX = self.X.conj().T @ self.X
-        if op is not None and op.is_split and self.k:
+        k = self.k
+        XtX = self.X.conj().T @ self.X
+        powers = [np.eye(k, dtype=complex)]
+        for _ in range(self.p):
+            powers.append(powers[-1] @ self.H)
+        self.h_norms = [max(np.linalg.norm(P), 1.0) for P in powers]
+        self.A_coef = np.array([P.conj().T for P in powers])
+        self.B_coef = np.zeros((self.p, k, k), dtype=complex)
+        for j in range(self.p):
+            for i in range(j + 1, self.p + 1):
+                self.B_coef[j] += self.A_coef[i] @ XtX @ powers[i - j - 1]
+        if op is not None and op.is_split and k:
             self.AX = [A @ self.X for A, _ in op.terms]
+            self.F = [f.eval_matrix(self.H, max_dim=max(k, 256)) for _, f in op.terms]
         else:
             self.AX = None
+            self.F = None
 
     @classmethod
     def empty(cls, n: int) -> "InvariantPair":
@@ -108,14 +132,6 @@ class InvariantPair:
     @property
     def k(self) -> int:
         return self.X.shape[1]
-
-    def h_powers(self, up_to: int) -> List[np.ndarray]:
-        """[I, H, H^2, ..., H^up_to]."""
-        k = self.k
-        powers = [np.eye(k, dtype=complex)]
-        for _ in range(up_to):
-            powers.append(powers[-1] @ self.H)
-        return powers
 
     def eigenpairs(self):
         """Eigenpairs of T recovered from the pair: lam from spec(H), x = X s."""
@@ -141,6 +157,10 @@ class InvariantPair:
             acc += blk @ f.eval_matrix(self.H, max_dim=max(self.k, 256))
         return float(np.linalg.norm(acc))
 
+    def project(self, v: np.ndarray) -> np.ndarray:
+        """X^* v for a vector v, without a conjugated copy of X."""
+        return (v.conj() @ self.X).conj()
+
     def minimality_scale(self, lam: complex) -> float:
         """Norm estimate of the minimality blocks [A(lam), B(lam)].
 
@@ -149,8 +169,7 @@ class InvariantPair:
         """
         if self.k == 0:
             return 1.0
-        powers = self.h_powers(self.p)
-        norms = [max(np.linalg.norm(P), 1.0) for P in powers]
+        norms = self.h_norms
         sx = math.sqrt(self.k)
         al = abs(lam)
         scale = sum(al**i * sx * norms[i] for i in range(self.p + 1))
@@ -159,19 +178,51 @@ class InvariantPair:
             scale += norms[i] * self.k * qn
         return float(scale)
 
-    def minimality_rank_ok(self, p: int) -> bool:
-        if self.k == 0:
-            return True
-        blocks = []
-        Hp = np.eye(self.k, dtype=complex)
-        for _ in range(p):
-            blocks.append(self.X @ Hp)
-            Hp = Hp @ self.H
-        V = np.vstack(blocks)
-        s = np.linalg.svd(V, compute_uv=False)
-        if s.size == 0 or s[0] == 0:
-            return False
-        return bool(np.sum(s > RANK_TOL * s[0]) == self.k)
+    def minimality_blocks(self, lam: complex, deriv: bool = False):
+        """(sum_i lam^i (H^*)^i, B(lam)), or their lam-derivatives: k-by-k
+        matrices, with A(lam) z = first @ (X^* z)."""
+        p, k = self.p, self.k
+        powers = complex(lam) ** np.arange(p + 1)
+        if deriv:
+            powers = np.concatenate([[0.0], np.arange(1, p + 1) * powers[:-1]])
+        A = powers @ self.A_coef.reshape(p + 1, k * k)
+        B = powers[:p] @ self.B_coef.reshape(p, k * k)
+        return A.reshape(k, k), B.reshape(k, k)
+
+    def near_spectrum(self, lam: complex) -> bool:
+        """Whether lam is too close to spec(H) for the resolvent identity.
+
+        The identity loses about SPEC_RTOL^-1 ulps to cancellation at a
+        relative distance SPEC_RTOL from the nearest diagonal entry of H.
+        """
+        d = np.diag(self.H)
+        sep = np.min(np.abs(d - lam))
+        return bool(sep <= SPEC_RTOL * max(abs(lam), np.max(np.abs(d))))
+
+    def coupling(self, op: NepOperator, lam: complex, Z: np.ndarray, c, dc=None):
+        """Coupling blocks phi_i(lam) Z and, when dc is given, phi_i'(lam) Z.
+
+        c and dc are the coefficients f_i(lam) and f_i'(lam).  Away from
+        spec(H), phi_i(lam) = (F_i - f_i(lam) I) (H - lam I)^{-1}, so one
+        triangular solve W = (H - lam I)^{-1} Z serves every term, and a
+        second, W' = (H - lam I)^{-1} W, gives
+        phi_i'(lam) Z = (F_i - f_i(lam)) W' - f_i'(lam) W.  Near spec(H) the
+        blocks come from ``eval_phi``/``eval_phi_deriv``.  Returns the two
+        lists (the second None without dc).
+        """
+        if self.near_spectrum(lam):
+            vals = [eval_phi(f, self.H, lam) @ Z for _, f in op.terms]
+            ders = None if dc is None else [eval_phi_deriv(f, self.H, lam) @ Z for _, f in op.terms]
+            return vals, ders
+        # near_spectrum has excluded a zero pivot, for which trtrs returns Z
+        M = self.H - lam * np.eye(self.k)
+        W = ztrtrs(M, Z)[0]
+        vals = [Fi @ W - ci * W for Fi, ci in zip(self.F, c)]
+        if dc is None:
+            return vals, None
+        W2 = ztrtrs(M, W)[0]
+        ders = [Fi @ W2 - ci * W2 - di * W for Fi, ci, di in zip(self.F, c, dc)]
+        return vals, ders
 
     def extend(self, op: NepOperator, lam: complex, x: np.ndarray, t: np.ndarray, p_cap: int = P_CAP_DEFAULT) -> "InvariantPair":
         """Lock one more eigenpair: X <- [X, x], H <- [[H, t], [0, lam]].
@@ -192,79 +243,89 @@ class InvariantPair:
         Hn[:k, :k] = self.H
         Hn[:k, k] = t
         Hn[k, k] = lam
-        newp = InvariantPair(Xn, Hn, min(k + 1, p_cap), op=op)
         for p in range(1, p_cap + 1):
-            if newp.minimality_rank_ok(p):
-                newp.p = p
-                return newp
+            if _minimal(Xn, Hn, p):
+                return InvariantPair(Xn, Hn, p, op=op)
         raise NepError(
             "invariant-pair extension is not minimal up to the index cap "
             f"{p_cap} (duplicate eigendirection?)"
         )
 
 
-def _poly_q(H_powers, i: int, lam: complex, k: int) -> np.ndarray:
-    """q_i(lam) = sum_{j=0}^{i-1} lam^j H^{i-j-1}."""
-    acc = np.zeros((k, k), dtype=complex)
-    for j in range(i):
-        acc += (lam**j) * H_powers[i - j - 1]
-    return acc
+def _minimal(X: np.ndarray, H: np.ndarray, p: int) -> bool:
+    """Whether [X; X H; ...; X H^(p-1)] has full column rank."""
+    blocks = []
+    Hp = np.eye(H.shape[0], dtype=complex)
+    for _ in range(p):
+        blocks.append(X @ Hp)
+        Hp = Hp @ H
+    s = np.linalg.svd(np.vstack(blocks), compute_uv=False)
+    if s.size == 0 or s[0] == 0:
+        return False
+    return bool(np.sum(s > RANK_TOL * s[0]) == H.shape[0])
 
 
-def _poly_q_deriv(H_powers, i: int, lam: complex, k: int) -> np.ndarray:
-    acc = np.zeros((k, k), dtype=complex)
-    for j in range(1, i):
-        acc += (j * lam ** (j - 1)) * H_powers[i - j - 1]
-    return acc
+def _ext_apply(pair: InvariantPair, op: NepOperator, lam: complex, z1, z2, derivs):
+    """Shared body of ``ext_apply`` and ``ext_apply_both``.
 
-
-def _phi_blocks(pair: InvariantPair, op: NepOperator, lam: complex, deriv: bool):
-    evalf = eval_phi_deriv if deriv else eval_phi
-    return [evalf(f, pair.H, lam) for _, f in op.terms]
+    Returns one (y1, y2) per entry of ``derivs`` (False: the operator, True:
+    its derivative).  The products A_i z1, the coefficients f_i(lam) and
+    f_i'(lam) and the triangular solves of ``coupling`` are formed once.
+    """
+    z1 = np.asarray(z1, dtype=complex)
+    empty = np.zeros(0, dtype=complex)
+    k = pair.k
+    if not op.is_split:
+        if k:
+            raise NepError("deflation requires the split form")
+        return [((op.apply_deriv if d else op.apply)(lam, z1), empty) for d in derivs]
+    Az = [A @ z1 for A, _ in op.terms]
+    c = op.coefficients(lam)
+    dc = op.coefficients_deriv(lam) if any(derivs) else None
+    if k:
+        z2 = np.asarray(z2, dtype=complex)
+        s = pair.project(z1)
+        phi, dphi = pair.coupling(op, lam, z2, c, dc)
+    out = []
+    for d in derivs:
+        y1 = np.zeros(op.n, dtype=complex)
+        for ci, v in zip(dc if d else c, Az):
+            y1 += ci * v
+        if k == 0:
+            out.append((y1, empty))
+            continue
+        for blk, v in zip(pair.AX, dphi if d else phi):
+            y1 += blk @ v
+        Ap, Bp = pair.minimality_blocks(lam, deriv=d)
+        out.append((y1, Ap @ s + Bp @ z2))
+    return out
 
 
 def ext_apply(pair: InvariantPair, op: NepOperator, lam: complex, z1: np.ndarray, z2: np.ndarray, deriv: bool = False):
-    """Extended operator (or its lambda-derivative) applied to [z1; z2]."""
-    z1 = np.asarray(z1, dtype=complex)
-    z2 = np.asarray(z2, dtype=complex)
-    k = pair.k
-    if k == 0:
-        y1 = op.apply_deriv(lam, z1) if deriv else op.apply(lam, z1)
-        return y1, np.zeros(0, dtype=complex)
-    if not op.is_split:
-        raise NepError("deflation requires the split form")
-    y1 = op.apply_deriv(lam, z1) if deriv else op.apply(lam, z1)
-    AX = pair.AX
-    phis = _phi_blocks(pair, op, lam, deriv)
-    for blk, phi_i in zip(AX, phis):
-        y1 = y1 + blk @ (phi_i @ z2)
+    """Extended operator (or its lambda-derivative) applied to [z1; z2].
 
-    Hc = pair.H.conj().T
-    s = pair.X.conj().T @ z1
-    y2 = np.zeros(k, dtype=complex)
-    H_powers = pair.h_powers(pair.p)
-    # A(lam) z1 = sum_{i=0..p} lam^i (H^*)^i (X^* z1)
-    powH = np.eye(k, dtype=complex)
-    for i in range(pair.p + 1):
-        coeff = (i * lam ** (i - 1)) if deriv else lam**i
-        if i == 0:
-            coeff = 0.0 if deriv else 1.0
-        y2 += coeff * (powH @ s)
-        powH = Hc @ powH
-    # B(lam) z2 = sum_{i=1..p} (H^*)^i X^*X q_i(lam) z2
-    powH = Hc.copy()
-    for i in range(1, pair.p + 1):
-        qi = _poly_q_deriv(H_powers, i, lam, k) if deriv else _poly_q(H_powers, i, lam, k)
-        y2 += powH @ (pair.XtX @ (qi @ z2))
-        powH = Hc @ powH
-    return y1, y2
+    Far-field iterates may overflow f_i(lam) to inf; the result then holds
+    inf or nan, without a warning, and callers test its finiteness.
+    """
+    with np.errstate(over="ignore", invalid="ignore"):
+        return _ext_apply(pair, op, lam, z1, z2, (deriv,))[0]
+
+
+def ext_apply_both(pair: InvariantPair, op: NepOperator, lam: complex, z1: np.ndarray, z2: np.ndarray):
+    """The extended operator and its lambda-derivative applied to [z1; z2].
+
+    Equal to ``ext_apply`` at deriv=False and deriv=True, at the cost of
+    little more than one of them.  Returns ((y1, y2), (d1, d2)).
+    """
+    with np.errstate(over="ignore", invalid="ignore"):
+        return tuple(_ext_apply(pair, op, lam, z1, z2, (False, True)))
 
 
 class ExtSolveContext:
     """Factorization data for extended solves at a fixed shift sigma.
 
-    Holds the T(sigma) factorization, the n-by-k blocks U(sigma) and
-    T(sigma)^{-1} U(sigma), and the LU of the k-by-k Schur complement
+    Holds the T(sigma) factorization, the n-by-k block T(sigma)^{-1} U(sigma),
+    and the LU of the k-by-k Schur complement
     S(sigma) = B(sigma) - A(sigma) T(sigma)^{-1} U(sigma).
     """
 
@@ -275,56 +336,28 @@ class ExtSolveContext:
         self.solver = make_linear_solver(op.assemble(sigma), lin_cfg)
         k = pair.k
         self.k = k
+        self.TinvU = self.S_lu = self.A_sigma = None
         if k:
             if not op.is_split:
                 raise NepError("deflation requires the split form")
-            phis = _phi_blocks(pair, op, sigma, deriv=False)
             U = np.zeros((pair.n, k), dtype=complex)
-            for blk, phi_i in zip(pair.AX, phis):
-                U += blk @ phi_i
-            self.U = U
+            for blk, (_, f) in zip(pair.AX, op.terms):
+                U += blk @ eval_phi(f, pair.H, self.sigma)
             TinvU = np.empty_like(U)
             for j in range(k):
                 TinvU[:, j] = self.solver.solve(U[:, j])
             self.TinvU = TinvU
             # S = B(sigma) - A(sigma) T^{-1} U
-            Hc = pair.H.conj().T
-            H_powers = pair.h_powers(pair.p)
-            XtTinvU = pair.X.conj().T @ TinvU
-            A_TinvU = np.zeros((k, k), dtype=complex)
-            powH = np.eye(k, dtype=complex)
-            for i in range(pair.p + 1):
-                A_TinvU += (self.sigma**i) * (powH @ XtTinvU)
-                powH = Hc @ powH
-            B = np.zeros((k, k), dtype=complex)
-            powH = Hc.copy()
-            for i in range(1, pair.p + 1):
-                B += powH @ (pair.XtX @ _poly_q(H_powers, i, self.sigma, k))
-                powH = Hc @ powH
-            S = B - A_TinvU
+            self.A_sigma, B = pair.minimality_blocks(self.sigma)
+            S = B - self.A_sigma @ (pair.X.conj().T @ TinvU)
             try:
                 self.S_lu = lu_factor(S)
             except np.linalg.LinAlgError as exc:
                 raise NepError(f"singular Schur complement at sigma={sigma}") from exc
-        else:
-            self.U = None
-            self.TinvU = None
-            self.S_lu = None
 
     @property
     def solve_count(self) -> int:
         return self.solver.solve_count
-
-    def _apply_A(self, v: np.ndarray) -> np.ndarray:
-        pair = self.pair
-        s = pair.X.conj().T @ v
-        Hc = pair.H.conj().T
-        out = np.zeros(pair.k, dtype=complex)
-        powH = np.eye(pair.k, dtype=complex)
-        for i in range(pair.p + 1):
-            out += (self.sigma**i) * (powH @ s)
-            powH = Hc @ powH
-        return out
 
     def solve(self, b1: np.ndarray, b2: Optional[np.ndarray] = None):
         """Solve the extended system at sigma by block elimination."""
@@ -333,7 +366,7 @@ class ExtSolveContext:
         if self.k == 0:
             return v, np.zeros(0, dtype=complex)
         b2 = np.zeros(self.k, dtype=complex) if b2 is None else np.asarray(b2, dtype=complex)
-        x2 = self.S_lu.solve(b2 - self._apply_A(v))
+        x2 = self.S_lu.solve(b2 - self.A_sigma @ self.pair.project(v))
         x1 = v - self.TinvU @ x2
         return x1, x2
 
@@ -396,33 +429,19 @@ class ProjectionContext:
     def value(self, lam: complex, deriv: bool = False) -> np.ndarray:
         """Projected extended operator (or derivative) as an m-by-m matrix."""
         pair, op = self.pair, self.op
-        m, k = self.m, pair.k
-        coeffs = op.coefficients_deriv(lam) if deriv else op.coefficients(lam)
+        m = self.m
+        c = op.coefficients(lam)
+        coeffs = op.coefficients_deriv(lam) if deriv else c
         M = np.zeros((m, m), dtype=complex)
-        for c, B in zip(coeffs, self.B):
-            M += c * B
-        if k == 0:
+        for ci, B in zip(coeffs, self.B):
+            M += ci * B
+        if pair.k == 0:
             return M
-        phis = _phi_blocks(pair, op, lam, deriv)
-        for C, phi_i in zip(self.C, phis):
-            M += C @ (phi_i @ self.V2)
-        Hc = pair.H.conj().T
-        H_powers = pair.h_powers(pair.p)
-        V2c = self.V2.conj().T
-        powH = np.eye(k, dtype=complex)
-        for i in range(pair.p + 1):
-            if deriv:
-                coeff = 0.0 if i == 0 else i * lam ** (i - 1)
-            else:
-                coeff = lam**i
-            if coeff != 0.0:
-                M += coeff * (V2c @ (powH @ self.E))
-            powH = Hc @ powH
-        powH = Hc.copy()
-        for i in range(1, pair.p + 1):
-            qi = _poly_q_deriv(H_powers, i, lam, k) if deriv else _poly_q(H_powers, i, lam, k)
-            M += V2c @ (powH @ (pair.XtX @ (qi @ self.V2)))
-            powH = Hc @ powH
+        phis, dphis = pair.coupling(op, lam, self.V2, c, coeffs if deriv else None)
+        for C, blk in zip(self.C, dphis if deriv else phis):
+            M += C @ blk
+        Ap, Bp = pair.minimality_blocks(lam, deriv=deriv)
+        M += self.V2.conj().T @ (Ap @ self.E + Bp @ self.V2)
         return M
 
     def recompute_audit(self) -> float:

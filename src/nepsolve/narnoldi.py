@@ -135,7 +135,7 @@ def narnoldi_solve(
         x2 = proj.V2 @ y
         r1, r2 = ext_apply(pair, op, lam, x1, x2)
         xnorm = math.hypot(np.linalg.norm(x1), np.linalg.norm(x2))
-        eta = _hunt_eta(op, pair, lam, x1, x2)
+        eta = _hunt_eta(op, pair, lam, x1, x2, r1, r2)
         if best is None or eta < best[0]:
             best = (eta, lam, x1 / xnorm, x2 / xnorm)
         if eta < tol:

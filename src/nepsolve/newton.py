@@ -15,7 +15,7 @@ from typing import Optional
 import numpy as np
 
 from .core import EigenPair, EigenSolution, NepError, NepOperator, Settings, backward_error
-from .deflation import ExtSolveContext, InvariantPair, _poly_q, ext_apply
+from .deflation import ExtSolveContext, InvariantPair, ext_apply, ext_apply_both
 from .linalg import LinearSolverConfig, gen_eig_smallest, lu_factor
 
 __all__ = ["slp_solve", "rii_solve", "rii_scalar_newton"]
@@ -54,16 +54,6 @@ def _lock_best(op, pair, best):
     return pair.extend(op, lam, x1, t)
 
 
-def _ext_eta(pair: InvariantPair, op: NepOperator, lam: complex, x1, x2) -> float:
-    """Backward-error style residual for the extended problem."""
-    r1, r2 = ext_apply(pair, op, lam, x1, x2)
-    num = math.hypot(np.linalg.norm(r1), np.linalg.norm(r2))
-    den = op.norm_scale(lam) * math.hypot(np.linalg.norm(x1), np.linalg.norm(x2))
-    if den == 0:
-        raise NepError("degenerate scaling in extended residual")
-    return num / den
-
-
 def _candidate_vector(pair: InvariantPair, lam: complex, x1, x2):
     """Eigenvector of T recovered from an extended candidate (x1, x2)."""
     if pair.k == 0:
@@ -76,17 +66,15 @@ def _candidate_vector(pair: InvariantPair, lam: complex, x1, x2):
     return x1 + pair.X @ w
 
 
-def _hunt_eta(op: NepOperator, pair: InvariantPair, lam: complex, x1, x2):
-    """Lock-quality measure for a hunt iterate.
+def _hunt_eta(op: NepOperator, pair: InvariantPair, lam: complex, x1, x2, r1, r2):
+    """Lock-quality measure for a hunt iterate with extended residual (r1, r2).
 
     Combines the invariance residual of the would-be extension (the first
-    block of the extended residual) with the plain backward error of the
-    recovered eigenvector.  The minimality block is excluded: its entries
-    grow like |lam|^(2p) and would put the criterion below the attainable
-    floor without affecting the quality of the locked pair.
+    block of the extended residual), the minimality residual and the plain
+    backward error of the recovered eigenvector.  The minimality residual is
+    scaled by ``minimality_scale``: its entries grow like |lam|^(2p).
     """
     with np.errstate(over="ignore", invalid="ignore"):
-        r1, r2 = ext_apply(pair, op, lam, x1, x2)
         nx = math.hypot(np.linalg.norm(x1), np.linalg.norm(x2))
         scale = op.norm_scale(lam)
         if scale == 0 or nx == 0:
@@ -111,19 +99,8 @@ def _extension_tail(pair: InvariantPair, op: NepOperator, lam: complex, x: np.nd
     k = pair.k
     if k == 0:
         return np.zeros(0, dtype=complex)
-    Hc = pair.H.conj().T
-    s = pair.X.conj().T @ x
-    Ax = np.zeros(k, dtype=complex)
-    powH = np.eye(k, dtype=complex)
-    for i in range(pair.p + 1):
-        Ax += (lam**i) * (powH @ s)
-        powH = Hc @ powH
-    H_powers = pair.h_powers(pair.p)
-    B = np.zeros((k, k), dtype=complex)
-    powH = Hc.copy()
-    for i in range(1, pair.p + 1):
-        B += powH @ (pair.XtX @ _poly_q(H_powers, i, lam, k))
-        powH = Hc @ powH
+    Ap, B = pair.minimality_blocks(lam)
+    Ax = Ap @ pair.project(x)
     try:
         return -lu_factor(B).solve(Ax)
     except np.linalg.LinAlgError:
@@ -181,7 +158,8 @@ def slp_solve(
             stats["outer_iterations"] += 1
             cur = pair if deflated else empty
             x1, x2 = xt[:n], xt[n:]
-            eta = _hunt_eta(op, cur, lam, x1, x2)
+            r1, r2 = ext_apply(cur, op, lam, x1, x2)
+            eta = _hunt_eta(op, cur, lam, x1, x2, r1, r2)
             if best is None or eta < best[0]:
                 best = (eta, lam, xt.copy(), deflated)
             if eta < tol:
@@ -280,8 +258,7 @@ def rii_scalar_newton(
     lam = complex(lam_start)
     for _ in range(max_inner):
         try:
-            u1, u2 = ext_apply(pair, op, lam, x1, x2)
-            d1, d2 = ext_apply(pair, op, lam, x1, x2, deriv=True)
+            (u1, u2), (d1, d2) = ext_apply_both(pair, op, lam, x1, x2)
         except (OverflowError, FloatingPointError):
             return lam
         if not (np.all(np.isfinite(u1)) and np.all(np.isfinite(d1))):
@@ -395,7 +372,7 @@ def rii_solve(
             )
             if not runaway:
                 r1, r2 = ext_apply(cur, op, lam, x1, x2)
-                eta = _hunt_eta(op, cur, lam, x1, x2)
+                eta = _hunt_eta(op, cur, lam, x1, x2, r1, r2)
                 runaway = not np.isfinite(eta)
             if runaway:
                 # the iteration left the representable domain; restart the hunt

@@ -11,6 +11,7 @@ from nepsolve.deflation import (
     eval_phi,
     eval_phi_deriv,
     ext_apply,
+    ext_apply_both,
     ext_project,
     ext_solve,
 )
@@ -330,3 +331,130 @@ def test_locked_pair_eigenpairs_have_small_residual():
     assert pair.invariance_residual(op) <= 1e-9 * op.norm_scale(roots[0])
     for lam, x in pair.eigenpairs():
         assert backward_error(op, lam, x) <= 1e-10
+
+
+# -- per-lock data and the resolvent identity ---------------------------------------
+
+
+def three_term_problem(rng, n):
+    """Random split operator with a rational, an exponential and a polynomial term."""
+    terms = [
+        (sp.csr_matrix(rand_complex(rng, n, n)), fn.rational([1.0, 0.0], [1.0, -5.0])),
+        (sp.csr_matrix(rand_complex(rng, n, n)), fn.exponential(alpha=-0.3)),
+        (sp.csr_matrix(rand_complex(rng, n, n)), fn.polynomial([0.5, -1.0, 2.0])),
+    ]
+    return NepOperator(terms=terms)
+
+
+def nonnormal_pair(rng, op, k, p):
+    """Pair with unit random X and a non-normal upper-triangular H, built directly."""
+    X = rand_complex(rng, op.n, k)
+    X /= np.linalg.norm(X, axis=0)
+    H = np.triu(rand_complex(rng, k, k), 1) * 3.0 + np.diag([0.5, -1.0 + 1.0j, 2.0, 3.5 - 0.5j][:k])
+    return InvariantPair(X, H, p, op=op)
+
+
+def block_oracle(f_matrix, H, lam, order):
+    """Top-right block of f applied to [[H, I], [0, lam I]] (order 1: the 3k-by-3k
+    matrix whose top-right block is the lam-derivative), evaluated by f_matrix."""
+    k = H.shape[0]
+    m = (order + 2) * k
+    M = np.zeros((m, m), dtype=complex)
+    M[:k, :k] = H
+    for b in range(1, order + 2):
+        M[b * k : (b + 1) * k, b * k : (b + 1) * k] = lam * np.eye(k)
+        M[(b - 1) * k : b * k, b * k : (b + 1) * k] = np.eye(k)
+    return f_matrix(M)[:k, -k:]
+
+
+def dense_matrix_functions():
+    """The three term functions of three_term_problem, evaluated without nepsolve."""
+    import scipy.linalg
+
+    def rational(M):
+        return np.linalg.solve(M - 5.0 * np.eye(len(M)), M)
+
+    def exponential(M):
+        return scipy.linalg.expm(-0.3 * M)
+
+    def polynomial(M):
+        return 0.5 * M @ M - M + 2.0 * np.eye(len(M))
+
+    return [rational, exponential, polynomial]
+
+
+def test_coupling_identity_matches_phi_blocks_on_a_nonnormal_pair():
+    rng = np.random.default_rng(20)
+    op = three_term_problem(rng, 7)
+    pair = nonnormal_pair(rng, op, 4, 2)
+    Z = rand_complex(rng, 4, 3)
+    assert np.linalg.cond(pair.H) > 10
+    for lam in (0.9 + 0.2j, -2.5, 1.7 - 1.1j, 6.0 + 3.0j):
+        assert not pair.near_spectrum(lam)
+        vals, ders = pair.coupling(op, lam, Z, op.coefficients(lam), op.coefficients_deriv(lam))
+        for (_, f), v, d in zip(op.terms, vals, ders):
+            ref = eval_phi(f, pair.H, lam) @ Z
+            dref = eval_phi_deriv(f, pair.H, lam) @ Z
+            assert np.max(np.abs(v - ref)) <= 1e-11 * max(1.0, np.max(np.abs(ref)))
+            assert np.max(np.abs(d - dref)) <= 1e-11 * max(1.0, np.max(np.abs(dref)))
+
+
+@pytest.mark.parametrize("offset", [0.0, 1e-12])
+def test_coupling_falls_back_at_the_spectrum_of_h(offset):
+    rng = np.random.default_rng(21)
+    op = three_term_problem(rng, 7)
+    pair = nonnormal_pair(rng, op, 4, 2)
+    z2 = rand_complex(rng, 4)
+    for j in range(4):
+        lam = pair.H[j, j] * (1.0 + offset)
+        assert pair.near_spectrum(lam)
+        vals, ders = pair.coupling(op, lam, z2, op.coefficients(lam), op.coefficients_deriv(lam))
+        for f_matrix, v, d in zip(dense_matrix_functions(), vals, ders):
+            ref = block_oracle(f_matrix, pair.H, lam, 0) @ z2
+            dref = block_oracle(f_matrix, pair.H, lam, 1) @ z2
+            assert np.all(np.isfinite(v)) and np.all(np.isfinite(d))
+            assert np.max(np.abs(v - ref)) <= 1e-10 * max(1.0, np.max(np.abs(ref)))
+            assert np.max(np.abs(d - dref)) <= 1e-10 * max(1.0, np.max(np.abs(dref)))
+        y1, y2 = ext_apply(pair, op, lam, rand_complex(rng, 7), z2)
+        assert np.all(np.isfinite(y1)) and np.all(np.isfinite(y2))
+
+
+def test_ext_apply_both_equals_separate_calls_and_finite_differences():
+    rng = np.random.default_rng(22)
+    op = three_term_problem(rng, 7)
+    pair = nonnormal_pair(rng, op, 3, 2)
+    z1, z2 = rand_complex(rng, 7), rand_complex(rng, 3)
+    h = 1e-6
+    for lam in (0.8 - 0.3j, 4.0 + 1.0j):
+        (y1, y2), (d1, d2) = ext_apply_both(pair, op, lam, z1, z2)
+        separate = ext_apply(pair, op, lam, z1, z2) + ext_apply(pair, op, lam, z1, z2, deriv=True)
+        for got, want in zip((y1, y2, d1, d2), separate):
+            assert np.array_equal(got, want)
+        a1, a2 = ext_apply(pair, op, lam + h, z1, z2)
+        b1, b2 = ext_apply(pair, op, lam - h, z1, z2)
+        assert np.linalg.norm(d1 - (a1 - b1) / (2 * h)) <= 1e-6 * max(1.0, np.linalg.norm(d1))
+        assert np.linalg.norm(d2 - (a2 - b2) / (2 * h)) <= 1e-6 * max(1.0, np.linalg.norm(d2))
+    empty = InvariantPair.empty(7)
+    (y1, _), (d1, _) = ext_apply_both(empty, op, 0.6, z1, np.zeros(0))
+    assert np.allclose(y1, op.apply(0.6, z1)) and np.allclose(d1, op.apply_deriv(0.6, z1))
+
+
+@pytest.mark.parametrize("p", [1, 2, 3])
+def test_minimality_blocks_match_explicit_construction(p):
+    rng = np.random.default_rng(23)
+    op = three_term_problem(rng, 7)
+    pair = nonnormal_pair(rng, op, 3, p)
+    n = 7
+    for lam in (0.7 + 0.4j, -1.9):
+        Mref = dense_extended_matrix_explicit(pair, op, lam)
+        Ap, Bp = pair.minimality_blocks(lam)
+        A_ref, B_ref = Mref[n:, :n], Mref[n:, n:]
+        assert np.max(np.abs(Ap @ pair.X.conj().T - A_ref)) <= 1e-12 * max(1.0, np.max(np.abs(A_ref)))
+        assert np.max(np.abs(Bp - B_ref)) <= 1e-12 * max(1.0, np.max(np.abs(B_ref)))
+        M = dense_extended_matrix(pair, op, lam)
+        assert np.max(np.abs(M - Mref)) <= 1e-11 * max(1.0, np.max(np.abs(Mref)))
+        h = 1e-6
+        dA, dB = pair.minimality_blocks(lam, deriv=True)
+        (Aa, Ba), (Ab, Bb) = pair.minimality_blocks(lam + h), pair.minimality_blocks(lam - h)
+        assert np.max(np.abs(dA - (Aa - Ab) / (2 * h))) <= 1e-6 * max(1.0, np.max(np.abs(dA)))
+        assert np.max(np.abs(dB - (Ba - Bb) / (2 * h))) <= 1e-6 * max(1.0, np.max(np.abs(dB)))

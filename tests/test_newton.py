@@ -7,6 +7,7 @@ from nepsolve.core import NepOperator, Settings, backward_error
 from nepsolve.deflation import InvariantPair
 from nepsolve.newton import rii_scalar_newton, rii_solve, slp_solve
 from nepsolve.problems import gen_delay, gen_loaded_string
+from test_nleigs import run_at_blas_threads
 
 
 def scalar_exp_minus_two():
@@ -159,3 +160,24 @@ def test_iterative_inner_solver_path():
     assert sol.pairs[0].eta <= 1e-7
     sol2 = rii_solve(op, s, lin_cfg=cfg, const_correction_tol=True)
     assert sol2.converged
+
+
+@pytest.mark.parametrize("threads", ["1", "2"])
+def test_rii_loaded_string_steps_at_blas_threads(threads):
+    # the settings of the benchmark's rii-string workload at n=200, where RII
+    # takes 682 outer iterations at 1 and at 2 BLAS threads
+    script = (
+        "import numpy as np\n"
+        "from nepsolve.core import Settings\n"
+        "from nepsolve.newton import rii_solve\n"
+        "from nepsolve.problems import gen_loaded_string\n"
+        "op, oracle = gen_loaded_string(200)\n"
+        "sol = rii_solve(op, Settings(nev=9, tol=1e-8, target=10.0, seed=0))\n"
+        "ref = oracle.all_eigenvalues()\n"
+        "err = max(np.min(np.abs(ref - lam)) / abs(lam) for lam in sol.eigenvalues)\n"
+        "print(sol.converged, len(sol.eigenvalues), sol.stats['outer_iterations'], err)\n"
+    )
+    converged, count, outer, err = run_at_blas_threads(threads, script).split()
+    assert converged == "True" and count == "9"
+    assert float(err) <= 1e-8
+    assert abs(int(outer) - 682) <= 0.02 * 682
