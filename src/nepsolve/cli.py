@@ -9,6 +9,7 @@ configuration, and is bit-identical across runs with the same seed and flags
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import json
 import sys
 import time
@@ -161,23 +162,16 @@ def run(argv) -> tuple[dict, int]:
     except argparse.ArgumentTypeError as exc:
         raise UsageError(str(exc)) from exc
 
-    op, settings = _build_problem(args)
-    if args.nev is not None:
-        settings.nev = args.nev
-    if args.ncv is not None:
-        settings.ncv = args.ncv
-    if args.tol is not None:
-        settings.tol = args.tol
-    if args.max_it is not None:
-        settings.max_it = args.max_it
-    if args.target is not None:
-        settings.target = args.target
-    if args.region is not None:
-        settings.region = args.region
-    settings.two_sided = args.two_sided
-    settings.seed = args.seed
-    if settings.ncv is not None and settings.ncv < settings.nev + 1:
-        raise UsageError("ncv must be at least nev + 1")
+    op, defaults = _build_problem(args)
+    overrides = {
+        name: value
+        for name in ("nev", "ncv", "tol", "max_it", "target", "region")
+        if (value := getattr(args, name)) is not None
+    }
+    # replace() reruns Settings' checks on the user's values
+    settings = dataclasses.replace(
+        defaults, **overrides, two_sided=args.two_sided, seed=args.seed
+    )
 
     lin_cfg = LinearSolverConfig(mode=args.linsolver)
 

@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Optional
 
 import numpy as np
@@ -134,13 +135,13 @@ class ScalarFunction:
     def _base_deriv(self, z: complex) -> complex:
         kind = self.kind
         if kind == "rational":
-            p, q = np.asarray(self.num, complex), np.asarray(self._den(), complex)
+            p, q, dp, dq = self._rational_coeffs
             qv = _polyval(q, z)
             if qv == 0:
                 raise FunctionDomainError(f"rational function pole at {z}")
             pv = _polyval(p, z)
-            dpv = _polyval(np.polyder(p), z)
-            dqv = _polyval(np.polyder(q), z)
+            dpv = _polyval(dp, z)
+            dqv = _polyval(dq, z)
             return (dpv * qv - pv * dqv) / (qv * qv)
         if kind == "exp":
             return np.exp(z)
@@ -234,6 +235,13 @@ class ScalarFunction:
 
     def _den(self):
         return self.den if self.den is not None else (1.0 + 0j,)
+
+    @cached_property
+    def _rational_coeffs(self):
+        """Numerator, denominator and their derivatives as complex arrays,
+        built once per function (the derivative is evaluated far more often)."""
+        p, q = np.asarray(self.num, complex), np.asarray(self._den(), complex)
+        return p, q, np.polyder(p), np.polyder(q)
 
 
 # -- constructors ------------------------------------------------------------

@@ -14,10 +14,10 @@ from typing import Optional
 import numpy as np
 import scipy.linalg
 
-from .core import EigenPair, EigenSolution, NepError, NepOperator, Settings, backward_error
+from .core import EigenSolution, NepError, NepOperator, Settings
 from .deflation import ExtSolveContext, InvariantPair, ProjectionContext, ext_apply
 from .linalg import BREAKDOWN_RTOL, LinearSolverConfig
-from .newton import LOCK_FLOOR, POLISH_MAX, STALL_FACTOR, STALL_PERSIST, _hunt_eta, _is_duplicate
+from .newton import _finish, _Hunt, _hunt_eta, _random_unit
 
 __all__ = ["narnoldi_solve", "dense_nep_slp"]
 
@@ -110,86 +110,60 @@ def narnoldi_solve(
         v = np.ones(m, dtype=complex) / math.sqrt(m)
         return [(v[:n], v[n:])]
 
+    hunt = _Hunt(tol)
+
+    def restart():
+        """A fresh search space from a seeded random vector."""
+        stats["restarts"] += 1
+        hunt.reset()
+        v = _random_unit(rng, n + pair.k)
+        return fresh_proj([(v[:n], v[n:])]), sigma
+
     solve_ctx = ExtSolveContext(pair, op, sigma, lin_cfg)
     proj = fresh_proj(start_columns())
     lam_prev = sigma
-    best = None
-    prev_eta = None
-    polish_steps = 0
-    stall_count = 0
 
     while pair.k < settings.nev and stats["outer_iterations"] < budget:
         stats["outer_iterations"] += 1
         try:
             y, lam = dense_nep_slp(proj, lam_prev, proj_tol)
         except NepError:
-            # projected solve failed; restart the subspace from a random vector
-            stats["restarts"] += 1
-            rv = rng.standard_normal(n + pair.k) + 1j * rng.standard_normal(n + pair.k)
-            rv /= np.linalg.norm(rv)
-            proj = fresh_proj([(rv[:n], rv[n:])])
-            best, prev_eta, polish_steps, stall_count = None, None, 0, 0
-            lam_prev = sigma
+            proj, lam_prev = restart()
             continue
         x1 = proj.V1 @ y
         x2 = proj.V2 @ y
         r1, r2 = ext_apply(pair, op, lam, x1, x2)
         xnorm = math.hypot(np.linalg.norm(x1), np.linalg.norm(x2))
         eta = _hunt_eta(op, pair, lam, x1, x2, r1, r2)
-        if best is None or eta < best[0]:
-            best = (eta, lam, x1 / xnorm, x2 / xnorm)
-        if eta < tol:
-            # polish to the residual floor before locking (see newton.py)
-            if prev_eta is not None and eta > prev_eta / STALL_FACTOR:
-                stall_count += 1
-            else:
-                stall_count = 0
-            if not (eta <= LOCK_FLOOR or stall_count >= STALL_PERSIST or polish_steps >= POLISH_MAX):
-                polish_steps += 1
-                prev_eta = eta
-            else:
-                _eb, lb, xb1, xb2 = best
-                try:
-                    if _is_duplicate(pair, lb, tol):
-                        raise NepError("duplicate eigendirection")
-                    pair = pair.extend(op, lb, xb1, xb2)
-                except NepError:
-                    # restart the search space away from the failed direction
-                    stats["restarts"] += 1
-                    rv = rng.standard_normal(n + pair.k) + 1j * rng.standard_normal(n + pair.k)
-                    rv /= np.linalg.norm(rv)
-                    proj = fresh_proj([(rv[:n], rv[n:])])
-                    best, prev_eta, polish_steps, stall_count = None, None, 0, 0
-                    lam_prev = sigma
-                    continue
-                stats["linear_solves"] += solve_ctx.solve_count
-                best = None
-                prev_eta = None
-                polish_steps = 0
-                if pair.k >= settings.nev:
-                    break
-                # keep the basis: pad the small block with a zero row for the new pair
-                cols = [
-                    (proj.V1[:, j], np.concatenate([proj.V2[:, j], [0.0]]))
-                    for j in range(proj.m)
-                ]
-                solve_ctx = ExtSolveContext(pair, op, sigma, lin_cfg)
-                proj = fresh_proj(cols)
-                lam_prev = sigma
+        if hunt.record(eta, lam, np.concatenate([x1, x2]) / xnorm):
+            extended = hunt.lock(op, pair)
+            if extended is None:
+                # restart the search space away from the failed direction
+                proj, lam_prev = restart()
                 continue
-        else:
-            prev_eta = eta
+            pair = extended
+            stats["linear_solves"] += solve_ctx.solve_count
+            if pair.k >= settings.nev:
+                break
+            # keep the basis: pad the small block with a zero row for the new pair
+            cols = [
+                (proj.V1[:, j], np.concatenate([proj.V2[:, j], [0.0]]))
+                for j in range(proj.m)
+            ]
+            solve_ctx = ExtSolveContext(pair, op, sigma, lin_cfg)
+            proj = fresh_proj(cols)
+            lam_prev = sigma
+            continue
         v1, v2 = solve_ctx.solve(r1, r2)
         if proj.m >= ncv:
             # restart keeping only the current Ritz vector
             stats["restarts"] += 1
-            nx = math.hypot(np.linalg.norm(x1), np.linalg.norm(x2))
-            proj = fresh_proj([(x1 / nx, x2 / nx)])
+            proj = fresh_proj([(x1 / xnorm, x2 / xnorm)])
         h, beta, a, b, dep = _orth2(proj.V1, proj.V2, v1, v2)
         if dep:
             # correction already in the subspace: expand with a random direction
             for _ in range(5):
-                rv = rng.standard_normal(n + pair.k) + 1j * rng.standard_normal(n + pair.k)
+                rv = _random_unit(rng, n + pair.k)
                 h, beta, a, b, dep = _orth2(proj.V1, proj.V2, rv[:n], rv[n:])
                 if not dep:
                     break
@@ -199,11 +173,4 @@ def narnoldi_solve(
         lam_prev = lam
 
     stats["linear_solves"] += solve_ctx.solve_count
-    pairs = []
-    for lam, x in pair.eigenpairs():
-        pairs.append(EigenPair(lam, x, backward_error(op, lam, x)))
-    key = settings.sort_key()
-    if pairs:
-        order = np.argsort(key(np.array([p.lam for p in pairs])), kind="stable")
-        pairs = [pairs[i] for i in order]
-    return EigenSolution(pairs=pairs, stats=stats, converged=pair.k >= settings.nev)
+    return _finish(op, pair, settings, stats, converged=pair.k >= settings.nev)

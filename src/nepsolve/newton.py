@@ -5,10 +5,19 @@ Both methods compute one eigenpair at a time.  Several eigenpairs are
 obtained by locking converged pairs into an invariant pair and running the
 same iteration on the deflated (extended) problem, so previously found
 eigenvalues cannot be recomputed.
+
+SLP, RII and the nonlinear Arnoldi solver share one lock rule (``_Hunt``).
+An iterate whose lock measure eta is below tol is polished on; the best
+iterate seen is locked when eta <= 1e-14 (``LOCK_FLOOR``), after two steps in
+a row (``STALL_PERSIST``) that gain less than 5% (``STALL_FACTOR``), or after
+80 polish steps (``POLISH_MAX``).  A duplicate (within 1e3 * tol relative of
+an eigenvalue already locked) or a non-minimal extension is not locked: the
+search restarts from a seeded random vector.
 """
 
 from __future__ import annotations
 
+import dataclasses
 import math
 from typing import Optional
 
@@ -41,17 +50,6 @@ def _shift_is_safe(pair, sigma) -> bool:
         return True
     locked = np.diag(pair.H)
     return bool(np.min(np.abs(locked - sigma)) > 5e-2 * (1.0 + abs(sigma)))
-
-
-def _lock_best(op, pair, best):
-    """Extend the pair with the best iterate recorded during polishing."""
-    _eta, lam, xt, deflated = best
-    n = op.n
-    x1, x2 = xt[:n], xt[n:]
-    if deflated and len(x2) == pair.k:
-        return pair.extend(op, lam, x1, x2)
-    t = _extension_tail(pair, op, lam, x1)
-    return pair.extend(op, lam, x1, t)
 
 
 def _candidate_vector(pair: InvariantPair, lam: complex, x1, x2):
@@ -119,6 +117,75 @@ def _finish(op, pair, settings, stats, converged) -> EigenSolution:
     return EigenSolution(pairs=pairs, stats=stats, converged=converged)
 
 
+def _random_unit(rng, m: int) -> np.ndarray:
+    """Seeded random complex unit vector of length m: a restart of the search."""
+    v = rng.standard_normal(m) + 1j * rng.standard_normal(m)
+    return v / np.linalg.norm(v)
+
+
+def _runaway(lam, xt, target) -> bool:
+    """The iterate left the representable domain or ran off from the target."""
+    return (
+        not np.isfinite(lam)
+        or abs(lam - target) > 1e6 * (1.0 + abs(target))
+        or not np.all(np.isfinite(xt))
+    )
+
+
+class _Hunt:
+    """Polish-then-lock state of the search for one eigenpair.
+
+    Locking right at tol lets the deflated operator inherit an
+    O(eta * ||T||) perturbation that degrades every later eigenpair, so an
+    iterate with eta < tol is polished towards the residual floor and the
+    best iterate seen is locked (see the module docstring for the rule).
+    """
+
+    def __init__(self, tol: float):
+        self.tol = tol
+        self.reset()
+
+    def reset(self) -> None:
+        self.best = None
+        self.prev_eta = None
+        self.polish_steps = 0
+        self.stall_count = 0
+
+    def record(self, eta: float, lam: complex, xt: np.ndarray, deflated: bool = True) -> bool:
+        """Record an iterate (xt = [x; t], ``deflated`` if t belongs to the
+        extended problem); True when the best iterate is to be locked now."""
+        if self.best is None or eta < self.best[0]:
+            self.best = (eta, lam, xt.copy(), deflated)
+        if eta < self.tol:
+            if self.prev_eta is not None and eta > self.prev_eta / STALL_FACTOR:
+                self.stall_count += 1
+            else:
+                self.stall_count = 0
+            if eta <= LOCK_FLOOR or self.stall_count >= STALL_PERSIST or self.polish_steps >= POLISH_MAX:
+                return True
+            self.polish_steps += 1
+        self.prev_eta = eta
+        return False
+
+    def lock(self, op: NepOperator, pair: InvariantPair) -> Optional[InvariantPair]:
+        """Extend the pair with the best iterate and reset the hunt.
+
+        Returns None for a duplicate of a locked eigenvalue or a non-minimal
+        extension; the caller then restarts the search.
+        """
+        _eta, lam, xt, deflated = self.best
+        self.reset()
+        if _is_duplicate(pair, lam, self.tol):
+            return None
+        x1, x2 = xt[: op.n], xt[op.n :]
+        try:
+            if not (deflated and len(x2) == pair.k):
+                x2 = _extension_tail(pair, op, lam, x1)
+            return pair.extend(op, lam, x1, x2)
+        except NepError:
+            return None
+
+
 def slp_solve(
     op: NepOperator,
     settings: Settings,
@@ -143,56 +210,31 @@ def slp_solve(
     budget = settings.max_it_effective
     empty = InvariantPair.empty(n)
     rng = np.random.default_rng(settings.seed)
+    hunt = _Hunt(tol)
 
     while pair.k < settings.nev and stats["outer_iterations"] < budget:
         lam = complex(settings.target)
         m = n + pair.k
         xt = np.ones(m, dtype=complex) / math.sqrt(m)
         deflated = True
-        locked = False
-        best = None
-        prev_eta = None
-        polish_steps = 0
-        stall_count = 0
         while stats["outer_iterations"] < budget:
             stats["outer_iterations"] += 1
             cur = pair if deflated else empty
             x1, x2 = xt[:n], xt[n:]
             r1, r2 = ext_apply(cur, op, lam, x1, x2)
             eta = _hunt_eta(op, cur, lam, x1, x2, r1, r2)
-            if best is None or eta < best[0]:
-                best = (eta, lam, xt.copy(), deflated)
-            if eta < tol:
-                # polish towards the residual floor: locking right at tol lets
-                # the deflated operator inherit an O(eta * ||T||) perturbation
-                # that degrades every later eigenpair
-                if prev_eta is not None and eta > prev_eta / STALL_FACTOR:
-                    stall_count += 1
-                else:
-                    stall_count = 0
-                if eta <= LOCK_FLOOR or stall_count >= STALL_PERSIST or polish_steps >= POLISH_MAX:
-                    if _is_duplicate(pair, best[1], tol):
-                        lam = complex(settings.target)
-                        v = rng.standard_normal(n + pair.k) + 1j * rng.standard_normal(n + pair.k)
-                        xt = v / np.linalg.norm(v)
-                        best, prev_eta, polish_steps, stall_count = None, None, 0, 0
-                        continue
-                    try:
-                        pair = _lock_best(op, pair, best)
-                    except NepError:
-                        lam = complex(settings.target)
-                        v = rng.standard_normal(n + pair.k) + 1j * rng.standard_normal(n + pair.k)
-                        xt = v / np.linalg.norm(v)
-                        best, prev_eta, polish_steps, stall_count = None, None, 0, 0
-                        continue
-                    locked = True
+            if hunt.record(eta, lam, xt, deflated):
+                extended = hunt.lock(op, pair)
+                if extended is not None:
+                    pair = extended
                     break
-                polish_steps += 1
-            prev_eta = eta
+                lam = complex(settings.target)
+                xt = _random_unit(rng, n + pair.k)
+                continue
             if deflated and deflation_threshold > 0 and 0 < eta < deflation_threshold:
                 deflated = False
                 xt = xt[:n] / np.linalg.norm(xt[:n])
-                prev_eta = None
+                hunt.prev_eta = None
                 continue
             try:
                 ctx = ExtSolveContext(cur, op, lam, lin_cfg)
@@ -218,18 +260,10 @@ def slp_solve(
             stats["linear_solves"] += ctx.solve_count
             lam = lam - mu
             xt = xt_new
-            if (
-                not np.isfinite(lam)
-                or abs(lam - settings.target) > 1e6 * (1.0 + abs(settings.target))
-                or not np.all(np.isfinite(xt))
-            ):
+            if _runaway(lam, xt, settings.target):
                 lam = complex(settings.target)
-                mm2 = n + cur.k
-                v = rng.standard_normal(mm2) + 1j * rng.standard_normal(mm2)
-                xt = v / np.linalg.norm(v)
-                prev_eta = None
-        if not locked:
-            return _finish(op, pair, settings, stats, converged=False)
+                xt = _random_unit(rng, n + cur.k)
+                hunt.prev_eta = None
     return _finish(op, pair, settings, stats, converged=pair.k >= settings.nev)
 
 
@@ -315,26 +349,29 @@ def rii_solve(
     stats = {"outer_iterations": 0, "linear_solves": 0}
     budget = settings.max_it_effective
     rng = np.random.default_rng(settings.seed)
+    hunt = _Hunt(tol)
+    base_cfg = lin_cfg or LinearSolverConfig()
 
-    def fresh_vector(m):
-        v = rng.standard_normal(m) + 1j * rng.standard_normal(m)
-        return v / np.linalg.norm(v)
+    def shift_to(shift, cur, cfg):
+        """Refactor at ``shift``, or again at sigma if T(shift) is singular;
+        the old context's solves are counted."""
+        nonlocal ctx, sigma
+        stats["linear_solves"] += ctx.solve_count
+        try:
+            ctx = ExtSolveContext(cur, op, shift, cfg)
+            sigma = shift
+        except np.linalg.LinAlgError:
+            ctx = ExtSolveContext(cur, op, sigma, cfg)
 
     while pair.k < settings.nev and stats["outer_iterations"] < budget:
         sigma = complex(settings.target)
-        base_cfg = lin_cfg or LinearSolverConfig()
         corr_tol = base_cfg.tol
         ctx = ExtSolveContext(pair, op, sigma, base_cfg)
         deflated = True
         lam = sigma
         m = n + pair.k
         xt = np.ones(m, dtype=complex) / math.sqrt(m)
-        locked = False
         it_for_pair = 0
-        best = None
-        prev_eta = None
-        polish_steps = 0
-        stall_count = 0
         since_progress = 0
         hunt_floor = np.inf
         while stats["outer_iterations"] < budget:
@@ -351,25 +388,15 @@ def rii_solve(
                 and (it_for_pair - 1) % lag == 0
                 and lam != sigma
                 and 1e-2 > hunt_floor > math.sqrt(tol)
-                and np.isfinite(lam)
                 and _shift_is_safe(pair, lam)
                 and abs(lam - settings.target) < 1e6 * (1.0 + abs(settings.target))
             ):
-                stats["linear_solves"] += ctx.solve_count
-                try:
-                    ctx = ExtSolveContext(cur, op, lam, base_cfg)
-                    sigma = lam
-                except np.linalg.LinAlgError:
-                    ctx = ExtSolveContext(cur, op, sigma, base_cfg)  # keep the old shift
+                shift_to(lam, cur, base_cfg)
             x1, x2 = xt[:n], xt[n:]
             lam = rii_scalar_newton(
                 op, cur, sigma, lam, xt, hermitian=hermitian, max_inner=max_inner, ctx=None if hermitian else ctx
             )
-            runaway = (
-                not np.isfinite(lam)
-                or abs(lam - settings.target) > 1e6 * (1.0 + abs(settings.target))
-                or not np.all(np.isfinite(xt))
-            )
+            runaway = _runaway(lam, xt, settings.target)
             if not runaway:
                 r1, r2 = ext_apply(cur, op, lam, x1, x2)
                 eta = _hunt_eta(op, cur, lam, x1, x2, r1, r2)
@@ -377,11 +404,10 @@ def rii_solve(
             if runaway:
                 # the iteration left the representable domain; restart the hunt
                 lam = sigma
-                xt = fresh_vector(n + cur.k)
-                prev_eta = None
+                xt = _random_unit(rng, n + cur.k)
+                hunt.prev_eta = None
                 continue
-            if best is None or eta < best[0]:
-                best = (eta, lam, xt.copy(), deflated)
+            lock_now = hunt.record(eta, lam, xt, deflated)
             if eta < 0.99 * hunt_floor:
                 hunt_floor = eta
                 since_progress = 0
@@ -392,84 +418,46 @@ def rii_solve(
                 # shift to the stagnation value (a one-off refresh) and
                 # restart from a fresh vector
                 if (
-                    np.isfinite(lam)
-                    and _shift_is_safe(pair, lam)
+                    _shift_is_safe(pair, lam)
                     and abs(lam - settings.target) < 1e8 * (1.0 + abs(settings.target))
                 ):
-                    try:
-                        ctx_new = ExtSolveContext(cur, op, lam, base_cfg)
-                        stats["linear_solves"] += ctx.solve_count
-                        ctx = ctx_new
-                        sigma = lam
-                    except np.linalg.LinAlgError:
-                        pass
+                    shift_to(lam, cur, base_cfg)
                 lam = sigma
-                xt = fresh_vector(n + cur.k)
-                best, prev_eta, polish_steps, stall_count = None, None, 0, 0
+                xt = _random_unit(rng, n + cur.k)
+                hunt.reset()
                 since_progress, hunt_floor = 0, np.inf
                 continue
-            if eta < tol:
-                if prev_eta is not None and eta > prev_eta / STALL_FACTOR:
-                    stall_count += 1
-                else:
-                    stall_count = 0
-                if eta <= LOCK_FLOOR or stall_count >= STALL_PERSIST or polish_steps >= POLISH_MAX:
-                    if _is_duplicate(pair, best[1], tol):
-                        lam = sigma
-                        xt = fresh_vector(n + cur.k)
-                        best, prev_eta, polish_steps, stall_count = None, None, 0, 0
-                        continue
-                    try:
-                        pair = _lock_best(op, pair, best)
-                    except NepError:
-                        lam = sigma
-                        xt = fresh_vector(n + cur.k)
-                        best, prev_eta, polish_steps, stall_count = None, None, 0, 0
-                        continue
-                    stats["linear_solves"] += ctx.solve_count
-                    locked = True
+            if lock_now:
+                extended = hunt.lock(op, pair)
+                if extended is not None:
+                    pair = extended
                     break
-                polish_steps += 1
-            prev_eta = eta
+                lam = sigma
+                xt = _random_unit(rng, n + cur.k)
+                continue
             if deflated and deflation_threshold > 0 and 0 < eta < deflation_threshold:
                 # switch to the undeflated operator; recenter the shift at the
                 # current estimate so the plain iteration stays in this
                 # eigenvalue's basin instead of drifting back to a locked one
                 deflated = False
                 xt = x1 / np.linalg.norm(x1)
-                prev_eta = None
-                stats["linear_solves"] += ctx.solve_count
-                new_sigma = lam if np.isfinite(lam) else sigma
-                try:
-                    ctx = ExtSolveContext(empty, op, new_sigma, base_cfg)
-                    sigma = new_sigma
-                except np.linalg.LinAlgError:
-                    ctx = ExtSolveContext(empty, op, sigma, base_cfg)
+                hunt.prev_eta = None
+                shift_to(lam, empty, base_cfg)
                 continue
             if base_cfg.mode != "direct" and not const_correction_tol:
                 # exponentially decreasing, floored at the practical limit of
                 # double-precision iterative solves
                 corr_tol = max(corr_tol / 2, 1e-12)
-                cfg2 = LinearSolverConfig(
-                    mode=base_cfg.mode,
-                    tol=corr_tol,
-                    maxit=base_cfg.maxit,
-                    restart=base_cfg.restart,
-                    preconditioner=base_cfg.preconditioner,
-                )
-                stats["linear_solves"] += ctx.solve_count
-                ctx = ExtSolveContext(cur, op, sigma, cfg2)
+                shift_to(sigma, cur, dataclasses.replace(base_cfg, tol=corr_tol))
             v1, v2 = ctx.solve(r1, r2)
             xt = np.concatenate([x1 - v1, x2 - v2])
             with np.errstate(over="ignore", invalid="ignore"):
                 nrm = np.linalg.norm(xt)
             if nrm == 0 or not np.isfinite(nrm):
                 lam = sigma
-                xt = fresh_vector(n + cur.k)
-                prev_eta = None
+                xt = _random_unit(rng, n + cur.k)
+                hunt.prev_eta = None
                 continue
             xt = xt / nrm
-        if not locked:
-            stats["linear_solves"] += ctx.solve_count
-            return _finish(op, pair, settings, stats, converged=False)
+        stats["linear_solves"] += ctx.solve_count
     return _finish(op, pair, settings, stats, converged=pair.k >= settings.nev)

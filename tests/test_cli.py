@@ -142,3 +142,17 @@ def test_validate_report_rejects_malformed():
         validate_report({})
     with pytest.raises(ValueError):
         validate_report({"schema_version": REPORT_SCHEMA_VERSION, "solver": "slp"})
+
+
+@pytest.mark.parametrize(
+    "extra",
+    [
+        ["--solver", "slp", "--nev", "0"],
+        ["--solver", "rii", "--nev", "-3"],
+        ["--solver", "narnoldi", "--nev", "3", "--ncv", "3"],
+    ],
+)
+def test_invalid_nev_or_ncv_is_usage_error(capsys, extra):
+    # the user's values go through the same checks as Settings(...)
+    assert main(["run", "--n", "50", "--output", "json", *extra]) == 2
+    assert capsys.readouterr().out == ""

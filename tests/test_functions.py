@@ -197,3 +197,18 @@ def test_matrix_sqrt_breakdown_on_nilpotent():
     J = np.array([[0.0, 1.0], [0.0, 0.0]])
     with pytest.raises(FunctionDomainError):
         fn.square_root().eval_matrix(J)
+
+
+def test_rational_derivative_coefficients_are_cached():
+    f = fn.rational([2.0, -1.0, 3.0], [1.0, 0.5])
+    g = fn.rational([2.0, -1.0, 3.0], [1.0, 0.5])
+    z = 0.7 - 0.2j
+    # quotient rule with freshly built coefficients
+    p, q = np.array([2.0, -1.0, 3.0], complex), np.array([1.0, 0.5], complex)
+    pv, qv = np.polyval(p, z), np.polyval(q, z)
+    ref = (np.polyval(np.polyder(p), z) * qv - pv * np.polyval(np.polyder(q), z)) / (qv * qv)
+    assert f.deriv(z) == pytest.approx(ref, rel=1e-14)
+    assert f._rational_coeffs is f._rational_coeffs
+    # the cache leaves value semantics alone
+    assert f == g and hash(f) == hash(g)
+    assert f.deriv(z) == g.deriv(z)

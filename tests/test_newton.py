@@ -5,7 +5,9 @@ import scipy.sparse as sp
 from nepsolve import functions as fn
 from nepsolve.core import NepOperator, Settings, backward_error
 from nepsolve.deflation import InvariantPair
-from nepsolve.newton import rii_scalar_newton, rii_solve, slp_solve
+from nepsolve.linalg import LinearSolverConfig
+from nepsolve.narnoldi import narnoldi_solve
+from nepsolve.newton import LOCK_FLOOR, POLISH_MAX, _Hunt, rii_scalar_newton, rii_solve, slp_solve
 from nepsolve.problems import gen_delay, gen_loaded_string
 from test_nleigs import run_at_blas_threads
 
@@ -181,3 +183,112 @@ def test_rii_loaded_string_steps_at_blas_threads(threads):
     assert converged == "True" and count == "9"
     assert float(err) <= 1e-8
     assert abs(int(outer) - 682) <= 0.02 * 682
+
+
+def _gmres_case():
+    op, _ = gen_delay(16, tau=0.01, b=-1.0)
+    cfg = LinearSolverConfig(mode="gmres", tol=1e-9, maxit=2000)
+    return rii_solve(op, Settings(nev=1, tol=1e-7, target=1.0), lin_cfg=cfg)
+
+
+def _delay(n, solver, settings, **kw):
+    op, _ = gen_delay(n, tau=0.001, b=-2.0)
+    return solver(op, settings, **kw)
+
+
+def _string(solver, **kw):
+    op, _ = gen_loaded_string(60)
+    s = Settings(nev=3, tol=1e-9, target=10.0, problem_type="rational")
+    return solver(op, s, **kw)
+
+
+STEP_CASES = {
+    "slp-delay100": (lambda: _delay(100, slp_solve, Settings(nev=4, tol=1e-8, target=1.0)), (13, 127)),
+    "rii-delay100": (lambda: _delay(100, rii_solve, Settings(nev=4, tol=1e-8, target=1.0)), (172, 1268)),
+    "rii-delay40-threshold": (
+        lambda: _delay(40, rii_solve, Settings(nev=2, tol=1e-10, target=1.0), deflation_threshold=1e-4),
+        (49, 789),
+    ),
+    "slp-delay40-threshold": (
+        lambda: _delay(40, slp_solve, Settings(nev=2, tol=1e-10, target=1.0), deflation_threshold=1e-4),
+        (8, 54),
+    ),
+    "rii-string-lag1": (lambda: _string(rii_solve, lag=1), (23, 182)),
+    "rii-string-hermitian": (lambda: _string(rii_solve, hermitian=True), (179, 179)),
+    "rii-gmres": (_gmres_case, (16, 61)),
+    "narnoldi-delay80": (lambda: _delay(80, narnoldi_solve, Settings(nev=3, tol=1e-8, target=1.0)), (22, 29, 1)),
+    "narnoldi-delay60-restarts": (
+        lambda: _delay(60, narnoldi_solve, Settings(nev=2, ncv=4, tol=1e-8, target=1.0, max_it=400)),
+        (16, 21, 4),
+    ),
+}
+
+
+@pytest.mark.parametrize("case", sorted(STEP_CASES))
+def test_solvers_keep_their_step_counts(case):
+    # SLP, RII and N-Arnoldi share one polish-and-lock rule; these counts pin
+    # the steps it takes (the same at 1 and 2 BLAS threads)
+    solve, expected = STEP_CASES[case]
+    sol = solve()
+    assert sol.converged
+    keys = ("outer_iterations", "linear_solves", "restarts")[: len(expected)]
+    assert tuple(sol.stats[k] for k in keys) == expected
+
+
+def _unit(n, i, tail=0):
+    v = np.zeros(n + tail, dtype=complex)
+    v[i] = 1.0
+    return v
+
+
+def test_hunt_locks_at_the_residual_floor_at_once():
+    hunt = _Hunt(1e-8)
+    assert hunt.record(LOCK_FLOOR, 1.0, _unit(3, 0))
+
+
+def test_hunt_locks_after_two_steps_that_gain_less_than_five_percent():
+    hunt = _Hunt(1e-8)
+    # a 5% gain or more resets the stall count
+    etas = [1e-10, 0.99e-10, 0.5e-10, 0.49e-10, 0.5e-10]
+    assert [hunt.record(eta, 1.0, _unit(3, 0)) for eta in etas] == [False] * 4 + [True]
+
+
+def test_hunt_stops_polishing_at_polish_max():
+    hunt = _Hunt(1e-8)
+    # every step gains 10%, so only the polish budget ends the search
+    locks = [hunt.record(1e-9 / 1.1**i, 1.0, _unit(3, 0)) for i in range(POLISH_MAX + 1)]
+    assert locks == [False] * POLISH_MAX + [True]
+
+
+@pytest.mark.parametrize("factor", [1.0, 2.0])
+def test_hunt_never_locks_at_or_above_tol(factor):
+    hunt = _Hunt(1e-8)
+    assert not any(hunt.record(factor * 1e-8, 1.0, _unit(3, 0)) for _ in range(3 * POLISH_MAX))
+
+
+def test_hunt_locks_the_iterate_with_the_smallest_eta():
+    op = diag_linear([1.0, 2.5, 4.0])
+    hunt = _Hunt(1e-8)
+    steps = [(5e-9, 2.5 + 1e-9, 1), (1e-9, 2.5, 1), (2e-9, 4.0, 2), (3e-9, 1.0, 0)]
+    assert [hunt.record(eta, lam, _unit(3, i)) for eta, lam, i in steps] == [False] * 3 + [True]
+    pair = hunt.lock(op, InvariantPair.empty(3))
+    assert pair.k == 1 and pair.H[0, 0] == 2.5
+    assert np.array_equal(pair.X[:, 0], _unit(3, 1))
+    assert hunt.best is None and hunt.polish_steps == 0
+
+
+def test_hunt_lock_rejects_duplicates_and_non_minimal_extensions():
+    op = diag_linear([1.0, 2.5, 4.0])
+    pair = InvariantPair.empty(3).extend(op, 2.5, _unit(3, 1), np.zeros(0))
+    hunt = _Hunt(1e-8)
+    # within 1e3 * tol relative of the locked eigenvalue 2.5
+    hunt.record(0.0, 2.5 * (1 + 1e-7), _unit(3, 0, tail=1))
+    assert hunt.lock(op, pair) is None
+    # X = [e2, e2] with t = 2.5 - lam makes X H^j = 2.5^j X: not minimal
+    lam = 2.5 + 1e-3
+    xt = _unit(3, 1, tail=1)
+    xt[3] = 2.5 - lam
+    hunt.record(0.0, lam, xt)
+    assert hunt.lock(op, pair) is None
+    hunt.record(0.0, 1.0, _unit(3, 0, tail=1))
+    assert hunt.lock(op, pair).k == 2
