@@ -16,7 +16,7 @@ from typing import List, Optional
 import numpy as np
 import scipy.sparse as sp
 
-from .linalg import inf_norm
+from .linalg import SplitSum, inf_norm
 
 __all__ = [
     "NepError",
@@ -46,18 +46,18 @@ def _as_csr(A):
 class NepOperator:
     """T(lambda) in split form or through callbacks.
 
-    Split form keeps the coefficient matrices and scalar functions; assembly,
-    application and derivative evaluation are built from them.  Callback form
-    delegates to `t_fn(lam)` / `tprime_fn(lam)`, both returning sparse
-    matrices.  Instances are immutable and safe to share.
+    Split form keeps the coefficient matrices, as one ``SplitSum``, and the
+    scalar functions; assembly, application and derivative evaluation are
+    weighted sums over the matrices.  Callback form delegates to
+    `t_fn(lam)` / `tprime_fn(lam)`, both returning sparse matrices.
+    Instances are immutable and safe to share.
     """
 
-    def __init__(self, *, terms=None, t_fn=None, tprime_fn=None, n=None, pattern_hint="different"):
+    def __init__(self, *, terms=None, t_fn=None, tprime_fn=None, n=None):
         if (terms is None) == (t_fn is None):
             raise ValueError("provide either split terms or callbacks, not both")
-        self.pattern_hint = pattern_hint
         if terms is not None:
-            terms = [( _as_csr(A), f) for A, f in terms]
+            terms = [(_as_csr(A), f) for A, f in terms]
             if not terms:
                 raise ValueError("split form requires at least one term")
             n0 = terms[0][0].shape[0]
@@ -65,19 +65,18 @@ class NepOperator:
                 if A.shape != (n0, n0):
                     raise ValueError("all split matrices must be square with equal dimension")
             self._terms = terms
+            self._sum = SplitSum([A for A, _ in terms])
             self._n = n0
             self._t_fn = None
             self._tprime_fn = None
-            self._norms = [inf_norm(A) for A, _ in terms]
         else:
             if n is None:
                 raise ValueError("callback form requires the problem dimension n")
             self._terms = None
+            self._sum = None
             self._n = int(n)
             self._t_fn = t_fn
             self._tprime_fn = tprime_fn
-            self._norms = None
-        self._adjoint_terms = None
 
     # -- structure ---------------------------------------------------------
 
@@ -96,14 +95,15 @@ class NepOperator:
         return self._terms
 
     @property
-    def nterms(self) -> int:
-        return len(self._terms) if self._terms is not None else 0
+    def mats(self) -> SplitSum:
+        """The coefficient matrices A_i as one weighted-sum kernel."""
+        if self._sum is None:
+            raise NepError("operator is not in split form")
+        return self._sum
 
     @property
-    def matrix_norms(self):
-        if self._norms is None:
-            raise NepError("operator is not in split form")
-        return list(self._norms)
+    def nterms(self) -> int:
+        return len(self._terms) if self._terms is not None else 0
 
     # -- evaluation ----------------------------------------------------------
 
@@ -117,11 +117,7 @@ class NepOperator:
         """T(lambda) as a sparse matrix."""
         if not self.is_split:
             return _as_csr(self._t_fn(lam))
-        c = self.coefficients(lam)
-        acc = c[0] * self._terms[0][0]
-        for ci, (A, _) in zip(c[1:], self._terms[1:]):
-            acc = acc + ci * A
-        return sp.csr_matrix(acc)
+        return self._sum.assemble(self.coefficients(lam))
 
     def assemble_deriv(self, lam: complex):
         """T'(lambda) as a sparse matrix."""
@@ -129,39 +125,24 @@ class NepOperator:
             if self._tprime_fn is None:
                 raise NepError("callback operator has no derivative callback")
             return _as_csr(self._tprime_fn(lam))
-        c = self.coefficients_deriv(lam)
-        acc = c[0] * self._terms[0][0]
-        for ci, (A, _) in zip(c[1:], self._terms[1:]):
-            acc = acc + ci * A
-        return sp.csr_matrix(acc)
+        return self._sum.assemble(self.coefficients_deriv(lam))
 
     def apply(self, lam: complex, v: np.ndarray) -> np.ndarray:
         """T(lambda) v without assembling T."""
         if not self.is_split:
             return self.assemble(lam) @ v
-        out = np.zeros(self._n, dtype=complex)
-        for A, f in self._terms:
-            out += f(lam) * (A @ v)
-        return out
+        return self._sum.apply(self.coefficients(lam), v)
 
     def apply_deriv(self, lam: complex, v: np.ndarray) -> np.ndarray:
         if not self.is_split:
             return self.assemble_deriv(lam) @ v
-        out = np.zeros(self._n, dtype=complex)
-        for A, f in self._terms:
-            out += f.deriv(lam) * (A @ v)
-        return out
+        return self._sum.apply(self.coefficients_deriv(lam), v)
 
     def apply_adjoint(self, lam: complex, v: np.ndarray) -> np.ndarray:
         """T(lambda)^* v."""
         if not self.is_split:
             return self.assemble(lam).conj().T @ v
-        if self._adjoint_terms is None:
-            self._adjoint_terms = [A.conj().T.tocsr() for A, _ in self._terms]
-        out = np.zeros(self._n, dtype=complex)
-        for AH, (_, f) in zip(self._adjoint_terms, self._terms):
-            out += np.conj(f(lam)) * (AH @ v)
-        return out
+        return self._sum.apply_adjoint(self.coefficients(lam), v)
 
     def norm_scale(self, lam: complex) -> float:
         """The residual scaling sum_i |f_i(lambda)| ||A_i||_inf.
@@ -169,7 +150,7 @@ class NepOperator:
         For callback operators this degrades to ||T(lambda)||_inf.
         """
         if self.is_split:
-            return float(sum(abs(f(lam)) * nrm for (_, f), nrm in zip(self._terms, self._norms)))
+            return self._sum.scale(self.coefficients(lam))
         return inf_norm(self.assemble(lam))
 
 

@@ -29,7 +29,7 @@ from .linalg import (
     FullBasisEngine,
     KrylovSchurDriver,
     LinearSolverConfig,
-    inf_norm,
+    SplitSum,
     lu_factor,
     make_linear_solver,
 )
@@ -62,6 +62,9 @@ class ChebPoly:
 
     interval: Interval
     coeffs: List[sp.csr_matrix]
+
+    def __post_init__(self):
+        self._sum = SplitSum(self.coeffs)
 
     @property
     def degree(self) -> int:
@@ -96,22 +99,13 @@ class ChebPoly:
         return w
 
     def eval(self, lam: complex) -> sp.csr_matrix:
-        w = self.weights(lam)
-        acc = w[0] * self.coeffs[0]
-        for wk, C in zip(w[1:], self.coeffs[1:]):
-            acc = acc + wk * C
-        return sp.csr_matrix(acc)
+        return self._sum.assemble(self.weights(lam))
 
     def apply(self, lam: complex, v: np.ndarray) -> np.ndarray:
-        w = self.weights(lam)
-        out = np.zeros(self.n, dtype=complex)
-        for wk, C in zip(w, self.coeffs):
-            out += wk * (C @ v)
-        return out
+        return self._sum.apply(self.weights(lam), v)
 
     def scale_norm(self, lam: complex) -> float:
-        w = self.weights(lam)
-        return float(sum(abs(wk) * inf_norm(C) for wk, C in zip(w, self.coeffs)))
+        return self._sum.scale(self.weights(lam))
 
     def residual(self, lam: complex, x: np.ndarray) -> float:
         nx = np.linalg.norm(x)
@@ -129,14 +123,8 @@ def cheb_coeffs(op: NepOperator, interval: Interval, d: int) -> ChebPoly:
     nodes = np.cos(omegas)
     a, b = interval.a, interval.b
     mapped = 0.5 * (b - a) * nodes + 0.5 * (b + a)
-    Ts = [op.assemble(complex(lam)) for lam in mapped]
-    coeffs = []
-    for k in range(d + 1):
-        weights = np.cos(k * omegas) * (2.0 / (d + 1))
-        acc = weights[0] * Ts[0]
-        for w, T in zip(weights[1:], Ts[1:]):
-            acc = acc + w * T
-        coeffs.append(sp.csr_matrix(acc))
+    Ts = SplitSum([op.assemble(complex(lam)) for lam in mapped])
+    coeffs = [Ts.assemble(np.cos(k * omegas) * (2.0 / (d + 1))) for k in range(d + 1)]
     return ChebPoly(Interval(a, b), coeffs)
 
 

@@ -2,7 +2,8 @@
 
 Dense matrices are plain complex ndarrays and sparse matrices are scipy CSR;
 the routines here wrap LAPACK/SuperLU factorizations, provide reorthogonalized
-Gram-Schmidt and small wrappers around the iterative linear solvers.  One
+Gram-Schmidt, small wrappers around the iterative linear solvers and one
+kernel for split-form sums sum_i w_i M_i of sparse matrices.  One
 Krylov-Schur driver with restart and locking runs every Krylov eigensolve:
 NLEIGS and interpol on their shift-and-invert operators, and SLP's inner
 linear eigenproblem through ``gen_eig_smallest``.
@@ -29,6 +30,7 @@ __all__ = [
     "iterative_solve",
     "IterativeResult",
     "inf_norm",
+    "SplitSum",
     "FullBasisEngine",
     "KrylovSchurDriver",
     "gen_eig_smallest",
@@ -163,14 +165,6 @@ class _IterativeSolver:
         self.solve_count = 0
         self._AH = None
 
-    def _precond(self, A):
-        if self.cfg.preconditioner == "none":
-            return None
-        d = A.diagonal().astype(complex)
-        d[d == 0] = 1.0
-        inv = 1.0 / d
-        return spla.LinearOperator(A.shape, matvec=lambda v: inv * v, dtype=complex)
-
     def _run(self, A, b):
         self.solve_count += 1
         res = iterative_solve(self.cfg, A, b)
@@ -252,6 +246,56 @@ def inf_norm(A) -> float:
     if A.size == 0:
         return 0.0
     return float(np.abs(A).sum(axis=1).max())
+
+
+class SplitSum:
+    """Weighted sums sum_i w_i M_i over a fixed list of sparse matrices M_i.
+
+    One kernel for every split-form sum: T(lambda) over its coefficient
+    matrices, a Chebyshev interpolant over its coefficients and a rational
+    interpolant over its divided differences.  Sums run in the order of the
+    matrices.  The conjugate transposes M_i^* and the norms ||M_i||_inf are
+    built on first use and kept.
+    """
+
+    def __init__(self, mats):
+        self.mats = list(mats)
+        self.n = self.mats[0].shape[0]
+        self._adjoints = None
+        self._norms = None
+
+    def assemble(self, w):
+        """sum_i w_i M_i as a sparse matrix."""
+        acc = w[0] * self.mats[0]
+        for wi, M in zip(w[1:], self.mats[1:]):
+            acc = acc + wi * M
+        return sp.csr_matrix(acc)
+
+    def apply(self, w, v: np.ndarray) -> np.ndarray:
+        """(sum_i w_i M_i) v without assembling the sum."""
+        out = np.zeros(self.n, dtype=complex)
+        for wi, M in zip(w, self.mats):
+            out += wi * (M @ v)
+        return out
+
+    def adjoint_products(self, v: np.ndarray) -> List[np.ndarray]:
+        """[M_i^* v], one adjoint matvec per matrix."""
+        if self._adjoints is None:
+            self._adjoints = [M.conj().T.tocsr() for M in self.mats]
+        return [MH @ v for MH in self._adjoints]
+
+    def apply_adjoint(self, w, v: np.ndarray) -> np.ndarray:
+        """(sum_i w_i M_i)^* v."""
+        out = np.zeros(self.n, dtype=complex)
+        for wi, u in zip(w, self.adjoint_products(v)):
+            out += np.conj(wi) * u
+        return out
+
+    def scale(self, w) -> float:
+        """sum_i |w_i| ||M_i||_inf, the residual scaling of the sum."""
+        if self._norms is None:
+            self._norms = [inf_norm(M) for M in self.mats]
+        return float(sum(abs(wi) * nrm for wi, nrm in zip(w, self._norms)))
 
 
 # -- Krylov-Schur ----------------------------------------------------------------

@@ -142,7 +142,6 @@ def narnoldi_solve(
                 proj, lam_prev = restart()
                 continue
             pair = extended
-            stats["linear_solves"] += solve_ctx.solve_count
             if pair.k >= settings.nev:
                 break
             # keep the basis: pad the small block with a zero row for the new pair
@@ -150,6 +149,7 @@ def narnoldi_solve(
                 (proj.V1[:, j], np.concatenate([proj.V2[:, j], [0.0]]))
                 for j in range(proj.m)
             ]
+            stats["linear_solves"] += solve_ctx.solve_count
             solve_ctx = ExtSolveContext(pair, op, sigma, lin_cfg)
             proj = fresh_proj(cols)
             lam_prev = sigma

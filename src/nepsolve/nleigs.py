@@ -13,11 +13,14 @@ adjoint recurrences to recover left eigenvectors.
 
 The compact expansion costs O(n mu) plus one sparse solve per step, mu being
 the number of columns of U.  The block recurrence runs on the d x mu
-coefficients, and the solve's right-hand side is formed in coefficient space:
-the divided-difference coefficients are folded into a d x nterms weight
-matrix once per shift, so each step reads U once, by one product with
-nterms columns (d columns on the callback path), followed by one sparse
-matvec per column.  U lives in a column-major buffer preallocated with
+coefficients, and the solve's right-hand side is formed in coefficient space.
+The interpolant keeps every D_j as a combination of the same matrices: the
+operator's A_i in split form, the explicit D_j themselves for a callback
+operator.  Once per shift the coefficients are folded into a weight matrix
+with one column per matrix that the right-hand side needs (nterms in split
+form, d on the callback path, where D_{d-1} drops out), so each step reads U
+once, by one product with that many columns, followed by one sparse matvec
+per column.  U lives in a column-major buffer preallocated with
 d + ncv + 2 columns, so no step copies it to grow it.
 """
 
@@ -43,6 +46,7 @@ from .linalg import (
     FullBasisEngine,
     KrylovSchurDriver,
     LinearSolverConfig,
+    SplitSum,
     inf_norm,
     make_linear_solver,
     orthogonalize,
@@ -230,22 +234,19 @@ def auto_singularities(op: NepOperator) -> np.ndarray:
 class RationalInterpolant:
     """Rational Newton interpolant R_d(lam) = sum_j b_j(lam) D_j.
 
-    In split form the divided-difference matrices are kept implicitly as the
-    scalar coefficients ``coeffs[i, j]`` over the operator terms; otherwise
-    the matrices appear explicitly in ``dd_matrices``.
+    Both forms keep D_j = sum_i coeffs[i, j] M_i over the matrices ``mats``
+    (a ``SplitSum``).  In split form ``mats`` is the operator's own sum of
+    the A_i and ``coeffs`` (nterms x (d+1)) holds the scalar divided
+    differences; for a callback operator ``mats`` holds the explicit D_j and
+    ``coeffs`` is the identity.
     """
 
     op: NepOperator
     seq: LejaBagbySequence
     d: int
-    coeffs: Optional[np.ndarray] = None          # (nterms, d+1), split path
-    dd_matrices: Optional[list] = None           # explicit D_j, callback path
-    norm_history: Optional[np.ndarray] = None
+    mats: SplitSum
+    coeffs: np.ndarray
     reached_max_degree: bool = False
-
-    @property
-    def split(self) -> bool:
-        return self.coeffs is not None
 
     def b_values(self, lam: complex) -> np.ndarray:
         return self.seq.b_values(lam, self.d)
@@ -264,37 +265,10 @@ class RationalInterpolant:
     def assemble(self, lam: complex, weights: Optional[np.ndarray] = None):
         """R_d(lam) as a sparse matrix."""
         b = self.b_values(lam) if weights is None else weights
-        if self.split:
-            w = self.coeffs @ b
-            terms = self.op.terms
-            acc = w[0] * terms[0][0]
-            for wi, (A, _) in zip(w[1:], terms[1:]):
-                acc = acc + wi * A
-            return acc.tocsr()
-        acc = b[0] * self.dd_matrices[0]
-        for bj, D in zip(b[1:], self.dd_matrices[1:]):
-            acc = acc + bj * D
-        return acc.tocsr()
-
-    def dd_apply(self, j: int, v: np.ndarray) -> np.ndarray:
-        """D_j v (assembled on the fly in the split case)."""
-        if self.split:
-            out = np.zeros(self.op.n, dtype=complex)
-            for i, (A, _) in enumerate(self.op.terms):
-                c = self.coeffs[i, j]
-                if c != 0:
-                    out += c * (A @ v)
-            return out
-        return self.dd_matrices[j] @ v
+        return self.mats.assemble(self.coeffs @ b)
 
     def dd_dense(self, j: int) -> np.ndarray:
-        if self.split:
-            n = self.op.n
-            acc = np.zeros((n, n), dtype=complex)
-            for i, (A, _) in enumerate(self.op.terms):
-                acc += self.coeffs[i, j] * A.toarray()
-            return acc
-        return self.dd_matrices[j].toarray()
+        return self.mats.assemble(self.coeffs[:, j]).toarray()
 
 
 def _bidiagonal_quotient(seq: LejaBagbySequence, m: int) -> np.ndarray:
@@ -328,55 +302,39 @@ def divided_differences(
     if d_max < 2:
         raise NepError("need at least degree 2; supply a larger node budget")
     beta0 = seq.betas[0]
+    d = d_max
+    reached = True
     if op.is_split:
-        ell = op.nterms
-        coeffs = np.zeros((ell, d_max + 1), dtype=complex)
-        history = np.zeros(d_max + 1)
-        d = d_max
-        reached = True
-        delta0 = None
+        coeffs = np.zeros((op.nterms, d_max + 1), dtype=complex)
         for j in range(d_max + 1):
             M = _bidiagonal_quotient(seq, j + 1)
             for i, (_, f) in enumerate(op.terms):
                 F = f.eval_matrix(M, max_dim=max(M.shape[0], 256))
                 coeffs[i, j] = beta0 * F[j, 0]
-            history[j] = np.max(np.abs(coeffs[:, j]))
+            delta = np.max(np.abs(coeffs[:, j]))
             if j == 0:
-                delta0 = max(history[0], np.finfo(float).tiny)
-            if j >= 2 and history[j] <= dd_tol * delta0:
+                delta0 = max(delta, np.finfo(float).tiny)
+            if j >= 2 and delta <= dd_tol * delta0:
                 d = j
                 reached = False
                 break
-        return RationalInterpolant(
-            op, seq, d, coeffs=coeffs[:, : d + 1], norm_history=history[: d + 1],
-            reached_max_degree=reached,
-        )
+        return RationalInterpolant(op, seq, d, op.mats, coeffs[:, : d + 1], reached)
     # callback path: explicit divided-difference matrices
-    D0 = (beta0 * op.assemble(seq.nodes[0])).tocsr()
-    mats = [D0]
-    history_l = [inf_norm(D0)]
-    nrm0 = max(history_l[0], np.finfo(float).tiny)
-    d = d_max
-    reached = True
+    mats = [(beta0 * op.assemble(seq.nodes[0])).tocsr()]
+    nrm0 = max(inf_norm(mats[0]), np.finfo(float).tiny)
     for j in range(1, d_max + 1):
         sj = seq.nodes[j]
         b = seq.b_values(sj, j)
         if b[j] == 0:
             raise NepError("interpolation nodes are not pairwise distinct")
-        R = b[0] * mats[0]
-        for bk, Dk in zip(b[1:j], mats[1:]):
-            R = R + bk * Dk
+        R = SplitSum(mats).assemble(b[:j])
         Dj = ((op.assemble(sj) - R) / b[j]).tocsr()
         mats.append(Dj)
-        history_l.append(inf_norm(Dj))
-        if j >= 2 and history_l[j] <= dd_tol * nrm0:
+        if j >= 2 and inf_norm(Dj) <= dd_tol * nrm0:
             d = j
             reached = False
             break
-    return RationalInterpolant(
-        op, seq, d, dd_matrices=mats, norm_history=np.asarray(history_l),
-        reached_max_degree=reached,
-    )
+    return RationalInterpolant(op, seq, d, SplitSum(mats), np.eye(d + 1, dtype=complex), reached)
 
 
 # -- shift-and-invert recurrences ------------------------------------------------
@@ -409,20 +367,14 @@ class ShiftInvertContext:
         Rsig = ri.assemble(self.sigma, weights=ri.b_values_linearized(self.sigma))
         self.solver = make_linear_solver(Rsig, lin_cfg)
         self.n = ri.op.n
-        self._adjoint_terms = None
         # the solve's right-hand side -(D_0 y^1 + ... + D_{d-2} y^{d-1} + D_d y^d / beta_d)
-        # is -sum_k M_k (Y W)[:, k] for the blocks Y = [y^1 .. y^d]: in split form
-        # M_k are the operator terms and W (d x nterms) folds the divided-difference
-        # coefficients into the block weights; otherwise M_k are the d matrices and
-        # W is diagonal
-        if ri.split:
-            self._rhs_mats = [A for A, _ in ri.op.terms]
-            self._rhs_weights = np.vstack(
-                [ri.coeffs[:, : d - 1].T, ri.coeffs[:, d][None, :] / self.beta[d]]
-            )
-        else:
-            self._rhs_mats = ri.dd_matrices[: d - 1] + [ri.dd_matrices[d]]
-            self._rhs_weights = np.diag(np.r_[np.ones(d - 1), 1.0 / self.beta[d]]).astype(complex)
+        # is -sum_k M_k (Y W)[:, k] for the blocks Y = [y^1 .. y^d], where W
+        # (d x len(mats)) folds the coefficients of the D_j into block weights;
+        # a matrix that no block weighs (D_{d-1} on the callback path) is dropped
+        W = np.vstack([ri.coeffs[:, : d - 1].T, ri.coeffs[:, d][None, :] / self.beta[d]])
+        used = np.flatnonzero(np.any(W != 0, axis=0))
+        self._rhs_mats = [ri.mats.mats[k] for k in used]
+        self._rhs_weights = W[:, used]
 
     @property
     def solve_count(self) -> int:
@@ -476,22 +428,16 @@ class ShiftInvertContext:
     # adjoint recurrences -------------------------------------------------
 
     def _dd_adjoint_combos(self, z0: np.ndarray) -> List[np.ndarray]:
-        """[D_0^* z0, ..., D_d^* z0] with one adjoint matvec per term."""
-        ri, d = self.ri, self.d
-        if ri.split:
-            if self._adjoint_terms is None:
-                self._adjoint_terms = [A.conj().T.tocsr() for A, _ in ri.op.terms]
-            us = [AH @ z0 for AH in self._adjoint_terms]
-            out = []
-            for j in range(d + 1):
-                acc = np.zeros(self.n, dtype=complex)
-                for i, u in enumerate(us):
-                    c = np.conj(ri.coeffs[i, j])
-                    if c != 0:
-                        acc += c * u
-                out.append(acc)
-            return out
-        return [(D.conj().T) @ z0 for D in ri.dd_matrices]
+        """[D_0^* z0, ..., D_d^* z0] with one adjoint matvec per matrix."""
+        us = self.ri.mats.adjoint_products(z0)
+        out = []
+        for j in range(self.d + 1):
+            acc = np.zeros(self.n, dtype=complex)
+            for u, c in zip(us, self.ri.coeffs[:, j]):
+                if c != 0:
+                    acc += np.conj(c) * u
+            out.append(acc)
+        return out
 
     def adjoint_stage_z(self, x: np.ndarray) -> np.ndarray:
         """z = (A - sigma B)^{-*} x, the left-eigenvector stage of S* x."""

@@ -138,7 +138,7 @@ def gen_delay(n: int, tau: float = 0.001, b: float = -2.0, commuting: bool = Tru
         (eye, fn.polynomial([-1.0, 0.0])),
         (B, fn.exponential(alpha=-tau)),
     ]
-    op = NepOperator(terms=terms, pattern_hint="subset")
+    op = NepOperator(terms=terms)
     return op, oracle
 
 
@@ -206,7 +206,7 @@ def gen_loaded_string(n: int, kappa: float = 1.0, mass: float = 1.0):
         (B, fn.polynomial([-1.0, 0.0])),
         (C, fn.rational([1.0, 0.0], [1.0, -pole])),
     ]
-    op = NepOperator(terms=terms, pattern_hint="subset")
+    op = NepOperator(terms=terms)
     oracle = LoadedStringOracle(A, B, C, pole)
     return op, oracle
 
@@ -369,8 +369,8 @@ def load_problem_manifest(path):
 
     The manifest is a JSON object with ``matrices`` (list of Matrix Market
     paths, relative to the manifest), ``functions`` (list of scalar-function
-    descriptors, one per matrix), optional ``pattern`` hint, and optional
-    ``settings`` with nev/tol/target/region defaults.
+    descriptors, one per matrix) and optional ``settings`` with
+    nev/tol/target/region defaults.
     """
     with open(path, "r") as handle:
         doc = json.load(handle)
@@ -391,7 +391,7 @@ def load_problem_manifest(path):
         elif A.shape[0] != dim:
             raise ValueError(f"{mpath}: dimension {A.shape[0]} does not match {dim}")
         terms.append((A, fn.function_from_descriptor(fdesc)))
-    op = NepOperator(terms=terms, pattern_hint=doc.get("pattern", "different"))
+    op = NepOperator(terms=terms)
 
     sdoc = doc.get("settings", {})
     kwargs = {}

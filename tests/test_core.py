@@ -16,7 +16,8 @@ from nepsolve.core import (
     apply_resolvent,
     backward_error,
 )
-from nepsolve.problems import gen_delay
+from nepsolve.linalg import inf_norm
+from nepsolve.problems import gen_delay, gen_loaded_string
 
 
 def rand_complex(rng, *shape):
@@ -76,6 +77,24 @@ def test_apply_examples_and_oracle():
     op2 = NepOperator(terms=[(eye, fn.polynomial([1.0, 0.0]))])
     w = np.array([1.0, 2.0, 3.0], dtype=complex)
     assert np.allclose(op2.apply(2.5, w), 2.5 * w)
+
+
+@pytest.mark.parametrize("problem", ["delay", "loaded_string"])
+def test_split_sums_equal_the_per_term_loops_bitwise(problem):
+    # the loops the operator ran before its sums moved into one kernel
+    op = gen_delay(40)[0] if problem == "delay" else gen_loaded_string(40)[0]
+    rng = np.random.default_rng(4)
+    v = rand_complex(rng, op.n)
+    for lam in (0.5, -160.25 + 0.0j, 7.3 + 2.1j):
+        apply_ref = np.zeros(op.n, dtype=complex)
+        adjoint_ref = np.zeros(op.n, dtype=complex)
+        for A, f in op.terms:
+            apply_ref += f(lam) * (A @ v)
+            adjoint_ref += np.conj(f(lam)) * (A.conj().T.tocsr() @ v)
+        scale_ref = float(sum(abs(f(lam)) * inf_norm(A) for A, f in op.terms))
+        assert np.array_equal(op.apply(lam, v), apply_ref)
+        assert np.array_equal(op.apply_adjoint(lam, v), adjoint_ref)
+        assert op.norm_scale(lam) == scale_ref
 
 
 def test_derivative_matches_finite_differences():

@@ -1,17 +1,20 @@
 """Cross-cutting integration paths: callback operators end to end, complex
-spectra inside an ellipse region, and iterative linear solvers through the
-command line."""
+spectra inside an ellipse region, iterative linear solvers through the
+command line, and every solver's reported solve count."""
 
 import numpy as np
 import pytest
 import scipy.sparse as sp
 
 from nepsolve import functions as fn
+from nepsolve import linalg
 from nepsolve.cli import run
 from nepsolve.core import Ellipse, Interval, NepOperator, Settings, backward_error
-from nepsolve.newton import slp_solve
+from nepsolve.interpol import interpol_solve
+from nepsolve.narnoldi import narnoldi_solve
+from nepsolve.newton import rii_solve, slp_solve
 from nepsolve.nleigs import nleigs_solve
-from nepsolve.problems import gen_delay
+from nepsolve.problems import gen_delay, gen_loaded_string
 
 
 def callback_delay(n, tau=0.001, b=-2.0):
@@ -61,7 +64,7 @@ def complex_rational_problem(n=80, c=0.4, pole=2.0 + 1.5j, seed=0):
         (eye, fn.polynomial([-1.0, 0.0])),
         (eye, fn.rational([c, 0.0], [1.0, -pole])),
     ]
-    op = NepOperator(terms=terms, pattern_hint="same")
+    op = NepOperator(terms=terms)
     roots = []
     for ak in a:
         # (a_k - lam)(lam - pole) + c lam = 0
@@ -127,3 +130,36 @@ def test_narnoldi_monotone_subspace_growth():
         ctx.append(V[:, j], np.zeros(0))
         sizes.append(ctx.m)
     assert sizes == [1, 2, 3, 4, 5, 6]
+
+
+DELAY_REGION = Interval(-260.0, 50.0)
+COUNT_CASES = {
+    "slp": lambda: slp_solve(gen_delay(100)[0], Settings(nev=2, tol=1e-8, target=1.0)),
+    "rii": lambda: rii_solve(gen_delay(100)[0], Settings(nev=2, tol=1e-8, target=1.0)),
+    "narnoldi": lambda: narnoldi_solve(gen_delay(200)[0], Settings(nev=3, tol=1e-8, target=1.0)),
+    # n (degree + 1) = 2100 is past DENSE_PENCIL_CAP: the Krylov path
+    "interpol": lambda: interpol_solve(
+        gen_delay(100)[0], Settings(nev=3, tol=1e-8, target=1.0, region=DELAY_REGION), degree=20
+    ),
+    "nleigs": lambda: nleigs_solve(gen_delay(200)[0], Settings(nev=3, tol=1e-8, target=1.0, region=DELAY_REGION)),
+    "nleigs-two-sided": lambda: nleigs_solve(
+        gen_loaded_string(100)[0],
+        Settings(nev=3, tol=1e-8, target=10.0, region=Interval(4.0, 800.0), problem_type="rational", two_sided=True),
+    ),
+}
+
+
+@pytest.mark.parametrize("case", sorted(COUNT_CASES))
+def test_linear_solves_counts_every_direct_solve(case, monkeypatch):
+    calls = []
+    solve = linalg._DirectSolver.solve
+
+    def counted(self, b, adjoint=False):
+        calls.append(adjoint)
+        return solve(self, b, adjoint=adjoint)
+
+    monkeypatch.setattr(linalg._DirectSolver, "solve", counted)
+    sol = COUNT_CASES[case]()
+    assert sol.converged
+    assert "pencil" not in sol.stats  # interpol took its Krylov path
+    assert sol.stats["linear_solves"] == len(calls) > 0

@@ -9,6 +9,7 @@ from nepsolve.linalg import (
     KrylovSchurDriver,
     LinearSolverConfig,
     SingularMatrixError,
+    SplitSum,
     gen_eig_smallest,
     inf_norm,
     iterative_solve,
@@ -186,6 +187,34 @@ def test_inf_norm_sparse_and_dense():
     assert inf_norm(sp.csr_matrix(A)) == 3.0
     assert inf_norm(A) == 3.0
     assert inf_norm(sp.csr_matrix((0, 0))) == 0.0
+
+
+# -- split-form sums -------------------------------------------------------------
+
+
+@pytest.mark.parametrize("seed", [0, 1, 2])
+def test_split_sum_matches_dense_sums(seed):
+    rng = np.random.default_rng(seed)
+    n, ell = 15, 4
+    mats = []
+    for _ in range(ell):
+        mask = rng.random((n, n)) < 0.3
+        mats.append(sp.csr_matrix(np.where(mask, rand_complex(rng, n, n), 0.0)))
+    dense = [M.toarray() for M in mats]
+    kernel = SplitSum(mats)
+    v = rand_complex(rng, n)
+    for w in (rand_complex(rng, ell), rng.standard_normal(ell)):
+        ref = sum(wi * D for wi, D in zip(w, dense))
+        scale = np.linalg.norm(ref)
+        assert sp.issparse(kernel.assemble(w))
+        assert np.linalg.norm(kernel.assemble(w).toarray() - ref) <= 1e-14 * scale
+        assert np.linalg.norm(kernel.apply(w, v) - ref @ v) <= 1e-13 * scale * np.linalg.norm(v)
+        got = kernel.apply_adjoint(w, v)
+        assert np.linalg.norm(got - ref.conj().T @ v) <= 1e-13 * scale * np.linalg.norm(v)
+        expected = sum(abs(wi) * np.abs(D).sum(axis=1).max() for wi, D in zip(w, dense))
+        assert kernel.scale(w) == pytest.approx(expected, rel=1e-14)
+    for u, D in zip(kernel.adjoint_products(v), dense):
+        assert np.linalg.norm(u - D.conj().T @ v) <= 1e-13 * np.linalg.norm(D) * np.linalg.norm(v)
 
 
 # -- krylov-schur --------------------------------------------------------------------

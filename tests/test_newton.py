@@ -216,10 +216,10 @@ STEP_CASES = {
     "rii-string-lag1": (lambda: _string(rii_solve, lag=1), (23, 182)),
     "rii-string-hermitian": (lambda: _string(rii_solve, hermitian=True), (179, 179)),
     "rii-gmres": (_gmres_case, (16, 61)),
-    "narnoldi-delay80": (lambda: _delay(80, narnoldi_solve, Settings(nev=3, tol=1e-8, target=1.0)), (22, 29, 1)),
+    "narnoldi-delay80": (lambda: _delay(80, narnoldi_solve, Settings(nev=3, tol=1e-8, target=1.0)), (22, 22, 1)),
     "narnoldi-delay60-restarts": (
         lambda: _delay(60, narnoldi_solve, Settings(nev=2, ncv=4, tol=1e-8, target=1.0, max_it=400)),
-        (16, 21, 4),
+        (16, 15, 4),
     ),
 }
 

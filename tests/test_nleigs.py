@@ -400,11 +400,14 @@ def test_callback_interpolant_apply_and_toar_match_dense():
     rng = np.random.default_rng(11)
     d, n = 4, 6
     op, ri = random_interpolant(rng, n=n, d=d, callback=True)
-    assert not ri.split
+    assert len(ri.mats.mats) == d + 1
+    assert np.array_equal(ri.coeffs, np.eye(d + 1))
     sigma = 0.2 - 0.1j
     A, B = dense_linearization(ri)
     S = np.linalg.solve(A - sigma * B, B)
     ctx = ShiftInvertContext(ri, sigma)
+    # D_{d-1} has no block weight: d sparse products per step, not d + 1
+    assert len(ctx._rhs_mats) == d
     for _ in range(3):
         x = rand_complex(rng, d * n)
         assert np.linalg.norm(ctx.apply(x) - S @ x) <= 1e-10 * max(1.0, np.linalg.norm(S @ x))
