@@ -208,7 +208,7 @@ def run(argv) -> tuple[dict, int]:
     elapsed = time.perf_counter() - t0
 
     report = _build_report(args, settings, op, sol, elapsed)
-    exit_code = 0 if (sol.converged and len(sol.pairs) >= settings.nev) else 1
+    exit_code = 0 if sol.converged else 1
     return report, exit_code
 
 
@@ -282,7 +282,7 @@ def _build_report(args, settings, op, sol: EigenSolution, elapsed: float) -> dic
         "schema_version": REPORT_SCHEMA_VERSION,
         "solver": args.solver,
         "config": config,
-        "converged": bool(sol.converged and len(sol.pairs) >= settings.nev),
+        "converged": sol.converged,
         "n_converged": len(sol.pairs),
         "pairs": pairs,
         "counters": counters,

@@ -4,8 +4,9 @@ A nonlinear eigenproblem T(lambda) x = 0 is represented either in split form,
 as a list of (sparse matrix, scalar function) terms whose weighted sum gives
 T, or through a pair of user callbacks producing T(lambda) and T'(lambda).
 This module also provides search regions of the complex plane, solver
-settings, backward-error evaluation and the resolvent built from a two-sided
-solution.
+settings, backward-error evaluation, the resolvent built from a two-sided
+solution, and ``finish``: every solver returns through it, so all five share
+one dedup, one sort and one convergence rule.
 """
 
 from __future__ import annotations
@@ -28,6 +29,8 @@ __all__ = [
     "Settings",
     "EigenPair",
     "EigenSolution",
+    "distinct_pairs",
+    "finish",
     "backward_error",
     "apply_resolvent",
 ]
@@ -377,6 +380,39 @@ class EigenSolution:
     @property
     def has_left(self) -> bool:
         return bool(self.pairs) and all(p.y is not None for p in self.pairs)
+
+
+DEDUP_RTOL = 1e-8
+
+
+def distinct_pairs(pairs) -> List[EigenPair]:
+    """Pairs in the given order, less any within DEDUP_RTOL * max(1, |mu|)
+    of an eigenvalue mu kept before it."""
+    kept = []
+    for p in pairs:
+        if not any(abs(p.lam - q.lam) <= DEDUP_RTOL * max(1.0, abs(q.lam)) for q in kept):
+            kept.append(p)
+    return kept
+
+
+def finish(settings: Settings, pairs, stats: dict, notes=()) -> EigenSolution:
+    """The one way a solver returns its pairs.
+
+    Drops duplicates (``distinct_pairs``), sorts the rest stably by
+    ``settings.sort_key()`` and sets ``converged`` exactly when the first
+    ``nev`` pairs each have eta <= tol against T, and eta_poly <= tol where
+    it is set.  Any ``notes`` (remarks on the solve) go to ``stats["notes"]``.
+    """
+    pairs = distinct_pairs(pairs)
+    order = np.argsort(settings.sort_key()(np.array([p.lam for p in pairs])), kind="stable")
+    pairs = [pairs[i] for i in order]
+    head = pairs[: settings.nev]
+    converged = len(head) == settings.nev and all(
+        p.eta <= settings.tol and (p.eta_poly is None or p.eta_poly <= settings.tol) for p in head
+    )
+    if notes:
+        stats["notes"] = list(notes)
+    return EigenSolution(pairs=pairs, stats=stats, converged=converged)
 
 
 def apply_resolvent(sol: EigenSolution, op: NepOperator, z: complex, v: np.ndarray) -> np.ndarray:

@@ -47,7 +47,7 @@ __all__ = [
     "ext_project",
 ]
 
-P_CAP_DEFAULT = 4
+P_CAP = 4
 RANK_TOL = 1e-10
 SPEC_RTOL = 1e-4
 
@@ -224,11 +224,11 @@ class InvariantPair:
         ders = [Fi @ W2 - ci * W2 - di * W for Fi, ci, di in zip(self.F, c, dc)]
         return vals, ders
 
-    def extend(self, op: NepOperator, lam: complex, x: np.ndarray, t: np.ndarray, p_cap: int = P_CAP_DEFAULT) -> "InvariantPair":
+    def extend(self, op: NepOperator, lam: complex, x: np.ndarray, t: np.ndarray) -> "InvariantPair":
         """Lock one more eigenpair: X <- [X, x], H <- [[H, t], [0, lam]].
 
         The candidate (x, t) must solve the extended problem at lam; the new
-        pair is rejected if no minimality index up to p_cap gives the stacked
+        pair is rejected if no minimality index up to P_CAP gives the stacked
         Krylov matrix full column rank (duplicate eigenvector).
         """
         x = np.asarray(x, dtype=complex)
@@ -243,12 +243,12 @@ class InvariantPair:
         Hn[:k, :k] = self.H
         Hn[:k, k] = t
         Hn[k, k] = lam
-        for p in range(1, p_cap + 1):
+        for p in range(1, P_CAP + 1):
             if _minimal(Xn, Hn, p):
                 return InvariantPair(Xn, Hn, p, op=op)
         raise NepError(
             "invariant-pair extension is not minimal up to the index cap "
-            f"{p_cap} (duplicate eigendirection?)"
+            f"{P_CAP} (duplicate eigendirection?)"
         )
 
 

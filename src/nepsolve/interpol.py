@@ -5,7 +5,8 @@ resulting polynomial eigenproblem is solved through a colleague-type
 linearization with an implicit shift-and-invert Krylov iteration, and the
 approximations are filtered back against the interval.  Residuals are
 reported against the original T; the interpolation degree bounds the
-attainable accuracy and is a user choice.
+attainable accuracy and is a user choice, and a degree too small for tol
+against T leaves the solve unconverged (see ``core.finish``).
 """
 
 from __future__ import annotations
@@ -24,6 +25,7 @@ from .core import (
     NepOperator,
     Settings,
     backward_error,
+    finish,
 )
 from .linalg import (
     FullBasisEngine,
@@ -198,11 +200,7 @@ class ColleaguePencil:
         s = [np.zeros(n, dtype=complex), c[0]]
         for k in range(1, d - 1):
             s.append(2 * ts * s[k] - s[k - 1] + 2 * c[k])
-        tau = np.empty(d + 1, dtype=complex)
-        tau[0] = 1.0
-        tau[1] = ts
-        for k in range(2, d + 1):
-            tau[k] = 2 * ts * tau[k - 1] - tau[k - 2]
+        tau = self.poly.tau_values(ts)
         rhs = -2.0 * c[d - 1] + C[-1] @ s[d - 2] - 2.0 * ts * (C[-1] @ s[d - 1])
         rhs -= 0.5 * (C[0] @ s[0])
         for k in range(1, d):
@@ -214,15 +212,18 @@ class ColleaguePencil:
         return z.reshape(d * n)
 
 
-def _solve_dense_pencil(op, settings, poly: ChebPoly, pencil: ColleaguePencil, degree: int) -> EigenSolution:
+def _in_interval(region: Interval, lam: complex) -> bool:
+    return region.contains(lam, pad=FILTER_MARGIN, imag_tol=1e-8 * max(1.0, abs(lam)))
+
+
+def _dense_candidates(settings, poly: ChebPoly, pencil: ColleaguePencil):
     """Small problems: form the pencil and take every eigenvalue at once.
 
     B is block diagonal with identities and the leading coefficient, so the
-    generalized problem reduces to a standard one via B^{-1} A.
+    generalized problem reduces to a standard one via B^{-1} A.  Returns
+    (theta, x) candidates nearest the target first, and the stats.
     """
-    region = settings.region
     A, B = pencil.build_dense()
-    n = pencil.n
     # invert A rather than B: the leading Chebyshev coefficient in B decays
     # with the degree, and dividing by it would wreck the computed pairs
     try:
@@ -232,81 +233,36 @@ def _solve_dense_pencil(op, settings, poly: ChebPoly, pencil: ColleaguePencil, d
     w, V = np.linalg.eig(M)
     with np.errstate(divide="ignore", invalid="ignore"):
         thetas = np.where(w != 0, 1.0 / w, np.inf)
-    pairs = []
-    seen = []
     with np.errstate(over="ignore", invalid="ignore"):
         order = np.argsort(np.abs(poly.lam(thetas) - complex(settings.target)))
-    for i in order:
-        if w[i] == 0 or not np.isfinite(thetas[i]):
-            continue
-        lam = poly.lam(thetas[i])
-        if not region.contains(lam, pad=FILTER_MARGIN, imag_tol=1e-8 * max(1.0, abs(lam))):
-            continue
-        lam = complex(lam.real)
-        x = V[:n, i]
-        nx = np.linalg.norm(x)
-        if nx == 0:
-            continue
-        x = x / nx
-        eta_poly = poly.residual(lam, x)
-        if eta_poly > settings.tol:
-            continue
-        if any(abs(lam - s) <= 1e-10 * max(1.0, abs(s)) for s in seen):
-            continue
-        pairs.append(EigenPair(lam, x, backward_error(op, lam, x), eta_poly=eta_poly))
-        seen.append(lam)
-    key = settings.sort_key()
-    if pairs:
-        so = np.argsort(key(np.array([p.lam for p in pairs])), kind="stable")
-        pairs = [pairs[i] for i in so]
-    converged = sum(1 for p in pairs[: settings.nev] if p.eta_poly <= settings.tol) >= settings.nev
-    stats = {"outer_iterations": 1, "linear_solves": 0, "degree": degree, "pencil": "dense"}
-    return EigenSolution(pairs=pairs, stats=stats, converged=converged)
+    candidates = [(thetas[i], V[: pencil.n, i]) for i in order]
+    return candidates, {"outer_iterations": 1, "linear_solves": 0, "pencil": "dense"}
 
 
-def interpol_solve(
-    op: NepOperator,
-    settings: Settings,
-    *,
-    degree: int = DEFAULT_DEGREE,
-    lin_cfg: Optional[LinearSolverConfig] = None,
-) -> EigenSolution:
-    """Chebyshev interpolation + linearized polynomial eigensolve.
+def _krylov_candidates(settings, poly: ChebPoly, pencil: ColleaguePencil, lin_cfg):
+    """Large problems: shift-and-invert Krylov-Schur on the implicit pencil.
 
-    Restricted to interval regions.  Eigenvalue approximations outside the
-    interval (with a 1% margin) are discarded; residuals against both the
-    interpolant and the original operator are attached to each pair, and a
-    large mismatch flags an interpolation degree that is too small.
+    Returns the (theta, x) candidates that met the interpolant residual test,
+    in wanted order, and the stats.
     """
     region = settings.region
-    if not isinstance(region, Interval):
-        raise NepError("the interpolation solver requires an interval region")
-    if degree < 1:
-        raise ValueError("interpolation degree must be at least 1")
-    poly = cheb_coeffs(op, region, degree)
-    pencil = ColleaguePencil(poly)
-    if op.n * (degree + 1) <= DENSE_PENCIL_CAP:
-        return _solve_dense_pencil(op, settings, poly, pencil, degree)
     # internal Krylov shift: the mapped target, clamped away from the interval
     # ends.  At the ends the shift-inverted images of wanted and spurious
     # pencil eigenvalues interleave with ratios near one and the iteration
     # crawls; the returned pairs are still selected by distance to the target.
     theta_sigma = complex(np.clip(poly.theta(complex(settings.target)).real, -0.8, 0.8))
-    factored = False
     for nudge in (0.0, 0.04, -0.04, 0.09, -0.09, 0.15):
         try:
             pencil.factor(theta_sigma + nudge, lin_cfg)
-            theta_sigma = theta_sigma + nudge
-            factored = True
             break
         except np.linalg.LinAlgError:
             continue
-    if not factored:
+    else:
         raise NepError("P_d could not be factored near the target")
+    theta_sigma = theta_sigma + nudge
 
     d, n = pencil.d, pencil.n
-    total = d * n
-    ncv = min(settings.ncv_effective, total)
+    ncv = min(settings.ncv_effective, d * n)
     lam_key = settings.sort_key()
 
     def mapped(thetas):
@@ -316,14 +272,11 @@ def interpol_solve(
         lams[~np.isfinite(lams)] = np.inf
         return lams
 
-    def in_region(lam: complex) -> bool:
-        return region.contains(lam, pad=FILTER_MARGIN, imag_tol=1e-8 * max(1.0, abs(lam)))
-
     def keyfun(thetas):
         return lam_key(mapped(thetas))
 
     def wanted_filter(thetas, _res):
-        return np.array([np.isfinite(l) and in_region(l) for l in mapped(thetas)])
+        return np.array([np.isfinite(l) and _in_interval(region, l) for l in mapped(thetas)])
 
     engine = FullBasisEngine(pencil.apply_shift_invert, np.ones((d, n), dtype=complex), ncv)
     driver = KrylovSchurDriver(
@@ -347,37 +300,63 @@ def interpol_solve(
 
     driver.pair_test = pair_test
     driver.run(settings.nev, settings.max_it_effective)
+    candidates = [
+        (theta_sigma + 1.0 / theta, engine.ritz_first_block(y, driver.m))
+        for theta, y, _res, ok in driver.extract()
+        if ok
+    ]
+    return candidates, {"outer_iterations": driver.restarts, "linear_solves": pencil.solve_count}
+
+
+def interpol_solve(
+    op: NepOperator,
+    settings: Settings,
+    *,
+    degree: int = DEFAULT_DEGREE,
+    lin_cfg: Optional[LinearSolverConfig] = None,
+) -> EigenSolution:
+    """Chebyshev interpolation + linearized polynomial eigensolve.
+
+    Restricted to interval regions.  Eigenvalue approximations outside the
+    interval (with a 1% margin) or with an interpolant residual eta_poly
+    above tol are discarded; the rest are returned at Re lambda with eta
+    against T and eta_poly attached.  Both count towards ``converged``, so
+    a degree too small to resolve T shows as converged=False, with a note
+    suggesting a higher degree.
+    """
+    region = settings.region
+    if not isinstance(region, Interval):
+        raise NepError("the interpolation solver requires an interval region")
+    if degree < 1:
+        raise ValueError("interpolation degree must be at least 1")
+    poly = cheb_coeffs(op, region, degree)
+    pencil = ColleaguePencil(poly)
+    if op.n * (degree + 1) <= DENSE_PENCIL_CAP:
+        candidates, stats = _dense_candidates(settings, poly, pencil)
+    else:
+        candidates, stats = _krylov_candidates(settings, poly, pencil, lin_cfg)
+    stats["degree"] = degree
 
     pairs = []
-    seen = []
-    for theta, y, _res, ok in driver.extract():
-        if not ok:
+    for theta, x in candidates:
+        if not np.isfinite(theta):
             continue
-        lam = complex(poly.lam(theta_sigma + 1.0 / theta).real)  # interval regions carry real spectra
-        x = engine.ritz_first_block(y, driver.m)
+        lam = poly.lam(theta)
+        if not _in_interval(region, lam):
+            continue
+        lam = complex(lam.real)  # interval regions carry real spectra
         nx = np.linalg.norm(x)
         if nx == 0:
             continue
         x = x / nx
-        if any(abs(lam - s) <= 1e-10 * max(1.0, abs(s)) for s in seen):
-            continue
         eta_poly = poly.residual(lam, x)
-        eta = backward_error(op, lam, x)
-        pairs.append(EigenPair(lam, x, eta, eta_poly=eta_poly))
-        seen.append(lam)
+        if eta_poly <= settings.tol:
+            pairs.append(EigenPair(lam, x, backward_error(op, lam, x), eta_poly=eta_poly))
 
-    if pairs:
-        order = np.argsort(lam_key(np.array([p.lam for p in pairs])), kind="stable")
-        pairs = [pairs[i] for i in order]
-    converged = sum(1 for p in pairs[: settings.nev] if p.eta_poly <= settings.tol) >= settings.nev
-    stats = {
-        "outer_iterations": driver.restarts,
-        "linear_solves": pencil.solve_count,
-        "degree": degree,
-    }
+    notes = []
     if pairs and max(p.eta for p in pairs) > 100 * max(p.eta_poly for p in pairs) + settings.tol:
-        stats["degree_warning"] = (
+        notes.append(
             "residuals against T exceed the interpolant residuals; "
             "consider increasing the interpolation degree"
         )
-    return EigenSolution(pairs=pairs, stats=stats, converged=converged)
+    return finish(settings, pairs, stats, notes)

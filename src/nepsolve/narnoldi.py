@@ -81,7 +81,6 @@ def narnoldi_solve(
     settings: Settings,
     *,
     lin_cfg: Optional[LinearSolverConfig] = None,
-    proj_tol: Optional[float] = None,
 ) -> EigenSolution:
     """Nonlinear Arnoldi iteration for a few eigenpairs near the target."""
     if not op.is_split:
@@ -89,8 +88,7 @@ def narnoldi_solve(
     n = op.n
     tol = settings.tol
     ncv = settings.ncv_effective
-    if proj_tol is None:
-        proj_tol = max(1e-13, 1e-2 * tol)
+    proj_tol = max(1e-13, 1e-2 * tol)
     rng = np.random.default_rng(settings.seed)
     stats = {"outer_iterations": 0, "linear_solves": 0, "restarts": 0}
     budget = settings.max_it_effective
@@ -173,4 +171,4 @@ def narnoldi_solve(
         lam_prev = lam
 
     stats["linear_solves"] += solve_ctx.solve_count
-    return _finish(op, pair, settings, stats, converged=pair.k >= settings.nev)
+    return _finish(op, pair, settings, stats)

@@ -23,7 +23,7 @@ from typing import Optional
 
 import numpy as np
 
-from .core import EigenPair, EigenSolution, NepError, NepOperator, Settings, backward_error
+from .core import EigenPair, EigenSolution, NepError, NepOperator, Settings, backward_error, finish
 from .deflation import ExtSolveContext, InvariantPair, ext_apply, ext_apply_both
 from .linalg import LinearSolverConfig, gen_eig_smallest, lu_factor
 
@@ -106,15 +106,9 @@ def _extension_tail(pair: InvariantPair, op: NepOperator, lam: complex, x: np.nd
         return t
 
 
-def _finish(op, pair, settings, stats, converged) -> EigenSolution:
-    pairs = []
-    for lam, x in pair.eigenpairs():
-        pairs.append(EigenPair(lam, x, backward_error(op, lam, x)))
-    key = settings.sort_key()
-    if pairs:
-        order = np.argsort(key(np.array([p.lam for p in pairs])), kind="stable")
-        pairs = [pairs[i] for i in order]
-    return EigenSolution(pairs=pairs, stats=stats, converged=converged)
+def _finish(op, pair, settings, stats) -> EigenSolution:
+    pairs = [EigenPair(lam, x, backward_error(op, lam, x)) for lam, x in pair.eigenpairs()]
+    return finish(settings, pairs, stats)
 
 
 def _random_unit(rng, m: int) -> np.ndarray:
@@ -191,7 +185,6 @@ def slp_solve(
     settings: Settings,
     *,
     deflation_threshold: float = 0.0,
-    inner_tol: Optional[float] = None,
     lin_cfg: Optional[LinearSolverConfig] = None,
 ) -> EigenSolution:
     """Successive linear problems.
@@ -203,8 +196,7 @@ def slp_solve(
     """
     n = op.n
     tol = settings.tol
-    if inner_tol is None:
-        inner_tol = min(1e-9, tol / 10)
+    inner_tol = min(1e-9, tol / 10)
     pair = InvariantPair.empty(n)
     stats = {"outer_iterations": 0, "linear_solves": 0}
     budget = settings.max_it_effective
@@ -264,7 +256,7 @@ def slp_solve(
                 lam = complex(settings.target)
                 xt = _random_unit(rng, n + cur.k)
                 hunt.prev_eta = None
-    return _finish(op, pair, settings, stats, converged=pair.k >= settings.nev)
+    return _finish(op, pair, settings, stats)
 
 
 def rii_scalar_newton(
@@ -460,4 +452,4 @@ def rii_solve(
                 continue
             xt = xt / nrm
         stats["linear_solves"] += ctx.solve_count
-    return _finish(op, pair, settings, stats, converged=pair.k >= settings.nev)
+    return _finish(op, pair, settings, stats)

@@ -40,6 +40,8 @@ from .core import (
     NepOperator,
     Settings,
     backward_error,
+    distinct_pairs,
+    finish,
 )
 from .functions import ScalarFunction
 from .linalg import (
@@ -66,7 +68,7 @@ __all__ = [
 
 DD_TOL_DEFAULT = 1e-11
 DD_MAXDEG_DEFAULT = 30
-BOUNDARY_POINTS_DEFAULT = 1000
+BOUNDARY_POINTS = 1000
 COMPRESS_RTOL = 1e-13
 
 
@@ -439,8 +441,9 @@ class ShiftInvertContext:
             out.append(acc)
         return out
 
-    def adjoint_stage_z(self, x: np.ndarray) -> np.ndarray:
-        """z = (A - sigma B)^{-*} x, the left-eigenvector stage of S* x."""
+    def adjoint_stage_z(self, x: np.ndarray):
+        """``(z, dh)``: z = (A - sigma B)^{-*} x, the left-eigenvector stage
+        of S* x, and dh = [D_0^* z[0], ..., D_d^* z[0]]."""
         d, n = self.d, self.n
         x = np.asarray(x, dtype=complex).reshape(d, n)
         y0 = np.conj(self.b_sigma[d - 1]) * x[d - 1]
@@ -457,18 +460,17 @@ class ShiftInvertContext:
                 - dh[i - 1]
                 - self.beta[i - 1] * np.conj(self.pole_factors[i - 1]) * z[i - 1]
             ) / np.conj(self.denoms[i - 1])
-        return z
+        return z, dh
 
     def apply_adjoint(self, x: np.ndarray) -> np.ndarray:
         """w = S^* x via the transposed block triangular factors."""
         d, n = self.d, self.n
-        z = self.adjoint_stage_z(x)
-        dh_last = self._dd_adjoint_combos(z[0])[d]
+        z, dh = self.adjoint_stage_z(x)
         w = np.empty((d, n), dtype=complex)
         w[0] = z[1]
         for i in range(1, d - 1):
             w[i] = self.beta[i] * np.conj(self.inv_xi[i]) * z[i] + z[i + 1]
-        w[d - 1] = -dh_last / self.beta[d] + self.beta[d - 1] * np.conj(self.inv_xi[d - 1]) * z[d - 1]
+        w[d - 1] = -dh[d] / self.beta[d] + self.beta[d - 1] * np.conj(self.inv_xi[d - 1]) * z[d - 1]
         return w.reshape(d * n)
 
     # compact expansion -----------------------------------------------------
@@ -648,7 +650,6 @@ def nleigs_solve(
     dd_maxdeg: int = DD_MAXDEG_DEFAULT,
     singularities="auto",
     full_basis: bool = False,
-    boundary_npts: int = BOUNDARY_POINTS_DEFAULT,
     lin_cfg: Optional[LinearSolverConfig] = None,
 ) -> EigenSolution:
     """Rational-interpolation solve over a region of the complex plane.
@@ -674,7 +675,7 @@ def nleigs_solve(
     notes = []
     sigma = complex(settings.target)
 
-    boundary = settings.region.boundary_points(boundary_npts)
+    boundary = settings.region.boundary_points(BOUNDARY_POINTS)
     sing, note = _resolve_singularities(op, singularities, settings)
     if note:
         notes.append(note)
@@ -755,14 +756,10 @@ def nleigs_solve(
         for theta, y, _res, ok in driver.extract():
             if not ok:
                 continue
-            lam = eigenvalue(theta)
             x, eta = pair_eta(theta, y, driver.m)
-            if eta > settings.tol:
-                continue
-            if any(abs(lam - q.lam) <= 1e-8 * max(1.0, abs(q.lam)) for q in pairs):
-                continue
-            pairs.append(EigenPair(lam, x, eta, y=None))
-        return pairs
+            if eta <= settings.tol:
+                pairs.append(EigenPair(eigenvalue(theta), x, eta))
+        return distinct_pairs(pairs)
 
     want = settings.nev
     pairs = []
@@ -782,8 +779,6 @@ def nleigs_solve(
         "ritz_history": [(t.copy(), r.copy()) for t, r in driver.ritz_history],
         "basis": "full" if full_basis else "toar",
     }
-    if notes:
-        stats["notes"] = notes
 
     if two_sided:
         left_engine = FullBasisEngine(ctx.apply_adjoint, w0, ncv)
@@ -802,7 +797,7 @@ def nleigs_solve(
                 continue
             lam_left = sigma + 1.0 / np.conj(omega)
             v = left_engine.ritz_full(y, left_driver.m)
-            z = ctx.adjoint_stage_z(v)
+            z, _ = ctx.adjoint_stage_z(v)
             yvec = z[0]
             ny = np.linalg.norm(yvec)
             if ny == 0:
@@ -823,10 +818,5 @@ def nleigs_solve(
         missing = [p for p in pairs if p.y is None]
         if missing:
             notes.append(f"{len(missing)} pairs lack a matched left eigenvector")
-            stats["notes"] = notes
 
-    if pairs:
-        order = np.argsort(lam_key(np.array([p.lam for p in pairs])), kind="stable")
-        pairs = [pairs[i] for i in order]
-    converged = len(pairs) >= settings.nev
-    return EigenSolution(pairs=pairs, stats=stats, converged=converged)
+    return finish(settings, pairs, stats, notes)

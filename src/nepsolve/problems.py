@@ -19,6 +19,7 @@ from __future__ import annotations
 
 import json
 import os
+import re
 from dataclasses import dataclass
 
 import numpy as np
@@ -221,128 +222,32 @@ class MatrixMarketError(ValueError):
 def read_matrix_market(path) -> sp.csr_matrix:
     """Read a Matrix Market file (coordinate or array) into complex CSR.
 
-    Supports real/complex/integer/pattern fields and general/symmetric/
-    hermitian/skew-symmetric storage; symmetric storage is expanded to the
-    full pattern.  Parse failures report the offending line number.
+    Parsing is scipy's: real/complex/integer/pattern fields and general/
+    symmetric/hermitian/skew-symmetric storage, the latter expanded to the
+    full pattern.  Parse failures raise ``MatrixMarketError`` as
+    ``{path}:{line}: message``.
     """
-    with open(path, "r") as handle:
-        lines = handle.readlines()
-    if not lines:
-        raise MatrixMarketError(f"{path}: empty file")
-    header = lines[0].strip().split()
-    if len(header) < 5 or header[0] != "%%MatrixMarket" or header[1].lower() != "matrix":
-        raise MatrixMarketError(f"{path}:1: malformed MatrixMarket header")
-    layout, field, symmetry = (tok.lower() for tok in header[2:5])
-    if layout not in ("coordinate", "array"):
-        raise MatrixMarketError(f"{path}:1: unsupported layout {layout!r}")
-    if field not in ("real", "complex", "integer", "pattern"):
-        raise MatrixMarketError(f"{path}:1: unsupported field {field!r}")
-    if symmetry not in ("general", "symmetric", "hermitian", "skew-symmetric"):
-        raise MatrixMarketError(f"{path}:1: unsupported symmetry {symmetry!r}")
-    if layout == "array" and field == "pattern":
-        raise MatrixMarketError(f"{path}:1: pattern field is invalid for array layout")
+    import scipy.io  # deferred: it adds to the import time of the package
 
-    lineno = 1
-    idx = 1
-    while idx < len(lines) and lines[idx].lstrip().startswith("%"):
-        idx += 1
-    if idx >= len(lines):
-        raise MatrixMarketError(f"{path}:{len(lines)}: missing size line")
-    lineno = idx + 1
-    size_tok = lines[idx].split()
     try:
-        if layout == "coordinate":
-            nrows, ncols, nnz = (int(t) for t in size_tok)
-        else:
-            nrows, ncols = (int(t) for t in size_tok[:2])
-            nnz = nrows * ncols
-    except (ValueError, IndexError) as exc:
-        raise MatrixMarketError(f"{path}:{lineno}: malformed size line") from exc
-
-    rows, cols, vals = [], [], []
-
-    def push(i, j, v):
-        rows.append(i)
-        cols.append(j)
-        vals.append(v)
-        if symmetry != "general" and i != j:
-            if symmetry == "symmetric":
-                mirrored = v
-            elif symmetry == "hermitian":
-                mirrored = np.conj(v)
-            else:
-                mirrored = -v
-            rows.append(j)
-            cols.append(i)
-            vals.append(mirrored)
-
-    data_lines = lines[idx + 1 :]
-    if layout == "coordinate":
-        count = 0
-        for off, raw in enumerate(data_lines):
-            lineno = idx + 2 + off
-            toks = raw.split()
-            if not toks:
-                continue
-            count += 1
-            try:
-                i, j = int(toks[0]) - 1, int(toks[1]) - 1
-                if field == "pattern":
-                    v = 1.0 + 0j
-                elif field == "complex":
-                    v = complex(float(toks[2]), float(toks[3]))
-                else:
-                    v = complex(float(toks[2]))
-            except (ValueError, IndexError) as exc:
-                raise MatrixMarketError(f"{path}:{lineno}: malformed entry") from exc
-            if not (0 <= i < nrows and 0 <= j < ncols):
-                raise MatrixMarketError(f"{path}:{lineno}: index out of range")
-            push(i, j, v)
-        if count != nnz:
-            raise MatrixMarketError(f"{path}: expected {nnz} entries, found {count}")
-    else:
-        flat = []
-        for off, raw in enumerate(data_lines):
-            lineno = idx + 2 + off
-            toks = raw.split()
-            if not toks:
-                continue
-            try:
-                if field == "complex":
-                    flat.append(complex(float(toks[0]), float(toks[1])))
-                else:
-                    flat.append(complex(float(toks[0])))
-            except (ValueError, IndexError) as exc:
-                raise MatrixMarketError(f"{path}:{lineno}: malformed entry") from exc
-        expected = nrows * ncols if symmetry == "general" else nrows * (nrows + 1) // 2
-        if len(flat) != expected:
-            raise MatrixMarketError(f"{path}: expected {expected} array values, found {len(flat)}")
-        pos = 0
-        for j in range(ncols):
-            i0 = 0 if symmetry == "general" else j
-            for i in range(i0, nrows):
-                push(i, j, flat[pos])
-                pos += 1
-
-    M = sp.coo_matrix((np.asarray(vals, dtype=complex), (rows, cols)), shape=(nrows, ncols))
-    out = M.tocsr()
-    out.sum_duplicates()
-    out.sort_indices()
-    return out
+        M = scipy.io.mmread(path)
+    except ValueError as exc:
+        m = re.match(r"Line (\d+): (.*)", str(exc), re.DOTALL)  # scipy's "Line N: msg"
+        where, msg = (f"{path}:{m[1]}", m[2]) if m else (path, exc)
+        raise MatrixMarketError(f"{where}: {msg}") from exc
+    return sp.csr_matrix(M, dtype=complex)
 
 
 def write_matrix_market(path, A, field: str = "complex") -> None:
     """Write a sparse matrix in coordinate general format."""
+    import scipy.io  # deferred, as in read_matrix_market
+
     A = sp.coo_matrix(A)
-    with open(path, "w") as handle:
-        handle.write(f"%%MatrixMarket matrix coordinate {field} general\n")
-        handle.write(f"{A.shape[0]} {A.shape[1]} {A.nnz}\n")
-        for i, j, v in zip(A.row, A.col, A.data):
-            v = complex(v)
-            if field == "complex":
-                handle.write(f"{i + 1} {j + 1} {v.real:.17g} {v.imag:.17g}\n")
-            else:
-                handle.write(f"{i + 1} {j + 1} {v.real:.17g}\n")
+    if field != "complex":
+        A = A.real
+    # a handle: given a path without ".mtx", mmwrite would append the suffix
+    with open(path, "wb") as handle:
+        scipy.io.mmwrite(handle, A, field=field, symmetry="general")
 
 
 # -- manifests ---------------------------------------------------------------------

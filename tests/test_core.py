@@ -15,6 +15,7 @@ from nepsolve.core import (
     Settings,
     apply_resolvent,
     backward_error,
+    finish,
 )
 from nepsolve.linalg import inf_norm
 from nepsolve.problems import gen_delay, gen_loaded_string
@@ -290,3 +291,49 @@ def test_which_selection_orderings():
     assert np.argmin(key_m(lams)) == 2
     key_r = Settings(nev=1, which="largest-real").sort_key()
     assert np.argmin(key_r(lams)) == 2
+
+
+# -- finish -----------------------------------------------------------------------------
+
+
+def make_pair(lam, eta=1e-12, eta_poly=None):
+    return EigenPair(complex(lam), np.ones(2, dtype=complex), eta, eta_poly=eta_poly)
+
+
+def test_finish_drops_a_duplicate_and_keeps_the_first():
+    first = make_pair(3.0, eta=1e-10)
+    later = make_pair(3.0 + 1e-9, eta=1e-13)
+    other = make_pair(1.0)
+    sol = finish(Settings(nev=2, target=0.0), [first, later, other], {})
+    assert [id(p) for p in sol.pairs] == [id(other), id(first)]
+
+
+def test_finish_sort_is_stable():
+    # 1 and -1 are equally far from the target: they keep their input order
+    a, b, c = make_pair(1.0), make_pair(-1.0), make_pair(0.5)
+    sol = finish(Settings(nev=3, target=0.0), [a, b, c], {})
+    assert [id(p) for p in sol.pairs] == [id(c), id(a), id(b)]
+    sol = finish(Settings(nev=3, target=0.0), [b, a, c], {})
+    assert [id(p) for p in sol.pairs] == [id(c), id(b), id(a)]
+
+
+def test_finish_converged_needs_nev_pairs_within_tol():
+    s = Settings(nev=2, tol=1e-8, target=0.0)
+    assert finish(s, [make_pair(1.0), make_pair(2.0)], {}).converged
+    # a pair past the first nev does not count
+    assert finish(s, [make_pair(1.0), make_pair(2.0), make_pair(3.0, eta=1.0)], {}).converged
+    # fewer than nev pairs, also after the duplicate is dropped
+    assert not finish(s, [make_pair(1.0)], {}).converged
+    assert not finish(s, [make_pair(1.0), make_pair(1.0)], {}).converged
+    # one of the first nev over tol against T
+    assert not finish(s, [make_pair(1.0), make_pair(2.0, eta=1e-7)], {}).converged
+    # eta_poly over tol, where it is set
+    assert finish(s, [make_pair(1.0), make_pair(2.0, eta_poly=1e-9)], {}).converged
+    assert not finish(s, [make_pair(1.0), make_pair(2.0, eta_poly=1e-7)], {}).converged
+
+
+def test_finish_puts_notes_in_stats():
+    sol = finish(Settings(), [], {"outer_iterations": 3}, notes=["a remark"])
+    assert sol.stats == {"outer_iterations": 3, "notes": ["a remark"]}
+    assert not sol.converged
+    assert "notes" not in finish(Settings(), [], {}).stats

@@ -3,6 +3,7 @@ import pytest
 import scipy.sparse as sp
 
 from nepsolve import functions as fn
+from nepsolve.cli import run
 from nepsolve.core import Interval, NepError, NepOperator, Settings
 from nepsolve.interpol import (
     ChebPoly,
@@ -127,6 +128,27 @@ def test_interpol_solve_linear_problem_exact():
     sol = interpol_solve(op, s, degree=3)
     assert sol.converged
     assert np.allclose(np.sort(sol.eigenvalues.real), [1.0, 2.0, 3.0], atol=1e-9)
+
+
+@pytest.mark.parametrize("n", [136, 200])  # dense pencil path, Krylov path
+def test_interpol_degree_too_low_is_not_converged(n):
+    # degree 10 solves the interpolant to tol, but not T itself: the largest
+    # eta against T is about 1e-5 on the loaded string at these sizes
+    op, _ = gen_loaded_string(n)
+    s = Settings(nev=9, tol=1e-8, target=10.0, region=Interval(4.0, 800.0), problem_type="rational")
+    sol = interpol_solve(op, s, degree=10)
+    assert len(sol.pairs) == 9
+    assert all(p.eta_poly <= s.tol for p in sol.pairs)
+    assert max(p.eta for p in sol.pairs) > 100 * s.tol
+    assert not sol.converged
+    assert "interpolation degree" in sol.stats["notes"][0]
+    report, code = run(
+        ["run", "--problem", "loaded_string", "--n", str(n), "--solver", "interpol", "--degree", "10"]
+    )
+    assert code == 1
+    assert not report["converged"]
+    assert report["n_converged"] == 9
+    assert "interpolation degree" in report["notes"][0]
 
 
 def test_interpol_requires_interval_region():
