@@ -7,6 +7,12 @@ kernel for split-form sums sum_i w_i M_i of sparse matrices.  One
 Krylov-Schur driver with restart and locking runs every Krylov eigensolve:
 NLEIGS and interpol on their shift-and-invert operators, and SLP's inner
 linear eigenproblem through ``gen_eig_smallest``.
+
+``orthogonalize`` is the one Gram-Schmidt kernel of the Krylov bases.  Each
+call reads the basis four times (two BLAS ``zgemv`` per sweep) and copies
+neither the basis nor its conjugate, provided the basis is column-major:
+both basis engines keep their n-long vectors in Fortran-ordered buffers so
+that every leading-column slice they pass is contiguous.
 """
 
 from __future__ import annotations
@@ -19,6 +25,7 @@ import numpy as np
 import scipy.linalg
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
+from scipy.linalg.blas import zgemv
 
 __all__ = [
     "SingularMatrixError",
@@ -81,19 +88,23 @@ def orthogonalize(V: np.ndarray, w: np.ndarray):
     Returns ``(h, beta, w_orth, dependent)`` where ``h = V^* w`` accumulated
     over both sweeps, ``beta = ||w_orth||`` and ``dependent`` flags a vector
     that lies in span(V) up to the breakdown threshold.
+
+    Memory traffic: each sweep is ``c = V^* w`` and ``w -= V c``, two BLAS
+    ``zgemv`` calls that update w_orth in place, so one call reads V four
+    times and writes only w_orth, its one copy of w; V and w are left
+    unchanged.  V must be column-major (Fortran-contiguous) complex to be
+    read in place; any other layout is copied on every call.
     """
-    w = np.asarray(w, dtype=complex)
-    nrm_w = np.linalg.norm(w)
+    w_orth = np.array(w, dtype=complex)
+    nrm_w = np.linalg.norm(w_orth)
     if V is None or V.shape[1] == 0:
         beta = nrm_w
-        return np.zeros(0, dtype=complex), beta, w.copy(), beta <= BREAKDOWN_RTOL * max(nrm_w, 1.0)
-    h = np.zeros(V.shape[1], dtype=complex)
-    w_orth = w.copy()
+        return np.zeros(0, dtype=complex), beta, w_orth, beta <= BREAKDOWN_RTOL * max(nrm_w, 1.0)
+    h = 0.0
     for _ in range(2):
-        # V^H w without materializing conj(V)
-        c = np.conj(np.conj(w_orth) @ V)
-        w_orth = w_orth - V @ c
-        h += c
+        c = zgemv(1.0, V, w_orth, trans=2)
+        w_orth = zgemv(-1.0, V, c, beta=1.0, y=w_orth, overwrite_y=1)
+        h = h + c
     beta = np.linalg.norm(w_orth)
     dependent = beta <= BREAKDOWN_RTOL * nrm_w
     return h, beta, w_orth, dependent
@@ -355,13 +366,17 @@ def _retained(order, theta, conv, wanted, p_target: int, cap_total: int) -> List
 
 
 class FullBasisEngine:
-    """Explicitly stored Krylov vectors of length d*n."""
+    """Explicitly stored Krylov vectors of length d*n.
+
+    V is column-major, so each basis vector and every slice of leading
+    columns is contiguous for ``apply_fn`` and ``orthogonalize``.
+    """
 
     def __init__(self, apply_fn, w_blocks: np.ndarray, ncv: int):
         self.apply_fn = apply_fn
         d, n = w_blocks.shape
         self.d, self.n = d, n
-        self.V = np.zeros((d * n, ncv + 2), dtype=complex)
+        self.V = np.zeros((d * n, ncv + 2), dtype=complex, order="F")
         v0 = w_blocks.reshape(-1).astype(complex)
         nrm = np.linalg.norm(v0)
         if nrm == 0:
@@ -390,7 +405,7 @@ class FullBasisEngine:
         self.V[:, p] = self.V[:, m]
 
     def ritz_first_block(self, y: np.ndarray, m: int) -> np.ndarray:
-        return (self.V[:, :m] @ y)[: self.n]
+        return self.V[: self.n, :m] @ y
 
     def ritz_full(self, y: np.ndarray, m: int) -> np.ndarray:
         return self.V[:, :m] @ y

@@ -803,16 +803,19 @@ def nleigs_solve(
             if ny == 0:
                 continue
             lefts.append((lam_left, yvec / ny))
+        # a left Ritz value is known only as well as its own residual allows,
+        # so a pair takes the nearest unused left vector that passes the
+        # left backward-error test at the pair's own eigenvalue
+        unused = list(range(len(lefts)))
         for p in pairs:
-            if not lefts:
-                break
-            dists = [abs(p.lam - ll) for ll, _ in lefts]
-            i = int(np.argmin(dists))
-            lam_left, yvec = lefts[i]
-            if abs(p.lam - lam_left) <= 1e-6 * max(1.0, abs(p.lam)):
-                p.y = yvec
+            for i in sorted(unused, key=lambda i: abs(p.lam - lefts[i][0])):
+                yvec = lefts[i][1]
                 ry = op.apply_adjoint(p.lam, yvec)
-                p.eta_left = float(np.linalg.norm(ry) / (op.norm_scale(p.lam) * np.linalg.norm(yvec)))
+                eta_left = float(np.linalg.norm(ry) / (op.norm_scale(p.lam) * np.linalg.norm(yvec)))
+                if eta_left <= settings.tol:
+                    p.y, p.eta_left = yvec, eta_left
+                    unused.remove(i)
+                    break
         stats["left_ritz_history"] = [(t.copy(), r.copy()) for t, r in left_driver.ritz_history]
         stats["linear_solves"] = ctx.solve_count
         missing = [p for p in pairs if p.y is None]

@@ -163,3 +163,20 @@ def test_linear_solves_counts_every_direct_solve(case, monkeypatch):
     assert sol.converged
     assert "pencil" not in sol.stats  # interpol took its Krylov path
     assert sol.stats["linear_solves"] == len(calls) > 0
+
+
+def test_nleigs_two_sided_matches_left_vectors_by_backward_error():
+    # on the callback form the right eigenvalue -160.2488 and its left Ritz
+    # value differ by about 6e-6 relative, more than a fixed distance rule
+    # allowed, although the left vector meets tol at the right eigenvalue
+    op, _ = callback_delay(400)
+    s = Settings(nev=5, tol=1e-6, target=1.0, region=Interval(-260.0, 50.0), two_sided=True)
+    sol = nleigs_solve(op, s, singularities="none")
+    assert sol.converged and len(sol.pairs) == 5
+    assert sol.has_left
+    for p in sol.pairs:
+        eta_left = np.linalg.norm(op.apply_adjoint(p.lam, p.y)) / (
+            op.norm_scale(p.lam) * np.linalg.norm(p.y)
+        )
+        assert p.eta_left <= s.tol and eta_left <= s.tol
+    assert not any("left eigenvector" in note for note in sol.stats.get("notes", []))

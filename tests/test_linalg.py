@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 import scipy.sparse as sp
 
+from nepsolve.core import Interval
 from nepsolve.linalg import (
     COPY_RTOL,
     FullBasisEngine,
@@ -18,6 +19,8 @@ from nepsolve.linalg import (
     orthogonalize,
 )
 from nepsolve.linalg import _retained
+from nepsolve.nleigs import ShiftInvertContext, ToarBasisEngine, divided_differences, leja_bagby
+from nepsolve.problems import gen_delay
 
 
 def rand_complex(rng, *shape):
@@ -117,6 +120,63 @@ def test_orthogonalize_reconstruction_and_residual_property():
         h, beta, w_orth, dep = orthogonalize(V, w)
         assert np.linalg.norm(V @ h + w_orth - w) <= 1e-13 * np.linalg.norm(w)
         assert np.linalg.norm(V.conj().T @ w_orth) <= 1e-12 * np.linalg.norm(w)
+
+
+def test_orthogonalize_leaves_its_arguments_unchanged():
+    rng = np.random.default_rng(16)
+    V = np.asfortranarray(np.linalg.qr(rand_complex(rng, 40, 6))[0])
+    w = rand_complex(rng, 40)
+    V0, w0 = V.copy(), w.copy()
+    _h, _beta, w_orth, _dep = orthogonalize(V, w)
+    assert np.array_equal(V, V0) and np.array_equal(w, w0)
+    assert not np.shares_memory(w_orth, w)
+
+
+def test_orthogonalize_is_independent_of_the_basis_layout():
+    rng = np.random.default_rng(17)
+    V = np.linalg.qr(rand_complex(rng, 60, 8))[0]
+    w = rand_complex(rng, 60)
+    h_c, beta_c, w_c, _ = orthogonalize(np.ascontiguousarray(V), w)
+    h_f, beta_f, w_f, _ = orthogonalize(np.asfortranarray(V), w)
+    assert np.array_equal(h_c, h_f) and beta_c == beta_f and np.array_equal(w_c, w_f)
+
+
+def test_orthogonalize_keeps_orthogonality_under_cancellation():
+    # w lies in span(V) up to a relative 1e-10: one Gram-Schmidt sweep would
+    # leave w_orth with components along V of order u / 1e-10
+    rng = np.random.default_rng(18)
+    n, k = 300, 12
+    V = np.asfortranarray(np.linalg.qr(rand_complex(rng, n, k))[0])
+    r = rand_complex(rng, n)
+    w = V @ rand_complex(rng, k)
+    w = w + 1e-10 * np.linalg.norm(w) * r / np.linalg.norm(r)
+    h, beta, w_orth, dep = orthogonalize(V, w)
+    assert not dep
+    assert 1e-11 <= beta / np.linalg.norm(w) <= 1e-9
+    Q = np.column_stack([V, w_orth / beta])
+    assert np.linalg.norm(np.eye(k + 1) - Q.conj().T @ Q) <= 1e-13
+
+
+def test_basis_engines_keep_column_major_bases():
+    # orthogonalize reads a basis in place only when it is column-major, and
+    # both engines pass it leading-column slices of their buffers
+    rng = np.random.default_rng(19)
+    n, ncv = 40, 6
+    A = np.diag(np.linspace(1.0, 2.0, n)) + 0.01 * rand_complex(rng, n, n)
+    engine = FullBasisEngine(lambda v: A @ v, np.ones((2, n // 2)), ncv)
+    driver = KrylovSchurDriver(engine, ncv, 1e-14, lambda t: -np.abs(t))
+    driver.run(ncv, 2)
+    assert driver.restarts == 2
+    assert engine.V.flags.f_contiguous and engine.V[:, : driver.m].flags.f_contiguous
+
+    op, _ = gen_delay(n, tau=0.001, b=-2.0)
+    seq = leja_bagby(Interval(-60.0, 10.0).boundary_points(100), [], 4, start_hint=1.0)
+    ri = divided_differences(op, seq, dd_tol=0.0, d_max=4)
+    toar = ToarBasisEngine(ShiftInvertContext(ri, 1.0), np.ones((ri.d, n)), ncv)
+    driver = KrylovSchurDriver(toar, ncv, 1e-14, lambda t: -np.abs(t))
+    driver.run(ncv, 2)
+    assert driver.restarts == 2
+    assert toar.U.flags.f_contiguous
 
 
 # -- iterative solvers -------------------------------------------------------------

@@ -9,7 +9,7 @@ from nepsolve.linalg import LinearSolverConfig
 from nepsolve.narnoldi import narnoldi_solve
 from nepsolve.newton import LOCK_FLOOR, POLISH_MAX, _Hunt, rii_scalar_newton, rii_solve, slp_solve
 from nepsolve.problems import gen_delay, gen_loaded_string
-from test_nleigs import run_at_blas_threads
+from blas_threads import run_at_blas_threads
 
 
 def scalar_exp_minus_two():
@@ -183,6 +183,21 @@ def test_rii_loaded_string_steps_at_blas_threads(threads):
     assert converged == "True" and count == "9"
     assert float(err) <= 1e-8
     assert abs(int(outer) - 682) <= 0.02 * 682
+
+
+@pytest.mark.parametrize("threads", ["1", "2"])
+def test_slp_delay_steps_at_blas_threads(threads):
+    # the settings of the benchmark's slp-delay workload at n=1000: SLP's
+    # inner Krylov-Schur passes take the same steps at 1 and 2 BLAS threads
+    script = (
+        "from nepsolve.core import Settings\n"
+        "from nepsolve.newton import slp_solve\n"
+        "from nepsolve.problems import gen_delay\n"
+        "op, _ = gen_delay(1000, tau=0.001, b=-2.0)\n"
+        "sol = slp_solve(op, Settings(nev=5, tol=1e-6, target=1.0))\n"
+        "print(sol.converged, sol.stats['outer_iterations'], sol.stats['linear_solves'])\n"
+    )
+    assert run_at_blas_threads(threads, script).split() == ["True", "15", "156"]
 
 
 def _gmres_case():

@@ -1,8 +1,3 @@
-import os
-import subprocess
-import sys
-from pathlib import Path
-
 import numpy as np
 import pytest
 import scipy.sparse as sp
@@ -23,6 +18,7 @@ from nepsolve.nleigs import (
     toar_arnoldi,
 )
 from nepsolve.problems import gen_delay, gen_loaded_string
+from blas_threads import run_at_blas_threads
 
 
 def rand_complex(rng, *shape):
@@ -564,21 +560,6 @@ def test_nleigs_toar_and_full_basis_take_the_same_steps(problem, n):
     for p in sol_t.pairs + sol_f.pairs:
         assert p.eta <= s.tol
         assert abs(p.lam.imag) <= 1e-8 * max(1.0, abs(p.lam))
-
-
-def run_at_blas_threads(threads, script):
-    # the BLAS thread count is read when numpy is imported, so each setting
-    # runs in a fresh interpreter
-    root = Path(__file__).resolve().parents[1]
-    env = dict(os.environ, OPENBLAS_NUM_THREADS=threads, OMP_NUM_THREADS=threads)
-    env["PYTHONPATH"] = os.pathsep.join(
-        [str(root / "src"), str(root / "tests")] + [p for p in [env.get("PYTHONPATH")] if p]
-    )
-    proc = subprocess.run(
-        [sys.executable, "-c", script], env=env, capture_output=True, text=True, timeout=300
-    )
-    assert proc.returncode == 0, proc.stdout + proc.stderr
-    return proc.stdout
 
 
 @pytest.mark.parametrize("threads", ["1", "2"])
