@@ -5,9 +5,12 @@ Further eigenpairs are then computed from an extended problem of size n+k,
 
     [[T(lam), U(lam)], [A(lam), B(lam)]] [x; t] = 0,
 
-whose blocks are never formed explicitly: matrix-vector products, linear
-solves (through a Schur complement on the small block) and projections are
-all performed block-wise.
+whose blocks are never formed explicitly: matrix-vector products, solves
+and adjoint solves (through the Schur complement on the small block) and
+projections are all performed block-wise.  RII's eigenvalue update uses one
+left vector y = M(sigma)^{-*} [x; t] per outer step: the adjoint elimination
+reuses the forward one's T(sigma)^{-1} U(sigma), so it costs one adjoint
+solve with T(sigma) and no set-up of its own.
 
 What depends on the locked pair alone (A_i X, F_i = f_i(H), the coefficient
 stacks of the polynomial minimality blocks A(lam) and B(lam), the norms of
@@ -265,12 +268,13 @@ def _minimal(X: np.ndarray, H: np.ndarray, p: int) -> bool:
     return bool(np.sum(s > RANK_TOL * s[0]) == H.shape[0])
 
 
-def _ext_apply(pair: InvariantPair, op: NepOperator, lam: complex, z1, z2, derivs):
+def _ext_apply(pair: InvariantPair, op: NepOperator, lam: complex, z1, z2, derivs, Az=None):
     """Shared body of ``ext_apply`` and ``ext_apply_both``.
 
     Returns one (y1, y2) per entry of ``derivs`` (False: the operator, True:
-    its derivative).  The products A_i z1, the coefficients f_i(lam) and
-    f_i'(lam) and the triangular solves of ``coupling`` are formed once.
+    its derivative).  The products A_i z1 (unless given as ``Az``), the
+    coefficients and the triangular solves of ``coupling`` are formed once.
+    A term of weight exactly 0 costs no matvec, a zero coupling block no product.
     """
     z1 = np.asarray(z1, dtype=complex)
     empty = np.zeros(0, dtype=complex)
@@ -279,23 +283,27 @@ def _ext_apply(pair: InvariantPair, op: NepOperator, lam: complex, z1, z2, deriv
         if k:
             raise NepError("deflation requires the split form")
         return [((op.apply_deriv if d else op.apply)(lam, z1), empty) for d in derivs]
-    Az = [A @ z1 for A, _ in op.terms]
     c = op.coefficients(lam)
     dc = op.coefficients_deriv(lam) if any(derivs) else None
+    weights = [dc if d else c for d in derivs]
+    if Az is None:
+        Az = [A @ z1 if any(w[i] != 0 for w in weights) else None for i, (A, _) in enumerate(op.terms)]
     if k:
         z2 = np.asarray(z2, dtype=complex)
         s = pair.project(z1)
         phi, dphi = pair.coupling(op, lam, z2, c, dc)
     out = []
-    for d in derivs:
+    for d, w in zip(derivs, weights):
         y1 = np.zeros(op.n, dtype=complex)
-        for ci, v in zip(dc if d else c, Az):
-            y1 += ci * v
+        for wi, v in zip(w, Az):
+            if wi != 0:
+                y1 += wi * v
         if k == 0:
             out.append((y1, empty))
             continue
         for blk, v in zip(pair.AX, dphi if d else phi):
-            y1 += blk @ v
+            if v.any():
+                y1 += blk @ v
         Ap, Bp = pair.minimality_blocks(lam, deriv=d)
         out.append((y1, Ap @ s + Bp @ z2))
     return out
@@ -311,14 +319,15 @@ def ext_apply(pair: InvariantPair, op: NepOperator, lam: complex, z1: np.ndarray
         return _ext_apply(pair, op, lam, z1, z2, (deriv,))[0]
 
 
-def ext_apply_both(pair: InvariantPair, op: NepOperator, lam: complex, z1: np.ndarray, z2: np.ndarray):
+def ext_apply_both(pair: InvariantPair, op: NepOperator, lam: complex, z1: np.ndarray, z2: np.ndarray, Az=None):
     """The extended operator and its lambda-derivative applied to [z1; z2].
 
     Equal to ``ext_apply`` at deriv=False and deriv=True, at the cost of
-    little more than one of them.  Returns ((y1, y2), (d1, d2)).
+    little more than one of them.  ``Az``, the products [A_i z1] when the
+    caller has them, saves every sparse matvec.  Returns ((y1, y2), (d1, d2)).
     """
     with np.errstate(over="ignore", invalid="ignore"):
-        return tuple(_ext_apply(pair, op, lam, z1, z2, (False, True)))
+        return tuple(_ext_apply(pair, op, lam, z1, z2, (False, True), Az))
 
 
 class ExtSolveContext:
@@ -326,7 +335,8 @@ class ExtSolveContext:
 
     Holds the T(sigma) factorization, the n-by-k block T(sigma)^{-1} U(sigma),
     and the LU of the k-by-k Schur complement
-    S(sigma) = B(sigma) - A(sigma) T(sigma)^{-1} U(sigma).
+    S(sigma) = B(sigma) - A(sigma) T(sigma)^{-1} U(sigma); forward and
+    adjoint solves both run on them.
     """
 
     def __init__(self, pair: InvariantPair, op: NepOperator, sigma: complex, lin_cfg: Optional[LinearSolverConfig] = None):
@@ -369,6 +379,20 @@ class ExtSolveContext:
         x2 = self.S_lu.solve(b2 - self.A_sigma @ self.pair.project(v))
         x1 = v - self.TinvU @ x2
         return x1, x2
+
+    def solve_adjoint(self, c1: np.ndarray, c2: np.ndarray):
+        """Solve M(sigma)^* [y1; y2] = [c1; c2] with one adjoint solve.
+
+        Block elimination on M^* = [[T^*, X A_sigma^*], [U^*, B^*]], as
+        U^* T^{-*} = (T^{-1} U)^* needs no solve: y2 = S^{-*} (c2 -
+        (T^{-1} U)^* c1) first, then y1 = T^{-*} (c1 - X A_sigma^* y2).
+        """
+        c1 = np.asarray(c1, dtype=complex)
+        if self.k == 0:
+            return self.solver.solve(c1, adjoint=True), np.zeros(0, dtype=complex)
+        y2 = self.S_lu.solve(np.asarray(c2, dtype=complex) - (c1.conj() @ self.TinvU).conj(), adjoint=True)
+        y1 = self.solver.solve(c1 - self.pair.X @ (self.A_sigma.conj().T @ y2), adjoint=True)
+        return y1, y2
 
 
 def ext_solve(pair: InvariantPair, op: NepOperator, sigma: complex, b1, b2=None, lin_cfg=None):

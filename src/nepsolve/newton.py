@@ -270,33 +270,33 @@ def rii_scalar_newton(
     ctx: Optional[ExtSolveContext] = None,
     lin_cfg: Optional[LinearSolverConfig] = None,
 ) -> complex:
-    """Newton iteration for the scalar equation x^* T(sigma)^{-1} T(z) x = 0.
+    """Newton iteration for Neumaier's x^* M(sigma)^{-1} M(z) x = 0, M the
+    extended (deflated) operator and x = [x1; x2].
 
-    With ``hermitian`` the cheaper x^* T(z) x = 0 is used instead.  Stops when
-    the correction satisfies |mu| < sqrt(eps) * |lam| or after ``max_inner``
-    steps, returning the last iterate.
+    The left vector y = M(sigma)^{-*} x (one adjoint solve with ``ctx``) and
+    the products A_i x1 are formed once per call; each step reweights them
+    and takes y^* M(z) x and y^* M'(z) x.  With ``hermitian``, y = x and no
+    solve is made.  Stops when the correction satisfies
+    |mu| < sqrt(eps) * |lam| or after ``max_inner`` steps, returning the last
+    iterate.
     """
     n = op.n
     x = np.asarray(x, dtype=complex)
     x1, x2 = x[:n], x[n:]
     if not hermitian and ctx is None:
         ctx = ExtSolveContext(pair, op, sigma, lin_cfg)
+    y1, y2 = (x1, x2) if hermitian else ctx.solve_adjoint(x1, x2)
+    Az = [A @ x1 for A, _ in op.terms] if op.is_split else None
     lam = complex(lam_start)
     for _ in range(max_inner):
         try:
-            (u1, u2), (d1, d2) = ext_apply_both(pair, op, lam, x1, x2)
+            (u1, u2), (d1, d2) = ext_apply_both(pair, op, lam, x1, x2, Az)
         except (OverflowError, FloatingPointError):
             return lam
         if not (np.all(np.isfinite(u1)) and np.all(np.isfinite(d1))):
             return lam
-        if hermitian:
-            num = np.vdot(x1, u1) + np.vdot(x2, u2)
-            den = np.vdot(x1, d1) + np.vdot(x2, d2)
-        else:
-            s1, s2 = ctx.solve(u1, u2)
-            t1, t2 = ctx.solve(d1, d2)
-            num = np.vdot(x1, s1) + np.vdot(x2, s2)
-            den = np.vdot(x1, t1) + np.vdot(x2, t2)
+        num = np.vdot(y1, u1) + np.vdot(y2, u2)
+        den = np.vdot(y1, d1) + np.vdot(y2, d2)
         if den == 0 or not np.isfinite(den) or not np.isfinite(num):
             return lam
         mu = num / den
@@ -325,12 +325,14 @@ def rii_solve(
 ) -> EigenSolution:
     """Residual inverse iteration with a fixed (optionally lagged) shift.
 
-    Per outer step: a scalar Newton iteration updates the eigenvalue, the
-    residual r = T(lam) x is formed, and the eigenvector is corrected by
-    x <- x - T(sigma)^{-1} r.  ``lag`` refreshes sigma (and the factorization)
-    every ``lag`` iterations; 0 keeps it fixed.  With an iterative linear
-    solver the correction tolerance is halved every outer iteration unless
-    ``const_correction_tol`` is set.
+    Per outer step: a scalar Newton iteration updates the eigenvalue on the
+    fixed left vector T(sigma)^{-*} x (``rii_scalar_newton``), the residual
+    r = T(lam) x is formed, and the eigenvector is corrected by
+    x <- x - T(sigma)^{-1} r: two solves with T(sigma), one of them adjoint
+    (T is the extended operator once pairs are locked).  ``lag`` refreshes
+    sigma (and the factorization) every ``lag`` iterations; 0 keeps it fixed.
+    With an iterative linear solver the correction tolerance is halved every
+    outer iteration unless ``const_correction_tol`` is set.
     """
     if lag < 0:
         raise ValueError("lag must be nonnegative")

@@ -15,7 +15,8 @@ from nepsolve.deflation import (
     ext_project,
     ext_solve,
 )
-from nepsolve.problems import gen_delay
+from nepsolve.linalg import LinearSolverConfig
+from nepsolve.problems import gen_delay, gen_loaded_string
 
 
 def rand_complex(rng, *shape):
@@ -57,6 +58,18 @@ def delay_invariant_pair(n, k, tau=0.001, b=-2.0):
         x = np.sin((idx + 1) * np.pi * j / (n + 1)).astype(complex)
         pair = pair.extend(op, lam, x / np.linalg.norm(x), np.zeros(pair.k, dtype=complex))
     return op, pair, roots
+
+
+def string_invariant_pair(n, k, target=10.0):
+    """Exact pair of the k loaded-string eigenpairs nearest the target, with
+    eigenvectors from the null space of T (real, distinct eigenvalues)."""
+    op, oracle = gen_loaded_string(n)
+    w = oracle.all_eigenvalues()
+    pair = InvariantPair.empty(n)
+    for lam in w[np.argsort(np.abs(w - target))[:k]]:
+        x = np.linalg.svd(op.assemble(lam).toarray())[2][-1].conj()
+        pair = pair.extend(op, lam, x, np.zeros(pair.k, dtype=complex))
+    return op, pair
 
 
 def dense_extended_matrix(pair, op, lam, deriv=False):
@@ -241,6 +254,26 @@ def test_ext_solve_matches_dense_inverse():
     x1, x2 = ext_solve(pair, op, sigma, b[:8], b[8:])
     got = np.concatenate([x1, x2])
     assert np.linalg.norm(got - ref) <= 1e-10 * np.linalg.norm(ref)
+
+
+@pytest.mark.parametrize("mode", ["direct", "gmres"])
+@pytest.mark.parametrize("k", [0, 1, 3])
+@pytest.mark.parametrize("problem", ["delay", "string"])
+def test_adjoint_ext_solve_matches_dense_oracle(problem, k, mode):
+    if problem == "delay":
+        op, pair, _ = delay_invariant_pair(16, k)
+        sigma = 0.6 + 0.1j
+    else:
+        op, pair = string_invariant_pair(16, k)
+        sigma = 12.0 + 0.5j
+    n = op.n
+    M = dense_extended_matrix_explicit(pair, op, sigma)
+    ctx = ExtSolveContext(pair, op, sigma, LinearSolverConfig(mode=mode, tol=1e-12))
+    c = rand_complex(np.random.default_rng(31), n + k)
+    y1, y2 = ctx.solve_adjoint(c[:n], c[n:])
+    assert y1.shape == (n,) and y2.shape == (k,)
+    y = np.concatenate([y1, y2])
+    assert np.linalg.norm(M.conj().T @ y - c) <= 1e-10 * np.linalg.norm(M) * np.linalg.norm(y)
 
 
 # -- extended projection -----------------------------------------------------------------
