@@ -36,6 +36,28 @@ REPORT_SCHEMA_VERSION = 1
 
 USAGE_ERROR = 2
 
+SOLVERS = {
+    "slp": slp_solve,
+    "rii": rii_solve,
+    "narnoldi": narnoldi_solve,
+    "interpol": interpol_solve,
+    "nleigs": nleigs_solve,
+}
+
+# solver-specific flag (argparse dest) -> the solvers that read it; setting one
+# for another solver is a usage error
+SOLVER_FLAGS = {
+    "two_sided": ("nleigs",),
+    "full_basis": ("nleigs",),
+    "hermitian": ("rii",),
+    "lag": ("rii",),
+    "deflation_threshold": ("slp", "rii"),
+    "degree": ("interpol",),
+    "dd_tol": ("nleigs",),
+    "dd_maxdeg": ("nleigs",),
+    "singularities": ("nleigs",),
+}
+
 
 def _parse_complex(text: str) -> complex:
     parts = text.split(",")
@@ -75,7 +97,7 @@ def build_parser() -> argparse.ArgumentParser:
     g.add_argument("--kappa", type=float, default=1.0, help="loaded_string stiffness")
     g.add_argument("--mass", type=float, default=1.0, help="loaded_string mass")
     s = run_p.add_argument_group("solver")
-    s.add_argument("--solver", default="nleigs", choices=["slp", "rii", "narnoldi", "interpol", "nleigs"])
+    s.add_argument("--solver", default="nleigs", choices=list(SOLVERS))
     s.add_argument("--nev", type=int, default=None)
     s.add_argument("--ncv", type=int, default=None)
     s.add_argument("--tol", type=float, default=None)
@@ -153,14 +175,19 @@ def run(argv) -> tuple[dict, int]:
         raise UsageError("argument parsing failed") from exc
     if args.command != "run":
         raise UsageError("missing command")
-    if args.two_sided and args.solver != "nleigs":
-        raise UsageError("--two-sided is only supported by the nleigs solver")
-    if args.full_basis and args.solver != "nleigs":
-        raise UsageError("--full-basis is only supported by the nleigs solver")
-    try:
-        sing = _singularities_arg(args.singularities)
-    except argparse.ArgumentTypeError as exc:
-        raise UsageError(str(exc)) from exc
+    unset = vars(parser.parse_args(["run"]))
+    kwargs = {}
+    for dest, solvers in SOLVER_FLAGS.items():
+        if args.solver in solvers:
+            kwargs[dest] = getattr(args, dest)
+        elif getattr(args, dest) != unset[dest]:
+            flag = "--" + dest.replace("_", "-")
+            raise UsageError(f"{flag} is only supported by the {' and '.join(solvers)} solver")
+    if "singularities" in kwargs:
+        try:
+            kwargs["singularities"] = _singularities_arg(args.singularities)
+        except argparse.ArgumentTypeError as exc:
+            raise UsageError(str(exc)) from exc
 
     op, defaults = _build_problem(args)
     overrides = {
@@ -170,38 +197,14 @@ def run(argv) -> tuple[dict, int]:
     }
     # replace() reruns Settings' checks on the user's values
     settings = dataclasses.replace(
-        defaults, **overrides, two_sided=args.two_sided, seed=args.seed
+        defaults, **overrides, two_sided=kwargs.pop("two_sided", False), seed=args.seed
     )
 
     lin_cfg = LinearSolverConfig(mode=args.linsolver)
 
     t0 = time.perf_counter()
     try:
-        if args.solver == "slp":
-            sol = slp_solve(op, settings, deflation_threshold=args.deflation_threshold, lin_cfg=lin_cfg)
-        elif args.solver == "rii":
-            sol = rii_solve(
-                op,
-                settings,
-                hermitian=args.hermitian,
-                lag=args.lag,
-                deflation_threshold=args.deflation_threshold,
-                lin_cfg=lin_cfg,
-            )
-        elif args.solver == "narnoldi":
-            sol = narnoldi_solve(op, settings, lin_cfg=lin_cfg)
-        elif args.solver == "interpol":
-            sol = interpol_solve(op, settings, degree=args.degree, lin_cfg=lin_cfg)
-        else:
-            sol = nleigs_solve(
-                op,
-                settings,
-                dd_tol=args.dd_tol,
-                dd_maxdeg=args.dd_maxdeg,
-                singularities=sing,
-                full_basis=args.full_basis,
-                lin_cfg=lin_cfg,
-            )
+        sol = SOLVERS[args.solver](op, settings, lin_cfg=lin_cfg, **kwargs)
     except NepError as exc:
         report = {"schema_version": REPORT_SCHEMA_VERSION, "error": str(exc)}
         return report, 1

@@ -403,9 +403,10 @@ def ext_solve(pair: InvariantPair, op: NepOperator, sigma: complex, b1, b2=None,
 class ProjectionContext:
     """Incrementally grown projection of the extended operator.
 
-    Maintains the projected blocks for an orthonormal basis stacked as
-    [V1; V2]: the m-by-m matrices B_i = V1^* A_i V1 grow one row/column per
-    added vector, together with V1^* (A_i X) and X^* V1.
+    The orthonormal basis is one column-major (n+k)-by-m array ``V`` whose
+    rows split as [V1; V2], so ``linalg.orthogonalize`` reads it in place.
+    The m-by-m matrices B_i = V1^* A_i V1 grow one row/column per added
+    vector, together with V1^* (A_i X) and X^* V1.
     """
 
     def __init__(self, pair: InvariantPair, op: NepOperator):
@@ -414,41 +415,48 @@ class ProjectionContext:
         self.pair = pair
         self.op = op
         n, k = pair.n, pair.k
-        self.V1 = np.zeros((n, 0), dtype=complex)
-        self.V2 = np.zeros((k, 0), dtype=complex)
+        self.V = np.zeros((n + k, 0), dtype=complex, order="F")
         self.B = [np.zeros((0, 0), dtype=complex) for _ in op.terms]
         self.C = [np.zeros((0, k), dtype=complex) for _ in op.terms]  # V1^* A_i X
         self.E = np.zeros((k, 0), dtype=complex)  # X^* V1
 
     @property
+    def V1(self) -> np.ndarray:
+        return self.V[: self.pair.n]
+
+    @property
+    def V2(self) -> np.ndarray:
+        return self.V[self.pair.n :]
+
+    @property
     def m(self) -> int:
-        return self.V1.shape[1]
+        return self.V.shape[1]
 
     def append(self, v1: np.ndarray, v2: np.ndarray) -> None:
         v1 = np.asarray(v1, dtype=complex)
-        v2 = np.asarray(v2, dtype=complex)
-        m = self.m
+        V1, m = self.V1, self.m
         newB = []
-        for (A, _), B in zip(self.op.terms, self.B):
+        # grow by one row and column: new column V1_old^* A v1, new row
+        # (A^* v1)^* V1_old, so two sparse matvecs per term
+        for (A, _), AHv, B in zip(self.op.terms, self.op.mats.adjoint_products(v1), self.B):
             Av = A @ v1
-            col = self.V1.conj().T @ Av
-            # grow by one row and column: new row is v1^* A V1_old, new col V1_old^* A v1
-            rowv = (v1.conj() @ (A @ self.V1)) if m else np.zeros(0, dtype=complex)
-            corner = np.vdot(v1, Av)
-            Bn = np.zeros((m + 1, m + 1), dtype=complex)
+            Bn = np.empty((m + 1, m + 1), dtype=complex)
             Bn[:m, :m] = B
-            Bn[:m, m] = col
-            Bn[m, :m] = rowv
-            Bn[m, m] = corner
+            Bn[:m, m] = (Av.conj() @ V1).conj()
+            Bn[m, :m] = AHv.conj() @ V1
+            Bn[m, m] = np.vdot(v1, Av)
             newB.append(Bn)
         self.B = newB
         if self.pair.k:
             self.C = [np.vstack([C, (v1.conj() @ blk)[None, :]]) for C, blk in zip(self.C, self.pair.AX)]
         else:
             self.C = [np.vstack([C, np.zeros((1, 0), dtype=complex)]) for C in self.C]
-        self.E = np.hstack([self.E, (self.pair.X.conj().T @ v1)[:, None]])
-        self.V1 = np.hstack([self.V1, v1[:, None]])
-        self.V2 = np.hstack([self.V2, v2[:, None]])
+        self.E = np.hstack([self.E, self.pair.project(v1)[:, None]])
+        V = np.empty((self.V.shape[0], m + 1), dtype=complex, order="F")
+        V[:, :m] = self.V
+        V[: self.pair.n, m] = v1
+        V[self.pair.n :, m] = v2
+        self.V = V
 
     def value(self, lam: complex, deriv: bool = False) -> np.ndarray:
         """Projected extended operator (or derivative) as an m-by-m matrix."""

@@ -26,7 +26,7 @@ import scipy.linalg
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 from scipy.linalg.blas import zgemv
-from scipy.linalg.lapack import zgetrs
+from scipy.linalg.lapack import zlaswp, ztrtrs
 
 __all__ = [
     "SingularMatrixError",
@@ -61,11 +61,15 @@ class DenseLU:
     piv: np.ndarray
 
     def solve(self, b, adjoint: bool = False):
-        # LAPACK directly: scipy's lu_solve wrapper costs more than a small solve
-        x, info = zgetrs(self.lu, self.piv, b, trans=2 if adjoint else 0)
-        if info < 0:
-            raise ValueError(f"illegal value in argument {-info} of zgetrs")
-        return x
+        # row interchanges and two triangular solves, not getrs: OpenBLAS's
+        # getrs rounds one right-hand side differently at one BLAS thread
+        # than at more
+        if not adjoint:
+            y = ztrtrs(self.lu, zlaswp(b, self.piv), lower=1, unitdiag=1)[0]
+            return ztrtrs(self.lu, y)[0]
+        y = ztrtrs(self.lu, b, trans=2)[0]
+        y = ztrtrs(self.lu, y, trans=2, lower=1, unitdiag=1)[0]
+        return zlaswp(y, self.piv, inc=-1)
 
 
 def lu_factor(A: np.ndarray) -> DenseLU:

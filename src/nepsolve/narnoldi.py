@@ -1,8 +1,9 @@
 """Nonlinear Arnoldi: Rayleigh-Ritz projection onto an expanding subspace.
 
-The subspace is grown with residual-inverse-iteration correction vectors,
-the projected small nonlinear problem is solved by a dense SLP iteration,
-and converged pairs are locked through the deflation machinery so the whole
+The subspace is grown with residual-inverse-iteration correction vectors
+(orthogonalized by ``linalg.orthogonalize``), the projected small nonlinear
+problem is solved by dense SLP steps started from the target every time, and
+converged pairs are locked through the deflation machinery so the whole
 loop runs on the extended problem.
 """
 
@@ -16,7 +17,7 @@ import scipy.linalg
 
 from .core import EigenSolution, NepError, NepOperator, Settings
 from .deflation import ExtSolveContext, InvariantPair, ProjectionContext, ext_apply
-from .linalg import BREAKDOWN_RTOL, LinearSolverConfig
+from .linalg import LinearSolverConfig, orthogonalize
 from .newton import _finish, _Hunt, _hunt_eta, _random_unit
 
 __all__ = ["narnoldi_solve", "dense_nep_slp"]
@@ -58,24 +59,6 @@ def dense_nep_slp(proj: ProjectionContext, lam_start: complex, tol: float, max_i
     return y, lam
 
 
-def _orth2(V1, V2, w1, w2):
-    """CGS2 on vectors stacked as [w1; w2] against the basis [V1; V2]."""
-    m = V1.shape[1]
-    h = np.zeros(m, dtype=complex)
-    a, b = w1.astype(complex).copy(), w2.astype(complex).copy()
-    nrm_in = math.hypot(np.linalg.norm(a), np.linalg.norm(b))
-    for _ in range(2):
-        if m:
-            c = V1.conj().T @ a + (V2.conj().T @ b if V2.size else 0.0)
-            a -= V1 @ c
-            if V2.size:
-                b -= V2 @ c
-            h += c
-    beta = math.hypot(np.linalg.norm(a), np.linalg.norm(b))
-    dependent = beta <= BREAKDOWN_RTOL * max(nrm_in, 1e-300)
-    return h, beta, a, b, dependent
-
-
 def narnoldi_solve(
     op: NepOperator,
     settings: Settings,
@@ -96,17 +79,11 @@ def narnoldi_solve(
     pair = InvariantPair.empty(n)
     sigma = complex(settings.target)
 
-    def fresh_proj(cols):
+    def fresh_proj(V):
         ctx = ProjectionContext(pair, op)
-        for v1, v2 in cols:
-            ctx.append(v1, v2)
+        for v in V.T:
+            ctx.append(v[:n], v[n:])
         return ctx
-
-    # start from the normalized all-ones extended vector
-    def start_columns():
-        m = n + pair.k
-        v = np.ones(m, dtype=complex) / math.sqrt(m)
-        return [(v[:n], v[n:])]
 
     hunt = _Hunt(tol)
 
@@ -114,61 +91,56 @@ def narnoldi_solve(
         """A fresh search space from a seeded random vector."""
         stats["restarts"] += 1
         hunt.reset()
-        v = _random_unit(rng, n + pair.k)
-        return fresh_proj([(v[:n], v[n:])]), sigma
+        return fresh_proj(_random_unit(rng, n + pair.k)[:, None])
 
     solve_ctx = ExtSolveContext(pair, op, sigma, lin_cfg)
-    proj = fresh_proj(start_columns())
-    lam_prev = sigma
+    # start from the normalized all-ones vector
+    proj = fresh_proj(np.full((n, 1), 1.0 / math.sqrt(n), dtype=complex))
 
     while pair.k < settings.nev and stats["outer_iterations"] < budget:
         stats["outer_iterations"] += 1
         try:
-            y, lam = dense_nep_slp(proj, lam_prev, proj_tol)
+            # every projected solve starts from the target, so the Ritz value
+            # it picks does not depend on where earlier steps ended
+            y, lam = dense_nep_slp(proj, sigma, proj_tol)
         except NepError:
-            proj, lam_prev = restart()
+            proj = restart()
             continue
-        x1 = proj.V1 @ y
-        x2 = proj.V2 @ y
+        x = proj.V @ y
+        x /= np.linalg.norm(x)
+        x1, x2 = x[:n], x[n:]
         r1, r2 = ext_apply(pair, op, lam, x1, x2)
-        xnorm = math.hypot(np.linalg.norm(x1), np.linalg.norm(x2))
         eta = _hunt_eta(op, pair, lam, x1, x2, r1, r2)
-        if hunt.record(eta, lam, np.concatenate([x1, x2]) / xnorm):
+        if hunt.record(eta, lam, x):
             extended = hunt.lock(op, pair)
             if extended is None:
                 # restart the search space away from the failed direction
-                proj, lam_prev = restart()
+                proj = restart()
                 continue
             pair = extended
             if pair.k >= settings.nev:
                 break
             # keep the basis: pad the small block with a zero row for the new pair
-            cols = [
-                (proj.V1[:, j], np.concatenate([proj.V2[:, j], [0.0]]))
-                for j in range(proj.m)
-            ]
+            V = np.vstack([proj.V, np.zeros((1, proj.m), dtype=complex)])
             stats["linear_solves"] += solve_ctx.solve_count
             solve_ctx = ExtSolveContext(pair, op, sigma, lin_cfg)
-            proj = fresh_proj(cols)
-            lam_prev = sigma
+            proj = fresh_proj(V)
             continue
         v1, v2 = solve_ctx.solve(r1, r2)
         if proj.m >= ncv:
             # restart keeping only the current Ritz vector
             stats["restarts"] += 1
-            proj = fresh_proj([(x1 / xnorm, x2 / xnorm)])
-        h, beta, a, b, dep = _orth2(proj.V1, proj.V2, v1, v2)
-        if dep:
-            # correction already in the subspace: expand with a random direction
-            for _ in range(5):
-                rv = _random_unit(rng, n + pair.k)
-                h, beta, a, b, dep = _orth2(proj.V1, proj.V2, rv[:n], rv[n:])
-                if not dep:
-                    break
-            else:
-                raise NepError("subspace expansion broke down")
-        proj.append(a / beta, b / beta)
-        lam_prev = lam
+            proj = fresh_proj(x[:, None])
+        w = np.concatenate([v1, v2])
+        for _ in range(6):
+            _, beta, w, dep = orthogonalize(proj.V, w)
+            if not dep:
+                break
+            # correction already in the subspace: try a random direction
+            w = _random_unit(rng, n + pair.k)
+        else:
+            raise NepError("subspace expansion broke down")
+        proj.append(w[:n] / beta, w[n:] / beta)
 
     stats["linear_solves"] += solve_ctx.solve_count
     return _finish(op, pair, settings, stats)

@@ -10,9 +10,11 @@ SLP, RII and the nonlinear Arnoldi solver share one lock rule (``_Hunt``).
 An iterate whose lock measure eta is below tol is polished on; the best
 iterate seen is locked when eta <= 1e-14 (``LOCK_FLOOR``), after two steps in
 a row (``STALL_PERSIST``) that gain less than 5% (``STALL_FACTOR``), or after
-80 polish steps (``POLISH_MAX``).  A duplicate (within 1e3 * tol relative of
-an eigenvalue already locked) or a non-minimal extension is not locked: the
-search restarts from a seeded random vector.
+80 polish steps (``POLISH_MAX``).  Eigenvalues within 1e3 * tol relative are
+taken as one: an iterate below tol further than that from the best one
+starts the hunt over.  A duplicate of an eigenvalue already locked or a
+non-minimal extension is not locked: the search restarts from a seeded
+random vector.
 """
 
 from __future__ import annotations
@@ -37,11 +39,13 @@ STALL_PERSIST = 2
 STAGNATION_WINDOW = 30
 
 
+def _same_eigenvalue(mu, lam, tol):
+    """mu (a scalar or an array) within 1e3 * tol relative of lam."""
+    return np.abs(mu - lam) <= 1e3 * tol * max(abs(lam), 1.0)
+
+
 def _is_duplicate(pair, lam, tol) -> bool:
-    if pair.k == 0:
-        return False
-    locked = np.diag(pair.H)
-    return bool(np.min(np.abs(locked - lam)) <= 1e3 * tol * max(abs(lam), 1.0))
+    return pair.k > 0 and bool(np.any(_same_eigenvalue(np.diag(pair.H), lam, tol)))
 
 
 def _shift_is_safe(pair, sigma) -> bool:
@@ -148,6 +152,9 @@ class _Hunt:
     def record(self, eta: float, lam: complex, xt: np.ndarray, deflated: bool = True) -> bool:
         """Record an iterate (xt = [x; t], ``deflated`` if t belongs to the
         extended problem); True when the best iterate is to be locked now."""
+        if eta < self.tol and self.best is not None and not _same_eigenvalue(self.best[1], lam, self.tol):
+            # converging to another eigenvalue: never lock the one it left
+            self.reset()
         if self.best is None or eta < self.best[0]:
             self.best = (eta, lam, xt.copy(), deflated)
         if eta < self.tol:

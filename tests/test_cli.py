@@ -49,6 +49,36 @@ def test_two_sided_rejected_outside_nleigs():
     assert main(["run", "--solver", "interpol", "--two-sided", "--n", "20"]) == 2
 
 
+@pytest.mark.parametrize(
+    "solver, flag",
+    [
+        ("slp", ["--lag", "2"]),
+        ("narnoldi", ["--hermitian"]),
+        ("narnoldi", ["--deflation-threshold", "1e-5"]),
+        ("nleigs", ["--degree", "10"]),
+        ("rii", ["--dd-tol", "1e-9"]),
+        ("interpol", ["--dd-maxdeg", "10"]),
+        ("slp", ["--singularities", "none"]),
+        ("rii", ["--full-basis"]),
+    ],
+)
+def test_flag_of_another_solver_is_usage_error(capsys, solver, flag):
+    # a solver-specific flag given to a solver that does not read it was
+    # silently ignored; it is rejected before any problem is built
+    assert main(["run", "--solver", solver, *flag, "--output", "json"]) == 2
+    assert "only supported by" in capsys.readouterr().err
+
+
+def test_narnoldi_default_delay_returns_the_five_nearest():
+    # the default delay problem (n=1000, nev 5, target 1); N-Arnoldi once
+    # returned -358.16 among them and still exited 0
+    report, code = run(["run", "--solver", "narnoldi", "--output", "json"])
+    assert code == 0
+    got = np.sort_complex([complex(p["lambda_re"], p["lambda_im"]) for p in report["pairs"]])
+    _, oracle = gen_delay(1000, 0.001, -2.0)
+    np.testing.assert_allclose(got, np.sort_complex(oracle.nearest(1.0, 5)), rtol=1e-6)
+
+
 def test_unknown_problem_is_usage_error():
     assert main(["run", "--problem", "nosuch"]) == 2
 

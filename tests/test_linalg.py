@@ -21,6 +21,7 @@ from nepsolve.linalg import (
 from nepsolve.linalg import _retained
 from nepsolve.nleigs import ShiftInvertContext, ToarBasisEngine, divided_differences, leja_bagby
 from nepsolve.problems import gen_delay
+from blas_threads import run_at_blas_threads
 
 
 def rand_complex(rng, *shape):
@@ -61,6 +62,31 @@ def test_lu_adjoint_solve():
     b = rand_complex(rng, 20)
     x = lu_factor(A).solve(b, adjoint=True)
     assert np.linalg.norm(A.conj().T @ x - b) <= 1e-11 * np.linalg.norm(b)
+
+
+def test_lu_solves_a_block_of_right_hand_sides():
+    rng = np.random.default_rng(2)
+    A = rand_complex(rng, 12, 12)
+    B = rand_complex(rng, 12, 3)
+    f = lu_factor(A)
+    assert np.linalg.norm(A @ f.solve(B) - B) <= 1e-11 * np.linalg.norm(B)
+    assert np.linalg.norm(A.conj().T @ f.solve(B, adjoint=True) - B) <= 1e-11 * np.linalg.norm(B)
+
+
+def test_lu_solve_is_bitwise_the_same_at_one_and_two_blas_threads():
+    # the small Schur-complement solves of the deflated solvers: their last
+    # bits decide the iteration counts of RII and N-Arnoldi
+    script = (
+        "import numpy as np\n"
+        "from nepsolve.linalg import lu_factor\n"
+        "rng = np.random.default_rng(3)\n"
+        "for k in (1, 3, 5, 20):\n"
+        "    A = rng.standard_normal((k, k)) + 1j * rng.standard_normal((k, k))\n"
+        "    b = rng.standard_normal(k) + 1j * rng.standard_normal(k)\n"
+        "    f = lu_factor(A)\n"
+        "    print(*[repr(v) for v in np.concatenate([f.solve(b), f.solve(b, adjoint=True)])])\n"
+    )
+    assert run_at_blas_threads("1", script) == run_at_blas_threads("2", script)
 
 
 # -- generalized smallest --------------------------------------------------------

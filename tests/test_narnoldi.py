@@ -5,9 +5,12 @@ import scipy.sparse as sp
 from nepsolve import functions as fn
 from nepsolve.core import NepOperator, Settings, backward_error
 from nepsolve.deflation import InvariantPair, ProjectionContext
+from nepsolve.linalg import inf_norm
+from nepsolve import narnoldi
 from nepsolve.narnoldi import dense_nep_slp, narnoldi_solve
 from nepsolve.newton import rii_scalar_newton
 from nepsolve.problems import gen_delay, gen_loaded_string
+from blas_threads import run_at_blas_threads
 
 
 def diag_linear(diag):
@@ -125,3 +128,69 @@ def test_projection_basis_stays_orthonormal_and_audited():
     assert ctx.recompute_audit() <= 1e-12
     G = ctx.V1.conj().T @ ctx.V1
     assert np.linalg.norm(G - np.eye(6)) <= 1e-10
+
+
+NEAREST_CASES = {
+    "delay200": (200, dict(nev=4, tol=1e-10)),
+    "delay200-ncv5": (200, dict(nev=4, tol=1e-10, ncv=5)),
+    "delay2000": (2000, dict(nev=5, tol=1e-6)),
+}
+
+
+@pytest.mark.parametrize("case", sorted(NEAREST_CASES))
+def test_narnoldi_returns_the_eigenvalues_nearest_the_target(case):
+    # each projected solve starts from the target; one that started from the
+    # previous step's Ritz value drifted to -8329.68, a far Lambert-W root,
+    # on delay200, and with ncv=5 found 2 of 4 pairs in 500 iterations
+    n, kw = NEAREST_CASES[case]
+    op, oracle = gen_delay(n, tau=0.001, b=-2.0)
+    sol = narnoldi_solve(op, Settings(target=1.0, **kw))
+    assert sol.converged
+    got = np.sort_complex(np.asarray(sol.eigenvalues))
+    np.testing.assert_allclose(got, np.sort_complex(oracle.nearest(1.0, kw["nev"])), rtol=1e-6)
+
+
+def test_narnoldi_steps_do_not_depend_on_blas_threads_or_seed():
+    # delay200 at ncv=5 restarts 14 times; the seed feeds only the random
+    # fallbacks, so every seed takes the same steps to the same eigenvalues
+    script = (
+        "from nepsolve.core import Settings\n"
+        "from nepsolve.narnoldi import narnoldi_solve\n"
+        "from nepsolve.problems import gen_delay\n"
+        "op, _ = gen_delay(200, tau=0.001, b=-2.0)\n"
+        "for seed in range(5):\n"
+        "    sol = narnoldi_solve(op, Settings(nev=4, ncv=5, tol=1e-10, target=1.0, seed=seed))\n"
+        "    st = sol.stats\n"
+        "    print(sol.converged, st['outer_iterations'], st['linear_solves'], st['restarts'],\n"
+        "          *[repr(lam) for lam in sol.eigenvalues])\n"
+    )
+    one, two = (run_at_blas_threads(t, script).splitlines() for t in ("1", "2"))
+    assert one == two
+    assert len(set(one)) == 1
+    assert one[0].split()[:4] == ["True", "62", "64", "14"]
+
+
+def test_projection_basis_is_one_column_major_array(monkeypatch):
+    # every projection the solver builds, the first one, those grown by
+    # expansion and those rebuilt for the extended problem after a lock,
+    # keeps V F-contiguous, with B_i equal to V1^* A_i V1 to rounding
+    built = []
+
+    class Recorded(ProjectionContext):
+        def __init__(self, pair, op):
+            super().__init__(pair, op)
+            built.append(self)
+
+    monkeypatch.setattr(narnoldi, "ProjectionContext", Recorded)
+    op, _ = gen_delay(60, tau=0.001, b=-2.0)
+    sol = narnoldi_solve(op, Settings(nev=3, ncv=6, tol=1e-8, target=1.0))
+    assert sol.converged
+    assert {ctx.pair.k for ctx in built} == {0, 1, 2}
+    # the new row of B_i is (A_i^* v1)^* V1, the audit's reference
+    # V1^* (A_i V1): they round apart by about eps * ||A_i||, and the
+    # Laplacian term has ||A||_inf = 4 * 61^2 here, so the bound is relative
+    scale = max(inf_norm(A) for A, _ in op.terms)
+    for ctx in built:
+        assert ctx.V.flags.f_contiguous
+        assert ctx.V.shape == (60 + ctx.pair.k, ctx.m)
+        assert ctx.recompute_audit() <= 1e-14 * scale

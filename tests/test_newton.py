@@ -222,7 +222,7 @@ def test_rii_loaded_string_steps_at_blas_threads(threads):
     converged, count, outer, err = run_at_blas_threads(threads, script).split()
     assert converged == "True" and count == "9"
     assert float(err) <= 1e-8
-    assert abs(int(outer) - 682) <= 0.02 * 682
+    assert int(outer) == 682
 
 
 @pytest.mark.parametrize("threads", ["1", "2"])
@@ -271,10 +271,10 @@ STEP_CASES = {
     "rii-string-lag1": (lambda: _string(rii_solve, lag=1), (23, 55)),
     "rii-string-hermitian": (lambda: _string(rii_solve, hermitian=True), (179, 179)),
     "rii-gmres": (_gmres_case, (16, 31)),
-    "narnoldi-delay80": (lambda: _delay(80, narnoldi_solve, Settings(nev=3, tol=1e-8, target=1.0)), (22, 22, 1)),
+    "narnoldi-delay80": (lambda: _delay(80, narnoldi_solve, Settings(nev=3, tol=1e-8, target=1.0)), (36, 36, 1)),
     "narnoldi-delay60-restarts": (
         lambda: _delay(60, narnoldi_solve, Settings(nev=2, ncv=4, tol=1e-8, target=1.0, max_it=400)),
-        (16, 15, 4),
+        (28, 27, 8),
     ),
 }
 
@@ -324,12 +324,31 @@ def test_hunt_never_locks_at_or_above_tol(factor):
 def test_hunt_locks_the_iterate_with_the_smallest_eta():
     op = diag_linear([1.0, 2.5, 4.0])
     hunt = _Hunt(1e-8)
-    steps = [(5e-9, 2.5 + 1e-9, 1), (1e-9, 2.5, 1), (2e-9, 4.0, 2), (3e-9, 1.0, 0)]
+    # iterates of one eigenvalue: within 1e3 * tol relative of each other
+    steps = [(5e-9, 2.5 + 1e-9, 0), (1e-9, 2.5, 1), (2e-9, 2.5 + 2e-9, 2), (3e-9, 2.5 - 1e-9, 0)]
     assert [hunt.record(eta, lam, _unit(3, i)) for eta, lam, i in steps] == [False] * 3 + [True]
     pair = hunt.lock(op, InvariantPair.empty(3))
     assert pair.k == 1 and pair.H[0, 0] == 2.5
     assert np.array_equal(pair.X[:, 0], _unit(3, 1))
     assert hunt.best is None and hunt.polish_steps == 0
+
+
+def test_hunt_never_locks_an_eigenvalue_it_has_left():
+    # N-Arnoldi on delay n=200, ncv=5: one projected solve returned the far
+    # root -8333.7348 below tol, and the next iterates converge to -41.5601;
+    # had they stalled, the hunt locked -8333.7348 as its best iterate
+    hunt = _Hunt(1e-10)
+    steps = [(2.4e-11, -8333.7348, 0), (5e-11, -41.5601, 1), (5e-11, -41.5601, 1), (5e-11, -41.5601, 1)]
+    assert [hunt.record(eta, lam, _unit(3, i)) for eta, lam, i in steps] == [False] * 3 + [True]
+    assert hunt.best[1] == -41.5601
+    assert np.array_equal(hunt.best[2], _unit(3, 1))
+
+
+def test_hunt_keeps_its_best_iterate_through_an_excursion_above_tol():
+    hunt = _Hunt(1e-8)
+    steps = [(1e-12, 2.5, 1), (0.7, 17.7, 2), (2e-12, 2.5, 0), (3e-12, 2.5, 0), (4e-12, 2.5, 0)]
+    assert [hunt.record(eta, lam, _unit(3, i)) for eta, lam, i in steps] == [False] * 4 + [True]
+    assert np.array_equal(hunt.best[2], _unit(3, 1))
 
 
 def test_hunt_lock_rejects_duplicates_and_non_minimal_extensions():
