@@ -10,7 +10,9 @@ and adjoint solves (through the Schur complement on the small block) and
 projections are all performed block-wise.  RII's eigenvalue update uses one
 left vector y = M(sigma)^{-*} [x; t] per outer step: the adjoint elimination
 reuses the forward one's T(sigma)^{-1} U(sigma), so it costs one adjoint
-solve with T(sigma) and no set-up of its own.
+solve with T(sigma) and no set-up of its own; ``ext_bilinear`` then reduces
+its Newton steps to scalars and k-vectors.  SLP's pencil at sigma uses the
+M'(sigma) that ``ExtSolveContext.apply_deriv`` builds once.
 
 What depends on the locked pair alone (A_i X, F_i = f_i(H), the coefficient
 stacks of the polynomial minimality blocks A(lam) and B(lam), the norms of
@@ -29,6 +31,7 @@ way, once per shift.
 from __future__ import annotations
 
 import math
+from functools import cached_property
 from typing import Optional
 
 import numpy as np
@@ -43,7 +46,7 @@ __all__ = [
     "eval_phi",
     "eval_phi_deriv",
     "ext_apply",
-    "ext_apply_both",
+    "ext_bilinear",
     "ExtSolveContext",
     "ext_solve",
     "ProjectionContext",
@@ -95,7 +98,8 @@ class InvariantPair:
     """Locked invariant pair (X, H) with the per-lock data of the extension.
 
     X has unit columns, H is upper triangular (``extend`` builds it so) and
-    p is the minimality index.  Per lock: ``AX`` (A_i X, n-by-k per split
+    p is the minimality index.  Per lock: ``h_diag`` and ``h_diag_max``
+    (diag(H) and its largest modulus), ``AX`` (A_i X, n-by-k per split
     term), ``F`` (f_i(H)), ``A_coef`` ((H^*)^i, i = 0..p, so
     A(lam) = sum_i lam^i (H^*)^i X^*), ``B_coef`` (B_j = sum_{i=j+1..p}
     (H^*)^i X^*X H^(i-j-1), j < p, so B(lam) = sum_j lam^j B_j) and
@@ -107,6 +111,8 @@ class InvariantPair:
         self.H = np.asarray(H, dtype=complex)
         self.p = int(p)
         k = self.k
+        self.h_diag = np.diag(self.H).copy()
+        self.h_diag_max = float(np.max(np.abs(self.h_diag))) if k else 0.0
         XtX = self.X.conj().T @ self.X
         powers = [np.eye(k, dtype=complex)]
         for _ in range(self.p):
@@ -181,16 +187,14 @@ class InvariantPair:
             scale += norms[i] * self.k * qn
         return float(scale)
 
-    def minimality_blocks(self, lam: complex, deriv: bool = False):
-        """(sum_i lam^i (H^*)^i, B(lam)), or their lam-derivatives: k-by-k
-        matrices, with A(lam) z = first @ (X^* z)."""
+    def minimality_blocks(self, lam: complex):
+        """((sum_i lam^i (H^*)^i, B(lam)), (their lam-derivatives)): k-by-k
+        matrices, with A(lam) z = first @ (X^* z), from one powers vector."""
         p, k = self.p, self.k
         powers = complex(lam) ** np.arange(p + 1)
-        if deriv:
-            powers = np.concatenate([[0.0], np.arange(1, p + 1) * powers[:-1]])
-        A = powers @ self.A_coef.reshape(p + 1, k * k)
-        B = powers[:p] @ self.B_coef.reshape(p, k * k)
-        return A.reshape(k, k), B.reshape(k, k)
+        dpowers = np.concatenate([[0.0], np.arange(1, p + 1) * powers[:-1]])
+        A_coef, B_coef = self.A_coef.reshape(p + 1, k * k), self.B_coef.reshape(p, k * k)
+        return tuple(((w @ A_coef).reshape(k, k), (w[:p] @ B_coef).reshape(k, k)) for w in (powers, dpowers))
 
     def near_spectrum(self, lam: complex) -> bool:
         """Whether lam is too close to spec(H) for the resolvent identity.
@@ -198,9 +202,8 @@ class InvariantPair:
         The identity loses about SPEC_RTOL^-1 ulps to cancellation at a
         relative distance SPEC_RTOL from the nearest diagonal entry of H.
         """
-        d = np.diag(self.H)
-        sep = np.min(np.abs(d - lam))
-        return bool(sep <= SPEC_RTOL * max(abs(lam), np.max(np.abs(d))))
+        sep = np.min(np.abs(self.h_diag - lam))
+        return bool(sep <= SPEC_RTOL * max(abs(lam), self.h_diag_max))
 
     def coupling(self, op: NepOperator, lam: complex, Z: np.ndarray, c, dc=None):
         """Coupling blocks phi_i(lam) Z and, when dc is given, phi_i'(lam) Z.
@@ -268,66 +271,68 @@ def _minimal(X: np.ndarray, H: np.ndarray, p: int) -> bool:
     return bool(np.sum(s > RANK_TOL * s[0]) == H.shape[0])
 
 
-def _ext_apply(pair: InvariantPair, op: NepOperator, lam: complex, z1, z2, derivs, Az=None):
-    """Shared body of ``ext_apply`` and ``ext_apply_both``.
+def ext_apply(pair: InvariantPair, op: NepOperator, lam: complex, z1: np.ndarray, z2: np.ndarray, deriv: bool = False):
+    """Extended operator (or its lambda-derivative) applied to [z1; z2].
 
-    Returns one (y1, y2) per entry of ``derivs`` (False: the operator, True:
-    its derivative).  The products A_i z1 (unless given as ``Az``), the
-    coefficients and the triangular solves of ``coupling`` are formed once.
-    A term of weight exactly 0 costs no matvec, a zero coupling block no product.
+    A term of weight exactly 0 costs no matvec, a zero coupling block no
+    product.  Far-field iterates may overflow f_i(lam) to inf; the result
+    then holds inf or nan, without a warning, and callers test its finiteness.
     """
     z1 = np.asarray(z1, dtype=complex)
-    empty = np.zeros(0, dtype=complex)
     k = pair.k
     if not op.is_split:
         if k:
             raise NepError("deflation requires the split form")
-        return [((op.apply_deriv if d else op.apply)(lam, z1), empty) for d in derivs]
-    c = op.coefficients(lam)
-    dc = op.coefficients_deriv(lam) if any(derivs) else None
-    weights = [dc if d else c for d in derivs]
-    if Az is None:
-        Az = [A @ z1 if any(w[i] != 0 for w in weights) else None for i, (A, _) in enumerate(op.terms)]
-    if k:
-        z2 = np.asarray(z2, dtype=complex)
-        s = pair.project(z1)
-        phi, dphi = pair.coupling(op, lam, z2, c, dc)
-    out = []
-    for d, w in zip(derivs, weights):
+        return (op.apply_deriv if deriv else op.apply)(lam, z1), np.zeros(0, dtype=complex)
+    with np.errstate(over="ignore", invalid="ignore"):
+        c = op.coefficients(lam)
+        dc = op.coefficients_deriv(lam) if deriv else None
         y1 = np.zeros(op.n, dtype=complex)
-        for wi, v in zip(w, Az):
+        for wi, (A, _) in zip(dc if deriv else c, op.terms):
             if wi != 0:
-                y1 += wi * v
+                y1 += wi * (A @ z1)
         if k == 0:
-            out.append((y1, empty))
-            continue
-        for blk, v in zip(pair.AX, dphi if d else phi):
+            return y1, np.zeros(0, dtype=complex)
+        z2 = np.asarray(z2, dtype=complex)
+        phi, dphi = pair.coupling(op, lam, z2, c, dc)
+        for blk, v in zip(pair.AX, dphi if deriv else phi):
             if v.any():
                 y1 += blk @ v
-        Ap, Bp = pair.minimality_blocks(lam, deriv=d)
-        out.append((y1, Ap @ s + Bp @ z2))
-    return out
+        Ap, Bp = pair.minimality_blocks(lam)[deriv]
+        return y1, Ap @ pair.project(z1) + Bp @ z2
 
 
-def ext_apply(pair: InvariantPair, op: NepOperator, lam: complex, z1: np.ndarray, z2: np.ndarray, deriv: bool = False):
-    """Extended operator (or its lambda-derivative) applied to [z1; z2].
+def ext_bilinear(pair: InvariantPair, op: NepOperator, y1, y2, x1, x2):
+    """lam -> (y^* M(lam) x, y^* M'(lam) x) for fixed y = [y1; y2], x = [x1; x2].
 
-    Far-field iterates may overflow f_i(lam) to inf; the result then holds
-    inf or nan, without a warning, and callers test its finiteness.
+    One sparse product per term, made here, reduces the n-long vectors to
+    a_i = y1^* A_i x1, g_i = (A_i X)^* y1 and s = X^* x1.  A call then sums
+    f_i(lam) a_i + g_i^* phi_i(lam) x2 + y2^* (A(lam) s + B(lam) x2), or the
+    same with the derivatives, in O(nterms k^2) with no n-long vector;
+    overflow shows as inf or nan.  The callback form (k = 0) applies T(lam)
+    and T'(lam) per call.
     """
-    with np.errstate(over="ignore", invalid="ignore"):
-        return _ext_apply(pair, op, lam, z1, z2, (deriv,))[0]
+    y1, x1 = np.asarray(y1, dtype=complex), np.asarray(x1, dtype=complex)
+    if not op.is_split:
+        if pair.k:
+            raise NepError("deflation requires the split form")
+        return lambda lam: (np.vdot(y1, op.apply(lam, x1)), np.vdot(y1, op.apply_deriv(lam, x1)))
+    a = np.array([np.vdot(y1, A @ x1) for A, _ in op.terms])
+    if pair.k:
+        y1c = y1.conj()
+        g, s = [(y1c @ blk).conj() for blk in pair.AX], pair.project(x1)
 
+    def form(lam):
+        with np.errstate(over="ignore", invalid="ignore"):
+            c, dc = op.coefficients(lam), op.coefficients_deriv(lam)
+            if not pair.k:
+                return c @ a, dc @ a
+            return tuple(
+                w @ a + sum(map(np.vdot, g, phis)) + np.vdot(y2, Ap @ s + Bp @ x2)
+                for w, phis, (Ap, Bp) in zip((c, dc), pair.coupling(op, lam, x2, c, dc), pair.minimality_blocks(lam))
+            )
 
-def ext_apply_both(pair: InvariantPair, op: NepOperator, lam: complex, z1: np.ndarray, z2: np.ndarray, Az=None):
-    """The extended operator and its lambda-derivative applied to [z1; z2].
-
-    Equal to ``ext_apply`` at deriv=False and deriv=True, at the cost of
-    little more than one of them.  ``Az``, the products [A_i z1] when the
-    caller has them, saves every sparse matvec.  Returns ((y1, y2), (d1, d2)).
-    """
-    with np.errstate(over="ignore", invalid="ignore"):
-        return tuple(_ext_apply(pair, op, lam, z1, z2, (False, True), Az))
+    return form
 
 
 class ExtSolveContext:
@@ -336,7 +341,9 @@ class ExtSolveContext:
     Holds the T(sigma) factorization, the n-by-k block T(sigma)^{-1} U(sigma),
     and the LU of the k-by-k Schur complement
     S(sigma) = B(sigma) - A(sigma) T(sigma)^{-1} U(sigma); forward and
-    adjoint solves both run on them.
+    adjoint solves both run on them.  ``apply_deriv`` applies M'(sigma) from
+    T'(sigma), the n-by-k U'(sigma) and the small derivative blocks, built on
+    its first call and kept.
     """
 
     def __init__(self, pair: InvariantPair, op: NepOperator, sigma: complex, lin_cfg: Optional[LinearSolverConfig] = None):
@@ -358,7 +365,7 @@ class ExtSolveContext:
                 TinvU[:, j] = self.solver.solve(U[:, j])
             self.TinvU = TinvU
             # S = B(sigma) - A(sigma) T^{-1} U
-            self.A_sigma, B = pair.minimality_blocks(self.sigma)
+            (self.A_sigma, B), _ = pair.minimality_blocks(self.sigma)
             S = B - self.A_sigma @ (pair.X.conj().T @ TinvU)
             try:
                 self.S_lu = lu_factor(S)
@@ -368,6 +375,25 @@ class ExtSolveContext:
     @property
     def solve_count(self) -> int:
         return self.solver.solve_count
+
+    @cached_property
+    def _deriv(self):
+        """T'(sigma), U'(sigma) = sum_i A_i X phi_i'(sigma) and (A'(sigma), B'(sigma))."""
+        op, pair, sigma, k = self.op, self.pair, self.sigma, self.k
+        Tp = op.assemble_deriv(sigma)
+        if not k:
+            return Tp, None, None
+        _, dphi = pair.coupling(op, sigma, np.eye(k, dtype=complex), op.coefficients(sigma), op.coefficients_deriv(sigma))
+        return Tp, sum(blk @ d for blk, d in zip(pair.AX, dphi)), pair.minimality_blocks(sigma)[1]
+
+    def apply_deriv(self, v1: np.ndarray, v2: np.ndarray):
+        """M'(sigma) [v1; v2], as ``ext_apply(..., deriv=True)`` at sigma."""
+        Tp, Up, dAB = self._deriv
+        y1 = Tp @ v1
+        if self.k == 0:
+            return y1, np.zeros(0, dtype=complex)
+        y1 += Up @ v2
+        return y1, dAB[0] @ self.pair.project(v1) + dAB[1] @ v2
 
     def solve(self, b1: np.ndarray, b2: Optional[np.ndarray] = None):
         """Solve the extended system at sigma by block elimination."""
@@ -472,7 +498,7 @@ class ProjectionContext:
         phis, dphis = pair.coupling(op, lam, self.V2, c, coeffs if deriv else None)
         for C, blk in zip(self.C, dphis if deriv else phis):
             M += C @ blk
-        Ap, Bp = pair.minimality_blocks(lam, deriv=deriv)
+        Ap, Bp = pair.minimality_blocks(lam)[deriv]
         M += self.V2.conj().T @ (Ap @ self.E + Bp @ self.V2)
         return M
 

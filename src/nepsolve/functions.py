@@ -104,7 +104,8 @@ class ScalarFunction:
             dv = _polyval(self._den(), z)
             if dv == 0:
                 raise FunctionDomainError(f"rational function pole at {z}")
-            return _polyval(self.num, z) / dv
+            # numpy's complex division, whose rounding differs from Python's
+            return np.complex128(_polyval(self.num, z)) / dv
         if kind == "exp":
             return np.exp(z)
         if kind == "log":
@@ -142,7 +143,7 @@ class ScalarFunction:
             pv = _polyval(p, z)
             dpv = _polyval(dp, z)
             dqv = _polyval(dq, z)
-            return (dpv * qv - pv * dqv) / (qv * qv)
+            return np.complex128(dpv * qv - pv * dqv) / (qv * qv)
         if kind == "exp":
             return np.exp(z)
         if kind == "log":
@@ -238,10 +239,10 @@ class ScalarFunction:
 
     @cached_property
     def _rational_coeffs(self):
-        """Numerator, denominator and their derivatives as complex arrays,
-        built once per function (the derivative is evaluated far more often)."""
+        """Numerator, denominator and their derivatives as tuples of complex
+        numbers, built once per function (the derivative is evaluated more)."""
         p, q = np.asarray(self.num, complex), np.asarray(self._den(), complex)
-        return p, q, np.polyder(p), np.polyder(q)
+        return self.num, self._den(), tuple(map(complex, np.polyder(p))), tuple(map(complex, np.polyder(q)))
 
 
 # -- constructors ------------------------------------------------------------
@@ -296,7 +297,7 @@ def combine(op: str, left: ScalarFunction, right: ScalarFunction, *, alpha=1.0, 
 
 def _polyval(coeffs, z: complex) -> complex:
     acc = 0j
-    for c in np.asarray(coeffs, dtype=complex):
+    for c in coeffs:
         acc = acc * z + c
     return acc
 

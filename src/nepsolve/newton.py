@@ -26,7 +26,7 @@ from typing import Optional
 import numpy as np
 
 from .core import EigenPair, EigenSolution, NepError, NepOperator, Settings, backward_error, finish
-from .deflation import ExtSolveContext, InvariantPair, ext_apply, ext_apply_both
+from .deflation import ExtSolveContext, InvariantPair, ext_apply, ext_bilinear
 from .linalg import LinearSolverConfig, gen_eig_smallest, lu_factor
 
 __all__ = ["slp_solve", "rii_solve", "rii_scalar_newton"]
@@ -101,7 +101,7 @@ def _extension_tail(pair: InvariantPair, op: NepOperator, lam: complex, x: np.nd
     k = pair.k
     if k == 0:
         return np.zeros(0, dtype=complex)
-    Ap, B = pair.minimality_blocks(lam)
+    (Ap, B), _ = pair.minimality_blocks(lam)
     Ax = Ap @ pair.project(x)
     try:
         return -lu_factor(B).solve(Ax)
@@ -199,7 +199,8 @@ def slp_solve(
     Starting from the target, each step solves the linear pencil
     T(lam) z = mu T'(lam) z for its smallest-magnitude eigenvalue and applies
     the correction lam <- lam - mu, warm-starting the inner Arnoldi iteration
-    with the current eigenvector.  T(lam) is factorized at every step.
+    with the current eigenvector.  Per step, T(lam) is factorized and T'(lam)
+    with its deflation blocks is built once (``ExtSolveContext.apply_deriv``).
     """
     n = op.n
     tol = settings.tol
@@ -235,19 +236,20 @@ def slp_solve(
                 xt = xt[:n] / np.linalg.norm(xt[:n])
                 hunt.prev_eta = None
                 continue
+            ctx = None  # the last step's factorization is freed before the next one
             try:
                 ctx = ExtSolveContext(cur, op, lam, lin_cfg)
             except np.linalg.LinAlgError as exc:
                 raise NepError(f"T is singular at the iterate {lam}") from exc
             mm = n + cur.k
 
-            def solve_ext(v):
-                a, b = ctx.solve(v[:n], v[n:])
-                return np.concatenate([a, b])
-
             def apply_deriv(v):
-                a, b = ext_apply(cur, op, lam, v[:n], v[n:], deriv=True)
-                return np.concatenate([a, b])
+                return ctx.apply_deriv(v[:n], v[n:])
+
+            def solve_ext(b):
+                out = np.empty(mm, dtype=complex)
+                out[:n], out[n:] = ctx.solve(*b)
+                return out
 
             step_tol = max(1e-13, min(inner_tol, 1e-2 * eta))
             try:
@@ -280,10 +282,11 @@ def rii_scalar_newton(
     """Newton iteration for Neumaier's x^* M(sigma)^{-1} M(z) x = 0, M the
     extended (deflated) operator and x = [x1; x2].
 
-    The left vector y = M(sigma)^{-*} x (one adjoint solve with ``ctx``) and
-    the products A_i x1 are formed once per call; each step reweights them
-    and takes y^* M(z) x and y^* M'(z) x.  With ``hermitian``, y = x and no
-    solve is made.  Stops when the correction satisfies
+    Once per call: the left vector y = M(sigma)^{-*} x (one adjoint solve
+    with ``ctx``) and the reduction of ``ext_bilinear``, one sparse product
+    per term.  Each step then takes the scalars y^* M(z) x and y^* M'(z) x
+    in O(nterms k^2), with no n-long vector.  With ``hermitian``, y = x and
+    no solve is made.  Stops when the correction satisfies
     |mu| < sqrt(eps) * |lam| or after ``max_inner`` steps, returning the last
     iterate.
     """
@@ -293,17 +296,13 @@ def rii_scalar_newton(
     if not hermitian and ctx is None:
         ctx = ExtSolveContext(pair, op, sigma, lin_cfg)
     y1, y2 = (x1, x2) if hermitian else ctx.solve_adjoint(x1, x2)
-    Az = [A @ x1 for A, _ in op.terms] if op.is_split else None
+    form = ext_bilinear(pair, op, y1, y2, x1, x2)
     lam = complex(lam_start)
     for _ in range(max_inner):
         try:
-            (u1, u2), (d1, d2) = ext_apply_both(pair, op, lam, x1, x2, Az)
+            num, den = form(lam)
         except (OverflowError, FloatingPointError):
             return lam
-        if not (np.all(np.isfinite(u1)) and np.all(np.isfinite(d1))):
-            return lam
-        num = np.vdot(y1, u1) + np.vdot(y2, u2)
-        den = np.vdot(y1, d1) + np.vdot(y2, d2)
         if den == 0 or not np.isfinite(den) or not np.isfinite(num):
             return lam
         mu = num / den

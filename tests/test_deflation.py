@@ -11,7 +11,7 @@ from nepsolve.deflation import (
     eval_phi,
     eval_phi_deriv,
     ext_apply,
-    ext_apply_both,
+    ext_bilinear,
     ext_project,
     ext_solve,
 )
@@ -452,24 +452,102 @@ def test_coupling_falls_back_at_the_spectrum_of_h(offset):
         assert np.all(np.isfinite(y1)) and np.all(np.isfinite(y2))
 
 
-def test_ext_apply_both_equals_separate_calls_and_finite_differences():
+def bilinear_reference(pair, op, lam, y1, y2, x1, x2):
+    """(y^* M(lam) x, y^* M'(lam) x) from two full extended products."""
+    (u1, u2), (d1, d2) = (ext_apply(pair, op, lam, x1, x2, deriv=d) for d in (False, True))
+    return np.vdot(y1, u1) + np.vdot(y2, u2), np.vdot(y1, d1) + np.vdot(y2, d2)
+
+
+def assert_bilinear_matches(pair, op, lam, y1, y2, x1, x2):
+    got = ext_bilinear(pair, op, y1, y2, x1, x2)(lam)
+    want = bilinear_reference(pair, op, lam, y1, y2, x1, x2)
+    # the reference sums n-long products, the reduction k-vectors; both round
+    # apart from the exact value by eps times the sum of the terms' moduli
+    nxy = np.linalg.norm(np.concatenate([y1, y2])) * np.linalg.norm(np.concatenate([x1, x2]))
+    for g, w, size in zip(got, want, (op.norm_scale(lam), op.mats.scale(op.coefficients_deriv(lam)))):
+        assert abs(g - w) <= 1e-12 * max(size, pair.minimality_scale(lam), 1.0) * nxy, (g, w)
+
+
+@pytest.mark.parametrize("problem", ["delay", "string"])
+@pytest.mark.parametrize("k", [0, 1, 3])
+def test_ext_bilinear_equals_ext_apply(problem, k):
+    rng = np.random.default_rng(30 + k)
+    if problem == "delay":
+        op, pair, _ = delay_invariant_pair(40, k)
+        far = (3.0 + 1.0j, -20.0)
+    else:
+        op, pair = string_invariant_pair(40, k)
+        far = (12.0 + 0.5j, 300.0)
+    n = op.n
+    x1, y1 = rand_complex(rng, n), rand_complex(rng, n)
+    x2, y2 = rand_complex(rng, k), rand_complex(rng, k)
+    near = [pair.H[j, j] * (1.0 + 1e-9) for j in range(k)]
+    for lam in list(far) + near:
+        assert k == 0 or pair.near_spectrum(lam) == (lam in near)
+        assert_bilinear_matches(pair, op, lam, y1, y2, x1, x2)
+    # the form RII builds with hermitian=True: y = x
+    for lam in far:
+        assert_bilinear_matches(pair, op, lam, x1, x2, x1, x2)
+
+
+def test_ext_bilinear_callback_form():
+    rng = np.random.default_rng(33)
+    op_split, _ = gen_delay(30, 0.001, -2.0)
+    op = NepOperator(
+        t_fn=lambda lam: op_split.assemble(lam),
+        tprime_fn=lambda lam: op_split.assemble_deriv(lam),
+        n=30,
+    )
+    x1, y1 = rand_complex(rng, 30), rand_complex(rng, 30)
+    pair = InvariantPair.empty(30)
+    for lam in (0.5, -3.0 + 2.0j):
+        num, den = ext_bilinear(pair, op, y1, np.zeros(0), x1, np.zeros(0))(lam)
+        assert num == np.vdot(y1, op.apply(lam, x1)) and den == np.vdot(y1, op.apply_deriv(lam, x1))
+    with pytest.raises(NepError):
+        ext_bilinear(delay_invariant_pair(30, 1)[1], op, y1, np.ones(1), x1, np.ones(1))
+
+
+def test_ext_bilinear_matches_ext_apply_and_finite_differences():
     rng = np.random.default_rng(22)
     op = three_term_problem(rng, 7)
     pair = nonnormal_pair(rng, op, 3, 2)
     z1, z2 = rand_complex(rng, 7), rand_complex(rng, 3)
+    y1, y2 = rand_complex(rng, 7), rand_complex(rng, 3)
+    form = ext_bilinear(pair, op, y1, y2, z1, z2)
     h = 1e-6
     for lam in (0.8 - 0.3j, 4.0 + 1.0j):
-        (y1, y2), (d1, d2) = ext_apply_both(pair, op, lam, z1, z2)
-        separate = ext_apply(pair, op, lam, z1, z2) + ext_apply(pair, op, lam, z1, z2, deriv=True)
-        for got, want in zip((y1, y2, d1, d2), separate):
-            assert np.array_equal(got, want)
-        a1, a2 = ext_apply(pair, op, lam + h, z1, z2)
-        b1, b2 = ext_apply(pair, op, lam - h, z1, z2)
-        assert np.linalg.norm(d1 - (a1 - b1) / (2 * h)) <= 1e-6 * max(1.0, np.linalg.norm(d1))
-        assert np.linalg.norm(d2 - (a2 - b2) / (2 * h)) <= 1e-6 * max(1.0, np.linalg.norm(d2))
+        num, den = form(lam)
+        want_num, want_den = bilinear_reference(pair, op, lam, y1, y2, z1, z2)
+        assert abs(num - want_num) <= 1e-12 * max(1.0, abs(want_num))
+        assert abs(den - want_den) <= 1e-12 * max(1.0, abs(want_den))
+        fd = (form(lam + h)[0] - form(lam - h)[0]) / (2 * h)
+        assert abs(den - fd) <= 1e-6 * max(1.0, abs(den))
     empty = InvariantPair.empty(7)
-    (y1, _), (d1, _) = ext_apply_both(empty, op, 0.6, z1, np.zeros(0))
-    assert np.allclose(y1, op.apply(0.6, z1)) and np.allclose(d1, op.apply_deriv(0.6, z1))
+    num, den = ext_bilinear(empty, op, y1, np.zeros(0), z1, np.zeros(0))(0.6)
+    assert np.isclose(num, np.vdot(y1, op.apply(0.6, z1))) and np.isclose(den, np.vdot(y1, op.apply_deriv(0.6, z1)))
+
+
+@pytest.mark.parametrize("problem", ["delay", "string"])
+@pytest.mark.parametrize("k", [0, 1, 3])
+def test_context_apply_deriv_equals_ext_apply_at_its_shift(problem, k):
+    rng = np.random.default_rng(40 + k)
+    if problem == "delay":
+        op, pair, _ = delay_invariant_pair(40, k)
+        sigma = 2.0 + 0.5j
+    else:
+        op, pair = string_invariant_pair(40, k)
+        sigma = 12.0 + 0.5j
+    ctx = ExtSolveContext(pair, op, sigma)
+    for _ in range(2):
+        v1, v2 = rand_complex(rng, op.n), rand_complex(rng, k)
+        got = ctx.apply_deriv(v1, v2)
+        want = ext_apply(pair, op, sigma, v1, v2, deriv=True)
+        for g, w in zip(got, want):
+            assert g.shape == w.shape
+            assert np.linalg.norm(g - w) <= 1e-13 * max(1.0, np.linalg.norm(w))
+    # the terms of weight 0 in T'(sigma) leave no explicit zeros behind
+    Tp = ctx._deriv[0]
+    assert Tp.nnz == np.count_nonzero(Tp.toarray())
 
 
 @pytest.mark.parametrize("p", [1, 2, 3])
@@ -480,14 +558,14 @@ def test_minimality_blocks_match_explicit_construction(p):
     n = 7
     for lam in (0.7 + 0.4j, -1.9):
         Mref = dense_extended_matrix_explicit(pair, op, lam)
-        Ap, Bp = pair.minimality_blocks(lam)
+        (Ap, Bp), (dA, dB) = pair.minimality_blocks(lam)
         A_ref, B_ref = Mref[n:, :n], Mref[n:, n:]
         assert np.max(np.abs(Ap @ pair.X.conj().T - A_ref)) <= 1e-12 * max(1.0, np.max(np.abs(A_ref)))
         assert np.max(np.abs(Bp - B_ref)) <= 1e-12 * max(1.0, np.max(np.abs(B_ref)))
         M = dense_extended_matrix(pair, op, lam)
         assert np.max(np.abs(M - Mref)) <= 1e-11 * max(1.0, np.max(np.abs(Mref)))
         h = 1e-6
-        dA, dB = pair.minimality_blocks(lam, deriv=True)
-        (Aa, Ba), (Ab, Bb) = pair.minimality_blocks(lam + h), pair.minimality_blocks(lam - h)
+        (Aa, Ba), _ = pair.minimality_blocks(lam + h)
+        (Ab, Bb), _ = pair.minimality_blocks(lam - h)
         assert np.max(np.abs(dA - (Aa - Ab) / (2 * h))) <= 1e-6 * max(1.0, np.max(np.abs(dA)))
         assert np.max(np.abs(dB - (Ba - Bb) / (2 * h))) <= 1e-6 * max(1.0, np.max(np.abs(dB)))

@@ -212,3 +212,37 @@ def test_rational_derivative_coefficients_are_cached():
     # the cache leaves value semantics alone
     assert f == g and hash(f) == hash(g)
     assert f.deriv(z) == g.deriv(z)
+
+
+def _polyval_numpy(coeffs, z):
+    """Horner's rule on numpy scalars, the rule the rational kind used first."""
+    acc = 0j
+    for c in np.asarray(coeffs, dtype=complex):
+        acc = acc * z + c
+    return acc
+
+
+def _rational_numpy(f, x):
+    """f(x) and f'(x) of a rational function with every step in numpy scalars."""
+    z = complex(f.alpha) * complex(x)
+    p, q = np.asarray(f.num, complex), np.asarray(f.den or (1.0,), complex)
+    pv, qv = _polyval_numpy(p, z), _polyval_numpy(q, z)
+    dpv, dqv = _polyval_numpy(np.polyder(p), z), _polyval_numpy(np.polyder(q), z)
+    beta = complex(f.beta)
+    return beta * (pv / qv), beta * complex(f.alpha) * ((dpv * qv - pv * dqv) / (qv * qv))
+
+
+def test_rational_values_are_bitwise_those_of_numpy_scalar_horner():
+    from nepsolve.problems import gen_delay, gen_loaded_string
+
+    rng = np.random.default_rng(50)
+    funcs = [f for gen in (gen_delay, gen_loaded_string) for _, f in gen(20)[0].terms if f.kind == "rational"]
+    for _ in range(40):
+        num, den = rng.standard_normal(rng.integers(1, 6)), rng.standard_normal(rng.integers(1, 5))
+        alpha, beta = complex(*rng.standard_normal(2)), complex(*rng.standard_normal(2))
+        funcs.append(fn.rational(num + 1j * rng.standard_normal(len(num)), den, alpha=alpha, beta=beta))
+    points = [complex(*(rng.standard_normal(2) * s)) for s in (1e-3, 1.0, 30.0, 1e4) for _ in range(5)]
+    for f in funcs:
+        for x in points:
+            got, want = np.array([f(x), f.deriv(x)]), np.array(_rational_numpy(f, x))
+            assert got.tobytes() == want.tobytes(), (f, x)

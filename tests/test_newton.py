@@ -130,6 +130,36 @@ def test_scalar_newton_matches_the_two_solve_form_with_one_adjoint_solve():
     assert kinds == [True] * 2 and ctx.solve_count == before + 2
 
 
+class _CountedMatrix:
+    """A coefficient matrix that records each of its products."""
+
+    def __init__(self, A, log):
+        self.A, self.log = A, log
+
+    def __matmul__(self, v):
+        self.log.append(v.shape)
+        return self.A @ v
+
+
+@pytest.mark.parametrize("max_inner", [1, 2, 50])
+def test_scalar_newton_makes_one_product_per_term_and_one_adjoint_solve(max_inner):
+    # the n-long work of a call is done once, whatever the number of steps
+    op, locked = string_invariant_pair(40, 2)
+    sigma = 22.0
+    ctx = ExtSolveContext(locked, op, sigma)
+    kinds = []  # the adjoint flag of each solve
+    solve = ctx.solver.solve
+    ctx.solver.solve = lambda b, adjoint=False: kinds.append(adjoint) or solve(b, adjoint=adjoint)
+    products, steps = [], []
+    op._terms = [(_CountedMatrix(A, products), f) for A, f in op.terms]
+    coefficients = op.coefficients
+    op.coefficients = lambda lam: steps.append(lam) or coefficients(lam)
+    x = np.random.default_rng(5).standard_normal(42) + 0j
+    rii_scalar_newton(op, locked, sigma, sigma, x / np.linalg.norm(x), max_inner=max_inner, ctx=ctx)
+    assert len(steps) == min(max_inner, 3)  # converged after three steps
+    assert products == [(40,)] * len(op.terms) and kinds == [True]
+
+
 def test_rii_cross_solver_agreement_small_delay():
     op, oracle = gen_delay(60, tau=0.001, b=-2.0)
     s = Settings(nev=3, tol=1e-8, target=1.0)
