@@ -33,6 +33,7 @@ __all__ = [
     "DenseLU",
     "lu_factor",
     "orthogonalize",
+    "compress_columns",
     "LinearSolverConfig",
     "make_linear_solver",
     "iterative_solve",
@@ -46,6 +47,7 @@ __all__ = [
 
 BREAKDOWN_RTOL = 1e-14
 COPY_RTOL = 1e-8
+COMPRESS_ROWS = 1024  # rows per block of compress_columns: 1024 x ncv complex fits in L2
 
 
 class SingularMatrixError(np.linalg.LinAlgError):
@@ -116,6 +118,21 @@ def orthogonalize(V: np.ndarray, w: np.ndarray):
     beta = np.linalg.norm(w_orth)
     dependent = beta <= BREAKDOWN_RTOL * nrm_w
     return h, beta, w_orth, dependent
+
+
+def compress_columns(B: np.ndarray, W: np.ndarray) -> None:
+    """``B[:, :r] = B[:, :m] @ W`` in place (W is m x r), one block of rows at a time.
+
+    Each block is one ``gemm``, which rounds every row as the unblocked product
+    does; numpy would send a one-row block or a one-column W to ``gemv``,
+    whose rounding depends on where the block starts.
+    """
+    m, r = W.shape
+    n = B.shape[0]
+    nblocks = 1 if r == 1 else max(1, n // COMPRESS_ROWS)
+    for b in range(nblocks):
+        block = B[n * b // nblocks : n * (b + 1) // nblocks]
+        block[:, :r] = block[:, :m] @ W
 
 
 # -- linear solvers ------------------------------------------------------------
@@ -343,18 +360,19 @@ def _ordered_schur(M: np.ndarray, wanted: np.ndarray):
     return T, Q, int(sdim)
 
 
-def _retained(order, theta, conv, wanted, p_target: int, cap_total: int) -> List[int]:
+def _retained(order, theta, conv, wanted, p_target: int, cap_total: int, known_junk=()) -> List[int]:
     """Indices of the Ritz pairs a restart keeps, in ``order``.
 
     Converged wanted pairs come first, then the best unconverged candidates
     up to ``p_target``, then converged junk up to ``cap_total`` (keeping
     dominant junk locked prevents it from regrowing every cycle).  An
     unwanted unconverged Ritz value within COPY_RTOL |theta| of a converged
-    unwanted one is a copy of it (a pole of an interpolant shows up as
-    several) and counts as converged with it, so rounding noise in one
-    copy's residual cannot decide how many vectors are kept.
+    unwanted one, or of a value in ``known_junk``, is a copy of it (a pole
+    of an interpolant shows up as several) and counts as converged with it,
+    so rounding noise in one copy's residual cannot decide how many vectors
+    are kept.
     """
-    junk = theta[conv & ~wanted]
+    junk = np.concatenate([theta[conv & ~wanted], np.asarray(known_junk, dtype=complex)])
     conv = conv.copy()
     for i in np.flatnonzero(~conv & ~wanted):
         if np.any(np.abs(junk - theta[i]) <= COPY_RTOL * abs(theta[i])):
@@ -395,7 +413,7 @@ class FullBasisEngine:
         w = self.apply_fn(self.V[:, j])
         h, beta, w_orth, dep = orthogonalize(self.V[:, : j + 1], w)
         if not dep:
-            self.V[:, j + 1] = w_orth / beta
+            np.divide(w_orth, beta, out=self.V[:, j + 1])
         return h, beta, dep
 
     def append_random(self, j: int, rng) -> bool:
@@ -403,13 +421,13 @@ class FullBasisEngine:
             cand = rng.standard_normal(self.V.shape[0]) + 1j * rng.standard_normal(self.V.shape[0])
             h, beta, w_orth, dep = orthogonalize(self.V[:, : j + 1], cand)
             if not dep:
-                self.V[:, j + 1] = w_orth / beta
+                np.divide(w_orth, beta, out=self.V[:, j + 1])
                 return True
         return False
 
     def transform(self, Qp: np.ndarray, m: int) -> None:
         p = Qp.shape[1]
-        self.V[:, :p] = self.V[:, :m] @ Qp
+        compress_columns(self.V, Qp)
         self.V[:, p] = self.V[:, m]
 
     def ritz_first_block(self, y: np.ndarray, m: int) -> np.ndarray:
@@ -433,14 +451,18 @@ class KrylovSchurDriver:
     finely than its own error.  The Ritz data of H and their verdicts are
     computed once and kept until H changes, so ``extract`` after ``run``
     runs no pair test again.
+    A restart counts an unwanted Ritz value within COPY_RTOL of one of
+    ``known_junk`` (say, an interpolant's pole images) as converged junk,
+    whatever its residual.
     """
 
-    def __init__(self, engine, ncv: int, tol: float, sort_key, wanted_filter=None, rng=None):
+    def __init__(self, engine, ncv: int, tol: float, sort_key, wanted_filter=None, rng=None, known_junk=()):
         self.engine = engine
         self.ncv = ncv
         self.tol = tol
         self.sort_key = sort_key
         self.wanted_filter = wanted_filter
+        self.known_junk = known_junk
         self.pair_test = None
         self.rng = rng or np.random.default_rng(0)
         self.H = np.zeros((ncv + 1, ncv), dtype=complex)
@@ -519,7 +541,7 @@ class KrylovSchurDriver:
             # always leave at least a quarter of the subspace for fresh expansions
             p_target = max(min_converged + 1, self.ncv // 2)
             cap_total = min(self.m - 1, max(min_converged + 2, (3 * self.ncv) // 4))
-            wanted_vals = theta[_retained(order, theta, conv, wanted, p_target, cap_total)]
+            wanted_vals = theta[_retained(order, theta, conv, wanted, p_target, cap_total, self.known_junk)]
             T, Q, sdim = _ordered_schur(self.H[: self.m, : self.m], wanted_vals)
             sdim = max(1, min(sdim, self.m - 1))
             brow = self.H[self.m, : self.m] @ Q[:, :sdim]

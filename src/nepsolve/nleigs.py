@@ -49,6 +49,7 @@ from .linalg import (
     KrylovSchurDriver,
     LinearSolverConfig,
     SplitSum,
+    compress_columns,
     inf_norm,
     make_linear_solver,
     orthogonalize,
@@ -498,32 +499,32 @@ class ShiftInvertContext:
 class ToarBasisEngine:
     """Compact representation V_k = (I_d (x) U) G_k of the Krylov basis.
 
-    U (n x mu, orthonormal) is a view of the first mu columns of a
-    column-major buffer allocated once with d + ncv + 2 columns, the rank
-    that U can reach in exact arithmetic; the buffer grows only if rounding
+    U (n x mu, orthonormal) holds the rank of the start blocks, folded in
+    one at a time (d equal blocks give one column), and is a view of a
+    column-major buffer of d + ncv + 2 columns, which grows only if rounding
     ever lets the rank pass it.  An expansion step reads U once to form the
     solve's right-hand side from the coefficient rows (the block recurrence
     runs on the d x mu coefficients, not on n-long vectors), orthogonalizes
     the solution against U and writes at most one new column in place; a
-    restart writes the compressed U W back into the same buffer.  G
-    (d x mu x k) lives in a preallocated coefficient buffer alike.
+    restart compresses U to U W in place.  G (d x mu x k) lives in a
+    preallocated coefficient buffer alike.
     """
 
     def __init__(self, ctx: ShiftInvertContext, w_blocks: np.ndarray, ncv: int):
         self.ctx = ctx
         d, n = w_blocks.shape
         self.d, self.n = d, n
-        W = np.asarray(w_blocks, dtype=complex).T  # n x d
-        Q, R = np.linalg.qr(W)
-        nrm = np.linalg.norm(R)
-        if nrm == 0:
-            raise ValueError("zero starting vector")
-        self.mu = Q.shape[1]
+        self.mu = 0
         self.k = 1  # basis columns held in G
         self._U = np.empty((n, d + ncv + 2), dtype=complex, order="F")
-        self._U[:, : self.mu] = Q
         self._G = np.zeros((d, self._U.shape[1], ncv + 2), dtype=complex)
-        self._G[:, : self.mu, 0] = (R / nrm).T  # block i of the coefficients is R[:, i]/nrm
+        for i, w in enumerate(np.asarray(w_blocks, dtype=complex)):
+            c = self._fold(w)
+            self._G[i, : c.size, 0] = c
+        nrm = np.linalg.norm(self._G[:, : self.mu, 0])
+        if nrm == 0:
+            raise ValueError("zero starting vector")
+        self._G[:, : self.mu, 0] /= nrm
 
     @property
     def U(self) -> np.ndarray:
@@ -540,7 +541,11 @@ class ToarBasisEngine:
         self._G[:, : self.mu, j] = g.reshape(self.d, self.mu)
         self.k = j + 1
 
-    def _append_u(self, u: np.ndarray) -> None:
+    def _fold(self, w: np.ndarray) -> np.ndarray:
+        """Coefficients c with w = U c, after adding w's part outside span(U) to U."""
+        h, beta, w_orth, dep = orthogonalize(self.U, w)
+        if dep:
+            return h
         mu = self.mu
         if mu == self._U.shape[1]:
             U = np.empty((self.n, mu + self.d), dtype=complex, order="F")
@@ -549,20 +554,18 @@ class ToarBasisEngine:
             G = np.zeros((self.d, mu + self.d, self._G.shape[2]), dtype=complex)
             G[:, :mu] = self._G
             self._G = G
-        self._U[:, mu] = u
+        np.divide(w_orth, beta, out=self._U[:, mu])
         self.mu = mu + 1
+        return np.append(h, beta)
 
     def expand(self, j: int):
         mu = self.mu
         y0, g = self.ctx.toar_expand(self.U, self._G[:, :mu, j])
-        h_u, beta_u, u_orth, dep = orthogonalize(self.U, y0)
-        # y0 = U h_u + beta_u u: fold its coefficients into those on U and u
-        g[:, :mu] += g[:, mu:] * h_u
-        if dep:
-            g = g[:, :mu]
-        else:
-            g[:, mu] *= beta_u
-            self._append_u(u_orth / beta_u)
+        # y0 = U c: fold its coefficients into those on U and the new column
+        c = self._fold(y0)
+        g[:, :mu] += g[:, mu:] * c[:mu]
+        g = g[:, : c.size]
+        g[:, mu:] *= c[mu:]
         h, beta, g_orth, dep = orthogonalize(self._stacked(j + 1), g.reshape(-1))
         if not dep:
             self._set_column(j + 1, g_orth / beta)
@@ -587,22 +590,15 @@ class ToarBasisEngine:
         # compress U to the subspace actually used by the kept coefficients
         flat = M_cat.transpose(1, 0, 2).reshape(mu, d * (p + 1))
         W, s, _ = np.linalg.svd(flat, full_matrices=False)
-        if s.size and s[0] > 0:
-            r = max(1, int(np.sum(s > COMPRESS_RTOL * s[0])))
-        else:
-            r = 1
+        r = max(1, int(np.sum(s > COMPRESS_RTOL * s[0])))
         W = W[:, :r]
-        self._U[:, :r] = self.U @ W
+        compress_columns(self._U, W)
         self._G[:, :mu, : self.k] = 0.0  # everything outside G stays zero
         self._G[:, :r, : p + 1] = np.einsum("rm,imk->irk", W.conj().T, M_cat)
         self.mu, self.k = r, p + 1
 
     def ritz_first_block(self, y: np.ndarray, m: int) -> np.ndarray:
         return self.U @ (self._G[0, : self.mu, :m] @ y)
-
-    def ritz_full(self, y: np.ndarray, m: int) -> np.ndarray:
-        blocks = [self.U @ (self._G[i, : self.mu, :m] @ y) for i in range(self.d)]
-        return np.concatenate(blocks)
 
 
 def toar_arnoldi(ctx: ShiftInvertContext, w_blocks: np.ndarray, steps: int):
@@ -666,6 +662,10 @@ def nleigs_solve(
     use this one rule.  Interval eigenvalues are tested (backward error
     <= tol) and returned at Re lam, i.e. exactly real.  Other regions are
     tested on lam as it is.
+    Pole rule: a restart counts an unwanted Ritz value within COPY_RTOL of
+    the image 1/(xi - sigma) of a known pole xi (its conjugate in the left
+    run) as converged junk whatever its residual, so a pole copy's residual
+    near the inner tolerance does not decide how many vectors are kept.
     """
     if settings.region is None:
         raise NepError("nleigs requires a region")
@@ -727,7 +727,8 @@ def nleigs_solve(
         return out
 
     inner_tol = max(1e-14, 0.01 * settings.tol)
-    driver = KrylovSchurDriver(engine, ncv, inner_tol, sort_key, wanted_filter, rng)
+    pole_images = 1.0 / (sing[sing != sigma] - sigma)
+    driver = KrylovSchurDriver(engine, ncv, inner_tol, sort_key, wanted_filter, rng, pole_images)
     max_restarts = settings.max_it_effective
 
     # (restarts, m, theta) -> backward error: the first two fix the basis and
@@ -789,7 +790,7 @@ def nleigs_solve(
         def left_filter(omegas, res):
             return wanted_filter(np.conj(np.asarray(omegas, dtype=complex)), res)
 
-        left_driver = KrylovSchurDriver(left_engine, ncv, inner_tol, left_key, left_filter, rng)
+        left_driver = KrylovSchurDriver(left_engine, ncv, inner_tol, left_key, left_filter, rng, pole_images.conj())
         left_driver.run(len(pairs), max_restarts)
         lefts = []
         for omega, y, _res, ok in left_driver.extract():

@@ -11,6 +11,7 @@ from nepsolve.linalg import (
     LinearSolverConfig,
     SingularMatrixError,
     SplitSum,
+    compress_columns,
     gen_eig_smallest,
     inf_norm,
     iterative_solve,
@@ -348,6 +349,39 @@ def test_retained_counts_unwanted_copies_as_converged():
     conv[2] = False
     assert _retained(order, theta, conv, wanted, 5, 5) == [0, 1, 2, 3, 4]
     assert not conv[3]  # the caller's verdicts are not changed
+
+
+def test_retained_keeps_a_known_pole_copy_as_junk():
+    # theta 2 is a copy of a known pole image whose residual sits just over
+    # tol (unconverged): it takes no candidate slot and is kept as junk
+    image = -1.0 / 9.0
+    theta = np.array([3.0, 2.0, image * (1 + 0.5 * COPY_RTOL), 0.5, 0.2])
+    wanted = np.array([True, True, False, False, False])
+    conv = np.array([True, False, False, False, False])
+    order = np.arange(len(theta))
+    assert _retained(order, theta, conv, wanted, 3, 4) == [0, 1, 2]
+    assert _retained(order, theta, conv, wanted, 3, 4, [image]) == [0, 1, 3, 2]
+    # a value farther than COPY_RTOL from the image is no copy of it
+    theta[2] = image * (1 + 3 * COPY_RTOL)
+    assert _retained(order, theta, conv, wanted, 3, 4, [image]) == [0, 1, 2]
+
+
+@pytest.mark.parametrize("rows", [1, 2, 63, 64, 65, 129, 300])
+@pytest.mark.parametrize("m, r", [(1, 1), (5, 1), (6, 4), (10, 10)])
+def test_compress_columns_matches_the_unblocked_product(rows, m, r, monkeypatch):
+    import nepsolve.linalg as linalg_mod
+
+    monkeypatch.setattr(linalg_mod, "COMPRESS_ROWS", 32)
+    rng = np.random.default_rng(rows * 100 + m * 10 + r)
+    B = np.asfortranarray(rand_complex(rng, rows, m + 2))
+    W = rand_complex(rng, m, r)
+    expected = B[:, :m] @ W
+    rest = B[:, r:].copy()
+    buffer = B
+    compress_columns(B, W)
+    assert B is buffer
+    assert np.array_equal(B[:, :r], expected)
+    assert np.array_equal(B[:, r:], rest)
 
 
 def test_driver_tests_each_ritz_pair_once_per_h():

@@ -4,7 +4,7 @@ import scipy.sparse as sp
 
 from nepsolve import functions as fn
 from nepsolve.core import Ellipse, Interval, NepError, NepOperator, Settings, backward_error
-from nepsolve.linalg import KrylovSchurDriver
+from nepsolve.linalg import FullBasisEngine, KrylovSchurDriver
 from nepsolve.nleigs import (
     LejaBagbySequence,
     RationalInterpolant,
@@ -460,6 +460,73 @@ def test_toar_basis_grows_past_a_full_buffer():
     check_compact_basis(engine, H, S)
 
 
+def _start_blocks(kind, rng, d, n):
+    if kind == "equal":
+        return np.ones((d, n)), 1
+    if kind == "random":
+        return rand_complex(rng, d, n), d
+    a, b = rand_complex(rng, 2, n)
+    return np.array([(k + 1) * a - (2 * k - 1) * b for k in range(d)]), 2
+
+
+@pytest.mark.parametrize("kind", ["equal", "random", "two"])
+def test_toar_start_holds_the_rank_of_the_start_blocks(kind):
+    # the start blocks are folded into U one at a time, so U gets the rank
+    # of the blocks, not d columns of which all but the rank are noise
+    rng = np.random.default_rng(14)
+    d, n = 4, 30
+    op, ri = random_interpolant(rng, n=n, d=d)
+    w0, rank = _start_blocks(kind, rng, d, n)
+    engine = ToarBasisEngine(ShiftInvertContext(ri, 0.2 + 0.1j), w0, ncv=5)
+    assert engine.mu == rank
+    U, g0 = engine.U, engine.G[:, :, 0]
+    assert np.linalg.norm(U.conj().T @ U - np.eye(rank)) <= 1e-14
+    v0 = np.concatenate([U @ g0[i] for i in range(d)])
+    assert np.linalg.norm(v0 - w0.reshape(-1) / np.linalg.norm(w0)) <= 1e-14
+
+
+def test_toar_start_rejects_zero_blocks():
+    rng = np.random.default_rng(15)
+    op, ri = random_interpolant(rng, n=6, d=3)
+    with pytest.raises(ValueError):
+        ToarBasisEngine(ShiftInvertContext(ri, 0.1), np.zeros((3, 6)), ncv=4)
+
+
+@pytest.mark.parametrize("basis", ["toar", "full"])
+def test_restart_compresses_the_basis_in_place(basis, monkeypatch):
+    # both engines' restarts overwrite their own buffer, block by block, with
+    # the same numbers as the out-of-place product B[:, :m] @ W
+    import nepsolve.linalg as linalg_mod
+    import nepsolve.nleigs as nleigs_mod
+
+    monkeypatch.setattr(linalg_mod, "COMPRESS_ROWS", 64)
+    rng = np.random.default_rng(16)
+    d, n, ncv = 3, 301, 8
+    op, ri = random_interpolant(rng, n=n, d=d)
+    ctx = ShiftInvertContext(ri, 0.1 + 0.2j)
+    if basis == "toar":
+        engine = ToarBasisEngine(ctx, rand_complex(rng, d, n), ncv)
+        buffer, module = engine._U, nleigs_mod
+    else:
+        engine = FullBasisEngine(ctx.apply, rand_complex(rng, d, n), ncv)
+        buffer, module = engine.V, linalg_mod
+    calls = []
+    compress = linalg_mod.compress_columns
+
+    def checked(B, W):
+        m, r = W.shape
+        expected = B[:, :m].copy(order="F") @ W
+        compress(B, W)
+        calls.append((np.shares_memory(B, buffer), np.array_equal(B[:, :r], expected)))
+
+    monkeypatch.setattr(module, "compress_columns", checked)
+    driver = KrylovSchurDriver(engine, ncv, 1e-14, lambda t: -np.abs(t))
+    driver.run(ncv, 2)
+    assert driver.restarts == 2
+    assert calls == [(True, True)] * 2
+    assert (engine._U if basis == "toar" else engine.V) is buffer
+
+
 # -- full solver -------------------------------------------------------------------------------
 
 
@@ -540,13 +607,15 @@ BASIS_CASES = {
 }
 
 
-@pytest.mark.parametrize("n", [200, 400, 1000])
+@pytest.mark.parametrize("n", [200, 400, 700, 1000])
 @pytest.mark.parametrize("problem", sorted(BASIS_CASES))
 def test_nleigs_toar_and_full_basis_take_the_same_steps(problem, n):
     # both bases span the same Krylov subspace, so they must restart and
     # solve alike; on delay n=200 an unconverged Ritz value near -160.25 used
     # to pass or fail the interval test on the rounding noise in its
-    # imaginary part, which differed between the two bases
+    # imaginary part, which differed between the two bases; on the string,
+    # copies of the pole at 1 with residuals near the inner tolerance used
+    # to decide how many vectors a restart kept
     make, s = BASIS_CASES[problem]
     op = make(n)
     sol_t = nleigs_solve(op, s, full_basis=False)
@@ -585,6 +654,42 @@ def test_nleigs_delay_toar_steps_at_blas_threads(threads):
         "print(sol.converged, sol.stats['outer_iterations'], sol.stats['linear_solves'])\n"
     )
     assert run_at_blas_threads(threads, script).split() == ["True", "1", "30"]
+
+
+def test_nleigs_string_steps_do_not_depend_on_blas_threads():
+    # the string's pole copies count as junk whatever their residual, so the
+    # last bit of a BLAS product no longer decides how many vectors the
+    # restart keeps
+    script = (
+        "from test_nleigs import BASIS_CASES\n"
+        "from nepsolve.nleigs import nleigs_solve\n"
+        "make, s = BASIS_CASES['loaded_string']\n"
+        "for n in (400, 700):\n"
+        "    op = make(n)\n"
+        "    for full in (False, True):\n"
+        "        st = nleigs_solve(op, s, full_basis=full).stats\n"
+        "        print(n, full, st['outer_iterations'], st['linear_solves'])\n"
+    )
+    runs = [run_at_blas_threads(t, script).splitlines() for t in ("1", "2")]
+    assert runs[0] == runs[1]
+    assert [line.split()[2:] for line in runs[0]] == [["1", "32"]] * 4
+
+
+def test_nleigs_two_sided_steps_do_not_depend_on_blas_threads():
+    # the settings of the benchmark's nleigs2-string workload
+    script = (
+        "from nepsolve.core import Interval, Settings\n"
+        "from nepsolve.nleigs import nleigs_solve\n"
+        "from nepsolve.problems import gen_loaded_string\n"
+        "op, _ = gen_loaded_string(1000)\n"
+        "s = Settings(nev=9, tol=1e-8, target=10.0, problem_type='rational',\n"
+        "             region=Interval(4.0, 800.0), two_sided=True)\n"
+        "sol = nleigs_solve(op, s)\n"
+        "print(sol.converged, sol.stats['linear_solves'], len(sol.pairs),\n"
+        "      sum(p.y is not None for p in sol.pairs))\n"
+    )
+    runs = [run_at_blas_threads(t, script).split() for t in ("1", "2")]
+    assert runs[0] == runs[1] == ["True", "79", "9", "9"]
 
 
 def test_nleigs_backward_error_once_per_pair(monkeypatch):
