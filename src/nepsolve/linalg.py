@@ -13,6 +13,14 @@ call reads the basis four times (two BLAS ``zgemv`` per sweep) and copies
 neither the basis nor its conjugate, provided the basis is column-major:
 both basis engines keep their n-long vectors in Fortran-ordered buffers so
 that every leading-column slice they pass is contiguous.
+
+Direct solves with a sparse matrix take one of two routes, picked once per
+factorization from the stored structure.  A matrix whose entries all lie on
+the three central diagonals (largest |i - j| over the CSR indices at most 1,
+explicitly stored zeros included) with n >= 3 is factorized by LAPACK's
+tridiagonal LU, ``zgttrf``/``zgttrs``; every T(sigma) and NLEIGS R(sigma) of
+the generated problems is of this kind.  Every other sparse matrix goes to
+SuperLU.
 """
 
 from __future__ import annotations
@@ -26,7 +34,7 @@ import scipy.linalg
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 from scipy.linalg.blas import zgemv
-from scipy.linalg.lapack import zlaswp, ztrtrs
+from scipy.linalg.lapack import zgttrf, zgttrs, zlaswp, ztrtrs
 
 __all__ = [
     "SingularMatrixError",
@@ -164,30 +172,55 @@ class IterativeResult:
     breakdown: bool = False
 
 
+def _bandwidth(A) -> int:
+    """Largest |i - j| over the stored entries of a sparse matrix, zeros included."""
+    A = A.tocsr()
+    if A.nnz == 0:
+        return 0
+    rows = np.repeat(np.arange(A.shape[0]), np.diff(A.indptr))
+    return int(np.abs(A.indices - rows).max())
+
+
 class _DirectSolver:
-    """Sparse (SuperLU) or dense LU factorization with adjoint solves."""
+    """LU factorization with adjoint solves, on one of three routes.
+
+    A dense matrix gets LAPACK's dense LU (``lu_factor``).  A sparse matrix
+    whose stored entries all lie within one diagonal of the main diagonal
+    (bandwidth <= 1, checked once over the CSR indices) and n >= 3 gets
+    LAPACK's tridiagonal LU with partial pivoting, ``zgttrf``/``zgttrs``: no
+    CSC copy, no fill-reducing ordering and no BLAS calls.  Every other sparse
+    matrix, wider bands and n <= 2 (which the ``zgttrf`` wrapper rejects),
+    goes to SuperLU.  An exactly zero pivot raises ``SingularMatrixError``
+    at construction on both sparse routes, and so does a solve whose result
+    has non-finite entries.
+    """
 
     def __init__(self, A):
         self.solve_count = 0
-        if sp.issparse(A):
-            self.n = A.shape[0]
+        self.n = A.shape[0]
+        self._tri = self._lu = self._dense = None
+        if not sp.issparse(A):
+            self._dense = lu_factor(A)
+        elif self.n >= 3 and _bandwidth(A) <= 1:
+            diags = [np.asarray(A.diagonal(k), dtype=complex) for k in (-1, 0, 1)]
+            *self._tri, info = zgttrf(*diags, overwrite_dl=1, overwrite_d=1, overwrite_du=1)
+            if info > 0:
+                raise SingularMatrixError(f"exactly singular pivot at index {info - 1}")
+        else:
             try:
-                self._lu = spla.splu(sp.csc_matrix(A.astype(complex)))
+                self._lu = spla.splu(sp.csc_matrix(A, dtype=complex))
             except RuntimeError as exc:
                 raise SingularMatrixError(str(exc)) from exc
-            self._dense = None
-        else:
-            A = np.asarray(A, dtype=complex)
-            self.n = A.shape[0]
-            self._lu = None
-            self._dense = lu_factor(A)
 
     def solve(self, b, adjoint: bool = False):
         self.solve_count += 1
         b = np.asarray(b, dtype=complex)
         if self._dense is not None:
             return self._dense.solve(b, adjoint=adjoint)
-        x = self._lu.solve(b, trans="H" if adjoint else "N")
+        if self._tri is not None:
+            x = zgttrs(*self._tri, b, trans="C" if adjoint else "N")[0]
+        else:
+            x = self._lu.solve(b, trans="H" if adjoint else "N")
         if not np.all(np.isfinite(x)):
             raise SingularMatrixError("direct solve produced non-finite entries")
         return x

@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 import scipy.sparse as sp
+import scipy.sparse.linalg as spla
 
 from nepsolve.core import Interval
 from nepsolve.linalg import (
@@ -21,7 +22,7 @@ from nepsolve.linalg import (
 )
 from nepsolve.linalg import _retained
 from nepsolve.nleigs import ShiftInvertContext, ToarBasisEngine, divided_differences, leja_bagby
-from nepsolve.problems import gen_delay
+from nepsolve.problems import gen_delay, gen_loaded_string
 from blas_threads import run_at_blas_threads
 
 
@@ -264,6 +265,120 @@ def test_direct_solver_sparse_and_counting():
     y = solver.solve(b, adjoint=True)
     assert np.linalg.norm(A.conj().T @ y - b) <= 1e-11 * np.linalg.norm(b)
     assert solver.solve_count == 2
+
+
+@pytest.fixture
+def splu_calls(monkeypatch):
+    """Count the factorizations that go to SuperLU."""
+    calls = []
+    splu = spla.splu
+
+    def counted(A, *args, **kwargs):
+        calls.append(A.shape)
+        return splu(A, *args, **kwargs)
+
+    monkeypatch.setattr(spla, "splu", counted)
+    return calls
+
+
+def backward_error(A, x, b):
+    return np.linalg.norm(A @ x - b) / (inf_norm(A) * np.linalg.norm(x) + np.linalg.norm(b))
+
+
+@pytest.mark.parametrize(
+    "gen",
+    [
+        lambda: gen_delay(500)[0],
+        lambda: gen_delay(500, commuting=False)[0],
+        lambda: gen_loaded_string(500)[0],
+    ],
+    ids=["delay", "delay-noncommuting", "loaded-string"],
+)
+def test_tridiagonal_solves_match_superlu(gen, splu_calls):
+    rng = np.random.default_rng(11)
+    A = gen().assemble(3.7 + 2.1j)
+    solver = make_linear_solver(A)
+    assert splu_calls == []
+    lu = spla.splu(sp.csc_matrix(A))
+    b = rand_complex(rng, A.shape[0])
+    for adjoint, M, trans in ((False, A, "N"), (True, A.conj().T, "H")):
+        x = solver.solve(b, adjoint=adjoint)
+        ref = lu.solve(b, trans=trans)
+        assert backward_error(M, x, b) <= 1e-13
+        assert np.linalg.norm(x - ref) <= 1e-10 * np.linalg.norm(ref)
+    assert solver.solve_count == 2
+
+
+def test_tridiagonal_solver_solves_a_block_of_right_hand_sides(splu_calls):
+    rng = np.random.default_rng(12)
+    A = laplacian(30).astype(complex) + 0.5j * sp.identity(30)
+    B = rand_complex(rng, 30, 3)
+    solver = make_linear_solver(A)
+    assert splu_calls == []
+    assert backward_error(A, solver.solve(B), B) <= 1e-13
+    assert backward_error(A.conj().T, solver.solve(B, adjoint=True), B) <= 1e-13
+
+
+def test_wider_bands_go_to_superlu(splu_calls):
+    rng = np.random.default_rng(13)
+    n = 30
+    penta = sp.diags([1.0, -1.0, 6.0, -1.0, 1.0], [-2, -1, 0, 1, 2], shape=(n, n), format="csr")
+    # a tridiagonal matrix with one explicitly stored zero at |i - j| = 2
+    tri = laplacian(n).tocoo()
+    stored = sp.csr_matrix(
+        (np.append(tri.data, 0.0), (np.append(tri.row, 0), np.append(tri.col, 2))), shape=(n, n)
+    )
+    assert stored.nnz == tri.nnz + 1
+    b = rand_complex(rng, n)
+    for A in (penta, stored):
+        solver = make_linear_solver(A)
+        assert backward_error(A, solver.solve(b), b) <= 1e-13
+        assert backward_error(A.conj().T, solver.solve(b, adjoint=True), b) <= 1e-13
+        assert solver.solve_count == 2
+    assert len(splu_calls) == 2
+
+
+@pytest.mark.parametrize("n", [1, 2])
+def test_tiny_tridiagonal_matrices_go_to_superlu(n, splu_calls):
+    A = sp.csr_matrix(np.array([[2.0, 1.0], [1.0, 3.0]])[:n, :n])
+    b = np.arange(1.0, n + 1)
+    x = make_linear_solver(A).solve(b)
+    assert np.linalg.norm(A @ x - b) <= 1e-14 * np.linalg.norm(b)
+    assert splu_calls == [(n, n)]
+
+
+def test_singular_tridiagonal_matrix_raises_at_construction(splu_calls):
+    A = sp.csr_matrix(np.array([[1.0, 1.0, 0.0], [1.0, 1.0, 0.0], [0.0, 0.0, 1.0]]))
+    with pytest.raises(SingularMatrixError):
+        make_linear_solver(A)
+    assert splu_calls == []
+
+
+def test_tridiagonal_solve_with_non_finite_result_raises(splu_calls):
+    A = sp.diags([1e-300, 1e-300, 1e-300], [-1, 0, 1], shape=(3, 3), format="csr")
+    solver = make_linear_solver(A)
+    assert splu_calls == []
+    b = np.array([0.0, 1e300, 0.0])
+    for adjoint in (False, True):
+        with pytest.raises(SingularMatrixError):
+            solver.solve(b, adjoint=adjoint)
+    assert solver.solve_count == 2
+
+
+def test_tridiagonal_solve_is_bitwise_the_same_at_one_and_two_blas_threads():
+    # zgttrs calls no BLAS, so a solve at n = 20000 is thread-independent
+    script = (
+        "import hashlib\n"
+        "import numpy as np\n"
+        "from nepsolve.linalg import make_linear_solver\n"
+        "from nepsolve.problems import gen_delay\n"
+        "op, _ = gen_delay(20000)\n"
+        "solver = make_linear_solver(op.assemble(-40.0 + 3.0j))\n"
+        "b = np.random.default_rng(14).standard_normal(20000) + 0j\n"
+        "for adjoint in (False, True):\n"
+        "    print(hashlib.sha256(solver.solve(b, adjoint=adjoint).tobytes()).hexdigest())\n"
+    )
+    assert run_at_blas_threads("1", script) == run_at_blas_threads("2", script)
 
 
 # -- norms -----------------------------------------------------------------------------
