@@ -7,11 +7,14 @@ Further eigenpairs are then computed from an extended problem of size n+k,
 
 whose blocks are never formed explicitly: matrix-vector products, solves
 and adjoint solves (through the Schur complement on the small block) and
-projections are all performed block-wise.  RII's eigenvalue update uses one
-left vector y = M(sigma)^{-*} [x; t] per outer step: the adjoint elimination
-reuses the forward one's T(sigma)^{-1} U(sigma), so it costs one adjoint
-solve with T(sigma) and no set-up of its own; ``ext_bilinear`` then reduces
-its Newton steps to scalars and k-vectors.  SLP's pencil at sigma uses the
+projections are all performed block-wise.  An iterate [x1; x2] is held as
+an ``ExtVector``, built once per iterate with the products A_i x1 and
+X^* x1; ``ext_apply`` (M(lam) or M'(lam) on it) and ``ext_bilinear``
+(lam -> y^* M(lam) x and y^* M'(lam) x as scalars) read them and make no
+sparse product of their own.  RII's eigenvalue update uses one left vector
+y = M(sigma)^{-*} [x; t] per outer step: the adjoint elimination reuses the
+forward one's T(sigma)^{-1} U(sigma), so it costs one adjoint solve with
+T(sigma) and no set-up of its own.  SLP's pencil at sigma uses the
 M'(sigma) that ``ExtSolveContext.apply_deriv`` builds once.
 
 What depends on the locked pair alone (A_i X, F_i = f_i(H), the coefficient
@@ -45,12 +48,11 @@ __all__ = [
     "InvariantPair",
     "eval_phi",
     "eval_phi_deriv",
+    "ExtVector",
     "ext_apply",
     "ext_bilinear",
     "ExtSolveContext",
-    "ext_solve",
     "ProjectionContext",
-    "ext_project",
 ]
 
 P_CAP = 4
@@ -123,12 +125,10 @@ class InvariantPair:
         for j in range(self.p):
             for i in range(j + 1, self.p + 1):
                 self.B_coef[j] += self.A_coef[i] @ XtX @ powers[i - j - 1]
+        self.AX = self.F = None
         if op is not None and op.is_split and k:
             self.AX = [A @ self.X for A, _ in op.terms]
             self.F = [f.eval_matrix(self.H, max_dim=max(k, 256)) for _, f in op.terms]
-        else:
-            self.AX = None
-            self.F = None
 
     @classmethod
     def empty(cls, n: int) -> "InvariantPair":
@@ -156,15 +156,11 @@ class InvariantPair:
             out.append((w[i], x / nrm))
         return out
 
-    def invariance_residual(self, op: NepOperator) -> float:
-        """Frobenius norm of sum_i A_i X f_i(H) (zero for an exact pair)."""
+    def invariance_residual(self) -> float:
+        """Frobenius norm of sum_i (A_i X) F_i (zero for an exact pair)."""
         if self.k == 0:
             return 0.0
-        acc = np.zeros((self.n, self.k), dtype=complex)
-        AX = self.AX if self.AX is not None else [A @ self.X for A, _ in op.terms]
-        for blk, (_, f) in zip(AX, op.terms):
-            acc += blk @ f.eval_matrix(self.H, max_dim=max(self.k, 256))
-        return float(np.linalg.norm(acc))
+        return float(np.linalg.norm(sum(blk @ Fi for blk, Fi in zip(self.AX, self.F))))
 
     def project(self, v: np.ndarray) -> np.ndarray:
         """X^* v for a vector v, without a conjugated copy of X."""
@@ -271,56 +267,66 @@ def _minimal(X: np.ndarray, H: np.ndarray, p: int) -> bool:
     return bool(np.sum(s > RANK_TOL * s[0]) == H.shape[0])
 
 
-def ext_apply(pair: InvariantPair, op: NepOperator, lam: complex, z1: np.ndarray, z2: np.ndarray, deriv: bool = False):
-    """Extended operator (or its lambda-derivative) applied to [z1; z2].
+class ExtVector:
+    """An iterate [x1; x2] of the extended problem with its n-long products:
+    ``Az`` (A_i x1, one sparse product per term; None in the callback form,
+    which allows no locked pair) and ``s`` (X^* x1), made once and read by
+    ``ext_apply``, ``ext_bilinear`` and the hunt's lock measure."""
 
-    A term of weight exactly 0 costs no matvec, a zero coupling block no
+    def __init__(self, pair: InvariantPair, op: NepOperator, x1, x2):
+        self.pair, self.op = pair, op
+        self.x1 = np.asarray(x1, dtype=complex)
+        self.x2 = np.asarray(x2, dtype=complex)
+        if not op.is_split and pair.k:
+            raise NepError("deflation requires the split form")
+        self.Az = [A @ self.x1 for A, _ in op.terms] if op.is_split else None
+        self.s = pair.project(self.x1)
+
+
+def ext_apply(v: ExtVector, lam: complex, deriv: bool = False):
+    """Extended operator (or its lambda-derivative) applied to v.
+
+    A term of weight exactly 0 adds nothing, a zero coupling block costs no
     product.  Far-field iterates may overflow f_i(lam) to inf; the result
     then holds inf or nan, without a warning, and callers test its finiteness.
     """
-    z1 = np.asarray(z1, dtype=complex)
-    k = pair.k
-    if not op.is_split:
-        if k:
-            raise NepError("deflation requires the split form")
-        return (op.apply_deriv if deriv else op.apply)(lam, z1), np.zeros(0, dtype=complex)
+    pair, op = v.pair, v.op
+    if v.Az is None:
+        return (op.apply_deriv if deriv else op.apply)(lam, v.x1), np.zeros(0, dtype=complex)
     with np.errstate(over="ignore", invalid="ignore"):
         c = op.coefficients(lam)
         dc = op.coefficients_deriv(lam) if deriv else None
         y1 = np.zeros(op.n, dtype=complex)
-        for wi, (A, _) in zip(dc if deriv else c, op.terms):
+        for wi, Az in zip(dc if deriv else c, v.Az):
             if wi != 0:
-                y1 += wi * (A @ z1)
-        if k == 0:
+                y1 += wi * Az
+        if pair.k == 0:
             return y1, np.zeros(0, dtype=complex)
-        z2 = np.asarray(z2, dtype=complex)
-        phi, dphi = pair.coupling(op, lam, z2, c, dc)
-        for blk, v in zip(pair.AX, dphi if deriv else phi):
-            if v.any():
-                y1 += blk @ v
+        phi, dphi = pair.coupling(op, lam, v.x2, c, dc)
+        for blk, u in zip(pair.AX, dphi if deriv else phi):
+            if u.any():
+                y1 += blk @ u
         Ap, Bp = pair.minimality_blocks(lam)[deriv]
-        return y1, Ap @ pair.project(z1) + Bp @ z2
+        return y1, Ap @ v.s + Bp @ v.x2
 
 
-def ext_bilinear(pair: InvariantPair, op: NepOperator, y1, y2, x1, x2):
-    """lam -> (y^* M(lam) x, y^* M'(lam) x) for fixed y = [y1; y2], x = [x1; x2].
+def ext_bilinear(v: ExtVector, y1, y2):
+    """lam -> (y^* M(lam) x, y^* M'(lam) x) for fixed y = [y1; y2] and x = v.
 
-    One sparse product per term, made here, reduces the n-long vectors to
-    a_i = y1^* A_i x1, g_i = (A_i X)^* y1 and s = X^* x1.  A call then sums
-    f_i(lam) a_i + g_i^* phi_i(lam) x2 + y2^* (A(lam) s + B(lam) x2), or the
-    same with the derivatives, in O(nterms k^2) with no n-long vector;
-    overflow shows as inf or nan.  The callback form (k = 0) applies T(lam)
-    and T'(lam) per call.
+    v's products reduce the n-long vectors to a_i = y1^* A_i x1 and
+    g_i = (A_i X)^* y1.  A call then sums f_i(lam) a_i + g_i^* phi_i(lam) x2
+    + y2^* (A(lam) X^* x1 + B(lam) x2), or the same with the derivatives, in
+    O(nterms k^2) with no n-long vector; overflow shows as inf or nan.  The
+    callback form applies T(lam) and T'(lam) per call.
     """
-    y1, x1 = np.asarray(y1, dtype=complex), np.asarray(x1, dtype=complex)
-    if not op.is_split:
-        if pair.k:
-            raise NepError("deflation requires the split form")
+    pair, op, x1, x2 = v.pair, v.op, v.x1, v.x2
+    y1 = np.asarray(y1, dtype=complex)
+    if v.Az is None:
         return lambda lam: (np.vdot(y1, op.apply(lam, x1)), np.vdot(y1, op.apply_deriv(lam, x1)))
-    a = np.array([np.vdot(y1, A @ x1) for A, _ in op.terms])
+    a = np.array([np.vdot(y1, Az) for Az in v.Az])
     if pair.k:
         y1c = y1.conj()
-        g, s = [(y1c @ blk).conj() for blk in pair.AX], pair.project(x1)
+        g = [(y1c @ blk).conj() for blk in pair.AX]
 
     def form(lam):
         with np.errstate(over="ignore", invalid="ignore"):
@@ -328,7 +334,7 @@ def ext_bilinear(pair: InvariantPair, op: NepOperator, y1, y2, x1, x2):
             if not pair.k:
                 return c @ a, dc @ a
             return tuple(
-                w @ a + sum(map(np.vdot, g, phis)) + np.vdot(y2, Ap @ s + Bp @ x2)
+                w @ a + sum(map(np.vdot, g, phis)) + np.vdot(y2, Ap @ v.s + Bp @ x2)
                 for w, phis, (Ap, Bp) in zip((c, dc), pair.coupling(op, lam, x2, c, dc), pair.minimality_blocks(lam))
             )
 
@@ -387,7 +393,8 @@ class ExtSolveContext:
         return Tp, sum(blk @ d for blk, d in zip(pair.AX, dphi)), pair.minimality_blocks(sigma)[1]
 
     def apply_deriv(self, v1: np.ndarray, v2: np.ndarray):
-        """M'(sigma) [v1; v2], as ``ext_apply(..., deriv=True)`` at sigma."""
+        """M'(sigma) [v1; v2] from the T'(sigma) and U'(sigma) built once; what
+        ``ext_apply`` gives at sigma with ``deriv``, with no ``ExtVector``."""
         Tp, Up, dAB = self._deriv
         y1 = Tp @ v1
         if self.k == 0:
@@ -421,21 +428,17 @@ class ExtSolveContext:
         return y1, y2
 
 
-def ext_solve(pair: InvariantPair, op: NepOperator, sigma: complex, b1, b2=None, lin_cfg=None):
-    """One-shot extended solve; prefer ExtSolveContext for repeated shifts."""
-    return ExtSolveContext(pair, op, sigma, lin_cfg).solve(b1, b2)
-
-
 class ProjectionContext:
     """Incrementally grown projection of the extended operator.
 
     The orthonormal basis is one column-major (n+k)-by-m array ``V`` whose
     rows split as [V1; V2], so ``linalg.orthogonalize`` reads it in place.
-    The m-by-m matrices B_i = V1^* A_i V1 grow one row/column per added
-    vector, together with V1^* (A_i X) and X^* V1.
+    It starts from the columns of ``V0`` ((n+k)-by-m0, m0 may be 0).  The
+    m-by-m matrices B_i = V1^* A_i V1 grow one row/column per added vector,
+    together with V1^* (A_i X) and X^* V1.
     """
 
-    def __init__(self, pair: InvariantPair, op: NepOperator):
+    def __init__(self, pair: InvariantPair, op: NepOperator, V0: np.ndarray):
         if not op.is_split:
             raise NepError("projection requires the split form")
         self.pair = pair
@@ -445,6 +448,8 @@ class ProjectionContext:
         self.B = [np.zeros((0, 0), dtype=complex) for _ in op.terms]
         self.C = [np.zeros((0, k), dtype=complex) for _ in op.terms]  # V1^* A_i X
         self.E = np.zeros((k, 0), dtype=complex)  # X^* V1
+        for v in np.asarray(V0, dtype=complex).T:
+            self.append(v[:n], v[n:])
 
     @property
     def V1(self) -> np.ndarray:
@@ -473,10 +478,8 @@ class ProjectionContext:
             Bn[m, m] = np.vdot(v1, Av)
             newB.append(Bn)
         self.B = newB
-        if self.pair.k:
+        if self.pair.k:  # value() reads C only when k > 0
             self.C = [np.vstack([C, (v1.conj() @ blk)[None, :]]) for C, blk in zip(self.C, self.pair.AX)]
-        else:
-            self.C = [np.vstack([C, np.zeros((1, 0), dtype=complex)]) for C in self.C]
         self.E = np.hstack([self.E, self.pair.project(v1)[:, None]])
         V = np.empty((self.V.shape[0], m + 1), dtype=complex, order="F")
         V[:, :m] = self.V
@@ -509,13 +512,3 @@ class ProjectionContext:
             ref = self.V1.conj().T @ (A @ self.V1)
             worst = max(worst, float(np.max(np.abs(ref - B))) if B.size else 0.0)
         return worst
-
-
-def ext_project(pair: InvariantPair, op: NepOperator, V1: np.ndarray, V2: np.ndarray, lam: complex, deriv: bool = False) -> np.ndarray:
-    """Projection of the extended operator onto the stacked basis [V1; V2]."""
-    ctx = ProjectionContext(pair, op)
-    V1 = np.asarray(V1, dtype=complex)
-    V2 = np.asarray(V2, dtype=complex)
-    for j in range(V1.shape[1]):
-        ctx.append(V1[:, j], V2[:, j] if V2.size else np.zeros(pair.k, dtype=complex))
-    return ctx.value(lam, deriv=deriv)

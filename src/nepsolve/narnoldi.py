@@ -16,7 +16,7 @@ import numpy as np
 import scipy.linalg
 
 from .core import EigenSolution, NepError, NepOperator, Settings
-from .deflation import ExtSolveContext, InvariantPair, ProjectionContext, ext_apply
+from .deflation import ExtSolveContext, ExtVector, InvariantPair, ProjectionContext
 from .linalg import LinearSolverConfig, orthogonalize
 from .newton import _finish, _Hunt, _hunt_eta, _random_unit
 
@@ -78,24 +78,17 @@ def narnoldi_solve(
 
     pair = InvariantPair.empty(n)
     sigma = complex(settings.target)
-
-    def fresh_proj(V):
-        ctx = ProjectionContext(pair, op)
-        for v in V.T:
-            ctx.append(v[:n], v[n:])
-        return ctx
-
     hunt = _Hunt(tol)
 
     def restart():
         """A fresh search space from a seeded random vector."""
         stats["restarts"] += 1
         hunt.reset()
-        return fresh_proj(_random_unit(rng, n + pair.k)[:, None])
+        return ProjectionContext(pair, op, _random_unit(rng, n + pair.k)[:, None])
 
     solve_ctx = ExtSolveContext(pair, op, sigma, lin_cfg)
     # start from the normalized all-ones vector
-    proj = fresh_proj(np.full((n, 1), 1.0 / math.sqrt(n), dtype=complex))
+    proj = ProjectionContext(pair, op, np.full((n, 1), 1.0 / math.sqrt(n), dtype=complex))
 
     while pair.k < settings.nev and stats["outer_iterations"] < budget:
         stats["outer_iterations"] += 1
@@ -108,9 +101,7 @@ def narnoldi_solve(
             continue
         x = proj.V @ y
         x /= np.linalg.norm(x)
-        x1, x2 = x[:n], x[n:]
-        r1, r2 = ext_apply(pair, op, lam, x1, x2)
-        eta = _hunt_eta(op, pair, lam, x1, x2, r1, r2)
+        eta, r1, r2 = _hunt_eta(ExtVector(pair, op, x[:n], x[n:]), lam)
         if hunt.record(eta, lam, x):
             extended = hunt.lock(op, pair)
             if extended is None:
@@ -124,13 +115,13 @@ def narnoldi_solve(
             V = np.vstack([proj.V, np.zeros((1, proj.m), dtype=complex)])
             stats["linear_solves"] += solve_ctx.solve_count
             solve_ctx = ExtSolveContext(pair, op, sigma, lin_cfg)
-            proj = fresh_proj(V)
+            proj = ProjectionContext(pair, op, V)
             continue
         v1, v2 = solve_ctx.solve(r1, r2)
         if proj.m >= ncv:
             # restart keeping only the current Ritz vector
             stats["restarts"] += 1
-            proj = fresh_proj(x[:, None])
+            proj = ProjectionContext(pair, op, x[:, None])
         w = np.concatenate([v1, v2])
         for _ in range(6):
             _, beta, w, dep = orthogonalize(proj.V, w)

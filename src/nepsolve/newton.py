@@ -26,7 +26,7 @@ from typing import Optional
 import numpy as np
 
 from .core import EigenPair, EigenSolution, NepError, NepOperator, Settings, backward_error, finish
-from .deflation import ExtSolveContext, InvariantPair, ext_apply, ext_bilinear
+from .deflation import ExtSolveContext, ExtVector, InvariantPair, ext_apply, ext_bilinear
 from .linalg import LinearSolverConfig, gen_eig_smallest, lu_factor
 
 __all__ = ["slp_solve", "rii_solve", "rii_scalar_newton"]
@@ -56,47 +56,48 @@ def _shift_is_safe(pair, sigma) -> bool:
     return bool(np.min(np.abs(locked - sigma)) > 5e-2 * (1.0 + abs(sigma)))
 
 
-def _candidate_vector(pair: InvariantPair, lam: complex, x1, x2):
-    """Eigenvector of T recovered from an extended candidate (x1, x2)."""
-    if pair.k == 0:
-        return x1
-    M = lam * np.eye(pair.k, dtype=complex) - pair.H
-    try:
-        w = np.linalg.solve(M, x2)
-    except np.linalg.LinAlgError:
-        return None
-    return x1 + pair.X @ w
+def _recovered_residual(v: ExtVector, lam: complex, r1: np.ndarray):
+    """(x, T(lam) x) for x = x1 + X w, w = (lam I - H)^{-1} x2, the eigenvector
+    recovered from v, given r1, the first block of M(lam) v.  As phi_i(lam) x2 =
+    -(F_i - f_i(lam) I) w, T(lam) x = r1 + sum_i (A_i X)(F_i w), with no sparse
+    product.  Raises LinAlgError for a singular lam I - H."""
+    pair = v.pair
+    w = np.linalg.solve(lam * np.eye(pair.k, dtype=complex) - pair.H, v.x2)
+    return v.x1 + pair.X @ w, r1 + sum(blk @ (Fi @ w) for blk, Fi in zip(pair.AX, pair.F))
 
 
-def _hunt_eta(op: NepOperator, pair: InvariantPair, lam: complex, x1, x2, r1, r2):
-    """Lock-quality measure for a hunt iterate with extended residual (r1, r2).
+def _hunt_eta(v: ExtVector, lam: complex):
+    """(eta, r1, r2): lock measure of a hunt iterate v, (r1, r2) = M(lam) v.
 
-    Combines the invariance residual of the would-be extension (the first
-    block of the extended residual), the minimality residual and the plain
-    backward error of the recovered eigenvector.  The minimality residual is
-    scaled by ``minimality_scale``: its entries grow like |lam|^(2p).
+    eta is the largest of the invariance residual of the would-be extension
+    (r1), the minimality residual (r2, scaled by ``minimality_scale``: its
+    entries grow like |lam|^(2p)) and the backward error of the recovered
+    eigenvector (``_recovered_residual``).  Overflow makes it non-finite,
+    without a warning.
     """
+    pair, op = v.pair, v.op
+    r1, r2 = ext_apply(v, lam)
     with np.errstate(over="ignore", invalid="ignore"):
-        nx = math.hypot(np.linalg.norm(x1), np.linalg.norm(x2))
+        nx = math.hypot(np.linalg.norm(v.x1), np.linalg.norm(v.x2))
         scale = op.norm_scale(lam)
         if scale == 0 or nx == 0:
             raise NepError("degenerate scaling in extended residual")
         eta1 = np.linalg.norm(r1) / (scale * nx)
-    with np.errstate(over="ignore", invalid="ignore"):
-        eta2 = 0.0
-        if pair.k:
-            eta2 = np.linalg.norm(r2) / (pair.minimality_scale(lam) * nx)
-        xhat = _candidate_vector(pair, lam, x1, x2)
-        if xhat is None:
-            return np.inf
+        if not pair.k:
+            return eta1, r1, r2
+        eta2 = np.linalg.norm(r2) / (pair.minimality_scale(lam) * nx)
+        try:
+            xhat, Tx = _recovered_residual(v, lam, r1)
+        except np.linalg.LinAlgError:
+            return np.inf, r1, r2
         nxh = np.linalg.norm(xhat)
         if nxh == 0 or not np.isfinite(nxh):
-            return np.inf
-        eta_t = np.linalg.norm(op.apply(lam, xhat)) / (scale * nxh)
-    return max(eta1, eta2, eta_t)
+            return np.inf, r1, r2
+        eta_t = np.linalg.norm(Tx) / (scale * nxh)
+    return max(eta1, eta2, eta_t), r1, r2
 
 
-def _extension_tail(pair: InvariantPair, op: NepOperator, lam: complex, x: np.ndarray) -> np.ndarray:
+def _extension_tail(pair: InvariantPair, lam: complex, x: np.ndarray) -> np.ndarray:
     """Solve the small minimality block for t when only x is available."""
     k = pair.k
     if k == 0:
@@ -181,7 +182,7 @@ class _Hunt:
         x1, x2 = xt[: op.n], xt[op.n :]
         try:
             if not (deflated and len(x2) == pair.k):
-                x2 = _extension_tail(pair, op, lam, x1)
+                x2 = _extension_tail(pair, lam, x1)
             return pair.extend(op, lam, x1, x2)
         except NepError:
             return None
@@ -220,9 +221,7 @@ def slp_solve(
         while stats["outer_iterations"] < budget:
             stats["outer_iterations"] += 1
             cur = pair if deflated else empty
-            x1, x2 = xt[:n], xt[n:]
-            r1, r2 = ext_apply(cur, op, lam, x1, x2)
-            eta = _hunt_eta(op, cur, lam, x1, x2, r1, r2)
+            eta = _hunt_eta(ExtVector(cur, op, xt[:n], xt[n:]), lam)[0]
             if hunt.record(eta, lam, xt, deflated):
                 extended = hunt.lock(op, pair)
                 if extended is not None:
@@ -269,34 +268,28 @@ def slp_solve(
 
 
 def rii_scalar_newton(
-    op: NepOperator,
-    pair: InvariantPair,
+    v: ExtVector,
     sigma: complex,
     lam_start: complex,
-    x: np.ndarray,
     hermitian: bool = False,
     max_inner: int = 10,
     ctx: Optional[ExtSolveContext] = None,
-    lin_cfg: Optional[LinearSolverConfig] = None,
 ) -> complex:
     """Newton iteration for Neumaier's x^* M(sigma)^{-1} M(z) x = 0, M the
-    extended (deflated) operator and x = [x1; x2].
+    extended (deflated) operator of v's pair and x = v.
 
     Once per call: the left vector y = M(sigma)^{-*} x (one adjoint solve
-    with ``ctx``) and the reduction of ``ext_bilinear``, one sparse product
-    per term.  Each step then takes the scalars y^* M(z) x and y^* M'(z) x
-    in O(nterms k^2), with no n-long vector.  With ``hermitian``, y = x and
-    no solve is made.  Stops when the correction satisfies
-    |mu| < sqrt(eps) * |lam| or after ``max_inner`` steps, returning the last
-    iterate.
+    with ``ctx``) and its reduction by ``ext_bilinear`` on v's products.
+    Each step then takes the scalars y^* M(z) x and y^* M'(z) x in
+    O(nterms k^2), with no n-long vector and no sparse product.  With
+    ``hermitian``, y = x and no solve is made.  Stops when the correction
+    satisfies |mu| < sqrt(eps) * |lam| or after ``max_inner`` steps,
+    returning the last iterate.
     """
-    n = op.n
-    x = np.asarray(x, dtype=complex)
-    x1, x2 = x[:n], x[n:]
     if not hermitian and ctx is None:
-        ctx = ExtSolveContext(pair, op, sigma, lin_cfg)
-    y1, y2 = (x1, x2) if hermitian else ctx.solve_adjoint(x1, x2)
-    form = ext_bilinear(pair, op, y1, y2, x1, x2)
+        ctx = ExtSolveContext(v.pair, v.op, sigma)
+    y1, y2 = (v.x1, v.x2) if hermitian else ctx.solve_adjoint(v.x1, v.x2)
+    form = ext_bilinear(v, y1, y2)
     lam = complex(lam_start)
     for _ in range(max_inner):
         try:
@@ -392,14 +385,11 @@ def rii_solve(
                 and abs(lam - settings.target) < 1e6 * (1.0 + abs(settings.target))
             ):
                 shift_to(lam, cur, base_cfg)
-            x1, x2 = xt[:n], xt[n:]
-            lam = rii_scalar_newton(
-                op, cur, sigma, lam, xt, hermitian=hermitian, max_inner=max_inner, ctx=None if hermitian else ctx
-            )
+            v = ExtVector(cur, op, xt[:n], xt[n:])
+            lam = rii_scalar_newton(v, sigma, lam, hermitian=hermitian, max_inner=max_inner, ctx=None if hermitian else ctx)
             runaway = _runaway(lam, xt, settings.target)
             if not runaway:
-                r1, r2 = ext_apply(cur, op, lam, x1, x2)
-                eta = _hunt_eta(op, cur, lam, x1, x2, r1, r2)
+                eta, r1, r2 = _hunt_eta(v, lam)
                 runaway = not np.isfinite(eta)
             if runaway:
                 # the iteration left the representable domain; restart the hunt
@@ -440,7 +430,7 @@ def rii_solve(
                 # current estimate so the plain iteration stays in this
                 # eigenvalue's basin instead of drifting back to a locked one
                 deflated = False
-                xt = x1 / np.linalg.norm(x1)
+                xt = v.x1 / np.linalg.norm(v.x1)
                 hunt.prev_eta = None
                 shift_to(lam, empty, base_cfg)
                 continue
@@ -449,8 +439,8 @@ def rii_solve(
                 # double-precision iterative solves
                 corr_tol = max(corr_tol / 2, 1e-12)
                 shift_to(sigma, cur, dataclasses.replace(base_cfg, tol=corr_tol))
-            v1, v2 = ctx.solve(r1, r2)
-            xt = np.concatenate([x1 - v1, x2 - v2])
+            c1, c2 = ctx.solve(r1, r2)
+            xt = np.concatenate([v.x1 - c1, v.x2 - c2])
             with np.errstate(over="ignore", invalid="ignore"):
                 nrm = np.linalg.norm(xt)
             if nrm == 0 or not np.isfinite(nrm):

@@ -20,7 +20,7 @@ from nepsolve.core import (
     apply_resolvent,
     backward_error,
 )
-from nepsolve.deflation import InvariantPair, ext_apply, ext_project, ext_solve
+from nepsolve.deflation import ExtSolveContext, ExtVector, InvariantPair, ProjectionContext, ext_apply
 from nepsolve.interpol import cheb_coeffs, interpol_solve
 from nepsolve.linalg import orthogonalize
 from nepsolve.narnoldi import narnoldi_solve
@@ -253,20 +253,20 @@ def test_criterion_6_deflation_suite():
             M = np.zeros((m, m), dtype=complex)
             eye = np.eye(m)
             for j in range(m):
-                y1, y2 = ext_apply(pair, opl, lam, eye[:n, j], eye[n:, j])
+                y1, y2 = ext_apply(ExtVector(pair, opl, eye[:n, j], eye[n:, j]), lam)
                 M[:n, j] = y1
                 M[n:, j] = y2
             z = rand_complex(rng, m)
-            y1, y2 = ext_apply(pair, opl, lam, z[:n], z[n:])
+            y1, y2 = ext_apply(ExtVector(pair, opl, z[:n], z[n:]), lam)
             assert np.linalg.norm(np.concatenate([y1, y2]) - M @ z) <= 1e-10 * np.linalg.norm(M @ z)
             # solve against the dense inverse
             b = rand_complex(rng, m)
-            x1, x2 = ext_solve(pair, opl, lam, b[:n], b[n:])
+            x1, x2 = ExtSolveContext(pair, opl, lam).solve(b[:n], b[n:])
             ref = np.linalg.solve(M, b)
             assert np.linalg.norm(np.concatenate([x1, x2]) - ref) <= 1e-10 * np.linalg.norm(ref)
             # projection against the dense matrix
             Vb, _ = np.linalg.qr(rand_complex(rng, m, 3))
-            P = ext_project(pair, opl, Vb[:n], Vb[n:], lam)
+            P = ProjectionContext(pair, opl, Vb).value(lam)
             refP = Vb.conj().T @ M @ Vb
             assert np.max(np.abs(P - refP)) <= 1e-10 * max(1.0, np.max(np.abs(refP)))
 

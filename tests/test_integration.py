@@ -122,7 +122,7 @@ def test_narnoldi_monotone_subspace_growth():
 
     op, _ = gen_delay(30)
     pair = InvariantPair.empty(30)
-    ctx = ProjectionContext(pair, op)
+    ctx = ProjectionContext(pair, op, np.zeros((30, 0)))
     rng = np.random.default_rng(5)
     sizes = []
     V = np.linalg.qr(rng.standard_normal((30, 6)) + 1j * rng.standard_normal((30, 6)))[0]

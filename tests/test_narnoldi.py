@@ -4,7 +4,7 @@ import scipy.sparse as sp
 
 from nepsolve import functions as fn
 from nepsolve.core import NepOperator, Settings, backward_error
-from nepsolve.deflation import InvariantPair, ProjectionContext
+from nepsolve.deflation import ExtVector, InvariantPair, ProjectionContext
 from nepsolve.linalg import inf_norm
 from nepsolve import narnoldi
 from nepsolve.narnoldi import dense_nep_slp, narnoldi_solve
@@ -21,11 +21,7 @@ def diag_linear(diag):
 
 
 def make_projection(op, V1):
-    pair = InvariantPair.empty(op.n)
-    ctx = ProjectionContext(pair, op)
-    for j in range(V1.shape[1]):
-        ctx.append(V1[:, j], np.zeros(0))
-    return ctx
+    return ProjectionContext(InvariantPair.empty(op.n), op, V1)
 
 
 def test_dense_nep_slp_1d_matches_scalar_newton():
@@ -36,7 +32,7 @@ def test_dense_nep_slp_1d_matches_scalar_newton():
     y, lam = dense_nep_slp(proj, 0.0, 1e-12)
     # same scalar equation solved by the Newton helper (hermitian variant)
     pair = InvariantPair.empty(8)
-    lam_ref = rii_scalar_newton(op, pair, 0.0, 0.0, v, hermitian=True, max_inner=100)
+    lam_ref = rii_scalar_newton(ExtVector(pair, op, v, np.zeros(0)), 0.0, 0.0, hermitian=True, max_inner=100)
     assert lam == pytest.approx(lam_ref, rel=1e-8)
 
 
@@ -121,10 +117,8 @@ def test_projection_basis_stays_orthonormal_and_audited():
     # independent audit of the incremental machinery on a fresh context
     rng = np.random.default_rng(2)
     pair = InvariantPair.empty(20)
-    ctx = ProjectionContext(pair, op)
     V = np.linalg.qr(rng.standard_normal((20, 6)))[0]
-    for j in range(6):
-        ctx.append(V[:, j], np.zeros(0))
+    ctx = ProjectionContext(pair, op, V)
     assert ctx.recompute_audit() <= 1e-12
     G = ctx.V1.conj().T @ ctx.V1
     assert np.linalg.norm(G - np.eye(6)) <= 1e-10
@@ -177,8 +171,8 @@ def test_projection_basis_is_one_column_major_array(monkeypatch):
     built = []
 
     class Recorded(ProjectionContext):
-        def __init__(self, pair, op):
-            super().__init__(pair, op)
+        def __init__(self, pair, op, V0):
+            super().__init__(pair, op, V0)
             built.append(self)
 
     monkeypatch.setattr(narnoldi, "ProjectionContext", Recorded)

@@ -1,16 +1,30 @@
+import sys
+import warnings
+
 import numpy as np
 import pytest
 import scipy.sparse as sp
 
+from nepsolve import deflation, newton
 from nepsolve import functions as fn
 from nepsolve.core import NepOperator, Settings, backward_error
-from nepsolve.deflation import ExtSolveContext, InvariantPair, ext_apply
+from nepsolve.deflation import ExtSolveContext, ExtVector, InvariantPair, ext_apply
 from nepsolve.linalg import LinearSolverConfig
 from nepsolve.narnoldi import narnoldi_solve
-from nepsolve.newton import LOCK_FLOOR, POLISH_MAX, SQRT_EPS, _Hunt, rii_scalar_newton, rii_solve, slp_solve
+from nepsolve.newton import (
+    LOCK_FLOOR,
+    POLISH_MAX,
+    SQRT_EPS,
+    _Hunt,
+    _hunt_eta,
+    _recovered_residual,
+    rii_scalar_newton,
+    rii_solve,
+    slp_solve,
+)
 from nepsolve.problems import gen_delay, gen_loaded_string
 from blas_threads import run_at_blas_threads
-from test_deflation import dense_extended_matrix, string_invariant_pair
+from test_deflation import dense_extended_matrix, delay_invariant_pair, rand_complex, string_invariant_pair
 
 
 def scalar_exp_minus_two():
@@ -55,7 +69,7 @@ def test_rii_scalar_exponential_root():
 def test_scalar_newton_exponential():
     op = scalar_exp_minus_two()
     pair = InvariantPair.empty(1)
-    lam = rii_scalar_newton(op, pair, 0.0, 0.0, np.ones(1, dtype=complex), max_inner=50)
+    lam = rii_scalar_newton(ExtVector(pair, op, np.ones(1), np.zeros(0)), 0.0, 0.0, max_inner=50)
     assert lam == pytest.approx(np.log(2.0), rel=1e-8)
 
 
@@ -63,7 +77,7 @@ def test_scalar_newton_linear_one_step():
     a = 3.7
     op = diag_linear([a])
     pair = InvariantPair.empty(1)
-    lam = rii_scalar_newton(op, pair, 0.5, 0.5, np.ones(1, dtype=complex), max_inner=3)
+    lam = rii_scalar_newton(ExtVector(pair, op, np.ones(1), np.zeros(0)), 0.5, 0.5, max_inner=3)
     assert lam == pytest.approx(a, rel=1e-12)
 
 
@@ -86,8 +100,9 @@ def test_scalar_newton_hermitian_variants_agree():
     ref = slp_solve(op, Settings(nev=1, tol=1e-12, target=1.2))
     x = ref.pairs[0].x
     sigma = 1.2
-    lam_h = rii_scalar_newton(op, pair, sigma, sigma, x, hermitian=True, max_inner=60)
-    lam_n = rii_scalar_newton(op, pair, sigma, sigma, x, hermitian=False, max_inner=60)
+    v = ExtVector(pair, op, x, np.zeros(0))
+    lam_h = rii_scalar_newton(v, sigma, sigma, hermitian=True, max_inner=60)
+    lam_n = rii_scalar_newton(v, sigma, sigma, hermitian=False, max_inner=60)
     assert abs(lam_h - lam_n) <= np.sqrt(np.finfo(float).eps) * max(1.0, abs(lam_h)) * 10
 
 
@@ -96,9 +111,10 @@ def _two_solve_newton(op, pair, ctx, lam, x, max_inner):
     M(lam) x and x^* M(sigma)^{-1} M'(lam) x by two forward extended solves."""
     n = op.n
     x1, x2 = x[:n], x[n:]
+    v = ExtVector(pair, op, x1, x2)
     for _ in range(max_inner):
-        s1, s2 = ctx.solve(*ext_apply(pair, op, lam, x1, x2))
-        t1, t2 = ctx.solve(*ext_apply(pair, op, lam, x1, x2, deriv=True))
+        s1, s2 = ctx.solve(*ext_apply(v, lam))
+        t1, t2 = ctx.solve(*ext_apply(v, lam, deriv=True))
         mu = (np.vdot(x1, s1) + np.vdot(x2, s2)) / (np.vdot(x1, t1) + np.vdot(x2, t2))
         lam = lam - mu
         if abs(mu) < SQRT_EPS * abs(lam):
@@ -122,11 +138,12 @@ def test_scalar_newton_matches_the_two_solve_form_with_one_adjoint_solve():
     solve = ctx.solver.solve
     ctx.solver.solve = lambda b, adjoint=False: kinds.append(adjoint) or solve(b, adjoint=adjoint)
     before = ctx.solve_count
-    lam = rii_scalar_newton(op, locked, sigma, sigma, x, ctx=ctx)
+    v = ExtVector(locked, op, x[:40], x[40:])
+    lam = rii_scalar_newton(v, sigma, sigma, ctx=ctx)
     assert abs(lam - ref) <= 1e-10 * abs(ref)
     # one adjoint solve per call, on a fresh context too
     assert kinds == [True] and ctx.solve_count == before + 1
-    assert rii_scalar_newton(op, locked, sigma, sigma, x, ctx=ctx) == lam
+    assert rii_scalar_newton(v, sigma, sigma, ctx=ctx) == lam
     assert kinds == [True] * 2 and ctx.solve_count == before + 2
 
 
@@ -143,7 +160,8 @@ class _CountedMatrix:
 
 @pytest.mark.parametrize("max_inner", [1, 2, 50])
 def test_scalar_newton_makes_one_product_per_term_and_one_adjoint_solve(max_inner):
-    # the n-long work of a call is done once, whatever the number of steps
+    # the n-long products are made once, by the ExtVector, whatever the
+    # number of steps; a call adds none
     op, locked = string_invariant_pair(40, 2)
     sigma = 22.0
     ctx = ExtSolveContext(locked, op, sigma)
@@ -155,9 +173,107 @@ def test_scalar_newton_makes_one_product_per_term_and_one_adjoint_solve(max_inne
     coefficients = op.coefficients
     op.coefficients = lambda lam: steps.append(lam) or coefficients(lam)
     x = np.random.default_rng(5).standard_normal(42) + 0j
-    rii_scalar_newton(op, locked, sigma, sigma, x / np.linalg.norm(x), max_inner=max_inner, ctx=ctx)
+    x /= np.linalg.norm(x)
+    rii_scalar_newton(ExtVector(locked, op, x[:40], x[40:]), sigma, sigma, max_inner=max_inner, ctx=ctx)
     assert len(steps) == min(max_inner, 3)  # converged after three steps
     assert products == [(40,)] * len(op.terms) and kinds == [True]
+
+
+def count_products(op, log):
+    """Record in ``log`` the shape of each product of op's coefficient
+    matrices, through ``op.terms`` and through ``op.mats`` (``SplitSum.apply``)."""
+    op._terms = [(_CountedMatrix(A, log), f) for A, f in op.terms]
+    apply = op.mats.apply
+    op.mats.apply = lambda w, v: log.extend([v.shape] * len(w)) or apply(w, v)
+
+
+PRODUCT_CASES = {
+    "rii-string60": (
+        lambda: gen_loaded_string(60)[0],
+        rii_solve,
+        Settings(nev=3, tol=1e-9, target=10.0, problem_type="rational"),
+    ),
+    "slp-delay100": (lambda: gen_delay(100, tau=0.001, b=-2.0)[0], slp_solve, Settings(nev=4, tol=1e-8, target=1.0)),
+}
+
+
+@pytest.mark.parametrize("case", sorted(PRODUCT_CASES))
+def test_each_outer_step_makes_one_product_per_term(case, monkeypatch):
+    # the iterate's ExtVector makes A_i x1 once per outer step; the Newton
+    # steps, the extended residual and the lock measure eta read them
+    make_op, solver, settings = PRODUCT_CASES[case]
+    op = make_op()
+    products, at_finish = [], []
+    count_products(op, products)
+    finish = newton._finish  # its backward errors are not steps
+    monkeypatch.setattr(newton, "_finish", lambda *args: at_finish.append(len(products)) or finish(*args))
+    sol = solver(op, settings)
+    assert sol.converged
+    steps = sol.stats["outer_iterations"]
+    assert products[: at_finish[0]].count((op.n,)) == len(op.terms) * steps
+
+
+def test_rii_and_slp_call_ext_apply_through_its_module_bindings(monkeypatch):
+    # perfbench's tracer times deflation.ext_apply by rebinding every nepsolve
+    # module attribute that holds it, and fails a traced run that sees no call
+    calls = []
+    original = deflation.ext_apply
+
+    def counted(*args, **kwargs):
+        calls.append(args[1])
+        return original(*args, **kwargs)
+
+    for name, mod in list(sys.modules.items()):
+        if (name == "nepsolve" or name.startswith("nepsolve.")) and vars(mod).get("ext_apply") is original:
+            monkeypatch.setattr(mod, "ext_apply", counted)
+    for solver in (rii_solve, slp_solve):
+        calls.clear()
+        assert solver(diag_linear([1.0, 3.0]), Settings(nev=2, tol=1e-10, target=0.8)).converged
+        assert calls
+
+
+@pytest.mark.parametrize("k", [1, 3])
+@pytest.mark.parametrize("problem", ["delay", "string"])
+def test_recovered_residual_matches_t_applied_to_the_recovered_vector(problem, k):
+    # T(lam) x for x = x1 + X w through (A_i X)(F_i w) against T(lam) applied
+    # to x, away from spec(H) and where the coupling falls back to eval_phi
+    if problem == "delay":
+        op, pair, _ = delay_invariant_pair(40, k)
+        far = [3.0 + 1.0j, -20.0]
+    else:
+        op, pair = string_invariant_pair(40, k)
+        far = [12.0 + 0.5j, 300.0]
+    rng = np.random.default_rng(60 + k)
+    near = [pair.H[j, j] * (1.0 + 1e-6) for j in range(k)]
+    for lam in far + near:
+        assert pair.near_spectrum(lam) == (lam in near)
+        v = ExtVector(pair, op, rand_complex(rng, op.n), rand_complex(rng, k))
+        r1, r2 = ext_apply(v, lam)
+        xhat, Tx = _recovered_residual(v, lam, r1)
+        w = np.linalg.solve(lam * np.eye(k) - pair.H, v.x2)
+        assert np.array_equal(xhat, v.x1 + pair.X @ w)
+        ref = op.apply(lam, xhat)
+        scale = op.norm_scale(lam)
+        assert np.linalg.norm(Tx - ref) <= 1e-14 * scale * np.linalg.norm(xhat)
+        # eta as formed from the direct product
+        nx = np.linalg.norm(np.concatenate([v.x1, v.x2]))
+        want = max(
+            np.linalg.norm(r1) / (scale * nx),
+            np.linalg.norm(r2) / (pair.minimality_scale(lam) * nx),
+            np.linalg.norm(ref) / (scale * np.linalg.norm(xhat)),
+        )
+        assert abs(_hunt_eta(v, lam)[0] - want) <= 1e-14 * max(want, 1.0)
+
+
+@pytest.mark.parametrize("k", [0, 1, 3])
+def test_hunt_eta_is_not_finite_where_the_delay_term_overflows(k):
+    # e^(-tau lam) overflows at lam = -1e6
+    op, pair, _ = delay_invariant_pair(40, k)
+    v = ExtVector(pair, op, rand_complex(np.random.default_rng(7), 40), np.ones(k))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        eta, _, _ = _hunt_eta(v, -1e6)
+    assert not np.isfinite(eta)
 
 
 def test_rii_cross_solver_agreement_small_delay():
