@@ -257,7 +257,7 @@ def _build_report(args, settings, op, sol: EigenSolution, elapsed: float) -> dic
         "outer_iterations": int(sol.stats.get("outer_iterations", 0)),
         "linear_solves": int(sol.stats.get("linear_solves", 0)),
     }
-    for extra in ("degree", "restarts", "basis"):
+    for extra in ("degree", "restarts", "basis", "scalars"):
         if extra in sol.stats:
             counters[extra] = sol.stats[extra]
     config = {

@@ -1,15 +1,23 @@
 """Dense and sparse linear-algebra kernels shared by the eigensolvers.
 
-Dense matrices are plain complex ndarrays and sparse matrices are scipy CSR;
-the routines here wrap LAPACK/SuperLU factorizations, provide reorthogonalized
+Dense matrices are plain ndarrays and sparse matrices are scipy CSR; the
+routines here wrap LAPACK/SuperLU factorizations, provide reorthogonalized
 Gram-Schmidt, small wrappers around the iterative linear solvers and one
 kernel for split-form sums sum_i w_i M_i of sparse matrices.  One
 Krylov-Schur driver with restart and locking runs every Krylov eigensolve:
 NLEIGS and interpol on their shift-and-invert operators, and SLP's inner
 linear eigenproblem through ``gen_eig_smallest``.
 
+Scalars follow the data: the Krylov kernels (``orthogonalize``,
+``compress_columns``, the basis engines, ``SplitSum``'s applies, direct
+solves and ``KrylovSchurDriver``) run on one code path, in real arithmetic
+(``d*`` BLAS and LAPACK) on real input and in complex arithmetic (``z*``)
+otherwise.  A complex vector given to a real kernel is served, never cast
+down.  A real Hessenberg matrix gives complex Ritz values and vectors and is
+restarted through its real Schur form.
+
 ``orthogonalize`` is the one Gram-Schmidt kernel of the Krylov bases.  Each
-call reads the basis four times (two BLAS ``zgemv`` per sweep) and copies
+call reads the basis four times (two BLAS ``gemv`` per sweep) and copies
 neither the basis nor its conjugate, provided the basis is column-major:
 both basis engines keep their n-long vectors in Fortran-ordered buffers so
 that every leading-column slice they pass is contiguous.
@@ -18,7 +26,7 @@ Direct solves with a sparse matrix take one of two routes, picked once per
 factorization from the stored structure.  A matrix whose entries all lie on
 the three central diagonals (largest |i - j| over the CSR indices at most 1,
 explicitly stored zeros included) with n >= 3 is factorized by LAPACK's
-tridiagonal LU, ``zgttrf``/``zgttrs``; every T(sigma) and NLEIGS R(sigma) of
+tridiagonal LU, ``?gttrf``/``?gttrs``; every T(sigma) and NLEIGS R(sigma) of
 the generated problems is of this kind.  Every other sparse matrix goes to
 SuperLU.
 """
@@ -33,8 +41,8 @@ import numpy as np
 import scipy.linalg
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
-from scipy.linalg.blas import zgemv
-from scipy.linalg.lapack import zgttrf, zgttrs, zlaswp, ztrtrs
+from scipy.linalg.blas import dgemv, zgemv
+from scipy.linalg.lapack import dgttrf, dgttrs, zgttrf, zgttrs, zlaswp, ztrtrs
 
 __all__ = [
     "SingularMatrixError",
@@ -55,7 +63,7 @@ __all__ = [
 
 BREAKDOWN_RTOL = 1e-14
 COPY_RTOL = 1e-8
-COMPRESS_ROWS = 1024  # rows per block of compress_columns: 1024 x ncv complex fits in L2
+COMPRESS_ROWS = 1024  # rows per block of compress_columns: 1024 x ncv scalars fit in L2
 
 
 class SingularMatrixError(np.linalg.LinAlgError):
@@ -108,20 +116,25 @@ def orthogonalize(V: np.ndarray, w: np.ndarray):
     that lies in span(V) up to the breakdown threshold.
 
     Memory traffic: each sweep is ``c = V^* w`` and ``w -= V c``, two BLAS
-    ``zgemv`` calls that update w_orth in place, so one call reads V four
+    ``gemv`` calls that update w_orth in place, so one call reads V four
     times and writes only w_orth, its one copy of w; V and w are left
-    unchanged.  V must be column-major (Fortran-contiguous) complex to be
-    read in place; any other layout is copied on every call.
+    unchanged.  A real V and a real w take ``dgemv``, anything complex
+    ``zgemv``.  V must be column-major (Fortran-contiguous) and of that
+    scalar type to be read in place; any other layout or a real V against a
+    complex w is copied on every call.
     """
-    w_orth = np.array(w, dtype=complex)
+    w = np.asarray(w)
+    empty = V is None or V.shape[1] == 0
+    w_orth = np.array(w, dtype=np.result_type(w, np.float64, *(() if empty else (V,))))
     nrm_w = np.linalg.norm(w_orth)
-    if V is None or V.shape[1] == 0:
+    if empty:
         beta = nrm_w
-        return np.zeros(0, dtype=complex), beta, w_orth, beta <= BREAKDOWN_RTOL * max(nrm_w, 1.0)
+        return np.zeros(0, dtype=w_orth.dtype), beta, w_orth, beta <= BREAKDOWN_RTOL * max(nrm_w, 1.0)
+    gemv = zgemv if np.iscomplexobj(w_orth) else dgemv
     h = 0.0
     for _ in range(2):
-        c = zgemv(1.0, V, w_orth, trans=2)
-        w_orth = zgemv(-1.0, V, c, beta=1.0, y=w_orth, overwrite_y=1)
+        c = gemv(1.0, V, w_orth, trans=2)
+        w_orth = gemv(-1.0, V, c, beta=1.0, y=w_orth, overwrite_y=1)
         h = h + c
     beta = np.linalg.norm(w_orth)
     dependent = beta <= BREAKDOWN_RTOL * nrm_w
@@ -133,7 +146,8 @@ def compress_columns(B: np.ndarray, W: np.ndarray) -> None:
 
     Each block is one ``gemm``, which rounds every row as the unblocked product
     does; numpy would send a one-row block or a one-column W to ``gemv``,
-    whose rounding depends on where the block starts.
+    whose rounding depends on where the block starts.  B keeps its dtype, so
+    a real B takes a real W.
     """
     m, r = W.shape
     n = B.shape[0]
@@ -141,6 +155,25 @@ def compress_columns(B: np.ndarray, W: np.ndarray) -> None:
     for b in range(nblocks):
         block = B[n * b // nblocks : n * (b + 1) // nblocks]
         block[:, :r] = block[:, :m] @ W
+
+
+def _complex(re: np.ndarray, im: np.ndarray) -> np.ndarray:
+    out = np.empty(re.shape, dtype=complex)
+    out.real, out.imag = re, im
+    return out
+
+
+def basis_times(B: np.ndarray, y: np.ndarray) -> np.ndarray:
+    """``B @ y`` for a complex y without a complex copy of a real basis B."""
+    if np.iscomplexobj(B) or not np.iscomplexobj(y):
+        return B @ y
+    return _complex(B @ y.real, B @ y.imag)
+
+
+def random_vector(rng, size: int, dtype) -> np.ndarray:
+    """A standard normal vector of ``dtype``, complex parts drawn one after the other."""
+    v = rng.standard_normal(size)
+    return v + 1j * rng.standard_normal(size) if np.dtype(dtype).kind == "c" else v
 
 
 # -- linear solvers ------------------------------------------------------------
@@ -187,40 +220,57 @@ class _DirectSolver:
     A dense matrix gets LAPACK's dense LU (``lu_factor``).  A sparse matrix
     whose stored entries all lie within one diagonal of the main diagonal
     (bandwidth <= 1, checked once over the CSR indices) and n >= 3 gets
-    LAPACK's tridiagonal LU with partial pivoting, ``zgttrf``/``zgttrs``: no
+    LAPACK's tridiagonal LU with partial pivoting, ``?gttrf``/``?gttrs``: no
     CSC copy, no fill-reducing ordering and no BLAS calls.  Every other sparse
-    matrix, wider bands and n <= 2 (which the ``zgttrf`` wrapper rejects),
-    goes to SuperLU.  An exactly zero pivot raises ``SingularMatrixError``
-    at construction on both sparse routes, and so does a solve whose result
-    has non-finite entries.
+    matrix, wider bands and n <= 2 (which the ``?gttrf`` wrappers reject),
+    goes to SuperLU.  Both sparse routes factor a real matrix in real
+    arithmetic (``dgttrf``, real SuperLU) and a complex one in complex
+    arithmetic; a complex right-hand side on a real factor is solved as its
+    real and imaginary parts, two columns of one solve.  The dense route is
+    complex.  An exactly zero pivot raises ``SingularMatrixError`` at
+    construction on both sparse routes, and so does a solve whose result has
+    non-finite entries, on every route.
     """
 
     def __init__(self, A):
         self.solve_count = 0
         self.n = A.shape[0]
         self._tri = self._lu = self._dense = None
+        self.dtype = np.result_type(A.dtype, np.float64) if sp.issparse(A) else np.dtype(complex)
         if not sp.issparse(A):
             self._dense = lu_factor(A)
         elif self.n >= 3 and _bandwidth(A) <= 1:
-            diags = [np.asarray(A.diagonal(k), dtype=complex) for k in (-1, 0, 1)]
-            *self._tri, info = zgttrf(*diags, overwrite_dl=1, overwrite_d=1, overwrite_du=1)
+            gttrf, self._gttrs, self._adjoint = (
+                (zgttrf, zgttrs, "C") if self.dtype.kind == "c" else (dgttrf, dgttrs, "T")
+            )
+            diags = [np.asarray(A.diagonal(k), dtype=self.dtype) for k in (-1, 0, 1)]
+            *self._tri, info = gttrf(*diags, overwrite_dl=1, overwrite_d=1, overwrite_du=1)
             if info > 0:
                 raise SingularMatrixError(f"exactly singular pivot at index {info - 1}")
         else:
             try:
-                self._lu = spla.splu(sp.csc_matrix(A, dtype=complex))
+                self._lu = spla.splu(sp.csc_matrix(A, dtype=self.dtype))
             except RuntimeError as exc:
                 raise SingularMatrixError(str(exc)) from exc
 
-    def solve(self, b, adjoint: bool = False):
-        self.solve_count += 1
-        b = np.asarray(b, dtype=complex)
+    def _solve(self, b, adjoint: bool):
         if self._dense is not None:
             return self._dense.solve(b, adjoint=adjoint)
         if self._tri is not None:
-            x = zgttrs(*self._tri, b, trans="C" if adjoint else "N")[0]
+            return self._gttrs(*self._tri, b, trans=self._adjoint if adjoint else "N")[0]
+        return self._lu.solve(b, trans="H" if adjoint else "N")
+
+    def solve(self, b, adjoint: bool = False):
+        self.solve_count += 1
+        b = np.asarray(b)
+        if self.dtype.kind == "c" or not np.iscomplexobj(b):
+            x = self._solve(np.asarray(b, dtype=self.dtype), adjoint)
         else:
-            x = self._lu.solve(b, trans="H" if adjoint else "N")
+            # the real factor solves the real and the imaginary part together
+            parts = np.concatenate([b.real.reshape(self.n, -1), b.imag.reshape(self.n, -1)], axis=1)
+            xs = self._solve(parts, adjoint)
+            k = xs.shape[1] // 2
+            x = _complex(xs[:, :k], xs[:, k:]).reshape(b.shape)
         if not np.all(np.isfinite(x)):
             raise SingularMatrixError("direct solve produced non-finite entries")
         return x
@@ -341,8 +391,8 @@ class SplitSum:
         return sp.csr_matrix(acc)
 
     def apply(self, w, v: np.ndarray) -> np.ndarray:
-        """(sum_i w_i M_i) v without assembling the sum."""
-        out = np.zeros(self.n, dtype=complex)
+        """(sum_i w_i M_i) v without assembling the sum, in the scalars of its inputs."""
+        out = np.zeros(self.n, dtype=self._dtype(w, v))
         for wi, M in zip(w, self.mats):
             out += wi * (M @ v)
         return out
@@ -355,10 +405,13 @@ class SplitSum:
 
     def apply_adjoint(self, w, v: np.ndarray) -> np.ndarray:
         """(sum_i w_i M_i)^* v."""
-        out = np.zeros(self.n, dtype=complex)
+        out = np.zeros(self.n, dtype=self._dtype(w, v))
         for wi, u in zip(w, self.adjoint_products(v)):
             out += np.conj(wi) * u
         return out
+
+    def _dtype(self, w, v):
+        return np.result_type(np.asarray(w), v, *(M.dtype for M in self.mats), np.float64)
 
     def scale(self, w) -> float:
         """sum_i |w_i| ||M_i||_inf, the residual scaling of the sum."""
@@ -371,12 +424,21 @@ class SplitSum:
 
 
 def _ordered_schur(M: np.ndarray, wanted: np.ndarray):
-    """Complex Schur form with the eigenvalues in `wanted` moved to the front."""
+    """Schur form of M with the eigenvalues in `wanted` moved to the front.
+
+    A complex M gets the complex Schur form.  A real M gets the real Schur
+    form, with `wanted` first closed under conjugation: a 2 x 2 block holds a
+    conjugate pair, and the leading block holds both of a pair or neither.
+    """
     m = M.shape[0]
+    output = "complex" if np.iscomplexobj(M) else "real"
+    wanted = np.asarray(wanted, dtype=complex)
+    if output == "real":
+        missing = [z.conjugate() for z in wanted if z.imag and z.conjugate() not in wanted]
+        wanted = np.concatenate([wanted, missing])
     if len(wanted) == 0 or len(wanted) == m:
-        T, Q = scipy.linalg.schur(M, output="complex")
+        T, Q = scipy.linalg.schur(M, output=output)
         return T, Q, len(wanted)
-    wanted = np.asarray(wanted)
     all_eigs = np.linalg.eigvals(M)
     used = np.zeros(len(all_eigs), dtype=bool)
     for w in wanted:
@@ -389,8 +451,18 @@ def _ordered_schur(M: np.ndarray, wanted: np.ndarray):
         du = np.min(np.abs(unwanted - z)) if len(unwanted) else np.inf
         return dw <= du
 
-    T, Q, sdim = scipy.linalg.schur(M, output="complex", sort=select)
+    sort = select if output == "complex" else (lambda re, im: select(complex(re, im)))
+    T, Q, sdim = scipy.linalg.schur(M, output=output, sort=sort)
     return T, Q, int(sdim)
+
+
+def _restart_size(T: np.ndarray, sdim: int, m: int) -> int:
+    """The number of Schur vectors a restart keeps: sdim within [1, m - 1],
+    moved one step where that cut would split a 2 x 2 block of a real T."""
+    k = max(1, min(sdim, m - 1))
+    if k < m and T[k, k - 1] != 0:
+        k += -1 if k > 1 else 1
+    return k
 
 
 def _retained(order, theta, conv, wanted, p_target: int, cap_total: int, known_junk=()) -> List[int]:
@@ -428,15 +500,18 @@ class FullBasisEngine:
     """Explicitly stored Krylov vectors of length d*n.
 
     V is column-major, so each basis vector and every slice of leading
-    columns is contiguous for ``apply_fn`` and ``orthogonalize``.
+    columns is contiguous for ``apply_fn`` and ``orthogonalize``.  V holds
+    ``dtype`` scalars; a real V needs an ``apply_fn`` that maps real vectors
+    to real vectors.
     """
 
-    def __init__(self, apply_fn, w_blocks: np.ndarray, ncv: int):
+    def __init__(self, apply_fn, w_blocks: np.ndarray, ncv: int, dtype=complex):
         self.apply_fn = apply_fn
         d, n = w_blocks.shape
         self.d, self.n = d, n
-        self.V = np.zeros((d * n, ncv + 2), dtype=complex, order="F")
-        v0 = w_blocks.reshape(-1).astype(complex)
+        self.dtype = np.dtype(dtype)
+        self.V = np.zeros((d * n, ncv + 2), dtype=self.dtype, order="F")
+        v0 = w_blocks.reshape(-1).astype(self.dtype)
         nrm = np.linalg.norm(v0)
         if nrm == 0:
             raise ValueError("zero starting vector")
@@ -451,7 +526,7 @@ class FullBasisEngine:
 
     def append_random(self, j: int, rng) -> bool:
         for _ in range(3):
-            cand = rng.standard_normal(self.V.shape[0]) + 1j * rng.standard_normal(self.V.shape[0])
+            cand = random_vector(rng, self.V.shape[0], self.dtype)
             h, beta, w_orth, dep = orthogonalize(self.V[:, : j + 1], cand)
             if not dep:
                 np.divide(w_orth, beta, out=self.V[:, j + 1])
@@ -464,10 +539,10 @@ class FullBasisEngine:
         self.V[:, p] = self.V[:, m]
 
     def ritz_first_block(self, y: np.ndarray, m: int) -> np.ndarray:
-        return self.V[: self.n, :m] @ y
+        return basis_times(self.V[: self.n, :m], y)
 
     def ritz_full(self, y: np.ndarray, m: int) -> np.ndarray:
-        return self.V[:, :m] @ y
+        return basis_times(self.V[:, :m], y)
 
 
 class KrylovSchurDriver:
@@ -487,6 +562,10 @@ class KrylovSchurDriver:
     A restart counts an unwanted Ritz value within COPY_RTOL of one of
     ``known_junk`` (say, an interpolant's pole images) as converged junk,
     whatever its residual.
+    H holds the engine's scalars.  A real H is restarted through its real
+    Schur form with the kept set closed under conjugation; a pair that adds
+    a vector to the kept set adds one to the next cycle, so each cycle makes
+    as many expansions as in complex arithmetic.
     """
 
     def __init__(self, engine, ncv: int, tol: float, sort_key, wanted_filter=None, rng=None, known_junk=()):
@@ -498,8 +577,9 @@ class KrylovSchurDriver:
         self.known_junk = known_junk
         self.pair_test = None
         self.rng = rng or np.random.default_rng(0)
-        self.H = np.zeros((ncv + 1, ncv), dtype=complex)
+        self.H = np.zeros((ncv + 2, ncv + 1), dtype=engine.dtype)
         self.m = 0
+        self.limit = ncv  # basis size of the current cycle: ncv, or ncv + 1 after a closed pair
         self.restarts = 0
         self.exhausted = False
         self.ritz_history: List[np.ndarray] = []
@@ -508,6 +588,7 @@ class KrylovSchurDriver:
     def _ritz(self):
         m = self.m
         theta, Y = np.linalg.eig(self.H[:m, :m])
+        theta, Y = theta.astype(complex, copy=False), Y.astype(complex, copy=False)
         nrm = np.maximum(np.linalg.norm(Y, axis=0), 1e-300)
         res = np.abs(self.H[m, :m] @ Y) / nrm
         return theta, Y, res
@@ -541,7 +622,7 @@ class KrylovSchurDriver:
         stall = 0
         last_count = -1
         while True:
-            while self.m < self.ncv and not self.exhausted:
+            while self.m < self.limit and not self.exhausted:
                 self._cycle = None
                 j = self.m
                 h, beta, dep = self.engine.expand(j)
@@ -574,9 +655,10 @@ class KrylovSchurDriver:
             # always leave at least a quarter of the subspace for fresh expansions
             p_target = max(min_converged + 1, self.ncv // 2)
             cap_total = min(self.m - 1, max(min_converged + 2, (3 * self.ncv) // 4))
-            wanted_vals = theta[_retained(order, theta, conv, wanted, p_target, cap_total, self.known_junk)]
-            T, Q, sdim = _ordered_schur(self.H[: self.m, : self.m], wanted_vals)
-            sdim = max(1, min(sdim, self.m - 1))
+            keep = _retained(order, theta, conv, wanted, p_target, cap_total, self.known_junk)
+            T, Q, sdim = _ordered_schur(self.H[: self.m, : self.m], theta[keep])
+            sdim = _restart_size(T, sdim, self.m)
+            self.limit = self.ncv + min(1, max(0, sdim - len(keep)))
             brow = self.H[self.m, : self.m] @ Q[:, :sdim]
             self.engine.transform(Q[:, :sdim], self.m)
             self._cycle = None

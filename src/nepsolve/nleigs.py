@@ -22,6 +22,12 @@ form, d on the callback path, where D_{d-1} drops out), so each step reads U
 once, by one product with that many columns, followed by one sparse matvec
 per column.  U lives in a column-major buffer preallocated with
 d + ncv + 2 columns, so no step copies it to grow it.
+
+When the target and every node, pole, normalization factor, divided
+difference and matrix of the interpolant are real, the linearization is a
+real pencil: R_d(sigma) is factored, and the start block, the basis and H are
+held, in real arithmetic (half the bytes per sweep over U); only the
+projected problem's Ritz values and vectors are complex.
 """
 
 from __future__ import annotations
@@ -49,10 +55,12 @@ from .linalg import (
     KrylovSchurDriver,
     LinearSolverConfig,
     SplitSum,
+    basis_times,
     compress_columns,
     inf_norm,
     make_linear_solver,
     orthogonalize,
+    random_vector,
 )
 
 __all__ = [
@@ -265,10 +273,9 @@ class RationalInterpolant:
         bd = b[self.d - 1] * (lam - self.seq.nodes[self.d - 1]) / self.seq.betas[self.d]
         return np.concatenate([b, [bd]])
 
-    def assemble(self, lam: complex, weights: Optional[np.ndarray] = None):
+    def assemble(self, lam: complex):
         """R_d(lam) as a sparse matrix."""
-        b = self.b_values(lam) if weights is None else weights
-        return self.mats.assemble(self.coeffs @ b)
+        return self.mats.assemble(self.coeffs @ self.b_values(lam))
 
     def dd_dense(self, j: int) -> np.ndarray:
         return self.mats.assemble(self.coeffs[:, j]).toarray()
@@ -343,11 +350,27 @@ def divided_differences(
 # -- shift-and-invert recurrences ------------------------------------------------
 
 
+def _real_interpolant(ri: RationalInterpolant, sigma: complex) -> bool:
+    """Whether sigma, the nodes, poles and betas, the divided-difference
+    coefficients and the matrices of ``ri`` all have exactly zero imaginary part."""
+    seq = ri.seq
+    scalars = (np.asarray([sigma]), seq.nodes, seq.poles, seq.betas, ri.coeffs)
+    return all(not np.any(np.imag(a)) for a in scalars + tuple(M.data for M in ri.mats.mats))
+
+
+def _real_copy(M):
+    """A real CSR copy of M's data that shares M's index arrays."""
+    return type(M)((np.ascontiguousarray(M.data.real), M.indices, M.indptr), shape=M.shape)
+
+
 class ShiftInvertContext:
     """Implicit application of S = (A - sigma B)^{-1} B and its adjoint.
 
     Only R_d(sigma) is factorized; everything else is block recurrences over
     the d parts of the vectors.  The same factorization serves the adjoint.
+    When the interpolant at sigma is real, ``real`` is set and the weights,
+    the matrices and the factor of R_d(sigma) are real copies: a real vector
+    maps to a real vector in real arithmetic, a complex one is served too.
     """
 
     def __init__(self, ri: RationalInterpolant, sigma: complex, lin_cfg: Optional[LinearSolverConfig] = None):
@@ -356,27 +379,32 @@ class ShiftInvertContext:
         self.ri = ri
         self.d = ri.d
         self.sigma = complex(sigma)
+        self.real = _real_interpolant(ri, self.sigma)
+        self.dtype = np.dtype(float if self.real else complex)
+        part = np.real if self.real else np.asarray
         seq = ri.seq
         d = ri.d
-        self.b_sigma = seq.b_values(self.sigma, d)
-        self.denoms = np.array(
-            [seq.nodes[j - 1] - self.sigma for j in range(1, d)], dtype=complex
+        self.b_sigma = part(seq.b_values(self.sigma, d))
+        self.denoms = part(
+            np.array([seq.nodes[j - 1] - self.sigma for j in range(1, d)], dtype=complex)
         )  # denoms[j-1] = sigma_{j-1} - sigma, j = 1..d-1
         if np.any(self.denoms == 0):
             raise NepError("the shift coincides with an interpolation node; move the target")
-        self.inv_xi = np.array([ri.seq.inv_pole(j) for j in range(d + 1)], dtype=complex)
-        self.pole_factors = 1.0 - self.sigma * self.inv_xi  # index j for (1 - sigma/xi_j)
+        self.inv_xi = part(np.array([ri.seq.inv_pole(j) for j in range(d + 1)], dtype=complex))
+        self.pole_factors = part(1.0 - self.sigma * self.inv_xi)  # index j for (1 - sigma/xi_j)
         self.beta = seq.betas
-        Rsig = ri.assemble(self.sigma, weights=ri.b_values_linearized(self.sigma))
+        self._coeffs = part(ri.coeffs)
+        self._mats = SplitSum([_real_copy(M) for M in ri.mats.mats]) if self.real else ri.mats
+        Rsig = self._mats.assemble(self._coeffs @ part(ri.b_values_linearized(self.sigma)))
         self.solver = make_linear_solver(Rsig, lin_cfg)
         self.n = ri.op.n
         # the solve's right-hand side -(D_0 y^1 + ... + D_{d-2} y^{d-1} + D_d y^d / beta_d)
         # is -sum_k M_k (Y W)[:, k] for the blocks Y = [y^1 .. y^d], where W
         # (d x len(mats)) folds the coefficients of the D_j into block weights;
         # a matrix that no block weighs (D_{d-1} on the callback path) is dropped
-        W = np.vstack([ri.coeffs[:, : d - 1].T, ri.coeffs[:, d][None, :] / self.beta[d]])
+        W = np.vstack([self._coeffs[:, : d - 1].T, self._coeffs[:, d][None, :] / self.beta[d]])
         used = np.flatnonzero(np.any(W != 0, axis=0))
-        self._rhs_mats = [ri.mats.mats[k] for k in used]
+        self._rhs_mats = [self._mats.mats[k] for k in used]
         self._rhs_weights = W[:, used]
 
     @property
@@ -421,7 +449,8 @@ class ShiftInvertContext:
     def apply(self, x: np.ndarray) -> np.ndarray:
         """w = S x for x given as d stacked blocks of length n."""
         d, n = self.d, self.n
-        x = np.asarray(x, dtype=complex).reshape(d, n)
+        x = np.asarray(x)
+        x = x.astype(np.result_type(x, self.dtype), copy=False).reshape(d, n)
         w = self._blocks(x)
         y0 = self.solver.solve(self._rhs(w.T))
         w[d - 1] = 0.0
@@ -432,11 +461,11 @@ class ShiftInvertContext:
 
     def _dd_adjoint_combos(self, z0: np.ndarray) -> List[np.ndarray]:
         """[D_0^* z0, ..., D_d^* z0] with one adjoint matvec per matrix."""
-        us = self.ri.mats.adjoint_products(z0)
+        us = self._mats.adjoint_products(z0)
         out = []
         for j in range(self.d + 1):
-            acc = np.zeros(self.n, dtype=complex)
-            for u, c in zip(us, self.ri.coeffs[:, j]):
+            acc = np.zeros(self.n, dtype=z0.dtype)
+            for u, c in zip(us, self._coeffs[:, j]):
                 if c != 0:
                     acc += np.conj(c) * u
             out.append(acc)
@@ -446,11 +475,12 @@ class ShiftInvertContext:
         """``(z, dh)``: z = (A - sigma B)^{-*} x, the left-eigenvector stage
         of S* x, and dh = [D_0^* z[0], ..., D_d^* z[0]]."""
         d, n = self.d, self.n
-        x = np.asarray(x, dtype=complex).reshape(d, n)
+        x = np.asarray(x)
+        x = x.astype(np.result_type(x, self.dtype), copy=False).reshape(d, n)
         y0 = np.conj(self.b_sigma[d - 1]) * x[d - 1]
         for i in range(d - 1):
             y0 = y0 + np.conj(self.b_sigma[i]) * x[i]
-        z = np.empty((d, n), dtype=complex)
+        z = np.empty((d, n), dtype=x.dtype)
         z[0] = self.solver.solve(y0, adjoint=True)
         dh = self._dd_adjoint_combos(z[0])
         # y^i = x^{i-1} for i >= 1
@@ -467,7 +497,7 @@ class ShiftInvertContext:
         """w = S^* x via the transposed block triangular factors."""
         d, n = self.d, self.n
         z, dh = self.adjoint_stage_z(x)
-        w = np.empty((d, n), dtype=complex)
+        w = np.empty((d, n), dtype=z.dtype)
         w[0] = z[1]
         for i in range(1, d - 1):
             w[i] = self.beta[i] * np.conj(self.inv_xi[i]) * z[i] + z[i + 1]
@@ -485,8 +515,9 @@ class ShiftInvertContext:
         the right-hand side.
         """
         d, mu = self.d, U.shape[1]
-        G = np.zeros((d, mu + 1), dtype=complex)
-        Y = self._blocks(np.asarray(g, dtype=complex))
+        g = np.asarray(g)
+        G = np.zeros((d, mu + 1), dtype=np.result_type(g, U, self.dtype))
+        Y = self._blocks(g.astype(G.dtype, copy=False))
         y0 = self.solver.solve(self._rhs(U, Y.T))
         G[: d - 1, :mu] = Y[: d - 1]
         G[:, mu] = self.b_sigma[:d]
@@ -507,7 +538,8 @@ class ToarBasisEngine:
     runs on the d x mu coefficients, not on n-long vectors), orthogonalizes
     the solution against U and writes at most one new column in place; a
     restart compresses U to U W in place.  G (d x mu x k) lives in a
-    preallocated coefficient buffer alike.
+    preallocated coefficient buffer alike.  U and G are real when both the
+    start blocks and ``ctx`` are real, complex otherwise.
     """
 
     def __init__(self, ctx: ShiftInvertContext, w_blocks: np.ndarray, ncv: int):
@@ -516,9 +548,10 @@ class ToarBasisEngine:
         self.d, self.n = d, n
         self.mu = 0
         self.k = 1  # basis columns held in G
-        self._U = np.empty((n, d + ncv + 2), dtype=complex, order="F")
-        self._G = np.zeros((d, self._U.shape[1], ncv + 2), dtype=complex)
-        for i, w in enumerate(np.asarray(w_blocks, dtype=complex)):
+        self.dtype = np.result_type(w_blocks, ctx.dtype)
+        self._U = np.empty((n, d + ncv + 2), dtype=self.dtype, order="F")
+        self._G = np.zeros((d, self._U.shape[1], ncv + 2), dtype=self.dtype)
+        for i, w in enumerate(np.asarray(w_blocks, dtype=self.dtype)):
             c = self._fold(w)
             self._G[i, : c.size, 0] = c
         nrm = np.linalg.norm(self._G[:, : self.mu, 0])
@@ -548,10 +581,10 @@ class ToarBasisEngine:
             return h
         mu = self.mu
         if mu == self._U.shape[1]:
-            U = np.empty((self.n, mu + self.d), dtype=complex, order="F")
+            U = np.empty((self.n, mu + self.d), dtype=self.dtype, order="F")
             U[:, :mu] = self._U
             self._U = U
-            G = np.zeros((self.d, mu + self.d, self._G.shape[2]), dtype=complex)
+            G = np.zeros((self.d, mu + self.d, self._G.shape[2]), dtype=self.dtype)
             G[:, :mu] = self._G
             self._G = G
         np.divide(w_orth, beta, out=self._U[:, mu])
@@ -574,7 +607,7 @@ class ToarBasisEngine:
     def append_random(self, j: int, rng) -> bool:
         d, mu = self.d, self.mu
         for _ in range(3):
-            cand = rng.standard_normal(d * mu) + 1j * rng.standard_normal(d * mu)
+            cand = random_vector(rng, d * mu, self.dtype)
             h, beta, g_orth, dep = orthogonalize(self._stacked(j + 1), cand)
             if not dep:
                 self._set_column(j + 1, g_orth / beta)
@@ -584,7 +617,7 @@ class ToarBasisEngine:
     def transform(self, Qp: np.ndarray, m: int) -> None:
         p = Qp.shape[1]
         d, mu = self.d, self.mu
-        M_cat = np.empty((d, mu, p + 1), dtype=complex)
+        M_cat = np.empty((d, mu, p + 1), dtype=self.dtype)
         M_cat[:, :, :p] = np.einsum("imk,kp->imp", self._G[:, :mu, :m], Qp)
         M_cat[:, :, p] = self._G[:, :mu, m]
         # compress U to the subspace actually used by the kept coefficients
@@ -598,7 +631,7 @@ class ToarBasisEngine:
         self.mu, self.k = r, p + 1
 
     def ritz_first_block(self, y: np.ndarray, m: int) -> np.ndarray:
-        return self.U @ (self._G[0, : self.mu, :m] @ y)
+        return basis_times(self.U, self._G[0, : self.mu, :m] @ y)
 
 
 def toar_arnoldi(ctx: ShiftInvertContext, w_blocks: np.ndarray, steps: int):
@@ -607,8 +640,8 @@ def toar_arnoldi(ctx: ShiftInvertContext, w_blocks: np.ndarray, steps: int):
     Returns (U, G, H) with H of size (m+1) x m where m <= steps is the number
     of completed expansions.
     """
-    engine = ToarBasisEngine(ctx, np.asarray(w_blocks, dtype=complex), ncv=steps)
-    H = np.zeros((steps + 1, steps), dtype=complex)
+    engine = ToarBasisEngine(ctx, np.asarray(w_blocks), ncv=steps)
+    H = np.zeros((steps + 1, steps), dtype=engine.dtype)
     m = 0
     for j in range(steps):
         h, beta, dep = engine.expand(j)
@@ -666,6 +699,11 @@ def nleigs_solve(
     the image 1/(xi - sigma) of a known pole xi (its conjugate in the left
     run) as converged junk whatever its residual, so a pole copy's residual
     near the inner tolerance does not decide how many vectors are kept.
+    Scalars: whether the interpolant is real is decided once, from data (see
+    the module docstring); real A_i and f_i with a real target over an
+    ``Interval`` qualify, on both sides of a two-sided run, and a complex
+    target, an ``Ellipse`` or a complex D_j do not.  ``stats["scalars"]``
+    reports ``"real"`` or ``"complex"``; there is no option.
     """
     if settings.region is None:
         raise NepError("nleigs requires a region")
@@ -688,12 +726,12 @@ def nleigs_solve(
     ctx = ShiftInvertContext(ri, sigma, lin_cfg)
     d, n = ri.d, op.n
 
-    w0 = np.ones((d, n), dtype=complex)
+    w0 = np.ones((d, n), dtype=ctx.dtype)
     ncv = min(settings.ncv_effective, d * n - 1)
     ncv = max(ncv, min(settings.nev + 2, d * n - 1))
     rng = np.random.default_rng(settings.seed)
     if full_basis:
-        engine = FullBasisEngine(ctx.apply, w0, ncv)
+        engine = FullBasisEngine(ctx.apply, w0, ncv, ctx.dtype)
     else:
         engine = ToarBasisEngine(ctx, w0, ncv)
 
@@ -779,10 +817,11 @@ def nleigs_solve(
         "linear_solves": ctx.solve_count,
         "ritz_history": [(t.copy(), r.copy()) for t, r in driver.ritz_history],
         "basis": "full" if full_basis else "toar",
+        "scalars": "real" if ctx.real else "complex",
     }
 
     if two_sided:
-        left_engine = FullBasisEngine(ctx.apply_adjoint, w0, ncv)
+        left_engine = FullBasisEngine(ctx.apply_adjoint, w0, ncv, ctx.dtype)
 
         def left_key(omegas):
             return sort_key(np.conj(np.asarray(omegas, dtype=complex)))

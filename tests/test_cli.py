@@ -131,6 +131,7 @@ def test_region_and_solver_flags_loaded_string():
     report, code = run(args)
     assert code == 0
     assert report["counters"]["degree"] <= 4
+    assert report["counters"]["scalars"] == "real"
 
 
 def test_explicit_singularity_list():

@@ -2,6 +2,8 @@ import numpy as np
 import pytest
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from nepsolve.core import Interval
 from nepsolve.linalg import (
@@ -20,7 +22,7 @@ from nepsolve.linalg import (
     make_linear_solver,
     orthogonalize,
 )
-from nepsolve.linalg import _retained
+from nepsolve.linalg import _ordered_schur, _restart_size, _retained
 from nepsolve.nleigs import ShiftInvertContext, ToarBasisEngine, divided_differences, leja_bagby
 from nepsolve.problems import gen_delay, gen_loaded_string
 from blas_threads import run_at_blas_threads
@@ -365,6 +367,81 @@ def test_tridiagonal_solve_with_non_finite_result_raises(splu_calls):
     assert solver.solve_count == 2
 
 
+class SpySolve:
+    """Records the right-hand sides that reach a factor's own solve."""
+
+    def __init__(self, solve):
+        self.solve, self.calls = solve, []
+
+    def __call__(self, *args, **kwargs):
+        b = args[-1] if len(args) > 1 else args[0]
+        self.calls.append((b.shape, b.dtype))
+        return self.solve(*args, **kwargs)
+
+
+class SpyLU:
+    def __init__(self, lu):
+        self.solve = SpySolve(lu.solve)
+
+
+def direct_route(kind, n=12):
+    off = np.linspace(-1.0, -0.5, n - 1)
+    main = np.linspace(3.0, 4.0, n)
+    if kind == "real-tridiagonal":
+        return sp.diags([off, main, 0.7 * off], [-1, 0, 1], format="csr")
+    if kind == "real-superlu":
+        return sp.diags([0.3, off, main, 0.7 * off, -0.2], [-2, -1, 0, 1, 2], shape=(n, n), format="csr")
+    return sp.diags([off, main + 0.5j, 0.7j * off], [-1, 0, 1], format="csr")
+
+
+@pytest.mark.parametrize("kind", ["real-tridiagonal", "real-superlu", "complex"])
+def test_direct_solver_routes_match_dense_solves(kind, splu_calls, monkeypatch):
+    # a real matrix is factored in real arithmetic; a complex right-hand side
+    # reaches the real factor as its real and imaginary parts, two columns
+    import nepsolve.linalg as linalg_mod
+
+    rng = np.random.default_rng(20)
+    A = direct_route(kind)
+    n = A.shape[0]
+    real = kind != "complex"
+    spy = SpySolve(linalg_mod.dgttrs if real else linalg_mod.zgttrs)
+    monkeypatch.setattr(linalg_mod, "dgttrs" if real else "zgttrs", spy)
+    solver = make_linear_solver(A)
+    assert solver.dtype == (np.float64 if real else np.complex128)
+    assert len(splu_calls) == (kind == "real-superlu")
+    if solver._lu is not None:
+        solver._lu = spy = SpyLU(solver._lu)
+        spy = spy.solve
+    dense = A.toarray()
+    cases = [rng.standard_normal(n), rand_complex(rng, n), rand_complex(rng, n, 3)]
+    for b in cases:
+        for adjoint in (False, True):
+            x = solver.solve(b, adjoint=adjoint)
+            ref = np.linalg.solve(dense.conj().T if adjoint else dense, b)
+            assert x.shape == b.shape
+            assert np.linalg.norm(x - ref) <= 1e-12 * np.linalg.norm(ref)
+    width = [1, 1, 2, 2, 6, 6] if real else [1, 1, 1, 1, 3, 3]
+    if real:
+        assert [dtype for _, dtype in spy.calls] == [np.float64] * 6
+    shapes = [shape[1] if len(shape) > 1 else 1 for shape, _ in spy.calls]
+    assert shapes == width
+    assert solver.solve_count == 6
+
+
+def test_real_tridiagonal_route_raises_on_singular_and_non_finite(splu_calls):
+    singular = sp.csr_matrix(np.array([[1.0, 1.0, 0.0], [1.0, 1.0, 0.0], [0.0, 0.0, 1.0]]))
+    with pytest.raises(SingularMatrixError):
+        make_linear_solver(singular)
+    tiny = sp.diags([1e-300, 1e-300, 1e-300], [-1, 0, 1], shape=(3, 3), format="csr")
+    solver = make_linear_solver(tiny)
+    assert solver.dtype == np.float64
+    for b in (np.array([0.0, 1e300, 0.0]), np.array([0.0, 1e300j, 0.0])):
+        for adjoint in (False, True):
+            with pytest.raises(SingularMatrixError):
+                solver.solve(b, adjoint=adjoint)
+    assert splu_calls == []
+
+
 def test_tridiagonal_solve_is_bitwise_the_same_at_one_and_two_blas_threads():
     # zgttrs calls no BLAS, so a solve at n = 20000 is thread-independent
     script = (
@@ -479,6 +556,85 @@ def test_retained_keeps_a_known_pole_copy_as_junk():
     # a value farther than COPY_RTOL from the image is no copy of it
     theta[2] = image * (1 + 3 * COPY_RTOL)
     assert _retained(order, theta, conv, wanted, 3, 4, [image]) == [0, 1, 2]
+
+
+def _closed(eigs, pick):
+    """pick with the conjugate of every picked complex eigenvalue added."""
+    closed = pick.copy()
+    for i in np.flatnonzero(pick & (eigs.imag != 0)):
+        closed |= eigs == eigs[i].conjugate()
+    return closed
+
+
+@settings(max_examples=80, deadline=None)
+@given(m=st.integers(2, 20), seed=st.integers(0, 2**32 - 1), share=st.floats(0.0, 1.0))
+def test_real_ordered_schur_moves_a_conjugation_closed_wanted_set_to_the_front(m, seed, share):
+    rng = np.random.default_rng(seed)
+    M = rng.standard_normal((m, m))
+    eigs = np.linalg.eigvals(M)
+    pick = rng.random(m) < share
+    T, Q, sdim = _ordered_schur(M, eigs[pick])
+    assert T.dtype == Q.dtype == np.float64
+    nrm = np.linalg.norm(M)
+    assert np.linalg.norm(Q.T @ Q - np.eye(m)) <= 1e-12 * m
+    assert np.linalg.norm(M @ Q - Q @ T) <= 1e-12 * nrm
+    expected = np.sort_complex(eigs[_closed(eigs, pick)])
+    assert sdim == len(expected)
+    if 0 < sdim < m:
+        assert T[sdim, sdim - 1] == 0  # no 2 x 2 block straddles the cut
+    lead = np.sort_complex(np.linalg.eigvals(T[:sdim, :sdim])) if sdim else expected
+    assert np.allclose(lead, expected, rtol=0.0, atol=1e-8 * nrm)
+
+
+def test_restart_size_never_splits_a_conjugate_pair():
+    # a real Schur form whose 2 x 2 block sits where the cut would fall
+    tail = np.array([[1.0, 0.4, 0.2], [0.0, 2.0, -3.0], [0.0, 3.0, 2.0]])
+    head = np.array([[2.0, -3.0, 0.1], [3.0, 2.0, 0.3], [0.0, 0.0, 1.0]])
+    assert _restart_size(tail, 3, 3) == 1  # m - 1 would split rows 1 and 2
+    assert _restart_size(tail, 1, 3) == 1
+    assert _restart_size(head, 0, 3) == 2  # 1 would split rows 0 and 1
+    assert _restart_size(head, 2, 3) == 2
+    triangular = np.triu(np.arange(1.0, 10.0).reshape(3, 3)) + 0j
+    assert [_restart_size(triangular, s, 3) for s in range(5)] == [1, 1, 2, 2, 2]
+
+
+def test_real_driver_keeps_conjugate_pairs_and_its_expansion_count():
+    # a real operator whose dominant eigenvalues are the pair 3 +- 1j: every
+    # restart reorders a real Schur form, keeps both or neither of each pair
+    # and expands back to ncv (or ncv + 1 where a pair added a vector), so
+    # that each cycle makes the expansions a complex H would make
+    import nepsolve.linalg as linalg_mod
+
+    rng = np.random.default_rng(21)
+    n, ncv = 80, 12
+    D = np.diag(np.linspace(0.0, 2.0, n))
+    D[:2, :2] = [[3.0, -1.0], [1.0, 3.0]]
+    Q, _ = np.linalg.qr(rng.standard_normal((n, n)))
+    A = Q @ D @ Q.T
+    cuts = []
+
+    def recorded(T, sdim, m):
+        k = _restart_size(T, sdim, m)
+        cuts.append((m, T[k, k - 1] if k < m else 0.0))
+        return k
+
+    engine = FullBasisEngine(lambda v: A @ v, np.ones((1, n)), ncv, dtype=float)
+    driver = KrylovSchurDriver(engine, ncv, 1e-12, lambda t: -np.abs(t))
+    assert driver.H.dtype == np.float64
+    linalg_mod._restart_size = recorded
+    try:
+        driver.run(2, 40)
+    finally:
+        linalg_mod._restart_size = _restart_size
+    assert engine.V.dtype == np.float64 and driver.restarts == len(cuts) > 0
+    assert all(split == 0 for _, split in cuts)
+    assert all(m in (ncv, ncv + 1) for m, _ in cuts)
+    found = driver.extract()[:2]
+    assert all(ok for *_, ok in found)
+    assert np.allclose(np.sort_complex([t for t, *_ in found]), [3.0 - 1.0j, 3.0 + 1.0j], atol=1e-10)
+    for theta, y, _res, _ok in found:
+        x = engine.ritz_full(y, driver.m)
+        assert np.linalg.norm(A @ x - theta * x) <= 1e-10 * np.linalg.norm(x)
 
 
 @pytest.mark.parametrize("rows", [1, 2, 63, 64, 65, 129, 300])

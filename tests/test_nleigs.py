@@ -631,6 +631,57 @@ def test_nleigs_toar_and_full_basis_take_the_same_steps(problem, n):
         assert abs(p.lam.imag) <= 1e-8 * max(1.0, abs(p.lam))
 
 
+@pytest.mark.parametrize("run", ["toar", "full", "two-sided"])
+@pytest.mark.parametrize("problem", sorted(BASIS_CASES))
+def test_nleigs_runs_a_real_interpolant_in_real_arithmetic(problem, run, monkeypatch):
+    # real A_i and f_i, a real target and an Interval: the interpolant is
+    # real, and so are the factor, the basis and H, in the left run too
+    import dataclasses
+
+    import nepsolve.nleigs as nleigs_mod
+
+    drivers = []
+    driver_cls = nleigs_mod.KrylovSchurDriver
+
+    def recorded(engine, *args):
+        drivers.append(driver_cls(engine, *args))
+        return drivers[-1]
+
+    monkeypatch.setattr(nleigs_mod, "KrylovSchurDriver", recorded)
+    make, s = BASIS_CASES[problem]
+    s = dataclasses.replace(s, two_sided=run == "two-sided")
+    sol = nleigs_solve(make(200), s, full_basis=run == "full")
+    assert sol.converged and sol.stats["scalars"] == "real"
+    assert len(drivers) == 1 + s.two_sided
+    assert all(d.H.dtype == d.engine.dtype == np.float64 for d in drivers)
+    assert all(np.iscomplexobj(p.x) for p in sol.pairs)
+
+
+def _complex_callback_delay(n):
+    # explicit D_j with an imaginary part: the callback path keeps them
+    op, _ = gen_delay(n, tau=0.001, b=-2.0)
+    shift = 1e-12j * sp.identity(n, format="csr")
+    return NepOperator(t_fn=lambda lam: op.assemble(lam) + shift, tprime_fn=op.assemble_deriv, n=n)
+
+
+def test_nleigs_reports_complex_scalars_where_the_interpolant_is_complex():
+    from test_integration import complex_rational_problem
+
+    delay = BASIS_CASES["delay"][1]
+    ellipse = Ellipse(0.0 + 0.0j, 2.2, 1.6)
+    rational = dict(tol=1e-9, target=0.0, problem_type="rational", region=ellipse)
+    cases = [
+        (gen_delay(200, tau=0.001, b=-2.0)[0], Settings(nev=3, tol=1e-6, target=1.0 + 0.5j, region=delay.region)),
+        (complex_rational_problem()[0], Settings(nev=6, **rational)),
+        (complex_rational_problem(n=40, seed=3)[0], Settings(nev=4, two_sided=True, **rational)),
+        (_complex_callback_delay(100), Settings(nev=2, tol=1e-6, target=1.0, region=delay.region)),
+    ]
+    for op, s in cases:
+        sol = nleigs_solve(op, s)
+        assert sol.stats["scalars"] == "complex"
+        assert sol.converged
+
+
 @pytest.mark.parametrize("threads", ["1", "2"])
 def test_acceptance_4_independent_of_blas_threads(threads):
     script = (
@@ -642,18 +693,22 @@ def test_acceptance_4_independent_of_blas_threads(threads):
 
 @pytest.mark.parametrize("threads", ["1", "2"])
 def test_nleigs_delay_toar_steps_at_blas_threads(threads):
-    # the settings of the benchmark's nleigs-delay workload at a smaller n:
-    # one restart and 30 solves, whatever the thread count
+    # the settings of the benchmark's nleigs-delay workload at smaller n:
+    # one restart and 30 solves in real arithmetic, whatever the thread
+    # count; OpenBLAS threads gemv only above a size threshold, so n=20000
+    # runs the orthogonalization threaded at 2 threads
     script = (
         "from nepsolve.core import Interval, Settings\n"
         "from nepsolve.nleigs import nleigs_solve\n"
         "from nepsolve.problems import gen_delay\n"
-        "op, _ = gen_delay(5000, tau=0.001, b=-2.0)\n"
         "s = Settings(nev=5, tol=1e-6, target=1.0, region=Interval(-260.0, 50.0))\n"
-        "sol = nleigs_solve(op, s)\n"
-        "print(sol.converged, sol.stats['outer_iterations'], sol.stats['linear_solves'])\n"
+        "for n in (5000, 20000):\n"
+        "    sol = nleigs_solve(gen_delay(n, tau=0.001, b=-2.0)[0], s)\n"
+        "    print(sol.converged, sol.stats['outer_iterations'], sol.stats['linear_solves'],\n"
+        "          sol.stats['scalars'], len(sol.pairs))\n"
     )
-    assert run_at_blas_threads(threads, script).split() == ["True", "1", "30"]
+    lines = run_at_blas_threads(threads, script).splitlines()
+    assert [line.split() for line in lines] == [["True", "1", "30", "real", "5"]] * 2
 
 
 def test_nleigs_string_steps_do_not_depend_on_blas_threads():
