@@ -41,7 +41,7 @@ import numpy as np
 from scipy.linalg.lapack import ztrtrs
 
 from .core import NepError, NepOperator
-from .functions import ScalarFunction
+from .functions import ScalarFunction, augmented_block
 from .linalg import LinearSolverConfig, lu_factor, make_linear_solver
 
 __all__ = [
@@ -60,21 +60,6 @@ RANK_TOL = 1e-10
 SPEC_RTOL = 1e-4
 
 
-def _phi_block(f: ScalarFunction, H: np.ndarray, lam: complex, order: int) -> np.ndarray:
-    """Top-right k-by-k block of f applied to the upper block-bidiagonal
-    matrix with diagonal (H, lam*I, ..., lam*I) (order + 1 copies of lam*I)
-    and identity superdiagonal blocks."""
-    H = np.asarray(H, dtype=complex)
-    k = H.shape[0]
-    if k == 0:
-        return np.zeros((0, 0), dtype=complex)
-    m = (order + 2) * k
-    M = lam * np.eye(m, dtype=complex)
-    M[:k, :k] = H
-    M[np.arange(m - k), np.arange(k, m)] = 1.0
-    return f.eval_matrix(M, max_dim=max(m, 256))[:k, m - k :]
-
-
 def eval_phi(f: ScalarFunction, H: np.ndarray, lam: complex) -> np.ndarray:
     """Coupling block of f for the pair (H, lam).
 
@@ -82,7 +67,7 @@ def eval_phi(f: ScalarFunction, H: np.ndarray, lam: complex) -> np.ndarray:
     divided-difference block that couples H to lam.  For a constant function
     this is zero and for the identity it is the identity.
     """
-    return _phi_block(f, H, lam, 0)
+    return augmented_block(f.eval_matrix, H, lam, 0)
 
 
 def eval_phi_deriv(f: ScalarFunction, H: np.ndarray, lam: complex) -> np.ndarray:
@@ -93,7 +78,7 @@ def eval_phi_deriv(f: ScalarFunction, H: np.ndarray, lam: complex) -> np.ndarray
     [0, 0, lam*I]]; this stays valid when lam is close to an eigenvalue of H,
     where differentiating the closed-form expression would be unstable.
     """
-    return _phi_block(f, H, lam, 1)
+    return augmented_block(f.eval_matrix, H, lam, 1)
 
 
 class InvariantPair:
@@ -128,7 +113,7 @@ class InvariantPair:
         self.AX = self.F = None
         if op is not None and op.is_split and k:
             self.AX = [A @ self.X for A, _ in op.terms]
-            self.F = [f.eval_matrix(self.H, max_dim=max(k, 256)) for _, f in op.terms]
+            self.F = [f.eval_matrix(self.H) for _, f in op.terms]
 
     @classmethod
     def empty(cls, n: int) -> "InvariantPair":

@@ -7,12 +7,16 @@ addition, multiplication, division or composition.  Instances are immutable
 and evaluation is pure, so they can be shared freely.
 
 Matrix-function evaluation is intended for the small dense matrices that show
-up in projected problems, and is capped at a configurable dimension.
+up in projected problems and deflation; the exponential, square root and
+logarithm come from SciPy's kernels (``scipy.linalg.expm``, ``sqrtm`` and
+``logm``), and phi_k(A) from the exponential of an augmented matrix
+(``augmented_block``).
 """
 
 from __future__ import annotations
 
 import math
+import warnings
 from dataclasses import dataclass
 from functools import cached_property
 from typing import Optional
@@ -32,11 +36,10 @@ __all__ = [
     "inv_square_root",
     "phi",
     "combine",
+    "augmented_block",
     "function_from_descriptor",
     "function_to_descriptor",
 ]
-
-MATRIX_DIM_CAP = 256
 
 _BASE_KINDS = ("rational", "exp", "log", "sqrt", "invsqrt", "phi")
 _COMBINE_OPS = ("add", "mul", "div", "compose")
@@ -174,15 +177,11 @@ class ScalarFunction:
 
     # -- matrix evaluation -------------------------------------------------
 
-    def eval_matrix(self, H: np.ndarray, max_dim: int = MATRIX_DIM_CAP) -> np.ndarray:
+    def eval_matrix(self, H: np.ndarray) -> np.ndarray:
         """Evaluate ``g(H)`` in the matrix-function sense for small dense H."""
         H = np.asarray(H, dtype=complex)
         if H.ndim != 2 or H.shape[0] != H.shape[1]:
             raise ValueError("matrix argument must be square")
-        if H.shape[0] > max_dim:
-            raise ValueError(
-                f"matrix dimension {H.shape[0]} exceeds the dense cap {max_dim}"
-            )
         with np.errstate(over="ignore", invalid="ignore"):
             return complex(self.beta) * self._base_matrix(complex(self.alpha) * H)
 
@@ -201,38 +200,42 @@ class ScalarFunction:
                     "singular denominator polynomial of matrix argument"
                 ) from exc
         if kind == "exp":
-            return _expm(Z)
+            return scipy.linalg.expm(Z)
         if kind == "log":
             return _logm(Z)
-        if kind == "sqrt":
-            return _sqrtm(Z)
-        if kind == "invsqrt":
-            R = _sqrtm(Z)
+        if kind in ("sqrt", "invsqrt"):
+            with warnings.catch_warnings():
+                # a singular Z may still have a root; a missing one shows as inf/nan
+                warnings.simplefilter("ignore", scipy.linalg.LinAlgWarning)
+                R = scipy.linalg.sqrtm(Z)
+            if not np.all(np.isfinite(R)):
+                raise FunctionDomainError(
+                    "matrix square root is not finite (a zero eigenvalue in a "
+                    "nontrivial Jordan block has no root)"
+                )
+            if kind == "sqrt":
+                return R
             try:
                 return np.linalg.solve(R, np.eye(Z.shape[0], dtype=complex))
             except np.linalg.LinAlgError as exc:
                 raise FunctionDomainError("matrix inverse square root is singular") from exc
         if kind == "phi":
-            return _phim(self.phi_index, Z)
+            # k zero blocks below Z on the diagonal; phi_0 = exp(Z) itself
+            return augmented_block(scipy.linalg.expm, Z, 0.0, self.phi_index - 1)
         l, r = self.left, self.right
         if self.op == "add":
-            return l.eval_matrix(Z, max_dim=max(Z.shape[0], MATRIX_DIM_CAP)) + r.eval_matrix(
-                Z, max_dim=max(Z.shape[0], MATRIX_DIM_CAP)
-            )
+            return l.eval_matrix(Z) + r.eval_matrix(Z)
         if self.op == "mul":
-            return l.eval_matrix(Z, max_dim=max(Z.shape[0], MATRIX_DIM_CAP)) @ r.eval_matrix(
-                Z, max_dim=max(Z.shape[0], MATRIX_DIM_CAP)
-            )
+            return l.eval_matrix(Z) @ r.eval_matrix(Z)
         if self.op == "div":
-            L = l.eval_matrix(Z, max_dim=max(Z.shape[0], MATRIX_DIM_CAP))
-            R = r.eval_matrix(Z, max_dim=max(Z.shape[0], MATRIX_DIM_CAP))
+            L = l.eval_matrix(Z)
+            R = r.eval_matrix(Z)
             try:
                 # functions of the same matrix commute, so R^{-1} L = L R^{-1}
                 return np.linalg.solve(R, L)
             except np.linalg.LinAlgError as exc:
                 raise FunctionDomainError("combine division by singular matrix") from exc
-        inner = l.eval_matrix(Z, max_dim=max(Z.shape[0], MATRIX_DIM_CAP))
-        return r.eval_matrix(inner, max_dim=max(Z.shape[0], MATRIX_DIM_CAP))
+        return r.eval_matrix(l.eval_matrix(Z))
 
     def _den(self):
         return self.den if self.den is not None else (1.0 + 0j,)
@@ -343,92 +346,6 @@ def _phi_scalar_deriv(k: int, z: complex) -> complex:
 
 # -- matrix helpers ----------------------------------------------------------
 
-# Degree-13 Pade coefficients for the matrix exponential.
-_PADE13 = (
-    64764752532480000.0,
-    32382376266240000.0,
-    7771770303897600.0,
-    1187353796428800.0,
-    129060195264000.0,
-    10559470521600.0,
-    670442572800.0,
-    33522128640.0,
-    1323241920.0,
-    40840800.0,
-    960960.0,
-    16380.0,
-    182.0,
-    1.0,
-)
-
-
-def _expm(A: np.ndarray) -> np.ndarray:
-    """Scaling-and-squaring with a degree-13 Pade approximant.
-
-    The argument is scaled until its 1-norm is at most one, which is well
-    inside the accuracy region of the degree-13 approximant.
-    """
-    n = A.shape[0]
-    if n == 0:
-        return np.zeros((0, 0), dtype=complex)
-    nrm = np.linalg.norm(A, 1)
-    s = 0
-    if nrm > 1.0:
-        s = int(math.ceil(math.log2(nrm)))
-    As = A / (2.0**s)
-    b = _PADE13
-    eye = np.eye(n, dtype=complex)
-    A2 = As @ As
-    A4 = A2 @ A2
-    A6 = A2 @ A4
-    U = As @ (
-        A6 @ (b[13] * A6 + b[11] * A4 + b[9] * A2)
-        + b[7] * A6
-        + b[5] * A4
-        + b[3] * A2
-        + b[1] * eye
-    )
-    V = (
-        A6 @ (b[12] * A6 + b[10] * A4 + b[8] * A2)
-        + b[6] * A6
-        + b[4] * A4
-        + b[2] * A2
-        + b[0] * eye
-    )
-    F = np.linalg.solve(V - U, V + U)
-    for _ in range(s):
-        F = F @ F
-    return F
-
-
-def _sqrtm(A: np.ndarray) -> np.ndarray:
-    """Principal matrix square root via complex Schur form.
-
-    The triangular factor is handled by the standard recurrence on
-    superdiagonals; it fails when an eigenvalue pair gives a zero divisor,
-    which happens for singular matrices with nontrivial nilpotent part.
-    """
-    n = A.shape[0]
-    if n == 0:
-        return np.zeros((0, 0), dtype=complex)
-    T, Z = scipy.linalg.schur(A, output="complex")
-    R = np.zeros_like(T)
-    diag = np.sqrt(np.diag(T).astype(complex))
-    np.fill_diagonal(R, diag)
-    for j in range(1, n):
-        for i in range(j - 1, -1, -1):
-            denom = R[i, i] + R[j, j]
-            s = T[i, j] - R[i, i + 1 : j] @ R[i + 1 : j, j]
-            if denom == 0:
-                if s == 0:
-                    R[i, j] = 0.0
-                    continue
-                raise FunctionDomainError(
-                    "matrix square root iteration broke down (zero eigenvalue pair)"
-                )
-            R[i, j] = s / denom
-    return Z @ R @ Z.conj().T
-
 
 def _logm(A: np.ndarray) -> np.ndarray:
     if A.shape[0] == 0:
@@ -443,20 +360,23 @@ def _logm(A: np.ndarray) -> np.ndarray:
     return L
 
 
-def _phim(k: int, A: np.ndarray) -> np.ndarray:
-    """phi_k(A) as the top-right block of the exponential of an augmented matrix."""
+def augmented_block(fm, H: np.ndarray, lam: complex, order: int) -> np.ndarray:
+    """Top-right k-by-k block of ``fm(M)``, M the upper block-bidiagonal matrix
+    with diagonal (H, lam*I, ..., lam*I) (order + 1 copies of lam*I) and
+    identity superdiagonal blocks; for order = -1, M = H.
+
+    With ``fm`` the matrix function of f this is the divided difference
+    f[H, lam, ..., lam]: the deflation couplings take order 0 and 1, and
+    phi_k(A) is the block of ``expm`` at lam = 0, order k - 1.
+    """
+    k = np.shape(H)[0]
     if k == 0:
-        return _expm(A)
-    n = A.shape[0]
-    if n == 0:
         return np.zeros((0, 0), dtype=complex)
-    m = (k + 1) * n
-    W = np.zeros((m, m), dtype=complex)
-    W[:n, :n] = A
-    for b in range(k):
-        W[b * n : (b + 1) * n, (b + 1) * n : (b + 2) * n] = np.eye(n)
-    E = _expm(W)
-    return E[:n, k * n :]
+    m = (order + 2) * k
+    M = lam * np.eye(m, dtype=complex)
+    M[:k, :k] = H
+    M[np.arange(m - k), np.arange(k, m)] = 1.0
+    return fm(M)[:k, m - k :]
 
 
 # -- manifest descriptor grammar ---------------------------------------------

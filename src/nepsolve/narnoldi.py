@@ -16,7 +16,7 @@ import numpy as np
 import scipy.linalg
 
 from .core import EigenSolution, NepError, NepOperator, Settings
-from .deflation import ExtSolveContext, ExtVector, InvariantPair, ProjectionContext
+from .deflation import RANK_TOL, ExtSolveContext, ExtVector, InvariantPair, ProjectionContext
 from .linalg import LinearSolverConfig, orthogonalize
 from .newton import _finish, _Hunt, _hunt_eta, _random_unit
 
@@ -111,8 +111,14 @@ def narnoldi_solve(
             pair = extended
             if pair.k >= settings.nev:
                 break
-            # keep the basis: pad the small block with a zero row for the new pair
+            # keep the basis less the locked direction, or the next projected
+            # solve finds the new eigenvector again (at eta = inf); a
+            # rank-revealing QR drops the direction that vanishes with it
             V = np.vstack([proj.V, np.zeros((1, proj.m), dtype=complex)])
+            x = pair.X[:, -1]
+            V[:n] -= np.outer(x, x.conj() @ V[:n])
+            Q, R, _ = scipy.linalg.qr(V, mode="economic", pivoting=True)
+            V = Q[:, np.abs(np.diag(R)) > RANK_TOL]  # the columns of V had unit norm
             stats["linear_solves"] += solve_ctx.solve_count
             solve_ctx = ExtSolveContext(pair, op, sigma, lin_cfg)
             proj = ProjectionContext(pair, op, V)

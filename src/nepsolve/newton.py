@@ -27,7 +27,7 @@ import numpy as np
 
 from .core import EigenPair, EigenSolution, NepError, NepOperator, Settings, backward_error, finish
 from .deflation import ExtSolveContext, ExtVector, InvariantPair, ext_apply, ext_bilinear
-from .linalg import LinearSolverConfig, gen_eig_smallest, lu_factor
+from .linalg import LinearSolverConfig, gen_eig_smallest, lu_factor, random_vector
 
 __all__ = ["slp_solve", "rii_solve", "rii_scalar_newton"]
 
@@ -118,7 +118,7 @@ def _finish(op, pair, settings, stats) -> EigenSolution:
 
 def _random_unit(rng, m: int) -> np.ndarray:
     """Seeded random complex unit vector of length m: a restart of the search."""
-    v = rng.standard_normal(m) + 1j * rng.standard_normal(m)
+    v = random_vector(rng, m, complex)
     return v / np.linalg.norm(v)
 
 

@@ -319,7 +319,7 @@ def divided_differences(
         for j in range(d_max + 1):
             M = _bidiagonal_quotient(seq, j + 1)
             for i, (_, f) in enumerate(op.terms):
-                F = f.eval_matrix(M, max_dim=max(M.shape[0], 256))
+                F = f.eval_matrix(M)
                 coeffs[i, j] = beta0 * F[j, 0]
             delta = np.max(np.abs(coeffs[:, j]))
             if j == 0:

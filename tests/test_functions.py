@@ -22,6 +22,7 @@ ALL_KINDS = [
     ("log", lambda: fn.logarithm()),
     ("sqrt", lambda: fn.square_root()),
     ("invsqrt", lambda: fn.inv_square_root()),
+    ("phi0", lambda: fn.phi(0)),
     ("phi1", lambda: fn.phi(1)),
     ("phi3", lambda: fn.phi(3)),
     ("combine", lambda: fn.combine("mul", fn.exponential(), fn.polynomial([1.0, 1.0]))),
@@ -161,15 +162,6 @@ def test_matrix_commutes_with_argument():
         F = f.eval_matrix(H)
         lhs = np.linalg.norm(F @ H - H @ F)
         assert lhs <= 1e-12 * np.linalg.norm(H) * np.linalg.norm(F), name
-
-
-def test_matrix_dimension_cap():
-    H = np.eye(300)
-    with pytest.raises(ValueError):
-        fn.exponential().eval_matrix(H)
-    # a larger explicit cap is allowed
-    out = fn.exponential().eval_matrix(H, max_dim=512)
-    assert out.shape == (300, 300)
 
 
 def test_descriptor_round_trip():

@@ -3,6 +3,7 @@ import pytest
 import scipy.sparse as sp
 
 from nepsolve import functions as fn
+from nepsolve import interpol
 from nepsolve.cli import run
 from nepsolve.core import Interval, NepError, NepOperator, Settings
 from nepsolve.interpol import (
@@ -120,7 +121,7 @@ def test_shift_invert_apply_matches_dense():
         assert np.linalg.norm(got - S @ x) <= 1e-10 * np.linalg.norm(S @ x)
 
 
-def test_interpol_solve_linear_problem_exact():
+def _solve_linear_problem_exact():
     A = sp.diags([[1.0, 2.0, 3.0]], [0], format="csr")
     eye = sp.identity(3, format="csr")
     op = NepOperator(terms=[(A, fn.constant(1.0)), (eye, fn.polynomial([-1.0, 0.0]))])
@@ -128,6 +129,11 @@ def test_interpol_solve_linear_problem_exact():
     sol = interpol_solve(op, s, degree=3)
     assert sol.converged
     assert np.allclose(np.sort(sol.eigenvalues.real), [1.0, 2.0, 3.0], atol=1e-9)
+    return sol
+
+
+def test_interpol_solve_linear_problem_exact():
+    _solve_linear_problem_exact()
 
 
 @pytest.mark.parametrize("n", [136, 200])  # dense pencil path, Krylov path
@@ -170,7 +176,7 @@ def test_interpol_delay_desk_matches_oracle():
         assert p.eta <= 1e-6
 
 
-def test_interpol_loaded_string_desk():
+def _solve_loaded_string_desk():
     # spec benchmark shape: interval [4, 800], degree 30, nine pairs at sigma=10;
     # with this discretization the interpolation error at the pole-nearest
     # eigenvalues floors around 2e-6, so the acceptance threshold is 1e-5
@@ -183,7 +189,22 @@ def test_interpol_loaded_string_desk():
         assert p.eta_poly <= s.tol
         assert p.eta <= 1e-5
         assert np.min(np.abs(ev - p.lam)) <= 1e-3 * abs(p.lam)
-    assert sol.stats.get("pencil") == "dense"
+    return sol
+
+
+def test_interpol_loaded_string_desk():
+    assert _solve_loaded_string_desk().stats.get("pencil") == "dense"
+
+
+@pytest.mark.xfail(
+    strict=True,
+    reason="CHANGES.md FOUND: interpol's Krylov path fails the dense path's cases "
+    "(1 of 3 and 4 of 9 pairs); ROADMAP item 7 mends it",
+)
+@pytest.mark.parametrize("case", [_solve_linear_problem_exact, _solve_loaded_string_desk], ids=["linear", "string"])
+def test_interpol_krylov_path_solves_the_dense_path_cases(case, monkeypatch):
+    monkeypatch.setattr(interpol, "DENSE_PENCIL_CAP", 0)
+    assert case().stats.get("pencil") != "dense"
 
 
 def test_accepted_pairs_lie_in_expanded_interval():

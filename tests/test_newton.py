@@ -7,7 +7,7 @@ import scipy.sparse as sp
 
 from nepsolve import deflation, newton
 from nepsolve import functions as fn
-from nepsolve.core import NepOperator, Settings, backward_error
+from nepsolve.core import Interval, NepOperator, Settings, backward_error
 from nepsolve.deflation import ExtSolveContext, ExtVector, InvariantPair, ext_apply
 from nepsolve.linalg import LinearSolverConfig
 from nepsolve.narnoldi import narnoldi_solve
@@ -371,6 +371,20 @@ def test_rii_loaded_string_steps_at_blas_threads(threads):
     assert int(outer) == 682
 
 
+@pytest.mark.xfail(
+    strict=True,
+    reason="CHANGES.md FOUND: rii_solve on rii-string returns 1307.3979, outside "
+    "Interval(4, 800), and reports converged=True; ROADMAP item 2 mends it",
+)
+def test_rii_converged_pairs_lie_in_the_region():
+    # the benchmark's rii-string workload (n=1000, seed 0) with its region set
+    op, _ = gen_loaded_string(1000)
+    region = Interval(4.0, 800.0)
+    s = Settings(nev=9, tol=1e-8, target=10.0, region=region, problem_type="rational", seed=0)
+    sol = rii_solve(op, s)
+    assert not sol.converged or all(region.a <= lam.real <= region.b for lam in sol.eigenvalues)
+
+
 @pytest.mark.parametrize("threads", ["1", "2"])
 def test_slp_delay_steps_at_blas_threads(threads):
     # the settings of the benchmark's slp-delay workload at n=1000: SLP's
@@ -417,10 +431,10 @@ STEP_CASES = {
     "rii-string-lag1": (lambda: _string(rii_solve, lag=1), (23, 55)),
     "rii-string-hermitian": (lambda: _string(rii_solve, hermitian=True), (179, 179)),
     "rii-gmres": (_gmres_case, (16, 31)),
-    "narnoldi-delay80": (lambda: _delay(80, narnoldi_solve, Settings(nev=3, tol=1e-8, target=1.0)), (36, 36, 1)),
+    "narnoldi-delay80": (lambda: _delay(80, narnoldi_solve, Settings(nev=3, tol=1e-8, target=1.0)), (21, 21, 0)),
     "narnoldi-delay60-restarts": (
         lambda: _delay(60, narnoldi_solve, Settings(nev=2, ncv=4, tol=1e-8, target=1.0, max_it=400)),
-        (28, 27, 8),
+        (26, 25, 7),
     ),
 }
 
