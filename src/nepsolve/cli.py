@@ -162,8 +162,7 @@ def _build_problem(args):
     raise UsageError(f"unknown problem {spec!r}")
 
 
-def run(argv) -> tuple[dict, int]:
-    """Execute one solver run; returns (report, exit_code)."""
+def _parse(argv) -> argparse.Namespace:
     parser = build_parser()
     if argv and argv[0] != "run":
         argv = ["run", *argv]
@@ -175,7 +174,16 @@ def run(argv) -> tuple[dict, int]:
         raise UsageError("argument parsing failed") from exc
     if args.command != "run":
         raise UsageError("missing command")
-    unset = vars(parser.parse_args(["run"]))
+    return args
+
+
+def run(argv) -> tuple[dict, int]:
+    """Execute one solver run; returns (report, exit_code)."""
+    return _run(_parse(argv))
+
+
+def _run(args: argparse.Namespace) -> tuple[dict, int]:
+    unset = vars(build_parser().parse_args(["run"]))
     kwargs = {}
     for dest, solvers in SOLVER_FLAGS.items():
         if args.solver in solvers:
@@ -337,29 +345,18 @@ def _print_table(report: dict) -> None:
 def main(argv=None) -> int:
     argv = list(sys.argv[1:] if argv is None else argv)
     try:
-        report, code = run(argv)
-    except UsageError as exc:
+        args = _parse(argv)
+        report, code = _run(args)
+    except (UsageError, ValueError, FileNotFoundError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return USAGE_ERROR
-    except (ValueError, FileNotFoundError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return USAGE_ERROR
-    if _wants_json(argv):
+    if args.output == "json":
         print(json.dumps(report, indent=2, sort_keys=True))
     elif "error" in report:
         print(f"error: {report['error']}", file=sys.stderr)
     else:
         _print_table(report)
     return code
-
-
-def _wants_json(argv) -> bool:
-    for i, tok in enumerate(argv):
-        if tok == "--output" and i + 1 < len(argv) and argv[i + 1] == "json":
-            return True
-        if tok == "--output=json":
-            return True
-    return False
 
 
 if __name__ == "__main__":

@@ -3,10 +3,14 @@
 T is replaced by the degree-d Chebyshev interpolant P_d on the interval, the
 resulting polynomial eigenproblem is solved through a colleague-type
 linearization with an implicit shift-and-invert Krylov iteration, and the
-approximations are filtered back against the interval.  Residuals are
-reported against the original T; the interpolation degree bounds the
-attainable accuracy and is a user choice, and a degree too small for tol
-against T leaves the solve unconverged (see ``core.finish``).
+approximations are filtered back against the interval.  The Krylov path
+reads its Ritz pairs back as eigenpairs by ``linalg.ShiftInvertRun``, the
+rule of NLEIGS, with interpol's own region test (a 1% pad, |Im lam| within
+1e-8 max(1, |lam|) whatever the Ritz error); both paths test the
+interpolant residual eta_poly, and return their pairs, at Re lam.
+Residuals are reported against the original T; the interpolation degree
+bounds the attainable accuracy and is a user choice, and a degree too small
+for tol against T leaves the solve unconverged (see ``core.finish``).
 """
 
 from __future__ import annotations
@@ -29,8 +33,8 @@ from .core import (
 )
 from .linalg import (
     FullBasisEngine,
-    KrylovSchurDriver,
     LinearSolverConfig,
+    ShiftInvertRun,
     SplitSum,
     lu_factor,
     make_linear_solver,
@@ -106,12 +110,8 @@ class ChebPoly:
     def apply(self, lam: complex, v: np.ndarray) -> np.ndarray:
         return self._sum.apply(self.weights(lam), v)
 
-    def scale_norm(self, lam: complex) -> float:
+    def norm_scale(self, lam: complex) -> float:
         return self._sum.scale(self.weights(lam))
-
-    def residual(self, lam: complex, x: np.ndarray) -> float:
-        nx = np.linalg.norm(x)
-        return float(np.linalg.norm(self.apply(lam, x)) / (self.scale_norm(lam) * nx))
 
 
 def cheb_coeffs(op: NepOperator, interval: Interval, d: int) -> ChebPoly:
@@ -213,15 +213,17 @@ class ColleaguePencil:
 
 
 def _in_interval(region: Interval, lam: complex) -> bool:
+    # strict in |Im lam|, whatever the Ritz error (NLEIGS allows for it)
     return region.contains(lam, pad=FILTER_MARGIN, imag_tol=1e-8 * max(1.0, abs(lam)))
 
 
-def _dense_candidates(settings, poly: ChebPoly, pencil: ColleaguePencil):
+def _dense_pairs(settings, poly: ChebPoly, pencil: ColleaguePencil):
     """Small problems: form the pencil and take every eigenvalue at once.
 
     B is block diagonal with identities and the leading coefficient, so the
-    generalized problem reduces to a standard one via B^{-1} A.  Returns
-    (theta, x) candidates nearest the target first, and the stats.
+    generalized problem reduces to a standard one via B^{-1} A.  Returns the
+    ``(lam, x, eta_poly)`` of the eigenvalues inside the interval, nearest
+    the target first, at Re lam and with eta_poly <= tol, and the stats.
     """
     A, B = pencil.build_dense()
     # invert A rather than B: the leading Chebyshev coefficient in B decays
@@ -235,17 +237,27 @@ def _dense_candidates(settings, poly: ChebPoly, pencil: ColleaguePencil):
         thetas = np.where(w != 0, 1.0 / w, np.inf)
     with np.errstate(over="ignore", invalid="ignore"):
         order = np.argsort(np.abs(poly.lam(thetas) - complex(settings.target)))
-    candidates = [(thetas[i], V[: pencil.n, i]) for i in order]
-    return candidates, {"outer_iterations": 1, "linear_solves": 0, "pencil": "dense"}
+    pairs = []
+    for i in order:
+        if not np.isfinite(thetas[i]):
+            continue
+        lam, x = poly.lam(thetas[i]), V[: pencil.n, i]
+        nx = np.linalg.norm(x)
+        if nx == 0 or not _in_interval(settings.region, lam):
+            continue
+        lam, x = complex(lam.real), x / nx
+        eta_poly = backward_error(poly, lam, x)
+        if eta_poly <= settings.tol:
+            pairs.append((lam, x, eta_poly))
+    return pairs, {"outer_iterations": 1, "linear_solves": 0, "pencil": "dense"}
 
 
-def _krylov_candidates(settings, poly: ChebPoly, pencil: ColleaguePencil, lin_cfg):
+def _krylov_pairs(settings, poly: ChebPoly, pencil: ColleaguePencil, lin_cfg):
     """Large problems: shift-and-invert Krylov-Schur on the implicit pencil.
 
-    Returns the (theta, x) candidates that met the interpolant residual test,
-    in wanted order, and the stats.
+    Returns ``ShiftInvertRun.harvest``'s ``(lam, x, eta_poly)``, in wanted
+    order, and the stats.
     """
-    region = settings.region
     # internal Krylov shift: the mapped target, clamped away from the interval
     # ends.  At the ends the shift-inverted images of wanted and spurious
     # pencil eigenvalues interleave with ratios near one and the iteration
@@ -263,49 +275,19 @@ def _krylov_candidates(settings, poly: ChebPoly, pencil: ColleaguePencil, lin_cf
 
     d, n = pencil.d, pencil.n
     ncv = min(settings.ncv_effective, d * n)
-    lam_key = settings.sort_key()
-
-    def mapped(thetas):
-        with np.errstate(divide="ignore", invalid="ignore"):
-            lam_pencil = theta_sigma + 1.0 / np.asarray(thetas, dtype=complex)
-        lams = np.array([poly.lam(t) for t in lam_pencil])
-        lams[~np.isfinite(lams)] = np.inf
-        return lams
-
-    def keyfun(thetas):
-        return lam_key(mapped(thetas))
-
-    def wanted_filter(thetas, _res):
-        return np.array([np.isfinite(l) and _in_interval(region, l) for l in mapped(thetas)])
-
     engine = FullBasisEngine(pencil.apply_shift_invert, np.ones((d, n), dtype=complex), ncv)
-    driver = KrylovSchurDriver(
+    run = ShiftInvertRun(
         engine,
         ncv,
-        max(1e-14, 0.01 * settings.tol),
-        keyfun,
-        wanted_filter,
+        settings,
+        lambda thetas: poly.lam(theta_sigma + 1.0 / thetas),
         np.random.default_rng(settings.seed),
+        contains=lambda lam, imag_tol: _in_interval(settings.region, lam),
+        real=True,
+        pair_eta=lambda lam, x: backward_error(poly, lam, x),
     )
-
-    def pair_test(theta, y, m):
-        if theta == 0 or not np.isfinite(theta):
-            return False
-        lam = poly.lam(theta_sigma + 1.0 / theta)
-        x = engine.ritz_first_block(y, m)
-        nx = np.linalg.norm(x)
-        if nx == 0 or not np.isfinite(nx):
-            return False
-        return poly.residual(complex(lam), x / nx) <= settings.tol
-
-    driver.pair_test = pair_test
-    driver.run(settings.nev, settings.max_it_effective)
-    candidates = [
-        (theta_sigma + 1.0 / theta, engine.ritz_first_block(y, driver.m))
-        for theta, y, _res, ok in driver.extract()
-        if ok
-    ]
-    return candidates, {"outer_iterations": driver.restarts, "linear_solves": pencil.solve_count}
+    run.driver.run(settings.nev, settings.max_it_effective)
+    return run.harvest(), {"outer_iterations": run.driver.restarts, "linear_solves": pencil.solve_count}
 
 
 def interpol_solve(
@@ -332,26 +314,11 @@ def interpol_solve(
     poly = cheb_coeffs(op, region, degree)
     pencil = ColleaguePencil(poly)
     if op.n * (degree + 1) <= DENSE_PENCIL_CAP:
-        candidates, stats = _dense_candidates(settings, poly, pencil)
+        tested, stats = _dense_pairs(settings, poly, pencil)
     else:
-        candidates, stats = _krylov_candidates(settings, poly, pencil, lin_cfg)
+        tested, stats = _krylov_pairs(settings, poly, pencil, lin_cfg)
     stats["degree"] = degree
-
-    pairs = []
-    for theta, x in candidates:
-        if not np.isfinite(theta):
-            continue
-        lam = poly.lam(theta)
-        if not _in_interval(region, lam):
-            continue
-        lam = complex(lam.real)  # interval regions carry real spectra
-        nx = np.linalg.norm(x)
-        if nx == 0:
-            continue
-        x = x / nx
-        eta_poly = poly.residual(lam, x)
-        if eta_poly <= settings.tol:
-            pairs.append(EigenPair(lam, x, backward_error(op, lam, x), eta_poly=eta_poly))
+    pairs = [EigenPair(lam, x, backward_error(op, lam, x), eta_poly=eta_poly) for lam, x, eta_poly in tested]
 
     notes = []
     if pairs and max(p.eta for p in pairs) > 100 * max(p.eta_poly for p in pairs) + settings.tol:

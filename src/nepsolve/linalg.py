@@ -5,8 +5,9 @@ routines here wrap LAPACK/SuperLU factorizations, provide reorthogonalized
 Gram-Schmidt, small wrappers around the iterative linear solvers and one
 kernel for split-form sums sum_i w_i M_i of sparse matrices.  One
 Krylov-Schur driver with restart and locking runs every Krylov eigensolve:
-NLEIGS and interpol on their shift-and-invert operators, and SLP's inner
-linear eigenproblem through ``gen_eig_smallest``.
+NLEIGS and interpol on their shift-and-invert operators, through one
+Ritz-to-eigenpair rule (``ShiftInvertRun``), and SLP's inner linear
+eigenproblem through ``gen_eig_smallest``.
 
 Scalars follow the data: the Krylov kernels (``orthogonalize``,
 ``compress_columns``, the basis engines, ``SplitSum``'s applies, direct
@@ -58,6 +59,7 @@ __all__ = [
     "SplitSum",
     "FullBasisEngine",
     "KrylovSchurDriver",
+    "ShiftInvertRun",
     "gen_eig_smallest",
 ]
 
@@ -215,31 +217,27 @@ def _bandwidth(A) -> int:
 
 
 class _DirectSolver:
-    """LU factorization with adjoint solves, on one of three routes.
+    """Sparse LU factorization with adjoint solves, on one of two routes.
 
-    A dense matrix gets LAPACK's dense LU (``lu_factor``).  A sparse matrix
-    whose stored entries all lie within one diagonal of the main diagonal
-    (bandwidth <= 1, checked once over the CSR indices) and n >= 3 gets
-    LAPACK's tridiagonal LU with partial pivoting, ``?gttrf``/``?gttrs``: no
-    CSC copy, no fill-reducing ordering and no BLAS calls.  Every other sparse
+    A matrix whose stored entries all lie within one diagonal of the main
+    diagonal (bandwidth <= 1, checked once over the CSR indices) and n >= 3
+    gets LAPACK's tridiagonal LU with partial pivoting, ``?gttrf``/``?gttrs``:
+    no CSC copy, no fill-reducing ordering and no BLAS calls.  Every other
     matrix, wider bands and n <= 2 (which the ``?gttrf`` wrappers reject),
-    goes to SuperLU.  Both sparse routes factor a real matrix in real
+    goes to SuperLU.  Both routes factor a real matrix in real
     arithmetic (``dgttrf``, real SuperLU) and a complex one in complex
     arithmetic; a complex right-hand side on a real factor is solved as its
-    real and imaginary parts, two columns of one solve.  The dense route is
-    complex.  An exactly zero pivot raises ``SingularMatrixError`` at
-    construction on both sparse routes, and so does a solve whose result has
-    non-finite entries, on every route.
+    real and imaginary parts, two columns of one solve.  An exactly zero pivot
+    raises ``SingularMatrixError`` at construction, and so does a solve whose
+    result has non-finite entries.
     """
 
     def __init__(self, A):
         self.solve_count = 0
         self.n = A.shape[0]
-        self._tri = self._lu = self._dense = None
-        self.dtype = np.result_type(A.dtype, np.float64) if sp.issparse(A) else np.dtype(complex)
-        if not sp.issparse(A):
-            self._dense = lu_factor(A)
-        elif self.n >= 3 and _bandwidth(A) <= 1:
+        self._tri = self._lu = None
+        self.dtype = np.result_type(A.dtype, np.float64)
+        if self.n >= 3 and _bandwidth(A) <= 1:
             gttrf, self._gttrs, self._adjoint = (
                 (zgttrf, zgttrs, "C") if self.dtype.kind == "c" else (dgttrf, dgttrs, "T")
             )
@@ -254,8 +252,6 @@ class _DirectSolver:
                 raise SingularMatrixError(str(exc)) from exc
 
     def _solve(self, b, adjoint: bool):
-        if self._dense is not None:
-            return self._dense.solve(b, adjoint=adjoint)
         if self._tri is not None:
             return self._gttrs(*self._tri, b, trans=self._adjoint if adjoint else "N")[0]
         return self._lu.solve(b, trans="H" if adjoint else "N")
@@ -548,8 +544,9 @@ class FullBasisEngine:
 class KrylovSchurDriver:
     """The Krylov-Schur restart/locking loop of every Krylov eigensolve.
 
-    NLEIGS runs it on the TOAR or the full basis engine; interpol, and SLP's
-    inner linear eigenproblem through ``gen_eig_smallest``, on the full basis.
+    NLEIGS runs it on the TOAR or the full basis engine and interpol on the
+    full basis, both through ``ShiftInvertRun``; SLP's inner linear
+    eigenproblem runs it through ``gen_eig_smallest``, on the full basis.
 
     Convergence of a Ritz pair is judged either by the relative residual of
     the linear operator or, when ``pair_test`` is set, by a caller-supplied
@@ -679,45 +676,107 @@ class KrylovSchurDriver:
         return [(theta[i], Y[:, i], res[i], bool(ok[i])) for i in self._order(theta, wanted)]
 
 
+class ShiftInvertRun:
+    """Eigenpairs of a problem from a Krylov-Schur run on its shift-and-invert operator.
+
+    The one Ritz-to-eigenpair rule of NLEIGS (TOAR, full basis and the left
+    run of the two-sided variant) and of interpol's Krylov path.  A Ritz
+    value theta maps to the eigenvalue ``to_lam(theta)`` (vectorized, once
+    per call of the driver's key or filter); the driver ranks Ritz values by
+    ``settings.sort_key()`` of their eigenvalues and iterates to the inner
+    tolerance max(1e-14, 0.01 tol).  Region test: lam, known only to about
+    the Ritz error res/|theta|^2, is wanted when it is finite and
+    ``contains(lam, imag_tol=max(1e-8 max(1, |lam|), res/|theta|^2))``;
+    ``contains`` defaults to ``settings.region.contains``.  Pair test, when
+    ``pair_eta(lam, x)`` is given: the first block of the Ritz vector,
+    normalized, has ``pair_eta`` <= tol at lam, or at Re lam when ``real``
+    (interval regions carry real spectra); each (restart, m, theta) is
+    evaluated once.  ``harvest`` returns ``(lam, x, eta)`` for the pairs the
+    converged count includes whose eta is at most tol: a pair converged by
+    its Ritz residual alone was never pair-tested.
+    """
+
+    def __init__(
+        self, engine, ncv: int, settings, to_lam, rng, *, contains=None, real=False, pair_eta=None, known_junk=()
+    ):
+        self.to_lam = to_lam
+        self.tol = settings.tol
+        self.contains = contains or settings.region.contains
+        self.real = real
+        self.pair_eta = pair_eta
+        self._lam_key = settings.sort_key()
+        self._etas = {}
+        inner_tol = max(1e-14, 0.01 * settings.tol)
+        self.driver = KrylovSchurDriver(engine, ncv, inner_tol, self._key, self._wanted, rng, known_junk)
+        if pair_eta is not None:
+            self.driver.pair_test = lambda theta, y, m: self._pair(theta, y, m)[1] <= self.tol
+
+    def _key(self, thetas):
+        with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+            return self._lam_key(self.to_lam(thetas))
+
+    def _wanted(self, thetas, res):
+        with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+            lams = self.to_lam(thetas)
+            imag_tols = np.maximum(1e-8 * np.maximum(1.0, np.abs(lams)), res / np.abs(thetas) ** 2)
+        return [bool(np.isfinite(lam)) and self.contains(lam, imag_tol=t) for lam, t in zip(lams, imag_tols)]
+
+    def point(self, theta) -> complex:
+        """The eigenvalue that theta's pair is tested and returned at."""
+        lam = self.to_lam(theta)
+        return complex(lam.real) if self.real else complex(lam)
+
+    def _pair(self, theta, y, m):
+        x = self.driver.engine.ritz_first_block(y, m)
+        nx = np.linalg.norm(x)
+        if nx == 0 or not np.isfinite(nx):
+            return x, np.inf
+        x = x / nx
+        key = (self.driver.restarts, m, theta)
+        if key not in self._etas:
+            self._etas[key] = self.pair_eta(self.point(theta), x)
+        return x, self._etas[key]
+
+    def harvest(self):
+        """``(lam, x, eta)`` of the converged wanted pairs with eta <= tol, in wanted order."""
+        out = []
+        for theta, y, _res, ok in self.driver.extract():
+            if ok:
+                x, eta = self._pair(theta, y, self.driver.m)
+                if eta <= self.tol:
+                    out.append((self.point(theta), x, eta))
+        return out
+
+
 def gen_eig_smallest(
-    A,
-    B,
-    how_many: int = 1,
-    v0: Optional[np.ndarray] = None,
+    solve_A,
+    apply_B,
+    how_many: int,
+    v0: np.ndarray,
     tol: float = 1e-10,
     ncv: Optional[int] = None,
     max_restarts: int = 60,
-    solver_cfg: Optional[LinearSolverConfig] = None,
 ):
     """Smallest-magnitude eigenpairs of the pencil A x = mu B x.
 
-    A is factorized once and Krylov-Schur is run on A^{-1}B, so the smallest
-    |mu| of the pencil become the dominant eigenvalues 1/mu of the iteration
-    operator.  Only the ``how_many`` dominant Ritz values count as wanted:
-    a smaller one that converges first must not end the iteration while a
-    dominant one is still unconverged.  Accepts matrices or callables
-    (solve_A, apply_B).
+    Krylov-Schur runs on A^{-1}B, given as the callables ``solve_A`` (one
+    solve with the factored A) and ``apply_B``, from the start vector ``v0``;
+    the smallest |mu| of the pencil become the dominant eigenvalues 1/mu of
+    the iteration operator.  Only the ``how_many`` dominant Ritz values count
+    as wanted: a smaller one that converges first must not end the iteration
+    while a dominant one is still unconverged.
     """
-    if callable(A):
-        if v0 is None:
-            raise ValueError("operator form requires an initial vector")
-        solve_A, apply_B, n = A, B, v0.shape[0]
-    else:
-        n = A.shape[0]
-        solve_A = make_linear_solver(A, solver_cfg).solve
-        apply_B = B if callable(B) else (lambda v: B @ v)
+    n = v0.shape[0]
     if ncv is None:
         ncv = max(12, 2 * how_many + 8)
     ncv = min(max(ncv, how_many + 2), n)
-    if v0 is None or not np.any(v0):
-        v0 = np.ones(n, dtype=complex)
 
     def dominant(theta, _res):
         wanted = np.zeros(len(theta), dtype=bool)
         wanted[np.argsort(-np.abs(theta), kind="stable")[:how_many]] = True
         return wanted
 
-    engine = FullBasisEngine(lambda v: solve_A(apply_B(v)), np.asarray(v0)[None, :], ncv)
+    engine = FullBasisEngine(lambda v: solve_A(apply_B(v)), v0[None, :], ncv)
     driver = KrylovSchurDriver(engine, ncv, tol, lambda t: -np.abs(t), dominant)
     driver.run(how_many, max_restarts)
     out = []

@@ -9,7 +9,9 @@ a single factorization of R_d(sigma).  The linear problem is solved with
 Krylov-Schur, either on explicitly stored vectors of length d*n (full basis)
 or on a compact tensor representation V_k = (I_d (x) U) G_k of the same basis
 (the default).  A two-sided variant runs a second Krylov process with the
-adjoint recurrences to recover left eigenvectors.
+adjoint recurrences to recover left eigenvectors.  Both runs read their
+Ritz pairs back as eigenpairs by ``linalg.ShiftInvertRun``, the rule that
+interpol's Krylov path uses too.
 
 The compact expansion costs O(n mu) plus one sparse solve per step, mu being
 the number of columns of U.  The block recurrence runs on the d x mu
@@ -52,8 +54,8 @@ from .core import (
 from .functions import ScalarFunction
 from .linalg import (
     FullBasisEngine,
-    KrylovSchurDriver,
     LinearSolverConfig,
+    ShiftInvertRun,
     SplitSum,
     basis_times,
     compress_columns,
@@ -71,7 +73,6 @@ __all__ = [
     "auto_singularities",
     "UnsupportedPoleDetection",
     "ShiftInvertContext",
-    "toar_arnoldi",
     "nleigs_solve",
 ]
 
@@ -634,25 +635,6 @@ class ToarBasisEngine:
         return basis_times(self.U, self._G[0, : self.mu, :m] @ y)
 
 
-def toar_arnoldi(ctx: ShiftInvertContext, w_blocks: np.ndarray, steps: int):
-    """Plain compact Arnoldi for a fixed number of steps (no restart).
-
-    Returns (U, G, H) with H of size (m+1) x m where m <= steps is the number
-    of completed expansions.
-    """
-    engine = ToarBasisEngine(ctx, np.asarray(w_blocks), ncv=steps)
-    H = np.zeros((steps + 1, steps), dtype=engine.dtype)
-    m = 0
-    for j in range(steps):
-        h, beta, dep = engine.expand(j)
-        H[: j + 1, j] = h
-        H[j + 1, j] = 0.0 if dep else beta
-        m = j + 1
-        if dep:
-            break
-    return engine.U, engine.G, H[: m + 1, :m]
-
-
 # -- top-level solver ----------------------------------------------------------------
 
 
@@ -687,14 +669,15 @@ def nleigs_solve(
     lie inside the region and meet the backward-error tolerance; the
     two-sided variant additionally attaches left eigenvectors.
 
-    Region rule: while iterating, a Ritz value theta with residual res maps
-    to lam = sigma + 1/theta, which is known only to about res/|theta|^2.  It
+    Region rule (``linalg.ShiftInvertRun``, shared with interpol): while
+    iterating, a Ritz value theta with residual res maps to
+    lam = sigma + 1/theta, which is known only to about res/|theta|^2.  It
     counts as inside an ``Interval`` when Re lam lies in [a, b] and
     |Im lam| <= max(1e-8 max(1, |lam|), res/|theta|^2); the wanted filter,
     the restart ordering, the converged count and the returned pairs all
-    use this one rule.  Interval eigenvalues are tested (backward error
-    <= tol) and returned at Re lam, i.e. exactly real.  Other regions are
-    tested on lam as it is.
+    use this one rule, in the left run too (at lam = sigma + 1/conj(omega)).
+    Interval eigenvalues are tested (backward error <= tol) and returned at
+    Re lam, i.e. exactly real.  Other regions are tested on lam as it is.
     Pole rule: a restart counts an unwanted Ritz value within COPY_RTOL of
     the image 1/(xi - sigma) of a known pole xi (its conjugate in the left
     run) as converged junk whatever its residual, so a pole copy's residual
@@ -735,76 +718,23 @@ def nleigs_solve(
     else:
         engine = ToarBasisEngine(ctx, w0, ncv)
 
-    region = settings.region
-
-    real_axis = isinstance(region, Interval)
-
-    def eigenvalue(theta: complex) -> complex:
-        lam = sigma + 1.0 / theta
-        # interval regions carry real spectra: pairs are tested and returned at
-        # Re lam, so they lie inside the region at the strict tolerance
-        return complex(lam.real) if real_axis else lam
-
-    lam_key = settings.sort_key()
-
-    def sort_key(thetas):
-        with np.errstate(divide="ignore", invalid="ignore"):
-            return lam_key(sigma + 1.0 / np.asarray(thetas, dtype=complex))
-
-    def wanted_filter(thetas, res):
-        # lam = sigma + 1/theta inherits the first-order error res/|theta|^2
-        # from the Ritz residual; an imaginary part below it is rounding
-        # noise and must not decide the region test
-        out = np.zeros(len(thetas), dtype=bool)
-        for i, th in enumerate(thetas):
-            if th == 0 or not np.isfinite(th):
-                continue
-            lam = sigma + 1.0 / th
-            imag_tol = max(1e-8 * max(1.0, abs(lam)), res[i] / abs(th) ** 2)
-            out[i] = region.contains(lam, pad=0.0, imag_tol=imag_tol)
-        return out
-
-    inner_tol = max(1e-14, 0.01 * settings.tol)
     pole_images = 1.0 / (sing[sing != sigma] - sigma)
-    driver = KrylovSchurDriver(engine, ncv, inner_tol, sort_key, wanted_filter, rng, pole_images)
+    right = ShiftInvertRun(
+        engine,
+        ncv,
+        settings,
+        lambda thetas: sigma + 1.0 / thetas,
+        rng,
+        real=isinstance(settings.region, Interval),
+        pair_eta=lambda lam, x: backward_error(op, lam, x),
+        known_junk=pole_images,
+    )
+    driver = right.driver
     max_restarts = settings.max_it_effective
-
-    # (restarts, m, theta) -> backward error: the first two fix the basis and
-    # H, so harvest reuses what the last cycle's pair tests computed
-    etas = {}
-
-    def pair_eta(theta, y, m):
-        x = engine.ritz_first_block(y, m)
-        nx = np.linalg.norm(x)
-        if nx == 0 or not np.isfinite(nx):
-            return x, np.inf
-        x = x / nx
-        key = (driver.restarts, m, theta)
-        if key not in etas:
-            etas[key] = backward_error(op, eigenvalue(theta), x)
-        return x, etas[key]
-
-    def pair_test(theta, y, m):
-        return pair_eta(theta, y, m)[1] <= settings.tol
-
-    driver.pair_test = pair_test
-
-    def harvest():
-        # ``ok`` already carries the region rule of the converged count
-        pairs = []
-        for theta, y, _res, ok in driver.extract():
-            if not ok:
-                continue
-            x, eta = pair_eta(theta, y, driver.m)
-            if eta <= settings.tol:
-                pairs.append(EigenPair(eigenvalue(theta), x, eta))
-        return distinct_pairs(pairs)
-
     want = settings.nev
-    pairs = []
     while True:
         count = driver.run(want, max_restarts)
-        pairs = harvest()
+        pairs = distinct_pairs([EigenPair(*pair) for pair in right.harvest()])
         if len(pairs) >= settings.nev:
             break
         if driver.restarts >= max_restarts or driver.exhausted or count < want:
@@ -822,27 +752,27 @@ def nleigs_solve(
 
     if two_sided:
         left_engine = FullBasisEngine(ctx.apply_adjoint, w0, ncv, ctx.dtype)
-
-        def left_key(omegas):
-            return sort_key(np.conj(np.asarray(omegas, dtype=complex)))
-
-        def left_filter(omegas, res):
-            return wanted_filter(np.conj(np.asarray(omegas, dtype=complex)), res)
-
-        left_driver = KrylovSchurDriver(left_engine, ncv, inner_tol, left_key, left_filter, rng, pole_images.conj())
+        left = ShiftInvertRun(
+            left_engine,
+            ncv,
+            settings,
+            lambda omegas: sigma + 1.0 / np.conj(omegas),
+            rng,
+            known_junk=pole_images.conj(),
+        )
+        left_driver = left.driver
         left_driver.run(len(pairs), max_restarts)
         lefts = []
         for omega, y, _res, ok in left_driver.extract():
             if not ok:
                 continue
-            lam_left = sigma + 1.0 / np.conj(omega)
             v = left_engine.ritz_full(y, left_driver.m)
             z, _ = ctx.adjoint_stage_z(v)
             yvec = z[0]
             ny = np.linalg.norm(yvec)
             if ny == 0:
                 continue
-            lefts.append((lam_left, yvec / ny))
+            lefts.append((left.point(omega), yvec / ny))
         # a left Ritz value is known only as well as its own residual allows,
         # so a pair takes the nearest unused left vector that passes the
         # left backward-error test at the pair's own eigenvalue

@@ -22,15 +22,15 @@ from nepsolve.core import (
 )
 from nepsolve.deflation import ExtSolveContext, ExtVector, InvariantPair, ProjectionContext, ext_apply
 from nepsolve.interpol import cheb_coeffs, interpol_solve
-from nepsolve.linalg import orthogonalize
+from nepsolve.linalg import KrylovSchurDriver, orthogonalize
 from nepsolve.narnoldi import narnoldi_solve
 from nepsolve.newton import rii_solve, slp_solve
 from nepsolve.nleigs import (
     ShiftInvertContext,
+    ToarBasisEngine,
     divided_differences,
     leja_bagby,
     nleigs_solve,
-    toar_arnoldi,
 )
 from nepsolve.problems import gen_delay, gen_loaded_string
 
@@ -373,7 +373,11 @@ def test_criterion_9_kernel_invariants():
             assert abs(lhs - rhs) <= 1e-11 * max(1.0, abs(lhs), abs(rhs))
 
             steps = min(4, d * n - 1)
-            U, G, H = toar_arnoldi(ctx, rand_complex(rng, d, n), steps)
+            # one Krylov-Schur fill of the TOAR basis, no restart
+            engine = ToarBasisEngine(ctx, rand_complex(rng, d, n), ncv=steps)
+            driver = KrylovSchurDriver(engine, steps, 1e-14, lambda t: -np.abs(t))
+            driver.run(steps + 1, max_restarts=0)
+            U, G, H = engine.U, engine.G, driver.H[: driver.m + 1, : driver.m]
             assert np.linalg.norm(U.conj().T @ U - np.eye(U.shape[1])) <= 1e-10
             Gs = G.reshape(d * U.shape[1], G.shape[2])
             assert np.linalg.norm(Gs.conj().T @ Gs - np.eye(Gs.shape[1])) <= 1e-10

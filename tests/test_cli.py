@@ -115,6 +115,14 @@ def test_table_output(capsys):
     assert "linear solves" in out
 
 
+@pytest.mark.parametrize("flag", [["--outp", "json"], ["--outp=json"], ["--output=json"]])
+def test_json_output_follows_the_parsed_flag(capsys, flag):
+    # argparse accepts an unambiguous prefix of a long option; the output
+    # format is the parsed value, however the flag was spelled
+    assert main(DELAY_ARGS[:-2] + flag) == 0
+    validate_report(json.loads(capsys.readouterr().out))
+
+
 def test_include_timings_flag():
     report, code = run(DELAY_ARGS + ["--include-timings"])
     assert code == 0

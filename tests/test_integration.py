@@ -180,3 +180,36 @@ def test_nleigs_two_sided_matches_left_vectors_by_backward_error():
         )
         assert p.eta_left <= s.tol and eta_left <= s.tol
     assert not any("left eigenvector" in note for note in sol.stats.get("notes", []))
+
+
+STRING_SETTINGS = dict(nev=9, tol=1e-8, target=10.0, region=Interval(4.0, 800.0), problem_type="rational")
+KRYLOV_STEP_CASES = {
+    "interpol-delay300": (
+        lambda: interpol_solve(
+            gen_delay(300, tau=0.001, b=-2.0)[0],
+            Settings(nev=3, ncv=32, tol=1e-6, target=1.0, region=Interval(-100.0, 50.0)),
+            degree=20,
+        ),
+        (4, 95, 3, True),
+    ),
+    "interpol-string200": (
+        lambda: interpol_solve(gen_loaded_string(200)[0], Settings(**STRING_SETTINGS), degree=10),
+        (13, 132, 9, False),
+    ),
+    "nleigs2-string200": (
+        lambda: nleigs_solve(gen_loaded_string(200)[0], Settings(two_sided=True, **STRING_SETTINGS)),
+        (1, 79, 9, True),
+    ),
+}
+
+
+@pytest.mark.parametrize("case", sorted(KRYLOV_STEP_CASES))
+def test_krylov_solvers_keep_their_step_counts(case):
+    # interpol's Krylov path and two-sided NLEIGS share one Ritz-to-eigenpair
+    # rule (linalg.ShiftInvertRun); these counts pin the steps it takes (the
+    # same at 1 and 2 BLAS threads): restarts, solves, pairs and converged
+    solve, expected = KRYLOV_STEP_CASES[case]
+    sol = solve()
+    assert "pencil" not in sol.stats  # interpol took its Krylov path
+    st = sol.stats
+    assert (st["outer_iterations"], st["linear_solves"], len(sol.pairs), sol.converged) == expected

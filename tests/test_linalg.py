@@ -96,9 +96,14 @@ def test_lu_solve_is_bitwise_the_same_at_one_and_two_blas_threads():
 # -- generalized smallest --------------------------------------------------------
 
 
+def _pencil_smallest(A, B, rng, **kw):
+    """gen_eig_smallest on dense A and B, from a random start vector."""
+    return gen_eig_smallest(lu_factor(A).solve, lambda v: B @ v, 1, rand_complex(rng, A.shape[0]), **kw)
+
+
 def test_gen_eig_smallest_diag():
     A = np.diag([1.0, 2.0, 3.0])
-    out = gen_eig_smallest(A, np.eye(3), 1)
+    out = _pencil_smallest(A, np.eye(3), np.random.default_rng(3))
     mu, x = out[0]
     assert mu == pytest.approx(1.0, rel=1e-10)
     assert abs(abs(x[0]) - 1.0) <= 1e-8
@@ -108,7 +113,7 @@ def test_gen_eig_smallest_vs_dense_oracle():
     rng = np.random.default_rng(4)
     A = rand_complex(rng, 15, 15) + 4 * np.eye(15)
     B = rand_complex(rng, 15, 15)
-    mu, x = gen_eig_smallest(A, B, 1, tol=1e-12)[0]
+    mu, x = _pencil_smallest(A, B, rng, tol=1e-12)[0]
     ref = np.linalg.eigvals(np.linalg.solve(A, B))
     ref_mu = 1.0 / ref[np.argmax(np.abs(ref))]
     assert abs(mu - ref_mu) <= 1e-9 * abs(ref_mu)
@@ -117,7 +122,7 @@ def test_gen_eig_smallest_vs_dense_oracle():
 def test_gen_eig_smallest_b_equals_a():
     rng = np.random.default_rng(5)
     A = rand_complex(rng, 8, 8) + 3 * np.eye(8)
-    mu, _ = gen_eig_smallest(A, A, 1)[0]
+    mu, _ = _pencil_smallest(A, A, rng)[0]
     assert mu == pytest.approx(1.0, rel=1e-8)
 
 

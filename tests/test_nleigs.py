@@ -15,7 +15,6 @@ from nepsolve.nleigs import (
     divided_differences,
     leja_bagby,
     nleigs_solve,
-    toar_arnoldi,
 )
 from nepsolve.problems import gen_delay, gen_loaded_string
 from blas_threads import run_at_blas_threads
@@ -23,6 +22,17 @@ from blas_threads import run_at_blas_threads
 
 def rand_complex(rng, *shape):
     return rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+
+
+def toar_fill(ctx, w0, steps):
+    """``(U, G, H)`` of one Krylov-Schur fill of ``steps`` TOAR expansions, no restart.
+
+    At a breakdown the driver appends a random vector with H[j+1, j] = 0.
+    """
+    engine = ToarBasisEngine(ctx, w0, ncv=steps)
+    driver = KrylovSchurDriver(engine, steps, 1e-14, lambda t: -np.abs(t))
+    driver.run(steps + 1, max_restarts=0)
+    return engine.U, engine.G, driver.H[: driver.m + 1, : driver.m]
 
 
 # -- Leja-Bagby ------------------------------------------------------------------
@@ -373,7 +383,7 @@ def test_toar_arnoldi_relation_and_orthonormality():
             continue
         steps = min(4, d * n - 1)
         w0 = rand_complex(rng, d, n)
-        U, G, H = toar_arnoldi(ctx, w0, steps)
+        U, G, H = toar_fill(ctx, w0, steps)
         m = H.shape[1]
         # orthonormality of U and of the stacked coefficients
         assert np.linalg.norm(U.conj().T @ U - np.eye(U.shape[1])) <= 1e-10
@@ -407,7 +417,7 @@ def test_callback_interpolant_apply_and_toar_match_dense():
     for _ in range(3):
         x = rand_complex(rng, d * n)
         assert np.linalg.norm(ctx.apply(x) - S @ x) <= 1e-10 * max(1.0, np.linalg.norm(S @ x))
-    U, G, H = toar_arnoldi(ctx, rand_complex(rng, d, n), 6)
+    U, G, H = toar_fill(ctx, rand_complex(rng, d, n), 6)
     assert H.shape == (7, 6)
     V = np.vstack([U @ G[i] for i in range(d)])
     assert np.linalg.norm(S @ V[:, :6] - V @ H) <= 1e-8 * max(1.0, np.linalg.norm(B))
@@ -638,16 +648,17 @@ def test_nleigs_runs_a_real_interpolant_in_real_arithmetic(problem, run, monkeyp
     # real, and so are the factor, the basis and H, in the left run too
     import dataclasses
 
-    import nepsolve.nleigs as nleigs_mod
+    import nepsolve.linalg as linalg_mod
 
     drivers = []
-    driver_cls = nleigs_mod.KrylovSchurDriver
+    driver_cls = linalg_mod.KrylovSchurDriver
 
     def recorded(engine, *args):
         drivers.append(driver_cls(engine, *args))
         return drivers[-1]
 
-    monkeypatch.setattr(nleigs_mod, "KrylovSchurDriver", recorded)
+    # ShiftInvertRun builds the drivers of both runs
+    monkeypatch.setattr(linalg_mod, "KrylovSchurDriver", recorded)
     make, s = BASIS_CASES[problem]
     s = dataclasses.replace(s, two_sided=run == "two-sided")
     sol = nleigs_solve(make(200), s, full_basis=run == "full")
