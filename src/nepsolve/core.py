@@ -12,6 +12,7 @@ one dedup, one sort and one convergence rule.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cached_property
 from typing import List, Optional
 
 import numpy as np
@@ -53,7 +54,9 @@ class NepOperator:
     scalar functions; assembly, application and derivative evaluation are
     weighted sums over the matrices.  Callback form delegates to
     `t_fn(lam)` / `tprime_fn(lam)`, both returning sparse matrices.
-    Instances are immutable and safe to share.
+    Instances are immutable and safe to share.  Scalars follow lam: at a lam
+    that is not complex, real f_i(lam) give real coefficients, and real A_i
+    then give T(lam) and T'(lam) assembled from ``real_terms``.
     """
 
     def __init__(self, *, terms=None, t_fn=None, tprime_fn=None, n=None):
@@ -108,19 +111,35 @@ class NepOperator:
     def nterms(self) -> int:
         return len(self._terms) if self._terms is not None else 0
 
+    @cached_property
+    def real_terms(self):
+        """The split terms over real copies of the A_i (``SplitSum.real``);
+        None when some A_i has an imaginary part."""
+        real = self.mats.real
+        return None if real is None else [(A, f) for A, (_, f) in zip(real.mats, self.terms)]
+
+    def terms_for(self, x: np.ndarray):
+        """The terms whose A_i multiply x in its scalars: ``real_terms`` for a real x."""
+        return self.terms if x.dtype.kind == "c" or self.real_terms is None else self.real_terms
+
     # -- evaluation ----------------------------------------------------------
 
     def coefficients(self, lam: complex) -> np.ndarray:
-        return np.array([f(lam) for _, f in self.terms], dtype=complex)
+        c = np.array([f(lam) for _, f in self.terms], dtype=complex)
+        return c if isinstance(lam, complex) or c.imag.any() else c.real
 
     def coefficients_deriv(self, lam: complex) -> np.ndarray:
-        return np.array([f.deriv(lam) for _, f in self.terms], dtype=complex)
+        dc = np.array([f.deriv(lam) for _, f in self.terms], dtype=complex)
+        return dc if isinstance(lam, complex) or dc.imag.any() else dc.real
+
+    def _assemble(self, w):
+        return (self._sum if w.dtype.kind == "c" or self._sum.real is None else self._sum.real).assemble(w)
 
     def assemble(self, lam: complex):
         """T(lambda) as a sparse matrix."""
         if not self.is_split:
             return _as_csr(self._t_fn(lam))
-        return self._sum.assemble(self.coefficients(lam))
+        return self._assemble(self.coefficients(lam))
 
     def assemble_deriv(self, lam: complex):
         """T'(lambda) as a sparse matrix."""
@@ -128,7 +147,7 @@ class NepOperator:
             if self._tprime_fn is None:
                 raise NepError("callback operator has no derivative callback")
             return _as_csr(self._tprime_fn(lam))
-        return self._sum.assemble(self.coefficients_deriv(lam))
+        return self._assemble(self.coefficients_deriv(lam))
 
     def apply(self, lam: complex, v: np.ndarray) -> np.ndarray:
         """T(lambda) v without assembling T."""

@@ -29,6 +29,15 @@ lies within SPEC_RTOL * max(|lam|, max |H_jj|) of a diagonal entry of H and
 the identity would cancel, the blocks come from ``eval_phi`` and
 ``eval_phi_deriv`` instead; ``ExtSolveContext`` always builds U(sigma) that
 way, once per shift.
+
+Scalars follow the data, on one code path, as ``linalg``'s kernels do.  A
+pair of real X and H keeps ``AX``, ``F`` and the coefficient stacks real; an
+``ExtVector`` of real x1 takes its products from the operator's
+``real_terms``, and ``project`` forms X^T x1.  An ``ExtSolveContext`` with a
+real pair at a non-complex sigma where T(sigma) and T'(sigma) are real keeps
+U, T^{-1} U, S and M'(sigma) real.  A complex vector on real data is served,
+never cast down.  SLP passes real data while they stay real; RII and
+N-Arnoldi pass complex data and complex empty pairs.
 """
 
 from __future__ import annotations
@@ -38,11 +47,11 @@ from functools import cached_property
 from typing import Optional
 
 import numpy as np
-from scipy.linalg.lapack import ztrtrs
+from scipy.linalg.lapack import dtrtrs, ztrtrs
 
 from .core import NepError, NepOperator
 from .functions import ScalarFunction, augmented_block
-from .linalg import LinearSolverConfig, lu_factor, make_linear_solver
+from .linalg import LinearSolverConfig, basis_times, lu_factor, make_linear_solver
 
 __all__ = [
     "InvariantPair",
@@ -90,34 +99,37 @@ class InvariantPair:
     term), ``F`` (f_i(H)), ``A_coef`` ((H^*)^i, i = 0..p, so
     A(lam) = sum_i lam^i (H^*)^i X^*), ``B_coef`` (B_j = sum_{i=j+1..p}
     (H^*)^i X^*X H^(i-j-1), j < p, so B(lam) = sum_j lam^j B_j) and
-    ``h_norms`` (max(||H^i||_F, 1), for ``minimality_scale``).
+    ``h_norms`` (max(||H^i||_F, 1), for ``minimality_scale``).  ``dtype``
+    holds the scalars of X and H (one type) and of the F_i.
     """
 
     def __init__(self, X: np.ndarray, H: np.ndarray, p: int, op: Optional[NepOperator] = None):
-        self.X = np.asarray(X, dtype=complex)
-        self.H = np.asarray(H, dtype=complex)
+        dtype = np.result_type(X, H, np.float64)
+        self.X = np.asarray(X, dtype=dtype)
+        self.H = np.asarray(H, dtype=dtype)
         self.p = int(p)
         k = self.k
         self.h_diag = np.diag(self.H).copy()
         self.h_diag_max = float(np.max(np.abs(self.h_diag))) if k else 0.0
         XtX = self.X.conj().T @ self.X
-        powers = [np.eye(k, dtype=complex)]
+        powers = [np.eye(k, dtype=dtype)]
         for _ in range(self.p):
             powers.append(powers[-1] @ self.H)
         self.h_norms = [max(np.linalg.norm(P), 1.0) for P in powers]
         self.A_coef = np.array([P.conj().T for P in powers])
-        self.B_coef = np.zeros((self.p, k, k), dtype=complex)
+        self.B_coef = np.zeros((self.p, k, k), dtype=dtype)
         for j in range(self.p):
             for i in range(j + 1, self.p + 1):
                 self.B_coef[j] += self.A_coef[i] @ XtX @ powers[i - j - 1]
         self.AX = self.F = None
         if op is not None and op.is_split and k:
-            self.AX = [A @ self.X for A, _ in op.terms]
+            self.AX = [A @ self.X for A, _ in op.terms_for(self.X)]
             self.F = [f.eval_matrix(self.H) for _, f in op.terms]
+        self.dtype = np.result_type(dtype, *(self.F or ()))
 
     @classmethod
-    def empty(cls, n: int) -> "InvariantPair":
-        return cls(np.zeros((n, 0), dtype=complex), np.zeros((0, 0), dtype=complex), 0)
+    def empty(cls, n: int, dtype=complex) -> "InvariantPair":
+        return cls(np.zeros((n, 0), dtype=dtype), np.zeros((0, 0), dtype=dtype), 0)
 
     @property
     def n(self) -> int:
@@ -148,8 +160,10 @@ class InvariantPair:
         return float(np.linalg.norm(sum(blk @ Fi for blk, Fi in zip(self.AX, self.F))))
 
     def project(self, v: np.ndarray) -> np.ndarray:
-        """X^* v for a vector v, without a conjugated copy of X."""
-        return (v.conj() @ self.X).conj()
+        """X^* v for a vector v, without a conjugated copy of X: X^T v for a real X."""
+        if self.X.dtype.kind == "c":
+            return (v.conj() @ self.X).conj()
+        return basis_times(self.X.T, v)
 
     def minimality_scale(self, lam: complex) -> float:
         """Norm estimate of the minimality blocks [A(lam), B(lam)].
@@ -172,7 +186,7 @@ class InvariantPair:
         """((sum_i lam^i (H^*)^i, B(lam)), (their lam-derivatives)): k-by-k
         matrices, with A(lam) z = first @ (X^* z), from one powers vector."""
         p, k = self.p, self.k
-        powers = complex(lam) ** np.arange(p + 1)
+        powers = lam ** np.arange(p + 1.0)
         dpowers = np.concatenate([[0.0], np.arange(1, p + 1) * powers[:-1]])
         A_coef, B_coef = self.A_coef.reshape(p + 1, k * k), self.B_coef.reshape(p, k * k)
         return tuple(((w @ A_coef).reshape(k, k), (w[:p] @ B_coef).reshape(k, k)) for w in (powers, dpowers))
@@ -203,11 +217,12 @@ class InvariantPair:
             return vals, ders
         # near_spectrum has excluded a zero pivot, for which trtrs returns Z
         M = self.H - lam * np.eye(self.k)
-        W = ztrtrs(M, Z)[0]
+        trtrs = ztrtrs if M.dtype.kind == "c" or Z.dtype.kind == "c" else dtrtrs
+        W = trtrs(M, Z)[0]
         vals = [Fi @ W - ci * W for Fi, ci in zip(self.F, c)]
         if dc is None:
             return vals, None
-        W2 = ztrtrs(M, W)[0]
+        W2 = trtrs(M, W)[0]
         ders = [Fi @ W2 - ci * W2 - di * W for Fi, ci, di in zip(self.F, c, dc)]
         return vals, ders
 
@@ -218,15 +233,15 @@ class InvariantPair:
         pair is rejected if no minimality index up to P_CAP gives the stacked
         Krylov matrix full column rank (duplicate eigenvector).
         """
-        x = np.asarray(x, dtype=complex)
+        x = np.asarray(x)
         nrm = np.linalg.norm(x)
         if nrm == 0:
             raise NepError("cannot extend an invariant pair with a zero vector")
         scale = 1.0 / nrm
-        t = np.asarray(t, dtype=complex) * scale
+        t = np.asarray(t) * scale
         Xn = np.hstack([self.X, (x * scale)[:, None]])
         k = self.k
-        Hn = np.zeros((k + 1, k + 1), dtype=complex)
+        Hn = np.zeros((k + 1, k + 1), dtype=np.result_type(Xn, self.H, t, lam))
         Hn[:k, :k] = self.H
         Hn[:k, k] = t
         Hn[k, k] = lam
@@ -242,7 +257,7 @@ class InvariantPair:
 def _minimal(X: np.ndarray, H: np.ndarray, p: int) -> bool:
     """Whether [X; X H; ...; X H^(p-1)] has full column rank."""
     blocks = []
-    Hp = np.eye(H.shape[0], dtype=complex)
+    Hp = np.eye(H.shape[0], dtype=H.dtype)
     for _ in range(p):
         blocks.append(X @ Hp)
         Hp = Hp @ H
@@ -254,17 +269,18 @@ def _minimal(X: np.ndarray, H: np.ndarray, p: int) -> bool:
 
 class ExtVector:
     """An iterate [x1; x2] of the extended problem with its n-long products:
-    ``Az`` (A_i x1, one sparse product per term; None in the callback form,
-    which allows no locked pair) and ``s`` (X^* x1), made once and read by
-    ``ext_apply``, ``ext_bilinear`` and the hunt's lock measure."""
+    ``Az`` (A_i x1, one sparse product per term, in x1's scalars; None in
+    the callback form, which allows no locked pair) and ``s`` (X^* x1), made
+    once and read by ``ext_apply``, ``ext_bilinear`` and the hunt's lock
+    measure."""
 
     def __init__(self, pair: InvariantPair, op: NepOperator, x1, x2):
         self.pair, self.op = pair, op
-        self.x1 = np.asarray(x1, dtype=complex)
-        self.x2 = np.asarray(x2, dtype=complex)
+        self.x1 = np.asarray(x1)
+        self.x2 = np.asarray(x2)
         if not op.is_split and pair.k:
             raise NepError("deflation requires the split form")
-        self.Az = [A @ self.x1 for A, _ in op.terms] if op.is_split else None
+        self.Az = [A @ self.x1 for A, _ in op.terms_for(self.x1)] if op.is_split else None
         self.s = pair.project(self.x1)
 
 
@@ -281,12 +297,12 @@ def ext_apply(v: ExtVector, lam: complex, deriv: bool = False):
     with np.errstate(over="ignore", invalid="ignore"):
         c = op.coefficients(lam)
         dc = op.coefficients_deriv(lam) if deriv else None
-        y1 = np.zeros(op.n, dtype=complex)
+        y1 = np.zeros(op.n, dtype=np.result_type(c, dc if deriv else c, v.Az[0], v.x2, pair.dtype))
         for wi, Az in zip(dc if deriv else c, v.Az):
             if wi != 0:
                 y1 += wi * Az
         if pair.k == 0:
-            return y1, np.zeros(0, dtype=complex)
+            return y1, np.zeros(0, dtype=y1.dtype)
         phi, dphi = pair.coupling(op, lam, v.x2, c, dc)
         for blk, u in zip(pair.AX, dphi if deriv else phi):
             if u.any():
@@ -334,23 +350,28 @@ class ExtSolveContext:
     S(sigma) = B(sigma) - A(sigma) T(sigma)^{-1} U(sigma); forward and
     adjoint solves both run on them.  ``apply_deriv`` applies M'(sigma) from
     T'(sigma), the n-by-k U'(sigma) and the small derivative blocks, built on
-    its first call and kept.
+    its first call and kept.  ``dtype`` is float when the context maps real
+    vectors to real vectors (see the module docstring).
     """
 
     def __init__(self, pair: InvariantPair, op: NepOperator, sigma: complex, lin_cfg: Optional[LinearSolverConfig] = None):
         self.pair = pair
         self.op = op
-        self.sigma = complex(sigma)
-        self.solver = make_linear_solver(op.assemble(sigma), lin_cfg)
+        self.sigma = sigma if pair.dtype.kind == "f" and not isinstance(sigma, complex) else complex(sigma)
+        T = op.assemble(self.sigma)
+        self.solver = make_linear_solver(T, lin_cfg)
         k = pair.k
         self.k = k
+        phis = [eval_phi(f, pair.H, self.sigma) for _, f in op.terms] if k and op.is_split else []
+        real = T.dtype.kind == "f" and pair.dtype.kind == "f" and not np.iscomplexobj(op.coefficients_deriv(self.sigma))
+        self.dtype = np.result_type(float if real else complex, *phis)
         self.TinvU = self.S_lu = self.A_sigma = None
         if k:
             if not op.is_split:
                 raise NepError("deflation requires the split form")
-            U = np.zeros((pair.n, k), dtype=complex)
-            for blk, (_, f) in zip(pair.AX, op.terms):
-                U += blk @ eval_phi(f, pair.H, self.sigma)
+            U = np.zeros((pair.n, k), dtype=self.dtype)
+            for blk, phi in zip(pair.AX, phis):
+                U += blk @ phi
             TinvU = np.empty_like(U)
             for j in range(k):
                 TinvU[:, j] = self.solver.solve(U[:, j])
@@ -374,7 +395,7 @@ class ExtSolveContext:
         Tp = op.assemble_deriv(sigma)
         if not k:
             return Tp, None, None
-        _, dphi = pair.coupling(op, sigma, np.eye(k, dtype=complex), op.coefficients(sigma), op.coefficients_deriv(sigma))
+        _, dphi = pair.coupling(op, sigma, np.eye(k), op.coefficients(sigma), op.coefficients_deriv(sigma))
         return Tp, sum(blk @ d for blk, d in zip(pair.AX, dphi)), pair.minimality_blocks(sigma)[1]
 
     def apply_deriv(self, v1: np.ndarray, v2: np.ndarray):
@@ -383,19 +404,18 @@ class ExtSolveContext:
         Tp, Up, dAB = self._deriv
         y1 = Tp @ v1
         if self.k == 0:
-            return y1, np.zeros(0, dtype=complex)
+            return y1, np.zeros(0, dtype=y1.dtype)
         y1 += Up @ v2
         return y1, dAB[0] @ self.pair.project(v1) + dAB[1] @ v2
 
     def solve(self, b1: np.ndarray, b2: Optional[np.ndarray] = None):
         """Solve the extended system at sigma by block elimination."""
-        b1 = np.asarray(b1, dtype=complex)
         v = self.solver.solve(b1)
         if self.k == 0:
-            return v, np.zeros(0, dtype=complex)
-        b2 = np.zeros(self.k, dtype=complex) if b2 is None else np.asarray(b2, dtype=complex)
+            return v, np.zeros(0, dtype=v.dtype)
+        b2 = np.zeros(self.k, dtype=v.dtype) if b2 is None else np.asarray(b2)
         x2 = self.S_lu.solve(b2 - self.A_sigma @ self.pair.project(v))
-        x1 = v - self.TinvU @ x2
+        x1 = v - basis_times(self.TinvU, x2)
         return x1, x2
 
     def solve_adjoint(self, c1: np.ndarray, c2: np.ndarray):

@@ -178,12 +178,15 @@ class ScalarFunction:
     # -- matrix evaluation -------------------------------------------------
 
     def eval_matrix(self, H: np.ndarray) -> np.ndarray:
-        """Evaluate ``g(H)`` in the matrix-function sense for small dense H."""
+        """Evaluate ``g(H)`` in the matrix-function sense for small dense H;
+        real for a real H when the complex result has no imaginary part."""
+        real = not np.iscomplexobj(H)
         H = np.asarray(H, dtype=complex)
         if H.ndim != 2 or H.shape[0] != H.shape[1]:
             raise ValueError("matrix argument must be square")
         with np.errstate(over="ignore", invalid="ignore"):
-            return complex(self.beta) * self._base_matrix(complex(self.alpha) * H)
+            G = complex(self.beta) * self._base_matrix(complex(self.alpha) * H)
+        return G.real if real and not np.any(G.imag) else G
 
     def _base_matrix(self, Z: np.ndarray) -> np.ndarray:
         kind = self.kind
@@ -373,7 +376,7 @@ def augmented_block(fm, H: np.ndarray, lam: complex, order: int) -> np.ndarray:
     if k == 0:
         return np.zeros((0, 0), dtype=complex)
     m = (order + 2) * k
-    M = lam * np.eye(m, dtype=complex)
+    M = lam * np.eye(m, dtype=np.result_type(H, lam))
     M[:k, :k] = H
     M[np.arange(m - k), np.arange(k, m)] = 1.0
     return fm(M)[:k, m - k :]

@@ -15,7 +15,8 @@ solves and ``KrylovSchurDriver``) run on one code path, in real arithmetic
 (``d*`` BLAS and LAPACK) on real input and in complex arithmetic (``z*``)
 otherwise.  A complex vector given to a real kernel is served, never cast
 down.  A real Hessenberg matrix gives complex Ritz values and vectors and is
-restarted through its real Schur form.
+restarted through its real Schur form.  ``DenseLU``, ``SplitSum.real`` and
+``gen_eig_smallest`` (a real Ritz pair of a real H) follow the same rule.
 
 ``orthogonalize`` is the one Gram-Schmidt kernel of the Krylov bases.  Each
 call reads the basis four times (two BLAS ``gemv`` per sweep) and copies
@@ -36,6 +37,7 @@ from __future__ import annotations
 
 import warnings
 from dataclasses import dataclass
+from functools import cached_property
 from typing import List, Optional
 
 import numpy as np
@@ -43,7 +45,7 @@ import scipy.linalg
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 from scipy.linalg.blas import dgemv, zgemv
-from scipy.linalg.lapack import dgttrf, dgttrs, zgttrf, zgttrs, zlaswp, ztrtrs
+from scipy.linalg.lapack import dgttrf, dgttrs, dlaswp, dtrtrs, zgttrf, zgttrs, zlaswp, ztrtrs
 
 __all__ = [
     "SingularMatrixError",
@@ -77,6 +79,8 @@ class SingularMatrixError(np.linalg.LinAlgError):
 
 @dataclass
 class DenseLU:
+    """LU factors in the scalars of the factored matrix; a real factor serves
+    a complex right-hand side in complex arithmetic."""
     lu: np.ndarray
     piv: np.ndarray
 
@@ -84,17 +88,18 @@ class DenseLU:
         # row interchanges and two triangular solves, not getrs: OpenBLAS's
         # getrs rounds one right-hand side differently at one BLAS thread
         # than at more
+        trtrs, laswp = (ztrtrs, zlaswp) if self.lu.dtype.kind == "c" or np.iscomplexobj(b) else (dtrtrs, dlaswp)
         if not adjoint:
-            y = ztrtrs(self.lu, zlaswp(b, self.piv), lower=1, unitdiag=1)[0]
-            return ztrtrs(self.lu, y)[0]
-        y = ztrtrs(self.lu, b, trans=2)[0]
-        y = ztrtrs(self.lu, y, trans=2, lower=1, unitdiag=1)[0]
-        return zlaswp(y, self.piv, inc=-1)
+            y = trtrs(self.lu, laswp(b, self.piv), lower=1, unitdiag=1)[0]
+            return trtrs(self.lu, y)[0]
+        y = trtrs(self.lu, b, trans=2)[0]
+        y = trtrs(self.lu, y, trans=2, lower=1, unitdiag=1)[0]
+        return laswp(y, self.piv, inc=-1)
 
 
 def lu_factor(A: np.ndarray) -> DenseLU:
-    """LU with partial pivoting; raises on an exactly singular pivot."""
-    A = np.asarray(A, dtype=complex)
+    """LU with partial pivoting, real for a real A; raises on an exactly singular pivot."""
+    A = np.asarray(A, dtype=np.result_type(A, np.float64))
     if A.ndim != 2 or A.shape[0] != A.shape[1]:
         raise ValueError("lu_factor requires a square matrix")
     with warnings.catch_warnings():
@@ -167,7 +172,7 @@ def _complex(re: np.ndarray, im: np.ndarray) -> np.ndarray:
 
 def basis_times(B: np.ndarray, y: np.ndarray) -> np.ndarray:
     """``B @ y`` for a complex y without a complex copy of a real basis B."""
-    if np.iscomplexobj(B) or not np.iscomplexobj(y):
+    if B.dtype.kind == "c" or y.dtype.kind != "c":
         return B @ y
     return _complex(B @ y.real, B @ y.imag)
 
@@ -273,10 +278,13 @@ class _DirectSolver:
 
 
 class _IterativeSolver:
+    """GMRES or BiCGStab in complex arithmetic on a sparse matrix.  A real
+    matrix and right-hand side get the real part of the complex solution."""
+
     def __init__(self, A, cfg: LinearSolverConfig):
         self.cfg = cfg
-        self.A = sp.csr_matrix(A.astype(complex)) if sp.issparse(A) else np.asarray(A, complex)
-        self.n = A.shape[0]
+        self.real = A.dtype.kind != "c"
+        self.A = sp.csr_matrix(A.astype(complex))
         self.solve_count = 0
         self._AH = None
 
@@ -294,11 +302,10 @@ class _IterativeSolver:
         return res.x
 
     def solve(self, b, adjoint: bool = False):
-        if not adjoint:
-            return self._run(self.A, b)
-        if self._AH is None:
-            self._AH = self.A.conj().T.tocsr() if sp.issparse(self.A) else self.A.conj().T
-        return self._run(self._AH, b)
+        if adjoint and self._AH is None:
+            self._AH = self.A.conj().T.tocsr()
+        x = self._run(self._AH if adjoint else self.A, b)
+        return x.real if self.real and not np.iscomplexobj(b) else x
 
 
 def make_linear_solver(A, cfg: Optional[LinearSolverConfig] = None):
@@ -325,7 +332,7 @@ def iterative_solve(cfg: LinearSolverConfig, A, b) -> IterativeResult:
 
     M = None
     if cfg.preconditioner == "jacobi":
-        d = (A.diagonal() if sp.issparse(A) else np.diag(A)).astype(complex)
+        d = A.diagonal().astype(complex)
         d = np.where(d == 0, 1.0, d)
         M = spla.LinearOperator(A.shape, matvec=lambda v: v / d, dtype=complex)
     try:
@@ -408,6 +415,14 @@ class SplitSum:
 
     def _dtype(self, w, v):
         return np.result_type(np.asarray(w), v, *(M.dtype for M in self.mats), np.float64)
+
+    @cached_property
+    def real(self) -> Optional["SplitSum"]:
+        """The sum over real copies of the matrices, which share their index
+        arrays; None when a stored entry has an imaginary part."""
+        if any(np.any(M.data.imag) for M in self.mats):
+            return None
+        return SplitSum(type(M)((np.ascontiguousarray(M.data.real), M.indices, M.indptr), shape=M.shape) for M in self.mats)
 
     def scale(self, w) -> float:
         """sum_i |w_i| ||M_i||_inf, the residual scaling of the sum."""
@@ -764,7 +779,9 @@ def gen_eig_smallest(
     the smallest |mu| of the pencil become the dominant eigenvalues 1/mu of
     the iteration operator.  Only the ``how_many`` dominant Ritz values count
     as wanted: a smaller one that converges first must not end the iteration
-    while a dominant one is still unconverged.
+    while a dominant one is still unconverged.  The basis takes v0's scalars:
+    a real v0 needs callables that keep real vectors real, and gives a real
+    Ritz value as a real mu with a real vector.
     """
     n = v0.shape[0]
     if ncv is None:
@@ -776,13 +793,15 @@ def gen_eig_smallest(
         wanted[np.argsort(-np.abs(theta), kind="stable")[:how_many]] = True
         return wanted
 
-    engine = FullBasisEngine(lambda v: solve_A(apply_B(v)), v0[None, :], ncv)
+    engine = FullBasisEngine(lambda v: solve_A(apply_B(v)), v0[None, :], ncv, np.result_type(v0, np.float64))
     driver = KrylovSchurDriver(engine, ncv, tol, lambda t: -np.abs(t), dominant)
     driver.run(how_many, max_restarts)
     out = []
     for theta, y, _res, _ok in driver.extract()[:how_many]:
         if theta == 0:
             raise SingularMatrixError("Arnoldi produced a zero Ritz value")
+        if not (theta.imag or np.iscomplexobj(engine.V)):
+            theta, y = theta.real, y.real
         x = engine.ritz_full(y, driver.m)
         nrm = np.linalg.norm(x)
         out.append((1.0 / theta, x / nrm if nrm else x))

@@ -62,7 +62,7 @@ def _recovered_residual(v: ExtVector, lam: complex, r1: np.ndarray):
     -(F_i - f_i(lam) I) w, T(lam) x = r1 + sum_i (A_i X)(F_i w), with no sparse
     product.  Raises LinAlgError for a singular lam I - H."""
     pair = v.pair
-    w = np.linalg.solve(lam * np.eye(pair.k, dtype=complex) - pair.H, v.x2)
+    w = np.linalg.solve(lam * np.eye(pair.k, dtype=pair.H.dtype) - pair.H, v.x2)
     return v.x1 + pair.X @ w, r1 + sum(blk @ (Fi @ w) for blk, Fi in zip(pair.AX, pair.F))
 
 
@@ -101,7 +101,7 @@ def _extension_tail(pair: InvariantPair, lam: complex, x: np.ndarray) -> np.ndar
     """Solve the small minimality block for t when only x is available."""
     k = pair.k
     if k == 0:
-        return np.zeros(0, dtype=complex)
+        return np.zeros(0, dtype=pair.dtype)
     (Ap, B), _ = pair.minimality_blocks(lam)
     Ax = Ap @ pair.project(x)
     try:
@@ -116,9 +116,9 @@ def _finish(op, pair, settings, stats) -> EigenSolution:
     return finish(settings, pairs, stats)
 
 
-def _random_unit(rng, m: int) -> np.ndarray:
-    """Seeded random complex unit vector of length m: a restart of the search."""
-    v = random_vector(rng, m, complex)
+def _random_unit(rng, m: int, dtype=complex) -> np.ndarray:
+    """Seeded random unit vector of length m and ``dtype``: a restart of the search."""
+    v = random_vector(rng, m, dtype)
     return v / np.linalg.norm(v)
 
 
@@ -202,21 +202,27 @@ def slp_solve(
     the correction lam <- lam - mu, warm-starting the inner Arnoldi iteration
     with the current eigenvector.  Per step, T(lam) is factorized and T'(lam)
     with its deflation blocks is built once (``ExtSolveContext.apply_deriv``).
+    It runs in real arithmetic while every A_i, the target and f_i(lam) at
+    each iterate are real; a non-real iterate, Ritz value or locked
+    eigenvalue makes the rest complex (``stats["scalars"]``).
     """
     n = op.n
     tol = settings.tol
     inner_tol = min(1e-9, tol / 10)
-    pair = InvariantPair.empty(n)
+    target = complex(settings.target)
+    # the scalars of the iterates: once complex, they stay so
+    dtype = np.dtype(float if op.is_split and op.mats.real is not None and not target.imag else complex)
     stats = {"outer_iterations": 0, "linear_solves": 0}
     budget = settings.max_it_effective
-    empty = InvariantPair.empty(n)
+    pair = empty = InvariantPair.empty(n, dtype)
     rng = np.random.default_rng(settings.seed)
     hunt = _Hunt(tol)
 
     while pair.k < settings.nev and stats["outer_iterations"] < budget:
-        lam = complex(settings.target)
+        dtype = np.result_type(dtype, pair.dtype)
+        lam = target.real if dtype.kind == "f" else target
         m = n + pair.k
-        xt = np.ones(m, dtype=complex) / math.sqrt(m)
+        xt = np.ones(m, dtype=dtype) / math.sqrt(m)
         deflated = True
         while stats["outer_iterations"] < budget:
             stats["outer_iterations"] += 1
@@ -227,8 +233,8 @@ def slp_solve(
                 if extended is not None:
                     pair = extended
                     break
-                lam = complex(settings.target)
-                xt = _random_unit(rng, n + pair.k)
+                lam = target.real if dtype.kind == "f" else target
+                xt = _random_unit(rng, n + pair.k, dtype)
                 continue
             if deflated and deflation_threshold > 0 and 0 < eta < deflation_threshold:
                 deflated = False
@@ -246,24 +252,24 @@ def slp_solve(
                 return ctx.apply_deriv(v[:n], v[n:])
 
             def solve_ext(b):
-                out = np.empty(mm, dtype=complex)
-                out[:n], out[n:] = ctx.solve(*b)
-                return out
+                return np.concatenate(ctx.solve(*b))
 
             step_tol = max(1e-13, min(inner_tol, 1e-2 * eta))
             try:
                 (mu, xt_new), *_ = gen_eig_smallest(
-                    solve_ext, apply_deriv, 1, v0=xt[:mm], tol=step_tol
+                    solve_ext, apply_deriv, 1, v0=xt[:mm].astype(np.result_type(dtype, ctx.dtype), copy=False), tol=step_tol
                 )
             except np.linalg.LinAlgError as exc:
                 raise NepError("inner eigensolver failed in SLP") from exc
             stats["linear_solves"] += ctx.solve_count
             lam = lam - mu
             xt = xt_new
+            dtype = xt.dtype
             if _runaway(lam, xt, settings.target):
-                lam = complex(settings.target)
-                xt = _random_unit(rng, n + cur.k)
+                lam = target.real if dtype.kind == "f" else target
+                xt = _random_unit(rng, n + cur.k, dtype)
                 hunt.prev_eta = None
+    stats["scalars"] = "real" if np.result_type(dtype, pair.dtype).kind == "f" else "complex"
     return _finish(op, pair, settings, stats)
 
 

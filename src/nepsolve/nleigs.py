@@ -351,19 +351,6 @@ def divided_differences(
 # -- shift-and-invert recurrences ------------------------------------------------
 
 
-def _real_interpolant(ri: RationalInterpolant, sigma: complex) -> bool:
-    """Whether sigma, the nodes, poles and betas, the divided-difference
-    coefficients and the matrices of ``ri`` all have exactly zero imaginary part."""
-    seq = ri.seq
-    scalars = (np.asarray([sigma]), seq.nodes, seq.poles, seq.betas, ri.coeffs)
-    return all(not np.any(np.imag(a)) for a in scalars + tuple(M.data for M in ri.mats.mats))
-
-
-def _real_copy(M):
-    """A real CSR copy of M's data that shares M's index arrays."""
-    return type(M)((np.ascontiguousarray(M.data.real), M.indices, M.indptr), shape=M.shape)
-
-
 class ShiftInvertContext:
     """Implicit application of S = (A - sigma B)^{-1} B and its adjoint.
 
@@ -380,10 +367,13 @@ class ShiftInvertContext:
         self.ri = ri
         self.d = ri.d
         self.sigma = complex(sigma)
-        self.real = _real_interpolant(ri, self.sigma)
+        seq = ri.seq
+        # real when sigma, the nodes, poles and betas, the divided differences
+        # and the matrices all have exactly zero imaginary part
+        scalars = (np.asarray([self.sigma]), seq.nodes, seq.poles, seq.betas, ri.coeffs)
+        self.real = all(not np.any(np.imag(a)) for a in scalars) and ri.mats.real is not None
         self.dtype = np.dtype(float if self.real else complex)
         part = np.real if self.real else np.asarray
-        seq = ri.seq
         d = ri.d
         self.b_sigma = part(seq.b_values(self.sigma, d))
         self.denoms = part(
@@ -395,7 +385,7 @@ class ShiftInvertContext:
         self.pole_factors = part(1.0 - self.sigma * self.inv_xi)  # index j for (1 - sigma/xi_j)
         self.beta = seq.betas
         self._coeffs = part(ri.coeffs)
-        self._mats = SplitSum([_real_copy(M) for M in ri.mats.mats]) if self.real else ri.mats
+        self._mats = ri.mats.real if self.real else ri.mats
         Rsig = self._mats.assemble(self._coeffs @ part(ri.b_values_linearized(self.sigma)))
         self.solver = make_linear_solver(Rsig, lin_cfg)
         self.n = ri.op.n

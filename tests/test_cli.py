@@ -105,6 +105,7 @@ def test_json_report_contents_and_eta_recompute():
     assert cfg["solver"] == "slp"
     assert cfg["nev"] == 3
     assert cfg["target"] == [1.0, 0.0]
+    assert report["counters"]["scalars"] == "real"
 
 
 def test_table_output(capsys):

@@ -570,3 +570,45 @@ def test_minimality_blocks_match_explicit_construction(p):
         (Ab, Bb), _ = pair.minimality_blocks(lam - h)
         assert np.max(np.abs(dA - (Aa - Ab) / (2 * h))) <= 1e-6 * max(1.0, np.max(np.abs(dA)))
         assert np.max(np.abs(dB - (Ba - Bb) / (2 * h))) <= 1e-6 * max(1.0, np.max(np.abs(dB)))
+
+
+def real_delay_pair(n, k):
+    """``delay_invariant_pair`` with real X and H: the operator, the real pair and its complex twin."""
+    op, pair, _ = delay_invariant_pair(n, k)
+    assert not np.any(pair.X.imag) and not np.any(pair.H.imag)
+    return op, InvariantPair(pair.X.real, pair.H.real, pair.p, op=op), pair
+
+
+@pytest.mark.parametrize("k", [1, 3])
+def test_real_and_complex_contexts_agree_on_a_real_pair(k):
+    op, real_pair, complex_pair = real_delay_pair(40, k)
+    assert real_pair.dtype == float and all(blk.dtype == float for blk in real_pair.AX + real_pair.F)
+    real = ExtSolveContext(real_pair, op, -20.0)
+    cplx = ExtSolveContext(complex_pair, op, -20.0 + 0j)
+    assert real.dtype == float and cplx.dtype == complex
+    rng = np.random.default_rng(70 + k)
+    v1, v2 = rng.standard_normal(40), rng.standard_normal(k)
+    for name in ("solve", "apply_deriv"):
+        got, want = getattr(real, name)(v1, v2), getattr(cplx, name)(v1, v2)
+        for g, w in zip(got, want):
+            assert g.dtype == float
+            assert np.linalg.norm(g - w) <= 1e-13 * np.linalg.norm(np.concatenate(want)), name
+
+
+def test_a_real_context_serves_a_complex_right_hand_side():
+    op, pair, _ = real_delay_pair(40, 3)
+    ctx = ExtSolveContext(pair, op, -20.0)
+    rng = np.random.default_rng(73)
+    b1, b2 = rand_complex(rng, 40), rand_complex(rng, 3)
+    x1, x2 = ctx.solve(b1, b2)
+    assert x1.dtype == complex and x2.dtype == complex
+    r1, r2 = ext_apply(ExtVector(pair, op, x1, x2), -20.0)
+    assert np.linalg.norm(np.concatenate([r1 - b1, r2 - b2])) <= 1e-12 * np.linalg.norm(np.concatenate([b1, b2]))
+    # the real and imaginary parts solve apart, in real arithmetic
+    re, im = ctx.solve(b1.real, b2.real), ctx.solve(b1.imag, b2.imag)
+    for got, a, b in zip((x1, x2), re, im):
+        assert np.linalg.norm(got - (a + 1j * b)) <= 1e-13 * np.linalg.norm(got)
+    d1, d2 = ctx.apply_deriv(x1, x2)
+    w1, w2 = ext_apply(ExtVector(pair, op, x1, x2), -20.0, deriv=True)
+    assert d1.dtype == complex
+    assert np.linalg.norm(np.concatenate([d1 - w1, d2 - w2])) <= 1e-12 * np.linalg.norm(np.concatenate([w1, w2]))

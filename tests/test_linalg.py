@@ -501,6 +501,51 @@ def test_split_sum_matches_dense_sums(seed):
         assert np.linalg.norm(u - D.conj().T @ v) <= 1e-13 * np.linalg.norm(D) * np.linalg.norm(v)
 
 
+def test_split_sum_real_copies_share_the_index_arrays():
+    A = sp.csr_matrix(np.array([[2.0, -1.0, 0.0], [-1.0, 2.0, -1.0], [0.0, -1.0, 2.0]]), dtype=complex)
+    kernel = SplitSum([A, sp.identity(3, format="csr", dtype=complex)])
+    real = kernel.real
+    assert real is kernel.real  # cached
+    assert all(M.dtype == float for M in real.mats)
+    assert np.shares_memory(real.mats[0].indices, A.indices) and np.shares_memory(real.mats[0].indptr, A.indptr)
+    w = np.array([1.5, -0.5])
+    assert np.array_equal(real.assemble(w).toarray(), kernel.assemble(w).toarray().real)
+    assert SplitSum([A, 1j * A]).real is None
+
+
+def test_real_lu_serves_a_complex_right_hand_side():
+    rng = np.random.default_rng(4)
+    A = rng.standard_normal((6, 6))
+    b = rand_complex(rng, 6)
+    f = lu_factor(A)
+    assert f.lu.dtype == float and f.solve(b.real).dtype == float
+    for adjoint in (False, True):
+        x = f.solve(b, adjoint=adjoint)
+        assert x.dtype == complex
+        assert np.linalg.norm((A.T if adjoint else A) @ x - b) <= 1e-12 * np.linalg.norm(b)
+
+
+def test_iterative_solve_of_a_real_system_is_real():
+    # complex GMRES on a real matrix: a real right-hand side gets the real
+    # solution, a complex one is served in complex arithmetic
+    rng = np.random.default_rng(5)
+    A = sp.csr_matrix(sp.diags([-1.0, 4.0, -1.0], [-1, 0, 1], shape=(20, 20)))
+    solver = make_linear_solver(A, LinearSolverConfig(mode="gmres", tol=1e-12))
+    b = rand_complex(rng, 20)
+    x = solver.solve(b.real)
+    assert x.dtype == float and np.linalg.norm(A @ x - b.real) <= 1e-10 * np.linalg.norm(b.real)
+    z = solver.solve(b, adjoint=True)
+    assert z.dtype == complex and np.linalg.norm(A.T @ z - b) <= 1e-10 * np.linalg.norm(b)
+
+
+def test_gen_eig_smallest_returns_a_real_pair_from_a_real_start():
+    A = np.diag([1.0, 2.0, 3.0, 4.0]) + np.diag([0.5, 0.5, 0.5], 1)
+    mu, x = gen_eig_smallest(lu_factor(A).solve, lambda v: v, 1, v0=np.ones(4))[0]
+    assert isinstance(mu, float) and x.dtype == float
+    assert mu == pytest.approx(1.0, rel=1e-10)
+    assert np.linalg.norm(A @ x - mu * x) <= 1e-9
+
+
 # -- krylov-schur --------------------------------------------------------------------
 
 

@@ -181,10 +181,14 @@ def test_scalar_newton_makes_one_product_per_term_and_one_adjoint_solve(max_inne
 
 def count_products(op, log):
     """Record in ``log`` the shape of each product of op's coefficient
-    matrices, through ``op.terms`` and through ``op.mats`` (``SplitSum.apply``)."""
+    matrices, through ``op.terms`` and ``op.mats`` (``SplitSum.apply``) and
+    through their real copies, ``op.real_terms`` and ``op.mats.real``."""
     op._terms = [(_CountedMatrix(A, log), f) for A, f in op.terms]
-    apply = op.mats.apply
-    op.mats.apply = lambda w, v: log.extend([v.shape] * len(w)) or apply(w, v)
+    if op.real_terms is not None:
+        op.real_terms = [(_CountedMatrix(A, log), f) for A, f in op.real_terms]
+    for mats in (op.mats, op.mats.real):
+        if mats is not None:
+            mats.apply = lambda w, v, apply=mats.apply: log.extend([v.shape] * len(w)) or apply(w, v)
 
 
 PRODUCT_CASES = {
@@ -398,6 +402,27 @@ def test_slp_delay_steps_at_blas_threads(threads):
         "print(sol.converged, sol.stats['outer_iterations'], sol.stats['linear_solves'])\n"
     )
     assert run_at_blas_threads(threads, script).split() == ["True", "15", "156"]
+
+
+def test_slp_runs_in_the_scalars_of_its_data():
+    # real A_i and f_i at a real target: real arithmetic, eigenvalues with no
+    # imaginary part; a complex target takes complex arithmetic
+    op, _ = gen_delay(100, tau=0.001, b=-2.0)
+    real = slp_solve(op, Settings(nev=2, tol=1e-8, target=1.0))
+    cplx = slp_solve(op, Settings(nev=2, tol=1e-8, target=1.0 + 1.0j))
+    assert real.converged and cplx.converged
+    assert real.stats["scalars"] == "real" and cplx.stats["scalars"] == "complex"
+    assert not np.any(real.eigenvalues.imag)
+    assert np.allclose(real.eigenvalues, cplx.eigenvalues, rtol=1e-8)
+
+
+def test_slp_stays_real_with_complex_iterative_solves_inside():
+    op, _ = gen_delay(16, tau=0.01, b=-1.0)
+    cfg = LinearSolverConfig(mode="gmres", tol=1e-9, maxit=2000)
+    sol = slp_solve(op, Settings(nev=1, tol=1e-7, target=1.0), lin_cfg=cfg)
+    assert sol.converged and sol.stats["scalars"] == "real"
+    direct = slp_solve(op, Settings(nev=1, tol=1e-7, target=1.0))
+    assert sol.eigenvalues[0] == pytest.approx(direct.eigenvalues[0], rel=1e-7)
 
 
 def _gmres_case():
