@@ -12,13 +12,12 @@ one dedup, one sort and one convergence rule.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from functools import cached_property
 from typing import List, Optional
 
 import numpy as np
 import scipy.sparse as sp
 
-from .linalg import SplitSum, inf_norm
+from .linalg import SplitSum, inf_norm, sparse_times
 
 __all__ = [
     "NepError",
@@ -42,9 +41,13 @@ class NepError(RuntimeError):
 
 
 def _as_csr(A):
-    if not sp.issparse(A):
-        A = sp.csr_matrix(np.asarray(A, dtype=complex))
-    return sp.csr_matrix(A.astype(complex))
+    """A canonical CSR copy of A (sorted indices, duplicates summed), stored
+    real unless some stored entry has an imaginary part."""
+    A = sp.csr_matrix(A, copy=True) if sp.issparse(A) else sp.csr_matrix(np.asarray(A))
+    A.sum_duplicates()
+    if A.dtype.kind == "c" and not A.data.imag.any():
+        return sp.csr_matrix((A.data.real.copy(), A.indices, A.indptr), shape=A.shape)
+    return A.astype(np.result_type(A.dtype, np.float64), copy=False)
 
 
 class NepOperator:
@@ -52,11 +55,12 @@ class NepOperator:
 
     Split form keeps the coefficient matrices, as one ``SplitSum``, and the
     scalar functions; assembly, application and derivative evaluation are
-    weighted sums over the matrices.  Callback form delegates to
-    `t_fn(lam)` / `tprime_fn(lam)`, both returning sparse matrices.
-    Instances are immutable and safe to share.  Scalars follow lam: at a lam
-    that is not complex, real f_i(lam) give real coefficients, and real A_i
-    then give T(lam) and T'(lam) assembled from ``real_terms``.
+    weighted sums over the matrices, each A_i held once (``_as_csr``).
+    Callback form delegates to `t_fn(lam)` / `tprime_fn(lam)`, both
+    returning sparse matrices, taken through ``_as_csr`` too.  Instances are
+    immutable and safe to share.  Scalars follow the data: at a lam that is
+    not complex, real f_i(lam) give real coefficients, and real A_i then
+    give a real T(lam) and T'(lam).
     """
 
     def __init__(self, *, terms=None, t_fn=None, tprime_fn=None, n=None):
@@ -111,17 +115,6 @@ class NepOperator:
     def nterms(self) -> int:
         return len(self._terms) if self._terms is not None else 0
 
-    @cached_property
-    def real_terms(self):
-        """The split terms over real copies of the A_i (``SplitSum.real``);
-        None when some A_i has an imaginary part."""
-        real = self.mats.real
-        return None if real is None else [(A, f) for A, (_, f) in zip(real.mats, self.terms)]
-
-    def terms_for(self, x: np.ndarray):
-        """The terms whose A_i multiply x in its scalars: ``real_terms`` for a real x."""
-        return self.terms if x.dtype.kind == "c" or self.real_terms is None else self.real_terms
-
     # -- evaluation ----------------------------------------------------------
 
     def coefficients(self, lam: complex) -> np.ndarray:
@@ -132,14 +125,11 @@ class NepOperator:
         dc = np.array([f.deriv(lam) for _, f in self.terms], dtype=complex)
         return dc if isinstance(lam, complex) or dc.imag.any() else dc.real
 
-    def _assemble(self, w):
-        return (self._sum if w.dtype.kind == "c" or self._sum.real is None else self._sum.real).assemble(w)
-
     def assemble(self, lam: complex):
         """T(lambda) as a sparse matrix."""
         if not self.is_split:
             return _as_csr(self._t_fn(lam))
-        return self._assemble(self.coefficients(lam))
+        return self._sum.assemble(self.coefficients(lam))
 
     def assemble_deriv(self, lam: complex):
         """T'(lambda) as a sparse matrix."""
@@ -147,23 +137,23 @@ class NepOperator:
             if self._tprime_fn is None:
                 raise NepError("callback operator has no derivative callback")
             return _as_csr(self._tprime_fn(lam))
-        return self._assemble(self.coefficients_deriv(lam))
+        return self._sum.assemble(self.coefficients_deriv(lam))
 
     def apply(self, lam: complex, v: np.ndarray) -> np.ndarray:
         """T(lambda) v without assembling T."""
         if not self.is_split:
-            return self.assemble(lam) @ v
+            return sparse_times(self.assemble(lam), v)
         return self._sum.apply(self.coefficients(lam), v)
 
     def apply_deriv(self, lam: complex, v: np.ndarray) -> np.ndarray:
         if not self.is_split:
-            return self.assemble_deriv(lam) @ v
+            return sparse_times(self.assemble_deriv(lam), v)
         return self._sum.apply(self.coefficients_deriv(lam), v)
 
     def apply_adjoint(self, lam: complex, v: np.ndarray) -> np.ndarray:
         """T(lambda)^* v."""
         if not self.is_split:
-            return self.assemble(lam).conj().T @ v
+            return sparse_times(self.assemble(lam).conj().T, v)
         return self._sum.apply_adjoint(self.coefficients(lam), v)
 
     def norm_scale(self, lam: complex) -> float:

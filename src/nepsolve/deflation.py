@@ -30,14 +30,15 @@ the identity would cancel, the blocks come from ``eval_phi`` and
 ``eval_phi_deriv`` instead; ``ExtSolveContext`` always builds U(sigma) that
 way, once per shift.
 
-Scalars follow the data, on one code path, as ``linalg``'s kernels do.  A
-pair of real X and H keeps ``AX``, ``F`` and the coefficient stacks real; an
-``ExtVector`` of real x1 takes its products from the operator's
-``real_terms``, and ``project`` forms X^T x1.  An ``ExtSolveContext`` with a
-real pair at a non-complex sigma where T(sigma) and T'(sigma) are real keeps
-U, T^{-1} U, S and M'(sigma) real.  A complex vector on real data is served,
-never cast down.  SLP passes real data while they stay real; RII and
-N-Arnoldi pass complex data and complex empty pairs.
+Scalars follow the data, on one code path, as ``linalg``'s kernels do.  The
+operator holds each A_i once, in its own scalars, and ``AX``, A_i x1 and
+the projections are made by ``linalg.sparse_times``, with no complex copy
+of a real A_i.  A pair of real X and H keeps ``AX``, ``F`` and the
+coefficient stacks real, and ``project`` forms X^T x1.  An
+``ExtSolveContext`` with a real pair at a non-complex sigma where T(sigma)
+and T'(sigma) are real keeps U, T^{-1} U, S and M'(sigma) real.  A complex
+vector on real data is served, never cast down.  SLP passes real data while
+they stay real; RII and N-Arnoldi pass complex data and complex empty pairs.
 """
 
 from __future__ import annotations
@@ -51,7 +52,7 @@ from scipy.linalg.lapack import dtrtrs, ztrtrs
 
 from .core import NepError, NepOperator
 from .functions import ScalarFunction, augmented_block
-from .linalg import LinearSolverConfig, basis_times, lu_factor, make_linear_solver
+from .linalg import LinearSolverConfig, basis_times, lu_factor, make_linear_solver, sparse_times
 
 __all__ = [
     "InvariantPair",
@@ -123,7 +124,7 @@ class InvariantPair:
                 self.B_coef[j] += self.A_coef[i] @ XtX @ powers[i - j - 1]
         self.AX = self.F = None
         if op is not None and op.is_split and k:
-            self.AX = [A @ self.X for A, _ in op.terms_for(self.X)]
+            self.AX = [sparse_times(A, self.X) for A, _ in op.terms]
             self.F = [f.eval_matrix(self.H) for _, f in op.terms]
         self.dtype = np.result_type(dtype, *(self.F or ()))
 
@@ -280,7 +281,7 @@ class ExtVector:
         self.x2 = np.asarray(x2)
         if not op.is_split and pair.k:
             raise NepError("deflation requires the split form")
-        self.Az = [A @ self.x1 for A, _ in op.terms_for(self.x1)] if op.is_split else None
+        self.Az = [sparse_times(A, self.x1) for A, _ in op.terms] if op.is_split else None
         self.s = pair.project(self.x1)
 
 
@@ -402,7 +403,7 @@ class ExtSolveContext:
         """M'(sigma) [v1; v2] from the T'(sigma) and U'(sigma) built once; what
         ``ext_apply`` gives at sigma with ``deriv``, with no ``ExtVector``."""
         Tp, Up, dAB = self._deriv
-        y1 = Tp @ v1
+        y1 = sparse_times(Tp, v1)
         if self.k == 0:
             return y1, np.zeros(0, dtype=y1.dtype)
         y1 += Up @ v2
@@ -475,7 +476,7 @@ class ProjectionContext:
         # grow by one row and column: new column V1_old^* A v1, new row
         # (A^* v1)^* V1_old, so two sparse matvecs per term
         for (A, _), AHv, B in zip(self.op.terms, self.op.mats.adjoint_products(v1), self.B):
-            Av = A @ v1
+            Av = sparse_times(A, v1)
             Bn = np.empty((m + 1, m + 1), dtype=complex)
             Bn[:m, :m] = B
             Bn[:m, m] = (Av.conj() @ V1).conj()
@@ -514,6 +515,6 @@ class ProjectionContext:
         """Max deviation of the incremental B_i from V1^* A_i V1 recomputed."""
         worst = 0.0
         for (A, _), B in zip(self.op.terms, self.B):
-            ref = self.V1.conj().T @ (A @ self.V1)
+            ref = self.V1.conj().T @ sparse_times(A, self.V1)
             worst = max(worst, float(np.max(np.abs(ref - B))) if B.size else 0.0)
         return worst

@@ -38,6 +38,7 @@ from .linalg import (
     SplitSum,
     lu_factor,
     make_linear_solver,
+    sparse_times,
 )
 
 __all__ = ["cheb_nodes", "cheb_coeffs", "ChebPoly", "ColleaguePencil", "interpol_solve"]
@@ -193,18 +194,18 @@ class ColleaguePencil:
         C = self.poly.coeffs
         x = x.reshape(d, n)
         if d == 1:
-            return self._solver.solve(-(C[1] @ x[0]))
+            return self._solver.solve(-sparse_times(C[1], x[0]))
         # right-hand side blocks c = B x
-        c = [x[k] for k in range(d - 1)] + [C[-1] @ x[d - 1]]
+        c = [x[k] for k in range(d - 1)] + [sparse_times(C[-1], x[d - 1])]
         # z_k = tau_k(ts) z_0 + s_k
         s = [np.zeros(n, dtype=complex), c[0]]
         for k in range(1, d - 1):
             s.append(2 * ts * s[k] - s[k - 1] + 2 * c[k])
         tau = self.poly.tau_values(ts)
-        rhs = -2.0 * c[d - 1] + C[-1] @ s[d - 2] - 2.0 * ts * (C[-1] @ s[d - 1])
-        rhs -= 0.5 * (C[0] @ s[0])
+        rhs = -2.0 * c[d - 1] + sparse_times(C[-1], s[d - 2]) - 2.0 * ts * sparse_times(C[-1], s[d - 1])
+        rhs -= 0.5 * sparse_times(C[0], s[0])
         for k in range(1, d):
-            rhs -= C[k] @ s[k]
+            rhs -= sparse_times(C[k], s[k])
         z0 = self._solver.solve(rhs)
         z = np.empty((d, n), dtype=complex)
         for k in range(d):

@@ -10,13 +10,15 @@ Ritz-to-eigenpair rule (``ShiftInvertRun``), and SLP's inner linear
 eigenproblem through ``gen_eig_smallest``.
 
 Scalars follow the data: the Krylov kernels (``orthogonalize``,
-``compress_columns``, the basis engines, ``SplitSum``'s applies, direct
-solves and ``KrylovSchurDriver``) run on one code path, in real arithmetic
-(``d*`` BLAS and LAPACK) on real input and in complex arithmetic (``z*``)
-otherwise.  A complex vector given to a real kernel is served, never cast
-down.  A real Hessenberg matrix gives complex Ritz values and vectors and is
-restarted through its real Schur form.  ``DenseLU``, ``SplitSum.real`` and
-``gen_eig_smallest`` (a real Ritz pair of a real H) follow the same rule.
+``compress_columns``, the basis engines, ``SplitSum``'s applies, direct and
+iterative solves and ``KrylovSchurDriver``) run on one code path, in real
+arithmetic (``d*`` BLAS and LAPACK) on real input and in complex arithmetic
+(``z*``) otherwise.  A complex vector given to a real kernel is served,
+never cast down, and with no complex copy of a real basis or sparse matrix
+(``basis_times``, ``sparse_times``).  A real Hessenberg matrix gives complex
+Ritz values and vectors and is restarted through its real Schur form.
+``DenseLU`` and ``gen_eig_smallest`` (a real Ritz pair of a real H) follow
+the same rule.
 
 ``orthogonalize`` is the one Gram-Schmidt kernel of the Krylov bases.  Each
 call reads the basis four times (two BLAS ``gemv`` per sweep) and copies
@@ -37,7 +39,6 @@ from __future__ import annotations
 
 import warnings
 from dataclasses import dataclass
-from functools import cached_property
 from typing import List, Optional
 
 import numpy as np
@@ -177,6 +178,17 @@ def basis_times(B: np.ndarray, y: np.ndarray) -> np.ndarray:
     return _complex(B @ y.real, B @ y.imag)
 
 
+def sparse_times(M, v: np.ndarray) -> np.ndarray:
+    """``M @ v`` for a sparse M, a vector or a block v, with no complex copy
+    of a real M: a complex v is multiplied as the real array that interleaves
+    its real and imaginary parts, by one real product."""
+    if M.dtype.kind == "c" or v.dtype.kind != "c":
+        return M @ v
+    v = np.ascontiguousarray(v, dtype=complex)
+    parts = M @ v.reshape(v.shape[0], -1).view(np.float64)
+    return parts.view(complex).reshape((M.shape[0],) + v.shape[1:])
+
+
 def random_vector(rng, size: int, dtype) -> np.ndarray:
     """A standard normal vector of ``dtype``, complex parts drawn one after the other."""
     v = rng.standard_normal(size)
@@ -278,19 +290,20 @@ class _DirectSolver:
 
 
 class _IterativeSolver:
-    """GMRES or BiCGStab in complex arithmetic on a sparse matrix.  A real
-    matrix and right-hand side get the real part of the complex solution."""
+    """GMRES or BiCGStab on a sparse matrix, in the scalars of the matrix and
+    the right-hand side (see ``iterative_solve``)."""
 
     def __init__(self, A, cfg: LinearSolverConfig):
         self.cfg = cfg
-        self.real = A.dtype.kind != "c"
-        self.A = sp.csr_matrix(A.astype(complex))
+        self.A = A
         self.solve_count = 0
         self._AH = None
 
-    def _run(self, A, b):
+    def solve(self, b, adjoint: bool = False):
+        if adjoint and self._AH is None:
+            self._AH = self.A.conj().T.tocsr()
         self.solve_count += 1
-        res = iterative_solve(self.cfg, A, b)
+        res = iterative_solve(self.cfg, self._AH if adjoint else self.A, b)
         # an inexact solve degrades the outer iteration's progress, which the
         # eigensolvers detect themselves (residual rechecks, stall locks,
         # restarts); only a non-finite result is a hard failure
@@ -301,12 +314,6 @@ class _IterativeSolver:
             )
         return res.x
 
-    def solve(self, b, adjoint: bool = False):
-        if adjoint and self._AH is None:
-            self._AH = self.A.conj().T.tocsr()
-        x = self._run(self._AH if adjoint else self.A, b)
-        return x.real if self.real and not np.iscomplexobj(b) else x
-
 
 def make_linear_solver(A, cfg: Optional[LinearSolverConfig] = None):
     cfg = cfg or LinearSolverConfig()
@@ -316,12 +323,15 @@ def make_linear_solver(A, cfg: Optional[LinearSolverConfig] = None):
 
 
 def iterative_solve(cfg: LinearSolverConfig, A, b) -> IterativeResult:
-    """GMRES or BiCGStab with optional point-Jacobi preconditioning.
+    """GMRES or BiCGStab on a sparse A with optional point-Jacobi preconditioning.
 
+    The iteration runs in the scalars of A and b: real for a real A and a
+    real b, complex otherwise, with a real A applied by ``sparse_times``.
     Non-convergence is reported in the result, not raised; breakdown is
     distinguished from plain iteration-count exhaustion.
     """
-    b = np.asarray(b, dtype=complex)
+    b = np.asarray(b)
+    b = b.astype(np.result_type(A.dtype, b, np.float64), copy=False)
     nrm_b = np.linalg.norm(b)
     if nrm_b == 0:
         return IterativeResult(np.zeros_like(b), True, 0.0, 0)
@@ -332,15 +342,16 @@ def iterative_solve(cfg: LinearSolverConfig, A, b) -> IterativeResult:
 
     M = None
     if cfg.preconditioner == "jacobi":
-        d = A.diagonal().astype(complex)
+        d = A.diagonal()
         d = np.where(d == 0, 1.0, d)
-        M = spla.LinearOperator(A.shape, matvec=lambda v: v / d, dtype=complex)
+        M = spla.LinearOperator(A.shape, matvec=lambda v: v / d, dtype=b.dtype)
+    op = spla.LinearOperator(A.shape, matvec=lambda v: sparse_times(A, v), dtype=b.dtype)
     try:
         if cfg.mode == "bicgstab":
-            x, info = spla.bicgstab(A, b, rtol=cfg.tol, atol=0.0, maxiter=cfg.maxit, M=M, callback=cb)
+            x, info = spla.bicgstab(op, b, rtol=cfg.tol, atol=0.0, maxiter=cfg.maxit, M=M, callback=cb)
         else:
             x, info = spla.gmres(
-                A,
+                op,
                 b,
                 rtol=cfg.tol,
                 atol=0.0,
@@ -352,7 +363,7 @@ def iterative_solve(cfg: LinearSolverConfig, A, b) -> IterativeResult:
             )
     except Exception:
         return IterativeResult(np.zeros_like(b), False, np.inf, count["it"], breakdown=True)
-    resid = float(np.linalg.norm(A @ x - b))
+    resid = float(np.linalg.norm(op @ x - b))
     # judge convergence by the recomputed true residual: the backend's own
     # criterion runs in the preconditioned norm and can disagree either way
     converged = info >= 0 and resid <= cfg.tol * nrm_b * (1 + 1e-8)
@@ -376,13 +387,17 @@ class SplitSum:
     One kernel for every split-form sum: T(lambda) over its coefficient
     matrices, a Chebyshev interpolant over its coefficients and a rational
     interpolant over its divided differences.  Sums run in the order of the
-    matrices.  The conjugate transposes M_i^* and the norms ||M_i||_inf are
-    built on first use and kept.
+    matrices.  Each M_i is held once, in its own scalars, and ``dtype`` is
+    the scalar type of the lot: sums and products follow the scalars of w,
+    v and the M_i, with no complex copy of a real M_i (``sparse_times``).
+    The conjugate transposes M_i^* and the norms ||M_i||_inf are built on
+    first use and kept.
     """
 
     def __init__(self, mats):
         self.mats = list(mats)
         self.n = self.mats[0].shape[0]
+        self.dtype = np.result_type(*(M.dtype for M in self.mats), np.float64)
         self._adjoints = None
         self._norms = None
 
@@ -395,34 +410,23 @@ class SplitSum:
 
     def apply(self, w, v: np.ndarray) -> np.ndarray:
         """(sum_i w_i M_i) v without assembling the sum, in the scalars of its inputs."""
-        out = np.zeros(self.n, dtype=self._dtype(w, v))
+        out = np.zeros(self.n, dtype=np.result_type(np.asarray(w), v, self.dtype))
         for wi, M in zip(w, self.mats):
-            out += wi * (M @ v)
+            out += wi * sparse_times(M, v)
         return out
 
     def adjoint_products(self, v: np.ndarray) -> List[np.ndarray]:
         """[M_i^* v], one adjoint matvec per matrix."""
         if self._adjoints is None:
             self._adjoints = [M.conj().T.tocsr() for M in self.mats]
-        return [MH @ v for MH in self._adjoints]
+        return [sparse_times(MH, v) for MH in self._adjoints]
 
     def apply_adjoint(self, w, v: np.ndarray) -> np.ndarray:
         """(sum_i w_i M_i)^* v."""
-        out = np.zeros(self.n, dtype=self._dtype(w, v))
+        out = np.zeros(self.n, dtype=np.result_type(np.asarray(w), v, self.dtype))
         for wi, u in zip(w, self.adjoint_products(v)):
             out += np.conj(wi) * u
         return out
-
-    def _dtype(self, w, v):
-        return np.result_type(np.asarray(w), v, *(M.dtype for M in self.mats), np.float64)
-
-    @cached_property
-    def real(self) -> Optional["SplitSum"]:
-        """The sum over real copies of the matrices, which share their index
-        arrays; None when a stored entry has an imaginary part."""
-        if any(np.any(M.data.imag) for M in self.mats):
-            return None
-        return SplitSum(type(M)((np.ascontiguousarray(M.data.real), M.indices, M.indptr), shape=M.shape) for M in self.mats)
 
     def scale(self, w) -> float:
         """sum_i |w_i| ||M_i||_inf, the residual scaling of the sum."""

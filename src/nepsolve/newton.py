@@ -211,7 +211,7 @@ def slp_solve(
     inner_tol = min(1e-9, tol / 10)
     target = complex(settings.target)
     # the scalars of the iterates: once complex, they stay so
-    dtype = np.dtype(float if op.is_split and op.mats.real is not None and not target.imag else complex)
+    dtype = np.dtype(float if op.is_split and op.mats.dtype.kind == "f" and not target.imag else complex)
     stats = {"outer_iterations": 0, "linear_solves": 0}
     budget = settings.max_it_effective
     pair = empty = InvariantPair.empty(n, dtype)

@@ -47,6 +47,7 @@ from .core import (
     NepError,
     NepOperator,
     Settings,
+    _as_csr,
     backward_error,
     distinct_pairs,
     finish,
@@ -63,6 +64,7 @@ from .linalg import (
     make_linear_solver,
     orthogonalize,
     random_vector,
+    sparse_times,
 )
 
 __all__ = [
@@ -331,7 +333,7 @@ def divided_differences(
                 break
         return RationalInterpolant(op, seq, d, op.mats, coeffs[:, : d + 1], reached)
     # callback path: explicit divided-difference matrices
-    mats = [(beta0 * op.assemble(seq.nodes[0])).tocsr()]
+    mats = [_as_csr(beta0 * op.assemble(seq.nodes[0]))]
     nrm0 = max(inf_norm(mats[0]), np.finfo(float).tiny)
     for j in range(1, d_max + 1):
         sj = seq.nodes[j]
@@ -339,7 +341,7 @@ def divided_differences(
         if b[j] == 0:
             raise NepError("interpolation nodes are not pairwise distinct")
         R = SplitSum(mats).assemble(b[:j])
-        Dj = ((op.assemble(sj) - R) / b[j]).tocsr()
+        Dj = _as_csr((op.assemble(sj) - R) / b[j])
         mats.append(Dj)
         if j >= 2 and inf_norm(Dj) <= dd_tol * nrm0:
             d = j
@@ -356,9 +358,10 @@ class ShiftInvertContext:
 
     Only R_d(sigma) is factorized; everything else is block recurrences over
     the d parts of the vectors.  The same factorization serves the adjoint.
-    When the interpolant at sigma is real, ``real`` is set and the weights,
-    the matrices and the factor of R_d(sigma) are real copies: a real vector
-    maps to a real vector in real arithmetic, a complex one is served too.
+    When the interpolant at sigma is real, ``real`` is set and the weights
+    and the factor of R_d(sigma) are real: a real vector maps to a real
+    vector in real arithmetic, a complex one is served too, with no complex
+    copy of a real matrix (``linalg.sparse_times``).
     """
 
     def __init__(self, ri: RationalInterpolant, sigma: complex, lin_cfg: Optional[LinearSolverConfig] = None):
@@ -371,7 +374,7 @@ class ShiftInvertContext:
         # real when sigma, the nodes, poles and betas, the divided differences
         # and the matrices all have exactly zero imaginary part
         scalars = (np.asarray([self.sigma]), seq.nodes, seq.poles, seq.betas, ri.coeffs)
-        self.real = all(not np.any(np.imag(a)) for a in scalars) and ri.mats.real is not None
+        self.real = all(not np.any(np.imag(a)) for a in scalars) and ri.mats.dtype.kind == "f"
         self.dtype = np.dtype(float if self.real else complex)
         part = np.real if self.real else np.asarray
         d = ri.d
@@ -385,7 +388,7 @@ class ShiftInvertContext:
         self.pole_factors = part(1.0 - self.sigma * self.inv_xi)  # index j for (1 - sigma/xi_j)
         self.beta = seq.betas
         self._coeffs = part(ri.coeffs)
-        self._mats = ri.mats.real if self.real else ri.mats
+        self._mats = ri.mats
         Rsig = self._mats.assemble(self._coeffs @ part(ri.b_values_linearized(self.sigma)))
         self.solver = make_linear_solver(Rsig, lin_cfg)
         self.n = ri.op.n
@@ -413,9 +416,9 @@ class ShiftInvertContext:
         """
         CW = self._rhs_weights if C is None else C @ self._rhs_weights
         T = CW.T @ Y.T  # row k is (Y C W)[:, k], contiguous for the matvec
-        rhs = -(self._rhs_mats[0] @ T[0])
+        rhs = -sparse_times(self._rhs_mats[0], T[0])
         for M, t in zip(self._rhs_mats[1:], T[1:]):
-            rhs -= M @ t
+            rhs -= sparse_times(M, t)
         return rhs
 
     def _blocks(self, g: np.ndarray) -> np.ndarray:
@@ -699,7 +702,7 @@ def nleigs_solve(
     ctx = ShiftInvertContext(ri, sigma, lin_cfg)
     d, n = ri.d, op.n
 
-    w0 = np.ones((d, n), dtype=ctx.dtype)
+    w0 = np.broadcast_to(np.ones(n, dtype=ctx.dtype), (d, n))
     ncv = min(settings.ncv_effective, d * n - 1)
     ncv = max(ncv, min(settings.nev + 2, d * n - 1))
     rng = np.random.default_rng(settings.seed)

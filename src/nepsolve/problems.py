@@ -198,10 +198,7 @@ def gen_loaded_string(n: int, kappa: float = 1.0, mass: float = 1.0):
     mainb[-1] = 2.0
     offb = np.ones(n - 1)
     B = (1.0 / (6.0 * n)) * sp.diags([offb, mainb, offb], [-1, 0, 1], format="csr")
-    C = sp.csr_matrix(
-        (np.array([kappa], dtype=complex), (np.array([n - 1]), np.array([n - 1]))),
-        shape=(n, n),
-    )
+    C = sp.csr_matrix(([float(kappa)], ([n - 1], [n - 1])), shape=(n, n))
     terms = [
         (A, fn.constant(1.0)),
         (B, fn.polynomial([-1.0, 0.0])),
@@ -220,7 +217,8 @@ class MatrixMarketError(ValueError):
 
 
 def read_matrix_market(path) -> sp.csr_matrix:
-    """Read a Matrix Market file (coordinate or array) into complex CSR.
+    """Read a Matrix Market file (coordinate or array) into CSR, float64 for
+    a real, integer or pattern field and complex128 for a complex one.
 
     Parsing is scipy's: real/complex/integer/pattern fields and general/
     symmetric/hermitian/skew-symmetric storage, the latter expanded to the
@@ -235,7 +233,7 @@ def read_matrix_market(path) -> sp.csr_matrix:
         m = re.match(r"Line (\d+): (.*)", str(exc), re.DOTALL)  # scipy's "Line N: msg"
         where, msg = (f"{path}:{m[1]}", m[2]) if m else (path, exc)
         raise MatrixMarketError(f"{where}: {msg}") from exc
-    return sp.csr_matrix(M, dtype=complex)
+    return sp.csr_matrix(M, dtype=np.result_type(M.dtype, np.float64))
 
 
 def write_matrix_market(path, A, field: str = "complex") -> None:

@@ -153,12 +153,13 @@ def test_explicit_singularity_list():
     assert code == 0
 
 
-def test_manifest_problem(tmp_path):
+def _delay_manifest(tmp_path, field="complex"):
+    """A manifest of the delay problem at n=30, its matrices written with ``field``."""
     op, _ = gen_delay(30, 0.001, -2.0)
     names = []
     for i, (A, _) in enumerate(op.terms):
         name = f"t{i}.mtx"
-        write_matrix_market(tmp_path / name, A)
+        write_matrix_market(tmp_path / name, A, field=field)
         names.append(name)
     doc = {
         "name": "delay30",
@@ -172,9 +173,23 @@ def test_manifest_problem(tmp_path):
     }
     mpath = tmp_path / "delay30.json"
     mpath.write_text(json.dumps(doc))
+    return mpath
+
+
+def test_manifest_problem(tmp_path):
+    mpath = _delay_manifest(tmp_path)
     report, code = run(["run", "--problem", f"manifest:{mpath}", "--solver", "rii"])
     assert code == 0
     assert report["n_converged"] == 2
+
+
+@pytest.mark.parametrize("solver, extra", [("slp", []), ("nleigs", ["--region", "interval:-100,50"])])
+def test_real_matrix_market_problem_runs_in_real_arithmetic(tmp_path, solver, extra):
+    # real .mtx input stays real from the reader through the operator
+    mpath = _delay_manifest(tmp_path, field="real")
+    report, code = run(["run", "--problem", f"manifest:{mpath}", "--solver", solver, "--output", "json", *extra])
+    assert code == 0 and report["n_converged"] == 2
+    assert report["counters"]["scalars"] == "real"
 
 
 def test_validate_report_rejects_malformed():

@@ -213,3 +213,48 @@ def test_krylov_solvers_keep_their_step_counts(case):
     assert "pencil" not in sol.stats  # interpol took its Krylov path
     st = sol.stats
     assert (st["outer_iterations"], st["linear_solves"], len(sol.pairs), sol.converged) == expected
+
+
+def _noncanonical(M, duplicates):
+    """The canonical CSR matrix M with each row's entries stored in
+    descending column order and, with ``duplicates``, each entry stored as
+    two halves (which sum back to it exactly)."""
+    rows = np.repeat(np.arange(M.shape[0]), np.diff(M.indptr))
+    order = np.lexsort((-M.indices, rows))
+    data, indices, indptr = M.data[order], M.indices[order], M.indptr
+    if duplicates:
+        data, indices, indptr = np.repeat(data / 2, 2), np.repeat(indices, 2), 2 * indptr
+    return sp.csr_matrix((data, indices, indptr), shape=M.shape)
+
+
+NONCANONICAL_CASES = {
+    "slp": (slp_solve, dict(target=1.0, max_it=100), {}),
+    "rii": (rii_solve, dict(target=1.0), {}),
+    "narnoldi": (narnoldi_solve, dict(target=1.0), {}),
+    "nleigs": (nleigs_solve, dict(target=1.0, region=Interval(-200.0, 50.0)), {}),
+    "interpol": (interpol_solve, dict(target=1.0, region=Interval(-100.0, 0.0)), {"degree": 6}),
+}
+
+
+@pytest.mark.parametrize("duplicates", [False, True], ids=["unsorted", "duplicates"])
+@pytest.mark.parametrize("case", sorted(NONCANONICAL_CASES))
+def test_solvers_do_not_depend_on_the_storage_of_the_matrices(case, duplicates):
+    # a symmetric permutation of the delay problem, given once in canonical
+    # CSR and once with unsorted indices or duplicate entries; real copies
+    # of the A_i that shared a non-canonical matrix's index arrays became
+    # other matrices once SciPy sorted those arrays in place, and SLP and
+    # NLEIGS then returned wrong eigenvalues or none
+    solver, kw, opts = NONCANONICAL_CASES[case]
+    settings = Settings(nev=3, tol=1e-8, **kw)
+    op, oracle = gen_delay(50, tau=0.001, b=-2.0)
+    P = sp.identity(50, format="csr")[np.random.default_rng(0).permutation(50)]
+    terms = [((P @ A @ P.T).tocsr(), f) for A, f in op.terms]
+    for A, _ in terms:
+        A.sort_indices()
+    posed = [(_noncanonical(A, duplicates), f) for A, f in terms]
+    assert not all(A.has_canonical_format for A, _ in posed)
+    ref = solver(NepOperator(terms=terms), settings, **opts)
+    sol = solver(NepOperator(terms=posed), settings, **opts)
+    assert ref.converged and sol.converged
+    np.testing.assert_allclose(np.sort(ref.eigenvalues.real)[-3:], np.sort(oracle.nearest(1.0, 3).real), rtol=1e-6)
+    np.testing.assert_array_equal(sol.eigenvalues, ref.eigenvalues)

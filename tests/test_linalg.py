@@ -21,6 +21,7 @@ from nepsolve.linalg import (
     lu_factor,
     make_linear_solver,
     orthogonalize,
+    sparse_times,
 )
 from nepsolve.linalg import _ordered_schur, _restart_size, _retained
 from nepsolve.nleigs import ShiftInvertContext, ToarBasisEngine, divided_differences, leja_bagby
@@ -481,11 +482,14 @@ def test_split_sum_matches_dense_sums(seed):
     rng = np.random.default_rng(seed)
     n, ell = 15, 4
     mats = []
-    for _ in range(ell):
+    for i in range(ell):
         mask = rng.random((n, n)) < 0.3
-        mats.append(sp.csr_matrix(np.where(mask, rand_complex(rng, n, n), 0.0)))
+        entries = rand_complex(rng, n, n)
+        # every other matrix real: a real M_i meets complex w and v
+        mats.append(sp.csr_matrix(np.where(mask, entries if i % 2 else entries.real, 0.0)))
     dense = [M.toarray() for M in mats]
     kernel = SplitSum(mats)
+    assert kernel.dtype == complex and SplitSum(mats[::2]).dtype == float
     v = rand_complex(rng, n)
     for w in (rand_complex(rng, ell), rng.standard_normal(ell)):
         ref = sum(wi * D for wi, D in zip(w, dense))
@@ -501,16 +505,17 @@ def test_split_sum_matches_dense_sums(seed):
         assert np.linalg.norm(u - D.conj().T @ v) <= 1e-13 * np.linalg.norm(D) * np.linalg.norm(v)
 
 
-def test_split_sum_real_copies_share_the_index_arrays():
-    A = sp.csr_matrix(np.array([[2.0, -1.0, 0.0], [-1.0, 2.0, -1.0], [0.0, -1.0, 2.0]]), dtype=complex)
-    kernel = SplitSum([A, sp.identity(3, format="csr", dtype=complex)])
-    real = kernel.real
-    assert real is kernel.real  # cached
-    assert all(M.dtype == float for M in real.mats)
-    assert np.shares_memory(real.mats[0].indices, A.indices) and np.shares_memory(real.mats[0].indptr, A.indptr)
-    w = np.array([1.5, -0.5])
-    assert np.array_equal(real.assemble(w).toarray(), kernel.assemble(w).toarray().real)
-    assert SplitSum([A, 1j * A]).real is None
+def test_sparse_times_equals_the_complex_product_bitwise():
+    # a complex vector or block on a real matrix: the product of the complex
+    # copy of the matrix, made without that copy
+    rng = np.random.default_rng(3)
+    M = sp.random(30, 30, density=0.2, random_state=5, format="csr")
+    V = np.asfortranarray(rand_complex(rng, 30, 4))
+    for v in (V[:, 1], V, V[:, 1:3], rand_complex(rng, 30, 3)):
+        got = sparse_times(M, v)
+        assert got.dtype == complex and np.array_equal(got, M.astype(complex) @ v)
+    assert sparse_times(M, V.real).dtype == float
+    assert np.array_equal(sparse_times(1j * M, V), (1j * M) @ V)
 
 
 def test_real_lu_serves_a_complex_right_hand_side():
@@ -526,8 +531,8 @@ def test_real_lu_serves_a_complex_right_hand_side():
 
 
 def test_iterative_solve_of_a_real_system_is_real():
-    # complex GMRES on a real matrix: a real right-hand side gets the real
-    # solution, a complex one is served in complex arithmetic
+    # GMRES on a real matrix: a real right-hand side is solved in real
+    # arithmetic, a complex one in complex arithmetic
     rng = np.random.default_rng(5)
     A = sp.csr_matrix(sp.diags([-1.0, 4.0, -1.0], [-1, 0, 1], shape=(20, 20)))
     solver = make_linear_solver(A, LinearSolverConfig(mode="gmres", tol=1e-12))

@@ -9,7 +9,7 @@ from nepsolve import deflation, newton
 from nepsolve import functions as fn
 from nepsolve.core import Interval, NepOperator, Settings, backward_error
 from nepsolve.deflation import ExtSolveContext, ExtVector, InvariantPair, ext_apply
-from nepsolve.linalg import LinearSolverConfig
+from nepsolve.linalg import LinearSolverConfig, sparse_times
 from nepsolve.narnoldi import narnoldi_solve
 from nepsolve.newton import (
     LOCK_FLOOR,
@@ -148,14 +148,18 @@ def test_scalar_newton_matches_the_two_solve_form_with_one_adjoint_solve():
 
 
 class _CountedMatrix:
-    """A coefficient matrix that records each of its products."""
+    """A coefficient matrix that records the shape of each vector or block it
+    multiplies.  It reports complex scalars, so that ``sparse_times`` hands
+    it every operand as it is, and makes the product by ``sparse_times``."""
+
+    dtype = np.dtype(complex)
 
     def __init__(self, A, log):
         self.A, self.log = A, log
 
     def __matmul__(self, v):
         self.log.append(v.shape)
-        return self.A @ v
+        return sparse_times(self.A, v)
 
 
 @pytest.mark.parametrize("max_inner", [1, 2, 50])
@@ -181,14 +185,9 @@ def test_scalar_newton_makes_one_product_per_term_and_one_adjoint_solve(max_inne
 
 def count_products(op, log):
     """Record in ``log`` the shape of each product of op's coefficient
-    matrices, through ``op.terms`` and ``op.mats`` (``SplitSum.apply``) and
-    through their real copies, ``op.real_terms`` and ``op.mats.real``."""
+    matrices, through ``op.terms`` and ``op.mats`` (``SplitSum.apply``)."""
     op._terms = [(_CountedMatrix(A, log), f) for A, f in op.terms]
-    if op.real_terms is not None:
-        op.real_terms = [(_CountedMatrix(A, log), f) for A, f in op.real_terms]
-    for mats in (op.mats, op.mats.real):
-        if mats is not None:
-            mats.apply = lambda w, v, apply=mats.apply: log.extend([v.shape] * len(w)) or apply(w, v)
+    op.mats.apply = lambda w, v, apply=op.mats.apply: log.extend([v.shape] * len(w)) or apply(w, v)
 
 
 PRODUCT_CASES = {
@@ -416,11 +415,26 @@ def test_slp_runs_in_the_scalars_of_its_data():
     assert np.allclose(real.eigenvalues, cplx.eigenvalues, rtol=1e-8)
 
 
-def test_slp_stays_real_with_complex_iterative_solves_inside():
+def test_slp_stays_real_with_complex_iterative_solves_inside(monkeypatch):
+    # GMRES runs on the real T(sigma) itself, with no complex copy, and
+    # solves each real right-hand side in real arithmetic
+    solvers, solutions = [], []
+    make = deflation.make_linear_solver
+
+    def recorded(A, cfg=None):
+        solvers.append(make(A, cfg))
+        solve = solvers[-1].solve
+        solvers[-1].solve = lambda b, adjoint=False: solutions.append(solve(b, adjoint)) or solutions[-1]
+        return solvers[-1]
+
+    monkeypatch.setattr(deflation, "make_linear_solver", recorded)
     op, _ = gen_delay(16, tau=0.01, b=-1.0)
     cfg = LinearSolverConfig(mode="gmres", tol=1e-9, maxit=2000)
     sol = slp_solve(op, Settings(nev=1, tol=1e-7, target=1.0), lin_cfg=cfg)
     assert sol.converged and sol.stats["scalars"] == "real"
+    assert solvers and all(s.A.dtype == np.float64 for s in solvers)
+    assert solutions and all(x.dtype == np.float64 for x in solutions)
+    monkeypatch.undo()
     direct = slp_solve(op, Settings(nev=1, tol=1e-7, target=1.0))
     assert sol.eigenvalues[0] == pytest.approx(direct.eigenvalues[0], rel=1e-7)
 

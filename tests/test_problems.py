@@ -130,7 +130,7 @@ def test_mm_single_entry(tmp_path):
     p = tmp_path / "one.mtx"
     p.write_text("%%MatrixMarket matrix coordinate real general\n1 1 1\n1 1 5.0\n")
     A = read_matrix_market(p)
-    assert A.shape == (1, 1)
+    assert A.shape == (1, 1) and A.dtype == np.float64
     assert A[0, 0] == 5.0
 
 
@@ -151,7 +151,9 @@ def test_mm_hermitian_expansion(tmp_path):
         "%%MatrixMarket matrix coordinate complex hermitian\n"
         "2 2 2\n1 1 1.0 0.0\n2 1 2.0 3.0\n"
     )
-    A = read_matrix_market(p).toarray()
+    A = read_matrix_market(p)
+    assert A.dtype == np.complex128
+    A = A.toarray()
     assert A[1, 0] == 2.0 + 3.0j
     assert A[0, 1] == 2.0 - 3.0j
 
