@@ -216,16 +216,21 @@ class InvariantPair:
             vals = [eval_phi(f, self.H, lam) @ Z for _, f in op.terms]
             ders = None if dc is None else [eval_phi_deriv(f, self.H, lam) @ Z for _, f in op.terms]
             return vals, ders
+        W, W2 = self.resolvents(lam, Z, dc is not None)
+        vals = [Fi @ W - ci * W for Fi, ci in zip(self.F, c)]
+        if dc is None:
+            return vals, None
+        ders = [Fi @ W2 - ci * W2 - di * W for Fi, ci, di in zip(self.F, c, dc)]
+        return vals, ders
+
+    def resolvents(self, lam: complex, Z: np.ndarray, second: bool = True):
+        """(W, W') = ((H - lam I)^{-1} Z, (H - lam I)^{-1} W) by triangular solves
+        (W' None without ``second``), for a lam not ``near_spectrum``."""
         # near_spectrum has excluded a zero pivot, for which trtrs returns Z
         M = self.H - lam * np.eye(self.k)
         trtrs = ztrtrs if M.dtype.kind == "c" or Z.dtype.kind == "c" else dtrtrs
         W = trtrs(M, Z)[0]
-        vals = [Fi @ W - ci * W for Fi, ci in zip(self.F, c)]
-        if dc is None:
-            return vals, None
-        W2 = trtrs(M, W)[0]
-        ders = [Fi @ W2 - ci * W2 - di * W for Fi, ci, di in zip(self.F, c, dc)]
-        return vals, ders
+        return W, trtrs(M, W)[0] if second else None
 
     def extend(self, op: NepOperator, lam: complex, x: np.ndarray, t: np.ndarray) -> "InvariantPair":
         """Lock one more eigenpair: X <- [X, x], H <- [[H, t], [0, lam]].
@@ -315,11 +320,14 @@ def ext_apply(v: ExtVector, lam: complex, deriv: bool = False):
 def ext_bilinear(v: ExtVector, y1, y2):
     """lam -> (y^* M(lam) x, y^* M'(lam) x) for fixed y = [y1; y2] and x = v.
 
-    v's products reduce the n-long vectors to a_i = y1^* A_i x1 and
-    g_i = (A_i X)^* y1.  A call then sums f_i(lam) a_i + g_i^* phi_i(lam) x2
-    + y2^* (A(lam) X^* x1 + B(lam) x2), or the same with the derivatives, in
-    O(nterms k^2) with no n-long vector; overflow shows as inf or nan.  The
-    callback form applies T(lam) and T'(lam) per call.
+    Once per call, v's products reduce the n-long vectors to a_i = y1^* A_i x1
+    and the rows r_i = y1^* (A_i X) and sum_i r_i F_i, and the minimality part
+    to the coefficients m_j of y2^* (A(lam) X^* x1 + B(lam) x2) = sum_j lam^j m_j.
+    As phi_i(lam) x2 = (F_i - f_i(lam) I) W, a call takes W and W' from
+    ``InvariantPair.resolvents`` and sums f_i(lam) a_i + r_i F_i W - f_i(lam)
+    r_i W + lam^j m_j, or its derivative, in short dot products (``coupling``
+    near spec(H)); overflow shows as inf or nan.  The callback form applies
+    T(lam) and T'(lam) per call.
     """
     pair, op, x1, x2 = v.pair, v.op, v.x1, v.x2
     y1 = np.asarray(y1, dtype=complex)
@@ -327,18 +335,26 @@ def ext_bilinear(v: ExtVector, y1, y2):
         return lambda lam: (np.vdot(y1, op.apply(lam, x1)), np.vdot(y1, op.apply_deriv(lam, x1)))
     a = np.array([np.vdot(y1, Az) for Az in v.Az])
     if pair.k:
-        y1c = y1.conj()
-        g = [(y1c @ blk).conj() for blk in pair.AX]
+        R = np.array([y1.conj() @ blk for blk in pair.AX])
+        rF = sum(r @ Fi for r, Fi in zip(R, pair.F))
+        m = (pair.A_coef @ v.s) @ np.conj(y2)
+        m[: pair.p] += (pair.B_coef @ x2) @ np.conj(y2)
+        dm = np.arange(1, pair.p + 1) * m[1:]  # sum_j lam^j dm_j is the derivative
 
     def form(lam):
         with np.errstate(over="ignore", invalid="ignore"):
             c, dc = op.coefficients(lam), op.coefficients_deriv(lam)
             if not pair.k:
                 return c @ a, dc @ a
-            return tuple(
-                w @ a + sum(map(np.vdot, g, phis)) + np.vdot(y2, Ap @ v.s + Bp @ x2)
-                for w, phis, (Ap, Bp) in zip((c, dc), pair.coupling(op, lam, x2, c, dc), pair.minimality_blocks(lam))
-            )
+            if pair.near_spectrum(lam):
+                phis, dphis = pair.coupling(op, lam, x2, c, dc)
+                cpl = sum(r @ u for r, u in zip(R, phis)), sum(r @ u for r, u in zip(R, dphis))
+            else:
+                W, W2 = pair.resolvents(lam, x2)
+                RW = R @ W
+                cpl = rF @ W - c @ RW, rF @ W2 - c @ (R @ W2) - dc @ RW
+            powers = lam ** np.arange(pair.p + 1.0)
+            return c @ a + cpl[0] + powers @ m, dc @ a + cpl[1] + powers[:-1] @ dm
 
     return form
 

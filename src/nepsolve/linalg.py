@@ -38,6 +38,7 @@ SuperLU.
 from __future__ import annotations
 
 import warnings
+import weakref
 from dataclasses import dataclass
 from typing import List, Optional
 
@@ -390,15 +391,15 @@ class SplitSum:
     matrices.  Each M_i is held once, in its own scalars, and ``dtype`` is
     the scalar type of the lot: sums and products follow the scalars of w,
     v and the M_i, with no complex copy of a real M_i (``sparse_times``).
-    The conjugate transposes M_i^* and the norms ||M_i||_inf are built on
-    first use and kept.
+    The transposes M_i^T, CSC views of the M_i's own arrays, and the norms
+    ||M_i||_inf are built on first use and kept.
     """
 
     def __init__(self, mats):
         self.mats = list(mats)
         self.n = self.mats[0].shape[0]
         self.dtype = np.result_type(*(M.dtype for M in self.mats), np.float64)
-        self._adjoints = None
+        self._transposes = None
         self._norms = None
 
     def assemble(self, w):
@@ -416,10 +417,11 @@ class SplitSum:
         return out
 
     def adjoint_products(self, v: np.ndarray) -> List[np.ndarray]:
-        """[M_i^* v], one adjoint matvec per matrix."""
-        if self._adjoints is None:
-            self._adjoints = [M.conj().T.tocsr() for M in self.mats]
-        return [sparse_times(MH, v) for MH in self._adjoints]
+        """[M_i^* v] with no copy of M_i: M_i^T v for a real M_i, conj(M_i^T conj(v))
+        for a complex one, bitwise the products of CSR copies of the M_i^*."""
+        if self._transposes is None:
+            self._transposes = [M.T for M in self.mats]
+        return [sparse_times(MT, v) if MT.dtype.kind == "f" else np.conj(MT @ np.conj(v)) for MT in self._transposes]
 
     def apply_adjoint(self, w, v: np.ndarray) -> np.ndarray:
         """(sum_i w_i M_i)^* v."""
@@ -718,43 +720,46 @@ class ShiftInvertRun:
     def __init__(
         self, engine, ncv: int, settings, to_lam, rng, *, contains=None, real=False, pair_eta=None, known_junk=()
     ):
-        self.to_lam = to_lam
-        self.tol = settings.tol
-        self.contains = contains or settings.region.contains
-        self.real = real
-        self.pair_eta = pair_eta
-        self._lam_key = settings.sort_key()
-        self._etas = {}
+        self.tol = tol = settings.tol
+        lam_key = settings.sort_key()
+        contains = contains or settings.region.contains
+        etas = {}
         inner_tol = max(1e-14, 0.01 * settings.tol)
-        self.driver = KrylovSchurDriver(engine, ncv, inner_tol, self._key, self._wanted, rng, known_junk)
+
+        # the driver's callables hold it weakly and the run not at all: a cycle
+        # would keep the basis allocated until the cyclic collector runs
+        def key(thetas):
+            with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+                return lam_key(to_lam(thetas))
+
+        def wanted(thetas, res):
+            with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+                lams = to_lam(thetas)
+                imag_tols = np.maximum(1e-8 * np.maximum(1.0, np.abs(lams)), res / np.abs(thetas) ** 2)
+            return [bool(np.isfinite(lam)) and contains(lam, imag_tol=t) for lam, t in zip(lams, imag_tols)]
+
+        def point(theta) -> complex:
+            """The eigenvalue that theta's pair is tested and returned at."""
+            lam = to_lam(theta)
+            return complex(lam.real) if real else complex(lam)
+
+        def pair(theta, y, m):
+            driver = driver_ref()
+            x = driver.engine.ritz_first_block(y, m)
+            nx = np.linalg.norm(x)
+            if nx == 0 or not np.isfinite(nx):
+                return x, np.inf
+            x = x / nx
+            seen = (driver.restarts, m, theta)
+            if seen not in etas:
+                etas[seen] = pair_eta(point(theta), x)
+            return x, etas[seen]
+
+        self.driver = KrylovSchurDriver(engine, ncv, inner_tol, key, wanted, rng, known_junk)
+        driver_ref = weakref.ref(self.driver)
+        self.point, self._pair = point, pair
         if pair_eta is not None:
-            self.driver.pair_test = lambda theta, y, m: self._pair(theta, y, m)[1] <= self.tol
-
-    def _key(self, thetas):
-        with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-            return self._lam_key(self.to_lam(thetas))
-
-    def _wanted(self, thetas, res):
-        with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-            lams = self.to_lam(thetas)
-            imag_tols = np.maximum(1e-8 * np.maximum(1.0, np.abs(lams)), res / np.abs(thetas) ** 2)
-        return [bool(np.isfinite(lam)) and self.contains(lam, imag_tol=t) for lam, t in zip(lams, imag_tols)]
-
-    def point(self, theta) -> complex:
-        """The eigenvalue that theta's pair is tested and returned at."""
-        lam = self.to_lam(theta)
-        return complex(lam.real) if self.real else complex(lam)
-
-    def _pair(self, theta, y, m):
-        x = self.driver.engine.ritz_first_block(y, m)
-        nx = np.linalg.norm(x)
-        if nx == 0 or not np.isfinite(nx):
-            return x, np.inf
-        x = x / nx
-        key = (self.driver.restarts, m, theta)
-        if key not in self._etas:
-            self._etas[key] = self.pair_eta(self.point(theta), x)
-        return x, self._etas[key]
+            self.driver.pair_test = lambda theta, y, m: pair(theta, y, m)[1] <= tol
 
     def harvest(self):
         """``(lam, x, eta)`` of the converged wanted pairs with eta <= tol, in wanted order."""

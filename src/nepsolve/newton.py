@@ -7,7 +7,8 @@ same iteration on the deflated (extended) problem, so previously found
 eigenvalues cannot be recomputed.
 
 SLP, RII and the nonlinear Arnoldi solver share one lock rule (``_Hunt``).
-An iterate whose lock measure eta is below tol is polished on; the best
+An iterate whose lock measure eta is below tol is polished on (RII at a
+shift moved to the iterate's eigenvalue once the polish starts); the best
 iterate seen is locked when eta <= 1e-14 (``LOCK_FLOOR``), after two steps in
 a row (``STALL_PERSIST``) that gain less than 5% (``STALL_FACTOR``), or after
 80 polish steps (``POLISH_MAX``).  Eigenvalues within 1e3 * tol relative are
@@ -328,16 +329,20 @@ def rii_solve(
     max_inner: int = 10,
     lin_cfg: Optional[LinearSolverConfig] = None,
 ) -> EigenSolution:
-    """Residual inverse iteration with a fixed (optionally lagged) shift.
+    """Residual inverse iteration, its shift refreshed for each pair's polish.
 
     Per outer step: a scalar Newton iteration updates the eigenvalue on the
     fixed left vector T(sigma)^{-*} x (``rii_scalar_newton``), the residual
     r = T(lam) x is formed, and the eigenvector is corrected by
     x <- x - T(sigma)^{-1} r: two solves with T(sigma), one of them adjoint
-    (T is the extended operator once pairs are locked).  ``lag`` refreshes
-    sigma (and the factorization) every ``lag`` iterations; 0 keeps it fixed.
-    With an iterative linear solver the correction tolerance is halved every
-    outer iteration unless ``const_correction_tol`` is set.
+    (T is the extended operator once pairs are locked).  The correction
+    converges linearly, faster as |lam - sigma| falls, so sigma (and the
+    factorization) moves to lam once per pair, at the first step after an
+    eta below tol, unless lam is close to a locked eigenvalue.  ``lag`` also
+    refreshes sigma every ``lag`` iterations while the pair's best eta lies
+    in (sqrt(tol), 1e-2); 0 keeps it fixed there.  With an iterative linear
+    solver the correction tolerance is halved every outer iteration unless
+    ``const_correction_tol`` is set.
     """
     if lag < 0:
         raise ValueError("lag must be nonnegative")
@@ -373,6 +378,7 @@ def rii_solve(
         it_for_pair = 0
         since_progress = 0
         hunt_floor = np.inf
+        polish_shift = True  # the one refresh of this pair's polish is still to come
         while stats["outer_iterations"] < budget:
             stats["outer_iterations"] += 1
             it_for_pair += 1
@@ -390,6 +396,9 @@ def rii_solve(
                 and _shift_is_safe(pair, lam)
                 and abs(lam - settings.target) < 1e6 * (1.0 + abs(settings.target))
             ):
+                shift_to(lam, cur, base_cfg)
+            elif polish_shift and hunt_floor < tol and lam != sigma and _shift_is_safe(pair, lam):
+                polish_shift = False
                 shift_to(lam, cur, base_cfg)
             v = ExtVector(cur, op, xt[:n], xt[n:])
             lam = rii_scalar_newton(v, sigma, lam, hermitian=hermitian, max_inner=max_inner, ctx=None if hermitian else ctx)

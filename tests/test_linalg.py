@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 import scipy.sparse as sp
@@ -503,6 +505,23 @@ def test_split_sum_matches_dense_sums(seed):
         assert kernel.scale(w) == pytest.approx(expected, rel=1e-14)
     for u, D in zip(kernel.adjoint_products(v), dense):
         assert np.linalg.norm(u - D.conj().T @ v) <= 1e-13 * np.linalg.norm(D) * np.linalg.norm(v)
+
+
+def test_adjoint_products_are_bitwise_the_conjugate_transpose_products_and_keep_no_copy():
+    rng = np.random.default_rng(6)
+    M = sp.random(2000, 2000, density=2e-3, random_state=7, format="csr")
+    complex_mat = (M + 1j * sp.random(2000, 2000, density=2e-3, random_state=8, format="csr")).tocsr()
+    complex_mat.sum_duplicates()
+    for kernel in (gen_delay(2000)[0].mats, gen_loaded_string(2000)[0].mats, SplitSum([M, complex_mat])):
+        matrix_bytes = sum(A.data.nbytes + A.indices.nbytes + A.indptr.nbytes for A in kernel.mats)
+        for v in (rand_complex(rng, 2000), rng.standard_normal(2000)):
+            tracemalloc.start()
+            got = kernel.adjoint_products(v)
+            kept = tracemalloc.get_traced_memory()[0] - sum(u.nbytes for u in got)
+            tracemalloc.stop()
+            assert kept < 0.05 * matrix_bytes
+            for u, A in zip(got, kernel.mats):
+                assert np.array_equal(u, sparse_times(A.conj().T.tocsr(), v))
 
 
 def test_sparse_times_equals_the_complex_product_bitwise():

@@ -1,12 +1,16 @@
 """Memory of the split form: each A_i is held once, canonical and in its own
-scalars, and NLEIGS's traced peak stays under a measured bound."""
+scalars, NLEIGS's traced peak stays under a measured bound and its basis is
+freed when the solve returns."""
 
+import gc
 import tracemalloc
+import weakref
 
 import numpy as np
 import pytest
 
 from nepsolve.core import Interval, Settings
+from nepsolve import nleigs
 from nepsolve.nleigs import nleigs_solve
 from nepsolve.problems import gen_delay, gen_loaded_string
 
@@ -35,3 +39,24 @@ def test_nleigs_peak_memory_on_the_delay_problem():
         tracemalloc.stop()
     assert sol.converged and sol.stats["scalars"] == "real"
     assert peak <= NLEIGS_PEAK_BOUND_MIB * 2**20
+
+
+def test_nleigs_frees_its_basis_on_return(monkeypatch):
+    # no reference cycle holds the basis engine: it goes with the last
+    # reference, without the cyclic garbage collector
+    engines = []
+    init = nleigs.ToarBasisEngine.__init__
+
+    def recorded(self, *args, **kwargs):
+        engines.append(weakref.ref(self))
+        init(self, *args, **kwargs)
+
+    monkeypatch.setattr(nleigs.ToarBasisEngine, "__init__", recorded)
+    op, _ = gen_delay(20000, tau=0.001, b=-2.0)
+    gc.disable()
+    try:
+        sol = nleigs_solve(op, Settings(nev=5, tol=1e-6, target=1.0, region=Interval(-260.0, 50.0)))
+        alive = [ref() is not None for ref in engines]
+    finally:
+        gc.enable()
+    assert sol.converged and alive == [False]

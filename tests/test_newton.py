@@ -4,6 +4,7 @@ import warnings
 import numpy as np
 import pytest
 import scipy.sparse as sp
+import scipy.sparse.linalg as spla
 
 from nepsolve import deflation, newton
 from nepsolve import functions as fn
@@ -356,7 +357,7 @@ def test_iterative_inner_solver_path():
 @pytest.mark.parametrize("threads", ["1", "2"])
 def test_rii_loaded_string_steps_at_blas_threads(threads):
     # the settings of the benchmark's rii-string workload at n=200, where RII
-    # takes 682 outer iterations at 1 and at 2 BLAS threads
+    # takes 425 outer iterations at 1 and at 2 BLAS threads
     script = (
         "import numpy as np\n"
         "from nepsolve.core import Settings\n"
@@ -371,7 +372,7 @@ def test_rii_loaded_string_steps_at_blas_threads(threads):
     converged, count, outer, err = run_at_blas_threads(threads, script).split()
     assert converged == "True" and count == "9"
     assert float(err) <= 1e-8
-    assert int(outer) == 682
+    assert int(outer) == 425
 
 
 @pytest.mark.xfail(
@@ -386,6 +387,63 @@ def test_rii_converged_pairs_lie_in_the_region():
     s = Settings(nev=9, tol=1e-8, target=10.0, region=region, problem_type="rational", seed=0)
     sol = rii_solve(op, s)
     assert not sol.converged or all(region.a <= lam.real <= region.b for lam in sol.eigenvalues)
+
+
+def _string_oracle_nearest(oracle, lam):
+    """The eigenvalue of ``oracle``'s quadratic pencil nearest lam, by
+    shift-and-invert on its companion form [[0, I], [Q0, Q1]] v = mu diag(I, B) v
+    (Q0 = -pole A, Q1 = A + pole B + C); its dense eigensolve takes minutes
+    at n = 1000."""
+    n = oracle.A.shape[0]
+    eye = sp.identity(n, format="csc")
+    P = sp.bmat([[None, eye], [-oracle.pole * oracle.A, oracle.A + oracle.pole * oracle.B + oracle.C]], format="csc")
+    Q = sp.bmat([[eye, None], [None, oracle.B]], format="csc")
+    return spla.eigs(P, k=1, M=Q, sigma=lam, return_eigenvectors=False)[0]
+
+
+def test_rii_polish_reaches_the_oracle_eigenvalues():
+    # the benchmark's rii-string workload (n=1000, seed 0): a polish at a
+    # fixed shift stopped at 419.00613964 + 1.75e-4i for the real eigenvalue
+    # 419.00620570 (4.3e-7 relative); the refreshed shift reaches it
+    op, oracle = gen_loaded_string(1000)
+    sol = rii_solve(op, Settings(nev=9, tol=1e-8, target=10.0, seed=0))
+    assert sol.converged and len(sol.eigenvalues) == 9
+    for lam in sol.eigenvalues:
+        assert abs(lam.imag) <= 1e-10 * abs(lam)
+        assert abs(_string_oracle_nearest(oracle, lam.real) - lam) <= 1e-9 * abs(lam)
+
+
+def _delay_nearest_five():
+    op, oracle = gen_delay(1000, tau=0.001, b=-2.0)
+    want = oracle.nearest(1.0, 5)
+
+    def passes(seed):
+        sol = rii_solve(op, Settings(nev=5, tol=1e-6, target=1.0, seed=seed))
+        return sol.converged and all(np.min(np.abs(sol.eigenvalues - z)) <= 1e-6 * abs(z) for z in want)
+
+    return passes
+
+
+def _string_oracle_nine():
+    op, oracle = gen_loaded_string(200)
+    ref = oracle.all_eigenvalues()
+
+    def passes(seed):
+        sol = rii_solve(op, Settings(nev=9, tol=1e-8, target=10.0, seed=seed))
+        errors = [np.min(np.abs(ref - lam)) / abs(lam) for lam in sol.eigenvalues]
+        return sol.converged and len(errors) == 9 and max(errors) <= 1e-8
+
+    return passes
+
+
+@pytest.mark.parametrize("case, floor", [(_delay_nearest_five, 8), (_string_oracle_nine, 10)])
+def test_rii_seed_sweep_keeps_its_floor(case, floor):
+    # RII's restarts after stagnation draw from Settings.seed, so its result
+    # varies with the seed; over seeds 0-9 it returns the five eigenvalues
+    # nearest the target of delay n=1000 for 9 seeds and converges to nine
+    # oracle eigenvalues of the string n=200 for all ten
+    passes = case()
+    assert sum(passes(seed) for seed in range(10)) >= floor
 
 
 @pytest.mark.parametrize("threads", ["1", "2"])
@@ -458,7 +516,7 @@ def _string(solver, **kw):
 
 STEP_CASES = {
     "slp-delay100": (lambda: _delay(100, slp_solve, Settings(nev=4, tol=1e-8, target=1.0)), (13, 127)),
-    "rii-delay100": (lambda: _delay(100, rii_solve, Settings(nev=4, tol=1e-8, target=1.0)), (172, 342)),
+    "rii-delay100": (lambda: _delay(100, rii_solve, Settings(nev=4, tol=1e-8, target=1.0)), (109, 222)),
     "rii-delay40-threshold": (
         lambda: _delay(40, rii_solve, Settings(nev=2, tol=1e-10, target=1.0), deflation_threshold=1e-4),
         (49, 94),
@@ -467,9 +525,9 @@ STEP_CASES = {
         lambda: _delay(40, slp_solve, Settings(nev=2, tol=1e-10, target=1.0), deflation_threshold=1e-4),
         (8, 54),
     ),
-    "rii-string-lag1": (lambda: _string(rii_solve, lag=1), (23, 55)),
-    "rii-string-hermitian": (lambda: _string(rii_solve, hermitian=True), (179, 179)),
-    "rii-gmres": (_gmres_case, (16, 31)),
+    "rii-string-lag1": (lambda: _string(rii_solve, lag=1), (23, 57)),
+    "rii-string-hermitian": (lambda: _string(rii_solve, hermitian=True), (104, 107)),
+    "rii-gmres": (_gmres_case, (10, 19)),
     "narnoldi-delay80": (lambda: _delay(80, narnoldi_solve, Settings(nev=3, tol=1e-8, target=1.0)), (21, 21, 0)),
     "narnoldi-delay60-restarts": (
         lambda: _delay(60, narnoldi_solve, Settings(nev=2, ncv=4, tol=1e-8, target=1.0, max_it=400)),
