@@ -1,21 +1,27 @@
-"""Single-vector Newton-type solvers: successive linear problems and
-residual inverse iteration.
+"""Single-vector solvers on one search loop: successive linear problems
+(SLP), residual inverse iteration (RII) and, in ``narnoldi``, nonlinear
+Arnoldi.
 
-Both methods compute one eigenpair at a time.  Several eigenpairs are
-obtained by locking converged pairs into an invariant pair and running the
-same iteration on the deflated (extended) problem, so previously found
-eigenvalues cannot be recomputed.
-
-SLP, RII and the nonlinear Arnoldi solver share one lock rule (``_Hunt``).
-An iterate whose lock measure eta is below tol is polished on (RII at a
-shift moved to the iterate's eigenvalue once the polish starts); the best
-iterate seen is locked when eta <= 1e-14 (``LOCK_FLOOR``), after two steps in
-a row (``STALL_PERSIST``) that gain less than 5% (``STALL_FACTOR``), or after
-80 polish steps (``POLISH_MAX``).  Eigenvalues within 1e3 * tol relative are
+Each finds one eigenpair at a time, locks it into the invariant pair
+(X, H) and searches on for the next on the deflated problem M, whose
+iterates [x; t] have length n + k, so a locked eigenvalue is not found
+again (Effenberger, SIMAX 2013).  ``_Search.run`` is the loop of all three:
+per outer step the solver's ``iterate`` gives the eigenvalue and vector,
+the loop measures their lock measure eta (``_hunt_eta``) and locks,
+restarts or goes on undeflated, and the solver's ``advance`` makes the next
+iterate.  An iterate whose eta is below tol is polished on (RII at a shift
+moved to its eigenvalue once the polish starts); the best iterate seen is
+locked when eta <= 1e-14 (``LOCK_FLOOR``), after two steps in a row
+(``STALL_PERSIST``) that gain less than 5% (``STALL_FACTOR``), or after 80
+polish steps (``POLISH_MAX``).  Eigenvalues within 1e3 * tol relative are
 taken as one: an iterate below tol further than that from the best one
-starts the hunt over.  A duplicate of an eigenvalue already locked or a
-non-minimal extension is not locked: the search restarts from a seeded
-random vector.
+starts the hunt over.  The search restarts from a seeded random vector
+after refusing to lock a duplicate of a locked eigenvalue or a non-minimal
+extension, after a runaway iterate or a non-finite eta, and after a step
+the solver gives up on.  Below ``deflation_threshold`` an iterate goes on
+undeflated, on T itself; its x is locked with the tail t = 0, since an
+eigenvector of T extends (X, H) invariantly with t = 0.  All three report
+``outer_iterations``, ``linear_solves``, ``restarts`` and ``scalars``.
 """
 
 from __future__ import annotations
@@ -28,7 +34,7 @@ import numpy as np
 
 from .core import EigenPair, EigenSolution, NepError, NepOperator, Settings, backward_error, finish
 from .deflation import ExtSolveContext, ExtVector, InvariantPair, ext_apply, ext_bilinear
-from .linalg import LinearSolverConfig, gen_eig_smallest, lu_factor, random_vector
+from .linalg import LinearSolverConfig, gen_eig_smallest, random_vector
 
 __all__ = ["slp_solve", "rii_solve", "rii_scalar_newton"]
 
@@ -43,10 +49,6 @@ STAGNATION_WINDOW = 30
 def _same_eigenvalue(mu, lam, tol):
     """mu (a scalar or an array) within 1e3 * tol relative of lam."""
     return np.abs(mu - lam) <= 1e3 * tol * max(abs(lam), 1.0)
-
-
-def _is_duplicate(pair, lam, tol) -> bool:
-    return pair.k > 0 and bool(np.any(_same_eigenvalue(np.diag(pair.H), lam, tol)))
 
 
 def _shift_is_safe(pair, sigma) -> bool:
@@ -98,20 +100,6 @@ def _hunt_eta(v: ExtVector, lam: complex):
     return max(eta1, eta2, eta_t), r1, r2
 
 
-def _extension_tail(pair: InvariantPair, lam: complex, x: np.ndarray) -> np.ndarray:
-    """Solve the small minimality block for t when only x is available."""
-    k = pair.k
-    if k == 0:
-        return np.zeros(0, dtype=pair.dtype)
-    (Ap, B), _ = pair.minimality_blocks(lam)
-    Ax = Ap @ pair.project(x)
-    try:
-        return -lu_factor(B).solve(Ax)
-    except np.linalg.LinAlgError:
-        t, *_ = np.linalg.lstsq(B, -Ax, rcond=None)
-        return t
-
-
 def _finish(op, pair, settings, stats) -> EigenSolution:
     pairs = [EigenPair(lam, x, backward_error(op, lam, x)) for lam, x in pair.eigenpairs()]
     return finish(settings, pairs, stats)
@@ -132,18 +120,42 @@ def _runaway(lam, xt, target) -> bool:
     )
 
 
-class _Hunt:
-    """Polish-then-lock state of the search for one eigenpair.
+class _Search:
+    """The search for one eigenpair after another (see the module docstring).
 
-    Locking right at tol lets the deflated operator inherit an
-    O(eta * ||T||) perturbation that degrades every later eigenpair, so an
-    iterate with eta < tol is polished towards the residual floor and the
-    best iterate seen is locked (see the module docstring for the rule).
+    Holds the locked ``pair``, the iterate (``lam``, ``xt`` = [x; t]), the
+    solve context ``ctx``, the ``stats`` and the hunt: an iterate with
+    eta < tol is polished towards the residual floor, as a lock at tol would
+    leave the deflated operator an O(eta * ||T||) error that degrades every
+    later eigenpair.  A solver overrides ``advance`` and the hooks it needs.
     """
 
-    def __init__(self, tol: float):
-        self.tol = tol
+    def __init__(self, op: NepOperator, settings: Settings, dtype=complex, deflation_threshold=0.0, lin_cfg=None):
+        self.op, self.settings, self.n, self.tol = op, settings, op.n, settings.tol
+        self.lin_cfg = lin_cfg or LinearSolverConfig()
+        self.target = complex(settings.target)
+        self.deflation_threshold = deflation_threshold
+        self.dtype = np.dtype(dtype)  # the scalars of the iterates: once complex, they stay so
+        self.pair = self.empty = InvariantPair.empty(op.n, self.dtype)
+        self.deflated = True
+        self.rng = np.random.default_rng(settings.seed)
+        self.stats = {"outer_iterations": 0, "linear_solves": 0, "restarts": 0}
+        self.ctx = None
         self.reset()
+
+    @property
+    def cur(self) -> InvariantPair:
+        """The pair the iterates extend: none once undeflated."""
+        return self.pair if self.deflated else self.empty
+
+    def vector(self) -> ExtVector:
+        return ExtVector(self.cur, self.op, self.xt[: self.n], self.xt[self.n :])
+
+    def use(self, ctx: Optional[ExtSolveContext]) -> None:
+        """Make ctx the solve context, counting the solves of the one it replaces."""
+        if self.ctx is not None:
+            self.stats["linear_solves"] += self.ctx.solve_count
+        self.ctx = ctx
 
     def reset(self) -> None:
         self.best = None
@@ -151,14 +163,13 @@ class _Hunt:
         self.polish_steps = 0
         self.stall_count = 0
 
-    def record(self, eta: float, lam: complex, xt: np.ndarray, deflated: bool = True) -> bool:
-        """Record an iterate (xt = [x; t], ``deflated`` if t belongs to the
-        extended problem); True when the best iterate is to be locked now."""
+    def record(self, eta: float, lam: complex, xt: np.ndarray) -> bool:
+        """Record an iterate; True when the best iterate is to be locked now."""
         if eta < self.tol and self.best is not None and not _same_eigenvalue(self.best[1], lam, self.tol):
             # converging to another eigenvalue: never lock the one it left
             self.reset()
         if self.best is None or eta < self.best[0]:
-            self.best = (eta, lam, xt.copy(), deflated)
+            self.best = (eta, lam, xt.copy())
         if eta < self.tol:
             if self.prev_eta is not None and eta > self.prev_eta / STALL_FACTOR:
                 self.stall_count += 1
@@ -170,23 +181,125 @@ class _Hunt:
         self.prev_eta = eta
         return False
 
-    def lock(self, op: NepOperator, pair: InvariantPair) -> Optional[InvariantPair]:
-        """Extend the pair with the best iterate and reset the hunt.
-
-        Returns None for a duplicate of a locked eigenvalue or a non-minimal
-        extension; the caller then restarts the search.
-        """
-        _eta, lam, xt, deflated = self.best
+    def lock(self) -> bool:
+        """Extend the pair with the best iterate and reset the hunt; False for
+        a duplicate of a locked eigenvalue or a non-minimal extension."""
+        _eta, lam, xt = self.best
         self.reset()
-        if _is_duplicate(pair, lam, self.tol):
-            return None
-        x1, x2 = xt[: op.n], xt[op.n :]
+        if self.pair.k and np.any(_same_eigenvalue(self.pair.h_diag, lam, self.tol)):
+            return False  # a duplicate of a locked eigenvalue
+        x, t = xt[: self.n], xt[self.n :]
+        if len(t) != self.pair.k:  # an eigenvector of T, from the undeflated search
+            t = np.zeros(self.pair.k, dtype=xt.dtype)
         try:
-            if not (deflated and len(x2) == pair.k):
-                x2 = _extension_tail(pair, lam, x1)
-            return pair.extend(op, lam, x1, x2)
+            self.pair = self.pair.extend(self.op, lam, x, t)
         except NepError:
-            return None
+            return False
+        return True
+
+    def restart(self, reset: bool = False) -> None:
+        """Go on from a seeded random vector, and the hunt over with ``reset``."""
+        self.stats["restarts"] += 1
+        self.lam = self.home()
+        self.xt = _random_unit(self.rng, self.n + self.cur.k, self.dtype)
+        if reset:
+            self.reset()
+        self.prev_eta = None
+        self.restarted()
+
+    def run(self) -> EigenSolution:
+        n, nev, stats = self.n, self.settings.nev, self.stats
+        budget = self.settings.max_it_effective
+        while self.pair.k < nev and stats["outer_iterations"] < budget:
+            self.dtype = np.result_type(self.dtype, self.pair.dtype)
+            self.deflated = True
+            m = n + self.pair.k
+            self.xt = np.ones(m, dtype=self.dtype) / math.sqrt(m)
+            self.begin()
+            self.lam = self.home()
+            while stats["outer_iterations"] < budget:
+                stats["outer_iterations"] += 1
+                eta, r1, r2 = self.measure()
+                if not np.isfinite(eta):
+                    self.restart()
+                    continue
+                lock_now = self.record(eta, self.lam, self.xt)
+                if self.stalled(eta):
+                    self.restart(reset=True)
+                elif lock_now:
+                    if self.lock():
+                        break
+                    self.restart()
+                elif self.deflated and 0 < eta < self.deflation_threshold:
+                    self.deflated = False
+                    self.xt = self.xt[:n] / np.linalg.norm(self.xt[:n])
+                    self.prev_eta = None
+                    self.undeflate()
+                elif not self.advance(eta, r1, r2):
+                    self.restart()
+        self.use(None)
+        stats["scalars"] = "real" if np.result_type(self.dtype, self.pair.dtype).kind == "f" else "complex"
+        return _finish(self.op, self.pair, self.settings, stats)
+
+    def measure(self):
+        """This step's (eta, r1, r2), (r1, r2) = M(lam) [x; t], eta = inf to
+        restart.  The iterate's ``ExtVector`` is freed on return, before
+        SLP's next factorization."""
+        v = self.iterate()
+        if v is None or _runaway(self.lam, self.xt, self.settings.target):
+            return np.inf, None, None
+        return _hunt_eta(v, self.lam)
+
+    def begin(self) -> None:
+        """Set up the search for the next pair, from ``xt``."""
+
+    def home(self) -> complex:
+        """The eigenvalue a search starts from."""
+        return self.target.real if self.dtype.kind == "f" else self.target
+
+    def iterate(self) -> Optional[ExtVector]:
+        """The iterate of this step (None to restart)."""
+        return self.vector()
+
+    def stalled(self, eta: float) -> bool:
+        """True to restart the search and its hunt."""
+        return False
+
+    def undeflate(self) -> None:
+        """The search has just gone on undeflated."""
+
+    def restarted(self) -> None:
+        """The search has just restarted from ``xt``."""
+
+    def advance(self, eta: float, r1, r2) -> bool:
+        """Make the next iterate from this one's residual; False to restart."""
+        raise NotImplementedError
+
+
+class _SLP(_Search):
+    def advance(self, eta, r1, r2):
+        n, lam = self.n, self.lam
+        self.use(None)  # the last step's factorization is freed before the next one
+        try:
+            ctx = ExtSolveContext(self.cur, self.op, lam, self.lin_cfg)
+        except np.linalg.LinAlgError as exc:
+            raise NepError(f"T is singular at the iterate {lam}") from exc
+        self.use(ctx)
+
+        def apply_deriv(z):
+            return ctx.apply_deriv(z[:n], z[n:])
+
+        def solve_ext(b):
+            return np.concatenate(ctx.solve(*b))
+
+        step_tol = max(1e-13, min(1e-9, self.tol / 10, 1e-2 * eta))
+        v0 = self.xt.astype(np.result_type(self.dtype, ctx.dtype), copy=False)
+        try:
+            (mu, xt), *_ = gen_eig_smallest(solve_ext, apply_deriv, 1, v0=v0, tol=step_tol)
+        except np.linalg.LinAlgError as exc:
+            raise NepError("inner eigensolver failed in SLP") from exc
+        self.lam, self.xt, self.dtype = lam - mu, xt, xt.dtype
+        return not _runaway(self.lam, xt, self.settings.target)
 
 
 def slp_solve(
@@ -207,71 +320,8 @@ def slp_solve(
     each iterate are real; a non-real iterate, Ritz value or locked
     eigenvalue makes the rest complex (``stats["scalars"]``).
     """
-    n = op.n
-    tol = settings.tol
-    inner_tol = min(1e-9, tol / 10)
-    target = complex(settings.target)
-    # the scalars of the iterates: once complex, they stay so
-    dtype = np.dtype(float if op.is_split and op.mats.dtype.kind == "f" and not target.imag else complex)
-    stats = {"outer_iterations": 0, "linear_solves": 0}
-    budget = settings.max_it_effective
-    pair = empty = InvariantPair.empty(n, dtype)
-    rng = np.random.default_rng(settings.seed)
-    hunt = _Hunt(tol)
-
-    while pair.k < settings.nev and stats["outer_iterations"] < budget:
-        dtype = np.result_type(dtype, pair.dtype)
-        lam = target.real if dtype.kind == "f" else target
-        m = n + pair.k
-        xt = np.ones(m, dtype=dtype) / math.sqrt(m)
-        deflated = True
-        while stats["outer_iterations"] < budget:
-            stats["outer_iterations"] += 1
-            cur = pair if deflated else empty
-            eta = _hunt_eta(ExtVector(cur, op, xt[:n], xt[n:]), lam)[0]
-            if hunt.record(eta, lam, xt, deflated):
-                extended = hunt.lock(op, pair)
-                if extended is not None:
-                    pair = extended
-                    break
-                lam = target.real if dtype.kind == "f" else target
-                xt = _random_unit(rng, n + pair.k, dtype)
-                continue
-            if deflated and deflation_threshold > 0 and 0 < eta < deflation_threshold:
-                deflated = False
-                xt = xt[:n] / np.linalg.norm(xt[:n])
-                hunt.prev_eta = None
-                continue
-            ctx = None  # the last step's factorization is freed before the next one
-            try:
-                ctx = ExtSolveContext(cur, op, lam, lin_cfg)
-            except np.linalg.LinAlgError as exc:
-                raise NepError(f"T is singular at the iterate {lam}") from exc
-            mm = n + cur.k
-
-            def apply_deriv(v):
-                return ctx.apply_deriv(v[:n], v[n:])
-
-            def solve_ext(b):
-                return np.concatenate(ctx.solve(*b))
-
-            step_tol = max(1e-13, min(inner_tol, 1e-2 * eta))
-            try:
-                (mu, xt_new), *_ = gen_eig_smallest(
-                    solve_ext, apply_deriv, 1, v0=xt[:mm].astype(np.result_type(dtype, ctx.dtype), copy=False), tol=step_tol
-                )
-            except np.linalg.LinAlgError as exc:
-                raise NepError("inner eigensolver failed in SLP") from exc
-            stats["linear_solves"] += ctx.solve_count
-            lam = lam - mu
-            xt = xt_new
-            dtype = xt.dtype
-            if _runaway(lam, xt, settings.target):
-                lam = target.real if dtype.kind == "f" else target
-                xt = _random_unit(rng, n + cur.k, dtype)
-                hunt.prev_eta = None
-    stats["scalars"] = "real" if np.result_type(dtype, pair.dtype).kind == "f" else "complex"
-    return _finish(op, pair, settings, stats)
+    real = op.is_split and op.mats.dtype.kind == "f" and not complex(settings.target).imag
+    return _SLP(op, settings, float if real else complex, deflation_threshold, lin_cfg).run()
 
 
 def rii_scalar_newton(
@@ -318,6 +368,92 @@ def rii_scalar_newton(
     return lam
 
 
+class _RII(_Search):
+    def __init__(self, op, settings, hermitian, lag, const_correction_tol, deflation_threshold, max_inner, lin_cfg):
+        super().__init__(op, settings, complex, deflation_threshold, lin_cfg)
+        self.hermitian, self.lag, self.max_inner = hermitian, lag, max_inner
+        self.shrink_tol = self.lin_cfg.mode != "direct" and not const_correction_tol
+
+    def begin(self):
+        self.sigma = self.target
+        self.corr_tol = self.lin_cfg.tol
+        self.use(ExtSolveContext(self.pair, self.op, self.sigma, self.lin_cfg))
+        self.steps = 0
+        self.since_progress, self.hunt_floor = 0, np.inf
+        self.polish_shift = True  # the one refresh of this pair's polish is still to come
+
+    def home(self):
+        return self.sigma
+
+    def shift_to(self, shift, cfg=None):
+        """Refactor at ``shift``, or again at sigma if T(shift) is singular."""
+        cfg = cfg or self.lin_cfg
+        try:
+            self.use(ExtSolveContext(self.cur, self.op, shift, cfg))
+            self.sigma = shift
+        except np.linalg.LinAlgError:
+            self.use(ExtSolveContext(self.cur, self.op, self.sigma, cfg))
+
+    def iterate(self):
+        self.steps += 1
+        lam, target = self.lam, self.target
+        # the shift moves before the eigenvalue update: the correction solve
+        # then uses T(lam_k)^{-1} T(lam_{k+1}) x, which is the exact
+        # Newton-like iteration (updating afterwards would make the
+        # correction equal to x itself)
+        if (
+            self.lag > 0
+            and self.steps > 1
+            and (self.steps - 1) % self.lag == 0
+            and lam != self.sigma
+            and 1e-2 > self.hunt_floor > math.sqrt(self.tol)
+            and _shift_is_safe(self.pair, lam)
+            and abs(lam - target) < 1e6 * (1.0 + abs(target))
+        ):
+            self.shift_to(lam)
+        elif self.polish_shift and self.hunt_floor < self.tol and lam != self.sigma and _shift_is_safe(self.pair, lam):
+            self.polish_shift = False
+            self.shift_to(lam)
+        v = self.vector()
+        ctx = None if self.hermitian else self.ctx
+        self.lam = rii_scalar_newton(v, self.sigma, lam, hermitian=self.hermitian, max_inner=self.max_inner, ctx=ctx)
+        return v
+
+    def stalled(self, eta):
+        if eta < 0.99 * self.hunt_floor:
+            self.hunt_floor, self.since_progress = eta, 0
+            return False
+        self.since_progress += 1
+        if self.since_progress <= STAGNATION_WINDOW or eta <= self.tol:
+            return False
+        # stagnation at a non-eigenpair fixed point: relocate the shift to the
+        # stagnation value (a one-off refresh) and restart from a fresh vector
+        lam, target = self.lam, self.target
+        if _shift_is_safe(self.pair, lam) and abs(lam - target) < 1e8 * (1.0 + abs(target)):
+            self.shift_to(lam)
+        self.since_progress, self.hunt_floor = 0, np.inf
+        return True
+
+    def undeflate(self):
+        # recentre the shift at the current estimate, so the plain iteration
+        # stays in this eigenvalue's basin instead of drifting back to a locked one
+        self.shift_to(self.lam)
+
+    def advance(self, eta, r1, r2):
+        if self.shrink_tol:
+            # exponentially decreasing, floored at the practical limit of
+            # double-precision iterative solves
+            self.corr_tol = max(self.corr_tol / 2, 1e-12)
+            self.shift_to(self.sigma, dataclasses.replace(self.lin_cfg, tol=self.corr_tol))
+        xt = self.xt - np.concatenate(self.ctx.solve(r1, r2))
+        with np.errstate(over="ignore", invalid="ignore"):
+            nrm = np.linalg.norm(xt)
+        if nrm == 0 or not np.isfinite(nrm):
+            return False
+        self.xt = xt / nrm
+        return True
+
+
 def rii_solve(
     op: NepOperator,
     settings: Settings,
@@ -346,123 +482,4 @@ def rii_solve(
     """
     if lag < 0:
         raise ValueError("lag must be nonnegative")
-    n = op.n
-    tol = settings.tol
-    pair = InvariantPair.empty(n)
-    empty = InvariantPair.empty(n)
-    stats = {"outer_iterations": 0, "linear_solves": 0}
-    budget = settings.max_it_effective
-    rng = np.random.default_rng(settings.seed)
-    hunt = _Hunt(tol)
-    base_cfg = lin_cfg or LinearSolverConfig()
-
-    def shift_to(shift, cur, cfg):
-        """Refactor at ``shift``, or again at sigma if T(shift) is singular;
-        the old context's solves are counted."""
-        nonlocal ctx, sigma
-        stats["linear_solves"] += ctx.solve_count
-        try:
-            ctx = ExtSolveContext(cur, op, shift, cfg)
-            sigma = shift
-        except np.linalg.LinAlgError:
-            ctx = ExtSolveContext(cur, op, sigma, cfg)
-
-    while pair.k < settings.nev and stats["outer_iterations"] < budget:
-        sigma = complex(settings.target)
-        corr_tol = base_cfg.tol
-        ctx = ExtSolveContext(pair, op, sigma, base_cfg)
-        deflated = True
-        lam = sigma
-        m = n + pair.k
-        xt = np.ones(m, dtype=complex) / math.sqrt(m)
-        it_for_pair = 0
-        since_progress = 0
-        hunt_floor = np.inf
-        polish_shift = True  # the one refresh of this pair's polish is still to come
-        while stats["outer_iterations"] < budget:
-            stats["outer_iterations"] += 1
-            it_for_pair += 1
-            cur = pair if deflated else empty
-            # shift refresh happens before the eigenvalue update: the
-            # correction solve then uses T(lam_k)^{-1} T(lam_{k+1}) x, which
-            # is the exact Newton-like iteration (updating afterwards would
-            # make the correction equal to x itself)
-            if (
-                lag > 0
-                and it_for_pair > 1
-                and (it_for_pair - 1) % lag == 0
-                and lam != sigma
-                and 1e-2 > hunt_floor > math.sqrt(tol)
-                and _shift_is_safe(pair, lam)
-                and abs(lam - settings.target) < 1e6 * (1.0 + abs(settings.target))
-            ):
-                shift_to(lam, cur, base_cfg)
-            elif polish_shift and hunt_floor < tol and lam != sigma and _shift_is_safe(pair, lam):
-                polish_shift = False
-                shift_to(lam, cur, base_cfg)
-            v = ExtVector(cur, op, xt[:n], xt[n:])
-            lam = rii_scalar_newton(v, sigma, lam, hermitian=hermitian, max_inner=max_inner, ctx=None if hermitian else ctx)
-            runaway = _runaway(lam, xt, settings.target)
-            if not runaway:
-                eta, r1, r2 = _hunt_eta(v, lam)
-                runaway = not np.isfinite(eta)
-            if runaway:
-                # the iteration left the representable domain; restart the hunt
-                lam = sigma
-                xt = _random_unit(rng, n + cur.k)
-                hunt.prev_eta = None
-                continue
-            lock_now = hunt.record(eta, lam, xt, deflated)
-            if eta < 0.99 * hunt_floor:
-                hunt_floor = eta
-                since_progress = 0
-            else:
-                since_progress += 1
-            if since_progress > STAGNATION_WINDOW and eta > tol:
-                # stagnation at a non-eigenpair fixed point: relocate the
-                # shift to the stagnation value (a one-off refresh) and
-                # restart from a fresh vector
-                if (
-                    _shift_is_safe(pair, lam)
-                    and abs(lam - settings.target) < 1e8 * (1.0 + abs(settings.target))
-                ):
-                    shift_to(lam, cur, base_cfg)
-                lam = sigma
-                xt = _random_unit(rng, n + cur.k)
-                hunt.reset()
-                since_progress, hunt_floor = 0, np.inf
-                continue
-            if lock_now:
-                extended = hunt.lock(op, pair)
-                if extended is not None:
-                    pair = extended
-                    break
-                lam = sigma
-                xt = _random_unit(rng, n + cur.k)
-                continue
-            if deflated and deflation_threshold > 0 and 0 < eta < deflation_threshold:
-                # switch to the undeflated operator; recenter the shift at the
-                # current estimate so the plain iteration stays in this
-                # eigenvalue's basin instead of drifting back to a locked one
-                deflated = False
-                xt = v.x1 / np.linalg.norm(v.x1)
-                hunt.prev_eta = None
-                shift_to(lam, empty, base_cfg)
-                continue
-            if base_cfg.mode != "direct" and not const_correction_tol:
-                # exponentially decreasing, floored at the practical limit of
-                # double-precision iterative solves
-                corr_tol = max(corr_tol / 2, 1e-12)
-                shift_to(sigma, cur, dataclasses.replace(base_cfg, tol=corr_tol))
-            c1, c2 = ctx.solve(r1, r2)
-            xt = np.concatenate([v.x1 - c1, v.x2 - c2])
-            with np.errstate(over="ignore", invalid="ignore"):
-                nrm = np.linalg.norm(xt)
-            if nrm == 0 or not np.isfinite(nrm):
-                lam = sigma
-                xt = _random_unit(rng, n + cur.k)
-                hunt.prev_eta = None
-                continue
-            xt = xt / nrm
-        stats["linear_solves"] += ctx.solve_count
-    return _finish(op, pair, settings, stats)
+    return _RII(op, settings, hermitian, lag, const_correction_tol, deflation_threshold, max_inner, lin_cfg).run()

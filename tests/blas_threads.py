@@ -19,3 +19,10 @@ def run_at_blas_threads(threads, script):
     )
     assert proc.returncode == 0, proc.stdout + proc.stderr
     return proc.stdout
+
+
+def other_blas_threads():
+    """A BLAS thread count this process does not run at: "2" at 1 thread, else
+    "1" (OpenBLAS runs at the core count unless the environment sets one)."""
+    current = os.environ.get("OPENBLAS_NUM_THREADS") or os.environ.get("OMP_NUM_THREADS") or str(os.cpu_count())
+    return "2" if current == "1" else "1"

@@ -1,3 +1,4 @@
+import functools
 import sys
 import warnings
 
@@ -16,7 +17,7 @@ from nepsolve.newton import (
     LOCK_FLOOR,
     POLISH_MAX,
     SQRT_EPS,
-    _Hunt,
+    _Search,
     _hunt_eta,
     _recovered_residual,
     rii_scalar_newton,
@@ -24,7 +25,7 @@ from nepsolve.newton import (
     slp_solve,
 )
 from nepsolve.problems import gen_delay, gen_loaded_string
-from blas_threads import run_at_blas_threads
+from blas_threads import other_blas_threads, run_at_blas_threads
 from test_deflation import dense_extended_matrix, delay_invariant_pair, rand_complex, string_invariant_pair
 
 
@@ -328,6 +329,19 @@ def test_returned_pairs_satisfy_tolerance_and_are_distinct():
                 assert abs(lams[i] - lams[j]) > 1e3 * s.tol * abs(lams[i])
 
 
+@pytest.mark.parametrize("solver", [slp_solve, rii_solve])
+def test_deflation_threshold_locks_an_undeflated_iterate_with_a_zero_tail(solver):
+    # an eigenvector x of T extends the locked pair invariantly with t = 0; a
+    # tail fitted to the minimality block alone left the pair non-invariant,
+    # and the deflated search stalled at eta 1.15e-5 with 6 of 9 pairs
+    op, oracle = gen_loaded_string(80)
+    s = Settings(nev=9, tol=1e-8, target=10.0, problem_type="rational")
+    sol = solver(op, s, deflation_threshold=1e-5)
+    assert sol.converged and len(sol.eigenvalues) == 9
+    ref = oracle.all_eigenvalues()
+    assert all(np.min(np.abs(ref - lam)) <= 1e-8 * abs(lam) for lam in sol.eigenvalues)
+
+
 def test_deflation_threshold_switch_still_converges():
     op, oracle = gen_delay(40, tau=0.001, b=-2.0)
     s = Settings(nev=2, tol=1e-10, target=1.0)
@@ -515,36 +529,61 @@ def _string(solver, **kw):
 
 
 STEP_CASES = {
-    "slp-delay100": (lambda: _delay(100, slp_solve, Settings(nev=4, tol=1e-8, target=1.0)), (13, 127)),
-    "rii-delay100": (lambda: _delay(100, rii_solve, Settings(nev=4, tol=1e-8, target=1.0)), (109, 222)),
+    "slp-delay100": (lambda: _delay(100, slp_solve, Settings(nev=4, tol=1e-8, target=1.0)), (13, 127, 0)),
+    "rii-delay100": (lambda: _delay(100, rii_solve, Settings(nev=4, tol=1e-8, target=1.0)), (109, 222, 4)),
     "rii-delay40-threshold": (
         lambda: _delay(40, rii_solve, Settings(nev=2, tol=1e-10, target=1.0), deflation_threshold=1e-4),
-        (49, 94),
+        (49, 94, 1),
     ),
     "slp-delay40-threshold": (
         lambda: _delay(40, slp_solve, Settings(nev=2, tol=1e-10, target=1.0), deflation_threshold=1e-4),
-        (8, 54),
+        (8, 54, 0),
     ),
-    "rii-string-lag1": (lambda: _string(rii_solve, lag=1), (23, 57)),
-    "rii-string-hermitian": (lambda: _string(rii_solve, hermitian=True), (104, 107)),
-    "rii-gmres": (_gmres_case, (10, 19)),
+    "rii-string-lag1": (lambda: _string(rii_solve, lag=1), (23, 57, 0)),
+    "rii-string-hermitian": (lambda: _string(rii_solve, hermitian=True), (104, 107, 0)),
+    "rii-gmres": (_gmres_case, (10, 19, 0)),
     "narnoldi-delay80": (lambda: _delay(80, narnoldi_solve, Settings(nev=3, tol=1e-8, target=1.0)), (21, 21, 0)),
     "narnoldi-delay60-restarts": (
         lambda: _delay(60, narnoldi_solve, Settings(nev=2, ncv=4, tol=1e-8, target=1.0, max_it=400)),
         (26, 25, 7),
     ),
 }
+STEP_KEYS = ("outer_iterations", "linear_solves", "restarts")
+
+
+@functools.cache
+def _step_case(case):
+    """The solve of one STEP_CASES pin, made once per process."""
+    return STEP_CASES[case][0]()
+
+
+def _step_line(case):
+    """The pin's counts and its eigenvalues to the last bit, as one line."""
+    sol = _step_case(case)
+    return " ".join([case, *(str(sol.stats[k]) for k in STEP_KEYS), *(repr(complex(z)) for z in sol.eigenvalues)])
 
 
 @pytest.mark.parametrize("case", sorted(STEP_CASES))
 def test_solvers_keep_their_step_counts(case):
-    # SLP, RII and N-Arnoldi share one polish-and-lock rule; these counts pin
-    # the steps it takes (the same at 1 and 2 BLAS threads)
-    solve, expected = STEP_CASES[case]
-    sol = solve()
+    # SLP, RII and N-Arnoldi share one search loop; these counts pin the
+    # steps it takes
+    sol = _step_case(case)
     assert sol.converged
-    keys = ("outer_iterations", "linear_solves", "restarts")[: len(expected)]
-    assert tuple(sol.stats[k] for k in keys) == expected
+    assert tuple(sol.stats[k] for k in STEP_KEYS) == STEP_CASES[case][1]
+
+
+def test_step_counts_and_eigenvalues_do_not_depend_on_blas_threads():
+    # every pin in one fresh interpreter at the other BLAS thread count
+    script = "import test_newton\nfor case in sorted(test_newton.STEP_CASES):\n    print(test_newton._step_line(case))\n"
+    lines = run_at_blas_threads(other_blas_threads(), script).splitlines()
+    assert lines == [_step_line(case) for case in sorted(STEP_CASES)]
+
+
+@pytest.mark.parametrize("solver", [slp_solve, rii_solve, narnoldi_solve])
+def test_solvers_report_one_stats_shape(solver):
+    sol = _delay(40, solver, Settings(nev=2, tol=1e-8, target=1.0))
+    assert set(sol.stats) == {*STEP_KEYS, "scalars"}
+    assert sol.stats["scalars"] == ("real" if solver is slp_solve else "complex")
 
 
 def _unit(n, i, tail=0):
@@ -553,20 +592,25 @@ def _unit(n, i, tail=0):
     return v
 
 
+def _hunt(tol, op=None):
+    """The search's polish-then-lock state, fed by hand."""
+    return _Search(op or diag_linear([1.0, 2.5, 4.0]), Settings(tol=tol))
+
+
 def test_hunt_locks_at_the_residual_floor_at_once():
-    hunt = _Hunt(1e-8)
+    hunt = _hunt(1e-8)
     assert hunt.record(LOCK_FLOOR, 1.0, _unit(3, 0))
 
 
 def test_hunt_locks_after_two_steps_that_gain_less_than_five_percent():
-    hunt = _Hunt(1e-8)
+    hunt = _hunt(1e-8)
     # a 5% gain or more resets the stall count
     etas = [1e-10, 0.99e-10, 0.5e-10, 0.49e-10, 0.5e-10]
     assert [hunt.record(eta, 1.0, _unit(3, 0)) for eta in etas] == [False] * 4 + [True]
 
 
 def test_hunt_stops_polishing_at_polish_max():
-    hunt = _Hunt(1e-8)
+    hunt = _hunt(1e-8)
     # every step gains 10%, so only the polish budget ends the search
     locks = [hunt.record(1e-9 / 1.1**i, 1.0, _unit(3, 0)) for i in range(POLISH_MAX + 1)]
     assert locks == [False] * POLISH_MAX + [True]
@@ -574,17 +618,18 @@ def test_hunt_stops_polishing_at_polish_max():
 
 @pytest.mark.parametrize("factor", [1.0, 2.0])
 def test_hunt_never_locks_at_or_above_tol(factor):
-    hunt = _Hunt(1e-8)
+    hunt = _hunt(1e-8)
     assert not any(hunt.record(factor * 1e-8, 1.0, _unit(3, 0)) for _ in range(3 * POLISH_MAX))
 
 
 def test_hunt_locks_the_iterate_with_the_smallest_eta():
     op = diag_linear([1.0, 2.5, 4.0])
-    hunt = _Hunt(1e-8)
+    hunt = _hunt(1e-8, op)
     # iterates of one eigenvalue: within 1e3 * tol relative of each other
     steps = [(5e-9, 2.5 + 1e-9, 0), (1e-9, 2.5, 1), (2e-9, 2.5 + 2e-9, 2), (3e-9, 2.5 - 1e-9, 0)]
     assert [hunt.record(eta, lam, _unit(3, i)) for eta, lam, i in steps] == [False] * 3 + [True]
-    pair = hunt.lock(op, InvariantPair.empty(3))
+    assert hunt.lock()
+    pair = hunt.pair
     assert pair.k == 1 and pair.H[0, 0] == 2.5
     assert np.array_equal(pair.X[:, 0], _unit(3, 1))
     assert hunt.best is None and hunt.polish_steps == 0
@@ -594,7 +639,7 @@ def test_hunt_never_locks_an_eigenvalue_it_has_left():
     # N-Arnoldi on delay n=200, ncv=5: one projected solve returned the far
     # root -8333.7348 below tol, and the next iterates converge to -41.5601;
     # had they stalled, the hunt locked -8333.7348 as its best iterate
-    hunt = _Hunt(1e-10)
+    hunt = _hunt(1e-10)
     steps = [(2.4e-11, -8333.7348, 0), (5e-11, -41.5601, 1), (5e-11, -41.5601, 1), (5e-11, -41.5601, 1)]
     assert [hunt.record(eta, lam, _unit(3, i)) for eta, lam, i in steps] == [False] * 3 + [True]
     assert hunt.best[1] == -41.5601
@@ -602,7 +647,7 @@ def test_hunt_never_locks_an_eigenvalue_it_has_left():
 
 
 def test_hunt_keeps_its_best_iterate_through_an_excursion_above_tol():
-    hunt = _Hunt(1e-8)
+    hunt = _hunt(1e-8)
     steps = [(1e-12, 2.5, 1), (0.7, 17.7, 2), (2e-12, 2.5, 0), (3e-12, 2.5, 0), (4e-12, 2.5, 0)]
     assert [hunt.record(eta, lam, _unit(3, i)) for eta, lam, i in steps] == [False] * 4 + [True]
     assert np.array_equal(hunt.best[2], _unit(3, 1))
@@ -611,15 +656,16 @@ def test_hunt_keeps_its_best_iterate_through_an_excursion_above_tol():
 def test_hunt_lock_rejects_duplicates_and_non_minimal_extensions():
     op = diag_linear([1.0, 2.5, 4.0])
     pair = InvariantPair.empty(3).extend(op, 2.5, _unit(3, 1), np.zeros(0))
-    hunt = _Hunt(1e-8)
+    hunt = _hunt(1e-8, op)
+    hunt.pair = pair
     # within 1e3 * tol relative of the locked eigenvalue 2.5
     hunt.record(0.0, 2.5 * (1 + 1e-7), _unit(3, 0, tail=1))
-    assert hunt.lock(op, pair) is None
+    assert not hunt.lock()
     # X = [e2, e2] with t = 2.5 - lam makes X H^j = 2.5^j X: not minimal
     lam = 2.5 + 1e-3
     xt = _unit(3, 1, tail=1)
     xt[3] = 2.5 - lam
     hunt.record(0.0, lam, xt)
-    assert hunt.lock(op, pair) is None
+    assert not hunt.lock() and hunt.pair is pair
     hunt.record(0.0, 1.0, _unit(3, 0, tail=1))
-    assert hunt.lock(op, pair).k == 2
+    assert hunt.lock() and hunt.pair.k == 2
