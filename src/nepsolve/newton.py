@@ -5,23 +5,26 @@ Arnoldi.
 Each finds one eigenpair at a time, locks it into the invariant pair
 (X, H) and searches on for the next on the deflated problem M, whose
 iterates [x; t] have length n + k, so a locked eigenvalue is not found
-again (Effenberger, SIMAX 2013).  ``_Search.run`` is the loop of all three:
-per outer step the solver's ``iterate`` gives the eigenvalue and vector,
-the loop measures their lock measure eta (``_hunt_eta``) and locks,
-restarts or goes on undeflated, and the solver's ``advance`` makes the next
-iterate.  An iterate whose eta is below tol is polished on (RII at a shift
-moved to its eigenvalue once the polish starts); the best iterate seen is
-locked when eta <= 1e-14 (``LOCK_FLOOR``), after two steps in a row
-(``STALL_PERSIST``) that gain less than 5% (``STALL_FACTOR``), or after 80
-polish steps (``POLISH_MAX``).  Eigenvalues within 1e3 * tol relative are
-taken as one: an iterate below tol further than that from the best one
-starts the hunt over.  The search restarts from a seeded random vector
-after refusing to lock a duplicate of a locked eigenvalue or a non-minimal
-extension, after a runaway iterate or a non-finite eta, and after a step
-the solver gives up on.  Below ``deflation_threshold`` an iterate goes on
-undeflated, on T itself; its x is locked with the tail t = 0, since an
-eigenvector of T extends (X, H) invariantly with t = 0.  All three report
-``outer_iterations``, ``linear_solves``, ``restarts`` and ``scalars``.
+again (Effenberger, SIMAX 2013).
+
+``_Search.run`` is the loop of all three: per outer step the solver's
+``iterate`` gives the eigenvalue and vector, the loop measures their lock
+measure eta (``_hunt_eta``) and locks, restarts or goes on undeflated, and
+the solver's ``advance`` makes the next iterate.  An iterate whose eta is
+below tol is polished on (RII at a shift moved to its eigenvalue once the
+polish starts); the best iterate seen is locked when eta <= 1e-14
+(``LOCK_FLOOR``), after two steps in a row (``STALL_PERSIST``) that gain
+less than 5% (``STALL_FACTOR``), or after 80 polish steps (``POLISH_MAX``).
+Eigenvalues within 1e3 * tol relative are taken as one: an iterate below
+tol further than that from the best one starts the hunt over.
+
+The search restarts from a seeded random vector after a refused lock (a
+duplicate of a locked eigenvalue or a non-minimal extension), a runaway
+iterate, a non-finite eta or a step the solver gives up on.  Below
+``deflation_threshold`` an iterate goes on undeflated, on T itself, and its
+x is locked with t = 0: an eigenvector of T extends (X, H) invariantly so.
+All three report ``outer_iterations``, ``linear_solves``, ``restarts`` and
+``scalars``.
 """
 
 from __future__ import annotations
@@ -428,9 +431,8 @@ class _RII(_Search):
             return False
         # stagnation at a non-eigenpair fixed point: relocate the shift to the
         # stagnation value (a one-off refresh) and restart from a fresh vector
-        lam, target = self.lam, self.target
-        if _shift_is_safe(self.pair, lam) and abs(lam - target) < 1e8 * (1.0 + abs(target)):
-            self.shift_to(lam)
+        if _shift_is_safe(self.pair, self.lam) and abs(self.lam - self.target) < 1e8 * (1.0 + abs(self.target)):
+            self.shift_to(self.lam)
         self.since_progress, self.hunt_floor = 0, np.inf
         return True
 
