@@ -22,6 +22,7 @@ from .core import (
     Rectangle,
     Settings,
     backward_error,
+    region_to_dict,
 )
 from .interpol import interpol_solve
 from .linalg import LinearSolverConfig
@@ -223,29 +224,6 @@ def _run(args: argparse.Namespace) -> tuple[dict, int]:
     return report, exit_code
 
 
-def _region_descr(region):
-    if region is None:
-        return None
-    if isinstance(region, Interval):
-        return {"kind": "interval", "a": region.a, "b": region.b}
-    if isinstance(region, Rectangle):
-        return {
-            "kind": "rect",
-            "re_min": region.re_min,
-            "re_max": region.re_max,
-            "im_min": region.im_min,
-            "im_max": region.im_max,
-        }
-    if isinstance(region, Ellipse):
-        return {
-            "kind": "ellipse",
-            "center": [region.center.real, region.center.imag],
-            "rx": region.rx,
-            "ry": region.ry,
-        }
-    return {"kind": "polygon"}
-
-
 def _build_report(args, settings, op, sol: EigenSolution, elapsed: float) -> dict:
     pairs = []
     for p in sol.pairs:
@@ -277,7 +255,7 @@ def _build_report(args, settings, op, sol: EigenSolution, elapsed: float) -> dic
         "tol": settings.tol,
         "max_it": settings.max_it_effective,
         "target": [settings.target.real, settings.target.imag],
-        "region": _region_descr(settings.region),
+        "region": region_to_dict(settings.region),
         "two_sided": settings.two_sided,
         "linsolver": args.linsolver,
         "seed": args.seed,

@@ -11,7 +11,7 @@ one dedup, one sort and one convergence rule.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from typing import List, Optional
 
 import numpy as np
@@ -26,6 +26,8 @@ __all__ = [
     "Rectangle",
     "Ellipse",
     "Polygon",
+    "region_to_dict",
+    "region_from_dict",
     "Settings",
     "EigenPair",
     "EigenSolution",
@@ -306,6 +308,35 @@ class Polygon:
             frac = (t - cum[k]) / lengths[k]
             pts[i] = p + frac * (q - p)
         return pts
+
+
+def region_to_dict(region) -> Optional[dict]:
+    """The region as a JSON object in the manifest's vocabulary; ``region_from_dict`` reads it back."""
+    if region is None:
+        return None
+    if isinstance(region, (Interval, Rectangle)):
+        return {"kind": "interval" if isinstance(region, Interval) else "rectangle", **asdict(region)}
+    if isinstance(region, Ellipse):
+        return {"kind": "ellipse", "center": [region.center.real, region.center.imag], "rx": region.rx, "ry": region.ry}
+    return {"kind": "polygon", "vertices": [[v.real, v.imag] for v in region.vertices]}
+
+
+def region_from_dict(obj):
+    """The region of a JSON object with a ``kind``; a complex number is [re, im] or a number."""
+    kind = obj["kind"]
+    if kind == "interval":
+        return Interval(float(obj["a"]), float(obj["b"]))
+    if kind == "rectangle":
+        return Rectangle(*(float(obj[k]) for k in ("re_min", "re_max", "im_min", "im_max")))
+    if kind == "ellipse":
+        return Ellipse(_unpair(obj["center"]), float(obj["rx"]), float(obj["ry"]))
+    if kind == "polygon":
+        return Polygon(tuple(_unpair(v) for v in obj["vertices"]))
+    raise ValueError(f"unknown region kind {kind!r}")
+
+
+def _unpair(c) -> complex:
+    return complex(c[0], c[1]) if isinstance(c, (list, tuple)) else complex(c)
 
 
 # -- settings and solutions ------------------------------------------------------

@@ -1,22 +1,22 @@
 """Chebyshev interpolation solver for real eigenvalues in an interval.
 
-T is replaced by the degree-d Chebyshev interpolant P_d on the interval, the
-resulting polynomial eigenproblem is solved through a colleague-type
-linearization with an implicit shift-and-invert Krylov iteration, and the
-approximations are filtered back against the interval.  The Krylov path
-reads its Ritz pairs back as eigenpairs by ``linalg.ShiftInvertRun``, the
-rule of NLEIGS, with interpol's own region test (a 1% pad, |Im lam| within
-1e-8 max(1, |lam|) whatever the Ritz error); both paths test the
-interpolant residual eta_poly, and return their pairs, at Re lam.
-Residuals are reported against the original T; the interpolation degree
-bounds the attainable accuracy and is a user choice, and a degree too small
-for tol against T leaves the solve unconverged (see ``core.finish``).
+T is replaced by the degree-d Chebyshev interpolant P_d on the interval, held
+as NLEIGS holds its rational interpolant (combinations of the A_i, or of T at
+the nodes for a callback operator).  Its colleague-type linearization is
+solved densely for small pencils, otherwise by shift-and-invert Krylov-Schur
+on NLEIGS's compact basis (``linalg.ToarBasisEngine``), whose Ritz pairs
+become eigenpairs by ``linalg.ShiftInvertRun``, the rule of NLEIGS, with
+interpol's own region test (a 1% pad, |Im lam| within 1e-8 max(1, |lam|)
+whatever the Ritz error); both paths test the interpolant residual eta_poly,
+and return their pairs, at Re lam.  Residuals are reported against T; the
+degree bounds the attainable accuracy and is a user choice, and a degree too
+small for tol against T leaves the solve unconverged (see ``core.finish``).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import List, Optional
+from typing import Optional
 
 import numpy as np
 import scipy.sparse as sp
@@ -32,13 +32,12 @@ from .core import (
     finish,
 )
 from .linalg import (
-    FullBasisEngine,
     LinearSolverConfig,
     ShiftInvertRun,
     SplitSum,
+    ToarBasisEngine,
     lu_factor,
     make_linear_solver,
-    sparse_times,
 )
 
 __all__ = ["cheb_nodes", "cheb_coeffs", "ChebPoly", "ColleaguePencil", "interpol_solve"]
@@ -61,25 +60,24 @@ def cheb_nodes(d: int) -> np.ndarray:
 
 @dataclass
 class ChebPoly:
-    """Matrix polynomial sum_k C_k tau_k(theta) in the Chebyshev basis.
+    """Matrix polynomial P_d = sum_k C_k tau_k(theta), C_0 with weight 1/2.
 
-    ``coeffs[0]`` enters with weight 1/2.  ``theta`` is the interval variable
-    mapped to [-1, 1].
+    As in ``nleigs.RationalInterpolant``, C_k = sum_i coeffs[i, k] M_i over ``mats``: the
+    A_i with each f_i's Chebyshev coefficients, or T at the d+1 nodes with the cosine matrix.
+    ``theta`` is lam mapped to [-1, 1].  P_d is scaled as T is: sum_i |w_i| ||M_i||_inf.
     """
 
     interval: Interval
-    coeffs: List[sp.csr_matrix]
-
-    def __post_init__(self):
-        self._sum = SplitSum(self.coeffs)
+    mats: SplitSum
+    coeffs: np.ndarray
 
     @property
     def degree(self) -> int:
-        return len(self.coeffs) - 1
+        return self.coeffs.shape[1] - 1
 
     @property
     def n(self) -> int:
-        return self.coeffs[0].shape[0]
+        return self.mats.n
 
     def theta(self, lam: complex) -> complex:
         a, b = self.interval.a, self.interval.b
@@ -101,44 +99,49 @@ class ChebPoly:
         return vals
 
     def weights(self, lam: complex) -> np.ndarray:
+        """The weight of each matrix M_i in P_d(lam)."""
         w = self.tau_values(self.theta(lam))
         w[0] *= 0.5
-        return w
+        return self.coeffs @ w
 
     def eval(self, lam: complex) -> sp.csr_matrix:
-        return self._sum.assemble(self.weights(lam))
+        return self.mats.assemble(self.weights(lam))
 
     def apply(self, lam: complex, v: np.ndarray) -> np.ndarray:
-        return self._sum.apply(self.weights(lam), v)
+        return self.mats.apply(self.weights(lam), v)
 
     def norm_scale(self, lam: complex) -> float:
-        return self._sum.scale(self.weights(lam))
+        return self.mats.scale(self.weights(lam))
 
 
 def cheb_coeffs(op: NepOperator, interval: Interval, d: int) -> ChebPoly:
     """Interpolate T at the mapped Chebyshev nodes.
 
-    C_k = 2/(d+1) sum_i T(map(cos w_i)) cos(k w_i) with w_i = (i+1/2)pi/(d+1).
+    C_k = 2/(d+1) sum_i T(map(cos w_i)) cos(k w_i) with w_i = (i+1/2)pi/(d+1);
+    in split form only the f_i are evaluated at the nodes.
     """
     if d < 0:
         raise ValueError("degree must be nonnegative")
     omegas = (np.arange(d + 1) + 0.5) * np.pi / (d + 1)
-    nodes = np.cos(omegas)
     a, b = interval.a, interval.b
-    mapped = 0.5 * (b - a) * nodes + 0.5 * (b + a)
-    Ts = SplitSum([op.assemble(complex(lam)) for lam in mapped])
-    coeffs = [Ts.assemble(np.cos(k * omegas) * (2.0 / (d + 1))) for k in range(d + 1)]
-    return ChebPoly(Interval(a, b), coeffs)
+    mapped = 0.5 * (b - a) * np.cos(omegas) + 0.5 * (b + a)
+    cosines = np.cos(np.outer(omegas, np.arange(d + 1))) * (2.0 / (d + 1))  # node i, degree k
+    if op.is_split:
+        values = np.array([op.coefficients(complex(lam)) for lam in mapped]).T
+        return ChebPoly(Interval(a, b), op.mats, values @ cosines)
+    return ChebPoly(Interval(a, b), SplitSum([op.assemble(complex(lam)) for lam in mapped]), cosines)
 
 
 class ColleaguePencil:
     """Colleague-type linearization of a Chebyshev matrix polynomial.
 
     The pencil (A, B) of size d*n acts on blocks z_k = tau_k(theta) x; its
-    eigenvalues are the roots of det P_d in the theta variable.  Shift-and-
-    invert applications use one factorization of P_d(theta_sigma) plus the
-    three-term recurrence, so the pencil is never formed for large problems.
+    eigenvalues are the roots of det P_d in the theta variable.  It is formed
+    only for small problems (``build_dense``); otherwise ``toar_expand`` feeds
+    the compact basis, in complex scalars, with one solve per step.
     """
+
+    dtype = np.dtype(complex)
 
     def __init__(self, poly: ChebPoly):
         if poly.degree < 1:
@@ -152,10 +155,9 @@ class ColleaguePencil:
     # dense construction, used by small problems and oracles
     def build_dense(self):
         d, n = self.d, self.n
-        C = [M.toarray() for M in self.poly.coeffs]
-        Chat = [c.copy() for c in C[:-1]]
-        Chat[0] = 0.5 * C[0]
-        Cd = C[-1]
+        Chat = [self.poly.mats.assemble(c).toarray() for c in self.poly.coeffs.T]
+        Chat[0] *= 0.5
+        Cd = Chat.pop()
         if d == 1:
             return -Chat[0], Cd
         A = np.zeros((d * n, d * n), dtype=complex)
@@ -185,32 +187,25 @@ class ColleaguePencil:
     def solve_count(self) -> int:
         return self._solver.solve_count if self._solver is not None else 0
 
-    def apply_shift_invert(self, x: np.ndarray) -> np.ndarray:
-        """(A - theta_sigma B)^{-1} B x through block elimination."""
+    def toar_expand(self, U: np.ndarray, g: np.ndarray):
+        """S = (A - theta_sigma B)^{-1} B on the vector with d coefficient rows ``g`` on U.
+
+        Returns ``(y0, G)`` with S (I_d (x) U) g = (I_d (x) [U, y0]) G: block k is
+        tau_k(theta_sigma) y0 + U t_k (t_0 = 0, t_1 = g_0, t_{k+1} = 2 theta_sigma t_k
+        - t_{k-1} + 2 g_k), and P_d(theta_sigma) y0 = -sum_{k>=1} C_k U t_k.
+        """
         if self._solver is None:
             raise NepError("factor() must be called before applying the pencil")
-        d, n = self.d, self.n
-        ts = self._shift
-        C = self.poly.coeffs
-        x = x.reshape(d, n)
-        if d == 1:
-            return self._solver.solve(-sparse_times(C[1], x[0]))
-        # right-hand side blocks c = B x
-        c = [x[k] for k in range(d - 1)] + [sparse_times(C[-1], x[d - 1])]
-        # z_k = tau_k(ts) z_0 + s_k
-        s = [np.zeros(n, dtype=complex), c[0]]
-        for k in range(1, d - 1):
-            s.append(2 * ts * s[k] - s[k - 1] + 2 * c[k])
-        tau = self.poly.tau_values(ts)
-        rhs = -2.0 * c[d - 1] + sparse_times(C[-1], s[d - 2]) - 2.0 * ts * sparse_times(C[-1], s[d - 1])
-        rhs -= 0.5 * sparse_times(C[0], s[0])
+        d, mu, ts = self.d, U.shape[1], self._shift
+        t = np.zeros((d + 1, mu), dtype=self.dtype)
+        t[1] = g[0]
         for k in range(1, d):
-            rhs -= sparse_times(C[k], s[k])
-        z0 = self._solver.solve(rhs)
-        z = np.empty((d, n), dtype=complex)
-        for k in range(d):
-            z[k] = tau[k] * z0 + s[k]
-        return z.reshape(d * n)
+            t[k + 1] = 2 * ts * t[k] - t[k - 1] + 2 * g[k]
+        y0 = self._solver.solve(-self.poly.mats.combine((self.poly.coeffs[:, 1:] @ t[1:]) @ U.T))
+        G = np.empty((d, mu + 1), dtype=self.dtype)
+        G[:, :mu] = t[:d]
+        G[:, mu] = self.poly.tau_values(ts)[:d]
+        return y0, G
 
 
 def _in_interval(region: Interval, lam: complex) -> bool:
@@ -276,7 +271,7 @@ def _krylov_pairs(settings, poly: ChebPoly, pencil: ColleaguePencil, lin_cfg):
 
     d, n = pencil.d, pencil.n
     ncv = min(settings.ncv_effective, d * n)
-    engine = FullBasisEngine(pencil.apply_shift_invert, np.ones((d, n), dtype=complex), ncv)
+    engine = ToarBasisEngine(pencil, np.broadcast_to(np.ones(n, dtype=pencil.dtype), (d, n)), ncv)
     run = ShiftInvertRun(
         engine,
         ncv,

@@ -5,9 +5,10 @@ routines here wrap LAPACK/SuperLU factorizations, provide reorthogonalized
 Gram-Schmidt, small wrappers around the iterative linear solvers and one
 kernel for split-form sums sum_i w_i M_i of sparse matrices.  One
 Krylov-Schur driver with restart and locking runs every Krylov eigensolve:
-NLEIGS and interpol on their shift-and-invert operators, through one
-Ritz-to-eigenpair rule (``ShiftInvertRun``), and SLP's inner linear
-eigenproblem through ``gen_eig_smallest``.
+NLEIGS and interpol on the compact basis of their linearizations
+(``ToarBasisEngine``), through one Ritz-to-eigenpair rule
+(``ShiftInvertRun``), and SLP's inner linear eigenproblem through
+``gen_eig_smallest``.
 
 Scalars follow the data: the Krylov kernels (``orthogonalize``,
 ``compress_columns``, the basis engines, ``SplitSum``'s applies, direct and
@@ -62,6 +63,7 @@ __all__ = [
     "inf_norm",
     "SplitSum",
     "FullBasisEngine",
+    "ToarBasisEngine",
     "KrylovSchurDriver",
     "ShiftInvertRun",
     "gen_eig_smallest",
@@ -69,6 +71,7 @@ __all__ = [
 
 BREAKDOWN_RTOL = 1e-14
 COPY_RTOL = 1e-8
+COMPRESS_RTOL = 1e-13
 COMPRESS_ROWS = 1024  # rows per block of compress_columns: 1024 x ncv scalars fit in L2
 
 
@@ -164,6 +167,26 @@ def compress_columns(B: np.ndarray, W: np.ndarray) -> None:
     for b in range(nblocks):
         block = B[n * b // nblocks : n * (b + 1) // nblocks]
         block[:, :r] = block[:, :m] @ W
+
+
+def _range_basis(A: np.ndarray) -> np.ndarray:
+    """Orthonormal left singular vectors of A for singular values above COMPRESS_RTOL times the largest.
+
+    A complex A goes through the real SVD of [[Re A, -Im A], [Im A, Re A]] (OpenBLAS's complex
+    SVD rounds differently at 1 and 2 BLAS threads): each left singular vector [x; y] gives
+    x + iy, a multiple of one of A, and pivoted Gram-Schmidt on numpy's own loops keeps r of them.
+    """
+    if A.dtype.kind != "c":
+        W, s, _ = np.linalg.svd(A, full_matrices=False)
+        return W[:, : max(1, int(np.sum(s > COMPRESS_RTOL * s[0])))]
+    Q = _range_basis(np.block([[A.real, -A.imag], [A.imag, A.real]]))
+    C = Q[: len(A)] + 1j * Q[len(A) :]
+    W = np.empty((len(A), (C.shape[1] + 1) // 2), dtype=complex)
+    for j in range(W.shape[1]):
+        norms = np.linalg.norm(C, axis=0)
+        W[:, j] = C[:, np.argmax(norms)] / norms.max()
+        C = C - np.outer(W[:, j], np.einsum("i,ij->j", W[:, j].conj(), C))
+    return W
 
 
 def _complex(re: np.ndarray, im: np.ndarray) -> np.ndarray:
@@ -328,8 +351,10 @@ def iterative_solve(cfg: LinearSolverConfig, A, b) -> IterativeResult:
 
     The iteration runs in the scalars of A and b: real for a real A and a
     real b, complex otherwise, with a real A applied by ``sparse_times``.
-    Non-convergence is reported in the result, not raised; breakdown is
-    distinguished from plain iteration-count exhaustion.
+    BiCGStab stops after ``maxit`` iterations, GMRES after the first whole restart
+    cycle that reaches them (at most maxit + min(restart, n) - 1).  Non-convergence
+    is reported in the result, not raised; breakdown is distinguished from plain
+    iteration-count exhaustion.
     """
     b = np.asarray(b)
     b = b.astype(np.result_type(A.dtype, b, np.float64), copy=False)
@@ -351,17 +376,9 @@ def iterative_solve(cfg: LinearSolverConfig, A, b) -> IterativeResult:
         if cfg.mode == "bicgstab":
             x, info = spla.bicgstab(op, b, rtol=cfg.tol, atol=0.0, maxiter=cfg.maxit, M=M, callback=cb)
         else:
-            x, info = spla.gmres(
-                op,
-                b,
-                rtol=cfg.tol,
-                atol=0.0,
-                restart=cfg.restart,
-                maxiter=cfg.maxit,
-                M=M,
-                callback=cb,
-                callback_type="pr_norm",
-            )
+            cycles = -(-cfg.maxit // min(cfg.restart, A.shape[0]))  # scipy's maxiter counts cycles
+            x, info = spla.gmres(op, b, rtol=cfg.tol, atol=0.0, restart=cfg.restart, maxiter=cycles, M=M,
+                                 callback=cb, callback_type="pr_norm")
     except Exception:
         return IterativeResult(np.zeros_like(b), False, np.inf, count["it"], breakdown=True)
     resid = float(np.linalg.norm(op @ x - b))
@@ -414,6 +431,13 @@ class SplitSum:
         out = np.zeros(self.n, dtype=np.result_type(np.asarray(w), v, self.dtype))
         for wi, M in zip(w, self.mats):
             out += wi * sparse_times(M, v)
+        return out
+
+    def combine(self, rows: np.ndarray) -> np.ndarray:
+        """sum_i M_i rows[i], one product per matrix, summed in their order."""
+        out = sparse_times(self.mats[0], rows[0]).astype(np.result_type(rows, self.dtype), copy=False)
+        for M, r in zip(self.mats[1:], rows[1:]):
+            out += sparse_times(M, r)
         return out
 
     def adjoint_products(self, v: np.ndarray) -> List[np.ndarray]:
@@ -562,12 +586,119 @@ class FullBasisEngine:
         return basis_times(self.V[:, :m], y)
 
 
+class ToarBasisEngine:
+    """Compact representation V_k = (I_d (x) U) G_k of the Krylov basis.
+
+    ``ctx`` is a linearization with a block recurrence (NLEIGS's
+    ``ShiftInvertContext``, interpol's ``ColleaguePencil``): ``toar_expand(U,
+    g)`` gives the one new direction y0 and the coefficients on [U, y0], and
+    ``dtype`` its scalars.  U (n x mu, orthonormal) holds the rank of the
+    start blocks, folded in one at a time (d equal blocks give one column),
+    and is a view of a column-major buffer of d + ncv + 2 columns, which
+    grows only if rounding ever lets the rank pass it.  An expansion step
+    reads U once for the solve's right-hand side, orthogonalizes the solution
+    against U and writes at most one new column in place; a restart
+    compresses U to U W in place (``_range_basis``).  G (d x mu x k) lives in
+    a preallocated buffer alike.  U and G are real when both the start blocks
+    and ``ctx`` are real, complex otherwise.
+    """
+
+    def __init__(self, ctx, w_blocks: np.ndarray, ncv: int):
+        self.ctx = ctx
+        d, n = w_blocks.shape
+        self.d, self.n = d, n
+        self.mu = 0
+        self.k = 1  # basis columns held in G
+        self.dtype = np.result_type(w_blocks, ctx.dtype)
+        self._U = np.empty((n, d + ncv + 2), dtype=self.dtype, order="F")
+        self._G = np.zeros((d, self._U.shape[1], ncv + 2), dtype=self.dtype)
+        for i, w in enumerate(np.asarray(w_blocks, dtype=self.dtype)):
+            c = self._fold(w)
+            self._G[i, : c.size, 0] = c
+        nrm = np.linalg.norm(self._G[:, : self.mu, 0])
+        if nrm == 0:
+            raise ValueError("zero starting vector")
+        self._G[:, : self.mu, 0] /= nrm
+
+    @property
+    def U(self) -> np.ndarray:
+        return self._U[:, : self.mu]
+
+    @property
+    def G(self) -> np.ndarray:
+        return self._G[:, : self.mu, : self.k]
+
+    def _stacked(self, cols: int) -> np.ndarray:
+        return self._G[:, : self.mu, :cols].reshape(self.d * self.mu, cols)
+
+    def _set_column(self, j: int, g: np.ndarray) -> None:
+        self._G[:, : self.mu, j] = g.reshape(self.d, self.mu)
+        self.k = j + 1
+
+    def _fold(self, w: np.ndarray) -> np.ndarray:
+        """Coefficients c with w = U c, after adding w's part outside span(U) to U."""
+        h, beta, w_orth, dep = orthogonalize(self.U, w)
+        if dep:
+            return h
+        mu = self.mu
+        if mu == self._U.shape[1]:
+            U = np.empty((self.n, mu + self.d), dtype=self.dtype, order="F")
+            U[:, :mu] = self._U
+            self._U = U
+            G = np.zeros((self.d, mu + self.d, self._G.shape[2]), dtype=self.dtype)
+            G[:, :mu] = self._G
+            self._G = G
+        np.divide(w_orth, beta, out=self._U[:, mu])
+        self.mu = mu + 1
+        return np.append(h, beta)
+
+    def expand(self, j: int):
+        mu = self.mu
+        y0, g = self.ctx.toar_expand(self.U, self._G[:, :mu, j])
+        # y0 = U c: fold its coefficients into those on U and the new column
+        c = self._fold(y0)
+        g[:, :mu] += g[:, mu:] * c[:mu]
+        g = g[:, : c.size]
+        g[:, mu:] *= c[mu:]
+        h, beta, g_orth, dep = orthogonalize(self._stacked(j + 1), g.reshape(-1))
+        if not dep:
+            self._set_column(j + 1, g_orth / beta)
+        return h, beta, dep
+
+    def append_random(self, j: int, rng) -> bool:
+        d, mu = self.d, self.mu
+        for _ in range(3):
+            cand = random_vector(rng, d * mu, self.dtype)
+            h, beta, g_orth, dep = orthogonalize(self._stacked(j + 1), cand)
+            if not dep:
+                self._set_column(j + 1, g_orth / beta)
+                return True
+        return False
+
+    def transform(self, Qp: np.ndarray, m: int) -> None:
+        p = Qp.shape[1]
+        d, mu = self.d, self.mu
+        M_cat = np.empty((d, mu, p + 1), dtype=self.dtype)
+        M_cat[:, :, :p] = np.einsum("imk,kp->imp", self._G[:, :mu, :m], Qp)
+        M_cat[:, :, p] = self._G[:, :mu, m]
+        # compress U to the subspace actually used by the kept coefficients
+        W = _range_basis(M_cat.transpose(1, 0, 2).reshape(mu, d * (p + 1)))
+        r = W.shape[1]
+        compress_columns(self._U, W)
+        self._G[:, :mu, : self.k] = 0.0  # everything outside G stays zero
+        self._G[:, :r, : p + 1] = np.einsum("rm,imk->irk", W.conj().T, M_cat)
+        self.mu, self.k = r, p + 1
+
+    def ritz_first_block(self, y: np.ndarray, m: int) -> np.ndarray:
+        return basis_times(self.U, self._G[0, : self.mu, :m] @ y)
+
+
 class KrylovSchurDriver:
     """The Krylov-Schur restart/locking loop of every Krylov eigensolve.
 
-    NLEIGS runs it on the TOAR or the full basis engine and interpol on the
-    full basis, both through ``ShiftInvertRun``; SLP's inner linear
-    eigenproblem runs it through ``gen_eig_smallest``, on the full basis.
+    NLEIGS runs it on the compact (TOAR) or the full basis engine and
+    interpol on the compact one, both through ``ShiftInvertRun``; SLP's inner
+    linear eigenproblem runs it through ``gen_eig_smallest``, on the full basis.
 
     Convergence of a Ritz pair is judged either by the relative residual of
     the linear operator or, when ``pair_test`` is set, by a caller-supplied

@@ -8,10 +8,10 @@ formed: shift-and-invert products are applied through block recurrences with
 a single factorization of R_d(sigma).  The linear problem is solved with
 Krylov-Schur, either on explicitly stored vectors of length d*n (full basis)
 or on a compact tensor representation V_k = (I_d (x) U) G_k of the same basis
-(the default).  A two-sided variant runs a second Krylov process with the
-adjoint recurrences to recover left eigenvectors.  Both runs read their
-Ritz pairs back as eigenpairs by ``linalg.ShiftInvertRun``, the rule that
-interpol's Krylov path uses too.
+(the default, ``linalg.ToarBasisEngine``, which interpol runs on too).  A
+two-sided variant runs a second Krylov process with the adjoint recurrences
+to recover left eigenvectors.  Both runs, and interpol's, read their Ritz
+pairs back as eigenpairs by ``linalg.ShiftInvertRun``.
 
 The compact expansion costs O(n mu) plus one sparse solve per step, mu being
 the number of columns of U.  The block recurrence runs on the d x mu
@@ -22,8 +22,8 @@ operator.  Once per shift the coefficients are folded into a weight matrix
 with one column per matrix that the right-hand side needs (nterms in split
 form, d on the callback path, where D_{d-1} drops out), so each step reads U
 once, by one product with that many columns, followed by one sparse matvec
-per column.  U lives in a column-major buffer preallocated with
-d + ncv + 2 columns, so no step copies it to grow it.
+per column (``SplitSum.combine``).  U lives in a column-major buffer
+preallocated with d + ncv + 2 columns, so no step copies it to grow it.
 
 When the target and every node, pole, normalization factor, divided
 difference and matrix of the interpolant are real, the linearization is a
@@ -58,13 +58,9 @@ from .linalg import (
     LinearSolverConfig,
     ShiftInvertRun,
     SplitSum,
-    basis_times,
-    compress_columns,
+    ToarBasisEngine,
     inf_norm,
     make_linear_solver,
-    orthogonalize,
-    random_vector,
-    sparse_times,
 )
 
 __all__ = [
@@ -81,7 +77,6 @@ __all__ = [
 DD_TOL_DEFAULT = 1e-11
 DD_MAXDEG_DEFAULT = 30
 BOUNDARY_POINTS = 1000
-COMPRESS_RTOL = 1e-13
 
 
 class UnsupportedPoleDetection(NepError):
@@ -398,7 +393,7 @@ class ShiftInvertContext:
         # a matrix that no block weighs (D_{d-1} on the callback path) is dropped
         W = np.vstack([self._coeffs[:, : d - 1].T, self._coeffs[:, d][None, :] / self.beta[d]])
         used = np.flatnonzero(np.any(W != 0, axis=0))
-        self._rhs_mats = [self._mats.mats[k] for k in used]
+        self._rhs_sum = SplitSum([self._mats.mats[k] for k in used])
         self._rhs_weights = W[:, used]
 
     @property
@@ -415,11 +410,8 @@ class ShiftInvertContext:
         product with as many columns as there are matrices M_k.
         """
         CW = self._rhs_weights if C is None else C @ self._rhs_weights
-        T = CW.T @ Y.T  # row k is (Y C W)[:, k], contiguous for the matvec
-        rhs = -sparse_times(self._rhs_mats[0], T[0])
-        for M, t in zip(self._rhs_mats[1:], T[1:]):
-            rhs -= sparse_times(M, t)
-        return rhs
+        # row k is (Y C W)[:, k], contiguous for the matvec
+        return -self._rhs_sum.combine(CW.T @ Y.T)
 
     def _blocks(self, g: np.ndarray) -> np.ndarray:
         """Rows y^1 .. y^{d-1} of the block recurrence and y^d = g^{d-1}.
@@ -516,116 +508,6 @@ class ShiftInvertContext:
         G[: d - 1, :mu] = Y[: d - 1]
         G[:, mu] = self.b_sigma[:d]
         return y0, G
-
-
-# -- Krylov basis engines ------------------------------------------------------
-
-
-class ToarBasisEngine:
-    """Compact representation V_k = (I_d (x) U) G_k of the Krylov basis.
-
-    U (n x mu, orthonormal) holds the rank of the start blocks, folded in
-    one at a time (d equal blocks give one column), and is a view of a
-    column-major buffer of d + ncv + 2 columns, which grows only if rounding
-    ever lets the rank pass it.  An expansion step reads U once to form the
-    solve's right-hand side from the coefficient rows (the block recurrence
-    runs on the d x mu coefficients, not on n-long vectors), orthogonalizes
-    the solution against U and writes at most one new column in place; a
-    restart compresses U to U W in place.  G (d x mu x k) lives in a
-    preallocated coefficient buffer alike.  U and G are real when both the
-    start blocks and ``ctx`` are real, complex otherwise.
-    """
-
-    def __init__(self, ctx: ShiftInvertContext, w_blocks: np.ndarray, ncv: int):
-        self.ctx = ctx
-        d, n = w_blocks.shape
-        self.d, self.n = d, n
-        self.mu = 0
-        self.k = 1  # basis columns held in G
-        self.dtype = np.result_type(w_blocks, ctx.dtype)
-        self._U = np.empty((n, d + ncv + 2), dtype=self.dtype, order="F")
-        self._G = np.zeros((d, self._U.shape[1], ncv + 2), dtype=self.dtype)
-        for i, w in enumerate(np.asarray(w_blocks, dtype=self.dtype)):
-            c = self._fold(w)
-            self._G[i, : c.size, 0] = c
-        nrm = np.linalg.norm(self._G[:, : self.mu, 0])
-        if nrm == 0:
-            raise ValueError("zero starting vector")
-        self._G[:, : self.mu, 0] /= nrm
-
-    @property
-    def U(self) -> np.ndarray:
-        return self._U[:, : self.mu]
-
-    @property
-    def G(self) -> np.ndarray:
-        return self._G[:, : self.mu, : self.k]
-
-    def _stacked(self, cols: int) -> np.ndarray:
-        return self._G[:, : self.mu, :cols].reshape(self.d * self.mu, cols)
-
-    def _set_column(self, j: int, g: np.ndarray) -> None:
-        self._G[:, : self.mu, j] = g.reshape(self.d, self.mu)
-        self.k = j + 1
-
-    def _fold(self, w: np.ndarray) -> np.ndarray:
-        """Coefficients c with w = U c, after adding w's part outside span(U) to U."""
-        h, beta, w_orth, dep = orthogonalize(self.U, w)
-        if dep:
-            return h
-        mu = self.mu
-        if mu == self._U.shape[1]:
-            U = np.empty((self.n, mu + self.d), dtype=self.dtype, order="F")
-            U[:, :mu] = self._U
-            self._U = U
-            G = np.zeros((self.d, mu + self.d, self._G.shape[2]), dtype=self.dtype)
-            G[:, :mu] = self._G
-            self._G = G
-        np.divide(w_orth, beta, out=self._U[:, mu])
-        self.mu = mu + 1
-        return np.append(h, beta)
-
-    def expand(self, j: int):
-        mu = self.mu
-        y0, g = self.ctx.toar_expand(self.U, self._G[:, :mu, j])
-        # y0 = U c: fold its coefficients into those on U and the new column
-        c = self._fold(y0)
-        g[:, :mu] += g[:, mu:] * c[:mu]
-        g = g[:, : c.size]
-        g[:, mu:] *= c[mu:]
-        h, beta, g_orth, dep = orthogonalize(self._stacked(j + 1), g.reshape(-1))
-        if not dep:
-            self._set_column(j + 1, g_orth / beta)
-        return h, beta, dep
-
-    def append_random(self, j: int, rng) -> bool:
-        d, mu = self.d, self.mu
-        for _ in range(3):
-            cand = random_vector(rng, d * mu, self.dtype)
-            h, beta, g_orth, dep = orthogonalize(self._stacked(j + 1), cand)
-            if not dep:
-                self._set_column(j + 1, g_orth / beta)
-                return True
-        return False
-
-    def transform(self, Qp: np.ndarray, m: int) -> None:
-        p = Qp.shape[1]
-        d, mu = self.d, self.mu
-        M_cat = np.empty((d, mu, p + 1), dtype=self.dtype)
-        M_cat[:, :, :p] = np.einsum("imk,kp->imp", self._G[:, :mu, :m], Qp)
-        M_cat[:, :, p] = self._G[:, :mu, m]
-        # compress U to the subspace actually used by the kept coefficients
-        flat = M_cat.transpose(1, 0, 2).reshape(mu, d * (p + 1))
-        W, s, _ = np.linalg.svd(flat, full_matrices=False)
-        r = max(1, int(np.sum(s > COMPRESS_RTOL * s[0])))
-        W = W[:, :r]
-        compress_columns(self._U, W)
-        self._G[:, :mu, : self.k] = 0.0  # everything outside G stays zero
-        self._G[:, :r, : p + 1] = np.einsum("rm,imk->irk", W.conj().T, M_cat)
-        self.mu, self.k = r, p + 1
-
-    def ritz_first_block(self, y: np.ndarray, m: int) -> np.ndarray:
-        return basis_times(self.U, self._G[0, : self.mu, :m] @ y)
 
 
 # -- top-level solver ----------------------------------------------------------------

@@ -27,7 +27,7 @@ import scipy.linalg
 import scipy.sparse as sp
 
 from . import functions as fn
-from .core import Ellipse, Interval, NepOperator, Polygon, Rectangle, Settings
+from .core import NepOperator, Settings, _unpair, region_from_dict
 
 __all__ = [
     "gen_delay",
@@ -251,22 +251,6 @@ def write_matrix_market(path, A, field: str = "complex") -> None:
 # -- manifests ---------------------------------------------------------------------
 
 
-def _region_from_manifest(obj):
-    kind = obj["kind"]
-    if kind == "interval":
-        return Interval(float(obj["a"]), float(obj["b"]))
-    if kind == "rectangle":
-        return Rectangle(float(obj["re_min"]), float(obj["re_max"]), float(obj["im_min"]), float(obj["im_max"]))
-    if kind == "ellipse":
-        c = obj["center"]
-        center = complex(c[0], c[1]) if isinstance(c, (list, tuple)) else complex(c)
-        return Ellipse(center, float(obj["rx"]), float(obj["ry"]))
-    if kind == "polygon":
-        verts = tuple(complex(v[0], v[1]) for v in obj["vertices"])
-        return Polygon(verts)
-    raise ValueError(f"unknown region kind {kind!r}")
-
-
 def load_problem_manifest(path):
     """Load a problem manifest: matrices, functions and default settings.
 
@@ -307,11 +291,10 @@ def load_problem_manifest(path):
     if "max_it" in sdoc:
         kwargs["max_it"] = int(sdoc["max_it"])
     if "target" in sdoc:
-        t = sdoc["target"]
-        kwargs["target"] = complex(t[0], t[1]) if isinstance(t, (list, tuple)) else complex(t)
+        kwargs["target"] = _unpair(sdoc["target"])
     if "problem_type" in sdoc:
         kwargs["problem_type"] = sdoc["problem_type"]
     if "region" in sdoc:
-        kwargs["region"] = _region_from_manifest(sdoc["region"])
+        kwargs["region"] = region_from_dict(sdoc["region"])
     settings = Settings(**kwargs)
     return op, settings

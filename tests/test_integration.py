@@ -2,6 +2,9 @@
 spectra inside an ellipse region, iterative linear solvers through the
 command line, and every solver's reported solve count."""
 
+import ast
+import functools
+
 import numpy as np
 import pytest
 import scipy.sparse as sp
@@ -15,6 +18,7 @@ from nepsolve.narnoldi import narnoldi_solve
 from nepsolve.newton import rii_solve, slp_solve
 from nepsolve.nleigs import nleigs_solve
 from nepsolve.problems import gen_delay, gen_loaded_string
+from blas_threads import other_blas_threads, run_at_blas_threads
 
 
 def callback_delay(n, tau=0.001, b=-2.0):
@@ -190,7 +194,7 @@ KRYLOV_STEP_CASES = {
             Settings(nev=3, ncv=32, tol=1e-6, target=1.0, region=Interval(-100.0, 50.0)),
             degree=20,
         ),
-        (4, 95, 3, True),
+        (9, 120, 3, True),
     ),
     "interpol-string200": (
         lambda: interpol_solve(gen_loaded_string(200)[0], Settings(**STRING_SETTINGS), degree=10),
@@ -203,16 +207,60 @@ KRYLOV_STEP_CASES = {
 }
 
 
+@functools.cache
+def _krylov_case(case):
+    """The solve of one KRYLOV_STEP_CASES pin, made once per process."""
+    return KRYLOV_STEP_CASES[case][0]()
+
+
+def _krylov_steps(case):
+    sol = _krylov_case(case)
+    return (sol.stats["outer_iterations"], sol.stats["linear_solves"], len(sol.pairs), sol.converged)
+
+
+def _krylov_eigenvalues(case):
+    """The pin's eigenvalues to the last bit."""
+    return [repr(complex(z)) for z in _krylov_case(case).eigenvalues]
+
+
 @pytest.mark.parametrize("case", sorted(KRYLOV_STEP_CASES))
 def test_krylov_solvers_keep_their_step_counts(case):
     # interpol's Krylov path and two-sided NLEIGS share one Ritz-to-eigenpair
-    # rule (linalg.ShiftInvertRun); these counts pin the steps it takes (the
-    # same at 1 and 2 BLAS threads): restarts, solves, pairs and converged
-    solve, expected = KRYLOV_STEP_CASES[case]
-    sol = solve()
-    assert "pencil" not in sol.stats  # interpol took its Krylov path
-    st = sol.stats
-    assert (st["outer_iterations"], st["linear_solves"], len(sol.pairs), sol.converged) == expected
+    # rule (linalg.ShiftInvertRun) and one compact basis engine; these counts
+    # pin the steps it takes: restarts, solves, pairs and converged
+    assert "pencil" not in _krylov_case(case).stats  # interpol took its Krylov path
+    assert _krylov_steps(case) == KRYLOV_STEP_CASES[case][1]
+
+
+@functools.cache
+def _krylov_at_other_blas_threads():
+    """Every pin's counts and eigenvalues, from one fresh interpreter at the other BLAS thread count."""
+    script = (
+        "import test_integration as t\n"
+        "for case in sorted(t.KRYLOV_STEP_CASES):\n"
+        "    print(repr((case, t._krylov_steps(case), t._krylov_eigenvalues(case))))\n"
+    )
+    lines = run_at_blas_threads(other_blas_threads(), script).splitlines()
+    return {case: (steps, lams) for case, steps, lams in map(ast.literal_eval, lines)}
+
+
+@pytest.mark.parametrize("case", sorted(KRYLOV_STEP_CASES))
+def test_krylov_step_counts_do_not_depend_on_blas_threads(case):
+    assert _krylov_at_other_blas_threads()[case][0] == _krylov_steps(case)
+
+
+COMPLEX_TOAR_THREADS = pytest.mark.xfail(
+    strict=True,
+    reason="CHANGES.md FOUND: the complex compact basis rounds differently at 1 and 2 BLAS threads "
+    "(OpenBLAS zgemv in orthogonalize)",
+)
+
+
+@pytest.mark.parametrize(
+    "case", [pytest.param(c, marks=COMPLEX_TOAR_THREADS) if c.startswith("interpol") else c for c in sorted(KRYLOV_STEP_CASES)]
+)
+def test_krylov_eigenvalues_do_not_depend_on_blas_threads(case):
+    assert _krylov_at_other_blas_threads()[case][1] == _krylov_eigenvalues(case)
 
 
 def _noncanonical(M, duplicates):

@@ -6,6 +6,7 @@ from nepsolve import functions as fn
 from nepsolve import interpol
 from nepsolve.cli import run
 from nepsolve.core import Interval, NepError, NepOperator, Settings
+from nepsolve.linalg import SplitSum
 from nepsolve.interpol import (
     ChebPoly,
     ColleaguePencil,
@@ -24,29 +25,33 @@ def test_cheb_nodes_examples():
 
 def scalar_poly(coeffs, interval=(-1.0, 1.0)):
     """1x1 ChebPoly with given Chebyshev coefficients c_0..c_d."""
-    mats = [sp.csr_matrix(np.array([[c]], dtype=complex)) for c in coeffs]
     # account for the C_0/2 convention: store 2*c_0
-    mats[0] = sp.csr_matrix(np.array([[2 * coeffs[0]]], dtype=complex))
-    return ChebPoly(Interval(*interval), mats)
+    weights = np.array([[2 * coeffs[0], *coeffs[1:]]], dtype=complex)
+    return ChebPoly(Interval(*interval), SplitSum([sp.identity(1, format="csr")]), weights)
+
+
+def cheb_matrices(poly):
+    """The coefficient matrices C_0..C_d of a ChebPoly, dense."""
+    return [poly.mats.assemble(c).toarray() for c in poly.coeffs.T]
 
 
 def test_cheb_coeffs_constant_operator():
     M = np.array([[2.0, 1.0], [0.0, -1.0]])
     op = NepOperator(terms=[(sp.csr_matrix(M), fn.constant(1.0))])
-    poly = cheb_coeffs(op, Interval(-1.0, 1.0), 6)
-    assert np.allclose(poly.coeffs[0].toarray(), 2 * M, atol=1e-13)
-    for C in poly.coeffs[1:]:
-        assert np.max(np.abs(C.toarray())) <= 1e-13
+    C = cheb_matrices(cheb_coeffs(op, Interval(-1.0, 1.0), 6))
+    assert np.allclose(C[0], 2 * M, atol=1e-13)
+    for Ck in C[1:]:
+        assert np.max(np.abs(Ck)) <= 1e-13
 
 
 def test_cheb_coeffs_linear_operator():
     M = np.array([[1.0, 0.5], [0.5, 2.0]])
     op = NepOperator(terms=[(sp.csr_matrix(M), fn.polynomial([1.0, 0.0]))])
-    poly = cheb_coeffs(op, Interval(-1.0, 1.0), 5)
-    assert np.allclose(poly.coeffs[1].toarray(), M, atol=1e-13)
-    assert np.max(np.abs(poly.coeffs[0].toarray())) <= 1e-13
-    for C in poly.coeffs[2:]:
-        assert np.max(np.abs(C.toarray())) <= 1e-13
+    C = cheb_matrices(cheb_coeffs(op, Interval(-1.0, 1.0), 5))
+    assert np.allclose(C[1], M, atol=1e-13)
+    assert np.max(np.abs(C[0])) <= 1e-13
+    for Ck in C[2:]:
+        assert np.max(np.abs(Ck)) <= 1e-13
 
 
 def test_interpolation_conditions_hold_at_nodes():
@@ -105,20 +110,25 @@ def test_colleague_pencil_random_degree4_vs_companion_oracle():
         assert np.max(np.abs(w - roots)) <= 1e-8 * max(1.0, np.max(np.abs(roots)))
 
 
-def test_shift_invert_apply_matches_dense():
+@pytest.mark.parametrize("d", [1, 4])
+def test_toar_expand_matches_dense(d):
+    # S (I_d (x) U) g = (I_d (x) [U, y0]) G against the dense S = (A - ts B)^{-1} B
     rng = np.random.default_rng(2)
-    n, d = 3, 4
-    coeffs = [sp.csr_matrix(rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))) for _ in range(d + 1)]
-    poly = ChebPoly(Interval(-1.0, 1.0), coeffs)
-    pencil = ColleaguePencil(poly)
+    n = 3
+    mats = [sp.csr_matrix(rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))) for _ in range(d + 1)]
+    pencil = ColleaguePencil(ChebPoly(Interval(-1.0, 1.0), SplitSum(mats), np.eye(d + 1)))
     A, B = pencil.build_dense()
     ts = 0.17 - 0.05j
     pencil.factor(ts)
     S = np.linalg.solve(A - ts * B, B)
-    for _ in range(5):
-        x = rng.standard_normal(d * n) + 1j * rng.standard_normal(d * n)
-        got = pencil.apply_shift_invert(x)
-        assert np.linalg.norm(got - S @ x) <= 1e-10 * np.linalg.norm(S @ x)
+    for mu in (1, 2, 2, 3):
+        U = np.linalg.qr(rng.standard_normal((n, mu)) + 1j * rng.standard_normal((n, mu)))[0]
+        g = rng.standard_normal((d, mu)) + 1j * rng.standard_normal((d, mu))
+        y0, G = pencil.toar_expand(U, g)
+        assert G.shape == (d, mu + 1)
+        want = S @ np.concatenate([U @ gk for gk in g])
+        got = np.concatenate([np.column_stack([U, y0]) @ Gk for Gk in G])
+        assert np.linalg.norm(got - want) <= 1e-10 * np.linalg.norm(want)
 
 
 def _solve_linear_problem_exact():
@@ -196,12 +206,21 @@ def test_interpol_loaded_string_desk():
     assert _solve_loaded_string_desk().stats.get("pencil") == "dense"
 
 
-@pytest.mark.xfail(
-    strict=True,
-    reason="CHANGES.md FOUND: interpol's Krylov path fails the dense path's cases "
-    "(1 of 3 and 4 of 9 pairs); ROADMAP item 7 mends it",
+@pytest.mark.parametrize(
+    "case",
+    [
+        pytest.param(_solve_linear_problem_exact, id="linear"),
+        pytest.param(
+            _solve_loaded_string_desk,
+            id="string",
+            marks=pytest.mark.xfail(
+                strict=True,
+                reason="CHANGES.md FOUND: interpol's Krylov path fails the dense path's string case "
+                "(4 of 9 pairs); ROADMAP item 7 mends it",
+            ),
+        ),
+    ],
 )
-@pytest.mark.parametrize("case", [_solve_linear_problem_exact, _solve_loaded_string_desk], ids=["linear", "string"])
 def test_interpol_krylov_path_solves_the_dense_path_cases(case, monkeypatch):
     monkeypatch.setattr(interpol, "DENSE_PENCIL_CAP", 0)
     assert case().stats.get("pencil") != "dense"

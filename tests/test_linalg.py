@@ -25,7 +25,7 @@ from nepsolve.linalg import (
     orthogonalize,
     sparse_times,
 )
-from nepsolve.linalg import _ordered_schur, _restart_size, _retained
+from nepsolve.linalg import _ordered_schur, _range_basis, _restart_size, _retained
 from nepsolve.nleigs import ShiftInvertContext, ToarBasisEngine, divided_differences, leja_bagby
 from nepsolve.problems import gen_delay, gen_loaded_string
 from blas_threads import run_at_blas_threads
@@ -263,6 +263,18 @@ def test_iterative_nonconvergence_is_data():
     assert isinstance(res, IterativeResult)
     assert not res.converged
     assert not res.breakdown
+
+
+@pytest.mark.parametrize("maxit", [10, 100])
+def test_gmres_stops_within_maxit_inner_iterations(maxit):
+    # T at one of its eigenvalues, nearly singular: GMRES never converges
+    # there.  scipy counts maxiter in restart cycles of min(restart, n) = 16
+    # steps, so passing maxit as the cycle count made 160 and 1,600 steps
+    op, _ = gen_delay(16, tau=0.01, b=-1.0)
+    cfg = LinearSolverConfig(mode="gmres", tol=1e-9, maxit=maxit)
+    res = iterative_solve(cfg, op.assemble(-10.9573504673), np.ones(16))
+    assert not res.converged
+    assert maxit <= res.iterations <= maxit + min(cfg.restart, 16) - 1
 
 
 def test_direct_solver_sparse_and_counting():
@@ -727,6 +739,30 @@ def test_compress_columns_matches_the_unblocked_product(rows, m, r, monkeypatch)
     assert B is buffer
     assert np.array_equal(B[:, :r], expected)
     assert np.array_equal(B[:, r:], rest)
+
+
+@pytest.mark.parametrize("complex_", [False, True], ids=["real", "complex"])
+def test_range_basis_spans_the_dominant_left_singular_space(complex_):
+    rng = np.random.default_rng(21)
+    draw = rand_complex if complex_ else (lambda rng, *shape: rng.standard_normal(shape))
+    A = draw(rng, 12, 5) @ draw(rng, 5, 40)  # rank 5
+    W = _range_basis(A)
+    assert W.shape == (12, 5) and W.dtype == A.dtype
+    assert np.linalg.norm(W.conj().T @ W - np.eye(5)) <= 1e-13
+    U = np.linalg.svd(A)[0][:, :5]
+    assert np.linalg.norm(U - W @ (W.conj().T @ U)) <= 1e-12
+
+
+def test_complex_range_basis_is_bitwise_the_same_at_one_and_two_blas_threads():
+    # the compression of the compact basis; numpy's complex SVD of this
+    # matrix rounds differently at 1 and 2 BLAS threads
+    script = (
+        "import numpy as np\n"
+        "from nepsolve.linalg import _range_basis\n"
+        "rng = np.random.default_rng(22)\n"
+        "print(_range_basis(rng.standard_normal((29, 500)) + 1j * rng.standard_normal((29, 500))).tobytes().hex())\n"
+    )
+    assert run_at_blas_threads("1", script) == run_at_blas_threads("2", script)
 
 
 def test_driver_tests_each_ritz_pair_once_per_h():

@@ -239,6 +239,32 @@ def test_manifest_reproduces_generator(tmp_path):
         )
 
 
+REGIONS = {
+    "interval": {"kind": "interval", "a": -100.0, "b": 50.0},
+    "rectangle": {"kind": "rectangle", "re_min": -100.0, "re_max": 50.0, "im_min": -1.0, "im_max": 1.0},
+    "ellipse": {"kind": "ellipse", "center": [-25.0, 0.5], "rx": 75.0, "ry": 2.0},
+    "polygon": {"kind": "polygon", "vertices": [[-100.0, -1.0], [50.0, -1.0], [50.0, 1.0], [-100.0, 2.0]]},
+}
+
+
+@pytest.mark.parametrize("kind", sorted(REGIONS))
+def test_report_region_loads_back_as_a_manifest_region(tmp_path, kind):
+    # the report's config.region, given back as a manifest's region, is the
+    # region the run was posed on
+    from nepsolve.cli import run
+
+    _, path = write_delay_manifest(tmp_path)
+    doc = json.loads(path.read_text())
+    doc["settings"]["region"] = REGIONS[kind]
+    path.write_text(json.dumps(doc))
+    posed = load_problem_manifest(path)[1].region
+    report, _ = run(["run", "--problem", f"manifest:{path}", "--solver", "slp", "--nev", "1"])
+    assert report["config"]["region"] == REGIONS[kind]
+    doc["settings"]["region"] = report["config"]["region"]
+    path.write_text(json.dumps(doc))
+    assert load_problem_manifest(path)[1].region == posed
+
+
 def test_manifest_missing_file(tmp_path):
     doc = {"matrices": ["nope.mtx"], "functions": [{"type": "exp"}]}
     path = tmp_path / "m.json"
