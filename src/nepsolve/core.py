@@ -17,6 +17,7 @@ from typing import List, Optional
 import numpy as np
 import scipy.sparse as sp
 
+from .functions import _parse_scalar
 from .linalg import SplitSum, inf_norm, sparse_times
 
 __all__ = [
@@ -198,12 +199,9 @@ class Interval:
         if not self.b > self.a:
             raise ValueError("interval requires a < b")
 
-    def contains(self, z: complex, pad: float = 0.0, imag_tol: float = 0.0) -> bool:
-        width = self.b - self.a
-        return (
-            self.a - pad * width <= z.real <= self.b + pad * width
-            and abs(z.imag) <= imag_tol
-        )
+    def contains(self, z: complex, imag_tol: float = 0.0) -> bool:
+        """a <= Re z <= b and |Im z| <= imag_tol."""
+        return self.a <= z.real <= self.b and abs(z.imag) <= imag_tol
 
     def boundary_points(self, m: int) -> np.ndarray:
         if m < 2:
@@ -222,13 +220,9 @@ class Rectangle:
         if not (self.re_max > self.re_min and self.im_max > self.im_min):
             raise ValueError("degenerate rectangle")
 
-    def contains(self, z: complex, pad: float = 0.0, imag_tol: float = 0.0) -> bool:
-        w = self.re_max - self.re_min
-        h = self.im_max - self.im_min
-        return (
-            self.re_min - pad * w <= z.real <= self.re_max + pad * w
-            and self.im_min - pad * h <= z.imag <= self.im_max + pad * h
-        )
+    def contains(self, z: complex, imag_tol: float = 0.0) -> bool:
+        """z in the closed rectangle; ``imag_tol`` is ignored (the region is two-dimensional)."""
+        return self.re_min <= z.real <= self.re_max and self.im_min <= z.imag <= self.im_max
 
     def boundary_points(self, m: int) -> np.ndarray:
         if m < 2:
@@ -260,9 +254,10 @@ class Ellipse:
         if not (self.rx > 0 and self.ry > 0):
             raise ValueError("degenerate ellipse")
 
-    def contains(self, z: complex, pad: float = 0.0, imag_tol: float = 0.0) -> bool:
+    def contains(self, z: complex, imag_tol: float = 0.0) -> bool:
+        """z in the closed ellipse; ``imag_tol`` is ignored (the region is two-dimensional)."""
         dz = z - self.center
-        return (dz.real / (self.rx * (1 + pad))) ** 2 + (dz.imag / (self.ry * (1 + pad))) ** 2 <= 1.0
+        return (dz.real / self.rx) ** 2 + (dz.imag / self.ry) ** 2 <= 1.0
 
     def boundary_points(self, m: int) -> np.ndarray:
         if m < 2:
@@ -279,8 +274,8 @@ class Polygon:
         if len(self.vertices) < 3:
             raise ValueError("polygon requires at least three vertices")
 
-    def contains(self, z: complex, pad: float = 0.0, imag_tol: float = 0.0) -> bool:
-        # ray casting; pad is ignored for polygons
+    def contains(self, z: complex, imag_tol: float = 0.0) -> bool:
+        """z inside the polygon, by ray casting; ``imag_tol`` is ignored (the region is two-dimensional)."""
         v = [complex(p) for p in self.vertices]
         inside = False
         for i in range(len(v)):
@@ -329,14 +324,10 @@ def region_from_dict(obj):
     if kind == "rectangle":
         return Rectangle(*(float(obj[k]) for k in ("re_min", "re_max", "im_min", "im_max")))
     if kind == "ellipse":
-        return Ellipse(_unpair(obj["center"]), float(obj["rx"]), float(obj["ry"]))
+        return Ellipse(_parse_scalar(obj["center"]), float(obj["rx"]), float(obj["ry"]))
     if kind == "polygon":
-        return Polygon(tuple(_unpair(v) for v in obj["vertices"]))
+        return Polygon(tuple(_parse_scalar(v) for v in obj["vertices"]))
     raise ValueError(f"unknown region kind {kind!r}")
-
-
-def _unpair(c) -> complex:
-    return complex(c[0], c[1]) if isinstance(c, (list, tuple)) else complex(c)
 
 
 # -- settings and solutions ------------------------------------------------------
@@ -348,14 +339,19 @@ def default_ncv(nev: int) -> int:
 
 @dataclass
 class Settings:
-    """Common solver settings; solver-specific options are keyword arguments."""
+    """Common solver settings; solver-specific options are keyword arguments.
+
+    Every solver wants the eigenvalues nearest ``target`` (``sort_key``).
+    ``tol`` must be finite and positive, ``max_it`` (None for the default)
+    at least 1 and ``problem_type`` "general" or "rational": these arrive
+    from the CLI and from manifests, and a bad one raises ``ValueError``.
+    """
 
     nev: int = 1
     ncv: Optional[int] = None
     tol: float = 1e-8
     max_it: Optional[int] = None
     target: complex = 0.0 + 0j
-    which: str = "target"  # target | largest-magnitude | largest-real
     problem_type: str = "general"  # general | rational
     two_sided: bool = False
     region: Optional[object] = None
@@ -366,8 +362,12 @@ class Settings:
             raise ValueError("nev must be at least 1")
         if self.ncv is not None and self.ncv < self.nev + 1:
             raise ValueError("ncv must be at least nev + 1")
-        if self.which not in ("target", "largest-magnitude", "largest-real"):
-            raise ValueError(f"unknown eigenvalue selection {self.which!r}")
+        if not (np.isfinite(self.tol) and self.tol > 0):
+            raise ValueError(f"tol must be finite and positive, got {self.tol!r}")
+        if self.max_it is not None and self.max_it < 1:
+            raise ValueError("max_it must be at least 1")
+        if self.problem_type not in ("general", "rational"):
+            raise ValueError(f"unknown problem type {self.problem_type!r}")
 
     @property
     def ncv_effective(self) -> int:
@@ -378,20 +378,14 @@ class Settings:
         return self.max_it if self.max_it is not None else max(500, 100 * self.nev)
 
     def sort_key(self):
-        """Eigenvalues to sort keys, the wanted ones smallest; non-finite keys sort last."""
-        if self.which == "largest-magnitude":
-            key = lambda lams: -np.abs(lams)
-        elif self.which == "largest-real":
-            key = lambda lams: -np.real(lams)
-        else:
-            target = self.target
-            key = lambda lams: np.abs(np.asarray(lams) - target)
+        """Eigenvalues to sort keys, their distances to the target; non-finite keys sort last."""
+        target = self.target
 
-        def finite_key(lams):
-            k = key(lams)
+        def key(lams):
+            k = np.abs(np.asarray(lams) - target)
             return np.where(np.isfinite(k), k, np.inf)
 
-        return finite_key
+        return key
 
 
 @dataclass

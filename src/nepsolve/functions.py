@@ -386,6 +386,8 @@ def augmented_block(fm, H: np.ndarray, lam: complex, order: int) -> np.ndarray:
 
 
 def _parse_scalar(v) -> complex:
+    """A complex number given as a number or as [re, im]; a list of another
+    length is an error.  It reads every complex value of a manifest."""
     if isinstance(v, (list, tuple)):
         if len(v) != 2:
             raise ValueError(f"complex value must be [re, im], got {v!r}")

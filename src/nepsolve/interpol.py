@@ -208,12 +208,16 @@ class ColleaguePencil:
         return y0, G
 
 
-def _in_interval(region: Interval, lam: complex) -> bool:
-    # strict in |Im lam|, whatever the Ritz error (NLEIGS allows for it)
-    return region.contains(lam, pad=FILTER_MARGIN, imag_tol=1e-8 * max(1.0, abs(lam)))
+def _region_test(region: Interval):
+    """interpol's ``contains``: lam in the interval padded by FILTER_MARGIN of
+    its width, and strict in |Im lam| whatever the Ritz error (NLEIGS allows
+    for it), so ``imag_tol`` is ignored."""
+    pad = FILTER_MARGIN * (region.b - region.a)
+    padded = Interval(region.a - pad, region.b + pad)
+    return lambda lam, imag_tol=None: padded.contains(lam, imag_tol=1e-8 * max(1.0, abs(lam)))
 
 
-def _dense_pairs(settings, poly: ChebPoly, pencil: ColleaguePencil):
+def _dense_pairs(settings, poly: ChebPoly, pencil: ColleaguePencil, contains):
     """Small problems: form the pencil and take every eigenvalue at once.
 
     B is block diagonal with identities and the leading coefficient, so the
@@ -239,7 +243,7 @@ def _dense_pairs(settings, poly: ChebPoly, pencil: ColleaguePencil):
             continue
         lam, x = poly.lam(thetas[i]), V[: pencil.n, i]
         nx = np.linalg.norm(x)
-        if nx == 0 or not _in_interval(settings.region, lam):
+        if nx == 0 or not contains(lam):
             continue
         lam, x = complex(lam.real), x / nx
         eta_poly = backward_error(poly, lam, x)
@@ -248,7 +252,7 @@ def _dense_pairs(settings, poly: ChebPoly, pencil: ColleaguePencil):
     return pairs, {"outer_iterations": 1, "linear_solves": 0, "pencil": "dense"}
 
 
-def _krylov_pairs(settings, poly: ChebPoly, pencil: ColleaguePencil, lin_cfg):
+def _krylov_pairs(settings, poly: ChebPoly, pencil: ColleaguePencil, contains, lin_cfg):
     """Large problems: shift-and-invert Krylov-Schur on the implicit pencil.
 
     Returns ``ShiftInvertRun.harvest``'s ``(lam, x, eta_poly)``, in wanted
@@ -278,8 +282,7 @@ def _krylov_pairs(settings, poly: ChebPoly, pencil: ColleaguePencil, lin_cfg):
         settings,
         lambda thetas: poly.lam(theta_sigma + 1.0 / thetas),
         np.random.default_rng(settings.seed),
-        contains=lambda lam, imag_tol: _in_interval(settings.region, lam),
-        real=True,
+        contains=contains,
         pair_eta=lambda lam, x: backward_error(poly, lam, x),
     )
     run.driver.run(settings.nev, settings.max_it_effective)
@@ -309,10 +312,11 @@ def interpol_solve(
         raise ValueError("interpolation degree must be at least 1")
     poly = cheb_coeffs(op, region, degree)
     pencil = ColleaguePencil(poly)
+    contains = _region_test(region)
     if op.n * (degree + 1) <= DENSE_PENCIL_CAP:
-        tested, stats = _dense_pairs(settings, poly, pencil)
+        tested, stats = _dense_pairs(settings, poly, pencil, contains)
     else:
-        tested, stats = _krylov_pairs(settings, poly, pencil, lin_cfg)
+        tested, stats = _krylov_pairs(settings, poly, pencil, contains, lin_cfg)
     stats["degree"] = degree
     pairs = [EigenPair(lam, x, backward_error(op, lam, x), eta_poly=eta_poly) for lam, x, eta_poly in tested]
 

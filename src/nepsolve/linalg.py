@@ -73,6 +73,7 @@ BREAKDOWN_RTOL = 1e-14
 COPY_RTOL = 1e-8
 COMPRESS_RTOL = 1e-13
 COMPRESS_ROWS = 1024  # rows per block of compress_columns: 1024 x ncv scalars fit in L2
+GMRES_RESTART = 50
 
 
 class SingularMatrixError(np.linalg.LinAlgError):
@@ -224,19 +225,19 @@ def random_vector(rng, size: int, dtype) -> np.ndarray:
 
 @dataclass
 class LinearSolverConfig:
-    """Configuration for linear solves with a (sparse) system matrix."""
+    """Configuration for linear solves with a (sparse) system matrix.
+
+    The iterative modes are point-Jacobi preconditioned, and GMRES restarts
+    every ``GMRES_RESTART`` iterations (see ``iterative_solve``).
+    """
 
     mode: str = "direct"  # direct | gmres | bicgstab
     tol: float = 1e-10
     maxit: int = 2000
-    restart: int = 50
-    preconditioner: str = "jacobi"  # jacobi | none
 
     def __post_init__(self):
         if self.mode not in ("direct", "gmres", "bicgstab"):
             raise ValueError(f"unknown linear solver mode {self.mode!r}")
-        if self.preconditioner not in ("jacobi", "none"):
-            raise ValueError(f"unknown preconditioner {self.preconditioner!r}")
 
 
 @dataclass
@@ -347,12 +348,12 @@ def make_linear_solver(A, cfg: Optional[LinearSolverConfig] = None):
 
 
 def iterative_solve(cfg: LinearSolverConfig, A, b) -> IterativeResult:
-    """GMRES or BiCGStab on a sparse A with optional point-Jacobi preconditioning.
+    """GMRES or BiCGStab on a sparse A with point-Jacobi preconditioning.
 
     The iteration runs in the scalars of A and b: real for a real A and a
     real b, complex otherwise, with a real A applied by ``sparse_times``.
     BiCGStab stops after ``maxit`` iterations, GMRES after the first whole restart
-    cycle that reaches them (at most maxit + min(restart, n) - 1).  Non-convergence
+    cycle that reaches them (at most maxit + min(GMRES_RESTART, n) - 1).  Non-convergence
     is reported in the result, not raised; breakdown is distinguished from plain
     iteration-count exhaustion.
     """
@@ -366,18 +367,16 @@ def iterative_solve(cfg: LinearSolverConfig, A, b) -> IterativeResult:
     def cb(_):
         count["it"] += 1
 
-    M = None
-    if cfg.preconditioner == "jacobi":
-        d = A.diagonal()
-        d = np.where(d == 0, 1.0, d)
-        M = spla.LinearOperator(A.shape, matvec=lambda v: v / d, dtype=b.dtype)
+    d = A.diagonal()
+    d = np.where(d == 0, 1.0, d)
+    M = spla.LinearOperator(A.shape, matvec=lambda v: v / d, dtype=b.dtype)
     op = spla.LinearOperator(A.shape, matvec=lambda v: sparse_times(A, v), dtype=b.dtype)
     try:
         if cfg.mode == "bicgstab":
             x, info = spla.bicgstab(op, b, rtol=cfg.tol, atol=0.0, maxiter=cfg.maxit, M=M, callback=cb)
         else:
-            cycles = -(-cfg.maxit // min(cfg.restart, A.shape[0]))  # scipy's maxiter counts cycles
-            x, info = spla.gmres(op, b, rtol=cfg.tol, atol=0.0, restart=cfg.restart, maxiter=cycles, M=M,
+            cycles = -(-cfg.maxit // min(GMRES_RESTART, A.shape[0]))  # scipy's maxiter counts cycles
+            x, info = spla.gmres(op, b, rtol=cfg.tol, atol=0.0, restart=GMRES_RESTART, maxiter=cycles, M=M,
                                  callback=cb, callback_type="pr_norm")
     except Exception:
         return IterativeResult(np.zeros_like(b), False, np.inf, count["it"], breakdown=True)
@@ -839,18 +838,20 @@ class ShiftInvertRun:
     tolerance max(1e-14, 0.01 tol).  Region test: lam, known only to about
     the Ritz error res/|theta|^2, is wanted when it is finite and
     ``contains(lam, imag_tol=max(1e-8 max(1, |lam|), res/|theta|^2))``;
-    ``contains`` defaults to ``settings.region.contains``.  Pair test, when
+    ``contains`` defaults to ``settings.region.contains``.  A pair is tested
+    and returned at lam, or at Re lam when ``settings.region`` is an
+    ``Interval`` (interval regions carry real spectra).  Pair test, when
     ``pair_eta(lam, x)`` is given: the first block of the Ritz vector,
-    normalized, has ``pair_eta`` <= tol at lam, or at Re lam when ``real``
-    (interval regions carry real spectra); each (restart, m, theta) is
-    evaluated once.  ``harvest`` returns ``(lam, x, eta)`` for the pairs the
-    converged count includes whose eta is at most tol: a pair converged by
-    its Ritz residual alone was never pair-tested.
+    normalized, has ``pair_eta`` <= tol at that point; each (restart, m,
+    theta) is evaluated once.  ``harvest`` returns ``(lam, x, eta)`` for the
+    pairs the converged count includes whose eta is at most tol: a pair
+    converged by its Ritz residual alone was never pair-tested.
     """
 
-    def __init__(
-        self, engine, ncv: int, settings, to_lam, rng, *, contains=None, real=False, pair_eta=None, known_junk=()
-    ):
+    def __init__(self, engine, ncv: int, settings, to_lam, rng, *, contains=None, pair_eta=None, known_junk=()):
+        from .core import Interval  # core imports this module
+
+        real = isinstance(settings.region, Interval)
         self.tol = tol = settings.tol
         lam_key = settings.sort_key()
         contains = contains or settings.region.contains
@@ -903,47 +904,34 @@ class ShiftInvertRun:
         return out
 
 
-def gen_eig_smallest(
-    solve_A,
-    apply_B,
-    how_many: int,
-    v0: np.ndarray,
-    tol: float = 1e-10,
-    ncv: Optional[int] = None,
-    max_restarts: int = 60,
-):
-    """Smallest-magnitude eigenpairs of the pencil A x = mu B x.
+def gen_eig_smallest(solve_A, apply_B, v0: np.ndarray, tol: float = 1e-10):
+    """The smallest-magnitude eigenpair ``(mu, x)`` of the pencil A x = mu B x.
 
     Krylov-Schur runs on A^{-1}B, given as the callables ``solve_A`` (one
-    solve with the factored A) and ``apply_B``, from the start vector ``v0``;
-    the smallest |mu| of the pencil become the dominant eigenvalues 1/mu of
-    the iteration operator.  Only the ``how_many`` dominant Ritz values count
-    as wanted: a smaller one that converges first must not end the iteration
-    while a dominant one is still unconverged.  The basis takes v0's scalars:
-    a real v0 needs callables that keep real vectors real, and gives a real
-    Ritz value as a real mu with a real vector.
+    solve with the factored A) and ``apply_B``, from the start vector ``v0``,
+    on a basis of 12 vectors (at most n) for at most 60 restarts; the
+    smallest |mu| of the pencil becomes the dominant eigenvalue 1/mu of the
+    iteration operator.  Only the dominant Ritz value counts as wanted: a
+    smaller one that converges first must not end the iteration while the
+    dominant one is still unconverged.  x has unit norm.  The basis takes
+    v0's scalars: a real v0 needs callables that keep real vectors real, and
+    gives a real Ritz value as a real mu with a real vector.
     """
-    n = v0.shape[0]
-    if ncv is None:
-        ncv = max(12, 2 * how_many + 8)
-    ncv = min(max(ncv, how_many + 2), n)
+    ncv = min(12, v0.shape[0])
 
     def dominant(theta, _res):
         wanted = np.zeros(len(theta), dtype=bool)
-        wanted[np.argsort(-np.abs(theta), kind="stable")[:how_many]] = True
+        wanted[np.argsort(-np.abs(theta), kind="stable")[0]] = True
         return wanted
 
     engine = FullBasisEngine(lambda v: solve_A(apply_B(v)), v0[None, :], ncv, np.result_type(v0, np.float64))
     driver = KrylovSchurDriver(engine, ncv, tol, lambda t: -np.abs(t), dominant)
-    driver.run(how_many, max_restarts)
-    out = []
-    for theta, y, _res, _ok in driver.extract()[:how_many]:
-        if theta == 0:
-            raise SingularMatrixError("Arnoldi produced a zero Ritz value")
-        if not (theta.imag or np.iscomplexobj(engine.V)):
-            theta, y = theta.real, y.real
-        x = engine.ritz_full(y, driver.m)
-        nrm = np.linalg.norm(x)
-        out.append((1.0 / theta, x / nrm if nrm else x))
-    out.sort(key=lambda p: abs(p[0]))
-    return out
+    driver.run(1, 60)
+    theta, y, _res, _ok = driver.extract()[0]
+    if theta == 0:
+        raise SingularMatrixError("Arnoldi produced a zero Ritz value")
+    if not (theta.imag or np.iscomplexobj(engine.V)):
+        theta, y = theta.real, y.real
+    x = engine.ritz_full(y, driver.m)
+    nrm = np.linalg.norm(x)
+    return 1.0 / theta, x / nrm if nrm else x

@@ -22,16 +22,17 @@ from .newton import _random_unit, _Search
 __all__ = ["narnoldi_solve", "dense_nep_slp"]
 
 
-def dense_nep_slp(proj: ProjectionContext, lam_start: complex, tol: float, max_it: int = 50):
+def dense_nep_slp(proj: ProjectionContext, lam_start: complex, tol: float):
     """Solve the projected nonlinear problem by dense SLP steps.
 
     Each step picks the smallest-magnitude eigenvalue mu of the dense pencil
-    (M(lam), M'(lam)) and corrects lam <- lam - mu; the eigenvector of the
-    final pencil is returned together with the converged eigenvalue.
+    (M(lam), M'(lam)) and corrects lam <- lam - mu, until |mu| <= tol
+    max(1, |lam|) or after 50 steps; the eigenvector of the final pencil is
+    returned together with the last eigenvalue.
     """
     lam = complex(lam_start)
     y = None
-    for _ in range(max_it):
+    for _ in range(50):
         if not np.isfinite(lam) or abs(lam - lam_start) > 1e8 * (1.0 + abs(lam_start)):
             raise NepError("projected iteration left the representable domain")
         M = proj.value(lam)

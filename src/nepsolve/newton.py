@@ -298,7 +298,7 @@ class _SLP(_Search):
         step_tol = max(1e-13, min(1e-9, self.tol / 10, 1e-2 * eta))
         v0 = self.xt.astype(np.result_type(self.dtype, ctx.dtype), copy=False)
         try:
-            (mu, xt), *_ = gen_eig_smallest(solve_ext, apply_deriv, 1, v0=v0, tol=step_tol)
+            mu, xt = gen_eig_smallest(solve_ext, apply_deriv, v0=v0, tol=step_tol)
         except np.linalg.LinAlgError as exc:
             raise NepError("inner eigensolver failed in SLP") from exc
         self.lam, self.xt, self.dtype = lam - mu, xt, xt.dtype
@@ -372,10 +372,9 @@ def rii_scalar_newton(
 
 
 class _RII(_Search):
-    def __init__(self, op, settings, hermitian, lag, const_correction_tol, deflation_threshold, max_inner, lin_cfg):
+    def __init__(self, op, settings, hermitian, lag, deflation_threshold, lin_cfg):
         super().__init__(op, settings, complex, deflation_threshold, lin_cfg)
-        self.hermitian, self.lag, self.max_inner = hermitian, lag, max_inner
-        self.shrink_tol = self.lin_cfg.mode != "direct" and not const_correction_tol
+        self.hermitian, self.lag = hermitian, lag
 
     def begin(self):
         self.sigma = self.target
@@ -419,7 +418,7 @@ class _RII(_Search):
             self.shift_to(lam)
         v = self.vector()
         ctx = None if self.hermitian else self.ctx
-        self.lam = rii_scalar_newton(v, self.sigma, lam, hermitian=self.hermitian, max_inner=self.max_inner, ctx=ctx)
+        self.lam = rii_scalar_newton(v, self.sigma, lam, hermitian=self.hermitian, ctx=ctx)
         return v
 
     def stalled(self, eta):
@@ -442,7 +441,7 @@ class _RII(_Search):
         self.shift_to(self.lam)
 
     def advance(self, eta, r1, r2):
-        if self.shrink_tol:
+        if self.lin_cfg.mode != "direct":
             # exponentially decreasing, floored at the practical limit of
             # double-precision iterative solves
             self.corr_tol = max(self.corr_tol / 2, 1e-12)
@@ -462,9 +461,7 @@ def rii_solve(
     *,
     hermitian: bool = False,
     lag: int = 0,
-    const_correction_tol: bool = False,
     deflation_threshold: float = 0.0,
-    max_inner: int = 10,
     lin_cfg: Optional[LinearSolverConfig] = None,
 ) -> EigenSolution:
     """Residual inverse iteration, its shift refreshed for each pair's polish.
@@ -478,10 +475,11 @@ def rii_solve(
     factorization) moves to lam once per pair, at the first step after an
     eta below tol, unless lam is close to a locked eigenvalue.  ``lag`` also
     refreshes sigma every ``lag`` iterations while the pair's best eta lies
-    in (sqrt(tol), 1e-2); 0 keeps it fixed there.  With an iterative linear
-    solver the correction tolerance is halved every outer iteration unless
-    ``const_correction_tol`` is set.
+    in (sqrt(tol), 1e-2); 0 keeps it fixed there.  The scalar Newton
+    iteration takes at most 10 steps per outer step.  With an iterative
+    linear solver the correction tolerance is halved every outer iteration,
+    down to 1e-12.
     """
     if lag < 0:
         raise ValueError("lag must be nonnegative")
-    return _RII(op, settings, hermitian, lag, const_correction_tol, deflation_threshold, max_inner, lin_cfg).run()
+    return _RII(op, settings, hermitian, lag, deflation_threshold, lin_cfg).run()

@@ -43,7 +43,6 @@ import scipy.linalg
 from .core import (
     EigenPair,
     EigenSolution,
-    Interval,
     NepError,
     NepOperator,
     Settings,
@@ -600,7 +599,6 @@ def nleigs_solve(
         settings,
         lambda thetas: sigma + 1.0 / thetas,
         rng,
-        real=isinstance(settings.region, Interval),
         pair_eta=lambda lam, x: backward_error(op, lam, x),
         known_junk=pole_images,
     )

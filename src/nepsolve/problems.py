@@ -27,7 +27,7 @@ import scipy.linalg
 import scipy.sparse as sp
 
 from . import functions as fn
-from .core import NepOperator, Settings, _unpair, region_from_dict
+from .core import NepOperator, Settings, region_from_dict
 
 __all__ = [
     "gen_delay",
@@ -291,7 +291,7 @@ def load_problem_manifest(path):
     if "max_it" in sdoc:
         kwargs["max_it"] = int(sdoc["max_it"])
     if "target" in sdoc:
-        kwargs["target"] = _unpair(sdoc["target"])
+        kwargs["target"] = fn._parse_scalar(sdoc["target"])
     if "problem_type" in sdoc:
         kwargs["problem_type"] = sdoc["problem_type"]
     if "region" in sdoc:

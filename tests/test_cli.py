@@ -1,9 +1,10 @@
+import inspect
 import json
 
 import numpy as np
 import pytest
 
-from nepsolve.cli import REPORT_SCHEMA_VERSION, UsageError, main, run, validate_report
+from nepsolve.cli import REPORT_SCHEMA_VERSION, SOLVER_FLAGS, SOLVERS, UsageError, main, run, validate_report
 from nepsolve.problems import gen_delay, write_matrix_market
 
 
@@ -211,3 +212,25 @@ def test_invalid_nev_or_ncv_is_usage_error(capsys, extra):
     # the user's values go through the same checks as Settings(...)
     assert main(["run", "--n", "50", "--output", "json", *extra]) == 2
     assert capsys.readouterr().out == ""
+
+
+@pytest.mark.parametrize(
+    "extra",
+    [
+        ["--solver", "rii", "--tol", "-1"],
+        ["--solver", "slp", "--tol", "nan"],
+        ["--solver", "nleigs", "--max-it", "0"],
+    ],
+)
+def test_out_of_range_tol_or_max_it_is_usage_error(capsys, extra):
+    assert main(["run", "--problem", "delay", "--n", "50", "--output", "json", *extra]) == 2
+    assert capsys.readouterr().out == ""
+
+
+def test_every_solver_option_is_a_cli_flag():
+    # an option that no flag sets has no caller; two_sided is a Settings field
+    for name, solver in SOLVERS.items():
+        params = inspect.signature(solver).parameters.values()
+        options = {p.name for p in params if p.kind is p.KEYWORD_ONLY} - {"lin_cfg"}
+        flags = {dest for dest, solvers in SOLVER_FLAGS.items() if name in solvers} - {"two_sided"}
+        assert options == flags, name

@@ -225,8 +225,24 @@ def test_settings_defaults_and_validation():
         Settings(nev=0)
     with pytest.raises(ValueError):
         Settings(nev=5, ncv=5)
-    with pytest.raises(ValueError):
-        Settings(which="weird")
+
+
+@pytest.mark.parametrize("tol", [0.0, -1.0, float("nan"), float("inf")])
+def test_settings_reject_a_tol_that_is_not_finite_and_positive(tol):
+    with pytest.raises(ValueError, match="tol"):
+        Settings(tol=tol)
+
+
+@pytest.mark.parametrize("max_it", [0, -5])
+def test_settings_reject_max_it_below_one(max_it):
+    with pytest.raises(ValueError, match="max_it"):
+        Settings(max_it=max_it)
+
+
+def test_settings_reject_an_unknown_problem_type():
+    assert Settings(problem_type="rational").problem_type == "rational"
+    with pytest.raises(ValueError, match="problem type"):
+        Settings(problem_type="polynomial")
 
 
 # -- resolvent ------------------------------------------------------------------------
@@ -287,10 +303,10 @@ def test_which_selection_orderings():
     lams = np.array([1.0, -5.0, 3.0 + 4.5j])
     key_t = Settings(nev=1, target=0.9).sort_key()
     assert np.argmin(key_t(lams)) == 0
-    key_m = Settings(nev=1, which="largest-magnitude").sort_key()
-    assert np.argmin(key_m(lams)) == 2
-    key_r = Settings(nev=1, which="largest-real").sort_key()
-    assert np.argmin(key_r(lams)) == 2
+    key_far = Settings(nev=1, target=-4.0).sort_key()
+    assert list(np.argsort(key_far(lams))) == [1, 0, 2]
+    # non-finite eigenvalues sort last
+    assert np.argsort(key_t(np.array([np.nan, np.inf, 50.0])), kind="stable")[0] == 2
 
 
 # -- finish -----------------------------------------------------------------------------

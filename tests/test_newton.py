@@ -364,8 +364,6 @@ def test_iterative_inner_solver_path():
     sol = rii_solve(op, s, lin_cfg=cfg)
     assert sol.converged
     assert sol.pairs[0].eta <= 1e-7
-    sol2 = rii_solve(op, s, lin_cfg=cfg, const_correction_tol=True)
-    assert sol2.converged
 
 
 @pytest.mark.parametrize("threads", ["1", "2"])

@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 import scipy.sparse as sp
 
-from nepsolve.core import Interval, backward_error
+from nepsolve.core import Interval, backward_error, region_from_dict
 from nepsolve.newton import slp_solve
 from nepsolve.core import Settings
 from nepsolve.problems import (
@@ -263,6 +263,20 @@ def test_report_region_loads_back_as_a_manifest_region(tmp_path, kind):
     doc["settings"]["region"] = report["config"]["region"]
     path.write_text(json.dumps(doc))
     assert load_problem_manifest(path)[1].region == posed
+
+
+def test_manifest_target_with_three_entries_is_rejected(tmp_path):
+    _, path = write_delay_manifest(tmp_path)
+    doc = json.loads(path.read_text())
+    doc["settings"]["target"] = [1.0, 2.0, 3.0]
+    path.write_text(json.dumps(doc))
+    with pytest.raises(ValueError, match=r"\[re, im\]"):
+        load_problem_manifest(path)
+
+
+def test_ellipse_center_with_three_entries_is_rejected():
+    with pytest.raises(ValueError, match=r"\[re, im\]"):
+        region_from_dict({"kind": "ellipse", "center": [1.0, 2.0, 3.0], "rx": 1.0, "ry": 1.0})
 
 
 def test_manifest_missing_file(tmp_path):
