@@ -25,7 +25,7 @@ from .core import (
     region_to_dict,
 )
 from .interpol import interpol_solve
-from .linalg import LinearSolverConfig
+from .linalg import LinearSolverConfig, SingularMatrixError
 from .narnoldi import narnoldi_solve
 from .newton import rii_solve, slp_solve
 from .nleigs import nleigs_solve
@@ -212,9 +212,11 @@ def _run(args: argparse.Namespace) -> tuple[dict, int]:
     lin_cfg = LinearSolverConfig(mode=args.linsolver)
 
     t0 = time.perf_counter()
+    # SingularMatrixError (say, T singular at the target) is a ValueError,
+    # but a solver error, not a usage error
     try:
         sol = SOLVERS[args.solver](op, settings, lin_cfg=lin_cfg, **kwargs)
-    except NepError as exc:
+    except (NepError, SingularMatrixError) as exc:
         report = {"schema_version": REPORT_SCHEMA_VERSION, "error": str(exc)}
         return report, 1
     elapsed = time.perf_counter() - t0

@@ -5,7 +5,7 @@ routines here wrap LAPACK/SuperLU factorizations, provide reorthogonalized
 Gram-Schmidt, small wrappers around the iterative linear solvers and one
 kernel for split-form sums sum_i w_i M_i of sparse matrices.  One
 Krylov-Schur driver with restart and locking runs every Krylov eigensolve:
-NLEIGS and interpol on the compact basis of their linearizations
+NLEIGS and interpol on the compact basis of their one linearization
 (``ToarBasisEngine``), through one Ritz-to-eigenpair rule
 (``ShiftInvertRun``), and SLP's inner linear eigenproblem through
 ``gen_eig_smallest``.
@@ -589,8 +589,8 @@ class ToarBasisEngine:
     """Compact representation V_k = (I_d (x) U) G_k of the Krylov basis.
 
     ``ctx`` is a linearization with a block recurrence (NLEIGS's
-    ``ShiftInvertContext``, interpol's ``ColleaguePencil``): ``toar_expand(U,
-    g)`` gives the one new direction y0 and the coefficients on [U, y0], and
+    ``ShiftInvertContext``, which interpol shares): ``toar_expand(U, g)``
+    gives the one new direction y0 and the coefficients on [U, y0], and
     ``dtype`` its scalars.  U (n x mu, orthonormal) holds the rank of the
     start blocks, folded in one at a time (d equal blocks give one column),
     and is a view of a column-major buffer of d + ncv + 2 columns, which
@@ -837,8 +837,8 @@ class ShiftInvertRun:
     ``settings.sort_key()`` of their eigenvalues and iterates to the inner
     tolerance max(1e-14, 0.01 tol).  Region test: lam, known only to about
     the Ritz error res/|theta|^2, is wanted when it is finite and
-    ``contains(lam, imag_tol=max(1e-8 max(1, |lam|), res/|theta|^2))``;
-    ``contains`` defaults to ``settings.region.contains``.  A pair is tested
+    ``settings.region.contains(lam, imag_tol=max(1e-8 max(1, |lam|),
+    res/|theta|^2))``.  A pair is tested
     and returned at lam, or at Re lam when ``settings.region`` is an
     ``Interval`` (interval regions carry real spectra).  Pair test, when
     ``pair_eta(lam, x)`` is given: the first block of the Ritz vector,
@@ -848,13 +848,13 @@ class ShiftInvertRun:
     converged by its Ritz residual alone was never pair-tested.
     """
 
-    def __init__(self, engine, ncv: int, settings, to_lam, rng, *, contains=None, pair_eta=None, known_junk=()):
+    def __init__(self, engine, ncv: int, settings, to_lam, rng, *, pair_eta=None, known_junk=()):
         from .core import Interval  # core imports this module
 
         real = isinstance(settings.region, Interval)
         self.tol = tol = settings.tol
         lam_key = settings.sort_key()
-        contains = contains or settings.region.contains
+        contains = settings.region.contains
         etas = {}
         inner_tol = max(1e-14, 0.01 * settings.tol)
 

@@ -8,10 +8,13 @@ formed: shift-and-invert products are applied through block recurrences with
 a single factorization of R_d(sigma).  The linear problem is solved with
 Krylov-Schur, either on explicitly stored vectors of length d*n (full basis)
 or on a compact tensor representation V_k = (I_d (x) U) G_k of the same basis
-(the default, ``linalg.ToarBasisEngine``, which interpol runs on too).  A
-two-sided variant runs a second Krylov process with the adjoint recurrences
-to recover left eigenvectors.  Both runs, and interpol's, read their Ritz
-pairs back as eigenpairs by ``linalg.ShiftInvertRun``.
+(the default, ``linalg.ToarBasisEngine``).  A two-sided variant runs a second
+Krylov process with the adjoint recurrences to recover left eigenvectors.
+Both runs read their Ritz pairs back as eigenpairs by
+``linalg.ShiftInvertRun``.  interpol is this solver with Chebyshev nodes and
+every pole at infinity: it builds its interpolant with ``leja_bagby`` and
+``divided_differences`` and solves it by ``shift_invert_context`` and
+``shift_invert_pairs``.
 
 The compact expansion costs O(n mu) plus one sparse solve per step, mu being
 the number of columns of U.  The block recurrence runs on the d x mu
@@ -56,6 +59,7 @@ from .linalg import (
     FullBasisEngine,
     LinearSolverConfig,
     ShiftInvertRun,
+    SingularMatrixError,
     SplitSum,
     ToarBasisEngine,
     inf_norm,
@@ -70,12 +74,15 @@ __all__ = [
     "auto_singularities",
     "UnsupportedPoleDetection",
     "ShiftInvertContext",
+    "shift_invert_context",
+    "shift_invert_pairs",
     "nleigs_solve",
 ]
 
 DD_TOL_DEFAULT = 1e-11
 DD_MAXDEG_DEFAULT = 30
 BOUNDARY_POINTS = 1000
+SHIFT_RETRY = 1e-4  # relative step off a target where the linearization is singular
 
 
 class UnsupportedPoleDetection(NepError):
@@ -270,9 +277,22 @@ class RationalInterpolant:
         bd = b[self.d - 1] * (lam - self.seq.nodes[self.d - 1]) / self.seq.betas[self.d]
         return np.concatenate([b, [bd]])
 
+    def weights(self, lam: complex) -> np.ndarray:
+        """The weight of each matrix in R_d(lam)."""
+        return self.coeffs @ self.b_values(lam)
+
     def assemble(self, lam: complex):
         """R_d(lam) as a sparse matrix."""
-        return self.mats.assemble(self.coeffs @ self.b_values(lam))
+        return self.mats.assemble(self.weights(lam))
+
+    def apply(self, lam: complex, v: np.ndarray) -> np.ndarray:
+        """R_d(lam) v without assembling R_d."""
+        return self.mats.apply(self.weights(lam), v)
+
+    def norm_scale(self, lam: complex) -> float:
+        """The residual scaling of R_d(lam), sum_i |w_i| ||M_i||_inf, as
+        ``NepOperator.norm_scale`` scales T."""
+        return self.mats.scale(self.weights(lam))
 
     def dd_dense(self, j: int) -> np.ndarray:
         return self.mats.assemble(self.coeffs[:, j]).toarray()
@@ -355,7 +375,9 @@ class ShiftInvertContext:
     When the interpolant at sigma is real, ``real`` is set and the weights
     and the factor of R_d(sigma) are real: a real vector maps to a real
     vector in real arithmetic, a complex one is served too, with no complex
-    copy of a real matrix (``linalg.sparse_times``).
+    copy of a real matrix (``linalg.sparse_times``).  A sigma at which the
+    linearization is singular, an interpolation node or an exactly singular
+    R_d(sigma), raises ``SingularMatrixError``.
     """
 
     def __init__(self, ri: RationalInterpolant, sigma: complex, lin_cfg: Optional[LinearSolverConfig] = None):
@@ -377,7 +399,7 @@ class ShiftInvertContext:
             np.array([seq.nodes[j - 1] - self.sigma for j in range(1, d)], dtype=complex)
         )  # denoms[j-1] = sigma_{j-1} - sigma, j = 1..d-1
         if np.any(self.denoms == 0):
-            raise NepError("the shift coincides with an interpolation node; move the target")
+            raise SingularMatrixError("the shift coincides with an interpolation node")
         self.inv_xi = part(np.array([ri.seq.inv_pole(j) for j in range(d + 1)], dtype=complex))
         self.pole_factors = part(1.0 - self.sigma * self.inv_xi)  # index j for (1 - sigma/xi_j)
         self.beta = seq.betas
@@ -509,6 +531,67 @@ class ShiftInvertContext:
         return y0, G
 
 
+# -- the shift-and-invert eigensolve ------------------------------------------------
+
+
+def shift_invert_context(ri: RationalInterpolant, target: complex, lin_cfg=None) -> ShiftInvertContext:
+    """``ShiftInvertContext`` at the target or, where the linearization is
+    singular there, once more at target + SHIFT_RETRY max(1, |target|).
+
+    The shift in use is ``ctx.sigma``; a singular retry raises
+    ``SingularMatrixError``.
+    """
+    target = complex(target)
+    try:
+        return ShiftInvertContext(ri, target, lin_cfg)
+    except SingularMatrixError:
+        return ShiftInvertContext(ri, target + SHIFT_RETRY * max(1.0, abs(target)), lin_cfg)
+
+
+def _start_blocks(ctx: ShiftInvertContext) -> np.ndarray:
+    return np.broadcast_to(np.ones(ctx.n, dtype=ctx.dtype), (ctx.d, ctx.n))
+
+
+def shift_invert_pairs(ctx: ShiftInvertContext, settings: Settings, pair_eta, *, full_basis=False, known_junk=()):
+    """Krylov-Schur on ctx's shift-and-invert operator, read back by
+    ``linalg.ShiftInvertRun`` with ``pair_eta`` as its pair test.
+
+    Returns the distinct pairs as ``EigenPair``s (eta from ``pair_eta``)
+    and the run.  While fewer than nev pairs pass and the run may go on, it
+    goes on wanting as many more converged Ritz pairs as are missing.
+    """
+    d, n = ctx.d, ctx.n
+    sigma = ctx.sigma
+    ncv = min(settings.ncv_effective, d * n - 1)
+    ncv = max(ncv, min(settings.nev + 2, d * n - 1))
+    rng = np.random.default_rng(settings.seed)
+    if full_basis:
+        engine = FullBasisEngine(ctx.apply, _start_blocks(ctx), ncv, ctx.dtype)
+    else:
+        engine = ToarBasisEngine(ctx, _start_blocks(ctx), ncv)
+    run = ShiftInvertRun(
+        engine,
+        ncv,
+        settings,
+        lambda thetas: sigma + 1.0 / thetas,
+        rng,
+        pair_eta=pair_eta,
+        known_junk=known_junk,
+    )
+    driver = run.driver
+    max_restarts = settings.max_it_effective
+    want = settings.nev
+    while True:
+        count = driver.run(want, max_restarts)
+        pairs = distinct_pairs([EigenPair(*pair) for pair in run.harvest()])
+        if len(pairs) >= settings.nev:
+            break
+        if driver.restarts >= max_restarts or driver.exhausted or count < want:
+            break
+        want += settings.nev - len(pairs)
+    return pairs, run
+
+
 # -- top-level solver ----------------------------------------------------------------
 
 
@@ -539,9 +622,11 @@ def nleigs_solve(
 ) -> EigenSolution:
     """Rational-interpolation solve over a region of the complex plane.
 
-    The target is the single shift of the Krylov iteration.  Accepted pairs
-    lie inside the region and meet the backward-error tolerance; the
-    two-sided variant additionally attaches left eigenvectors.
+    The target is the single shift of the Krylov iteration, moved once
+    where the linearization is singular there (``shift_invert_context``).
+    Accepted pairs lie inside the region and meet the backward-error
+    tolerance; the two-sided variant additionally attaches left
+    eigenvectors.
 
     Region rule (``linalg.ShiftInvertRun``, shared with interpol): while
     iterating, a Ritz value theta with residual res maps to
@@ -568,51 +653,29 @@ def nleigs_solve(
     if two_sided:
         full_basis = True
     notes = []
-    sigma = complex(settings.target)
 
     boundary = settings.region.boundary_points(BOUNDARY_POINTS)
     sing, note = _resolve_singularities(op, singularities, settings)
     if note:
         notes.append(note)
-    seq = leja_bagby(boundary, sing, dd_maxdeg, start_hint=sigma)
+    seq = leja_bagby(boundary, sing, dd_maxdeg, start_hint=settings.target)
     ri = divided_differences(op, seq, dd_tol=dd_tol, d_max=dd_maxdeg)
     if ri.reached_max_degree:
         notes.append(
             f"divided differences did not reach tol {dd_tol:g} at degree {ri.d}; proceeding"
         )
-    ctx = ShiftInvertContext(ri, sigma, lin_cfg)
-    d, n = ri.d, op.n
-
-    w0 = np.broadcast_to(np.ones(n, dtype=ctx.dtype), (d, n))
-    ncv = min(settings.ncv_effective, d * n - 1)
-    ncv = max(ncv, min(settings.nev + 2, d * n - 1))
-    rng = np.random.default_rng(settings.seed)
-    if full_basis:
-        engine = FullBasisEngine(ctx.apply, w0, ncv, ctx.dtype)
-    else:
-        engine = ToarBasisEngine(ctx, w0, ncv)
+    ctx = shift_invert_context(ri, settings.target, lin_cfg)
+    sigma = ctx.sigma
 
     pole_images = 1.0 / (sing[sing != sigma] - sigma)
-    right = ShiftInvertRun(
-        engine,
-        ncv,
+    pairs, right = shift_invert_pairs(
+        ctx,
         settings,
-        lambda thetas: sigma + 1.0 / thetas,
-        rng,
-        pair_eta=lambda lam, x: backward_error(op, lam, x),
+        lambda lam, x: backward_error(op, lam, x),
+        full_basis=full_basis,
         known_junk=pole_images,
     )
     driver = right.driver
-    max_restarts = settings.max_it_effective
-    want = settings.nev
-    while True:
-        count = driver.run(want, max_restarts)
-        pairs = distinct_pairs([EigenPair(*pair) for pair in right.harvest()])
-        if len(pairs) >= settings.nev:
-            break
-        if driver.restarts >= max_restarts or driver.exhausted or count < want:
-            break
-        want += settings.nev - len(pairs)
 
     stats = {
         "degree": ri.d,
@@ -624,17 +687,17 @@ def nleigs_solve(
     }
 
     if two_sided:
-        left_engine = FullBasisEngine(ctx.apply_adjoint, w0, ncv, ctx.dtype)
+        left_engine = FullBasisEngine(ctx.apply_adjoint, _start_blocks(ctx), driver.ncv, ctx.dtype)
         left = ShiftInvertRun(
             left_engine,
-            ncv,
+            driver.ncv,
             settings,
             lambda omegas: sigma + 1.0 / np.conj(omegas),
-            rng,
+            driver.rng,
             known_junk=pole_images.conj(),
         )
         left_driver = left.driver
-        left_driver.run(len(pairs), max_restarts)
+        left_driver.run(len(pairs), settings.max_it_effective)
         lefts = []
         for omega, y, _res, ok in left_driver.extract():
             if not ok:

@@ -107,11 +107,6 @@ class DelayOracle:
         order = np.argsort(np.abs(r - target), kind="stable")
         return r[order[:count]]
 
-    def in_interval(self, a: float, b: float) -> np.ndarray:
-        r = self.roots()
-        r = r[(r.real >= a) & (r.real <= b)]
-        return r[np.argsort(r.real)]
-
 
 def gen_delay(n: int, tau: float = 0.001, b: float = -2.0, commuting: bool = True):
     """Delay problem and its oracle.

@@ -3,6 +3,7 @@ import json
 
 import numpy as np
 import pytest
+import scipy.sparse as sp
 
 from nepsolve.cli import REPORT_SCHEMA_VERSION, SOLVER_FLAGS, SOLVERS, UsageError, main, run, validate_report
 from nepsolve.problems import gen_delay, write_matrix_market
@@ -184,6 +185,27 @@ def test_manifest_problem(tmp_path):
     assert report["n_converged"] == 2
 
 
+@pytest.mark.parametrize("solver", ["rii", "narnoldi"])
+def test_singular_target_is_a_solver_error(tmp_path, capsys, solver):
+    # T(lam) = diag(1, 2, 3) - lam I is singular at the target 2; the solvers
+    # raise SingularMatrixError, a ValueError, which is still no usage error
+    names = []
+    for i, A in enumerate([sp.diags([1.0, 2.0, 3.0]), sp.identity(3)]):
+        names.append(f"t{i}.mtx")
+        write_matrix_market(tmp_path / names[-1], sp.csr_matrix(A), field="real")
+    doc = {
+        "matrices": names,
+        "functions": [{"type": "rational", "num": [1.0]}, {"type": "rational", "num": [-1.0, 0.0]}],
+        "settings": {"nev": 3, "tol": 1e-10, "target": [2.0, 0.0]},
+    }
+    mpath = tmp_path / "diag3.json"
+    mpath.write_text(json.dumps(doc))
+    assert main(["run", "--problem", f"manifest:{mpath}", "--solver", solver, "--output", "json"]) == 1
+    report = json.loads(capsys.readouterr().out)
+    validate_report(report)
+    assert "singular" in report["error"]
+
+
 @pytest.mark.parametrize("solver, extra", [("slp", []), ("nleigs", ["--region", "interval:-100,50"])])
 def test_real_matrix_market_problem_runs_in_real_arithmetic(tmp_path, solver, extra):
     # real .mtx input stays real from the reader through the operator
@@ -220,6 +242,7 @@ def test_invalid_nev_or_ncv_is_usage_error(capsys, extra):
         ["--solver", "rii", "--tol", "-1"],
         ["--solver", "slp", "--tol", "nan"],
         ["--solver", "nleigs", "--max-it", "0"],
+        ["--solver", "interpol", "--degree", "1"],
     ],
 )
 def test_out_of_range_tol_or_max_it_is_usage_error(capsys, extra):

@@ -4,7 +4,7 @@ import scipy.sparse as sp
 
 from nepsolve import functions as fn
 from nepsolve.core import Ellipse, Interval, NepError, NepOperator, Settings, backward_error
-from nepsolve.linalg import FullBasisEngine, KrylovSchurDriver
+from nepsolve.linalg import FullBasisEngine, KrylovSchurDriver, SingularMatrixError
 from nepsolve.nleigs import (
     LejaBagbySequence,
     RationalInterpolant,
@@ -15,6 +15,7 @@ from nepsolve.nleigs import (
     divided_differences,
     leja_bagby,
     nleigs_solve,
+    shift_invert_context,
 )
 from nepsolve.problems import gen_delay, gen_loaded_string
 from blas_threads import run_at_blas_threads
@@ -556,6 +557,38 @@ def test_nleigs_delay_desk():
         assert p.eta <= s.tol
         assert np.min(np.abs(roots - p.lam)) <= 1e-6 * abs(p.lam)
         assert s.region.contains(p.lam, imag_tol=1e-8 * max(1.0, abs(p.lam)))
+
+
+def test_shift_on_an_interpolation_node_moves_once():
+    rng = np.random.default_rng(4)
+    op, ri = random_interpolant(rng, n=5, d=3)
+    node = ri.seq.nodes[0]
+    with pytest.raises(SingularMatrixError):
+        ShiftInvertContext(ri, node)
+    assert shift_invert_context(ri, node).sigma == node + 1e-4 * max(1.0, abs(node))
+    assert shift_invert_context(ri, 0.3 + 0.1j).sigma == 0.3 + 0.1j
+
+
+def test_nleigs_moves_a_target_where_t_is_singular():
+    # T(lam) = diag(1, 2, 3) - lam I is singular at the target 2, so R_d is
+    # too, and the shift moves once, to 2.0002
+    A = sp.diags([1.0, 2.0, 3.0], format="csr")
+    op = NepOperator(terms=[(A, fn.constant(1.0)), (sp.identity(3, format="csr"), fn.polynomial([-1.0, 0.0]))])
+    sol = nleigs_solve(op, Settings(nev=3, tol=1e-10, target=2.0, region=Interval(0.0, 4.0)))
+    assert sol.converged
+    np.testing.assert_allclose(np.sort(sol.eigenvalues.real), [1.0, 2.0, 3.0], atol=1e-9)
+
+
+def test_nleigs_moves_a_target_on_a_boundary_grid_point():
+    # the 1000 boundary points of [-999, 0] are the integers, and the first
+    # Leja node is the one nearest the target: -9 itself, so the shift moves
+    # off the node
+    op, oracle = gen_delay(300, tau=0.001, b=-2.0)
+    sol = nleigs_solve(op, Settings(nev=3, tol=1e-8, target=-9.0, region=Interval(-999.0, 0.0)))
+    assert sol.converged
+    np.testing.assert_allclose(
+        np.sort_complex(sol.eigenvalues), np.sort_complex(oracle.nearest(-9.0, 3)), rtol=1e-6
+    )
 
 
 def test_nleigs_region_filter_discards_outside():
