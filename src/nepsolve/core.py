@@ -174,8 +174,9 @@ def backward_error(op: NepOperator, lam: complex, x: np.ndarray) -> float:
 
     In split form the scaling is sum |f_i| ||A_i||_inf; otherwise the
     assembled ||T(lambda)||_inf is used.  Invariant under rescaling of x.
+    Real for a real lambda, x and T: it keeps the scalars of its input.
     """
-    x = np.asarray(x, dtype=complex)
+    x = np.asarray(x)
     nx = np.linalg.norm(x)
     if nx == 0:
         raise ValueError("backward error of the zero vector is undefined")
@@ -342,9 +343,9 @@ class Settings:
     """Common solver settings; solver-specific options are keyword arguments.
 
     Every solver wants the eigenvalues nearest ``target`` (``sort_key``).
-    ``tol`` must be finite and positive, ``max_it`` (None for the default)
-    at least 1 and ``problem_type`` "general" or "rational": these arrive
-    from the CLI and from manifests, and a bad one raises ``ValueError``.
+    ``tol`` must be finite and positive, ``target`` finite, ``max_it`` (None for
+    the default) at least 1 and ``problem_type`` "general" or "rational": these
+    arrive from the CLI and from manifests, and a bad one raises ``ValueError``.
     """
 
     nev: int = 1
@@ -364,6 +365,8 @@ class Settings:
             raise ValueError("ncv must be at least nev + 1")
         if not (np.isfinite(self.tol) and self.tol > 0):
             raise ValueError(f"tol must be finite and positive, got {self.tol!r}")
+        if not np.isfinite(self.target):
+            raise ValueError(f"target must be finite, got {self.target!r}")
         if self.max_it is not None and self.max_it < 1:
             raise ValueError("max_it must be at least 1")
         if self.problem_type not in ("general", "rational"):
@@ -390,7 +393,7 @@ class Settings:
 
 @dataclass
 class EigenPair:
-    lam: complex
+    lam: complex  # a float for an interval pair of a real run (NLEIGS, interpol) and SLP's real pairs
     x: np.ndarray
     eta: float
     y: Optional[np.ndarray] = None

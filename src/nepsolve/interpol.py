@@ -33,7 +33,7 @@ from .core import (
     backward_error,
     finish,
 )
-from .linalg import LinearSolverConfig, SplitSum
+from .linalg import KrylovSchurDriver, LinearSolverConfig, SplitSum
 from .nleigs import (
     ShiftInvertContext,
     divided_differences,
@@ -102,7 +102,8 @@ def _dense_pairs(settings: Settings, ctx: ShiftInvertContext, pair_eta):
 
     Returns the ``EigenPair``s (eta from ``pair_eta``) of the eigenvalues
     lam = sigma + 1/theta in the interval, with |Im lam| <= 1e-8 max(1, |lam|),
-    at Re lam and with eta <= tol, nearest the target first.
+    at Re lam and with eta <= tol, nearest the target first; a real theta of
+    a real S gives a real vector, by the driver's ``ritz_pair``.
     """
     n = ctx.n
     S = np.column_stack([ctx.apply(e) for e in np.eye(ctx.d * n, dtype=ctx.dtype)])
@@ -111,10 +112,10 @@ def _dense_pairs(settings: Settings, ctx: ShiftInvertContext, pair_eta):
         lams = ctx.sigma + 1.0 / thetas
     pairs = []
     for i in np.argsort(settings.sort_key()(lams), kind="stable"):
-        lam, x = lams[i], V[:n, i]
+        lam, x = lams[i], KrylovSchurDriver.ritz_pair(thetas[i], V[:n, i], ctx.real)[1]
         if not (np.isfinite(lam) and settings.region.contains(lam, imag_tol=1e-8 * max(1.0, abs(lam)))):
             continue
-        lam, x = complex(lam.real), x / np.linalg.norm(x)
+        lam, x = float(lam.real), x / np.linalg.norm(x)
         eta = pair_eta(lam, x)
         if eta <= settings.tol:
             pairs.append(EigenPair(lam, x, eta))

@@ -16,10 +16,10 @@ iterative solves and ``KrylovSchurDriver``) run on one code path, in real
 arithmetic (``d*`` BLAS and LAPACK) on real input and in complex arithmetic
 (``z*``) otherwise.  A complex vector given to a real kernel is served,
 never cast down, and with no complex copy of a real basis or sparse matrix
-(``basis_times``, ``sparse_times``).  A real Hessenberg matrix gives complex
-Ritz values and vectors and is restarted through its real Schur form.
-``DenseLU`` and ``gen_eig_smallest`` (a real Ritz pair of a real H) follow
-the same rule.
+(``basis_times``, ``sparse_times``).  A real Hessenberg matrix is restarted
+through its real Schur form, and the driver reads a real Ritz value of it
+out with its real vector (``KrylovSchurDriver.ritz_pair``), so a real run
+gives real eigenpairs.  ``DenseLU`` follows the same rule.
 
 ``orthogonalize`` is the one Gram-Schmidt kernel of the Krylov bases.  Each
 call reads the basis four times (two BLAS ``gemv`` per sweep) and copies
@@ -713,7 +713,8 @@ class KrylovSchurDriver:
     H holds the engine's scalars.  A real H is restarted through its real
     Schur form with the kept set closed under conjugation; a pair that adds
     a vector to the kept set adds one to the next cycle, so each cycle makes
-    as many expansions as in complex arithmetic.
+    as many expansions as in complex arithmetic.  The pair test and
+    ``extract`` read each Ritz pair out by ``ritz_pair``: real where H is.
     """
 
     def __init__(self, engine, ncv: int, tol: float, sort_key, wanted_filter=None, rng=None, known_junk=()):
@@ -731,7 +732,7 @@ class KrylovSchurDriver:
         self.restarts = 0
         self.exhausted = False
         self.ritz_history: List[np.ndarray] = []
-        self._cycle = None  # (theta, Y, res, wanted, conv) of the current H
+        self._cycle = None  # (theta, pairs, res, wanted, conv) of the current H
 
     def _ritz(self):
         m = self.m
@@ -740,6 +741,12 @@ class KrylovSchurDriver:
         nrm = np.maximum(np.linalg.norm(Y, axis=0), 1e-300)
         res = np.abs(self.H[m, :m] @ Y) / nrm
         return theta, Y, res
+
+    @staticmethod
+    def ritz_pair(theta, y, real: bool):
+        """The Ritz pair (theta, y) as read out: of a ``real`` matrix, a Ritz value with exactly
+        zero imaginary part (a real eigenvalue of ``dgeev``) is a real scalar with a real vector."""
+        return (theta.real, y.real) if real and not theta.imag else (theta, y)
 
     def _wanted(self, theta, res):
         if self.wanted_filter is None:
@@ -752,17 +759,18 @@ class KrylovSchurDriver:
         return np.lexsort((self.sort_key(theta), ~wanted))
 
     def _verdicts(self):
-        """Ritz values, vectors and residuals of H, which are wanted and converged."""
+        """Ritz values, pairs (``ritz_pair``) and residuals of H, which are wanted and converged."""
         if self._cycle is None:
             theta, Y, res = self._ritz()
+            pairs = [self.ritz_pair(t, y, self.H.dtype.kind == "f") for t, y in zip(theta, Y.T)]
             wanted = self._wanted(theta, res)
             conv = res <= self.tol * np.maximum(np.abs(theta), np.finfo(float).eps)
             if self.pair_test is not None:
                 for i in range(len(theta)):
                     if conv[i] or not wanted[i] or res[i] > 1e-2:
                         continue
-                    conv[i] = bool(self.pair_test(theta[i], Y[:, i], self.m))
-            self._cycle = (theta, Y, res, wanted, conv)
+                    conv[i] = bool(self.pair_test(*pairs[i], self.m))
+            self._cycle = (theta, pairs, res, wanted, conv)
         return self._cycle
 
     def run(self, min_converged: int, max_restarts: int):
@@ -782,7 +790,7 @@ class KrylovSchurDriver:
                 else:
                     self.H[j + 1, j] = beta
                 self.m += 1
-            theta, Y, res, wanted, conv = self._verdicts()
+            theta, _pairs, res, wanted, conv = self._verdicts()
             order = self._order(theta, wanted)
             self.ritz_history.append((theta[order], res[order]))
             count = int(np.sum(conv & wanted))
@@ -822,9 +830,9 @@ class KrylovSchurDriver:
         ``ok`` marks exactly the pairs that the converged count includes:
         converged and accepted by the wanted filter.
         """
-        theta, Y, res, wanted, conv = self._verdicts()
+        theta, pairs, res, wanted, conv = self._verdicts()
         ok = conv & wanted
-        return [(theta[i], Y[:, i], res[i], bool(ok[i])) for i in self._order(theta, wanted)]
+        return [(*pairs[i], res[i], bool(ok[i])) for i in self._order(theta, wanted)]
 
 
 class ShiftInvertRun:
@@ -839,8 +847,8 @@ class ShiftInvertRun:
     the Ritz error res/|theta|^2, is wanted when it is finite and
     ``settings.region.contains(lam, imag_tol=max(1e-8 max(1, |lam|),
     res/|theta|^2))``.  A pair is tested
-    and returned at lam, or at Re lam when ``settings.region`` is an
-    ``Interval`` (interval regions carry real spectra).  Pair test, when
+    and returned at lam, or at Re lam, a float, when ``settings.region`` is
+    an ``Interval`` (interval regions carry real spectra).  Pair test, when
     ``pair_eta(lam, x)`` is given: the first block of the Ritz vector,
     normalized, has ``pair_eta`` <= tol at that point; each (restart, m,
     theta) is evaluated once.  ``harvest`` returns ``(lam, x, eta)`` for the
@@ -873,7 +881,7 @@ class ShiftInvertRun:
         def point(theta) -> complex:
             """The eigenvalue that theta's pair is tested and returned at."""
             lam = to_lam(theta)
-            return complex(lam.real) if real else complex(lam)
+            return float(lam.real) if real else complex(lam)
 
         def pair(theta, y, m):
             driver = driver_ref()
@@ -915,7 +923,7 @@ def gen_eig_smallest(solve_A, apply_B, v0: np.ndarray, tol: float = 1e-10):
     smaller one that converges first must not end the iteration while the
     dominant one is still unconverged.  x has unit norm.  The basis takes
     v0's scalars: a real v0 needs callables that keep real vectors real, and
-    gives a real Ritz value as a real mu with a real vector.
+    gives a real Ritz value as a real mu with a real vector (``ritz_pair``).
     """
     ncv = min(12, v0.shape[0])
 
@@ -930,8 +938,6 @@ def gen_eig_smallest(solve_A, apply_B, v0: np.ndarray, tol: float = 1e-10):
     theta, y, _res, _ok = driver.extract()[0]
     if theta == 0:
         raise SingularMatrixError("Arnoldi produced a zero Ritz value")
-    if not (theta.imag or np.iscomplexobj(engine.V)):
-        theta, y = theta.real, y.real
     x = engine.ritz_full(y, driver.m)
     nrm = np.linalg.norm(x)
     return 1.0 / theta, x / nrm if nrm else x

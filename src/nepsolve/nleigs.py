@@ -31,8 +31,8 @@ preallocated with d + ncv + 2 columns, so no step copies it to grow it.
 When the target and every node, pole, normalization factor, divided
 difference and matrix of the interpolant are real, the linearization is a
 real pencil: R_d(sigma) is factored, and the start block, the basis and H are
-held, in real arithmetic (half the bytes per sweep over U); only the
-projected problem's Ritz values and vectors are complex.
+held, in real arithmetic (half the bytes per sweep over U), and a real Ritz
+pair of H is read out as a real eigenpair; only conjugate pairs are complex.
 """
 
 from __future__ import annotations
@@ -636,7 +636,7 @@ def nleigs_solve(
     the restart ordering, the converged count and the returned pairs all
     use this one rule, in the left run too (at lam = sigma + 1/conj(omega)).
     Interval eigenvalues are tested (backward error <= tol) and returned at
-    Re lam, i.e. exactly real.  Other regions are tested on lam as it is.
+    Re lam, as floats.  Other regions are tested on lam as it is.
     Pole rule: a restart counts an unwanted Ritz value within COPY_RTOL of
     the image 1/(xi - sigma) of a known pole xi (its conjugate in the left
     run) as converged junk whatever its residual, so a pole copy's residual

@@ -232,11 +232,15 @@ def read_matrix_market(path) -> sp.csr_matrix:
 
 
 def write_matrix_market(path, A, field: str = "complex") -> None:
-    """Write a sparse matrix in coordinate general format."""
+    """Write a sparse matrix in coordinate general format; a ``field`` that cannot
+    hold its stored entries (1.5 as integer, 1j as real) raises ``ValueError``."""
     import scipy.io  # deferred, as in read_matrix_market
 
     A = sp.coo_matrix(A)
     if field != "complex":
+        held = {"integer": np.trunc(A.data.real), "pattern": np.ones(A.nnz)}.get(field, A.data.real)
+        if not np.array_equal(held, A.data, equal_nan=True):
+            raise ValueError(f"a {field} Matrix Market field cannot hold the entries of this matrix")
         A = A.real
     # a handle: given a path without ".mtx", mmwrite would append the suffix
     with open(path, "wb") as handle:

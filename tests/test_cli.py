@@ -145,6 +145,24 @@ def test_region_and_solver_flags_loaded_string():
     assert report["counters"]["scalars"] == "real"
 
 
+@pytest.mark.parametrize(
+    "region, kind",
+    [("rect:-100,50,-1,1", "rectangle"), ("ellipse:-25,0.5,75,2", "ellipse")],
+)
+def test_rect_and_ellipse_regions_reach_the_solver(region, kind):
+    args = ["run", "--problem", "delay", "--n", "50", "--solver", "nleigs", "--nev", "2", "--region", region]
+    report, code = run(args)
+    assert code == 0
+    assert report["config"]["region"]["kind"] == kind
+    assert report["counters"]["scalars"] == "complex"
+
+
+@pytest.mark.parametrize("region", ["rect:-100,50,-1", "ellipse:0,0,1", "rect:a,b,c,d", "disk:0,0,1"])
+def test_malformed_region_is_usage_error(capsys, region):
+    assert main(["run", "--problem", "delay", "--n", "50", "--region", region]) == 2
+    assert capsys.readouterr().out == ""
+
+
 def test_explicit_singularity_list():
     args = [
         "run", "--problem", "loaded_string", "--n", "60", "--solver", "nleigs",
@@ -243,6 +261,8 @@ def test_invalid_nev_or_ncv_is_usage_error(capsys, extra):
         ["--solver", "slp", "--tol", "nan"],
         ["--solver", "nleigs", "--max-it", "0"],
         ["--solver", "interpol", "--degree", "1"],
+        ["--solver", "slp", "--target", "nan"],
+        ["--solver", "narnoldi", "--target", "1,inf"],
     ],
 )
 def test_out_of_range_tol_or_max_it_is_usage_error(capsys, extra):

@@ -233,6 +233,12 @@ def test_settings_reject_a_tol_that_is_not_finite_and_positive(tol):
         Settings(tol=tol)
 
 
+@pytest.mark.parametrize("target", [float("nan"), complex(1.0, float("inf")), complex(float("-inf"), 0.0)])
+def test_settings_reject_a_target_that_is_not_finite(target):
+    with pytest.raises(ValueError, match="target"):
+        Settings(target=target)
+
+
 @pytest.mark.parametrize("max_it", [0, -5])
 def test_settings_reject_max_it_below_one(max_it):
     with pytest.raises(ValueError, match="max_it"):

@@ -26,6 +26,9 @@ ALL_KINDS = [
     ("phi1", lambda: fn.phi(1)),
     ("phi3", lambda: fn.phi(3)),
     ("combine", lambda: fn.combine("mul", fn.exponential(), fn.polynomial([1.0, 1.0]))),
+    ("combine-add", lambda: fn.combine("add", fn.exponential(), fn.polynomial([1.0, 2.0]))),
+    ("combine-div", lambda: fn.combine("div", fn.polynomial([1.0, 1.0]), fn.exponential(alpha=0.5))),
+    ("combine-compose", lambda: fn.combine("compose", fn.polynomial([0.5, 1.0]), fn.exponential())),
 ]
 
 

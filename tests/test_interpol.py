@@ -124,6 +124,7 @@ def test_interpol_delay_desk_matches_oracle():
         for p in sol.pairs:
             assert np.min(np.abs(roots - p.lam)) <= 1e-6 * abs(p.lam)
             assert p.eta <= 1e-6
+            assert type(p.lam) is float and p.x.dtype == np.float64  # a real pair of a real run
 
 
 @pytest.mark.parametrize("degree", [10, 20, 30, 40, 60])
@@ -155,6 +156,7 @@ def _solve_loaded_string_desk():
         assert p.eta_poly <= s.tol
         assert p.eta <= 1e-5
         assert np.min(np.abs(ev - p.lam)) <= 1e-3 * abs(p.lam)
+        assert type(p.lam) is float and p.x.dtype == np.float64
     return sol
 
 

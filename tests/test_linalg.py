@@ -721,6 +721,9 @@ def test_real_driver_keeps_conjugate_pairs_and_its_expansion_count():
     for theta, y, _res, _ok in found:
         x = engine.ritz_full(y, driver.m)
         assert np.linalg.norm(A @ x - theta * x) <= 1e-10 * np.linalg.norm(x)
+    # a real Ritz value of the real H is read out with its real vector
+    kinds = {(type(theta), y.dtype.type) for theta, y, _res, _ok in driver.extract()}
+    assert kinds == {(np.float64, np.float64), (np.complex128, np.complex128)}
 
 
 @pytest.mark.parametrize("rows", [1, 2, 63, 64, 65, 129, 300])

@@ -483,6 +483,8 @@ def test_slp_runs_in_the_scalars_of_its_data():
     assert real.stats["scalars"] == "real" and cplx.stats["scalars"] == "complex"
     assert not np.any(real.eigenvalues.imag)
     assert np.allclose(real.eigenvalues, cplx.eigenvalues, rtol=1e-8)
+    assert all(isinstance(p.lam, float) and p.x.dtype == np.float64 for p in real.pairs)
+    assert all(np.iscomplexobj(p.x) for p in cplx.pairs)
 
 
 def test_slp_stays_real_with_complex_iterative_solves_inside(monkeypatch):

@@ -202,7 +202,7 @@ def test_interpolation_conditions_at_nodes():
 
 
 def random_interpolant(rng, n=6, d=3, with_poles=True, callback=False):
-    """Random small rational interpolant for kernel验证 against dense pencils.
+    """Random small rational interpolant for kernel checks against dense pencils.
 
     ``callback`` hides the split form, so the interpolant keeps explicit
     divided-difference matrices.
@@ -677,7 +677,8 @@ def test_nleigs_toar_and_full_basis_take_the_same_steps(problem, n):
 @pytest.mark.parametrize("problem", sorted(BASIS_CASES))
 def test_nleigs_runs_a_real_interpolant_in_real_arithmetic(problem, run, monkeypatch):
     # real A_i and f_i, a real target and an Interval: the interpolant is
-    # real, and so are the factor, the basis and H, in the left run too
+    # real, and so are the factor, the basis and H, in the left run too, and
+    # each returned pair, a float eigenvalue with real right and left vectors
     import dataclasses
 
     import nepsolve.linalg as linalg_mod
@@ -697,7 +698,8 @@ def test_nleigs_runs_a_real_interpolant_in_real_arithmetic(problem, run, monkeyp
     assert sol.converged and sol.stats["scalars"] == "real"
     assert len(drivers) == 1 + s.two_sided
     assert all(d.H.dtype == d.engine.dtype == np.float64 for d in drivers)
-    assert all(np.iscomplexobj(p.x) for p in sol.pairs)
+    assert all(type(p.lam) is float and p.x.dtype == np.float64 for p in sol.pairs)
+    assert all(p.y.dtype == np.float64 if s.two_sided else p.y is None for p in sol.pairs)
 
 
 def _complex_callback_delay(n):
@@ -723,6 +725,9 @@ def test_nleigs_reports_complex_scalars_where_the_interpolant_is_complex():
         sol = nleigs_solve(op, s)
         assert sol.stats["scalars"] == "complex"
         assert sol.converged
+        # interval eigenvalues are returned real, at Re lam; the vectors stay complex
+        assert all(isinstance(p.lam, float if s.region is delay.region else complex) for p in sol.pairs)
+        assert all(np.iscomplexobj(p.x) and (p.y is None or np.iscomplexobj(p.y)) for p in sol.pairs)
 
 
 @pytest.mark.parametrize("threads", ["1", "2"])

@@ -168,6 +168,21 @@ def test_mm_round_trip(tmp_path):
     assert np.allclose(A.toarray(), B.toarray(), atol=1e-15)
 
 
+@pytest.mark.parametrize(
+    "field, values",
+    [("real", [1.0 + 2.0j, 3.0j]), ("integer", [1.5, -2.7]), ("pattern", [1.0, 2.0])],
+)
+def test_mm_write_rejects_a_field_that_cannot_hold_the_entries(tmp_path, field, values):
+    # written as they were, these read back as 1 and 0, as 1 and -2, and as 1 and 1
+    A = sp.csr_matrix((values, ([0, 1], [0, 1])), shape=(2, 2))
+    p = tmp_path / "a.mtx"
+    with pytest.raises(ValueError, match=field):
+        write_matrix_market(p, A, field=field)
+    held = {"integer": np.round(A.real), "pattern": A != 0}.get(field, A.real)  # entries the field can hold
+    write_matrix_market(p, held, field=field)
+    assert np.array_equal(read_matrix_market(p).toarray(), held.toarray())
+
+
 def test_mm_array_layout(tmp_path):
     p = tmp_path / "arr.mtx"
     p.write_text("%%MatrixMarket matrix array real general\n2 2\n1.0\n2.0\n3.0\n4.0\n")
@@ -272,6 +287,25 @@ def test_manifest_target_with_three_entries_is_rejected(tmp_path):
     path.write_text(json.dumps(doc))
     with pytest.raises(ValueError, match=r"\[re, im\]"):
         load_problem_manifest(path)
+
+
+@pytest.mark.parametrize("target", [float("nan"), [1.0, float("inf")]], ids=["nan", "1,inf"])
+def test_manifest_target_that_is_not_finite_is_rejected(tmp_path, target):
+    _, path = write_delay_manifest(tmp_path)
+    doc = json.loads(path.read_text())
+    doc["settings"]["target"] = target
+    path.write_text(json.dumps(doc))  # as NaN and Infinity, which json reads back
+    with pytest.raises(ValueError, match="target"):
+        load_problem_manifest(path)
+
+
+def test_manifest_ncv_max_it_and_problem_type_reach_settings(tmp_path):
+    _, path = write_delay_manifest(tmp_path)
+    doc = json.loads(path.read_text())
+    doc["settings"].update(ncv=24, max_it=7, problem_type="rational")
+    path.write_text(json.dumps(doc))
+    s = load_problem_manifest(path)[1]
+    assert (s.ncv, s.max_it, s.problem_type) == (24, 7, "rational")
 
 
 def test_ellipse_center_with_three_entries_is_rejected():
