@@ -838,10 +838,10 @@ class KrylovSchurDriver:
 class ShiftInvertRun:
     """Eigenpairs of a problem from a Krylov-Schur run on its shift-and-invert operator.
 
-    The one Ritz-to-eigenpair rule of NLEIGS (TOAR, full basis and the left
-    run of the two-sided variant) and of interpol's Krylov path.  A Ritz
-    value theta maps to the eigenvalue ``to_lam(theta)`` (vectorized, once
-    per call of the driver's key or filter); the driver ranks Ritz values by
+    The one Ritz-to-eigenpair rule of NLEIGS (TOAR and full basis) and of
+    interpol's Krylov path.  A Ritz value theta maps to the eigenvalue
+    ``to_lam(theta)`` (vectorized, once per call of the driver's key or
+    filter); the driver ranks Ritz values by
     ``settings.sort_key()`` of their eigenvalues and iterates to the inner
     tolerance max(1e-14, 0.01 tol).  Region test: lam, known only to about
     the Ritz error res/|theta|^2, is wanted when it is finite and

@@ -8,13 +8,14 @@ formed: shift-and-invert products are applied through block recurrences with
 a single factorization of R_d(sigma).  The linear problem is solved with
 Krylov-Schur, either on explicitly stored vectors of length d*n (full basis)
 or on a compact tensor representation V_k = (I_d (x) U) G_k of the same basis
-(the default, ``linalg.ToarBasisEngine``).  A two-sided variant runs a second
-Krylov process with the adjoint recurrences to recover left eigenvectors.
-Both runs read their Ritz pairs back as eigenpairs by
-``linalg.ShiftInvertRun``.  interpol is this solver with Chebyshev nodes and
-every pole at infinity: it builds its interpolant with ``leja_bagby`` and
-``divided_differences`` and solves it by ``shift_invert_context`` and
-``shift_invert_pairs``.
+(the default, ``linalg.ToarBasisEngine``), and its Ritz pairs are read back
+as eigenpairs by ``linalg.ShiftInvertRun``.  The two-sided variant takes
+each left eigenvector from adjoint inverse iteration at its eigenvalue lam:
+R_d(lam) is factored, and the first block of (A - lam B)^{-*} v, for a
+random v, is the left eigenvector.  interpol is this solver with Chebyshev
+nodes and every pole at infinity: it builds its interpolant with
+``leja_bagby`` and ``divided_differences`` and solves it by
+``shift_invert_context`` and ``shift_invert_pairs``.
 
 The compact expansion costs O(n mu) plus one sparse solve per step, mu being
 the number of columns of U.  The block recurrence runs on the d x mu
@@ -64,6 +65,7 @@ from .linalg import (
     ToarBasisEngine,
     inf_norm,
     make_linear_solver,
+    random_vector,
 )
 
 __all__ = [
@@ -83,6 +85,7 @@ DD_TOL_DEFAULT = 1e-11
 DD_MAXDEG_DEFAULT = 30
 BOUNDARY_POINTS = 1000
 SHIFT_RETRY = 1e-4  # relative step off a target where the linearization is singular
+LEFT_STEPS = 4  # adjoint inverse-iteration steps a left eigenvector may take
 
 
 class UnsupportedPoleDetection(NepError):
@@ -625,8 +628,13 @@ def nleigs_solve(
     The target is the single shift of the Krylov iteration, moved once
     where the linearization is singular there (``shift_invert_context``).
     Accepted pairs lie inside the region and meet the backward-error
-    tolerance; the two-sided variant additionally attaches left
-    eigenvectors.
+    tolerance.  The two-sided variant attaches to each pair a left
+    eigenvector y, found by at most LEFT_STEPS steps of inverse iteration
+    with S^* at the pair's eigenvalue (one context per pair, from a random
+    start drawn from the run's generator) and accepted when its backward
+    error against T, eta_left, is at most tol; a pair whose y never meets
+    tol keeps y None and the solve notes it.  Two-sided runs use the full
+    basis.
 
     Region rule (``linalg.ShiftInvertRun``, shared with interpol): while
     iterating, a Ritz value theta with residual res maps to
@@ -634,17 +642,17 @@ def nleigs_solve(
     counts as inside an ``Interval`` when Re lam lies in [a, b] and
     |Im lam| <= max(1e-8 max(1, |lam|), res/|theta|^2); the wanted filter,
     the restart ordering, the converged count and the returned pairs all
-    use this one rule, in the left run too (at lam = sigma + 1/conj(omega)).
+    use this one rule.
     Interval eigenvalues are tested (backward error <= tol) and returned at
     Re lam, as floats.  Other regions are tested on lam as it is.
     Pole rule: a restart counts an unwanted Ritz value within COPY_RTOL of
-    the image 1/(xi - sigma) of a known pole xi (its conjugate in the left
-    run) as converged junk whatever its residual, so a pole copy's residual
-    near the inner tolerance does not decide how many vectors are kept.
+    the image 1/(xi - sigma) of a known pole xi as converged junk whatever
+    its residual, so a pole copy's residual near the inner tolerance does
+    not decide how many vectors are kept.
     Scalars: whether the interpolant is real is decided once, from data (see
     the module docstring); real A_i and f_i with a real target over an
-    ``Interval`` qualify, on both sides of a two-sided run, and a complex
-    target, an ``Ellipse`` or a complex D_j do not.  ``stats["scalars"]``
+    ``Interval`` qualify, for the left vectors too, and a complex target,
+    an ``Ellipse`` or a complex D_j do not.  ``stats["scalars"]``
     reports ``"real"`` or ``"complex"``; there is no option.
     """
     if settings.region is None:
@@ -687,43 +695,23 @@ def nleigs_solve(
     }
 
     if two_sided:
-        left_engine = FullBasisEngine(ctx.apply_adjoint, _start_blocks(ctx), driver.ncv, ctx.dtype)
-        left = ShiftInvertRun(
-            left_engine,
-            driver.ncv,
-            settings,
-            lambda omegas: sigma + 1.0 / np.conj(omegas),
-            driver.rng,
-            known_junk=pole_images.conj(),
-        )
-        left_driver = left.driver
-        left_driver.run(len(pairs), settings.max_it_effective)
-        lefts = []
-        for omega, y, _res, ok in left_driver.extract():
-            if not ok:
-                continue
-            v = left_engine.ritz_full(y, left_driver.m)
-            z, _ = ctx.adjoint_stage_z(v)
-            yvec = z[0]
-            ny = np.linalg.norm(yvec)
-            if ny == 0:
-                continue
-            lefts.append((left.point(omega), yvec / ny))
-        # a left Ritz value is known only as well as its own residual allows,
-        # so a pair takes the nearest unused left vector that passes the
-        # left backward-error test at the pair's own eigenvalue
-        unused = list(range(len(lefts)))
+        # inverse iteration with S^* at each eigenvalue: one adjoint solve
+        # with the nearly singular R_d(lam) makes the first block of the
+        # stage vector the left eigenvector
         for p in pairs:
-            for i in sorted(unused, key=lambda i: abs(p.lam - lefts[i][0])):
-                yvec = lefts[i][1]
-                ry = op.apply_adjoint(p.lam, yvec)
-                eta_left = float(np.linalg.norm(ry) / (op.norm_scale(p.lam) * np.linalg.norm(yvec)))
+            pctx = shift_invert_context(ri, p.lam, lin_cfg)
+            v = random_vector(driver.rng, pctx.d * pctx.n, pctx.dtype)
+            for step in range(LEFT_STEPS):
+                if step:
+                    v = pctx.apply_adjoint(v)
+                    v = v / np.linalg.norm(v)
+                yvec = pctx.adjoint_stage_z(v)[0][0]
+                yvec = yvec / np.linalg.norm(yvec)
+                eta_left = float(np.linalg.norm(op.apply_adjoint(p.lam, yvec)) / op.norm_scale(p.lam))
                 if eta_left <= settings.tol:
                     p.y, p.eta_left = yvec, eta_left
-                    unused.remove(i)
                     break
-        stats["left_ritz_history"] = [(t.copy(), r.copy()) for t, r in left_driver.ritz_history]
-        stats["linear_solves"] = ctx.solve_count
+            stats["linear_solves"] += pctx.solve_count
         missing = [p for p in pairs if p.y is None]
         if missing:
             notes.append(f"{len(missing)} pairs lack a matched left eigenvector")

@@ -45,6 +45,29 @@ def test_exit_code_nonzero_when_not_all_converge():
     assert report["n_converged"] == 3
 
 
+def test_two_sided_run_reports_left_residuals_and_every_solve(monkeypatch):
+    # the report's solve count includes each pair's adjoint solves, counted
+    # as tests/test_integration.py counts direct solves
+    from nepsolve import linalg
+
+    calls = []
+    solve = linalg._DirectSolver.solve
+
+    def counted(self, b, adjoint=False):
+        calls.append(adjoint)
+        return solve(self, b, adjoint=adjoint)
+
+    monkeypatch.setattr(linalg._DirectSolver, "solve", counted)
+    report, code = run(["run", "--problem", "loaded_string", "--n", "200", "--two-sided", "--output", "json"])
+    validate_report(report)
+    assert code == 0 and report["config"]["two_sided"]
+    tol = report["config"]["tol"]
+    assert len(report["pairs"]) == report["config"]["nev"]
+    assert all(p["eta_left"] <= tol for p in report["pairs"])
+    assert report["counters"]["linear_solves"] == len(calls)
+    assert calls.count(True) >= len(report["pairs"])
+
+
 def test_two_sided_rejected_outside_nleigs():
     with pytest.raises(UsageError):
         run(["run", "--solver", "interpol", "--two-sided", "--n", "20"])

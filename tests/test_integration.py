@@ -186,6 +186,48 @@ def test_nleigs_two_sided_matches_left_vectors_by_backward_error():
     assert not any("left eigenvector" in note for note in sol.stats.get("notes", []))
 
 
+TWO_SIDED_CASES = {
+    "loaded_string200": lambda: (gen_loaded_string(200)[0], Settings(**STRING_SETTINGS), "auto"),
+    "callback_delay400": lambda: (
+        callback_delay(400)[0],
+        Settings(nev=5, tol=1e-6, target=1.0, region=Interval(-260.0, 50.0)),
+        "none",
+    ),
+}
+
+
+@pytest.mark.parametrize("case", sorted(TWO_SIDED_CASES))
+def test_two_sided_right_pairs_are_those_of_the_full_basis_solve(case, monkeypatch):
+    # the left vectors are computed after the right run, which the two-sided
+    # variant leaves as the one-sided full-basis run: same eigenvalues, right
+    # vectors, restarts and solves, bitwise; the left vectors use adjoint
+    # solves only
+    import dataclasses
+
+    calls = []
+    solve = linalg._DirectSolver.solve
+
+    def counted(self, b, adjoint=False):
+        calls.append(adjoint)
+        return solve(self, b, adjoint=adjoint)
+
+    monkeypatch.setattr(linalg._DirectSolver, "solve", counted)
+    op, s, sing = TWO_SIDED_CASES[case]()
+    one = nleigs_solve(op, s, singularities=sing, full_basis=True)
+    assert calls.count(False) == len(calls) == one.stats["linear_solves"]
+    calls.clear()
+    two = nleigs_solve(op, dataclasses.replace(s, two_sided=True), singularities=sing)
+    assert calls.count(False) == one.stats["linear_solves"]
+    assert two.stats["linear_solves"] == len(calls)
+    assert two.stats["outer_iterations"] == one.stats["outer_iterations"]
+    assert two.converged and one.converged and two.has_left
+    assert [repr(p.lam) for p in two.pairs] == [repr(p.lam) for p in one.pairs]
+    assert [p.eta for p in two.pairs] == [p.eta for p in one.pairs]
+    for a, b in zip(two.pairs, one.pairs):
+        assert a.x.dtype == b.x.dtype and a.x.tobytes() == b.x.tobytes()
+        assert a.eta_left <= s.tol
+
+
 STRING_SETTINGS = dict(nev=9, tol=1e-8, target=10.0, region=Interval(4.0, 800.0), problem_type="rational")
 KRYLOV_STEP_CASES = {
     "interpol-delay300": (
@@ -202,7 +244,7 @@ KRYLOV_STEP_CASES = {
     ),
     "nleigs2-string200": (
         lambda: nleigs_solve(gen_loaded_string(200)[0], Settings(two_sided=True, **STRING_SETTINGS)),
-        (1, 79, 9, True),
+        (1, 41, 9, True),
     ),
 }
 

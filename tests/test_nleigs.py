@@ -569,14 +569,76 @@ def test_shift_on_an_interpolation_node_moves_once():
     assert shift_invert_context(ri, 0.3 + 0.1j).sigma == 0.3 + 0.1j
 
 
-def test_nleigs_moves_a_target_where_t_is_singular():
-    # T(lam) = diag(1, 2, 3) - lam I is singular at the target 2, so R_d is
-    # too, and the shift moves once, to 2.0002
+def _diag3():
+    """T(lam) = diag(1, 2, 3) - lam I."""
     A = sp.diags([1.0, 2.0, 3.0], format="csr")
-    op = NepOperator(terms=[(A, fn.constant(1.0)), (sp.identity(3, format="csr"), fn.polynomial([-1.0, 0.0]))])
-    sol = nleigs_solve(op, Settings(nev=3, tol=1e-10, target=2.0, region=Interval(0.0, 4.0)))
+    return NepOperator(terms=[(A, fn.constant(1.0)), (sp.identity(3, format="csr"), fn.polynomial([-1.0, 0.0]))])
+
+
+DIAG3_SETTINGS = Settings(nev=3, tol=1e-10, target=2.0, region=Interval(0.0, 4.0))
+
+
+def test_nleigs_moves_a_target_where_t_is_singular():
+    # T is singular at the target 2, so R_d is too, and the shift moves once,
+    # to 2.0002
+    sol = nleigs_solve(_diag3(), DIAG3_SETTINGS)
     assert sol.converged
     np.testing.assert_allclose(np.sort(sol.eigenvalues.real), [1.0, 2.0, 3.0], atol=1e-9)
+
+
+def test_nleigs_left_vector_where_r_d_is_singular_at_the_eigenvalue(monkeypatch):
+    # the run returns the eigenvalue 2.0 exactly, where R_d is exactly
+    # singular: that pair's context moves to 2.0002, where one step gains
+    # only about 1e-4, and its left vector takes more than one step; the
+    # pairs at 1 and 3 are returned a few ulps off, where R_d is nearly
+    # singular, and take one
+    import dataclasses
+
+    import nepsolve.nleigs as nleigs_mod
+
+    contexts = []
+    ctx_cls = nleigs_mod.ShiftInvertContext
+
+    def recorded(*args):
+        contexts.append(ctx_cls(*args))
+        return contexts[-1]
+
+    monkeypatch.setattr(nleigs_mod, "ShiftInvertContext", recorded)
+    op = _diag3()
+    s = dataclasses.replace(DIAG3_SETTINGS, two_sided=True)
+    sol = nleigs_solve(op, s)
+    assert sol.converged and sol.has_left and "notes" not in sol.stats
+    # the right run's context, then one per pair
+    right, *per_pair = contexts
+    assert right.sigma == 2.0002 and len(per_pair) == 3
+    assert 2.0 in [p.lam for p in sol.pairs]
+    moved = [c for c in per_pair if c.sigma == 2.0002]
+    others = [c for c in per_pair if c.sigma != 2.0002]
+    assert len(moved) == 1 and moved[0].solve_count > 1
+    assert sorted(c.sigma.real for c in others) == sorted(p.lam for p in sol.pairs if p.lam != 2.0)
+    assert [c.solve_count for c in others] == [1, 1]
+    assert sol.stats["linear_solves"] == sum(c.solve_count for c in contexts)
+    for p in sol.pairs:
+        eta_left = np.linalg.norm(op.apply_adjoint(p.lam, p.y)) / (op.norm_scale(p.lam) * np.linalg.norm(p.y))
+        assert p.eta_left <= s.tol and eta_left <= s.tol
+
+
+def test_nleigs_left_vector_that_never_meets_tol_is_noted(monkeypatch):
+    # with no inverse-iteration step allowed no pair gets a left vector:
+    # each keeps y None, the solve says so, and the right pairs still count
+    import dataclasses
+
+    import nepsolve.nleigs as nleigs_mod
+
+    s = dataclasses.replace(DIAG3_SETTINGS, two_sided=True)
+    ref = nleigs_solve(_diag3(), s)
+    monkeypatch.setattr(nleigs_mod, "LEFT_STEPS", 0)
+    sol = nleigs_solve(_diag3(), s)
+    assert all(p.y is None and p.eta_left is None for p in sol.pairs)
+    assert not sol.has_left
+    assert sol.stats["notes"] == ["3 pairs lack a matched left eigenvector"]
+    assert sol.converged and ref.converged and ref.has_left
+    assert [p.lam for p in sol.pairs] == [p.lam for p in ref.pairs]
 
 
 def test_nleigs_moves_a_target_on_a_boundary_grid_point():
@@ -677,8 +739,8 @@ def test_nleigs_toar_and_full_basis_take_the_same_steps(problem, n):
 @pytest.mark.parametrize("problem", sorted(BASIS_CASES))
 def test_nleigs_runs_a_real_interpolant_in_real_arithmetic(problem, run, monkeypatch):
     # real A_i and f_i, a real target and an Interval: the interpolant is
-    # real, and so are the factor, the basis and H, in the left run too, and
-    # each returned pair, a float eigenvalue with real right and left vectors
+    # real, and so are the factor, the basis and H, and each returned pair, a
+    # float eigenvalue with real right and left vectors
     import dataclasses
 
     import nepsolve.linalg as linalg_mod
@@ -690,13 +752,13 @@ def test_nleigs_runs_a_real_interpolant_in_real_arithmetic(problem, run, monkeyp
         drivers.append(driver_cls(engine, *args))
         return drivers[-1]
 
-    # ShiftInvertRun builds the drivers of both runs
+    # ShiftInvertRun builds the driver; a two-sided solve runs no second one
     monkeypatch.setattr(linalg_mod, "KrylovSchurDriver", recorded)
     make, s = BASIS_CASES[problem]
     s = dataclasses.replace(s, two_sided=run == "two-sided")
     sol = nleigs_solve(make(200), s, full_basis=run == "full")
     assert sol.converged and sol.stats["scalars"] == "real"
-    assert len(drivers) == 1 + s.two_sided
+    assert len(drivers) == 1
     assert all(d.H.dtype == d.engine.dtype == np.float64 for d in drivers)
     assert all(type(p.lam) is float and p.x.dtype == np.float64 for p in sol.pairs)
     assert all(p.y.dtype == np.float64 if s.two_sided else p.y is None for p in sol.pairs)
@@ -792,7 +854,7 @@ def test_nleigs_two_sided_steps_do_not_depend_on_blas_threads():
         "      sum(p.y is not None for p in sol.pairs))\n"
     )
     runs = [run_at_blas_threads(t, script).split() for t in ("1", "2")]
-    assert runs[0] == runs[1] == ["True", "79", "9", "9"]
+    assert runs[0] == runs[1] == ["True", "41", "9", "9"]
 
 
 def test_nleigs_backward_error_once_per_pair(monkeypatch):
