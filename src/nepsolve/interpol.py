@@ -36,8 +36,8 @@ from .core import (
 from .linalg import KrylovSchurDriver, LinearSolverConfig, SplitSum
 from .nleigs import (
     ShiftInvertContext,
+    _GreedySequence,
     divided_differences,
-    leja_bagby,
     shift_invert_context,
     shift_invert_pairs,
 )
@@ -145,7 +145,7 @@ def interpol_solve(
     if degree < 2:
         raise ValueError("interpolation degree must be at least 2")
     nodes = 0.5 * (region.b - region.a) * cheb_nodes(degree) + 0.5 * (region.b + region.a)
-    ri = divided_differences(op, leja_bagby(nodes, [], degree, start_hint=settings.target), d_max=degree)
+    ri = divided_differences(op, _GreedySequence(nodes, [], settings.target), d_max=degree)
     ctx = shift_invert_context(ri, settings.target, lin_cfg)
 
     def eta_poly(lam, x):

@@ -27,13 +27,13 @@ neither the basis nor its conjugate, provided the basis is column-major:
 both basis engines keep their n-long vectors in Fortran-ordered buffers so
 that every leading-column slice they pass is contiguous.
 
-Direct solves with a sparse matrix take one of two routes, picked once per
-factorization from the stored structure.  A matrix whose entries all lie on
+Direct solves with a sparse matrix take one of two routes, picked per
+factorization from the stored structure: for a ``SplitSum`` sum, the union
+pattern of its terms with nonzero weight.  A matrix whose entries all lie on
 the three central diagonals (largest |i - j| over the CSR indices at most 1,
 explicitly stored zeros included) with n >= 3 is factorized by LAPACK's
 tridiagonal LU, ``?gttrf``/``?gttrs``; every T(sigma) and NLEIGS R(sigma) of
-the generated problems is of this kind.  Every other sparse matrix goes to
-SuperLU.
+the generated problems is of this kind.  Every other goes to SuperLU.
 """
 
 from __future__ import annotations
@@ -288,8 +288,11 @@ class _DirectSolver:
             if info > 0:
                 raise SingularMatrixError(f"exactly singular pivot at index {info - 1}")
         else:
+            # without exact zeros, as a sparse sum stores it: COLAMD and the pivots follow the values
+            csc = sp.csc_matrix(A, dtype=self.dtype, copy=True)
+            csc.eliminate_zeros()
             try:
-                self._lu = spla.splu(sp.csc_matrix(A, dtype=self.dtype))
+                self._lu = spla.splu(csc)
             except RuntimeError as exc:
                 raise SingularMatrixError(str(exc)) from exc
 
@@ -417,13 +420,40 @@ class SplitSum:
         self.dtype = np.result_type(*(M.dtype for M in self.mats), np.float64)
         self._transposes = None
         self._norms = None
+        self._patterns = {}
 
     def assemble(self, w):
-        """sum_i w_i M_i as a sparse matrix."""
-        acc = w[0] * self.mats[0]
-        for wi, M in zip(w[1:], self.mats[1:]):
-            acc = acc + wi * M
-        return sp.csr_matrix(acc)
+        """sum_i w_i M_i (canonical CSR M_i) as a CSR matrix on the union pattern of the M_i with
+        w_i != 0, SLEPc's known nonzero pattern, built once per such support: an M_i's own arrays
+        where it is that M_i's pattern, read-only as every sum shares them, and a map of each other
+        M_i's entries into it.  One scaled add per term into zeros, in the order of the matrices, is
+        bitwise scipy's sparse sum but for signed zeros; a cancelled entry stays, an exact zero."""
+        w = np.asarray(w)
+        support = tuple(np.flatnonzero(w).tolist())
+        if support not in self._patterns:
+            mats = [self.mats[k] for k in support]
+            if not all(M.has_canonical_format for M in mats):
+                raise ValueError("SplitSum assembles canonical CSR matrices only")
+            keys = [(M.indptr.tobytes(), M.indices.tobytes()) for M in mats]
+            # a bool copy of each distinct pattern, so M_i of equal patterns share one position map
+            ones = {k: sp.csr_matrix((np.ones(M.nnz, bool), M.indices, M.indptr), M.shape) for k, M in zip(keys, mats)}
+            first, *rest = [*ones.values()] or [sp.csr_matrix((self.n, self.n), dtype=bool)]
+            union = sum(rest, first)
+            owner = next((M for M in mats if M.nnz == union.nnz), union)
+            indptr, indices = owner.indptr.view(), owner.indices.view()
+            indptr.flags.writeable = indices.flags.writeable = False
+            rank = sp.csr_matrix((np.arange(1, union.nnz + 1), union.indices, union.indptr), union.shape)
+            maps = {k: None if E.nnz == union.nnz else rank.multiply(E).data - 1 for k, E in ones.items()}
+            self._patterns[support] = (indptr, indices, [maps[k] for k in keys])
+        indptr, indices, positions = self._patterns[support]
+        data = np.zeros(len(indices), dtype=np.result_type(w, self.dtype))
+        for k, pos in zip(support, positions):
+            # M.data * w_k as scipy's scalar product makes it: w_k * M.data can differ in the last bit
+            if pos is None:
+                data += self.mats[k].data * w[k]
+            else:
+                np.add.at(data, pos, self.mats[k].data * w[k])
+        return sp.csr_matrix((data, indices, indptr), shape=(self.n, self.n))
 
     def apply(self, w, v: np.ndarray) -> np.ndarray:
         """(sum_i w_i M_i) v without assembling the sum, in the scalars of its inputs."""

@@ -99,9 +99,10 @@ class UnsupportedPoleDetection(NepError):
 class LejaBagbySequence:
     """Greedy interpolation nodes, poles and normalization factors.
 
-    ``nodes[j]`` and ``poles[j]`` pair with the basis function b_j; poles[0]
-    is unused (kept at infinity).  ``betas`` normalizes each b_j to unit
-    maximum modulus over the discretized boundary.
+    b_j reads ``nodes[j-1]``, ``poles[j]`` and ``betas[j]``; poles[0] is
+    unused (kept at infinity) and nodes[j] is the node of the degree-j divided
+    difference.  ``betas`` normalizes each b_j to unit maximum modulus over
+    the discretized boundary.  Fixed, unlike a ``_GreedySequence``.
     """
 
     nodes: np.ndarray
@@ -111,6 +112,9 @@ class LejaBagbySequence:
     @property
     def max_degree(self) -> int:
         return len(self.nodes) - 1
+
+    def grow(self, j: int) -> None:
+        """Make nodes[j] available, as far as the sequence reaches."""
 
     def inv_pole(self, j: int) -> complex:
         xi = self.poles[j]
@@ -128,79 +132,88 @@ class LejaBagbySequence:
             out[j] = out[j - 1] * (lam - self.nodes[j - 1]) / (self.betas[j] * pole_factor)
         return out
 
+    def basis(self, d: int) -> "LejaBagbySequence":
+        """The fixed sequence of what b_0 .. b_d read: nodes[:d], poles and betas[:d+1]."""
+        return LejaBagbySequence(self.nodes[:d], self.poles[: d + 1], self.betas[: d + 1])
 
-def leja_bagby(
-    boundary,
-    singularities,
-    d_max: int,
-    start_hint: complex = 0.0,
-) -> LejaBagbySequence:
-    """Greedy Leja-Bagby node/pole selection on discretized sets.
+
+class _GreedySequence(LejaBagbySequence):
+    """Greedy Leja-Bagby node/pole selection on discretized sets from the
+    boundary point nearest ``start_hint``, one step per ``grow`` past the end.
 
     Nodes maximize and poles minimize |s_j| over the boundary and singularity
     discretizations respectively; the running products are tracked as sums of
     log-moduli so long sequences cannot overflow.  An empty singularity list
     places every pole at infinity (polynomial interpolation).
     """
-    boundary = np.asarray(boundary, dtype=complex).ravel()
-    if boundary.size == 0:
-        raise ValueError("boundary discretization is empty")
-    sing = np.asarray(list(singularities), dtype=complex).ravel()
-    d_max = min(d_max, boundary.size - 1)
 
-    nodes = np.empty(d_max + 1, dtype=complex)
-    poles = np.full(d_max + 1, np.inf, dtype=complex)
-    betas = np.ones(d_max + 1, dtype=float)
+    def __init__(self, boundary, singularities, start_hint):
+        boundary = np.asarray(boundary, dtype=complex).ravel()
+        if boundary.size == 0:
+            raise ValueError("boundary discretization is empty")
+        self._boundary, self._sing = boundary, np.asarray(list(singularities), dtype=complex).ravel()
+        s0 = boundary[np.argmin(np.abs(boundary - complex(start_hint)))]
+        super().__init__(np.array([s0]), np.array([np.inf], dtype=complex), np.ones(1))
+        with np.errstate(divide="ignore"):
+            self._log_bnd = np.log(np.abs(boundary - s0))
+            self._log_xi = np.log(np.abs(self._sing - s0)) if self._sing.size else None
+        self._b_bnd = np.full(boundary.shape, 1.0 / self.betas[0], dtype=complex)
 
-    s0 = boundary[np.argmin(np.abs(boundary - complex(start_hint)))]
-    nodes[0] = s0
+    @property
+    def max_degree(self) -> int:
+        return self._boundary.size - 1
 
-    with np.errstate(divide="ignore"):
-        log_bnd = np.log(np.abs(boundary - s0))
-        log_xi = np.log(np.abs(sing - s0)) if sing.size else None
-    b_bnd = np.full(boundary.shape, 1.0 / betas[0], dtype=complex)
+    def grow(self, j: int) -> None:
+        while len(self.nodes) <= min(j, self.max_degree):
+            self._step()
 
-    for j in range(1, d_max + 1):
+    def _step(self) -> None:
+        boundary, sing, log_xi = self._boundary, self._sing, self._log_xi
+        pole = np.complex128(np.inf)
         if sing.size:
             # a pole already used (or equal to a node) has |s| = +inf there
             # and must never be picked again; when every candidate is
             # exhausted the remaining poles are set to infinity
             imin = int(np.argmin(log_xi))
             if np.isfinite(log_xi[imin]):
-                xi = sing[imin]
-                if np.any(np.abs(nodes[:j] - xi) == 0.0):
-                    raise NepError(
-                        f"degenerate configuration: pole {xi} coincides with a node"
-                    )
-                poles[j] = xi
-        sj = boundary[int(np.argmax(log_bnd))]
-        nodes[j] = sj
-        inv_xi = 0.0 if np.isinf(poles[j]) else 1.0 / poles[j]
+                pole = sing[imin]
+                if np.any(np.abs(self.nodes - pole) == 0.0):
+                    raise NepError(f"degenerate configuration: pole {pole} coincides with a node")
+        sj = boundary[int(np.argmax(self._log_bnd))]
+        inv_xi = 0.0 if np.isinf(pole) else 1.0 / pole
         pole_factor = 1.0 - boundary * inv_xi
         with np.errstate(divide="ignore", invalid="ignore"):
-            t = b_bnd * (boundary - nodes[j - 1]) / pole_factor
+            t = self._b_bnd * (boundary - self.nodes[-1]) / pole_factor
         t = np.where(np.isfinite(t), t, 0.0)
         bj = float(np.max(np.abs(t)))
         if bj == 0.0:
             raise NepError("degenerate configuration: normalization factor vanished")
-        betas[j] = bj
-        b_bnd = t / bj
+        self.nodes, self.poles = np.append(self.nodes, sj), np.append(self.poles, pole)
+        self.betas = np.append(self.betas, bj)
+        self._b_bnd = t / bj
         with np.errstate(divide="ignore", invalid="ignore"):
             upd_b = np.log(np.abs(boundary - sj))
             if inv_xi != 0.0:
                 upd_b = upd_b - np.log(np.abs(1.0 - boundary * inv_xi))
             # a boundary point hitting a node goes to -inf (never re-picked);
             # NaN can only arise from inf - inf collisions, treat as excluded
-            log_bnd = log_bnd + np.nan_to_num(upd_b, nan=-np.inf, posinf=np.inf, neginf=-np.inf)
-            log_bnd = np.where(np.isnan(log_bnd), -np.inf, log_bnd)
+            log_bnd = self._log_bnd + np.nan_to_num(upd_b, nan=-np.inf, posinf=np.inf, neginf=-np.inf)
+            self._log_bnd = np.where(np.isnan(log_bnd), -np.inf, log_bnd)
             if sing.size:
                 upd_x = np.log(np.abs(sing - sj))
                 if inv_xi != 0.0:
                     upd_x = upd_x - np.log(np.abs(1.0 - sing * inv_xi))
                 # +inf marks a used-up pole and keeps it out of the argmin
                 log_xi = log_xi + np.nan_to_num(upd_x, nan=np.inf, posinf=np.inf, neginf=-np.inf)
-                log_xi = np.where(np.isnan(log_xi), np.inf, log_xi)
-    return LejaBagbySequence(nodes, poles, betas)
+                self._log_xi = np.where(np.isnan(log_xi), np.inf, log_xi)
+
+
+def leja_bagby(boundary, singularities, d_max: int, start_hint: complex = 0.0) -> LejaBagbySequence:
+    """The first d_max greedy steps (fewer on a boundary of at most d_max
+    points) of ``_GreedySequence``, as a fixed sequence."""
+    seq = _GreedySequence(boundary, singularities, start_hint)
+    seq.grow(d_max)
+    return LejaBagbySequence(seq.nodes, seq.poles, seq.betas)
 
 
 # -- automatic singularities ----------------------------------------------------
@@ -256,7 +269,7 @@ class RationalInterpolant:
     (a ``SplitSum``).  In split form ``mats`` is the operator's own sum of
     the A_i and ``coeffs`` (nterms x (d+1)) holds the scalar divided
     differences; for a callback operator ``mats`` holds the explicit D_j and
-    ``coeffs`` is the identity.
+    ``coeffs`` is the identity.  ``seq`` holds what b_0 .. b_d read.
     """
 
     op: NepOperator
@@ -326,7 +339,10 @@ def divided_differences(
     matrix functions of the bidiagonal quotient, and the stopping estimate is
     the max modulus over the terms.  Callback form: explicit matrices from
     the interpolation recurrence with infinity-norm stopping.  The degree
-    never drops below 2 (required by the linearization recurrences).
+    never drops below 2 (required by the linearization recurrences).  A
+    ``_GreedySequence`` takes its greedy step for degree j when the loop
+    reaches j, so no node past the final degree d is chosen; the interpolant
+    keeps ``seq.basis(d)``.
     """
     d_max = min(d_max, seq.max_degree)
     if d_max < 2:
@@ -337,6 +353,7 @@ def divided_differences(
     if op.is_split:
         coeffs = np.zeros((op.nterms, d_max + 1), dtype=complex)
         for j in range(d_max + 1):
+            seq.grow(j)
             M = _bidiagonal_quotient(seq, j + 1)
             for i, (_, f) in enumerate(op.terms):
                 F = f.eval_matrix(M)
@@ -348,11 +365,12 @@ def divided_differences(
                 d = j
                 reached = False
                 break
-        return RationalInterpolant(op, seq, d, op.mats, coeffs[:, : d + 1], reached)
+        return RationalInterpolant(op, seq.basis(d), d, op.mats, coeffs[:, : d + 1], reached)
     # callback path: explicit divided-difference matrices
     mats = [_as_csr(beta0 * op.assemble(seq.nodes[0]))]
     nrm0 = max(inf_norm(mats[0]), np.finfo(float).tiny)
     for j in range(1, d_max + 1):
+        seq.grow(j)
         sj = seq.nodes[j]
         b = seq.b_values(sj, j)
         if b[j] == 0:
@@ -364,7 +382,7 @@ def divided_differences(
             d = j
             reached = False
             break
-    return RationalInterpolant(op, seq, d, SplitSum(mats), np.eye(d + 1, dtype=complex), reached)
+    return RationalInterpolant(op, seq.basis(d), d, SplitSum(mats), np.eye(d + 1, dtype=complex), reached)
 
 
 # -- shift-and-invert recurrences ------------------------------------------------
@@ -650,10 +668,11 @@ def nleigs_solve(
     its residual, so a pole copy's residual near the inner tolerance does
     not decide how many vectors are kept.
     Scalars: whether the interpolant is real is decided once, from data (see
-    the module docstring); real A_i and f_i with a real target over an
-    ``Interval`` qualify, for the left vectors too, and a complex target,
-    an ``Ellipse`` or a complex D_j do not.  ``stats["scalars"]``
-    reports ``"real"`` or ``"complex"``; there is no option.
+    the module docstring) and only the nodes, poles and betas its degree d
+    reads; real A_i and f_i with a real target over an ``Interval`` qualify,
+    for the left vectors too, and a complex target, an ``Ellipse`` or a
+    complex D_j do not.  ``stats["scalars"]`` reports ``"real"`` or
+    ``"complex"``; there is no option.
     """
     if settings.region is None:
         raise NepError("nleigs requires a region")
@@ -666,7 +685,7 @@ def nleigs_solve(
     sing, note = _resolve_singularities(op, singularities, settings)
     if note:
         notes.append(note)
-    seq = leja_bagby(boundary, sing, dd_maxdeg, start_hint=settings.target)
+    seq = _GreedySequence(boundary, sing, settings.target)
     ri = divided_differences(op, seq, dd_tol=dd_tol, d_max=dd_maxdeg)
     if ri.reached_max_degree:
         notes.append(

@@ -4,10 +4,10 @@ import numpy as np
 import pytest
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from nepsolve.core import Interval
+from nepsolve.core import Interval, Settings
 from nepsolve.linalg import (
     COPY_RTOL,
     GMRES_RESTART,
@@ -491,6 +491,15 @@ def test_inf_norm_sparse_and_dense():
 # -- split-form sums -------------------------------------------------------------
 
 
+def scipy_sum(mats, w):
+    """sum_i w_i M_i by scipy's scalar products and sparse additions, in the
+    order of the matrices: the sum that ``SplitSum.assemble`` reproduces."""
+    acc = w[0] * mats[0]
+    for wi, M in zip(w[1:], mats[1:]):
+        acc = acc + wi * M
+    return sp.csr_matrix(acc)
+
+
 @pytest.mark.parametrize("seed", [0, 1, 2])
 def test_split_sum_matches_dense_sums(seed):
     rng = np.random.default_rng(seed)
@@ -505,11 +514,12 @@ def test_split_sum_matches_dense_sums(seed):
     kernel = SplitSum(mats)
     assert kernel.dtype == complex and SplitSum(mats[::2]).dtype == float
     v = rand_complex(rng, n)
-    for w in (rand_complex(rng, ell), rng.standard_normal(ell)):
+    for w in (rand_complex(rng, ell), rng.standard_normal(ell), np.array([0.0, 1.5, 0.0, -2.0])):
         ref = sum(wi * D for wi, D in zip(w, dense))
         scale = np.linalg.norm(ref)
         assert sp.issparse(kernel.assemble(w))
         assert np.linalg.norm(kernel.assemble(w).toarray() - ref) <= 1e-14 * scale
+        assert np.array_equal(kernel.assemble(w).toarray(), scipy_sum(mats, w).toarray())
         assert np.linalg.norm(kernel.apply(w, v) - ref @ v) <= 1e-13 * scale * np.linalg.norm(v)
         got = kernel.apply_adjoint(w, v)
         assert np.linalg.norm(got - ref.conj().T @ v) <= 1e-13 * scale * np.linalg.norm(v)
@@ -517,6 +527,186 @@ def test_split_sum_matches_dense_sums(seed):
         assert kernel.scale(w) == pytest.approx(expected, rel=1e-14)
     for u, D in zip(kernel.adjoint_products(v), dense):
         assert np.linalg.norm(u - D.conj().T @ v) <= 1e-13 * np.linalg.norm(D) * np.linalg.norm(v)
+
+
+PATTERNS = ("identical", "nested", "disjoint", "random", "tridiagonal", "diagonal")
+
+
+@st.composite
+def split_sums(draw):
+    """Canonical CSR matrices whose patterns are the same as, inside or
+    outside a base pattern, random, tridiagonal or diagonal, some with an
+    empty row, real or complex; and real or complex weights, some exactly 0."""
+    n, ell = draw(st.integers(1, 6)), draw(st.integers(1, 4))
+    cells = st.lists(st.booleans(), min_size=n * n, max_size=n * n)
+    value = st.floats(-4.0, 4.0, allow_subnormal=False).filter(bool)
+    values = st.lists(value, min_size=n * n, max_size=n * n)
+    base = np.reshape(draw(cells), (n, n))
+    band = np.abs(np.subtract.outer(np.arange(n), np.arange(n)))
+    mats = []
+    for _ in range(ell):
+        mask = np.reshape(draw(cells), (n, n))
+        kind = draw(st.sampled_from(PATTERNS))
+        mask = {"identical": base, "nested": base & mask, "disjoint": ~base & mask, "random": mask,
+                "tridiagonal": band <= 1, "diagonal": band == 0}[kind].copy()
+        if draw(st.booleans()):
+            mask[draw(st.integers(0, n - 1))] = False
+        entries = np.reshape(draw(values), (n, n))
+        if draw(st.booleans()):
+            entries = entries + 1j * np.reshape(draw(values), (n, n))
+        mats.append(sp.csr_matrix(np.where(mask, entries, 0.0)))
+    weight = st.one_of(st.just(0.0), value, st.builds(complex, value, value))
+    return mats, np.array(draw(st.lists(weight, min_size=ell, max_size=ell)))
+
+
+def factor_signature(A):
+    """The route of A's direct solver with what its factor depends on: the
+    tridiagonal factor's arrays, or SuperLU's column order and fill."""
+    try:
+        solver = make_linear_solver(A)
+    except SingularMatrixError:
+        return "singular"
+    if solver._lu is None:
+        return ("tridiagonal", *(np.asarray(a).tobytes() for a in solver._tri))
+    return ("superlu", tuple(solver._lu.perm_c), solver._lu.L.nnz + solver._lu.U.nnz)
+
+
+def cancelling_sum():
+    """Two terms whose sum cancels the entry (1, 4) and keeps (0, 3): SuperLU
+    on both sides, with its column order moved by a stored zero."""
+    n = 6
+    A = np.diag(np.arange(2.0, 2.0 + n)) + np.diag(np.full(n - 1, -1.0), 1) + np.diag(np.full(n - 1, -0.5), -1)
+    A[0, 3], A[3, 0], A[1, 4], A[5, 2] = 0.3, 0.2, 0.7, -0.4
+    C = np.zeros((n, n))
+    C[1, 4], C[2, 2], C[5, 1] = -0.7, 0.1, 0.25
+    return [sp.csr_matrix(A), sp.csr_matrix(C)], np.array([1.0, 1.0])
+
+
+@settings(max_examples=150, deadline=None)
+@given(split_sums())
+@example(cancelling_sum())
+def test_split_sum_assembles_scipys_sum_on_the_pattern_of_its_nonzero_weights(case):
+    from nepsolve.linalg import _bandwidth
+
+    mats, w = case
+    got, ref = SplitSum(mats).assemble(w), scipy_sum(mats, w)
+    assert np.array_equal(got.toarray(), ref.toarray())
+    union = sum((abs(M) for M, wi in zip(mats, w) if wi != 0), sp.csr_matrix(got.shape)).tocsr()
+    assert got.has_canonical_format
+    assert np.array_equal(got.indptr, union.indptr) and np.array_equal(got.indices, union.indices)
+    # scipy's sum drops the entries that cancel; where none does, both store
+    # the same entries and take the same route
+    if got.nnz == ref.nnz == np.count_nonzero(got.data):
+        assert _bandwidth(got) == _bandwidth(ref)
+    tridiagonal = [A.shape[0] >= 3 and _bandwidth(A) <= 1 for A in (got, ref)]
+    # SuperLU gets the same entries (exact zeros dropped): same order, same fill
+    if tridiagonal[0] == tridiagonal[1] and np.count_nonzero(ref.data) == ref.nnz:
+        assert factor_signature(got) == factor_signature(ref)
+
+
+def test_assembled_matrices_cannot_change_the_cached_pattern():
+    # every matrix SplitSum assembles shares the pattern's index arrays, so an
+    # in-place edit of one must raise, not silently change later sums
+    op, _ = gen_delay(50)
+    w = op.coefficients(0.7 + 0.2j)
+    ref = scipy_sum(op.mats.mats, w).toarray()
+    A = op.assemble(0.7 + 0.2j)
+    edits = [A.eliminate_zeros, lambda: A.indices.__setitem__(0, 1), lambda: A.indptr.__setitem__(1, 0)]
+    for edit in edits:
+        with pytest.raises(ValueError):
+            edit()
+    A.data[:] = 7.0  # the data are the matrix's own
+    assert np.array_equal(op.assemble(0.7 + 0.2j).toarray(), ref)
+    with pytest.raises(ValueError, match="canonical"):
+        SplitSum([sp.csr_matrix(([1.0, 2.0], [1, 0], [0, 2, 2]), shape=(2, 2))]).assemble([1.0])
+
+
+def test_delay_derivative_stays_diagonal():
+    # d/dlam of the constant term is 0: T'(sigma) holds the two diagonal terms only
+    op, _ = gen_delay(1000)
+    assert op.assemble_deriv(1.3).nnz == 1000 and op.assemble_deriv(-20.0 + 3.0j).nnz == 1000
+
+
+def test_threads_sharing_an_operator_assemble_the_same_sums():
+    # the first sums of each support race to build its pattern; a build is
+    # idempotent, so whichever is kept, every sum is scipy's
+    import sys
+    import threading
+
+    op, _ = gen_delay(300)
+    lams = [0.3, 0.3 + 0.4j, -7.0, 2.0 - 1.0j]
+    want = [scipy_sum(op.mats.mats, op.coefficients(lam)).toarray() for lam in lams]
+    want += [scipy_sum(op.mats.mats, op.coefficients_deriv(lam)).toarray() for lam in lams]
+    bad = []
+
+    def work():
+        for _ in range(20):
+            got = [op.assemble(lam) for lam in lams] + [op.assemble_deriv(lam) for lam in lams]
+            bad.extend(i for i, (g, w) in enumerate(zip(got, want)) if not np.array_equal(g.toarray(), w))
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        threads = [threading.Thread(target=work) for _ in range(8)]
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=60)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(t.is_alive() for t in threads) and bad == []
+    assert len(op.mats._patterns) == 2
+
+
+class CountingDict(dict):
+    """A dict that counts the items set into it."""
+
+    sets = 0
+
+    def __setitem__(self, key, value):
+        self.sets += 1
+        super().__setitem__(key, value)
+
+
+@pytest.mark.parametrize("solver", ["slp", "nleigs", "rii"])
+def test_each_support_builds_its_pattern_once(solver):
+    from nepsolve.newton import rii_solve, slp_solve
+    from nepsolve.nleigs import nleigs_solve
+
+    op, _ = gen_delay(200, tau=0.001, b=-2.0)
+    op.mats._patterns = patterns = CountingDict()
+    settings = Settings(nev=3, tol=1e-6, target=1.0, region=Interval(-260.0, 50.0))
+    solve = {"slp": slp_solve, "nleigs": nleigs_solve, "rii": rii_solve}[solver]
+    for _ in range(3):
+        assert solve(op, settings).converged
+    assert 1 <= patterns.sets == len(patterns)
+
+
+def test_slp_steps_make_no_scipy_sparse_sums_or_scalar_products(monkeypatch):
+    import scipy.sparse._data as sp_data
+    import scipy.sparse._sparsetools as sparsetools
+
+    from nepsolve.newton import slp_solve
+
+    calls = []
+
+    def counted(owner, name):
+        original = getattr(owner, name)
+
+        def wrapper(*args, **kwargs):
+            calls.append(name)
+            return original(*args, **kwargs)
+
+        monkeypatch.setattr(owner, name, wrapper)
+
+    op, _ = gen_delay(2000, tau=0.001, b=-2.0)
+    settings = Settings(nev=2, tol=1e-6, target=1.0)
+    assert slp_solve(op, settings).converged  # builds the patterns
+    counted(sparsetools, "csr_plus_csr")
+    counted(sp_data._data_matrix, "_mul_scalar")
+    sol = slp_solve(op, settings)
+    assert sol.converged and sol.stats["outer_iterations"] > 1
+    assert calls == []
 
 
 def test_adjoint_products_are_bitwise_the_conjugate_transpose_products_and_keep_no_copy():

@@ -44,6 +44,14 @@ def test_nleigs_peak_memory_on_the_delay_problem():
         tracemalloc.stop()
     assert sol.converged and sol.stats["scalars"] == "real"
     assert peak <= NLEIGS_PEAK_BOUND_MIB * 2**20
+    # the pattern cache, built in the solve above, maps into the union only
+    # the entries of a matrix whose pattern is not the union: the identities
+    maps = {}
+    for support, (_, indices, positions) in op.mats._patterns.items():
+        for k, pos in zip(support, positions):
+            assert (pos is None) == (op.mats.mats[k].nnz == indices.size)
+            maps.update({} if pos is None else {id(pos): pos.size})
+    assert 0 < sum(maps.values()) <= 2 * op.n
 
 
 def test_interpol_peak_memory_on_the_delay_problem():

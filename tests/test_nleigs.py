@@ -3,7 +3,7 @@ import pytest
 import scipy.sparse as sp
 
 from nepsolve import functions as fn
-from nepsolve.core import Ellipse, Interval, NepError, NepOperator, Settings, backward_error
+from nepsolve.core import Ellipse, Interval, NepError, NepOperator, Rectangle, Settings, backward_error
 from nepsolve.linalg import FullBasisEngine, KrylovSchurDriver, SingularMatrixError
 from nepsolve.nleigs import (
     LejaBagbySequence,
@@ -83,6 +83,52 @@ def test_leja_bagby_single_pole_used_once():
     finite = seq.poles[np.isfinite(seq.poles)]
     assert len(finite) == 1
     assert finite[0] == 1.0
+
+
+LEJA_CASES = {
+    "interval": (lambda: gen_delay(100)[0], Interval(-260.0, 50.0), 1.0, []),
+    "rectangle": (lambda: gen_delay(100)[0], Rectangle(-60.0, 10.0, -5.0, 5.0), -5.0, []),
+    "ellipse": (lambda: gen_delay(100)[0], Ellipse(-20.0, 45.0, 10.0), -20.0, []),
+    "string-pole": (lambda: gen_loaded_string(100)[0], Interval(4.0, 800.0), 10.0, [1.0]),
+}
+
+
+@pytest.mark.parametrize("case", sorted(LEJA_CASES))
+def test_nleigs_keeps_the_greedy_sequence_up_to_its_degree(case, monkeypatch):
+    # the nodes are chosen while the divided differences run, and the
+    # interpolant keeps what b_0 .. b_d read: bitwise the first entries of
+    # the whole greedy sequence
+    from nepsolve import nleigs as nleigs_mod
+
+    make, region, target, sing = LEJA_CASES[case]
+    interpolants = []
+    dd = nleigs_mod.divided_differences
+
+    def recorded(*args, **kwargs):
+        interpolants.append(dd(*args, **kwargs))
+        return interpolants[-1]
+
+    monkeypatch.setattr(nleigs_mod, "divided_differences", recorded)
+    nleigs_solve(make(), Settings(nev=2, tol=1e-6, target=target, region=region), singularities=sing)
+    (ri,) = interpolants
+    ref = leja_bagby(region.boundary_points(nleigs_mod.BOUNDARY_POINTS), sing, 30, start_hint=target)
+    d = ri.d
+    assert 2 <= d < 30
+    assert np.array_equal(ri.seq.nodes, ref.nodes[:d])
+    assert np.array_equal(ri.seq.poles, ref.poles[: d + 1]) and np.array_equal(ri.seq.betas, ref.betas[: d + 1])
+
+
+def test_two_sided_nleigs_picks_nodes_only_up_to_its_degree(monkeypatch):
+    from nepsolve import nleigs as nleigs_mod
+
+    steps = []
+    step = nleigs_mod._GreedySequence._step
+    monkeypatch.setattr(nleigs_mod._GreedySequence, "_step", lambda self: steps.append(1) or step(self))
+    s = Settings(nev=9, tol=1e-8, target=10.0, region=Interval(4.0, 800.0), problem_type="rational", two_sided=True)
+    sol = nleigs_solve(gen_loaded_string(200)[0], s)
+    assert sol.converged and sol.has_left
+    # the start node and one greedy step per degree: degree + 1 nodes, not 31
+    assert len(steps) + 1 == sol.stats["degree"] + 1 < nleigs_mod.DD_MAXDEG_DEFAULT + 1
 
 
 # -- automatic singularities ---------------------------------------------------------
