@@ -410,8 +410,8 @@ class SplitSum:
     matrices.  Each M_i is held once, in its own scalars, and ``dtype`` is
     the scalar type of the lot: sums and products follow the scalars of w,
     v and the M_i, with no complex copy of a real M_i (``sparse_times``).
-    The transposes M_i^T, CSC views of the M_i's own arrays, and the norms
-    ||M_i||_inf are built on first use and kept.
+    The transposes M_i^T, CSC views of the M_i's own arrays, the norms
+    ||M_i||_inf and each support's sum pattern are built on first use and kept.
     """
 
     def __init__(self, mats):
