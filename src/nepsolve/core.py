@@ -17,7 +17,7 @@ from typing import List, Optional
 import numpy as np
 import scipy.sparse as sp
 
-from .functions import _parse_scalar
+from .functions import _parse_scalar, values_at
 from .linalg import SplitSum, inf_norm, sparse_times
 
 __all__ = [
@@ -121,11 +121,11 @@ class NepOperator:
     # -- evaluation ----------------------------------------------------------
 
     def coefficients(self, lam: complex) -> np.ndarray:
-        c = np.array([f(lam) for _, f in self.terms], dtype=complex)
+        c = np.array(values_at([f for _, f in self.terms], lam), dtype=complex)
         return c if isinstance(lam, complex) or c.imag.any() else c.real
 
     def coefficients_deriv(self, lam: complex) -> np.ndarray:
-        dc = np.array([f.deriv(lam) for _, f in self.terms], dtype=complex)
+        dc = np.array(values_at([f for _, f in self.terms], lam, deriv=True), dtype=complex)
         return dc if isinstance(lam, complex) or dc.imag.any() else dc.real
 
     def assemble(self, lam: complex):
@@ -133,6 +133,14 @@ class NepOperator:
         if not self.is_split:
             return _as_csr(self._t_fn(lam))
         return self._sum.assemble(self.coefficients(lam))
+
+    def system(self, lam: complex, cfg=None):
+        """T(lambda) as ``linalg.make_linear_solver`` takes it under cfg: in
+        split form ``SplitSum.system``, the three diagonals of a tridiagonal
+        T(lambda) for a direct solve; the matrix of ``assemble`` otherwise."""
+        if not self.is_split:
+            return self.assemble(lam)
+        return self._sum.system(self.coefficients(lam), cfg)
 
     def assemble_deriv(self, lam: complex):
         """T'(lambda) as a sparse matrix."""

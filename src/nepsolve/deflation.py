@@ -375,7 +375,7 @@ class ExtSolveContext:
         self.pair = pair
         self.op = op
         self.sigma = sigma if pair.dtype.kind == "f" and not isinstance(sigma, complex) else complex(sigma)
-        T = op.assemble(self.sigma)
+        T = op.system(self.sigma, lin_cfg)
         self.solver = make_linear_solver(T, lin_cfg)
         k = pair.k
         self.k = k

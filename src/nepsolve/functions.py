@@ -90,16 +90,22 @@ class ScalarFunction:
     # -- scalar evaluation -------------------------------------------------
 
     def __call__(self, x: complex) -> complex:
-        x = complex(x)
         # far-field probes may overflow to inf/nan; callers test finiteness
         with np.errstate(over="ignore", invalid="ignore"):
-            return complex(self.beta) * self._base_eval(complex(self.alpha) * x)
+            return self._value(x)
 
     def deriv(self, x: complex) -> complex:
-        x = complex(x)
-        a = complex(self.alpha)
         with np.errstate(over="ignore", invalid="ignore"):
-            return complex(self.beta) * a * self._base_deriv(a * x)
+            return self._deriv_value(x)
+
+    def _value(self, x: complex) -> complex:
+        """f(x) under the caller's ``np.errstate``."""
+        return complex(self.beta) * self._base_eval(complex(self.alpha) * complex(x))
+
+    def _deriv_value(self, x: complex) -> complex:
+        """f'(x) under the caller's ``np.errstate``."""
+        a = complex(self.alpha)
+        return complex(self.beta) * a * self._base_deriv(a * complex(x))
 
     def _base_eval(self, z: complex) -> complex:
         kind = self.kind
@@ -124,7 +130,7 @@ class ScalarFunction:
         if kind == "phi":
             return _phi_scalar(self.phi_index, z)
         # combine
-        l, r = self.left, self.right
+        l, r = self.left._value, self.right._value
         if self.op == "add":
             return l(z) + r(z)
         if self.op == "mul":
@@ -163,17 +169,17 @@ class ScalarFunction:
             return -0.5 * complex(np.sqrt(complex(z))) ** (-3)
         if kind == "phi":
             return _phi_scalar_deriv(self.phi_index, z)
-        l, r = self.left, self.right
+        l, r, dl, dr = self.left._value, self.right._value, self.left._deriv_value, self.right._deriv_value
         if self.op == "add":
-            return l.deriv(z) + r.deriv(z)
+            return dl(z) + dr(z)
         if self.op == "mul":
-            return l.deriv(z) * r(z) + l(z) * r.deriv(z)
+            return dl(z) * r(z) + l(z) * dr(z)
         if self.op == "div":
             rv = r(z)
             if rv == 0:
                 raise FunctionDomainError(f"combine division by zero at {z}")
-            return (l.deriv(z) * rv - l(z) * r.deriv(z)) / (rv * rv)
-        return r.deriv(l(z)) * l.deriv(z)  # compose chain rule
+            return (dl(z) * rv - l(z) * dr(z)) / (rv * rv)
+        return dr(l(z)) * dl(z)  # compose chain rule
 
     # -- matrix evaluation -------------------------------------------------
 
@@ -296,6 +302,13 @@ def phi(k: int, *, alpha=1.0, beta=1.0) -> ScalarFunction:
 def combine(op: str, left: ScalarFunction, right: ScalarFunction, *, alpha=1.0, beta=1.0) -> ScalarFunction:
     """Combine two functions; for ``compose`` the result is ``right(left(x))``."""
     return ScalarFunction("combine", op=op, left=left, right=right, alpha=alpha, beta=beta)
+
+
+def values_at(fs, x: complex, deriv: bool = False) -> list:
+    """``[f(x) for f in fs]``, or ``[f.deriv(x) ...]``, under one ``np.errstate``
+    for the lot: bitwise the values of the calls one by one."""
+    with np.errstate(over="ignore", invalid="ignore"):
+        return [f._deriv_value(x) if deriv else f._value(x) for f in fs]
 
 
 # -- scalar helpers ----------------------------------------------------------

@@ -27,13 +27,17 @@ neither the basis nor its conjugate, provided the basis is column-major:
 both basis engines keep their n-long vectors in Fortran-ordered buffers so
 that every leading-column slice they pass is contiguous.
 
-Direct solves with a sparse matrix take one of two routes, picked per
-factorization from the stored structure: for a ``SplitSum`` sum, the union
-pattern of its terms with nonzero weight.  A matrix whose entries all lie on
-the three central diagonals (largest |i - j| over the CSR indices at most 1,
-explicitly stored zeros included) with n >= 3 is factorized by LAPACK's
-tridiagonal LU, ``?gttrf``/``?gttrs``; every T(sigma) and NLEIGS R(sigma) of
-the generated problems is of this kind.  Every other goes to SuperLU.
+Direct solves with a sparse matrix take one of two routes, by one rule
+(``_tridiagonal_route``) on the stored structure: a matrix whose entries all
+lie on the three central diagonals (largest |i - j| at most 1, explicitly
+stored zeros included) with n >= 3 is factorized by LAPACK's tridiagonal LU,
+``?gttrf``/``?gttrs``; every other goes to SuperLU.  A ``SplitSum`` decides
+the route once per support, on the union pattern of its terms with nonzero
+weight, and hands a tridiagonal sum over as its three diagonals
+(``Tridiagonal``), with no CSR matrix: every T(sigma) and NLEIGS R(sigma) of
+the generated problems is of this kind.  A sparse matrix handed over as
+such, a callback operator's T(sigma) or a split sum on the SuperLU route, is
+scanned for its bandwidth at each factorization.
 """
 
 from __future__ import annotations
@@ -41,7 +45,7 @@ from __future__ import annotations
 import warnings
 import weakref
 from dataclasses import dataclass
-from typing import List, Optional
+from typing import List, NamedTuple, Optional
 
 import numpy as np
 import scipy.linalg
@@ -58,6 +62,7 @@ __all__ = [
     "compress_columns",
     "LinearSolverConfig",
     "make_linear_solver",
+    "Tridiagonal",
     "iterative_solve",
     "IterativeResult",
     "inf_norm",
@@ -249,6 +254,30 @@ class IterativeResult:
     breakdown: bool = False
 
 
+class Tridiagonal(NamedTuple):
+    """The sub-, main and superdiagonal of a tridiagonal matrix, as
+    ``make_linear_solver`` takes them for LAPACK's ``?gttrf``."""
+
+    dl: np.ndarray
+    d: np.ndarray
+    du: np.ndarray
+
+    @property
+    def dtype(self) -> np.dtype:
+        return self.d.dtype
+
+    @property
+    def shape(self):
+        return (len(self.d), len(self.d))
+
+
+def _tridiagonal_route(n: int, bandwidth: int) -> bool:
+    """The direct route rule: ``?gttrf`` for a matrix whose stored entries all
+    lie within ``bandwidth`` <= 1 of the main diagonal and n >= 3 (the
+    ``?gttrf`` wrappers reject n <= 2), SuperLU for every other."""
+    return n >= 3 and bandwidth <= 1
+
+
 def _bandwidth(A) -> int:
     """Largest |i - j| over the stored entries of a sparse matrix, zeros included."""
     A = A.tocsr()
@@ -261,17 +290,16 @@ def _bandwidth(A) -> int:
 class _DirectSolver:
     """Sparse LU factorization with adjoint solves, on one of two routes.
 
-    A matrix whose stored entries all lie within one diagonal of the main
-    diagonal (bandwidth <= 1, checked once over the CSR indices) and n >= 3
-    gets LAPACK's tridiagonal LU with partial pivoting, ``?gttrf``/``?gttrs``:
+    ``Tridiagonal`` diagonals, or a sparse matrix on the ``?gttrf`` route of
+    ``_tridiagonal_route`` (its bandwidth found by one scan of its indices),
+    get LAPACK's tridiagonal LU with partial pivoting, ``?gttrf``/``?gttrs``:
     no CSC copy, no fill-reducing ordering and no BLAS calls.  Every other
-    matrix, wider bands and n <= 2 (which the ``?gttrf`` wrappers reject),
-    goes to SuperLU.  Both routes factor a real matrix in real
-    arithmetic (``dgttrf``, real SuperLU) and a complex one in complex
-    arithmetic; a complex right-hand side on a real factor is solved as its
-    real and imaginary parts, two columns of one solve.  An exactly zero pivot
-    raises ``SingularMatrixError`` at construction, and so does a solve whose
-    result has non-finite entries.
+    matrix, wider bands and n <= 2, goes to SuperLU.  Both routes factor a
+    real matrix in real arithmetic (``dgttrf``, real SuperLU) and a complex
+    one in complex arithmetic; a complex right-hand side on a real factor is
+    solved as its real and imaginary parts, two columns of one solve.  An
+    exactly zero pivot raises ``SingularMatrixError`` at construction, and so
+    does a solve whose result has non-finite entries.
     """
 
     def __init__(self, A):
@@ -279,11 +307,13 @@ class _DirectSolver:
         self.n = A.shape[0]
         self._tri = self._lu = None
         self.dtype = np.result_type(A.dtype, np.float64)
-        if self.n >= 3 and _bandwidth(A) <= 1:
+        if not isinstance(A, Tridiagonal) and _tridiagonal_route(self.n, _bandwidth(A)):
+            A = Tridiagonal(*(A.diagonal(k) for k in (-1, 0, 1)))
+        if isinstance(A, Tridiagonal):
             gttrf, self._gttrs, self._adjoint = (
                 (zgttrf, zgttrs, "C") if self.dtype.kind == "c" else (dgttrf, dgttrs, "T")
             )
-            diags = [np.asarray(A.diagonal(k), dtype=self.dtype) for k in (-1, 0, 1)]
+            diags = [np.asarray(a, dtype=self.dtype) for a in A]
             *self._tri, info = gttrf(*diags, overwrite_dl=1, overwrite_d=1, overwrite_du=1)
             if info > 0:
                 raise SingularMatrixError(f"exactly singular pivot at index {info - 1}")
@@ -344,6 +374,8 @@ class _IterativeSolver:
 
 
 def make_linear_solver(A, cfg: Optional[LinearSolverConfig] = None):
+    """A solver of A x = b and A^* x = b under cfg: A is a sparse matrix, or
+    under the direct mode also a ``Tridiagonal``."""
     cfg = cfg or LinearSolverConfig()
     if cfg.mode == "direct":
         return _DirectSolver(A)
@@ -401,6 +433,17 @@ def inf_norm(A) -> float:
     return float(np.abs(A).sum(axis=1).max())
 
 
+class _SumPlan(NamedTuple):
+    """What every sum over one support shares: the union pattern (``indptr``,
+    ``indices``, read-only), the map of each term's entries into it (None
+    where a term's pattern is the union) and the direct route of its sums."""
+
+    indptr: np.ndarray
+    indices: np.ndarray
+    positions: list
+    tridiagonal: bool
+
+
 class SplitSum:
     """Weighted sums sum_i w_i M_i over a fixed list of sparse matrices M_i.
 
@@ -411,7 +454,8 @@ class SplitSum:
     the scalar type of the lot: sums and products follow the scalars of w,
     v and the M_i, with no complex copy of a real M_i (``sparse_times``).
     The transposes M_i^T, CSC views of the M_i's own arrays, the norms
-    ||M_i||_inf and each support's sum pattern are built on first use and kept.
+    ||M_i||_inf and each support's ``_SumPlan`` (its sum pattern and direct
+    route) are built on first use and kept.
     """
 
     def __init__(self, mats):
@@ -422,14 +466,10 @@ class SplitSum:
         self._norms = None
         self._patterns = {}
 
-    def assemble(self, w):
-        """sum_i w_i M_i (canonical CSR M_i) as a CSR matrix on the union pattern of the M_i with
-        w_i != 0, SLEPc's known nonzero pattern, built once per such support: an M_i's own arrays
-        where it is that M_i's pattern, read-only as every sum shares them, and a map of each other
-        M_i's entries into it.  One scaled add per term into zeros, in the order of the matrices, is
-        bitwise scipy's sparse sum but for signed zeros; a cancelled entry stays, an exact zero."""
-        w = np.asarray(w)
-        support = tuple(np.flatnonzero(w).tolist())
+    def _plan(self, support) -> _SumPlan:
+        """The support's plan: the union pattern of its M_i, SLEPc's known nonzero pattern, as an
+        M_i's own arrays where it is that M_i's pattern, read-only as every sum shares them, with a
+        map of each other M_i's entries into it, and ``_tridiagonal_route`` on its bandwidth."""
         if support not in self._patterns:
             mats = [self.mats[k] for k in support]
             if not all(M.has_canonical_format for M in mats):
@@ -444,16 +484,50 @@ class SplitSum:
             indptr.flags.writeable = indices.flags.writeable = False
             rank = sp.csr_matrix((np.arange(1, union.nnz + 1), union.indices, union.indptr), union.shape)
             maps = {k: None if E.nnz == union.nnz else rank.multiply(E).data - 1 for k, E in ones.items()}
-            self._patterns[support] = (indptr, indices, [maps[k] for k in keys])
-        indptr, indices, positions = self._patterns[support]
-        data = np.zeros(len(indices), dtype=np.result_type(w, self.dtype))
-        for k, pos in zip(support, positions):
+            # the columns are sorted: a row's first and last entries bound its |i - j|
+            rows = np.flatnonzero(np.diff(indptr))
+            first, last = indices[indptr[rows]], indices[indptr[rows + 1] - 1]
+            bandwidth = int(np.max(np.maximum(rows - first, last - rows), initial=0))
+            self._patterns[support] = _SumPlan(
+                indptr, indices, [maps[k] for k in keys], _tridiagonal_route(self.n, bandwidth)
+            )
+        return self._patterns[support]
+
+    def _sum(self, w):
+        """The plan of w's support and the data of sum_i w_i M_i on its pattern."""
+        w = np.asarray(w)
+        support = tuple(np.flatnonzero(w).tolist())
+        plan = self._plan(support)
+        data = np.zeros(len(plan.indices), dtype=np.result_type(w, self.dtype))
+        for k, pos in zip(support, plan.positions):
             # M.data * w_k as scipy's scalar product makes it: w_k * M.data can differ in the last bit
             if pos is None:
                 data += self.mats[k].data * w[k]
             else:
                 np.add.at(data, pos, self.mats[k].data * w[k])
-        return sp.csr_matrix((data, indices, indptr), shape=(self.n, self.n))
+        return plan, data
+
+    def assemble(self, w):
+        """sum_i w_i M_i (canonical CSR M_i) as a CSR matrix on the union pattern of the M_i with
+        w_i != 0, built once per such support (``_plan``).  One scaled add per term into zeros, in
+        the order of the matrices, is bitwise scipy's sparse sum but for signed zeros; a cancelled
+        entry stays, an exact zero."""
+        plan, data = self._sum(w)
+        return sp.csr_matrix((data, plan.indices, plan.indptr), shape=(self.n, self.n))
+
+    def system(self, w, cfg: Optional[LinearSolverConfig] = None):
+        """sum_i w_i M_i as ``make_linear_solver`` takes it under cfg: on the direct ``?gttrf`` route
+        of its support, its ``Tridiagonal`` diagonals, the very entries ``assemble`` stores; else the
+        CSR matrix of ``assemble``.  On the full tridiagonal pattern, 3n - 2 entries in canonical
+        CSR, the diagonal, super- and subdiagonal entries take turns, so the diagonals are strided
+        views of the summed data; a partial band (an identity-only support, say) is read out of
+        its CSR matrix diagonal by diagonal."""
+        plan, data = self._sum(w)
+        tridiagonal = plan.tridiagonal and (cfg is None or cfg.mode == "direct")
+        if tridiagonal and data.size == 3 * self.n - 2:
+            return Tridiagonal(data[2::3], data[0::3], data[1::3])
+        A = sp.csr_matrix((data, plan.indices, plan.indptr), shape=(self.n, self.n))
+        return Tridiagonal(*(A.diagonal(k) for k in (-1, 0, 1))) if tridiagonal else A
 
     def apply(self, w, v: np.ndarray) -> np.ndarray:
         """(sum_i w_i M_i) v without assembling the sum, in the scalars of its inputs."""

@@ -22,12 +22,14 @@ the number of columns of U.  The block recurrence runs on the d x mu
 coefficients, and the solve's right-hand side is formed in coefficient space.
 The interpolant keeps every D_j as a combination of the same matrices: the
 operator's A_i in split form, the explicit D_j themselves for a callback
-operator.  Once per shift the coefficients are folded into a weight matrix
-with one column per matrix that the right-hand side needs (nterms in split
-form, d on the callback path, where D_{d-1} drops out), so each step reads U
-once, by one product with that many columns, followed by one sparse matvec
-per column (``SplitSum.combine``).  U lives in a column-major buffer
-preallocated with d + ncv + 2 columns, so no step copies it to grow it.
+operator.  Once per interpolant and scalar type (``shift_data``) the
+coefficients are folded into a weight matrix with one column per matrix that
+the right-hand side needs (nterms in split form, d on the callback path,
+where D_{d-1} drops out), so each step reads U once, by one product with that
+many columns, followed by one sparse matvec per column (``SplitSum.combine``);
+a new shift costs its basis values and one factorization of R_d(sigma).  U
+lives in a column-major buffer preallocated with d + ncv + 2 columns, so no
+step copies it to grow it.
 
 When the target and every node, pole, normalization factor, divided
 difference and matrix of the interpolant are real, the linearization is a
@@ -38,7 +40,8 @@ pair of H is read out as a real eigenpair; only conjugate pairs are complex.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
+from functools import cached_property
 from typing import List, Optional
 
 import numpy as np
@@ -269,7 +272,9 @@ class RationalInterpolant:
     (a ``SplitSum``).  In split form ``mats`` is the operator's own sum of
     the A_i and ``coeffs`` (nterms x (d+1)) holds the scalar divided
     differences; for a callback operator ``mats`` holds the explicit D_j and
-    ``coeffs`` is the identity.  ``seq`` holds what b_0 .. b_d read.
+    ``coeffs`` is the identity.  ``seq`` holds what b_0 .. b_d read.  What
+    does not depend on the shift, ``real`` and the ``shift_data`` of each
+    scalar type, is built on first use and kept.
     """
 
     op: NepOperator
@@ -278,6 +283,33 @@ class RationalInterpolant:
     mats: SplitSum
     coeffs: np.ndarray
     reached_max_degree: bool = False
+    _shift_data: dict = field(default_factory=dict, init=False, repr=False, compare=False)
+
+    @cached_property
+    def real(self) -> bool:
+        """Whether the nodes, poles and betas, the divided differences and
+        the matrices all have exactly zero imaginary part."""
+        scalars = (self.seq.nodes, self.seq.poles, self.seq.betas, self.coeffs)
+        return all(not np.any(np.imag(a)) for a in scalars) and self.mats.dtype.kind == "f"
+
+    def shift_data(self, real: bool) -> tuple:
+        """What ``ShiftInvertContext`` reads at every shift, in real (of a ``real``
+        interpolant) or complex scalars: the inverse poles 1/xi_j (0 at infinity),
+        the divided-difference coefficients, and the right-hand side's block
+        weights W with the ``SplitSum`` of the matrices its columns weigh."""
+        if real not in self._shift_data:
+            part = np.real if real else np.asarray
+            d = self.d
+            coeffs = part(self.coeffs)
+            # the solve's right-hand side -(D_0 y^1 + ... + D_{d-2} y^{d-1} + D_d y^d / beta_d)
+            # is -sum_k M_k (Y W)[:, k] for the blocks Y = [y^1 .. y^d], where W
+            # (d x len(mats)) folds the coefficients of the D_j into block weights;
+            # a matrix that no block weighs (D_{d-1} on the callback path) is dropped
+            W = np.vstack([coeffs[:, : d - 1].T, coeffs[:, d][None, :] / self.seq.betas[d]])
+            used = np.flatnonzero(np.any(W != 0, axis=0))
+            inv_xi = part(np.array([self.seq.inv_pole(j) for j in range(d + 1)], dtype=complex))
+            self._shift_data[real] = (inv_xi, coeffs, W[:, used], SplitSum([self.mats.mats[k] for k in used]))
+        return self._shift_data[real]
 
     def b_values(self, lam: complex) -> np.ndarray:
         return self.seq.b_values(lam, self.d)
@@ -393,50 +425,40 @@ class ShiftInvertContext:
 
     Only R_d(sigma) is factorized; everything else is block recurrences over
     the d parts of the vectors.  The same factorization serves the adjoint.
-    When the interpolant at sigma is real, ``real`` is set and the weights
-    and the factor of R_d(sigma) are real: a real vector maps to a real
-    vector in real arithmetic, a complex one is served too, with no complex
-    copy of a real matrix (``linalg.sparse_times``).  A sigma at which the
-    linearization is singular, an interpolation node or an exactly singular
-    R_d(sigma), raises ``SingularMatrixError``.
+    A context computes only what depends on sigma, ``b_sigma``, ``denoms``,
+    ``pole_factors`` and the factor of R_d(sigma), and reads the rest from the
+    interpolant's ``shift_data``, built once for all its shifts.  When the
+    interpolant and sigma are real, ``real`` is set and the weights and the
+    factor of R_d(sigma) are real: a real vector maps to a real vector in real
+    arithmetic, a complex one is served too, with no complex copy of a real
+    matrix (``linalg.sparse_times``).  A sigma at which the linearization is
+    singular, an interpolation node or an exactly singular R_d(sigma), raises
+    ``SingularMatrixError``.
     """
 
     def __init__(self, ri: RationalInterpolant, sigma: complex, lin_cfg: Optional[LinearSolverConfig] = None):
         if ri.d < 2:
             raise NepError("shift-invert recurrences require degree >= 2")
         self.ri = ri
-        self.d = ri.d
+        self.d = d = ri.d
         self.sigma = complex(sigma)
         seq = ri.seq
-        # real when sigma, the nodes, poles and betas, the divided differences
-        # and the matrices all have exactly zero imaginary part
-        scalars = (np.asarray([self.sigma]), seq.nodes, seq.poles, seq.betas, ri.coeffs)
-        self.real = all(not np.any(np.imag(a)) for a in scalars) and ri.mats.dtype.kind == "f"
+        self.real = ri.real and not self.sigma.imag
         self.dtype = np.dtype(float if self.real else complex)
         part = np.real if self.real else np.asarray
-        d = ri.d
         self.b_sigma = part(seq.b_values(self.sigma, d))
         self.denoms = part(
             np.array([seq.nodes[j - 1] - self.sigma for j in range(1, d)], dtype=complex)
         )  # denoms[j-1] = sigma_{j-1} - sigma, j = 1..d-1
         if np.any(self.denoms == 0):
             raise SingularMatrixError("the shift coincides with an interpolation node")
-        self.inv_xi = part(np.array([ri.seq.inv_pole(j) for j in range(d + 1)], dtype=complex))
+        self.inv_xi, self._coeffs, self._rhs_weights, self._rhs_sum = ri.shift_data(self.real)
         self.pole_factors = part(1.0 - self.sigma * self.inv_xi)  # index j for (1 - sigma/xi_j)
         self.beta = seq.betas
-        self._coeffs = part(ri.coeffs)
         self._mats = ri.mats
-        Rsig = self._mats.assemble(self._coeffs @ part(ri.b_values_linearized(self.sigma)))
-        self.solver = make_linear_solver(Rsig, lin_cfg)
+        weights = self._coeffs @ part(ri.b_values_linearized(self.sigma))
+        self.solver = make_linear_solver(self._mats.system(weights, lin_cfg), lin_cfg)
         self.n = ri.op.n
-        # the solve's right-hand side -(D_0 y^1 + ... + D_{d-2} y^{d-1} + D_d y^d / beta_d)
-        # is -sum_k M_k (Y W)[:, k] for the blocks Y = [y^1 .. y^d], where W
-        # (d x len(mats)) folds the coefficients of the D_j into block weights;
-        # a matrix that no block weighs (D_{d-1} on the callback path) is dropped
-        W = np.vstack([self._coeffs[:, : d - 1].T, self._coeffs[:, d][None, :] / self.beta[d]])
-        used = np.flatnonzero(np.any(W != 0, axis=0))
-        self._rhs_sum = SplitSum([self._mats.mats[k] for k in used])
-        self._rhs_weights = W[:, used]
 
     @property
     def solve_count(self) -> int:

@@ -80,6 +80,27 @@ def test_apply_examples_and_oracle():
     assert np.allclose(op2.apply(2.5, w), 2.5 * w)
 
 
+def test_coefficient_vectors_are_the_per_term_values_bitwise():
+    # one np.errstate for the whole vector, the operations of f(lam) and f.deriv(lam)
+    import warnings
+
+    eye = sp.identity(3, format="csr")
+    mixed = NepOperator(terms=[
+        (eye, fn.combine("compose", fn.exponential(alpha=-0.5), fn.rational([1.0, 2.0], [1.0, -3.0]))),
+        (eye, fn.combine("div", fn.square_root(), fn.polynomial([1.0, 0.0, 4.0]))),
+        (eye, fn.combine("mul", fn.logarithm(), fn.exponential(alpha=800.0))),  # overflows at lam = 2
+    ])
+    for op in (gen_delay(10)[0], gen_loaded_string(10)[0], mixed):
+        for lam in (0.5, 2.0, -160.25 + 0.0j, 7.3 + 2.1j):
+            with warnings.catch_warnings():
+                warnings.simplefilter("error")
+                got = op.coefficients(lam), op.coefficients_deriv(lam)
+            for g, ref in zip(got, ([f(lam) for _, f in op.terms], [f.deriv(lam) for _, f in op.terms])):
+                ref = np.array(ref, dtype=complex)
+                ref = ref if isinstance(lam, complex) or ref.imag.any() else ref.real
+                assert g.dtype == ref.dtype and np.array_equal(g, ref, equal_nan=True)
+
+
 @pytest.mark.parametrize("problem", ["delay", "loaded_string"])
 def test_split_sums_equal_the_per_term_loops_bitwise(problem):
     # the loops the operator ran before its sums moved into one kernel

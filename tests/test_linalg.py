@@ -17,6 +17,7 @@ from nepsolve.linalg import (
     LinearSolverConfig,
     SingularMatrixError,
     SplitSum,
+    Tridiagonal,
     compress_columns,
     gen_eig_smallest,
     inf_norm,
@@ -599,6 +600,7 @@ def test_split_sum_assembles_scipys_sum_on_the_pattern_of_its_nonzero_weights(ca
     if got.nnz == ref.nnz == np.count_nonzero(got.data):
         assert _bandwidth(got) == _bandwidth(ref)
     tridiagonal = [A.shape[0] >= 3 and _bandwidth(A) <= 1 for A in (got, ref)]
+    assert isinstance(SplitSum(mats).system(w), Tridiagonal) == tridiagonal[0]  # the pattern's route
     # SuperLU gets the same entries (exact zeros dropped): same order, same fill
     if tridiagonal[0] == tridiagonal[1] and np.count_nonzero(ref.data) == ref.nnz:
         assert factor_signature(got) == factor_signature(ref)
@@ -625,6 +627,110 @@ def test_delay_derivative_stays_diagonal():
     # d/dlam of the constant term is 0: T'(sigma) holds the two diagonal terms only
     op, _ = gen_delay(1000)
     assert op.assemble_deriv(1.3).nnz == 1000 and op.assemble_deriv(-20.0 + 3.0j).nnz == 1000
+
+
+def band_sum(case):
+    """(mats, w) of a split sum on the ``?gttrf`` route."""
+    rng = np.random.default_rng(31)
+    n = 3 if case == "n3" else 9
+    off = lambda: rng.standard_normal(n - 1)  # noqa: E731
+    tri = sp.diags([off(), 4.0 + rng.standard_normal(n), off()], [-1, 0, 1], format="csr")
+    eye = sp.identity(n, format="csr")
+    lower = sp.diags([off()], [-1], shape=(n, n), format="csr")
+    if case == "identity-only":
+        return [tri, eye, 2.0 * eye], np.array([0.0, 1.5, -0.25])
+    if case == "stored-zero":
+        stored = tri.copy()
+        stored.data[4] = 0.0  # the entry (1, 2)
+        return [stored, lower, eye], np.array([1.0, 0.5, 2.0])
+    if case == "partial-band":
+        return [eye, lower], np.array([3.0, -1.0])
+    if case == "complex-weights":
+        return [tri, lower, eye], np.array([1.0 + 0.5j, -0.3j, 2.0])
+    return [tri, eye], np.array([1.0, -0.5])  # full band, n = 9 or 3
+
+
+@pytest.mark.parametrize("case", ["full-band", "identity-only", "stored-zero", "partial-band", "complex-weights", "n3"])
+def test_tridiagonal_split_sums_solve_bitwise_as_their_assembled_matrix(case, splu_calls):
+    mats, w = band_sum(case)
+    ss = SplitSum(mats)
+    T, A = ss.system(w), ss.assemble(w)
+    assert isinstance(T, Tridiagonal) and T.dtype == A.dtype and T.shape == A.shape
+    assert all(np.array_equal(T[i], A.diagonal(k)) for i, k in enumerate((-1, 0, 1)))
+    rng = np.random.default_rng(32)
+    got, ref = make_linear_solver(T), make_linear_solver(A)
+    for b in (rng.standard_normal(A.shape[0]), rand_complex(rng, A.shape[0]), rand_complex(rng, A.shape[0], 2)):
+        for adjoint in (False, True):
+            assert np.array_equal(got.solve(b, adjoint=adjoint), ref.solve(b, adjoint=adjoint))
+    assert all(np.array_equal(a, r) for a, r in zip(got._tri, ref._tri))
+    assert splu_calls == []
+
+
+@pytest.mark.parametrize("case", ["n2", "pentadiagonal"])
+def test_other_split_sums_still_reach_superlu(case, splu_calls):
+    if case == "n2":
+        mats = [sp.csr_matrix(np.array([[2.0, 1.0], [1.0, 3.0]])), sp.identity(2, format="csr")]
+    else:
+        mats = [laplacian(9), sp.diags([0.2, 0.1], [-2, 2], shape=(9, 9), format="csr")]
+    ss = SplitSum(mats)
+    A = ss.system([1.0, 0.5])
+    assert sp.issparse(A) and A.format == "csr"
+    b = np.arange(1.0, A.shape[0] + 1)
+    solver = make_linear_solver(A)
+    assert np.array_equal(solver.solve(b), make_linear_solver(ss.assemble([1.0, 0.5])).solve(b))
+    assert len(splu_calls) == 2
+
+
+@pytest.mark.parametrize("mode", ["gmres", "bicgstab"])
+def test_iterative_modes_receive_the_csr_sum(mode):
+    mats, w = band_sum("full-band")
+    ss = SplitSum(mats)
+    cfg = LinearSolverConfig(mode=mode)
+    A, ref = ss.system(w, cfg), ss.assemble(w)
+    assert sp.issparse(A) and A.format == "csr"
+    assert all(np.array_equal(getattr(A, k), getattr(ref, k)) for k in ("data", "indices", "indptr"))
+    assert make_linear_solver(A, cfg).A is A
+
+
+def scan_case(problem):
+    if problem == "delay":
+        return gen_delay(200, tau=0.001, b=-2.0)[0], Settings(nev=3, tol=1e-6, target=1.0, region=Interval(-260.0, 50.0))
+    settings = Settings(nev=3, tol=1e-8, target=10.0, region=Interval(4.0, 800.0), problem_type="rational")
+    return gen_loaded_string(100)[0], settings
+
+
+@pytest.mark.parametrize("problem", ["delay", "string"])
+@pytest.mark.parametrize("solver", ["nleigs", "slp", "interpol"])
+def test_split_sums_are_factored_without_a_bandwidth_scan(solver, problem, monkeypatch):
+    # each support's route is decided once, with its pattern
+    import nepsolve.linalg as linalg_mod
+    from nepsolve.interpol import interpol_solve
+    from nepsolve.newton import slp_solve
+    from nepsolve.nleigs import nleigs_solve
+
+    def scan(A):
+        raise AssertionError("a split sum was scanned for its bandwidth")
+
+    monkeypatch.setattr(linalg_mod, "_bandwidth", scan)
+    op, settings = scan_case(problem)
+    solve = {"nleigs": nleigs_solve, "slp": slp_solve, "interpol": interpol_solve}[solver]
+    assert solve(op, settings).stats["linear_solves"] > 0
+
+
+@pytest.mark.parametrize("problem", ["delay", "string"])
+def test_a_callback_operators_matrices_are_scanned(problem, monkeypatch):
+    # a T(sigma) that arrives as CSR has no pattern to read its route from
+    import nepsolve.linalg as linalg_mod
+    from nepsolve.core import NepOperator
+    from nepsolve.newton import slp_solve
+
+    scans = []
+    scan = linalg_mod._bandwidth
+    monkeypatch.setattr(linalg_mod, "_bandwidth", lambda A: scans.append(A.shape) or scan(A))
+    op, settings = scan_case(problem)
+    callback = NepOperator(t_fn=op.assemble, tprime_fn=op.assemble_deriv, n=op.n)
+    assert slp_solve(callback, Settings(nev=1, tol=1e-6, target=settings.target)).stats["linear_solves"] > 0
+    assert scans and set(scans) == {(op.n, op.n)}
 
 
 def test_threads_sharing_an_operator_assemble_the_same_sums():

@@ -23,6 +23,11 @@ NLEIGS_PEAK_BOUND_MIB = 9.0
 # compact basis at the degree the divided differences decide (8 of 20); a
 # complex basis at the full degree took 20.6 MiB
 INTERPOL_PEAK_BOUND_MIB = 12.0
+# tracemalloc peak of one more shift_invert_context on an interpolant of the
+# delay problem at n = 20000, once the sum's pattern is built: 1.15 MiB with
+# R_d(sigma) factored from strided views of its summed entries; 1.83 MiB when
+# each factorization built a CSR matrix and scanned its indices for the band
+SHIFT_PEAK_BOUND_MIB = 1.4
 
 
 @pytest.mark.parametrize("make", [gen_delay, gen_loaded_string], ids=["delay", "loaded_string"])
@@ -47,11 +52,26 @@ def test_nleigs_peak_memory_on_the_delay_problem():
     # the pattern cache, built in the solve above, maps into the union only
     # the entries of a matrix whose pattern is not the union: the identities
     maps = {}
-    for support, (_, indices, positions) in op.mats._patterns.items():
-        for k, pos in zip(support, positions):
-            assert (pos is None) == (op.mats.mats[k].nnz == indices.size)
+    for support, plan in op.mats._patterns.items():
+        for k, pos in zip(support, plan.positions):
+            assert (pos is None) == (op.mats.mats[k].nnz == plan.indices.size)
             maps.update({} if pos is None else {id(pos): pos.size})
     assert 0 < sum(maps.values()) <= 2 * op.n
+
+
+def test_shift_invert_context_peak_memory_on_the_delay_problem():
+    op, _ = gen_delay(20000, tau=0.001, b=-2.0)
+    boundary = Interval(-260.0, 50.0).boundary_points(nleigs.BOUNDARY_POINTS)
+    ri = nleigs.divided_differences(op, nleigs.leja_bagby(boundary, [], nleigs.DD_MAXDEG_DEFAULT, 1.0))
+    nleigs.shift_invert_context(ri, 1.0)  # builds the pattern of R_d's support
+    tracemalloc.start()
+    try:
+        ctx = nleigs.shift_invert_context(ri, 1.0)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert ctx.real and ctx.solve_count == 0
+    assert peak <= SHIFT_PEAK_BOUND_MIB * 2**20
 
 
 def test_interpol_peak_memory_on_the_delay_problem():

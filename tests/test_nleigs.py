@@ -328,6 +328,31 @@ def test_shift_invert_spectral_mapping():
     assert np.linalg.norm(out - w[i] * y) <= 1e-8 * np.linalg.norm(y) * abs(w[i])
 
 
+def test_contexts_on_one_interpolant_match_contexts_on_fresh_ones_bitwise():
+    # the shift-independent data built once per interpolant serve a real and
+    # a complex shift alike, as if each context had built them itself
+    op, _ = gen_loaded_string(40)
+    boundary = Interval(4.0, 800.0).boundary_points(200)
+
+    def interpolant():
+        return divided_differences(op, leja_bagby(boundary, auto_singularities(op), 30, start_hint=10.0))
+
+    shared = interpolant()
+    rng = np.random.default_rng(40)
+    for sigma, real in ((10.0, True), (7.0 + 2.0j, False), (12.5, True), (-3.0 + 1.0j, False)):
+        ctx, ref = ShiftInvertContext(shared, sigma), ShiftInvertContext(interpolant(), sigma)
+        assert ctx.real == ref.real == real
+        for name in ("b_sigma", "denoms", "pole_factors", "inv_xi", "_coeffs", "_rhs_weights"):
+            got, want = getattr(ctx, name), getattr(ref, name)
+            assert got.dtype == want.dtype and np.array_equal(got, want)
+        assert [M is R for M, R in zip(ctx._rhs_sum.mats, ref._rhs_sum.mats)] == [True] * len(ref._rhs_sum.mats)
+        for x in (rng.standard_normal(ctx.d * ctx.n), rand_complex(rng, ctx.d * ctx.n)):
+            assert np.array_equal(ctx.apply(x), ref.apply(x))
+            (z, dh), (z_ref, dh_ref) = ctx.adjoint_stage_z(x), ref.adjoint_stage_z(x)
+            assert np.array_equal(z, z_ref) and all(np.array_equal(a, b) for a, b in zip(dh, dh_ref))
+    assert set(shared._shift_data) == {True, False}
+
+
 def test_shift_invert_adjoint_matches_dense():
     rng = np.random.default_rng(5)
     op, ri = random_interpolant(rng, n=5, d=4)
