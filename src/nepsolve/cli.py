@@ -248,6 +248,8 @@ def _build_report(args, settings, op, sol: EigenSolution, elapsed: float) -> dic
     for extra in ("degree", "restarts", "basis", "scalars"):
         if extra in sol.stats:
             counters[extra] = sol.stats[extra]
+    if "shifts" in sol.stats:
+        counters["shifts"] = len(sol.stats["shifts"])
     config = {
         "problem": args.problem,
         "n": op.n,

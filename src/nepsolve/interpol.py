@@ -5,14 +5,15 @@ degree+1 Chebyshev points of the interval, in Leja order from the target, in
 NLEIGS's Newton form, and the divided differences stop where they fall below
 ``DD_TOL_DEFAULT``: ``degree`` is an upper bound and ``stats["degree"]`` the
 degree used, since coefficients of rounding size only add spurious
-eigenvalues.  The linearization is solved at the target by NLEIGS's
-shift-and-invert Krylov-Schur and Ritz-to-eigenpair rule, or, where
-n (degree + 1) <= DENSE_PENCIL_CAP, by a dense eigensolve of the same
-operator.  The pair test is the interpolant residual eta_poly; pairs are
-returned at Re lam with eta against T, and a degree too small for tol
-against T leaves the solve unconverged (see ``core.finish``).  ``ChebPoly``
-is the interpolant in the Chebyshev basis, whose coefficients show how fast
-T is resolved.
+eigenvalues.  The linearization is solved by NLEIGS's shift loop
+(``nleigs.shift_invert_pairs``): shift-and-invert Krylov-Schur at the
+target and, while pairs are missing, at the midpoint of the widest stretch
+of the interval that no shift or eigenvalue covers, with NLEIGS's
+Ritz-to-eigenpair rule.  The pair test is the interpolant residual
+eta_poly; pairs are returned at Re lam with eta against T, and a degree too
+small for tol against T leaves the solve unconverged (see ``core.finish``).
+``ChebPoly`` is the interpolant in the Chebyshev basis, whose coefficients
+show how fast T is resolved.
 """
 
 from __future__ import annotations
@@ -33,21 +34,12 @@ from .core import (
     backward_error,
     finish,
 )
-from .linalg import KrylovSchurDriver, LinearSolverConfig, SplitSum
-from .nleigs import (
-    ShiftInvertContext,
-    _GreedySequence,
-    divided_differences,
-    shift_invert_context,
-    shift_invert_pairs,
-)
+from .linalg import LinearSolverConfig, SplitSum
+from .nleigs import _GreedySequence, divided_differences, shift_invert_pairs
 
 __all__ = ["cheb_nodes", "cheb_coeffs", "ChebPoly", "interpol_solve"]
 
 DEFAULT_DEGREE = 20
-# Up to this size n*(d+1) of the linearization it is formed and solved
-# densely; above it the shift-and-invert Krylov iteration runs.
-DENSE_PENCIL_CAP = 1500
 
 
 def cheb_nodes(d: int) -> np.ndarray:
@@ -96,32 +88,6 @@ def cheb_coeffs(op: NepOperator, interval: Interval, d: int) -> ChebPoly:
     return ChebPoly(Interval(a, b), SplitSum([op.assemble(complex(lam)) for lam in mapped]), cosines)
 
 
-def _dense_pairs(settings: Settings, ctx: ShiftInvertContext, pair_eta):
-    """Small problems: S = (A - sigma B)^{-1} B formed from ``ctx.apply`` on
-    the identity columns, and every eigenvalue of S at once.
-
-    Returns the ``EigenPair``s (eta from ``pair_eta``) of the eigenvalues
-    lam = sigma + 1/theta in the interval, with |Im lam| <= 1e-8 max(1, |lam|),
-    at Re lam and with eta <= tol, nearest the target first; a real theta of
-    a real S gives a real vector, by the driver's ``ritz_pair``.
-    """
-    n = ctx.n
-    S = np.column_stack([ctx.apply(e) for e in np.eye(ctx.d * n, dtype=ctx.dtype)])
-    thetas, V = np.linalg.eig(S)
-    with np.errstate(divide="ignore", invalid="ignore"):
-        lams = ctx.sigma + 1.0 / thetas
-    pairs = []
-    for i in np.argsort(settings.sort_key()(lams), kind="stable"):
-        lam, x = lams[i], KrylovSchurDriver.ritz_pair(thetas[i], V[:n, i], ctx.real)[1]
-        if not (np.isfinite(lam) and settings.region.contains(lam, imag_tol=1e-8 * max(1.0, abs(lam)))):
-            continue
-        lam, x = float(lam.real), x / np.linalg.norm(x)
-        eta = pair_eta(lam, x)
-        if eta <= settings.tol:
-            pairs.append(EigenPair(lam, x, eta))
-    return pairs
-
-
 def interpol_solve(
     op: NepOperator,
     settings: Settings,
@@ -146,18 +112,8 @@ def interpol_solve(
         raise ValueError("interpolation degree must be at least 2")
     nodes = 0.5 * (region.b - region.a) * cheb_nodes(degree) + 0.5 * (region.b + region.a)
     ri = divided_differences(op, _GreedySequence(nodes, [], settings.target), d_max=degree)
-    ctx = shift_invert_context(ri, settings.target, lin_cfg)
-
-    def eta_poly(lam, x):
-        return backward_error(ri, lam, x)
-
-    if op.n * (degree + 1) <= DENSE_PENCIL_CAP:
-        tested = _dense_pairs(settings, ctx, eta_poly)
-        stats = {"outer_iterations": 1, "pencil": "dense"}
-    else:
-        tested, run = shift_invert_pairs(ctx, settings, eta_poly)
-        stats = {"outer_iterations": run.driver.restarts}
-    stats.update(degree=ri.d, linear_solves=ctx.solve_count, scalars="real" if ctx.real else "complex")
+    tested, stats, _ = shift_invert_pairs(ri, settings, lambda lam, x: backward_error(ri, lam, x), lin_cfg=lin_cfg)
+    stats["degree"] = ri.d
     pairs = [EigenPair(p.lam, p.x, backward_error(op, p.lam, p.x), eta_poly=p.eta) for p in tested]
 
     notes = []

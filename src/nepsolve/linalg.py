@@ -943,7 +943,7 @@ class ShiftInvertRun:
     """Eigenpairs of a problem from a Krylov-Schur run on its shift-and-invert operator.
 
     The one Ritz-to-eigenpair rule of NLEIGS (TOAR and full basis) and of
-    interpol's Krylov path.  A Ritz value theta maps to the eigenvalue
+    interpol, at each shift of their loop.  A Ritz value theta maps to the eigenvalue
     ``to_lam(theta)`` (vectorized, once per call of the driver's key or
     filter); the driver ranks Ritz values by
     ``settings.sort_key()`` of their eigenvalues and iterates to the inner

@@ -9,13 +9,16 @@ a single factorization of R_d(sigma).  The linear problem is solved with
 Krylov-Schur, either on explicitly stored vectors of length d*n (full basis)
 or on a compact tensor representation V_k = (I_d (x) U) G_k of the same basis
 (the default, ``linalg.ToarBasisEngine``), and its Ritz pairs are read back
-as eigenpairs by ``linalg.ShiftInvertRun``.  The two-sided variant takes
+as eigenpairs by ``linalg.ShiftInvertRun``.  The run starts at the target;
+on an interval, while fewer than nev pairs are found and the last shift
+added one, it repeats on the same interpolant at the midpoint of the widest
+gap between the interval's ends, the shifts and the eigenvalues found
+(``next_shift``), at most nev shifts in all.  The two-sided variant takes
 each left eigenvector from adjoint inverse iteration at its eigenvalue lam:
 R_d(lam) is factored, and the first block of (A - lam B)^{-*} v, for a
 random v, is the left eigenvector.  interpol is this solver with Chebyshev
 nodes and every pole at infinity: it builds its interpolant with
-``leja_bagby`` and ``divided_differences`` and solves it by
-``shift_invert_context`` and ``shift_invert_pairs``.
+``divided_differences`` and solves it by ``shift_invert_pairs``.
 
 The compact expansion costs O(n mu) plus one sparse solve per step, mu being
 the number of columns of U.  The block recurrence runs on the d x mu
@@ -50,6 +53,7 @@ import scipy.linalg
 from .core import (
     EigenPair,
     EigenSolution,
+    Interval,
     NepError,
     NepOperator,
     Settings,
@@ -81,6 +85,7 @@ __all__ = [
     "ShiftInvertContext",
     "shift_invert_context",
     "shift_invert_pairs",
+    "next_shift",
     "nleigs_solve",
 ]
 
@@ -92,7 +97,8 @@ LEFT_STEPS = 4  # adjoint inverse-iteration steps a left eigenvector may take
 
 
 class UnsupportedPoleDetection(NepError):
-    """Raised when automatic pole detection meets a non-rational term."""
+    """Raised when automatic pole detection meets a term that is neither
+    rational nor entire."""
 
 
 # -- Leja-Bagby points -------------------------------------------------------
@@ -230,6 +236,8 @@ def _poly_roots(coeffs) -> np.ndarray:
 
 
 def _poles_of(f: ScalarFunction) -> List[complex]:
+    if f.kind in ("exp", "phi"):  # entire functions
+        return []
     if f.kind == "rational":
         roots = _poly_roots(f._den())
         alpha = complex(f.alpha)
@@ -248,7 +256,8 @@ def _poles_of(f: ScalarFunction) -> List[complex]:
 
 
 def auto_singularities(op: NepOperator) -> np.ndarray:
-    """Poles of a rational split operator: union of denominator roots."""
+    """Poles of a split operator: the union of the denominator roots of its
+    rational terms; exponential and phi terms, entire, have none."""
     if not op.is_split:
         raise UnsupportedPoleDetection("pole detection requires the split form")
     poles: List[complex] = []
@@ -592,35 +601,41 @@ def shift_invert_context(ri: RationalInterpolant, target: complex, lin_cfg=None)
 
 
 def _start_blocks(ctx: ShiftInvertContext) -> np.ndarray:
+    """All-ones start blocks, made where an engine is built, so that no
+    caller holds their n scalars through the run."""
     return np.broadcast_to(np.ones(ctx.n, dtype=ctx.dtype), (ctx.d, ctx.n))
 
 
-def shift_invert_pairs(ctx: ShiftInvertContext, settings: Settings, pair_eta, *, full_basis=False, known_junk=()):
-    """Krylov-Schur on ctx's shift-and-invert operator, read back by
-    ``linalg.ShiftInvertRun`` with ``pair_eta`` as its pair test.
+def next_shift(region, shifts, lams) -> Optional[float]:
+    """The shift after ``shifts``, given the eigenvalues ``lams`` found so far.
 
-    Returns the distinct pairs as ``EigenPair``s (eta from ``pair_eta``)
-    and the run.  While fewer than nev pairs pass and the run may go on, it
-    goes on wanting as many more converged Ritz pairs as are missing.
+    On an ``Interval`` [a, b] it is the midpoint of the widest gap between
+    covered points: a, b, the shifts and Re lam of every eigenvalue, clipped
+    to [a, b].  Any other region gets no further shift (None).
     """
-    d, n = ctx.d, ctx.n
-    sigma = ctx.sigma
+    if not isinstance(region, Interval):
+        return None
+    covered = np.unique(np.clip(np.real([region.a, region.b, *shifts, *lams]), region.a, region.b))
+    i = int(np.argmax(np.diff(covered)))
+    return float(0.5 * (covered[i] + covered[i + 1]))
+
+
+def _krylov_schur_pairs(ctx: ShiftInvertContext, settings: Settings, pair_eta, rng, full_basis, known_junk):
+    """One Krylov-Schur run at ctx's shift: its distinct pairs, restarts and
+    Ritz history (``KrylovSchurDriver.ritz_history``).
+
+    While fewer than nev pairs pass and the run may go on, it goes on
+    wanting as many more converged Ritz pairs as are missing.
+    """
+    d, n, sigma = ctx.d, ctx.n, ctx.sigma
     ncv = min(settings.ncv_effective, d * n - 1)
     ncv = max(ncv, min(settings.nev + 2, d * n - 1))
-    rng = np.random.default_rng(settings.seed)
     if full_basis:
         engine = FullBasisEngine(ctx.apply, _start_blocks(ctx), ncv, ctx.dtype)
     else:
         engine = ToarBasisEngine(ctx, _start_blocks(ctx), ncv)
-    run = ShiftInvertRun(
-        engine,
-        ncv,
-        settings,
-        lambda thetas: sigma + 1.0 / thetas,
-        rng,
-        pair_eta=pair_eta,
-        known_junk=known_junk,
-    )
+    to_lam = lambda thetas: sigma + 1.0 / thetas
+    run = ShiftInvertRun(engine, ncv, settings, to_lam, rng, pair_eta=pair_eta, known_junk=known_junk)
     driver = run.driver
     max_restarts = settings.max_it_effective
     want = settings.nev
@@ -632,7 +647,48 @@ def shift_invert_pairs(ctx: ShiftInvertContext, settings: Settings, pair_eta, *,
         if driver.restarts >= max_restarts or driver.exhausted or count < want:
             break
         want += settings.nev - len(pairs)
-    return pairs, run
+    return pairs, driver.restarts, driver.ritz_history
+
+
+def shift_invert_pairs(
+    ri: RationalInterpolant, settings: Settings, pair_eta, *, lin_cfg=None, full_basis=False, poles=()
+):
+    """The region's pairs of ``ri``'s linearization, from Krylov-Schur runs
+    at one shift after another, each read back by ``linalg.ShiftInvertRun``
+    with ``pair_eta`` as its pair test.
+
+    The first shift is the target (``shift_invert_context``).  While fewer
+    than nev distinct pairs are found, and the last shift added at least
+    one, R_d is factored at ``next_shift`` and the run repeats there, at
+    most nev shifts in all; the pairs merge through ``distinct_pairs``,
+    earlier ones first.  A run at sigma counts a Ritz value near the image
+    1/(xi - sigma) of one of ``poles`` as converged junk.  Returns
+    ``(pairs, stats, rng)``: ``stats`` sums the restarts
+    (``outer_iterations``) and ``linear_solves`` over the shifts and lists
+    them in ``shifts``; every run draws from the one generator ``rng``.
+    """
+    rng = np.random.default_rng(settings.seed)
+    poles = np.asarray(poles, dtype=complex)
+    stats = {"outer_iterations": 0, "linear_solves": 0, "shifts": [], "ritz_history": []}
+    pairs, real, sigma = [], True, settings.target
+    while sigma is not None:
+        ctx = shift_invert_context(ri, sigma, lin_cfg)
+        known_junk = 1.0 / (poles[poles != ctx.sigma] - ctx.sigma)
+        found, restarts, history = _krylov_schur_pairs(ctx, settings, pair_eta, rng, full_basis, known_junk)
+        stats["shifts"].append(ctx.sigma)
+        stats["outer_iterations"] += restarts
+        stats["linear_solves"] += ctx.solve_count
+        stats["ritz_history"] += history
+        real = real and ctx.real
+        del ctx  # no shift's factorization is made while an earlier one is held
+        merged = distinct_pairs(pairs + found)
+        if len(merged) >= settings.nev or len(merged) == len(pairs) or len(stats["shifts"]) >= settings.nev:
+            sigma = None
+        else:
+            sigma = next_shift(settings.region, stats["shifts"], [p.lam for p in merged])
+        pairs = merged
+    stats["scalars"] = "real" if real else "complex"
+    return pairs, stats, rng
 
 
 # -- top-level solver ----------------------------------------------------------------
@@ -665,16 +721,18 @@ def nleigs_solve(
 ) -> EigenSolution:
     """Rational-interpolation solve over a region of the complex plane.
 
-    The target is the single shift of the Krylov iteration, moved once
+    The target is the first shift of the Krylov iteration, moved once
     where the linearization is singular there (``shift_invert_context``).
-    Accepted pairs lie inside the region and meet the backward-error
-    tolerance.  The two-sided variant attaches to each pair a left
-    eigenvector y, found by at most LEFT_STEPS steps of inverse iteration
-    with S^* at the pair's eigenvalue (one context per pair, from a random
-    start drawn from the run's generator) and accepted when its backward
-    error against T, eta_left, is at most tol; a pair whose y never meets
-    tol keeps y None and the solve notes it.  Two-sided runs use the full
-    basis.
+    On an ``Interval``, while pairs are missing, further shifts follow at
+    the midpoints of the widest uncovered gaps (``shift_invert_pairs``); a
+    2-D region keeps its one shift.  Accepted pairs lie inside the region
+    and meet the backward-error tolerance.  The two-sided variant attaches
+    to each pair a left eigenvector y, found by at most LEFT_STEPS steps of
+    inverse iteration with S^* at the pair's eigenvalue (one context per
+    pair, from a random start drawn from the first run's generator) and
+    accepted when its backward error against T, eta_left, is at most tol; a
+    pair whose y never meets tol keeps y None and the solve notes it.
+    Two-sided runs use the full basis.
 
     Region rule (``linalg.ShiftInvertRun``, shared with interpol): while
     iterating, a Ritz value theta with residual res maps to
@@ -713,27 +771,10 @@ def nleigs_solve(
         notes.append(
             f"divided differences did not reach tol {dd_tol:g} at degree {ri.d}; proceeding"
         )
-    ctx = shift_invert_context(ri, settings.target, lin_cfg)
-    sigma = ctx.sigma
-
-    pole_images = 1.0 / (sing[sing != sigma] - sigma)
-    pairs, right = shift_invert_pairs(
-        ctx,
-        settings,
-        lambda lam, x: backward_error(op, lam, x),
-        full_basis=full_basis,
-        known_junk=pole_images,
+    pairs, stats, rng = shift_invert_pairs(
+        ri, settings, lambda lam, x: backward_error(op, lam, x), lin_cfg=lin_cfg, full_basis=full_basis, poles=sing
     )
-    driver = right.driver
-
-    stats = {
-        "degree": ri.d,
-        "outer_iterations": driver.restarts,
-        "linear_solves": ctx.solve_count,
-        "ritz_history": [(t.copy(), r.copy()) for t, r in driver.ritz_history],
-        "basis": "full" if full_basis else "toar",
-        "scalars": "real" if ctx.real else "complex",
-    }
+    stats.update(degree=ri.d, basis="full" if full_basis else "toar")
 
     if two_sided:
         # inverse iteration with S^* at each eigenvalue: one adjoint solve
@@ -741,7 +782,7 @@ def nleigs_solve(
         # stage vector the left eigenvector
         for p in pairs:
             pctx = shift_invert_context(ri, p.lam, lin_cfg)
-            v = random_vector(driver.rng, pctx.d * pctx.n, pctx.dtype)
+            v = random_vector(rng, pctx.d * pctx.n, pctx.dtype)
             for step in range(LEFT_STEPS):
                 if step:
                     v = pctx.apply_adjoint(v)

@@ -131,6 +131,20 @@ def test_json_report_contents_and_eta_recompute():
     assert cfg["nev"] == 3
     assert cfg["target"] == [1.0, 0.0]
     assert report["counters"]["scalars"] == "real"
+    assert "shifts" not in report["counters"]  # SLP has no shift loop
+
+
+@pytest.mark.parametrize(
+    "solver, extra, shifts",
+    [("nleigs", ["--n", "80"], 1), ("interpol", ["--n", "40", "--degree", "30", "--tol", "1e-6"], 2)],
+)
+def test_shift_loop_solvers_report_their_shift_count(solver, extra, shifts):
+    # the loaded string's nine pairs: NLEIGS finds them at the target, and
+    # interpol at degree 30 needs a second shift for the four beyond 300
+    report, _ = run(["run", "--problem", "loaded_string", "--solver", solver, "--output", "json", *extra])
+    validate_report(report)
+    assert report["n_converged"] == 9
+    assert report["counters"]["shifts"] == shifts
 
 
 def test_table_output(capsys):

@@ -141,7 +141,9 @@ COUNT_CASES = {
     "slp": lambda: slp_solve(gen_delay(100)[0], Settings(nev=2, tol=1e-8, target=1.0)),
     "rii": lambda: rii_solve(gen_delay(100)[0], Settings(nev=2, tol=1e-8, target=1.0)),
     "narnoldi": lambda: narnoldi_solve(gen_delay(200)[0], Settings(nev=3, tol=1e-8, target=1.0)),
-    # n (degree + 1) = 2100 is past DENSE_PENCIL_CAP: the Krylov path
+    # interpol and NLEIGS sum the solves of every shift of their loop
+    # (nleigs.shift_invert_pairs); a loop of two shifts is counted in
+    # test_nleigs.py::test_nleigs_shift_that_adds_no_pair_ends_the_loop
     "interpol": lambda: interpol_solve(
         gen_delay(100)[0], Settings(nev=3, tol=1e-8, target=1.0, region=DELAY_REGION), degree=20
     ),
@@ -165,7 +167,6 @@ def test_linear_solves_counts_every_direct_solve(case, monkeypatch):
     monkeypatch.setattr(linalg._DirectSolver, "solve", counted)
     sol = COUNT_CASES[case]()
     assert sol.converged
-    assert "pencil" not in sol.stats  # interpol took its Krylov path
     assert sol.stats["linear_solves"] == len(calls) > 0
 
 
@@ -267,11 +268,18 @@ def _krylov_eigenvalues(case):
 
 @pytest.mark.parametrize("case", sorted(KRYLOV_STEP_CASES))
 def test_krylov_solvers_keep_their_step_counts(case):
-    # interpol's Krylov path and two-sided NLEIGS share one Ritz-to-eigenpair
-    # rule (linalg.ShiftInvertRun) and one compact basis engine; these counts
-    # pin the steps it takes: restarts, solves, pairs and converged
-    assert "pencil" not in _krylov_case(case).stats  # interpol took its Krylov path
+    # interpol and two-sided NLEIGS share one Ritz-to-eigenpair rule
+    # (linalg.ShiftInvertRun) and one shift loop; these counts pin the steps
+    # they take: restarts, solves, pairs and converged
     assert _krylov_steps(case) == KRYLOV_STEP_CASES[case][1]
+
+
+def test_two_sided_nleigs_pin_takes_the_target_as_its_one_shift():
+    # its run at the target finds all nine pairs, so the shift loop adds no
+    # shift and the pinned solve count is that of the one run
+    sol = _krylov_case("nleigs2-string200")
+    assert sol.stats["shifts"] == [STRING_SETTINGS["target"]]
+    assert sol.stats["linear_solves"] == KRYLOV_STEP_CASES["nleigs2-string200"][1][1] == 41
 
 
 @functools.cache

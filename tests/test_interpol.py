@@ -1,9 +1,10 @@
+import functools
+
 import numpy as np
 import pytest
 import scipy.sparse as sp
 
 from nepsolve import functions as fn
-from nepsolve import interpol
 from nepsolve.cli import run
 from nepsolve.core import Interval, NepError, NepOperator, Settings
 from nepsolve.interpol import cheb_coeffs, cheb_nodes, interpol_solve
@@ -68,6 +69,7 @@ def test_delay_interpolation_error_decays_tenfold():
     assert e10 / e20 >= 10.0
 
 
+@functools.cache
 def _solve_linear_problem_exact():
     A = sp.diags([[1.0, 2.0, 3.0]], [0], format="csr")
     eye = sp.identity(3, format="csr")
@@ -83,7 +85,7 @@ def test_interpol_solve_linear_problem_exact():
     _solve_linear_problem_exact()
 
 
-@pytest.mark.parametrize("n", [136, 200])  # dense pencil path, Krylov path
+@pytest.mark.parametrize("n", [136, 200])
 def test_interpol_degree_too_low_is_not_converged(n):
     # degree 10 solves the interpolant to tol, but not T itself: the largest
     # eta against T is about 1e-5 on the loaded string at these sizes
@@ -143,6 +145,7 @@ def test_interpol_keeps_every_pair_as_the_degree_rises(n, a, nev, degree):
         assert np.min(np.abs(roots - p.lam)) <= 1e-6 * abs(p.lam)
 
 
+@functools.cache
 def _solve_loaded_string_desk():
     # spec benchmark shape: interval [4, 800], degree 30, nine pairs at sigma=10;
     # with this discretization the interpolation error at the pole-nearest
@@ -161,28 +164,22 @@ def _solve_loaded_string_desk():
 
 
 def test_interpol_loaded_string_desk():
-    assert _solve_loaded_string_desk().stats.get("pencil") == "dense"
+    # the run at 10 finds the five eigenvalues up to 203.99; the four behind the
+    # degree-30 polynomial's ring of spurious eigenvalues at |lam - 10| ~ 300
+    # come from a second shift at the midpoint of the gap (203.99, 800)
+    shifts = _solve_loaded_string_desk().stats["shifts"]
+    assert len(shifts) == 2 and shifts[0] == 10.0
+    assert shifts[1] == pytest.approx(0.5 * (203.992 + 800.0), rel=1e-5)
 
 
 @pytest.mark.parametrize(
     "case",
-    [
-        pytest.param(_solve_linear_problem_exact, id="linear"),
-        pytest.param(
-            _solve_loaded_string_desk,
-            id="string",
-            marks=pytest.mark.xfail(
-                strict=True,
-                reason="CHANGES.md FOUND: interpol's Krylov path fails the dense path's string case "
-                "(5 of 9 pairs): one shift at 10 does not reach the far end of [4, 800] on a "
-                "degree-30 polynomial",
-            ),
-        ),
-    ],
+    [pytest.param(_solve_linear_problem_exact, id="linear"), pytest.param(_solve_loaded_string_desk, id="string")],
 )
-def test_interpol_krylov_path_solves_the_dense_path_cases(case, monkeypatch):
-    monkeypatch.setattr(interpol, "DENSE_PENCIL_CAP", 0)
-    assert case().stats.get("pencil") != "dense"
+def test_interpol_krylov_path_solves_the_dense_path_cases(case):
+    # the cases that a dense eigensolve of the whole linearization used to
+    # serve, on the one Krylov path left; each case checks its own pairs
+    case()
 
 
 def test_accepted_pairs_lie_in_expanded_interval():

@@ -14,6 +14,7 @@ from nepsolve.nleigs import (
     auto_singularities,
     divided_differences,
     leja_bagby,
+    next_shift,
     nleigs_solve,
     shift_invert_context,
 )
@@ -152,9 +153,29 @@ def test_auto_singularities_examples():
 
 def test_auto_singularities_unsupported_term():
     eye = sp.identity(2, format="csr")
-    op = NepOperator(terms=[(eye, fn.exponential())])
+    op = NepOperator(terms=[(eye, fn.square_root())])
     with pytest.raises(UnsupportedPoleDetection):
         auto_singularities(op)
+
+
+def test_auto_singularities_entire_terms_have_no_poles():
+    eye = sp.identity(2, format="csr")
+    entire = [
+        fn.exponential(alpha=-0.5),
+        fn.phi(2),
+        fn.combine("add", fn.exponential(), fn.phi(1)),
+        fn.combine("mul", fn.phi(0), fn.polynomial([1.0, 2.0])),
+    ]
+    for f in entire:
+        assert auto_singularities(NepOperator(terms=[(eye, f)])).size == 0
+    mixed = fn.combine("add", fn.exponential(), fn.rational([1.0], [1.0, -2.0]))
+    assert np.allclose(auto_singularities(NepOperator(terms=[(eye, mixed)])), [2.0])
+
+
+def test_nleigs_on_the_delay_problem_carries_no_pole_note():
+    op, _ = gen_delay(100)
+    sol = nleigs_solve(op, Settings(nev=2, tol=1e-8, target=1.0, region=Interval(-260.0, 50.0)))
+    assert sol.converged and "notes" not in sol.stats
 
 
 def test_auto_singularities_loaded_string():
@@ -734,6 +755,87 @@ def test_nleigs_region_filter_discards_outside():
     for p in sol.pairs:
         assert np.min(np.abs(roots - p.lam)) <= 1e-6 * abs(p.lam)
         assert -100.0 <= p.lam.real <= 50.0
+
+
+def _shift_and_inverse(n=100):
+    """T(lam) = A - lam I + lam^{-1} I with A = n tridiag(-1, 2, -1): a pole at 0."""
+    A = n * sp.diags([-np.ones(n - 1), 2 * np.ones(n), -np.ones(n - 1)], [-1, 0, 1], format="csr")
+    eye = sp.identity(n, format="csr")
+    terms = [(A, fn.constant(1.0)), (eye, fn.polynomial([-1.0, 0.0])), (eye, fn.rational([1.0], [1.0, 0.0]))]
+    return NepOperator(terms=terms)
+
+
+@pytest.mark.xfail(
+    strict=True,
+    reason="CHANGES.md FOUND: a singularity at exactly 0 makes _GreedySequence._step divide by the "
+    "pole (ROADMAP item 20)",
+)
+def test_nleigs_detects_a_pole_at_zero():
+    # SLP returns 16.1912, 18.7189 and 21.4237 on this problem
+    s = Settings(nev=3, tol=1e-8, target=20.0, region=Interval(5.0, 200.0))
+    sol = nleigs_solve(_shift_and_inverse(), s, singularities="auto")
+    assert sol.converged
+    np.testing.assert_allclose(np.sort(sol.eigenvalues.real), [16.191154, 18.718902, 21.423674], rtol=1e-6)
+
+
+# -- the shift loop ----------------------------------------------------------------------------
+
+
+def test_next_shift_is_the_midpoint_of_the_widest_gap():
+    iv = Interval(0.0, 10.0)
+    assert next_shift(iv, [], []) == 5.0
+    # a and b are covered: of the gaps (0, 1) and (1, 10) the second is wider
+    assert next_shift(iv, [1.0], []) == 5.5
+    assert next_shift(iv, [9.0], []) == 4.5
+    # eigenvalues and earlier shifts are covered, by their real parts
+    assert next_shift(iv, [1.0], [6.0, 7.0]) == 3.5
+    assert next_shift(iv, [1.0 + 0j, 3.5], [6.0, 7.0 + 1e-9j]) == 8.5
+    # a point outside [a, b] covers nothing inside it
+    assert next_shift(iv, [8.0], [-3.0, 12.0]) == 4.0
+
+
+def test_next_shift_leaves_a_2d_region_at_one_shift():
+    assert next_shift(Ellipse(0.0, 2.0, 1.0), [0.0], []) is None
+    assert next_shift(Rectangle(-1.0, 1.0, -1.0, 1.0), [0.0], [0.5]) is None
+
+
+def test_nleigs_2d_region_stops_after_one_shift():
+    # the ellipse holds two eigenvalues, -11.89 and -41.56: with nev 4 the
+    # run at the target finds both and no second shift follows
+    op, oracle = gen_delay(200)
+    sol = nleigs_solve(op, Settings(nev=4, tol=1e-8, target=1.0, region=Ellipse(-20.0, 35.0, 5.0)))
+    assert sol.stats["shifts"] == [1.0]
+    assert len(sol.pairs) == 2 and not sol.converged
+    np.testing.assert_allclose(sorted(p.lam.real for p in sol.pairs), sorted(oracle.nearest(-20.0, 2).real), rtol=1e-8)
+
+
+def test_nleigs_shift_that_adds_no_pair_ends_the_loop(monkeypatch):
+    # [-50, 50] holds two eigenvalues; the run at 1 finds both, the run at
+    # 25.5, the midpoint of the widest gap (1, 50), finds no new one, and the
+    # loop ends there, short of nev shifts; restarts and solves add up over
+    # both runs
+    import nepsolve.linalg as linalg_mod
+
+    solves, drivers = [], []
+    solve, driver_cls = linalg_mod._DirectSolver.solve, linalg_mod.KrylovSchurDriver
+
+    def counted(self, b, adjoint=False):
+        solves.append(adjoint)
+        return solve(self, b, adjoint=adjoint)
+
+    def recorded(engine, *args):
+        drivers.append(driver_cls(engine, *args))
+        return drivers[-1]
+
+    monkeypatch.setattr(linalg_mod._DirectSolver, "solve", counted)
+    monkeypatch.setattr(linalg_mod, "KrylovSchurDriver", recorded)
+    op, _ = gen_delay(200)
+    sol = nleigs_solve(op, Settings(nev=4, tol=1e-8, target=1.0, region=Interval(-50.0, 50.0)))
+    assert sol.stats["shifts"] == [1.0, 25.5]
+    assert len(sol.pairs) == 2 and not sol.converged
+    assert len(drivers) == 2
+    assert sol.stats["outer_iterations"] == sum(d.restarts for d in drivers)
+    assert sol.stats["linear_solves"] == len(solves)
 
 
 def test_nleigs_loaded_string_desk():
