@@ -57,36 +57,40 @@ class NepOperator:
     """T(lambda) in split form or through callbacks.
 
     Split form keeps the coefficient matrices, as one ``SplitSum``, and the
-    scalar functions; assembly, application and derivative evaluation are
-    weighted sums over the matrices, each A_i held once (``_as_csr``).
-    Callback form delegates to `t_fn(lam)` / `tprime_fn(lam)`, both
-    returning sparse matrices, taken through ``_as_csr`` too.  Instances are
-    immutable and safe to share.  Scalars follow the data: at a lam that is
-    not complex, real f_i(lam) give real coefficients, and real A_i then
-    give a real T(lam) and T'(lam).
+    scalar functions f_i, in their own tuple (``funcs``); assembly,
+    application and derivative evaluation are weighted sums over the
+    matrices, each A_i held once (``_as_csr``), a scaled identity as its one
+    scalar.  Every product with an A_i goes through the ``SplitSum``;
+    ``terms`` rebuilds the (A_i, f_i) pairs for outside callers, a scaled
+    identity's CSR on each access.  Callback form delegates to
+    `t_fn(lam)` / `tprime_fn(lam)`, both returning sparse matrices, taken
+    through ``_as_csr`` too.  Instances are immutable and safe to share.
+    Scalars follow the data: at a lam that is not complex, real f_i(lam)
+    give real coefficients, and real A_i then give a real T(lam) and T'(lam).
     """
 
     def __init__(self, *, terms=None, t_fn=None, tprime_fn=None, n=None):
         if (terms is None) == (t_fn is None):
             raise ValueError("provide either split terms or callbacks, not both")
         if terms is not None:
-            terms = [(_as_csr(A), f) for A, f in terms]
+            terms = list(terms)
             if not terms:
                 raise ValueError("split form requires at least one term")
-            n0 = terms[0][0].shape[0]
-            for A, _ in terms:
+            mats = [_as_csr(A) for A, _ in terms]
+            n0 = mats[0].shape[0]
+            for A in mats:
                 if A.shape != (n0, n0):
                     raise ValueError("all split matrices must be square with equal dimension")
-            self._terms = terms
-            self._sum = SplitSum([A for A, _ in terms])
+            self._sum = SplitSum(mats)
+            self._funcs = tuple(f for _, f in terms)
             self._n = n0
             self._t_fn = None
             self._tprime_fn = None
         else:
             if n is None:
                 raise ValueError("callback form requires the problem dimension n")
-            self._terms = None
             self._sum = None
+            self._funcs = ()
             self._n = int(n)
             self._t_fn = t_fn
             self._tprime_fn = tprime_fn
@@ -99,13 +103,19 @@ class NepOperator:
 
     @property
     def is_split(self) -> bool:
-        return self._terms is not None
+        return self._sum is not None
 
     @property
     def terms(self):
-        if self._terms is None:
+        """The (A_i, f_i) pairs, the A_i as CSR matrices (``SplitSum.mats``)."""
+        return list(zip(self.mats.mats, self._funcs))
+
+    @property
+    def funcs(self) -> tuple:
+        """The scalar functions f_i."""
+        if self._sum is None:
             raise NepError("operator is not in split form")
-        return self._terms
+        return self._funcs
 
     @property
     def mats(self) -> SplitSum:
@@ -116,16 +126,16 @@ class NepOperator:
 
     @property
     def nterms(self) -> int:
-        return len(self._terms) if self._terms is not None else 0
+        return len(self._funcs)
 
     # -- evaluation ----------------------------------------------------------
 
     def coefficients(self, lam: complex) -> np.ndarray:
-        c = np.array(values_at([f for _, f in self.terms], lam), dtype=complex)
+        c = np.array(values_at(self.funcs, lam), dtype=complex)
         return c if isinstance(lam, complex) or c.imag.any() else c.real
 
     def coefficients_deriv(self, lam: complex) -> np.ndarray:
-        dc = np.array(values_at([f for _, f in self.terms], lam, deriv=True), dtype=complex)
+        dc = np.array(values_at(self.funcs, lam, deriv=True), dtype=complex)
         return dc if isinstance(lam, complex) or dc.imag.any() else dc.real
 
     def assemble(self, lam: complex):

@@ -31,10 +31,13 @@ the identity would cancel, the blocks come from ``eval_phi`` and
 way, once per shift.
 
 Scalars follow the data, on one code path, as ``linalg``'s kernels do.  The
-operator holds each A_i once, in its own scalars, and ``AX``, A_i x1 and
-the projections are made by ``linalg.sparse_times``, with no complex copy
-of a real A_i.  A pair of real X and H keeps ``AX``, ``F`` and the
-coefficient stacks real, and ``project`` forms X^T x1.  An
+operator holds each A_i once, in its own scalars, a scaled identity c I as
+c alone, and every product with an A_i, ``AX``, A_i x1 and the
+projections, is made by its ``linalg.SplitSum`` (``products``,
+``adjoint_products``), with no complex copy of a real A_i.  The identity's
+block of ``AX`` is X itself and its product x1 itself, read-only.  A pair
+of real X and H keeps ``AX``, ``F`` and the coefficient stacks real, and
+``project`` forms X^T x1.  An
 ``ExtSolveContext`` with a real pair at a non-complex sigma where T(sigma)
 and T'(sigma) are real keeps U, T^{-1} U, S and M'(sigma) real.  A complex
 vector on real data is served, never cast down.  SLP passes real data while
@@ -52,7 +55,7 @@ from scipy.linalg.lapack import dtrtrs, ztrtrs
 
 from .core import NepError, NepOperator
 from .functions import ScalarFunction, augmented_block
-from .linalg import LinearSolverConfig, basis_times, lu_factor, make_linear_solver, sparse_times
+from .linalg import LinearSolverConfig, SplitSum, basis_times, lu_factor, make_linear_solver
 
 __all__ = [
     "InvariantPair",
@@ -97,11 +100,12 @@ class InvariantPair:
     X has unit columns, H is upper triangular (``extend`` builds it so) and
     p is the minimality index.  Per lock: ``h_diag`` and ``h_diag_max``
     (diag(H) and its largest modulus), ``AX`` (A_i X, n-by-k per split
-    term), ``F`` (f_i(H)), ``A_coef`` ((H^*)^i, i = 0..p, so
-    A(lam) = sum_i lam^i (H^*)^i X^*), ``B_coef`` (B_j = sum_{i=j+1..p}
-    (H^*)^i X^*X H^(i-j-1), j < p, so B(lam) = sum_j lam^j B_j) and
-    ``h_norms`` (max(||H^i||_F, 1), for ``minimality_scale``).  ``dtype``
-    holds the scalars of X and H (one type) and of the F_i.
+    term, X itself, read-only, for A_i = I), ``F`` (f_i(H)), ``A_coef``
+    ((H^*)^i, i = 0..p, so A(lam) = sum_i lam^i (H^*)^i X^*), ``B_coef``
+    (B_j = sum_{i=j+1..p} (H^*)^i X^*X H^(i-j-1), j < p, so B(lam) =
+    sum_j lam^j B_j) and ``h_norms`` (max(||H^i||_F, 1), for
+    ``minimality_scale``).  ``dtype`` holds the scalars of X and H (one
+    type) and of the F_i.
     """
 
     def __init__(self, X: np.ndarray, H: np.ndarray, p: int, op: Optional[NepOperator] = None):
@@ -124,8 +128,8 @@ class InvariantPair:
                 self.B_coef[j] += self.A_coef[i] @ XtX @ powers[i - j - 1]
         self.AX = self.F = None
         if op is not None and op.is_split and k:
-            self.AX = [sparse_times(A, self.X) for A, _ in op.terms]
-            self.F = [f.eval_matrix(self.H) for _, f in op.terms]
+            self.AX = op.mats.products(self.X)
+            self.F = [f.eval_matrix(self.H) for f in op.funcs]
         self.dtype = np.result_type(dtype, *(self.F or ()))
 
     @classmethod
@@ -213,8 +217,8 @@ class InvariantPair:
         lists (the second None without dc).
         """
         if self.near_spectrum(lam):
-            vals = [eval_phi(f, self.H, lam) @ Z for _, f in op.terms]
-            ders = None if dc is None else [eval_phi_deriv(f, self.H, lam) @ Z for _, f in op.terms]
+            vals = [eval_phi(f, self.H, lam) @ Z for f in op.funcs]
+            ders = None if dc is None else [eval_phi_deriv(f, self.H, lam) @ Z for f in op.funcs]
             return vals, ders
         W, W2 = self.resolvents(lam, Z, dc is not None)
         vals = [Fi @ W - ci * W for Fi, ci in zip(self.F, c)]
@@ -275,7 +279,7 @@ def _minimal(X: np.ndarray, H: np.ndarray, p: int) -> bool:
 
 class ExtVector:
     """An iterate [x1; x2] of the extended problem with its n-long products:
-    ``Az`` (A_i x1, one sparse product per term, in x1's scalars; None in
+    ``Az`` (A_i x1, one product per term, in x1's scalars; None in
     the callback form, which allows no locked pair) and ``s`` (X^* x1), made
     once and read by ``ext_apply``, ``ext_bilinear`` and the hunt's lock
     measure."""
@@ -286,7 +290,7 @@ class ExtVector:
         self.x2 = np.asarray(x2)
         if not op.is_split and pair.k:
             raise NepError("deflation requires the split form")
-        self.Az = [sparse_times(A, self.x1) for A, _ in op.terms] if op.is_split else None
+        self.Az = op.mats.products(self.x1) if op.is_split else None
         self.s = pair.project(self.x1)
 
 
@@ -366,9 +370,11 @@ class ExtSolveContext:
     and the LU of the k-by-k Schur complement
     S(sigma) = B(sigma) - A(sigma) T(sigma)^{-1} U(sigma); forward and
     adjoint solves both run on them.  ``apply_deriv`` applies M'(sigma) from
-    T'(sigma), the n-by-k U'(sigma) and the small derivative blocks, built on
-    its first call and kept.  ``dtype`` is float when the context maps real
-    vectors to real vectors (see the module docstring).
+    T'(sigma) (``SplitSum.collapse``: its one scalar where it is a scaled
+    identity, as on the delay problem), the n-by-k U'(sigma) and the small
+    derivative blocks, built on its first call and kept.  ``dtype`` is float
+    when the context maps real vectors to real vectors (see the module
+    docstring).
     """
 
     def __init__(self, pair: InvariantPair, op: NepOperator, sigma: complex, lin_cfg: Optional[LinearSolverConfig] = None):
@@ -379,7 +385,7 @@ class ExtSolveContext:
         self.solver = make_linear_solver(T, lin_cfg)
         k = pair.k
         self.k = k
-        phis = [eval_phi(f, pair.H, self.sigma) for _, f in op.terms] if k and op.is_split else []
+        phis = [eval_phi(f, pair.H, self.sigma) for f in op.funcs] if k and op.is_split else []
         real = T.dtype.kind == "f" and pair.dtype.kind == "f" and not np.iscomplexobj(op.coefficients_deriv(self.sigma))
         self.dtype = np.result_type(float if real else complex, *phis)
         self.TinvU = self.S_lu = self.A_sigma = None
@@ -407,9 +413,10 @@ class ExtSolveContext:
 
     @cached_property
     def _deriv(self):
-        """T'(sigma), U'(sigma) = sum_i A_i X phi_i'(sigma) and (A'(sigma), B'(sigma))."""
+        """T'(sigma) as a one-term ``SplitSum`` (its scalar where T'(sigma) is a scaled identity),
+        U'(sigma) = sum_i A_i X phi_i'(sigma) and (A'(sigma), B'(sigma))."""
         op, pair, sigma, k = self.op, self.pair, self.sigma, self.k
-        Tp = op.assemble_deriv(sigma)
+        Tp = op.mats.collapse(op.coefficients_deriv(sigma)) if op.is_split else SplitSum([op.assemble_deriv(sigma)])
         if not k:
             return Tp, None, None
         _, dphi = pair.coupling(op, sigma, np.eye(k), op.coefficients(sigma), op.coefficients_deriv(sigma))
@@ -419,7 +426,9 @@ class ExtSolveContext:
         """M'(sigma) [v1; v2] from the T'(sigma) and U'(sigma) built once; what
         ``ext_apply`` gives at sigma with ``deriv``, with no ``ExtVector``."""
         Tp, Up, dAB = self._deriv
-        y1 = sparse_times(Tp, v1)
+        (y1,) = Tp.products(v1)
+        if not y1.flags.writeable:  # T'(sigma) = I: the product is v1 itself
+            y1 = y1.copy()
         if self.k == 0:
             return y1, np.zeros(0, dtype=y1.dtype)
         y1 += Up @ v2
@@ -467,8 +476,8 @@ class ProjectionContext:
         self.op = op
         n, k = pair.n, pair.k
         self.V = np.zeros((n + k, 0), dtype=complex, order="F")
-        self.B = [np.zeros((0, 0), dtype=complex) for _ in op.terms]
-        self.C = [np.zeros((0, k), dtype=complex) for _ in op.terms]  # V1^* A_i X
+        self.B = [np.zeros((0, 0), dtype=complex) for _ in op.funcs]
+        self.C = [np.zeros((0, k), dtype=complex) for _ in op.funcs]  # V1^* A_i X
         self.E = np.zeros((k, 0), dtype=complex)  # X^* V1
         for v in np.asarray(V0, dtype=complex).T:
             self.append(v[:n], v[n:])
@@ -491,8 +500,7 @@ class ProjectionContext:
         newB = []
         # grow by one row and column: new column V1_old^* A v1, new row
         # (A^* v1)^* V1_old, so two sparse matvecs per term
-        for (A, _), AHv, B in zip(self.op.terms, self.op.mats.adjoint_products(v1), self.B):
-            Av = sparse_times(A, v1)
+        for Av, AHv, B in zip(self.op.mats.products(v1), self.op.mats.adjoint_products(v1), self.B):
             Bn = np.empty((m + 1, m + 1), dtype=complex)
             Bn[:m, :m] = B
             Bn[:m, m] = (Av.conj() @ V1).conj()
@@ -530,7 +538,7 @@ class ProjectionContext:
     def recompute_audit(self) -> float:
         """Max deviation of the incremental B_i from V1^* A_i V1 recomputed."""
         worst = 0.0
-        for (A, _), B in zip(self.op.terms, self.B):
-            ref = self.V1.conj().T @ sparse_times(A, self.V1)
+        for AV, B in zip(self.op.mats.products(self.V1), self.B):
+            ref = self.V1.conj().T @ AV
             worst = max(worst, float(np.max(np.abs(ref - B))) if B.size else 0.0)
         return worst

@@ -35,13 +35,15 @@ stored zeros included) with n >= 3 is factorized by LAPACK's tridiagonal LU,
 the route once per support, on the union pattern of its terms with nonzero
 weight, and hands a tridiagonal sum over as its three diagonals
 (``Tridiagonal``), with no CSR matrix: every T(sigma) and NLEIGS R(sigma) of
-the generated problems is of this kind.  A sparse matrix handed over as
-such, a callback operator's T(sigma) or a split sum on the SuperLU route, is
-scanned for its bandwidth at each factorization.
+the generated problems is of this kind.  A split sum on the SuperLU route
+goes over as a ``SuperLUMatrix``, its route decided.  Only a sparse matrix
+from outside, a callback operator's T(sigma), say, is scanned for its
+bandwidth at each factorization.
 """
 
 from __future__ import annotations
 
+import functools
 import warnings
 import weakref
 from dataclasses import dataclass
@@ -67,6 +69,7 @@ __all__ = [
     "IterativeResult",
     "inf_norm",
     "SplitSum",
+    "SuperLUMatrix",
     "FullBasisEngine",
     "ToarBasisEngine",
     "KrylovSchurDriver",
@@ -271,6 +274,21 @@ class Tridiagonal(NamedTuple):
         return (len(self.d), len(self.d))
 
 
+class SuperLUMatrix(NamedTuple):
+    """A sparse matrix handed to ``make_linear_solver`` with its direct route
+    decided: SuperLU, with no scan of its indices (``SplitSum.system``)."""
+
+    matrix: sp.csr_matrix
+
+    @property
+    def dtype(self) -> np.dtype:
+        return self.matrix.dtype
+
+    @property
+    def shape(self):
+        return self.matrix.shape
+
+
 def _tridiagonal_route(n: int, bandwidth: int) -> bool:
     """The direct route rule: ``?gttrf`` for a matrix whose stored entries all
     lie within ``bandwidth`` <= 1 of the main diagonal and n >= 3 (the
@@ -294,12 +312,13 @@ class _DirectSolver:
     ``_tridiagonal_route`` (its bandwidth found by one scan of its indices),
     get LAPACK's tridiagonal LU with partial pivoting, ``?gttrf``/``?gttrs``:
     no CSC copy, no fill-reducing ordering and no BLAS calls.  Every other
-    matrix, wider bands and n <= 2, goes to SuperLU.  Both routes factor a
-    real matrix in real arithmetic (``dgttrf``, real SuperLU) and a complex
-    one in complex arithmetic; a complex right-hand side on a real factor is
-    solved as its real and imaginary parts, two columns of one solve.  An
-    exactly zero pivot raises ``SingularMatrixError`` at construction, and so
-    does a solve whose result has non-finite entries.
+    matrix, wider bands and n <= 2, goes to SuperLU, and a ``SuperLUMatrix``
+    goes there unscanned.  Both routes factor a real matrix in real
+    arithmetic (``dgttrf``, real SuperLU) and a complex one in complex
+    arithmetic; a complex right-hand side on a real factor is solved as its
+    real and imaginary parts, two columns of one solve.  An exactly zero
+    pivot raises ``SingularMatrixError`` at construction, and so does a solve
+    whose result has non-finite entries.
     """
 
     def __init__(self, A):
@@ -307,7 +326,9 @@ class _DirectSolver:
         self.n = A.shape[0]
         self._tri = self._lu = None
         self.dtype = np.result_type(A.dtype, np.float64)
-        if not isinstance(A, Tridiagonal) and _tridiagonal_route(self.n, _bandwidth(A)):
+        if isinstance(A, SuperLUMatrix):
+            A = A.matrix
+        elif not isinstance(A, Tridiagonal) and _tridiagonal_route(self.n, _bandwidth(A)):
             A = Tridiagonal(*(A.diagonal(k) for k in (-1, 0, 1)))
         if isinstance(A, Tridiagonal):
             gttrf, self._gttrs, self._adjoint = (
@@ -375,7 +396,7 @@ class _IterativeSolver:
 
 def make_linear_solver(A, cfg: Optional[LinearSolverConfig] = None):
     """A solver of A x = b and A^* x = b under cfg: A is a sparse matrix, or
-    under the direct mode also a ``Tridiagonal``."""
+    under the direct mode also a ``Tridiagonal`` or a ``SuperLUMatrix``."""
     cfg = cfg or LinearSolverConfig()
     if cfg.mode == "direct":
         return _DirectSolver(A)
@@ -435,13 +456,64 @@ def inf_norm(A) -> float:
 
 class _SumPlan(NamedTuple):
     """What every sum over one support shares: the union pattern (``indptr``,
-    ``indices``, read-only), the map of each term's entries into it (None
-    where a term's pattern is the union) and the direct route of its sums."""
+    ``indices``, read-only; None where the support holds scaled identities
+    alone and its sums are one value), where each term's entries go in it
+    (None where a term's pattern is the union, else an index map or, for a
+    scaled identity, the diagonal slots, a slice where they are evenly
+    spaced) and the direct route of its sums."""
 
-    indptr: np.ndarray
-    indices: np.ndarray
+    indptr: Optional[np.ndarray]
+    indices: Optional[np.ndarray]
     positions: list
     tridiagonal: bool
+
+
+def _identity_scalar(M) -> Optional[np.ndarray]:
+    """[c] where M is a CSR matrix that stores exactly its n diagonal entries, all equal to c; else None."""
+    n = M.shape[0]
+    if M.format != "csr" or M.nnz != n or not n:
+        return None
+    steps = np.arange(n + 1, dtype=M.indptr.dtype)
+    if not (np.array_equal(M.indptr, steps) and np.array_equal(M.indices, steps[:-1])):
+        return None
+    return M.data[:1].copy() if np.all(M.data == M.data[0]) else None
+
+
+def _identity_csr(c: np.ndarray, n: int):
+    """c I as a canonical CSR matrix, for ``[c]``."""
+    steps = np.arange(n + 1, dtype=np.int32)
+    return sp.csr_matrix((np.repeat(c, n), steps[:-1], steps), shape=(n, n))
+
+
+def _scalar_times(c: np.ndarray, v: np.ndarray) -> np.ndarray:
+    """c v for ``[c]``, as the product of the CSR matrix c I makes it, 0 + c v_i, bitwise
+    up to the sign of a zero: a real c in the scalars of v, a complex c by scipy's complex
+    product (re = c_r v_r - c_i v_i, im = c_r v_i + c_i v_r), which numpy's would round
+    differently.  A real c = 1 hands out v itself, read-only."""
+    c = c[0]
+    if c.dtype.kind == "f":
+        if c != 1 or np.result_type(v, c) != v.dtype:
+            return c * v
+        v = v.view()
+        v.flags.writeable = False
+        return v
+    v = np.asarray(v, dtype=complex)
+    out = np.empty(v.shape, dtype=complex)
+    out.real = c.real * v.real - c.imag * v.imag
+    out.imag = c.real * v.imag + c.imag * v.real
+    return out
+
+
+def _times(term):
+    """v -> M v for a held term: a sparse M, or the scalar [c] of c I."""
+    return functools.partial(sparse_times if sp.issparse(term) else _scalar_times, term)
+
+
+def _adjoint_times(term):
+    """v -> M^* v with no copy of M: M^T v for a real M, conj(M^T conj(v)) for a
+    complex one, bitwise the products of a CSR copy of M^*; conj(c) v for c I alike."""
+    times = _times(term.T if sp.issparse(term) else term)  # a CSC view of M's own arrays
+    return times if term.dtype.kind == "f" else lambda v: np.conj(times(np.conj(v)))
 
 
 class SplitSum:
@@ -450,105 +522,167 @@ class SplitSum:
     One kernel for every split-form sum: T(lambda) over its coefficient
     matrices, a Chebyshev interpolant over its coefficients and a rational
     interpolant over its divided differences.  Sums run in the order of the
-    matrices.  Each M_i is held once, in its own scalars, and ``dtype`` is
-    the scalar type of the lot: sums and products follow the scalars of w,
-    v and the M_i, with no complex copy of a real M_i (``sparse_times``).
-    The transposes M_i^T, CSC views of the M_i's own arrays, the norms
-    ||M_i||_inf and each support's ``_SumPlan`` (its sum pattern and direct
-    route) are built on first use and kept.
+    matrices.  Each M_i is held once, in its own scalars and in the least
+    storage: an M_i whose CSR holds exactly its n diagonal entries, all equal
+    to c, is held as c alone, as PETSc's ``MATCONSTANTDIAGONAL``; its product
+    is c v (v itself, read-only, for c = 1), its adjoint product conj(c) v,
+    its norm |c|, and a sum adds w_i c into the diagonal slots of the pattern.
+    Every other M_i is held as its canonical CSR.  ``dtype`` is the scalar
+    type of the lot: sums and products follow the scalars of w, v and the
+    M_i, with no complex copy of a real M_i (``sparse_times``); every result
+    is bitwise what the CSR matrices give, up to the sign of a zero.  The
+    adjoint products' transposes M_i^T (CSC views of the M_i's own arrays),
+    the norms ||M_i||_inf and each support's ``_SumPlan`` (its sum pattern
+    and direct route; no index arrays for scaled identities alone) are built
+    on first use and kept.  Every product with the M_i is made here
+    (``products``, ``adjoint_products``, ``apply``, ``combine``); ``mats``
+    builds the CSR matrices for outside callers.
     """
 
     def __init__(self, mats):
-        self.mats = list(mats)
-        self.n = self.mats[0].shape[0]
-        self.dtype = np.result_type(*(M.dtype for M in self.mats), np.float64)
-        self._transposes = None
-        self._norms = None
+        mats = list(mats)
+        self.n = mats[0].shape[0]
+        scalars = [_identity_scalar(M) for M in mats]
+        self._hold([M if c is None else c for M, c in zip(mats, scalars)])
+
+    @classmethod
+    def _of(cls, n: int, held) -> "SplitSum":
+        out = cls.__new__(cls)
+        out.n = n
+        out._hold(held)
+        return out
+
+    def _hold(self, held) -> None:
+        """Hold each term as given: a canonical CSR matrix, or the [c] of c I."""
+        self._held = held
+        self.dtype = np.result_type(*(h.dtype for h in held), np.float64)
+        self._times = [_times(h) for h in held]
+        self._adjoint_times = self._norms = None
         self._patterns = {}
+
+    def subset(self, keys) -> "SplitSum":
+        """The sum over the M_k, k in keys, holding the same matrices and scalars."""
+        return SplitSum._of(self.n, [self._held[k] for k in keys])
+
+    @property
+    def mats(self) -> list:
+        """The M_i as CSR matrices: the held ones, and a scaled identity's built on each access."""
+        return [h if sp.issparse(h) else _identity_csr(h, self.n) for h in self._held]
 
     def _plan(self, support) -> _SumPlan:
         """The support's plan: the union pattern of its M_i, SLEPc's known nonzero pattern, as an
         M_i's own arrays where it is that M_i's pattern, read-only as every sum shares them, with a
-        map of each other M_i's entries into it, and ``_tridiagonal_route`` on its bandwidth."""
+        map of each other M_i's entries into it, and ``_tridiagonal_route`` on its bandwidth.  The
+        scaled identities share the diagonal slots, a strided slice on a tridiagonal pattern; over
+        scaled identities alone the plan holds no index arrays."""
         if support not in self._patterns:
-            mats = [self.mats[k] for k in support]
+            terms = [self._held[k] for k in support]
+            mats = [M for M in terms if sp.issparse(M)]
             if not all(M.has_canonical_format for M in mats):
                 raise ValueError("SplitSum assembles canonical CSR matrices only")
-            keys = [(M.indptr.tobytes(), M.indices.tobytes()) for M in mats]
+            if terms and not mats:
+                self._patterns[support] = _SumPlan(None, None, [slice(None)] * len(terms), _tridiagonal_route(self.n, 0))
+                return self._patterns[support]
+            key = lambda M: (M.indptr.tobytes(), M.indices.tobytes())  # noqa: E731
             # a bool copy of each distinct pattern, so M_i of equal patterns share one position map
-            ones = {k: sp.csr_matrix((np.ones(M.nnz, bool), M.indices, M.indptr), M.shape) for k, M in zip(keys, mats)}
-            first, *rest = [*ones.values()] or [sp.csr_matrix((self.n, self.n), dtype=bool)]
+            ones = {key(M): sp.csr_matrix((np.ones(M.nnz, bool), M.indices, M.indptr), M.shape) for M in mats}
+            eye = [sp.identity(self.n, dtype=bool, format="csr")] if len(mats) < len(terms) else []
+            first, *rest = [*ones.values(), *eye] or [sp.csr_matrix((self.n, self.n), dtype=bool)]
             union = sum(rest, first)
             owner = next((M for M in mats if M.nnz == union.nnz), union)
             indptr, indices = owner.indptr.view(), owner.indices.view()
             indptr.flags.writeable = indices.flags.writeable = False
             rank = sp.csr_matrix((np.arange(1, union.nnz + 1), union.indices, union.indptr), union.shape)
             maps = {k: None if E.nnz == union.nnz else rank.multiply(E).data - 1 for k, E in ones.items()}
+            diagonal = [_slots(rank.multiply(E).data - 1) for E in eye]
+            positions = [maps[key(M)] if sp.issparse(M) else diagonal[0] for M in terms]
             # the columns are sorted: a row's first and last entries bound its |i - j|
             rows = np.flatnonzero(np.diff(indptr))
             first, last = indices[indptr[rows]], indices[indptr[rows + 1] - 1]
             bandwidth = int(np.max(np.maximum(rows - first, last - rows), initial=0))
-            self._patterns[support] = _SumPlan(
-                indptr, indices, [maps[k] for k in keys], _tridiagonal_route(self.n, bandwidth)
-            )
+            self._patterns[support] = _SumPlan(indptr, indices, positions, _tridiagonal_route(self.n, bandwidth))
         return self._patterns[support]
 
     def _sum(self, w):
-        """The plan of w's support and the data of sum_i w_i M_i on its pattern."""
+        """The plan of w's support and the data of sum_i w_i M_i on its pattern: one value over
+        scaled identities alone."""
         w = np.asarray(w)
         support = tuple(np.flatnonzero(w).tolist())
         plan = self._plan(support)
-        data = np.zeros(len(plan.indices), dtype=np.result_type(w, self.dtype))
+        data = np.zeros(1 if plan.indices is None else len(plan.indices), dtype=np.result_type(w, self.dtype))
         for k, pos in zip(support, plan.positions):
             # M.data * w_k as scipy's scalar product makes it: w_k * M.data can differ in the last bit
-            if pos is None:
-                data += self.mats[k].data * w[k]
+            term = self._held[k]
+            if not sp.issparse(term):
+                data[pos] += term * w[k]
+            elif pos is None:
+                data += term.data * w[k]
             else:
-                np.add.at(data, pos, self.mats[k].data * w[k])
+                np.add.at(data, pos, term.data * w[k])
         return plan, data
+
+    def _csr(self, plan, data):
+        if plan.indices is None:
+            return _identity_csr(data, self.n)
+        return sp.csr_matrix((data, plan.indices, plan.indptr), shape=(self.n, self.n))
 
     def assemble(self, w):
         """sum_i w_i M_i (canonical CSR M_i) as a CSR matrix on the union pattern of the M_i with
-        w_i != 0, built once per such support (``_plan``).  One scaled add per term into zeros, in
-        the order of the matrices, is bitwise scipy's sparse sum but for signed zeros; a cancelled
-        entry stays, an exact zero."""
+        w_i != 0, built once per such support (``_plan``); over scaled identities alone, on a
+        diagonal pattern built per call.  One scaled add per term into zeros, in the order of the
+        matrices, is bitwise scipy's sparse sum but for signed zeros; a cancelled entry stays, an
+        exact zero."""
+        return self._csr(*self._sum(w))
+
+    def collapse(self, w) -> "SplitSum":
+        """sum_i w_i M_i as a one-term ``SplitSum``: over scaled identities alone, their summed
+        scalar, with no matrix; else the matrix of ``assemble``.  Its product is bitwise that of
+        the assembled matrix, up to the sign of a zero."""
         plan, data = self._sum(w)
-        return sp.csr_matrix((data, plan.indices, plan.indptr), shape=(self.n, self.n))
+        return SplitSum._of(self.n, [data if plan.indices is None else self._csr(plan, data)])
 
     def system(self, w, cfg: Optional[LinearSolverConfig] = None):
-        """sum_i w_i M_i as ``make_linear_solver`` takes it under cfg: on the direct ``?gttrf`` route
-        of its support, its ``Tridiagonal`` diagonals, the very entries ``assemble`` stores; else the
-        CSR matrix of ``assemble``.  On the full tridiagonal pattern, 3n - 2 entries in canonical
-        CSR, the diagonal, super- and subdiagonal entries take turns, so the diagonals are strided
-        views of the summed data; a partial band (an identity-only support, say) is read out of
-        its CSR matrix diagonal by diagonal."""
+        """sum_i w_i M_i as ``make_linear_solver`` takes it under cfg, its direct route read from its
+        support's plan: on the ``?gttrf`` route, its ``Tridiagonal`` diagonals, the very entries
+        ``assemble`` stores; on SuperLU's, its CSR matrix as a ``SuperLUMatrix``; under an
+        iterative cfg, the CSR matrix of ``assemble``.  On the full tridiagonal pattern, 3n - 2
+        entries in canonical CSR, the diagonal, super- and subdiagonal entries take turns, so the
+        diagonals are strided views of the summed data; a partial band (an identity-only support,
+        say) is read out of its CSR matrix diagonal by diagonal."""
         plan, data = self._sum(w)
-        tridiagonal = plan.tridiagonal and (cfg is None or cfg.mode == "direct")
-        if tridiagonal and data.size == 3 * self.n - 2:
+        direct = cfg is None or cfg.mode == "direct"
+        if direct and plan.tridiagonal and data.size == 3 * self.n - 2:
             return Tridiagonal(data[2::3], data[0::3], data[1::3])
-        A = sp.csr_matrix((data, plan.indices, plan.indptr), shape=(self.n, self.n))
-        return Tridiagonal(*(A.diagonal(k) for k in (-1, 0, 1))) if tridiagonal else A
+        A = self._csr(plan, data)
+        if not direct:
+            return A
+        return Tridiagonal(*(A.diagonal(k) for k in (-1, 0, 1))) if plan.tridiagonal else SuperLUMatrix(A)
+
+    def products(self, v: np.ndarray) -> List[np.ndarray]:
+        """[M_i v], one product per term in the scalars of its inputs; for a real c = 1, v itself, read-only."""
+        return [times(v) for times in self._times]
 
     def apply(self, w, v: np.ndarray) -> np.ndarray:
         """(sum_i w_i M_i) v without assembling the sum, in the scalars of its inputs."""
         out = np.zeros(self.n, dtype=np.result_type(np.asarray(w), v, self.dtype))
-        for wi, M in zip(w, self.mats):
-            out += wi * sparse_times(M, v)
+        for wi, times in zip(w, self._times):
+            out += wi * times(v)
         return out
 
     def combine(self, rows: np.ndarray) -> np.ndarray:
         """sum_i M_i rows[i], one product per matrix, summed in their order."""
-        out = sparse_times(self.mats[0], rows[0]).astype(np.result_type(rows, self.dtype), copy=False)
-        for M, r in zip(self.mats[1:], rows[1:]):
-            out += sparse_times(M, r)
+        out = self._times[0](rows[0])
+        out = out.astype(np.result_type(rows, self.dtype), copy=not out.flags.writeable)
+        for times, r in zip(self._times[1:], rows[1:]):
+            out += times(r)
         return out
 
     def adjoint_products(self, v: np.ndarray) -> List[np.ndarray]:
         """[M_i^* v] with no copy of M_i: M_i^T v for a real M_i, conj(M_i^T conj(v))
         for a complex one, bitwise the products of CSR copies of the M_i^*."""
-        if self._transposes is None:
-            self._transposes = [M.T for M in self.mats]
-        return [sparse_times(MT, v) if MT.dtype.kind == "f" else np.conj(MT @ np.conj(v)) for MT in self._transposes]
+        if self._adjoint_times is None:
+            self._adjoint_times = [_adjoint_times(h) for h in self._held]
+        return [times(v) for times in self._adjoint_times]
 
     def apply_adjoint(self, w, v: np.ndarray) -> np.ndarray:
         """(sum_i w_i M_i)^* v."""
@@ -560,8 +694,17 @@ class SplitSum:
     def scale(self, w) -> float:
         """sum_i |w_i| ||M_i||_inf, the residual scaling of the sum."""
         if self._norms is None:
-            self._norms = [inf_norm(M) for M in self.mats]
+            self._norms = [inf_norm(h) if sp.issparse(h) else float(np.abs(h)[0]) for h in self._held]
         return float(sum(abs(wi) * nrm for wi, nrm in zip(w, self._norms)))
+
+
+def _slots(pos: np.ndarray):
+    """An index map as the slice it is where it is evenly spaced (the diagonal of a tridiagonal
+    or diagonal pattern), else the map itself."""
+    step = int(pos[1] - pos[0]) if pos.size > 1 else 1
+    if step > 0 and np.array_equal(pos, pos[0] + step * np.arange(pos.size)):
+        return slice(int(pos[0]), int(pos[-1]) + 1, step)
+    return pos
 
 
 # -- Krylov-Schur ----------------------------------------------------------------

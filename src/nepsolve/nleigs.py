@@ -261,7 +261,7 @@ def auto_singularities(op: NepOperator) -> np.ndarray:
     if not op.is_split:
         raise UnsupportedPoleDetection("pole detection requires the split form")
     poles: List[complex] = []
-    for _, f in op.terms:
+    for f in op.funcs:
         poles.extend(_poles_of(f))
     merged: List[complex] = []
     for z in poles:
@@ -317,7 +317,7 @@ class RationalInterpolant:
             W = np.vstack([coeffs[:, : d - 1].T, coeffs[:, d][None, :] / self.seq.betas[d]])
             used = np.flatnonzero(np.any(W != 0, axis=0))
             inv_xi = part(np.array([self.seq.inv_pole(j) for j in range(d + 1)], dtype=complex))
-            self._shift_data[real] = (inv_xi, coeffs, W[:, used], SplitSum([self.mats.mats[k] for k in used]))
+            self._shift_data[real] = (inv_xi, coeffs, W[:, used], self.mats.subset(used))
         return self._shift_data[real]
 
     def b_values(self, lam: complex) -> np.ndarray:
@@ -396,7 +396,7 @@ def divided_differences(
         for j in range(d_max + 1):
             seq.grow(j)
             M = _bidiagonal_quotient(seq, j + 1)
-            for i, (_, f) in enumerate(op.terms):
+            for i, f in enumerate(op.funcs):
                 F = f.eval_matrix(M)
                 coeffs[i, j] = beta0 * F[j, 0]
             delta = np.max(np.abs(coeffs[:, j]))

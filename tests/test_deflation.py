@@ -547,7 +547,7 @@ def test_context_apply_deriv_equals_ext_apply_at_its_shift(problem, k):
             assert g.shape == w.shape
             assert np.linalg.norm(g - w) <= 1e-13 * max(1.0, np.linalg.norm(w))
     # the terms of weight 0 in T'(sigma) leave no explicit zeros behind
-    Tp = ctx._deriv[0]
+    (Tp,) = ctx._deriv[0].mats
     assert Tp.nnz == np.count_nonzero(Tp.toarray())
 
 

@@ -17,6 +17,7 @@ from nepsolve.linalg import (
     LinearSolverConfig,
     SingularMatrixError,
     SplitSum,
+    SuperLUMatrix,
     Tridiagonal,
     compress_columns,
     gen_eig_smallest,
@@ -674,11 +675,110 @@ def test_other_split_sums_still_reach_superlu(case, splu_calls):
         mats = [laplacian(9), sp.diags([0.2, 0.1], [-2, 2], shape=(9, 9), format="csr")]
     ss = SplitSum(mats)
     A = ss.system([1.0, 0.5])
-    assert sp.issparse(A) and A.format == "csr"
+    assert isinstance(A, SuperLUMatrix) and A.matrix.format == "csr"
     b = np.arange(1.0, A.shape[0] + 1)
     solver = make_linear_solver(A)
     assert np.array_equal(solver.solve(b), make_linear_solver(ss.assemble([1.0, 0.5])).solve(b))
     assert len(splu_calls) == 2
+
+
+def test_a_split_sum_on_the_superlu_route_is_factored_unscanned(monkeypatch):
+    # the support's plan holds the route: no factorization rescans the sum's
+    # indices for its bandwidth, and each solves as the scanned CSR sum does
+    import nepsolve.linalg as linalg_mod
+
+    n = 2000
+    ss = SplitSum([laplacian(n), sp.diags([0.2, 0.1], [-2, 2], shape=(n, n), format="csr")])
+    ws = [np.array([1.0, 0.5]), np.array([2.0, -1.0]), np.array([1.0 + 0.5j, 0.25])]
+    b = np.arange(1.0, n + 1)
+    want = [make_linear_solver(ss.assemble(w)).solve(b) for w in ws]
+    scans = []
+    scan = linalg_mod._bandwidth
+    monkeypatch.setattr(linalg_mod, "_bandwidth", lambda A: scans.append(A.shape) or scan(A))
+    got = [make_linear_solver(ss.system(w)).solve(b) for w in ws]
+    assert scans == [] and all(np.array_equal(g, r) for g, r in zip(got, want))
+
+
+def identity_csr(c, n):
+    return sp.csr_matrix((np.full(n, c), np.arange(n), np.arange(n + 1)), shape=(n, n))
+
+
+def held_as_csr(mats):
+    """A SplitSum that holds every M_i as its CSR matrix, scaled identities
+    too: the CSR computation that the scalar path must reproduce."""
+    kernel = SplitSum(mats)
+    kernel._hold(list(mats))
+    return kernel
+
+
+@st.composite
+def scaled_identity_sums(draw):
+    """Split sums of scaled identities c I (c real, complex or 1) among CSR
+    terms of random or tridiagonal pattern, real or complex; real or complex
+    weights, some exactly 0; and real and complex vectors and blocks."""
+    n, ell = draw(st.sampled_from([1, 2, 3, 40])), draw(st.integers(1, 4))
+    value = st.floats(-4.0, 4.0, allow_subnormal=False).filter(bool)
+    scalar = st.one_of(st.just(1.0), value, st.builds(complex, value, value))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    band = np.abs(np.subtract.outer(np.arange(n), np.arange(n)))
+    mats = []
+    for _ in range(ell):
+        kind = draw(st.sampled_from(["identity", "identity", "tridiagonal", "random"]))
+        if kind == "identity":
+            mats.append(identity_csr(draw(scalar), n))
+            continue
+        entries = rng.standard_normal((n, n)) + (1j * rng.standard_normal((n, n)) if draw(st.booleans()) else 0.0)
+        mask = band <= 1 if kind == "tridiagonal" else rng.random((n, n)) < 0.3
+        mats.append(sp.csr_matrix(np.where(mask, entries, 0.0)))
+    weight = st.one_of(st.just(0.0), value, st.builds(complex, value, value))
+    w = np.array(draw(st.lists(weight, min_size=ell, max_size=ell)))
+    v = rng.standard_normal(n) + (1j * rng.standard_normal(n) if draw(st.booleans()) else 0.0)
+    V = np.asfortranarray(rng.standard_normal((n, 3)) + (1j * rng.standard_normal((n, 3)) if draw(st.booleans()) else 0.0))
+    return mats, w, v, V
+
+
+def same(got, want) -> bool:
+    if isinstance(want, (Tridiagonal, SuperLUMatrix, list)):
+        return type(got) is type(want) and len(got) == len(want) and all(same(g, r) for g, r in zip(got, want))
+    if sp.issparse(want):
+        return all(np.array_equal(getattr(got, k), getattr(want, k)) for k in ("data", "indices", "indptr"))
+    return got.dtype == want.dtype and np.array_equal(got, want)
+
+
+@settings(max_examples=150, deadline=None)
+@given(scaled_identity_sums())
+def test_scaled_identities_held_as_scalars_compute_what_their_csr_matrices_do(case):
+    mats, w, v, V = case
+    kernel, ref = SplitSum(mats), held_as_csr(mats)
+    scaled = [M.nnz == M.shape[0] and np.array_equal(M.toarray(), M.data[0] * np.eye(M.shape[0])) for M in mats]
+    assert [not sp.issparse(h) for h in kernel._held] == scaled
+    assert kernel.dtype == ref.dtype
+    rows = np.array([v * (i + 1) for i in range(len(mats))])
+    for x in (v, V):
+        assert same(kernel.products(x), ref.products(x))
+        assert same(kernel.adjoint_products(x), ref.adjoint_products(x))
+    assert same(kernel.combine(rows), ref.combine(rows))
+    assert same(kernel.apply(w, v), ref.apply(w, v)) and same(kernel.apply_adjoint(w, v), ref.apply_adjoint(w, v))
+    got, want = kernel.assemble(w), ref.assemble(w)
+    assert got.has_canonical_format and same(got, want)
+    for cfg in (None, LinearSolverConfig(mode="gmres")):
+        assert same(kernel.system(w, cfg), ref.system(w, cfg))
+    assert kernel.scale(w) == ref.scale(w)
+
+
+@pytest.mark.parametrize("case", ["unequal-diagonal", "stored-zero", "missing-diagonal"])
+def test_matrices_that_are_not_a_scaled_identity_stay_csr(case):
+    n = 5
+    if case == "unequal-diagonal":
+        M = sp.diags([np.r_[2.0, 2.0, 2.0, 2.0, 2.5]], [0], format="csr")
+    elif case == "stored-zero":
+        M = sp.csr_matrix((np.r_[2.0, 0.0, 2.0, 2.0, 2.0, 2.0], [0, 1, 1, 2, 3, 4], [0, 2, 3, 4, 5, 6]), shape=(n, n))
+    else:
+        M = sp.csr_matrix((np.full(n - 1, 2.0), np.arange(n - 1), np.r_[np.arange(n), n - 1]), shape=(n, n))
+    kernel = SplitSum([M, identity_csr(3.0, n)])
+    assert kernel._held[0] is M and not sp.issparse(kernel._held[1])
+    v = np.arange(1.0, n + 1)
+    assert np.array_equal(kernel.products(v)[0], M @ v)
 
 
 @pytest.mark.parametrize("mode", ["gmres", "bicgstab"])

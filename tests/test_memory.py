@@ -1,6 +1,7 @@
-"""Memory of the split form: each A_i is held once, canonical and in its own
-scalars, NLEIGS's and interpol's traced peaks stay under measured bounds and
-NLEIGS's basis is freed when the solve returns."""
+"""Memory of the split form: each A_i is held once, in its own scalars and in
+the least storage (a scaled identity as its scalar), NLEIGS's and
+interpol's traced peaks stay under measured bounds and NLEIGS's basis is
+freed when the solve returns."""
 
 import gc
 import tracemalloc
@@ -8,8 +9,10 @@ import weakref
 
 import numpy as np
 import pytest
+import scipy.sparse as sp
 
 from nepsolve.core import Interval, Settings
+from nepsolve.deflation import InvariantPair
 from nepsolve import nleigs
 from nepsolve.interpol import interpol_solve
 from nepsolve.nleigs import nleigs_solve
@@ -32,10 +35,22 @@ SHIFT_PEAK_BOUND_MIB = 1.4
 
 @pytest.mark.parametrize("make", [gen_delay, gen_loaded_string], ids=["delay", "loaded_string"])
 def test_generated_matrices_are_held_once_real_and_canonical(make):
+    # a scaled identity is held as its one scalar, with no index arrays; every
+    # other A_i as its canonical real CSR
     op, _ = make(50)
-    assert all(M is A for M, (A, _) in zip(op.mats.mats, op.terms))
-    for M in op.mats.mats:
+    held = op.mats._held
+    scalars = [h for h in held if not sp.issparse(h)]
+    assert [float(c[0]) for c in scalars] == ([1.0, -2.0] if make is gen_delay else [])
+    assert all(type(c) is np.ndarray and c.shape == (1,) and c.dtype == np.float64 for c in scalars)
+    for M in (h for h in held if sp.issparse(h)):
         assert M.dtype == np.float64 and M.has_canonical_format
+    assert [M is h for M, h in zip(op.mats.mats, held)] == [sp.issparse(h) for h in held]
+    # the identity term's block of a locked pair is X itself, read-only
+    X = np.linalg.qr(np.random.default_rng(1).standard_normal((50, 2)))[0]
+    pair = InvariantPair(X, np.diag([0.5, 2.0]), 1, op=op)
+    for c, blk in zip(held, pair.AX):
+        aliased = not sp.issparse(c) and c[0] == 1.0
+        assert np.shares_memory(blk, pair.X) == aliased and blk.flags.writeable != aliased
 
 
 def test_nleigs_peak_memory_on_the_delay_problem():
@@ -49,14 +64,16 @@ def test_nleigs_peak_memory_on_the_delay_problem():
         tracemalloc.stop()
     assert sol.converged and sol.stats["scalars"] == "real"
     assert peak <= NLEIGS_PEAK_BOUND_MIB * 2**20
-    # the pattern cache, built in the solve above, maps into the union only
-    # the entries of a matrix whose pattern is not the union: the identities
-    maps = {}
+    # the pattern cache, built in the solve above, holds no position map: the
+    # tridiagonal term's pattern is the union, and the scaled identities add
+    # into its diagonal slots, every third entry of the tridiagonal pattern,
+    # or into the one value of a sum over them alone, which has no pattern
     for support, plan in op.mats._patterns.items():
         for k, pos in zip(support, plan.positions):
-            assert (pos is None) == (op.mats.mats[k].nnz == plan.indices.size)
-            maps.update({} if pos is None else {id(pos): pos.size})
-    assert 0 < sum(maps.values()) <= 2 * op.n
+            if sp.issparse(op.mats._held[k]):
+                assert pos is None
+            else:
+                assert pos == (slice(None) if plan.indices is None else slice(0, 3 * op.n - 2, 3))
 
 
 def test_shift_invert_context_peak_memory_on_the_delay_problem():

@@ -11,7 +11,7 @@ from nepsolve import deflation, newton
 from nepsolve import functions as fn
 from nepsolve.core import Interval, NepOperator, Settings, backward_error
 from nepsolve.deflation import ExtSolveContext, ExtVector, InvariantPair, ext_apply
-from nepsolve.linalg import LinearSolverConfig, sparse_times
+from nepsolve.linalg import LinearSolverConfig
 from nepsolve.narnoldi import narnoldi_solve
 from nepsolve.newton import (
     LOCK_FLOOR,
@@ -149,21 +149,6 @@ def test_scalar_newton_matches_the_two_solve_form_with_one_adjoint_solve():
     assert kinds == [True] * 2 and ctx.solve_count == before + 2
 
 
-class _CountedMatrix:
-    """A coefficient matrix that records the shape of each vector or block it
-    multiplies.  It reports complex scalars, so that ``sparse_times`` hands
-    it every operand as it is, and makes the product by ``sparse_times``."""
-
-    dtype = np.dtype(complex)
-
-    def __init__(self, A, log):
-        self.A, self.log = A, log
-
-    def __matmul__(self, v):
-        self.log.append(v.shape)
-        return sparse_times(self.A, v)
-
-
 @pytest.mark.parametrize("max_inner", [1, 2, 50])
 def test_scalar_newton_makes_one_product_per_term_and_one_adjoint_solve(max_inner):
     # the n-long products are made once, by the ExtVector, whatever the
@@ -175,7 +160,7 @@ def test_scalar_newton_makes_one_product_per_term_and_one_adjoint_solve(max_inne
     solve = ctx.solver.solve
     ctx.solver.solve = lambda b, adjoint=False: kinds.append(adjoint) or solve(b, adjoint=adjoint)
     products, steps = [], []
-    op._terms = [(_CountedMatrix(A, products), f) for A, f in op.terms]
+    count_products(op, products)
     coefficients = op.coefficients
     op.coefficients = lambda lam: steps.append(lam) or coefficients(lam)
     x = np.random.default_rng(5).standard_normal(42) + 0j
@@ -187,9 +172,11 @@ def test_scalar_newton_makes_one_product_per_term_and_one_adjoint_solve(max_inne
 
 def count_products(op, log):
     """Record in ``log`` the shape of each product of op's coefficient
-    matrices, through ``op.terms`` and ``op.mats`` (``SplitSum.apply``)."""
-    op._terms = [(_CountedMatrix(A, log), f) for A, f in op.terms]
-    op.mats.apply = lambda w, v, apply=op.mats.apply: log.extend([v.shape] * len(w)) or apply(w, v)
+    matrices, one per term of each ``SplitSum.products`` and ``SplitSum.apply``
+    call, the two ways SLP and RII multiply by the A_i."""
+    ss = op.mats
+    ss.products = lambda v, products=ss.products: log.extend([v.shape] * op.nterms) or products(v)
+    ss.apply = lambda w, v, apply=ss.apply: log.extend([v.shape] * len(w)) or apply(w, v)
 
 
 PRODUCT_CASES = {
