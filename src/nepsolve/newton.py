@@ -11,8 +11,9 @@ again (Effenberger, SIMAX 2013).
 ``iterate`` gives the eigenvalue and vector, the loop measures their lock
 measure eta (``_hunt_eta``) and locks, restarts or goes on undeflated, and
 the solver's ``advance`` makes the next iterate.  An iterate whose eta is
-below tol is polished on (RII at a shift moved to its eigenvalue once the
-polish starts); the best iterate seen is locked when eta <= 1e-14
+below tol is polished on (SLP by one Newton step per outer step in place of
+its Krylov-Schur pencil solve, RII at a shift moved to its eigenvalue once
+the polish starts); the best iterate seen is locked when eta <= 1e-14
 (``LOCK_FLOOR``), after two steps in a row (``STALL_PERSIST``) that gain
 less than 5% (``STALL_FACTOR``), or after 80 polish steps (``POLISH_MAX``).
 Eigenvalues within 1e3 * tol relative are taken as one: an iterate below
@@ -279,6 +280,22 @@ class _Search:
         raise NotImplementedError
 
 
+def _newton_step(solve_ext, apply_deriv, xt):
+    """(mu, u / ||u||), u = M(lam)^{-1} M'(lam) xt and mu = xt^H xt / xt^H u:
+    one step of nonlinear inverse iteration (Ruhe, SIAM J. Numer. Anal. 1973)
+    with one solve; None when xt^H u is zero or not finite, or u is not finite."""
+    try:
+        u = solve_ext(apply_deriv(xt))
+    except np.linalg.LinAlgError:  # the linear solvers refuse a non-finite solution
+        return None
+    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+        mu = np.vdot(xt, xt) / np.vdot(xt, u)
+        nrm = np.linalg.norm(u)
+    if not (np.isfinite(mu) and np.isfinite(nrm)):
+        return None
+    return mu, u / nrm
+
+
 class _SLP(_Search):
     def advance(self, eta, r1, r2):
         n, lam = self.n, self.lam
@@ -295,12 +312,15 @@ class _SLP(_Search):
         def solve_ext(b):
             return np.concatenate(ctx.solve(*b))
 
-        step_tol = max(1e-13, min(1e-9, self.tol / 10, 1e-2 * eta))
         v0 = self.xt.astype(np.result_type(self.dtype, ctx.dtype), copy=False)
-        try:
-            mu, xt = gen_eig_smallest(solve_ext, apply_deriv, v0=v0, tol=step_tol)
-        except np.linalg.LinAlgError as exc:
-            raise NepError("inner eigensolver failed in SLP") from exc
+        step = _newton_step(solve_ext, apply_deriv, v0) if eta < self.tol else None
+        if step is None:
+            step_tol = max(1e-13, min(1e-9, self.tol / 10, 1e-2 * eta))
+            try:
+                step = gen_eig_smallest(solve_ext, apply_deriv, v0=v0, tol=step_tol)
+            except np.linalg.LinAlgError as exc:
+                raise NepError("inner eigensolver failed in SLP") from exc
+        mu, xt = step
         self.lam, self.xt, self.dtype = lam - mu, xt, xt.dtype
         return not _runaway(self.lam, xt, self.settings.target)
 
@@ -314,11 +334,15 @@ def slp_solve(
 ) -> EigenSolution:
     """Successive linear problems.
 
-    Starting from the target, each step solves the linear pencil
-    T(lam) z = mu T'(lam) z for its smallest-magnitude eigenvalue and applies
-    the correction lam <- lam - mu, warm-starting the inner Arnoldi iteration
-    with the current eigenvector.  Per step, T(lam) is factorized and T'(lam)
-    with its deflation blocks is built once (``ExtSolveContext.apply_deriv``).
+    Starting from the target, each hunt step (eta >= tol) solves the linear
+    pencil T(lam) z = mu T'(lam) z for its smallest-magnitude eigenvalue by
+    Krylov-Schur, warm-started with the current eigenvector, and applies the
+    correction lam <- lam - mu.  Each polish step (eta < tol) takes one
+    Newton step in its place, with one solve (``_newton_step``): mu is then
+    about lam - lam*, far below every other eigenvalue of the pencil.  A
+    degenerate Newton step takes the pencil step.  Per step, T(lam) is
+    factorized and T'(lam) with its deflation blocks is built once
+    (``ExtSolveContext.apply_deriv``).
     It runs in real arithmetic while every A_i, the target and f_i(lam) at
     each iterate are real; a non-real iterate, Ritz value or locked
     eigenvalue makes the rest complex (``stats["scalars"]``).

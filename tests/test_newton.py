@@ -412,6 +412,35 @@ def test_rii_polish_reaches_the_oracle_eigenvalues():
         assert abs(_string_oracle_nearest(oracle, lam.real) - lam) <= 1e-9 * abs(lam)
 
 
+@functools.cache
+def _delay_roots(n):
+    return gen_delay(n, tau=0.001, b=-2.0)[1].roots()
+
+
+@pytest.mark.parametrize(
+    "problem, n, target, kw",
+    [
+        *[("delay", n, target, {}) for n in (200, 1000) for target in (1.0, -50.0, 1.0 + 5.0j)],
+        ("string", 100, 10.0, {}),
+        ("string", 100, 300.0, {}),
+        ("delay", 200, 1.0, {"deflation_threshold": 1e-4}),
+    ],
+)
+def test_slp_polish_reaches_the_oracle_eigenvalues(problem, n, target, kw):
+    # SLP's polish steps are Newton steps: each pair it locks lies on an
+    # oracle eigenvalue, in real arithmetic on real data and target
+    if problem == "delay":
+        op, _ = gen_delay(n, tau=0.001, b=-2.0)
+        sol, ref = slp_solve(op, Settings(nev=4, tol=1e-8, target=target), **kw), _delay_roots(n)
+    else:
+        op, oracle = gen_loaded_string(n)
+        sol, ref = slp_solve(op, Settings(nev=3, tol=1e-8, target=target), **kw), oracle.all_eigenvalues()
+    assert sol.converged
+    assert sol.stats["scalars"] == ("complex" if complex(target).imag else "real")
+    for lam in sol.eigenvalues:
+        assert np.min(np.abs(ref - lam)) <= 1e-10 * abs(lam)
+
+
 def _delay_nearest_five():
     op, oracle = gen_delay(1000, tau=0.001, b=-2.0)
     want = oracle.nearest(1.0, 5)
@@ -457,7 +486,77 @@ def test_slp_delay_steps_at_blas_threads(threads):
         "sol = slp_solve(op, Settings(nev=5, tol=1e-6, target=1.0))\n"
         "print(sol.converged, sol.stats['outer_iterations'], sol.stats['linear_solves'])\n"
     )
-    assert run_at_blas_threads(threads, script).split() == ["True", "15", "156"]
+    assert run_at_blas_threads(threads, script).split() == ["True", "15", "101"]
+
+
+def _record_slp_steps(monkeypatch):
+    """Per SLP ``advance``: (eta, Krylov-Schur passes, k, the step context's solves)."""
+    steps, passes = [], []
+    pencil = newton.gen_eig_smallest
+    monkeypatch.setattr(newton, "gen_eig_smallest", lambda *a, **kw: passes.append(1) or pencil(*a, **kw))
+    advance = newton._SLP.advance
+
+    def recorded(self, eta, r1, r2):
+        before = len(passes)
+        ok = advance(self, eta, r1, r2)
+        steps.append((eta, len(passes) - before, self.ctx.k, self.ctx.solve_count))
+        return ok
+
+    monkeypatch.setattr(newton._SLP, "advance", recorded)
+    return steps
+
+
+def test_slp_polish_step_makes_no_krylov_schur_pass(monkeypatch):
+    # a hunt step (eta >= tol) solves the pencil by one Krylov-Schur pass; a
+    # polish step takes one Newton step: k solves for T(sigma)^{-1} U(sigma)
+    # and one for M(lam)^{-1} M'(lam) [x; t]
+    steps = _record_slp_steps(monkeypatch)
+    op, _ = gen_delay(1000, tau=0.001, b=-2.0)
+    tol = 1e-6
+    assert slp_solve(op, Settings(nev=5, tol=tol, target=1.0)).converged
+    hunt = [s for s in steps if s[0] >= tol]
+    polish = [s for s in steps if s[0] < tol]
+    assert hunt and polish
+    assert all(passes == 1 for _eta, passes, _k, _solves in hunt)
+    assert all(passes == 0 and solves == k + 1 for _eta, passes, k, solves in polish)
+
+
+@pytest.mark.parametrize("fault", ["nan", "zero"])
+def test_slp_degenerate_newton_step_takes_the_pencil_step(fault, monkeypatch):
+    # M'(lam) [x; t] made non-finite or zero outside the pencil solve: u is
+    # not finite or x^H u = 0, and each polish step takes the pencil step,
+    # with no restart, at the steps and solves of a pencil-only SLP plus the
+    # one solve of each refused Newton step
+    depth = []
+    pencil = newton.gen_eig_smallest
+
+    def counted_pencil(*args, **kwargs):
+        depth.append(1)
+        try:
+            return pencil(*args, **kwargs)
+        finally:
+            depth.pop()
+
+    apply_deriv = ExtSolveContext.apply_deriv
+
+    def faulty(self, v1, v2):
+        y1, y2 = apply_deriv(self, v1, v2)
+        if depth:
+            return y1, y2
+        bad = np.nan if fault == "nan" else 0.0
+        return np.full_like(y1, bad), np.full_like(y2, bad)
+
+    monkeypatch.setattr(newton, "gen_eig_smallest", counted_pencil)
+    monkeypatch.setattr(ExtSolveContext, "apply_deriv", faulty)
+    steps = _record_slp_steps(monkeypatch)
+    sol = _delay(100, slp_solve, Settings(nev=4, tol=1e-8, target=1.0))
+    monkeypatch.undo()
+    polish = [s for s in steps if s[0] < 1e-8]
+    assert polish and all(passes == 1 for _eta, passes, _k, _solves in steps)
+    assert sol.converged and sol.stats["restarts"] == 0
+    assert (sol.stats["outer_iterations"], sol.stats["linear_solves"]) == (13, 127 + len(polish))
+    ref = _step_case("slp-delay100")
+    assert np.allclose(sol.eigenvalues, ref.eigenvalues, rtol=1e-10, atol=0)
 
 
 def test_slp_runs_in_the_scalars_of_its_data():
@@ -516,7 +615,7 @@ def _string(solver, **kw):
 
 
 STEP_CASES = {
-    "slp-delay100": (lambda: _delay(100, slp_solve, Settings(nev=4, tol=1e-8, target=1.0)), (13, 127, 0)),
+    "slp-delay100": (lambda: _delay(100, slp_solve, Settings(nev=4, tol=1e-8, target=1.0)), (13, 105, 0)),
     "rii-delay100": (lambda: _delay(100, rii_solve, Settings(nev=4, tol=1e-8, target=1.0)), (109, 222, 4)),
     "rii-delay40-threshold": (
         lambda: _delay(40, rii_solve, Settings(nev=2, tol=1e-10, target=1.0), deflation_threshold=1e-4),
