@@ -6,9 +6,10 @@ Gram-Schmidt, small wrappers around the iterative linear solvers and one
 kernel for split-form sums sum_i w_i M_i of sparse matrices.  One
 Krylov-Schur driver with restart and locking runs every Krylov eigensolve:
 NLEIGS and interpol on the compact basis of their one linearization
-(``ToarBasisEngine``), through one Ritz-to-eigenpair rule
-(``ShiftInvertRun``), and SLP's inner linear eigenproblem through
-``gen_eig_smallest``.
+(``ToarBasisEngine``), and SLP's inner linear eigenproblem through
+``gen_eig_smallest``.  The kernels know no region, solver setting or
+eigenvalue map: a solver passes its rules to the driver as callables
+(NLEIGS's Ritz-to-eigenpair rule lives in ``nleigs``).
 
 Scalars follow the data: the Krylov kernels (``orthogonalize``,
 ``compress_columns``, the basis engines, ``SplitSum``'s applies, direct and
@@ -45,7 +46,6 @@ from __future__ import annotations
 
 import functools
 import warnings
-import weakref
 from dataclasses import dataclass
 from typing import List, NamedTuple, Optional
 
@@ -73,7 +73,6 @@ __all__ = [
     "FullBasisEngine",
     "ToarBasisEngine",
     "KrylovSchurDriver",
-    "ShiftInvertRun",
     "gen_eig_smallest",
 ]
 
@@ -828,9 +827,6 @@ class FullBasisEngine:
     def ritz_first_block(self, y: np.ndarray, m: int) -> np.ndarray:
         return basis_times(self.V[: self.n, :m], y)
 
-    def ritz_full(self, y: np.ndarray, m: int) -> np.ndarray:
-        return basis_times(self.V[:, :m], y)
-
 
 class ToarBasisEngine:
     """Compact representation V_k = (I_d (x) U) G_k of the Krylov basis.
@@ -943,17 +939,19 @@ class KrylovSchurDriver:
     """The Krylov-Schur restart/locking loop of every Krylov eigensolve.
 
     NLEIGS runs it on the compact (TOAR) or the full basis engine and
-    interpol on the compact one, both through ``ShiftInvertRun``; SLP's inner
-    linear eigenproblem runs it through ``gen_eig_smallest``, on the full basis.
+    interpol on the compact one, both from ``nleigs``; SLP's inner linear
+    eigenproblem runs it through ``gen_eig_smallest``, on the full basis.
 
-    Convergence of a Ritz pair is judged either by the relative residual of
-    the linear operator or, when ``pair_test`` is set, by a caller-supplied
-    test on the extracted pair (the backward error of the original problem).
+    Convergence of a Ritz pair is judged by the relative residual of the
+    linear operator or, for a wanted pair with residual at most 1e-2 that it
+    does not pass, by ``pair_test(theta, y, m)``, which returns
+    ``(passed, eta)``: the caller's test on the pair read out (NLEIGS's
+    backward error of the original problem) and the error it measured.
     ``wanted_filter(theta, res)`` receives the Ritz values with their
     residuals, so a caller can judge membership of a Ritz value no more
-    finely than its own error.  The Ritz data of H and their verdicts are
-    computed once and kept until H changes, so ``extract`` after ``run``
-    runs no pair test again.
+    finely than its own error.  The Ritz data of H and their verdicts, with
+    the eta of each tested pair, are computed once and kept until H changes,
+    so the pair test runs at most once per pair and H.
     A restart counts an unwanted Ritz value within COPY_RTOL of one of
     ``known_junk`` (say, an interpolant's pole images) as converged junk,
     whatever its residual.
@@ -964,14 +962,16 @@ class KrylovSchurDriver:
     ``extract`` read each Ritz pair out by ``ritz_pair``: real where H is.
     """
 
-    def __init__(self, engine, ncv: int, tol: float, sort_key, wanted_filter=None, rng=None, known_junk=()):
+    def __init__(
+        self, engine, ncv: int, tol: float, sort_key, wanted_filter=None, rng=None, known_junk=(), pair_test=None
+    ):
         self.engine = engine
         self.ncv = ncv
         self.tol = tol
         self.sort_key = sort_key
         self.wanted_filter = wanted_filter
         self.known_junk = known_junk
-        self.pair_test = None
+        self.pair_test = pair_test
         self.rng = rng or np.random.default_rng(0)
         self.H = np.zeros((ncv + 2, ncv + 1), dtype=engine.dtype)
         self.m = 0
@@ -979,7 +979,7 @@ class KrylovSchurDriver:
         self.restarts = 0
         self.exhausted = False
         self.ritz_history: List[np.ndarray] = []
-        self._cycle = None  # (theta, pairs, res, wanted, conv) of the current H
+        self._cycle = None  # (theta, pairs, res, wanted, conv, etas) of the current H
 
     def _ritz(self):
         m = self.m
@@ -1006,18 +1006,20 @@ class KrylovSchurDriver:
         return np.lexsort((self.sort_key(theta), ~wanted))
 
     def _verdicts(self):
-        """Ritz values, pairs (``ritz_pair``) and residuals of H, which are wanted and converged."""
+        """Ritz values, pairs (``ritz_pair``), residuals, wanted and converged flags and etas of H."""
         if self._cycle is None:
             theta, Y, res = self._ritz()
             pairs = [self.ritz_pair(t, y, self.H.dtype.kind == "f") for t, y in zip(theta, Y.T)]
             wanted = self._wanted(theta, res)
             conv = res <= self.tol * np.maximum(np.abs(theta), np.finfo(float).eps)
+            etas = [None] * len(theta)
             if self.pair_test is not None:
                 for i in range(len(theta)):
                     if conv[i] or not wanted[i] or res[i] > 1e-2:
                         continue
-                    conv[i] = bool(self.pair_test(*pairs[i], self.m))
-            self._cycle = (theta, pairs, res, wanted, conv)
+                    passed, etas[i] = self.pair_test(*pairs[i], self.m)
+                    conv[i] = bool(passed)
+            self._cycle = (theta, pairs, res, wanted, conv, etas)
         return self._cycle
 
     def run(self, min_converged: int, max_restarts: int):
@@ -1037,7 +1039,7 @@ class KrylovSchurDriver:
                 else:
                     self.H[j + 1, j] = beta
                 self.m += 1
-            theta, _pairs, res, wanted, conv = self._verdicts()
+            theta, _pairs, res, wanted, conv, _etas = self._verdicts()
             order = self._order(theta, wanted)
             self.ritz_history.append((theta[order], res[order]))
             count = int(np.sum(conv & wanted))
@@ -1072,91 +1074,21 @@ class KrylovSchurDriver:
             self.restarts += 1
 
     def extract(self):
-        """Ritz tuples (theta, y, residual, ok) in wanted order.
+        """Ritz tuples (theta, y, residual, ok, eta) in wanted order.
 
         ``ok`` marks exactly the pairs that the converged count includes:
-        converged and accepted by the wanted filter.
+        converged and accepted by the wanted filter.  ``eta`` is the pair
+        test's, None for a pair never tested; with a pair test, every ok
+        pair has one (a pair converged by its residual is tested here).
         """
-        theta, pairs, res, wanted, conv = self._verdicts()
+        theta, pairs, res, wanted, conv, etas = self._verdicts()
         ok = conv & wanted
-        return [(*pairs[i], res[i], bool(ok[i])) for i in self._order(theta, wanted)]
-
-
-class ShiftInvertRun:
-    """Eigenpairs of a problem from a Krylov-Schur run on its shift-and-invert operator.
-
-    The one Ritz-to-eigenpair rule of NLEIGS (TOAR and full basis) and of
-    interpol, at each shift of their loop.  A Ritz value theta maps to the eigenvalue
-    ``to_lam(theta)`` (vectorized, once per call of the driver's key or
-    filter); the driver ranks Ritz values by
-    ``settings.sort_key()`` of their eigenvalues and iterates to the inner
-    tolerance max(1e-14, 0.01 tol).  Region test: lam, known only to about
-    the Ritz error res/|theta|^2, is wanted when it is finite and
-    ``settings.region.contains(lam, imag_tol=max(1e-8 max(1, |lam|),
-    res/|theta|^2))``.  A pair is tested
-    and returned at lam, or at Re lam, a float, when ``settings.region`` is
-    an ``Interval`` (interval regions carry real spectra).  Pair test, when
-    ``pair_eta(lam, x)`` is given: the first block of the Ritz vector,
-    normalized, has ``pair_eta`` <= tol at that point; each (restart, m,
-    theta) is evaluated once.  ``harvest`` returns ``(lam, x, eta)`` for the
-    pairs the converged count includes whose eta is at most tol: a pair
-    converged by its Ritz residual alone was never pair-tested.
-    """
-
-    def __init__(self, engine, ncv: int, settings, to_lam, rng, *, pair_eta=None, known_junk=()):
-        from .core import Interval  # core imports this module
-
-        real = isinstance(settings.region, Interval)
-        self.tol = tol = settings.tol
-        lam_key = settings.sort_key()
-        contains = settings.region.contains
-        etas = {}
-        inner_tol = max(1e-14, 0.01 * settings.tol)
-
-        # the driver's callables hold it weakly and the run not at all: a cycle
-        # would keep the basis allocated until the cyclic collector runs
-        def key(thetas):
-            with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-                return lam_key(to_lam(thetas))
-
-        def wanted(thetas, res):
-            with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-                lams = to_lam(thetas)
-                imag_tols = np.maximum(1e-8 * np.maximum(1.0, np.abs(lams)), res / np.abs(thetas) ** 2)
-            return [bool(np.isfinite(lam)) and contains(lam, imag_tol=t) for lam, t in zip(lams, imag_tols)]
-
-        def point(theta) -> complex:
-            """The eigenvalue that theta's pair is tested and returned at."""
-            lam = to_lam(theta)
-            return float(lam.real) if real else complex(lam)
-
-        def pair(theta, y, m):
-            driver = driver_ref()
-            x = driver.engine.ritz_first_block(y, m)
-            nx = np.linalg.norm(x)
-            if nx == 0 or not np.isfinite(nx):
-                return x, np.inf
-            x = x / nx
-            seen = (driver.restarts, m, theta)
-            if seen not in etas:
-                etas[seen] = pair_eta(point(theta), x)
-            return x, etas[seen]
-
-        self.driver = KrylovSchurDriver(engine, ncv, inner_tol, key, wanted, rng, known_junk)
-        driver_ref = weakref.ref(self.driver)
-        self.point, self._pair = point, pair
-        if pair_eta is not None:
-            self.driver.pair_test = lambda theta, y, m: pair(theta, y, m)[1] <= tol
-
-    def harvest(self):
-        """``(lam, x, eta)`` of the converged wanted pairs with eta <= tol, in wanted order."""
-        out = []
-        for theta, y, _res, ok in self.driver.extract():
-            if ok:
-                x, eta = self._pair(theta, y, self.driver.m)
-                if eta <= self.tol:
-                    out.append((self.point(theta), x, eta))
-        return out
+        order = self._order(theta, wanted)
+        if self.pair_test is not None:
+            for i in order:
+                if ok[i] and etas[i] is None:
+                    etas[i] = self.pair_test(*pairs[i], self.m)[1]
+        return [(*pairs[i], res[i], bool(ok[i]), etas[i]) for i in order]
 
 
 def gen_eig_smallest(solve_A, apply_B, v0: np.ndarray, tol: float = 1e-10):
@@ -1182,9 +1114,9 @@ def gen_eig_smallest(solve_A, apply_B, v0: np.ndarray, tol: float = 1e-10):
     engine = FullBasisEngine(lambda v: solve_A(apply_B(v)), v0[None, :], ncv, np.result_type(v0, np.float64))
     driver = KrylovSchurDriver(engine, ncv, tol, lambda t: -np.abs(t), dominant)
     driver.run(1, 60)
-    theta, y, _res, _ok = driver.extract()[0]
+    theta, y, *_ = driver.extract()[0]
     if theta == 0:
         raise SingularMatrixError("Arnoldi produced a zero Ritz value")
-    x = engine.ritz_full(y, driver.m)
+    x = engine.ritz_first_block(y, driver.m)
     nrm = np.linalg.norm(x)
     return 1.0 / theta, x / nrm if nrm else x

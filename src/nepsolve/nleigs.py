@@ -9,16 +9,18 @@ a single factorization of R_d(sigma).  The linear problem is solved with
 Krylov-Schur, either on explicitly stored vectors of length d*n (full basis)
 or on a compact tensor representation V_k = (I_d (x) U) G_k of the same basis
 (the default, ``linalg.ToarBasisEngine``), and its Ritz pairs are read back
-as eigenpairs by ``linalg.ShiftInvertRun``.  The run starts at the target;
-on an interval, while fewer than nev pairs are found and the last shift
-added one, it repeats on the same interpolant at the midpoint of the widest
-gap between the interval's ends, the shifts and the eigenvalues found
-(``next_shift``), at most nev shifts in all.  The two-sided variant takes
-each left eigenvector from adjoint inverse iteration at its eigenvalue lam:
-R_d(lam) is factored, and the first block of (A - lam B)^{-*} v, for a
-random v, is the left eigenvector.  interpol is this solver with Chebyshev
-nodes and every pole at infinity: it builds its interpolant with
-``divided_differences`` and solves it by ``shift_invert_pairs``.
+as eigenpairs by the rule of ``_krylov_schur_pairs``, which hands the
+Krylov-Schur driver its region filter and pair test.  The run starts at the
+target; on an interval, while fewer than nev pairs are found and the last
+shift added one, it repeats on the same interpolant at the midpoint of the
+widest gap between the interval's ends, the shifts and the eigenvalues found
+(``next_shift``), at most nev shifts and ``max_it`` restarts in all.  The
+two-sided variant takes each left eigenvector from adjoint inverse iteration
+at its eigenvalue lam: R_d(lam) is factored, and the first block of
+(A - lam B)^{-*} v, for a random v, is the left eigenvector.  interpol is
+this solver with Chebyshev nodes and every pole at infinity: it builds its
+interpolant with ``divided_differences`` and solves it by
+``shift_invert_pairs``.
 
 The compact expansion costs O(n mu) plus one sparse solve per step, mu being
 the number of columns of U.  The block recurrence runs on the d x mu
@@ -65,8 +67,8 @@ from .core import (
 from .functions import ScalarFunction
 from .linalg import (
     FullBasisEngine,
+    KrylovSchurDriver,
     LinearSolverConfig,
-    ShiftInvertRun,
     SingularMatrixError,
     SplitSum,
     ToarBasisEngine,
@@ -620,12 +622,21 @@ def next_shift(region, shifts, lams) -> Optional[float]:
     return float(0.5 * (covered[i] + covered[i + 1]))
 
 
-def _krylov_schur_pairs(ctx: ShiftInvertContext, settings: Settings, pair_eta, rng, full_basis, known_junk):
-    """One Krylov-Schur run at ctx's shift: its distinct pairs, restarts and
-    Ritz history (``KrylovSchurDriver.ritz_history``).
+def _krylov_schur_pairs(
+    ctx: ShiftInvertContext, settings: Settings, pair_eta, rng, full_basis, known_junk, max_restarts: int
+):
+    """One Krylov-Schur run at ctx's shift, of at most ``max_restarts``
+    restarts: its distinct pairs, restarts and Ritz history
+    (``KrylovSchurDriver.ritz_history``).
 
-    While fewer than nev pairs pass and the run may go on, it goes on
-    wanting as many more converged Ritz pairs as are missing.
+    The Ritz-to-eigenpair rule of NLEIGS and interpol: the region rule of
+    ``nleigs_solve`` as the driver's wanted filter, Ritz values ranked by
+    ``settings.sort_key()`` of their lam, the inner tolerance
+    max(1e-14, 0.01 tol), and as pair test ``pair_eta`` <= tol on the
+    normalized first block of the Ritz vector.  The pairs returned are those
+    the converged count includes whose eta is at most tol.  While fewer than
+    nev pairs pass and the run may go on, it goes on wanting as many more
+    converged Ritz pairs as are missing.
     """
     d, n, sigma = ctx.d, ctx.n, ctx.sigma
     ncv = min(settings.ncv_effective, d * n - 1)
@@ -634,17 +645,49 @@ def _krylov_schur_pairs(ctx: ShiftInvertContext, settings: Settings, pair_eta, r
         engine = FullBasisEngine(ctx.apply, _start_blocks(ctx), ncv, ctx.dtype)
     else:
         engine = ToarBasisEngine(ctx, _start_blocks(ctx), ncv)
+    real = isinstance(settings.region, Interval)
+    tol, lam_key, contains = settings.tol, settings.sort_key(), settings.region.contains
     to_lam = lambda thetas: sigma + 1.0 / thetas
-    run = ShiftInvertRun(engine, ncv, settings, to_lam, rng, pair_eta=pair_eta, known_junk=known_junk)
-    driver = run.driver
-    max_restarts = settings.max_it_effective
+
+    # the driver's callables hold the engine, never the driver: a cycle would
+    # keep the basis allocated until the cyclic collector runs
+    def key(thetas):
+        with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+            return lam_key(to_lam(thetas))
+
+    def wanted(thetas, res):
+        with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+            lams = to_lam(thetas)
+            imag_tols = np.maximum(1e-8 * np.maximum(1.0, np.abs(lams)), res / np.abs(thetas) ** 2)
+        return [bool(np.isfinite(lam)) and contains(lam, imag_tol=t) for lam, t in zip(lams, imag_tols)]
+
+    def point(theta) -> complex:
+        """The eigenvalue that theta's pair is tested and returned at."""
+        lam = to_lam(theta)
+        return float(lam.real) if real else complex(lam)
+
+    def first_block(y, m):
+        """The first block of the Ritz vector, normalized; None where its norm is 0 or not finite."""
+        x = engine.ritz_first_block(y, m)
+        nx = np.linalg.norm(x)
+        return x / nx if nx != 0 and np.isfinite(nx) else None
+
+    def pair_test(theta, y, m):
+        x = first_block(y, m)
+        eta = np.inf if x is None else pair_eta(point(theta), x)
+        return eta <= tol, eta
+
+    driver = KrylovSchurDriver(engine, ncv, max(1e-14, 0.01 * tol), key, wanted, rng, known_junk, pair_test=pair_test)
     want = settings.nev
     while True:
         count = driver.run(want, max_restarts)
-        pairs = distinct_pairs([EigenPair(*pair) for pair in run.harvest()])
-        if len(pairs) >= settings.nev:
-            break
-        if driver.restarts >= max_restarts or driver.exhausted or count < want:
+        found = [
+            EigenPair(point(theta), first_block(y, driver.m), eta)
+            for theta, y, _res, ok, eta in driver.extract()
+            if ok and eta <= tol
+        ]
+        pairs = distinct_pairs(found)
+        if len(pairs) >= settings.nev or driver.restarts >= max_restarts or driver.exhausted or count < want:
             break
         want += settings.nev - len(pairs)
     return pairs, driver.restarts, driver.ritz_history
@@ -654,27 +697,30 @@ def shift_invert_pairs(
     ri: RationalInterpolant, settings: Settings, pair_eta, *, lin_cfg=None, full_basis=False, poles=()
 ):
     """The region's pairs of ``ri``'s linearization, from Krylov-Schur runs
-    at one shift after another, each read back by ``linalg.ShiftInvertRun``
+    at one shift after another, each read back by ``_krylov_schur_pairs``
     with ``pair_eta`` as its pair test.
 
     The first shift is the target (``shift_invert_context``).  While fewer
-    than nev distinct pairs are found, and the last shift added at least
-    one, R_d is factored at ``next_shift`` and the run repeats there, at
-    most nev shifts in all; the pairs merge through ``distinct_pairs``,
-    earlier ones first.  A run at sigma counts a Ritz value near the image
-    1/(xi - sigma) of one of ``poles`` as converged junk.  Returns
-    ``(pairs, stats, rng)``: ``stats`` sums the restarts
-    (``outer_iterations``) and ``linear_solves`` over the shifts and lists
-    them in ``shifts``; every run draws from the one generator ``rng``.
+    than nev distinct pairs are found, the last shift added at least one and
+    restarts are left, R_d is factored at ``next_shift`` and the run repeats
+    there, at most nev shifts in all; ``settings.max_it`` caps the restarts
+    of the whole loop, each run getting those still left.  The pairs merge
+    through ``distinct_pairs``, earlier ones first.  A run at sigma counts a
+    Ritz value near the image 1/(xi - sigma) of one of ``poles`` as
+    converged junk.  Returns ``(pairs, stats, rng)``: ``stats`` sums the
+    restarts (``outer_iterations``) and ``linear_solves`` over the shifts
+    and lists them in ``shifts``; every run draws from the one generator
+    ``rng``.
     """
     rng = np.random.default_rng(settings.seed)
     poles = np.asarray(poles, dtype=complex)
     stats = {"outer_iterations": 0, "linear_solves": 0, "shifts": [], "ritz_history": []}
-    pairs, real, sigma = [], True, settings.target
+    pairs, real, sigma, budget = [], True, settings.target, settings.max_it_effective
     while sigma is not None:
         ctx = shift_invert_context(ri, sigma, lin_cfg)
         known_junk = 1.0 / (poles[poles != ctx.sigma] - ctx.sigma)
-        found, restarts, history = _krylov_schur_pairs(ctx, settings, pair_eta, rng, full_basis, known_junk)
+        left = budget - stats["outer_iterations"]
+        found, restarts, history = _krylov_schur_pairs(ctx, settings, pair_eta, rng, full_basis, known_junk, left)
         stats["shifts"].append(ctx.sigma)
         stats["outer_iterations"] += restarts
         stats["linear_solves"] += ctx.solve_count
@@ -682,7 +728,8 @@ def shift_invert_pairs(
         real = real and ctx.real
         del ctx  # no shift's factorization is made while an earlier one is held
         merged = distinct_pairs(pairs + found)
-        if len(merged) >= settings.nev or len(merged) == len(pairs) or len(stats["shifts"]) >= settings.nev:
+        done = len(merged) >= settings.nev or len(merged) == len(pairs) or len(stats["shifts"]) >= settings.nev
+        if done or restarts >= left:
             sigma = None
         else:
             sigma = next_shift(settings.region, stats["shifts"], [p.lam for p in merged])
@@ -734,7 +781,7 @@ def nleigs_solve(
     pair whose y never meets tol keeps y None and the solve notes it.
     Two-sided runs use the full basis.
 
-    Region rule (``linalg.ShiftInvertRun``, shared with interpol): while
+    Region rule (``_krylov_schur_pairs``, shared with interpol): while
     iterating, a Ritz value theta with residual res maps to
     lam = sigma + 1/theta, which is known only to about res/|theta|^2.  It
     counts as inside an ``Interval`` when Re lam lies in [a, b] and

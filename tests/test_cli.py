@@ -147,6 +147,16 @@ def test_shift_loop_solvers_report_their_shift_count(solver, extra, shifts):
     assert report["counters"]["shifts"] == shifts
 
 
+@pytest.mark.parametrize("solver", ["nleigs", "interpol"])
+def test_max_it_caps_the_restarts_of_every_shift_together(solver):
+    # the delay defaults' interval holds three of the five pairs asked for,
+    # so without the cap on the whole loop a second shift would follow
+    report, _ = run(["run", "--solver", solver, "--max-it", "1", "--output", "json"])
+    validate_report(report)
+    assert report["config"]["max_it"] == 1
+    assert report["counters"]["outer_iterations"] <= 1
+    assert report["counters"]["shifts"] == 1
+
 def test_table_output(capsys):
     args = [("table" if a == "json" else a) for a in DELAY_ARGS]
     assert main(args) == 0

@@ -269,7 +269,7 @@ def _krylov_eigenvalues(case):
 @pytest.mark.parametrize("case", sorted(KRYLOV_STEP_CASES))
 def test_krylov_solvers_keep_their_step_counts(case):
     # interpol and two-sided NLEIGS share one Ritz-to-eigenpair rule
-    # (linalg.ShiftInvertRun) and one shift loop; these counts pin the steps
+    # (nleigs._krylov_schur_pairs) and one shift loop; these counts pin the steps
     # they take: restarts, solves, pairs and converged
     assert _krylov_steps(case) == KRYLOV_STEP_CASES[case][1]
 

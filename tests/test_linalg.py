@@ -989,7 +989,7 @@ def test_krylov_schur_dominant_eigenpair():
     engine = FullBasisEngine(lambda v: A @ v, np.ones((1, n)), 12)
     driver = KrylovSchurDriver(engine, 12, 1e-12, lambda t: -np.abs(t))
     assert driver.run(1, 60) >= 1
-    theta, _y, _res, ok = driver.extract()[0]
+    theta, _y, _res, ok, _eta = driver.extract()[0]
     ref = np.linalg.eigvals(A)
     dom = ref[np.argmax(np.abs(ref))]
     assert ok
@@ -1002,7 +1002,7 @@ def test_krylov_schur_invariant_subspace_breakdown():
     engine = FullBasisEngine(lambda v: v.copy(), np.ones((1, n)), 5)
     driver = KrylovSchurDriver(engine, 5, 1e-12, lambda t: -np.abs(t))
     driver.run(1, 60)
-    theta, _y, _res, ok = driver.extract()[0]
+    theta, _y, _res, ok, _eta = driver.extract()[0]
     assert ok
     assert theta == pytest.approx(1.0, rel=1e-12)
 
@@ -1112,13 +1112,13 @@ def test_real_driver_keeps_conjugate_pairs_and_its_expansion_count():
     assert all(split == 0 for _, split in cuts)
     assert all(m in (ncv, ncv + 1) for m, _ in cuts)
     found = driver.extract()[:2]
-    assert all(ok for *_, ok in found)
+    assert all(ok for *_, ok, _eta in found)
     assert np.allclose(np.sort_complex([t for t, *_ in found]), [3.0 - 1.0j, 3.0 + 1.0j], atol=1e-10)
-    for theta, y, _res, _ok in found:
-        x = engine.ritz_full(y, driver.m)
+    for theta, y, _res, _ok, _eta in found:
+        x = engine.ritz_first_block(y, driver.m)
         assert np.linalg.norm(A @ x - theta * x) <= 1e-10 * np.linalg.norm(x)
     # a real Ritz value of the real H is read out with its real vector
-    kinds = {(type(theta), y.dtype.type) for theta, y, _res, _ok in driver.extract()}
+    kinds = {(type(theta), y.dtype.type) for theta, y, _res, _ok, _eta in driver.extract()}
     assert kinds == {(np.float64, np.float64), (np.complex128, np.complex128)}
 
 
@@ -1169,21 +1169,67 @@ def test_driver_tests_each_ritz_pair_once_per_h():
     n = 80
     A = np.diag(np.linspace(1.0, 2.0, n)) + 0.01 * rand_complex(rng, n, n)
     engine = FullBasisEngine(lambda v: A @ v, np.ones((1, n)), 10)
-    driver = KrylovSchurDriver(engine, 10, 1e-14, lambda t: -np.abs(t))
     seen = []
 
     def pair_test(theta, _y, m):
         seen.append((driver.restarts, m, theta))
-        return False
+        return False, np.inf
 
-    driver.pair_test = pair_test
+    driver = KrylovSchurDriver(engine, 10, 1e-14, lambda t: -np.abs(t), pair_test=pair_test)
     driver.run(2, 3)
     ran = len(seen)
     assert ran > 0 and len(set(seen)) == ran
     driver.extract()
     driver.run(2, 3)  # no restart is left, so H does not change
     assert len(seen) == ran
+    driver.extract()
+    assert len(seen) == ran
 
+    # eigenvalues 5 and 4 over a cluster in [0, 1]: both converge by their
+    # Ritz residual, the pair test never runs in the converged count, and
+    # extract tests each ok pair once per H, however often it is called
+    Q, _ = np.linalg.qr(rand_complex(rng, n, n))
+    A = (Q * np.concatenate([[5.0, 4.0], np.linspace(0.0, 1.0, n - 2)])) @ Q.conj().T
+    engine = FullBasisEngine(lambda v: A @ v, np.ones((1, n)), 12)
+    seen = []
+
+    def pair_test(theta, _y, m):
+        seen.append((driver.restarts, m, theta))
+        return False, float(len(seen))
+
+    driver = KrylovSchurDriver(engine, 12, 1e-8, lambda t: -np.abs(t), pair_test=pair_test)
+    assert driver.run(2, 60) >= 2 and seen == []
+    found = driver.extract()
+    ok = [(theta, eta) for theta, _y, _res, ok, eta in found if ok]
+    assert len(ok) >= 2 and len(seen) == len(ok) == len(set(seen))
+    assert np.allclose(sorted(theta.real for theta, _ in ok)[-2:], [4.0, 5.0], rtol=1e-8)
+    # etas are those the test returned, in wanted order; untested pairs have none
+    assert [eta for _, eta in ok] == [float(i + 1) for i in range(len(ok))]
+    assert all(eta is None for *_, ok_, eta in found if not ok_)
+    restarts = driver.restarts
+    assert driver.run(2, 60) >= 2 and driver.restarts == restarts  # no restart: H is the same
+    assert [t[4] for t in driver.extract()] == [t[4] for t in found]
+    assert len(seen) == len(ok)
+
+
+def test_linalg_imports_no_solver_module():
+    # the kernel layer knows no solver policy: no import of core (Settings,
+    # the regions) or of a solver module, at module level or in a function
+    # body, and no weakref back to a caller's objects
+    import ast
+
+    import nepsolve.linalg as linalg_mod
+
+    solver_modules = {"core", "nleigs", "newton", "deflation", "interpol", "narnoldi"}
+    imported = set()
+    for node in ast.walk(ast.parse(open(linalg_mod.__file__).read())):
+        if isinstance(node, ast.Import):
+            imported.update(alias.name for alias in node.names)
+        elif isinstance(node, ast.ImportFrom):
+            imported.update([node.module] if node.module else [alias.name for alias in node.names])
+    names = {part for name in imported for part in name.split(".")}
+    assert not names & solver_modules, imported
+    assert "weakref" not in names, imported
 
 def test_gen_eig_smallest_waits_for_the_dominant_pair():
     # v0 is almost an eigenvector for 0.5, so that Ritz value converges in the

@@ -18,6 +18,7 @@ from nepsolve.nleigs import (
     nleigs_solve,
     shift_invert_context,
 )
+from nepsolve.interpol import interpol_solve
 from nepsolve.problems import gen_delay, gen_loaded_string
 from blas_threads import run_at_blas_threads
 
@@ -815,20 +816,21 @@ def test_nleigs_shift_that_adds_no_pair_ends_the_loop(monkeypatch):
     # loop ends there, short of nev shifts; restarts and solves add up over
     # both runs
     import nepsolve.linalg as linalg_mod
+    import nepsolve.nleigs as nleigs_mod
 
     solves, drivers = [], []
-    solve, driver_cls = linalg_mod._DirectSolver.solve, linalg_mod.KrylovSchurDriver
+    solve, driver_cls = linalg_mod._DirectSolver.solve, nleigs_mod.KrylovSchurDriver
 
     def counted(self, b, adjoint=False):
         solves.append(adjoint)
         return solve(self, b, adjoint=adjoint)
 
-    def recorded(engine, *args):
-        drivers.append(driver_cls(engine, *args))
+    def recorded(engine, *args, **kwargs):
+        drivers.append(driver_cls(engine, *args, **kwargs))
         return drivers[-1]
 
     monkeypatch.setattr(linalg_mod._DirectSolver, "solve", counted)
-    monkeypatch.setattr(linalg_mod, "KrylovSchurDriver", recorded)
+    monkeypatch.setattr(nleigs_mod, "KrylovSchurDriver", recorded)
     op, _ = gen_delay(200)
     sol = nleigs_solve(op, Settings(nev=4, tol=1e-8, target=1.0, region=Interval(-50.0, 50.0)))
     assert sol.stats["shifts"] == [1.0, 25.5]
@@ -837,6 +839,19 @@ def test_nleigs_shift_that_adds_no_pair_ends_the_loop(monkeypatch):
     assert sol.stats["outer_iterations"] == sum(d.restarts for d in drivers)
     assert sol.stats["linear_solves"] == len(solves)
 
+
+@pytest.mark.parametrize("max_it, shifts", [(1, 1), (10, 1), (16, 2)])
+@pytest.mark.parametrize("solve", [nleigs_solve, interpol_solve], ids=["nleigs", "interpol"])
+def test_max_it_caps_the_restarts_of_the_whole_shift_loop(solve, max_it, shifts):
+    # [-100, 50] holds three eigenvalues, so with nev 5 the run at 1 ends
+    # after 15 restarts and a second shift follows; max_it caps the restarts
+    # of all shifts together, as it caps the outer steps of SLP, RII and
+    # N-Arnoldi, and no shift starts once none are left
+    op, _ = gen_delay(200, tau=0.001, b=-2.0)
+    sol = solve(op, Settings(nev=5, tol=1e-6, target=1.0, max_it=max_it, region=Interval(-100.0, 50.0)))
+    assert sol.stats["outer_iterations"] <= max_it
+    assert len(sol.stats["shifts"]) == shifts
+    assert len(sol.pairs) == 3 and not sol.converged
 
 def test_nleigs_loaded_string_desk():
     op, oracle = gen_loaded_string(150)
@@ -916,17 +931,17 @@ def test_nleigs_runs_a_real_interpolant_in_real_arithmetic(problem, run, monkeyp
     # float eigenvalue with real right and left vectors
     import dataclasses
 
-    import nepsolve.linalg as linalg_mod
+    import nepsolve.nleigs as nleigs_mod
 
     drivers = []
-    driver_cls = linalg_mod.KrylovSchurDriver
+    driver_cls = nleigs_mod.KrylovSchurDriver
 
-    def recorded(engine, *args):
-        drivers.append(driver_cls(engine, *args))
+    def recorded(engine, *args, **kwargs):
+        drivers.append(driver_cls(engine, *args, **kwargs))
         return drivers[-1]
 
-    # ShiftInvertRun builds the driver; a two-sided solve runs no second one
-    monkeypatch.setattr(linalg_mod, "KrylovSchurDriver", recorded)
+    # each shift's run builds the driver; a two-sided solve runs no second one
+    monkeypatch.setattr(nleigs_mod, "KrylovSchurDriver", recorded)
     make, s = BASIS_CASES[problem]
     s = dataclasses.replace(s, two_sided=run == "two-sided")
     sol = nleigs_solve(make(200), s, full_basis=run == "full")
