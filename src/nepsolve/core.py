@@ -456,8 +456,16 @@ def finish(settings: Settings, pairs, stats: dict, notes=()) -> EigenSolution:
     Drops duplicates (``distinct_pairs``), sorts the rest stably by
     ``settings.sort_key()`` and sets ``converged`` exactly when the first
     ``nev`` pairs each have eta <= tol against T, and eta_poly <= tol where
-    it is set.  Any ``notes`` (remarks on the solve) go to ``stats["notes"]``.
+    it is set.  Any ``notes`` (remarks on the solve) go to ``stats["notes"]``,
+    with one more where iterative linear solves did not converge
+    (``linalg.tally_solves``).
     """
+    if stats.get("unconverged_solves"):
+        notes = [
+            *notes,
+            f"{stats['unconverged_solves']} of {stats['linear_solves']} linear solves did not converge "
+            f"(worst relative residual {stats['worst_solve_residual']:.1e})",
+        ]
     pairs = distinct_pairs(pairs)
     order = np.argsort(settings.sort_key()(np.array([p.lam for p in pairs])), kind="stable")
     pairs = [pairs[i] for i in order]

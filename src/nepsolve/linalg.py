@@ -64,6 +64,7 @@ __all__ = [
     "compress_columns",
     "LinearSolverConfig",
     "make_linear_solver",
+    "tally_solves",
     "Tridiagonal",
     "iterative_solve",
     "IterativeResult",
@@ -81,6 +82,7 @@ COPY_RTOL = 1e-8
 COMPRESS_RTOL = 1e-13
 COMPRESS_ROWS = 1024  # rows per block of compress_columns: 1024 x ncv scalars fit in L2
 GMRES_RESTART = 50
+OTHER_PAIR_RTOL = 1e-4  # residual / |theta| of the other Ritz pairs gen_eig_smallest returns
 
 
 class SingularMatrixError(np.linalg.LinAlgError):
@@ -320,6 +322,8 @@ class _DirectSolver:
     whose result has non-finite entries.
     """
 
+    unconverged, worst_residual = 0, 0.0  # a direct solve is exact or raises
+
     def __init__(self, A):
         self.solve_count = 0
         self.n = A.shape[0]
@@ -369,12 +373,15 @@ class _DirectSolver:
 
 class _IterativeSolver:
     """GMRES or BiCGStab on a sparse matrix, in the scalars of the matrix and
-    the right-hand side (see ``iterative_solve``)."""
+    the right-hand side (see ``iterative_solve``).  Counts its solves, those
+    that did not converge (``unconverged``) and their largest relative
+    residual ||A x - b|| / ||b|| (``worst_residual``)."""
 
     def __init__(self, A, cfg: LinearSolverConfig):
         self.cfg = cfg
         self.A = A
-        self.solve_count = 0
+        self.solve_count = self.unconverged = 0
+        self.worst_residual = 0.0
         self._AH = None
 
     def solve(self, b, adjoint: bool = False):
@@ -382,15 +389,27 @@ class _IterativeSolver:
             self._AH = self.A.conj().T.tocsr()
         self.solve_count += 1
         res = iterative_solve(self.cfg, self._AH if adjoint else self.A, b)
-        # an inexact solve degrades the outer iteration's progress, which the
-        # eigensolvers detect themselves (residual rechecks, stall locks,
-        # restarts); only a non-finite result is a hard failure
+        # an inexact solve is counted and goes on: the solve's stats and notes
+        # report it (``tally_solves``); only a non-finite result is a hard failure
+        if not res.converged:
+            self.unconverged += 1
+            self.worst_residual = max(self.worst_residual, float(res.residual_norm / np.linalg.norm(b)))
         if not np.all(np.isfinite(res.x)):
             raise SingularMatrixError(
                 f"iterative linear solve produced non-finite entries "
                 f"(residual {res.residual_norm:.3e})"
             )
         return res.x
+
+
+def tally_solves(stats: dict, solver) -> None:
+    """Add ``solver``'s solves to ``stats["linear_solves"]``; unconverged
+    iterative ones, if any, to ``stats["unconverged_solves"]``, with their
+    largest relative residual in ``stats["worst_solve_residual"]``."""
+    stats["linear_solves"] += solver.solve_count
+    if solver.unconverged:
+        stats["unconverged_solves"] = stats.get("unconverged_solves", 0) + solver.unconverged
+        stats["worst_solve_residual"] = max(stats.get("worst_solve_residual", 0.0), solver.worst_residual)
 
 
 def make_linear_solver(A, cfg: Optional[LinearSolverConfig] = None):
@@ -1091,18 +1110,23 @@ class KrylovSchurDriver:
         return [(*pairs[i], res[i], bool(ok[i]), etas[i]) for i in order]
 
 
-def gen_eig_smallest(solve_A, apply_B, v0: np.ndarray, tol: float = 1e-10):
-    """The smallest-magnitude eigenpair ``(mu, x)`` of the pencil A x = mu B x.
+def gen_eig_smallest(solve_A, apply_B, v0: np.ndarray, tol: float = 1e-10, others: int = 0):
+    """The smallest-magnitude eigenpair ``(mu, x)`` of the pencil A x = mu B x,
+    and at most ``others`` more: ``(mu, x, rest)``.
 
     Krylov-Schur runs on A^{-1}B, given as the callables ``solve_A`` (one
     solve with the factored A) and ``apply_B``, from the start vector ``v0``,
     on a basis of 12 vectors (at most n) for at most 60 restarts; the
     smallest |mu| of the pencil becomes the dominant eigenvalue 1/mu of the
-    iteration operator.  Only the dominant Ritz value counts as wanted: a
-    smaller one that converges first must not end the iteration while the
-    dominant one is still unconverged.  x has unit norm.  The basis takes
-    v0's scalars: a real v0 needs callables that keep real vectors real, and
-    gives a real Ritz value as a real mu with a real vector (``ritz_pair``).
+    iteration operator.  Only the dominant Ritz value counts as wanted and
+    only it ends the cycle: a smaller one that converges first must not end
+    the iteration while the dominant one is still unconverged.  ``rest``
+    lists the cycle's other Ritz pairs with residual at most
+    OTHER_PAIR_RTOL * |theta| and theta != 0, as ``(1/theta, x)`` in order of
+    decreasing |theta|, the first ``others`` of them.  Every x has unit
+    norm.  The basis takes v0's scalars: a real v0 needs callables that keep
+    real vectors real, and gives a real Ritz value as a real mu with a real
+    vector (``ritz_pair``).
     """
     ncv = min(12, v0.shape[0])
 
@@ -1114,9 +1138,14 @@ def gen_eig_smallest(solve_A, apply_B, v0: np.ndarray, tol: float = 1e-10):
     engine = FullBasisEngine(lambda v: solve_A(apply_B(v)), v0[None, :], ncv, np.result_type(v0, np.float64))
     driver = KrylovSchurDriver(engine, ncv, tol, lambda t: -np.abs(t), dominant)
     driver.run(1, 60)
-    theta, y, *_ = driver.extract()[0]
+
+    def readout(theta, y):
+        x = engine.ritz_first_block(y, driver.m)
+        nrm = np.linalg.norm(x)
+        return 1.0 / theta, x / nrm if nrm else x
+
+    (theta, y, *_), *tail = driver.extract()
     if theta == 0:
         raise SingularMatrixError("Arnoldi produced a zero Ritz value")
-    x = engine.ritz_first_block(y, driver.m)
-    nrm = np.linalg.norm(x)
-    return 1.0 / theta, x / nrm if nrm else x
+    rest = [(t, z) for t, z, res, *_ in tail if t != 0 and res <= OTHER_PAIR_RTOL * abs(t)]
+    return (*readout(theta, y), [readout(t, z) for t, z in rest[:others]])

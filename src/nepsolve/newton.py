@@ -19,13 +19,18 @@ less than 5% (``STALL_FACTOR``), or after 80 polish steps (``POLISH_MAX``).
 Eigenvalues within 1e3 * tol relative are taken as one: an iterate below
 tol further than that from the best one starts the hunt over.
 
-The search restarts from a seeded random vector after a refused lock (a
-duplicate of a locked eigenvalue or a non-minimal extension), a runaway
-iterate, a non-finite eta or a step the solver gives up on.  Below
+Each pair's search starts where the solver's ``start`` says: RII and
+N-Arnoldi from the all-ones vector at the target; SLP from a unit vector
+seeded by ``Settings.seed`` at the target, or from one of the Ritz pairs its
+first pencil pass queued (see ``slp_solve``).  The search restarts from a
+seeded random vector after a refused lock (a duplicate of a locked
+eigenvalue or a non-minimal extension), a runaway iterate, a non-finite eta
+or a step the solver gives up on.  Below
 ``deflation_threshold`` an iterate goes on undeflated, on T itself, and its
 x is locked with t = 0: an eigenvector of T extends (X, H) invariantly so.
 All three report ``outer_iterations``, ``linear_solves``, ``restarts`` and
-``scalars``.
+``scalars``, and unconverged iterative solves as ``linalg.tally_solves``
+counts them.
 """
 
 from __future__ import annotations
@@ -38,7 +43,7 @@ import numpy as np
 
 from .core import EigenPair, EigenSolution, NepError, NepOperator, Settings, backward_error, finish
 from .deflation import ExtSolveContext, ExtVector, InvariantPair, ext_apply, ext_bilinear
-from .linalg import LinearSolverConfig, gen_eig_smallest, random_vector
+from .linalg import LinearSolverConfig, gen_eig_smallest, random_vector, tally_solves
 
 __all__ = ["slp_solve", "rii_solve", "rii_scalar_newton"]
 
@@ -48,6 +53,7 @@ POLISH_MAX = 80
 STALL_FACTOR = 1.05
 STALL_PERSIST = 2
 STAGNATION_WINDOW = 30
+SEEDED_STEPS = 3
 
 
 def _same_eigenvalue(mu, lam, tol):
@@ -158,7 +164,7 @@ class _Search:
     def use(self, ctx: Optional[ExtSolveContext]) -> None:
         """Make ctx the solve context, counting the solves of the one it replaces."""
         if self.ctx is not None:
-            self.stats["linear_solves"] += self.ctx.solve_count
+            tally_solves(self.stats, self.ctx.solver)
         self.ctx = ctx
 
     def reset(self) -> None:
@@ -217,10 +223,9 @@ class _Search:
         while self.pair.k < nev and stats["outer_iterations"] < budget:
             self.dtype = np.result_type(self.dtype, self.pair.dtype)
             self.deflated = True
-            m = n + self.pair.k
-            self.xt = np.ones(m, dtype=self.dtype) / math.sqrt(m)
+            lam, self.xt = self.start(n + self.pair.k)
             self.begin()
-            self.lam = self.home()
+            self.lam = self.home() if lam is None else lam
             while stats["outer_iterations"] < budget:
                 stats["outer_iterations"] += 1
                 eta, r1, r2 = self.measure()
@@ -253,6 +258,11 @@ class _Search:
         if v is None or _runaway(self.lam, self.xt, self.settings.target):
             return np.inf, None, None
         return _hunt_eta(v, self.lam)
+
+    def start(self, m: int):
+        """``(lam, xt)``: the first iterate of the next pair's search, of length
+        m, with lam None to start at ``home()``."""
+        return None, np.ones(m, dtype=self.dtype) / math.sqrt(m)
 
     def begin(self) -> None:
         """Set up the search for the next pair, from ``xt``."""
@@ -297,6 +307,37 @@ def _newton_step(solve_ext, apply_deriv, xt):
 
 
 class _SLP(_Search):
+    queue = None  # the first pencil pass's other pairs (lam_j, x_j), nearest the target first
+    seeded = 0  # Newton steps left to a hunt started from a queued pair
+    seeded_eta = np.inf  # eta of that hunt's last step
+
+    def run(self):
+        try:
+            return super().run()
+        finally:
+            self.queue = []
+
+    def start(self, m):
+        self.seeded = 0
+        if not self.queue:
+            return None, _random_unit(self.rng, m, self.dtype)
+        lam, x = self.queue.pop(0)
+        xt = np.zeros(m, dtype=np.result_type(self.dtype, x))
+        xt[: self.n] = x[: self.n]
+        self.dtype, self.seeded, self.seeded_eta = xt.dtype, SEEDED_STEPS, np.inf
+        return lam, xt
+
+    def lock(self):
+        if not super().lock():
+            return False
+        if self.queue:
+            lam = self.pair.h_diag[-1]
+            self.queue = [e for e in self.queue if not _same_eigenvalue(e[0], lam, self.tol)]
+        return True
+
+    def restarted(self):
+        self.seeded = 0
+
     def advance(self, eta, r1, r2):
         n, lam = self.n, self.lam
         self.use(None)  # the last step's factorization is freed before the next one
@@ -312,14 +353,24 @@ class _SLP(_Search):
         def solve_ext(b):
             return np.concatenate(ctx.solve(*b))
 
+        newton = eta < self.tol
+        if not newton and self.seeded:
+            # a hunt from a queued pair goes on by Newton steps while eta falls tenfold per step
+            newton = eta <= self.seeded_eta / 10
+            self.seeded, self.seeded_eta = (self.seeded - 1 if newton else 0), eta
         v0 = self.xt.astype(np.result_type(self.dtype, ctx.dtype), copy=False)
-        step = _newton_step(solve_ext, apply_deriv, v0) if eta < self.tol else None
+        step = _newton_step(solve_ext, apply_deriv, v0) if newton else None
         if step is None:
+            self.seeded = 0
+            others = self.settings.nev - self.pair.k - 1 if self.queue is None else 0
             step_tol = max(1e-13, min(1e-9, self.tol / 10, 1e-2 * eta))
             try:
-                step = gen_eig_smallest(solve_ext, apply_deriv, v0=v0, tol=step_tol)
+                *step, rest = gen_eig_smallest(solve_ext, apply_deriv, v0=v0, tol=step_tol, others=others)
             except np.linalg.LinAlgError as exc:
                 raise NepError("inner eigensolver failed in SLP") from exc
+            if self.queue is None:
+                queued = [(lam - mu_j, x_j) for mu_j, x_j in rest]
+                self.queue = sorted(queued, key=lambda e: abs(e[0] - self.target))
         mu, xt = step
         self.lam, self.xt, self.dtype = lam - mu, xt, xt.dtype
         return not _runaway(self.lam, xt, self.settings.target)
@@ -334,8 +385,8 @@ def slp_solve(
 ) -> EigenSolution:
     """Successive linear problems.
 
-    Starting from the target, each hunt step (eta >= tol) solves the linear
-    pencil T(lam) z = mu T'(lam) z for its smallest-magnitude eigenvalue by
+    Each hunt step (eta >= tol) solves the linear pencil
+    T(lam) z = mu T'(lam) z for its smallest-magnitude eigenvalue by
     Krylov-Schur, warm-started with the current eigenvector, and applies the
     correction lam <- lam - mu.  Each polish step (eta < tol) takes one
     Newton step in its place, with one solve (``_newton_step``): mu is then
@@ -343,6 +394,20 @@ def slp_solve(
     degenerate Newton step takes the pencil step.  Per step, T(lam) is
     factorized and T'(lam) with its deflation blocks is built once
     (``ExtSolveContext.apply_deriv``).
+
+    The first pair's search starts at the target from a unit vector seeded
+    by ``Settings.seed``, which has a component on every mode, odd ones
+    included.  Its first pencil pass (a full Krylov-Schur cycle, which only
+    the dominant pair ends) also returns up to nev - 1 of its other
+    converged Ritz pairs (mu_j, x_j) (``gen_eig_smallest``); they are queued
+    as (sigma - mu_j, x_j), sigma that pass's shift, nearest the target
+    first.  Each later pair starts from the first queued entry, as
+    lam = sigma - mu_j and [x_j; 0], and hunts by Newton steps, at most
+    SEEDED_STEPS of them and only while eta falls tenfold per step, then by
+    the pencil step.  With the queue empty, a search starts at the target
+    from a seeded vector.  Locking an eigenvalue drops the queued entries
+    that approximate it (``_same_eigenvalue``), and the queue is released
+    when the solve returns.
     It runs in real arithmetic while every A_i, the target and f_i(lam) at
     each iterate are real; a non-real iterate, Ritz value or locked
     eigenvalue makes the rest complex (``stats["scalars"]``).

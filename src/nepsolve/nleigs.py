@@ -75,6 +75,7 @@ from .linalg import (
     inf_norm,
     make_linear_solver,
     random_vector,
+    tally_solves,
 )
 
 __all__ = [
@@ -708,9 +709,9 @@ def shift_invert_pairs(
     through ``distinct_pairs``, earlier ones first.  A run at sigma counts a
     Ritz value near the image 1/(xi - sigma) of one of ``poles`` as
     converged junk.  Returns ``(pairs, stats, rng)``: ``stats`` sums the
-    restarts (``outer_iterations``) and ``linear_solves`` over the shifts
-    and lists them in ``shifts``; every run draws from the one generator
-    ``rng``.
+    restarts (``outer_iterations``) and ``linear_solves`` (``tally_solves``)
+    over the shifts and lists them in ``shifts``; every run draws from the
+    one generator ``rng``.
     """
     rng = np.random.default_rng(settings.seed)
     poles = np.asarray(poles, dtype=complex)
@@ -723,7 +724,7 @@ def shift_invert_pairs(
         found, restarts, history = _krylov_schur_pairs(ctx, settings, pair_eta, rng, full_basis, known_junk, left)
         stats["shifts"].append(ctx.sigma)
         stats["outer_iterations"] += restarts
-        stats["linear_solves"] += ctx.solve_count
+        tally_solves(stats, ctx.solver)
         stats["ritz_history"] += history
         real = real and ctx.real
         del ctx  # no shift's factorization is made while an earlier one is held
@@ -840,7 +841,7 @@ def nleigs_solve(
                 if eta_left <= settings.tol:
                     p.y, p.eta_left = yvec, eta_left
                     break
-            stats["linear_solves"] += pctx.solve_count
+            tally_solves(stats, pctx.solver)
         missing = [p for p in pairs if p.y is None]
         if missing:
             notes.append(f"{len(missing)} pairs lack a matched left eigenvector")

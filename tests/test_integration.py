@@ -1,6 +1,7 @@
 """Cross-cutting integration paths: callback operators end to end, complex
 spectra inside an ellipse region, iterative linear solvers through the
-command line, and every solver's reported solve count."""
+command line, and every solver's reported solve count, unconverged
+iterative solves included."""
 
 import ast
 import functools
@@ -168,6 +169,46 @@ def test_linear_solves_counts_every_direct_solve(case, monkeypatch):
     sol = COUNT_CASES[case]()
     assert sol.converged
     assert sol.stats["linear_solves"] == len(calls) > 0
+
+
+UNCONVERGED_CASES = {
+    "slp": lambda cfg: slp_solve(gen_delay(40)[0], Settings(nev=2, tol=1e-6, target=1.0, max_it=10), lin_cfg=cfg),
+    "rii": lambda cfg: rii_solve(gen_delay(40)[0], Settings(nev=2, tol=1e-6, target=1.0, max_it=10), lin_cfg=cfg),
+    "narnoldi": lambda cfg: narnoldi_solve(
+        gen_delay(40)[0], Settings(nev=2, tol=1e-6, target=1.0, max_it=10), lin_cfg=cfg
+    ),
+    "interpol": lambda cfg: interpol_solve(
+        gen_delay(40)[0], Settings(nev=2, tol=1e-6, target=1.0, region=DELAY_REGION, max_it=3), degree=10, lin_cfg=cfg
+    ),
+    "nleigs-two-sided": lambda cfg: nleigs_solve(
+        gen_loaded_string(40)[0],
+        Settings(nev=2, tol=1e-8, target=10.0, region=Interval(4.0, 800.0), problem_type="rational",
+                 two_sided=True, max_it=3),
+        lin_cfg=cfg,
+    ),
+}
+
+
+@pytest.mark.parametrize("case", sorted(UNCONVERGED_CASES))
+def test_unconverged_iterative_solves_are_counted_and_noted(case, monkeypatch):
+    # BiCGStab stopped after 3 iterations leaves solves unconverged: the stats
+    # count them beside linear_solves with their worst relative residual, and
+    # a note says so
+    results = []
+    iterative_solve = linalg.iterative_solve
+
+    def recorded(cfg, A, b):
+        results.append((iterative_solve(cfg, A, b), np.linalg.norm(b)))
+        return results[-1][0]
+
+    monkeypatch.setattr(linalg, "iterative_solve", recorded)
+    sol = UNCONVERGED_CASES[case](linalg.LinearSolverConfig(mode="bicgstab", maxit=3))
+    failed = [res.residual_norm / nrm for res, nrm in results if not res.converged]
+    assert failed and sol.stats["linear_solves"] == len(results)
+    assert sol.stats["unconverged_solves"] == len(failed)
+    assert sol.stats["worst_solve_residual"] == max(failed)
+    note = f"{len(failed)} of {len(results)} linear solves did not converge (worst relative residual {max(failed):.1e})"
+    assert note in sol.stats["notes"]
 
 
 def test_nleigs_two_sided_matches_left_vectors_by_backward_error():

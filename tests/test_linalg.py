@@ -2,6 +2,7 @@ import tracemalloc
 
 import numpy as np
 import pytest
+import scipy.linalg
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 from hypothesis import example, given, settings
@@ -109,7 +110,7 @@ def _pencil_smallest(A, B, rng, **kw):
 
 def test_gen_eig_smallest_diag():
     A = np.diag([1.0, 2.0, 3.0])
-    mu, x = _pencil_smallest(A, np.eye(3), np.random.default_rng(3))
+    mu, x, _ = _pencil_smallest(A, np.eye(3), np.random.default_rng(3))
     assert mu == pytest.approx(1.0, rel=1e-10)
     assert abs(abs(x[0]) - 1.0) <= 1e-8
 
@@ -118,7 +119,7 @@ def test_gen_eig_smallest_vs_dense_oracle():
     rng = np.random.default_rng(4)
     A = rand_complex(rng, 15, 15) + 4 * np.eye(15)
     B = rand_complex(rng, 15, 15)
-    mu, x = _pencil_smallest(A, B, rng, tol=1e-12)
+    mu, x, _ = _pencil_smallest(A, B, rng, tol=1e-12)
     ref = np.linalg.eigvals(np.linalg.solve(A, B))
     ref_mu = 1.0 / ref[np.argmax(np.abs(ref))]
     assert abs(mu - ref_mu) <= 1e-9 * abs(ref_mu)
@@ -127,8 +128,33 @@ def test_gen_eig_smallest_vs_dense_oracle():
 def test_gen_eig_smallest_b_equals_a():
     rng = np.random.default_rng(5)
     A = rand_complex(rng, 8, 8) + 3 * np.eye(8)
-    mu, _ = _pencil_smallest(A, A, rng)
+    mu, _, _ = _pencil_smallest(A, A, rng)
     assert mu == pytest.approx(1.0, rel=1e-8)
+
+
+def test_gen_eig_smallest_other_pairs_match_a_dense_oracle():
+    # a normal pencil (A and B diagonal in one unitary basis): each other Ritz
+    # value 1/mu of A^{-1}B lies within its Ritz residual of an eigenvalue of
+    # scipy.linalg.eig(A, B); they come nearest-first, capped by ``others``
+    rng = np.random.default_rng(15)
+    n = 40
+    Q, _ = np.linalg.qr(rand_complex(rng, n, n))
+    a, b = np.arange(1.0, n + 1.0), 1.0 + 0.1 * rng.random(n)
+    A, B = (Q * a) @ Q.conj().T, (Q * b) @ Q.conj().T
+    ref = scipy.linalg.eig(A, B, right=False)
+    mu, x, rest = _pencil_smallest(A, B, rng, tol=1e-12, others=n)
+    assert abs(mu - ref[np.argmin(np.abs(ref))]) <= 1e-10 * abs(mu)
+    assert len(rest) >= 2
+    thetas = [1.0 / m for m, _ in rest]
+    assert abs(1.0 / mu) > abs(thetas[0]) and all(np.diff(np.abs(thetas)) <= 0)
+    S = np.linalg.solve(A, B)
+    for theta, (_m, y) in zip(thetas, rest):
+        assert np.linalg.norm(y) == pytest.approx(1.0)
+        res = np.linalg.norm(S @ y - theta * y)
+        assert res <= 1e-4 * abs(theta)
+        assert np.min(np.abs(1.0 / ref - theta)) <= res + 1e-12 * abs(theta)
+    for others in (0, 1):
+        assert len(_pencil_smallest(A, B, rng, tol=1e-12, others=others)[2]) == others
 
 
 # -- orthogonalization -----------------------------------------------------------
@@ -972,7 +998,7 @@ def test_iterative_solve_of_a_real_system_is_real():
 
 def test_gen_eig_smallest_returns_a_real_pair_from_a_real_start():
     A = np.diag([1.0, 2.0, 3.0, 4.0]) + np.diag([0.5, 0.5, 0.5], 1)
-    mu, x = gen_eig_smallest(lu_factor(A).solve, lambda v: v, v0=np.ones(4))
+    mu, x, _ = gen_eig_smallest(lu_factor(A).solve, lambda v: v, v0=np.ones(4))
     assert isinstance(mu, float) and x.dtype == float
     assert mu == pytest.approx(1.0, rel=1e-10)
     assert np.linalg.norm(A @ x - mu * x) <= 1e-9
@@ -1242,7 +1268,7 @@ def test_gen_eig_smallest_waits_for_the_dominant_pair():
     S = (Q * w) @ Q.conj().T
     v0 = Q[:, 1] + 1e-12 * rand_complex(rng, n)
     tol = 1e-9
-    mu, x = gen_eig_smallest(lambda v: S @ v, lambda v: v, v0=v0, tol=tol)
+    mu, x, _ = gen_eig_smallest(lambda v: S @ v, lambda v: v, v0=v0, tol=tol)
     theta = 1.0 / mu
     assert abs(theta - 1.0) <= 1e-6
     assert np.linalg.norm(S @ x - theta * x) <= tol * abs(theta) * np.linalg.norm(x)

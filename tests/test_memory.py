@@ -1,7 +1,7 @@
 """Memory of the split form: each A_i is held once, in its own scalars and in
-the least storage (a scaled identity as its scalar), NLEIGS's and
-interpol's traced peaks stay under measured bounds and NLEIGS's basis is
-freed when the solve returns."""
+the least storage (a scaled identity as its scalar), NLEIGS's, interpol's
+and SLP's traced peaks stay under measured bounds, NLEIGS's basis is freed
+when the solve returns and SLP's queue of start pairs is released."""
 
 import gc
 import tracemalloc
@@ -13,7 +13,7 @@ import scipy.sparse as sp
 
 from nepsolve.core import Interval, Settings
 from nepsolve.deflation import InvariantPair
-from nepsolve import nleigs
+from nepsolve import newton, nleigs
 from nepsolve.interpol import interpol_solve
 from nepsolve.nleigs import nleigs_solve
 from nepsolve.problems import gen_delay, gen_loaded_string
@@ -31,6 +31,13 @@ INTERPOL_PEAK_BOUND_MIB = 12.0
 # R_d(sigma) factored from strided views of its summed entries; 1.83 MiB when
 # each factorization built a CSR matrix and scanned its indices for the band
 SHIFT_PEAK_BOUND_MIB = 1.4
+# tracemalloc peak of SLP's solve below: 6.97-6.98 MiB over seeds 0-2, in the
+# last pair's pencil pass (12 basis vectors of length n + 4 beside the
+# deflation blocks), when the queue is empty; the start vectors the first
+# pass queues (at most nev - 1, three here: 0.46 MiB) are held only by the
+# steps between, which peak at 4.1 MiB or less; SLP with a pencil pass for
+# every pair and no queue peaked at 6.96-6.98 MiB
+SLP_PEAK_BOUND_MIB = 7.5
 
 
 @pytest.mark.parametrize("make", [gen_delay, gen_loaded_string], ids=["delay", "loaded_string"])
@@ -123,3 +130,19 @@ def test_nleigs_frees_its_basis_on_return(monkeypatch):
     finally:
         gc.enable()
     assert sol.converged and alive == [False]
+
+
+def test_slp_peak_memory_on_the_delay_problem(monkeypatch):
+    searches = []
+    run = newton._SLP.run
+    monkeypatch.setattr(newton._SLP, "run", lambda self: searches.append(self) or run(self))
+    op, _ = gen_delay(20000, tau=0.001, b=-2.0)
+    tracemalloc.start()
+    try:
+        sol = newton.slp_solve(op, Settings(nev=5, tol=1e-6, target=1.0))
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert sol.converged and sol.stats["scalars"] == "real"
+    assert peak <= SLP_PEAK_BOUND_MIB * 2**20
+    assert [search.queue for search in searches] == [[]]

@@ -486,7 +486,7 @@ def test_slp_delay_steps_at_blas_threads(threads):
         "sol = slp_solve(op, Settings(nev=5, tol=1e-6, target=1.0))\n"
         "print(sol.converged, sol.stats['outer_iterations'], sol.stats['linear_solves'])\n"
     )
-    assert run_at_blas_threads(threads, script).split() == ["True", "15", "101"]
+    assert run_at_blas_threads(threads, script).split() == ["True", "13", "53"]
 
 
 def _record_slp_steps(monkeypatch):
@@ -524,9 +524,10 @@ def test_slp_polish_step_makes_no_krylov_schur_pass(monkeypatch):
 @pytest.mark.parametrize("fault", ["nan", "zero"])
 def test_slp_degenerate_newton_step_takes_the_pencil_step(fault, monkeypatch):
     # M'(lam) [x; t] made non-finite or zero outside the pencil solve: u is
-    # not finite or x^H u = 0, and each polish step takes the pencil step,
-    # with no restart, at the steps and solves of a pencil-only SLP plus the
-    # one solve of each refused Newton step
+    # not finite or x^H u = 0, and each polish step and each Newton step from
+    # a queued pair takes the pencil step, with no restart, at the steps and
+    # solves of a pencil-only SLP (10, 81) plus the one solve of each refused
+    # Newton step
     depth = []
     pencil = newton.gen_eig_smallest
 
@@ -546,15 +547,99 @@ def test_slp_degenerate_newton_step_takes_the_pencil_step(fault, monkeypatch):
         bad = np.nan if fault == "nan" else 0.0
         return np.full_like(y1, bad), np.full_like(y2, bad)
 
+    refused = []
+    newton_step = newton._newton_step
     monkeypatch.setattr(newton, "gen_eig_smallest", counted_pencil)
     monkeypatch.setattr(ExtSolveContext, "apply_deriv", faulty)
+    monkeypatch.setattr(newton, "_newton_step", lambda *args: refused.append(1) or newton_step(*args))
     steps = _record_slp_steps(monkeypatch)
     sol = _delay(100, slp_solve, Settings(nev=4, tol=1e-8, target=1.0))
     monkeypatch.undo()
     polish = [s for s in steps if s[0] < 1e-8]
     assert polish and all(passes == 1 for _eta, passes, _k, _solves in steps)
     assert sol.converged and sol.stats["restarts"] == 0
-    assert (sol.stats["outer_iterations"], sol.stats["linear_solves"]) == (13, 127 + len(polish))
+    assert len(refused) > len(polish)
+    assert (sol.stats["outer_iterations"], sol.stats["linear_solves"]) == (10, 81 + len(refused))
+    ref = _step_case("slp-delay100")
+    assert np.allclose(sol.eigenvalues, ref.eigenvalues, rtol=1e-10, atol=0)
+
+
+@functools.cache
+def _slp_delay1000(target, seed):
+    op, _ = gen_delay(1000, tau=0.001, b=-2.0)
+    return slp_solve(op, Settings(nev=5, tol=1e-6, target=target, seed=seed))
+
+
+@pytest.mark.parametrize("target", [1.0, -50.0, -150.0, 1.0 + 5.0j])
+def test_slp_returns_the_nearest_five_from_every_seed(target):
+    # the first pencil pass at the target queues its other Ritz pairs, and the
+    # later pairs start from them; the start vector is seeded, with a
+    # component on the antisymmetric modes (-41.56, -160.26), and the
+    # eigenvalues do not depend on the seed
+    want = gen_delay(1000, tau=0.001, b=-2.0)[1].nearest(target, 5)
+    first = np.sort_complex(_slp_delay1000(target, 0).eigenvalues)
+    for seed in range(5):
+        sol = _slp_delay1000(target, seed)
+        got = np.sort_complex(sol.eigenvalues)
+        assert sol.converged and len(got) == 5
+        assert all(np.min(np.abs(got - z)) <= 1e-6 * abs(z) for z in want)
+        assert np.all(np.abs(got - first) <= 1e-10 * np.abs(first))
+
+
+# the loaded string at n=1000: its eigenvalues nearest 10 and 300, to 1e-6,
+# all above the pole at 1 but 0.457318
+STRING1000 = np.array([0.457318, 4.482026, 24.218750, 63.690365, 122.906562, 201.864513, 300.564160, 419.006206])
+
+
+@pytest.mark.parametrize("target", [10.0, 300.0, 50.0 + 1.0j])
+def test_slp_string_returns_the_nearest_five_above_the_pole(target):
+    # the five eigenvalues nearest the target among those above the pole:
+    # SLP misses 0.457318, second nearest to 10, with a pencil pass for
+    # every pair and with queued starts alike; each one it returns is an
+    # oracle eigenvalue to 1e-10
+    op, oracle = gen_loaded_string(1000)
+    above = STRING1000[STRING1000 > oracle.pole]
+    want = np.sort(above[np.argsort(np.abs(above - target))[:5]])
+    sol = slp_solve(op, Settings(nev=5, tol=1e-8, target=target))
+    got = np.sort(sol.eigenvalues.real)
+    assert sol.converged and np.all(np.abs(got - want) <= 1e-6 * want)
+    for lam in sol.eigenvalues:
+        assert abs(_string_oracle_nearest(oracle, lam.real) - lam) <= 1e-10 * abs(lam)
+
+
+def test_slp_stalled_newton_steps_from_a_queued_pair_take_the_pencil_step(monkeypatch):
+    # Newton steps from a queued pair that leave the iterate where it is: eta
+    # does not fall tenfold, so the hunt's next step is a pencil pass, and
+    # the eigenvalues are those of the unpatched solve
+    hunting = []
+    newton_step = newton._newton_step
+
+    def stalled(solve_ext, apply_deriv, xt):
+        step = newton_step(solve_ext, apply_deriv, xt)
+        return (0.0, xt) if hunting[-1] and step is not None else step
+
+    advance = newton._SLP.advance
+    steps = []
+
+    def recorded(self, eta, r1, r2):
+        hunting.append(eta >= self.tol)
+        seeded = self.seeded
+        ok = advance(self, eta, r1, r2)
+        steps.append((eta >= self.tol, seeded, self.seeded))
+        return ok
+
+    monkeypatch.setattr(newton, "_newton_step", stalled)
+    monkeypatch.setattr(newton._SLP, "advance", recorded)
+    passes = _record_slp_steps(monkeypatch)
+    sol = _delay(100, slp_solve, Settings(nev=4, tol=1e-8, target=1.0))
+    monkeypatch.undo()
+    assert sol.converged and sol.stats["restarts"] == 0
+    seeded_hunt = [i for i, (hunt, before, _after) in enumerate(steps) if hunt and before == newton.SEEDED_STEPS]
+    assert seeded_hunt
+    for i in seeded_hunt:
+        # one Newton step, which stalls; the next hunt step is a pencil pass
+        assert passes[i][1] == 0 and steps[i][2] == newton.SEEDED_STEPS - 1
+        assert steps[i + 1][0] and passes[i + 1][1] == 1 and steps[i + 1][2] == 0
     ref = _step_case("slp-delay100")
     assert np.allclose(sol.eigenvalues, ref.eigenvalues, rtol=1e-10, atol=0)
 
@@ -615,7 +700,7 @@ def _string(solver, **kw):
 
 
 STEP_CASES = {
-    "slp-delay100": (lambda: _delay(100, slp_solve, Settings(nev=4, tol=1e-8, target=1.0)), (13, 105, 0)),
+    "slp-delay100": (lambda: _delay(100, slp_solve, Settings(nev=4, tol=1e-8, target=1.0)), (10, 26, 0)),
     "rii-delay100": (lambda: _delay(100, rii_solve, Settings(nev=4, tol=1e-8, target=1.0)), (109, 222, 4)),
     "rii-delay40-threshold": (
         lambda: _delay(40, rii_solve, Settings(nev=2, tol=1e-10, target=1.0), deflation_threshold=1e-4),
@@ -623,7 +708,7 @@ STEP_CASES = {
     ),
     "slp-delay40-threshold": (
         lambda: _delay(40, slp_solve, Settings(nev=2, tol=1e-10, target=1.0), deflation_threshold=1e-4),
-        (8, 54, 0),
+        (7, 25, 0),
     ),
     "rii-string-lag1": (lambda: _string(rii_solve, lag=1), (23, 57, 0)),
     "rii-string-hermitian": (lambda: _string(rii_solve, hermitian=True), (104, 107, 0)),
